@@ -3,9 +3,9 @@ GO ?= go
 # Packages whose concurrency the race detector must vet.
 RACE_PKGS = ./internal/channel ./internal/sched ./internal/explore ./internal/mesh ./internal/trace ./internal/obs ./internal/serve ./internal/cluster ./internal/cluster/client ./internal/slo ./cmd/archload
 
-.PHONY: check build vet test race bench bench-smoke bench-compare cover kernel-smoke net-smoke serve-smoke cluster-smoke chaos-smoke hotshard-smoke obs-smoke fuzz-smoke explore-smoke
+.PHONY: check build vet test race bench bench-smoke benchmark-smoke bench-compare cover kernel-smoke net-smoke serve-smoke cluster-smoke chaos-smoke hotshard-smoke obs-smoke fuzz-smoke explore-smoke
 
-check: vet build test race bench-smoke kernel-smoke net-smoke serve-smoke cluster-smoke chaos-smoke hotshard-smoke obs-smoke fuzz-smoke explore-smoke
+check: vet build test race bench-smoke benchmark-smoke kernel-smoke net-smoke serve-smoke cluster-smoke chaos-smoke hotshard-smoke obs-smoke fuzz-smoke explore-smoke
 
 build:
 	$(GO) build ./...
@@ -18,8 +18,11 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -run 'TestTiledKernelDeterminism|TestFastPathIdentity1D|TestKernelPencilVsReferenceProperty' ./internal/fdtd
+	$(GO) test -race -run 'TestTiledKernelDeterminism|TestFastPathIdentity1D|TestOneProgramIdentity|TestKernelPencilVsReferenceProperty' ./internal/fdtd
 
+# bench is legacy (as are BENCH_obs.json, bench-compare and
+# cmd/benchdiff): the measuring instrument is `bash benchmark/run.sh`
+# under the BENCHMARK.json contract, smoke-tested by benchmark-smoke.
 # bench runs the runtime benchmarks with allocation reporting, then a
 # P=4 parallel FDTD run (with a measured P=1 baseline) whose headline
 # observability metrics land in BENCH_obs.json and fdtd_report.json.
@@ -59,6 +62,12 @@ bench:
 # check catches benchmark rot without paying full benchmark time.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' $(RACE_PKGS) ./internal/fdtd > /dev/null
+
+# benchmark-smoke runs the smoke test of the measuring instrument
+# (benchmark/ is a module of its own, so `go test ./...` does not reach
+# it): every workload at toy size, every solve checked bitwise.
+benchmark-smoke:
+	$(GO) test -C benchmark ./...
 
 # kernel-smoke proves the kernel fast path in seconds: the property
 # test pits the fused pencil kernels against the per-cell reference

@@ -160,12 +160,13 @@ func networks() []network {
 	}
 	const fdtdP = 2
 	spec := fdtdSpecTiny()
-	slabs := grid.SlabDecompose3(spec.NX, spec.NY, spec.NZ, fdtdP, grid.AxisX)
 	fdtdOpt := fdtd.DefaultOptions()
+	fdtdBody, err := fdtd.SPMD(spec, fdtdP, fdtdOpt)
+	if err != nil {
+		panic(err) // fdtdSpecTiny is a constant: only a bug can reject it
+	}
 	fdtdMk := func() []sched.Proc[mesh.Msg, *fdtd.Result] {
-		return mesh.Procs(fdtdP, fdtdOpt.Mesh, func(c *mesh.Comm) *fdtd.Result {
-			return fdtd.SPMD(c, spec, slabs, fdtdOpt)
-		})
+		return mesh.Procs(fdtdP, fdtdOpt.Mesh, fdtdBody)
 	}
 	return []network{
 		entry("valid", "didactic premise-respecting exchange", 2, explore.DepFull, false, validMk, nil),

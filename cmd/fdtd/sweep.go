@@ -43,10 +43,12 @@ type sweepRow struct {
 	modelIBMX float64       // machine-model speedup, IBM SP
 }
 
-// runSweep measures the P-scaling of the parallel build: a sequential
-// reference, then for each P an in-process Par run (and, with
-// -backend socket, a loopback-socket run), each checked bitwise
-// against the sequential fields.  Wall clocks are whatever this host
+// runSweep measures the P-scaling of the parallel build: the sequential
+// program (the same program and kernels on the trivial decomposition,
+// so measured speedups divide like by like), then for each P an
+// in-process Par run (and, with -backend socket, a loopback-socket
+// run), each checked bitwise against the sequential fields.  Wall
+// clocks are whatever this host
 // gives — on a single hardware thread a CPU-bound solve cannot beat
 // P=1 — so the table also reports the paper's machine-model speedups,
 // which are deterministic functions of the measured message/work tally

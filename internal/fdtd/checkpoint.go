@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/grid"
 	"repro/internal/gridio"
+	"repro/internal/mesh"
 )
 
 // Checkpointing.  A long scattering run can be stopped and resumed:
@@ -40,11 +41,11 @@ import (
 // the six field grids in gridio format; VECS holds the probe series and
 // far-field accumulators.  Any bit flip or truncation fails the CRC or
 // the section framing and the load is rejected with ErrCorrupt; a spec
-// fingerprint mismatch is rejected with ErrSpecMismatch.  Files written
-// by the unversioned v1 format ("FDTDCKP1") are still read.
+// fingerprint mismatch is rejected with ErrSpecMismatch.  The
+// unversioned v1 format ("FDTDCKP1": no fingerprint, no checksums) is no
+// longer read; such a stream fails the magic check with ErrCorrupt.
 
 const (
-	checkpointMagicV1  = "FDTDCKP1"
 	checkpointMagicV2  = "FDTDCKP2"
 	checkpointVersion2 = 2
 	// maxCheckpointSection caps a section payload (and any vector
@@ -60,14 +61,12 @@ var ErrCorrupt = errors.New("fdtd: corrupt checkpoint")
 // match the spec it is being resumed under.
 var ErrSpecMismatch = errors.New("fdtd: checkpoint spec mismatch")
 
-// Checkpoint is a snapshot of a run after some number of steps.
+// Checkpoint is a snapshot of a run after some number of steps: the
+// result so far — the state a window ending at step StepsDone produced —
+// which is also the state the next window starts from.
 type Checkpoint struct {
-	Spec                   Spec
-	StepsDone              int
-	Ex, Ey, Ez, Hx, Hy, Hz *grid.G3
-	Probe                  []float64
-	FarA, FarF             []float64
-	Work                   float64
+	Result
+	StepsDone int
 }
 
 // writeSection frames one checksummed section.
@@ -163,8 +162,7 @@ func (c *Checkpoint) Write(w io.Writer) error {
 	return writeSection(w, "VECS", vecs.Bytes())
 }
 
-// ReadCheckpoint deserialises a checkpoint written by Write (format v2,
-// with v1 files still accepted).  The caller supplies the spec (specs
+// ReadCheckpoint deserialises a checkpoint written by Write.  The caller supplies the spec (specs
 // contain presets chosen in code and are not serialised); the saved
 // fingerprint must match it, and grid shapes are validated against it.
 func ReadCheckpoint(r io.Reader, spec Spec) (*Checkpoint, error) {
@@ -172,11 +170,7 @@ func ReadCheckpoint(r io.Reader, spec Spec) (*Checkpoint, error) {
 	if _, err := io.ReadFull(r, magic); err != nil {
 		return nil, fmt.Errorf("%w: reading magic: %v", ErrCorrupt, err)
 	}
-	switch string(magic) {
-	case checkpointMagicV1:
-		return readCheckpointV1(r, spec)
-	case checkpointMagicV2:
-	default:
+	if string(magic) != checkpointMagicV2 {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, magic)
 	}
 	var version uint32
@@ -204,7 +198,7 @@ func ReadCheckpoint(r io.Reader, spec Spec) (*Checkpoint, error) {
 	if err := binary.Read(mr, binary.LittleEndian, head); err != nil {
 		return nil, fmt.Errorf("%w: decoding META: %v", ErrCorrupt, err)
 	}
-	c := &Checkpoint{Spec: spec, StepsDone: int(head[0])}
+	c := &Checkpoint{Result: Result{Spec: spec}, StepsDone: int(head[0])}
 	if c.StepsDone < 0 || c.StepsDone > spec.Steps {
 		return nil, fmt.Errorf("fdtd: checkpoint at step %d outside run of %d steps", c.StepsDone, spec.Steps)
 	}
@@ -228,26 +222,6 @@ func ReadCheckpoint(r io.Reader, spec Spec) (*Checkpoint, error) {
 		return nil, err
 	}
 	return c, nil
-}
-
-// readCheckpointV1 decodes the legacy unversioned format (magic
-// already consumed): no fingerprint, no checksums.
-func readCheckpointV1(r io.Reader, spec Spec) (*Checkpoint, error) {
-	head := make([]int64, 4)
-	if err := binary.Read(r, binary.LittleEndian, head); err != nil {
-		return nil, err
-	}
-	c := &Checkpoint{Spec: spec, StepsDone: int(head[0])}
-	if c.StepsDone < 0 || c.StepsDone > spec.Steps {
-		return nil, fmt.Errorf("fdtd: checkpoint at step %d outside run of %d steps", c.StepsDone, spec.Steps)
-	}
-	if err := binary.Read(r, binary.LittleEndian, &c.Work); err != nil {
-		return nil, err
-	}
-	if err := c.readGrids(r, spec); err != nil {
-		return nil, err
-	}
-	return c, c.readVectors(r, head[1], head[2], head[3])
 }
 
 func (c *Checkpoint) readGrids(r io.Reader, spec Spec) error {
@@ -365,164 +339,32 @@ func LoadCheckpointWithFallback(path string, spec Spec) (c *Checkpoint, fellBack
 	return nil, false, err
 }
 
-// NewCheckpoint validates spec and returns its step-0 state: zeroed
-// fields, empty probe, fresh far-field accumulators.  It is the seed
-// checkpoint for a recovery-driven run.
-func NewCheckpoint(spec Spec) (*Checkpoint, error) {
-	return RunSequentialUntil(spec, 0)
-}
-
 // RunSequentialUntil executes the sequential program for the first
 // `until` steps only and returns the state as a checkpoint.
 func RunSequentialUntil(spec Spec, until int) (*Checkpoint, error) {
 	if until < 0 || until > spec.Steps {
 		return nil, fmt.Errorf("fdtd: checkpoint step %d outside run of %d steps", until, spec.Steps)
 	}
-	truncated := spec
-	truncated.Steps = until
-	if until == 0 {
-		// Run zero steps: validation plus zeroed state.
-		if err := spec.Validate(); err != nil {
-			return nil, err
-		}
-		z := func() *grid.G3 { return grid.New3(spec.NX, spec.NY, spec.NZ, 0) }
-		c := &Checkpoint{Spec: spec, Ex: z(), Ey: z(), Ez: z(), Hx: z(), Hy: z(), Hz: z()}
-		if spec.IsVersionC() {
-			ff := newFarField(spec, false)
-			c.FarA = ff.A
-			c.FarF = ff.F
-		}
-		return c, nil
-	}
-	res, err := RunSequential(truncated)
+	pr, err := plan(spec, 1, sequentialOptions(false))
 	if err != nil {
 		return nil, err
 	}
-	return &Checkpoint{
-		Spec: spec, StepsDone: until,
-		Ex: res.Ex, Ey: res.Ey, Ez: res.Ez,
-		Hx: res.Hx, Hy: res.Hy, Hz: res.Hz,
-		Probe: res.Probe, FarA: res.FarA, FarF: res.FarF,
-		Work: res.Work,
-	}, nil
+	pr.until = until
+	res, err := pr.exec(mesh.Sim)
+	if err != nil {
+		return nil, err
+	}
+	return &Checkpoint{Result: *res, StepsDone: until}, nil
 }
 
 // ResumeSequential continues a checkpointed run to completion and
 // returns the final result.  A resumed run is bitwise identical to an
 // uninterrupted one.
 func ResumeSequential(c *Checkpoint) (*Result, error) {
-	spec := c.Spec
-	if err := spec.Validate(); err != nil {
+	pr, err := plan(c.Spec, 1, sequentialOptions(false))
+	if err != nil {
 		return nil, err
 	}
-	if spec.Boundary == BoundaryMur1 {
-		// The Mur state (previous-step boundary planes) is not part of
-		// the checkpoint; restarting mid-run would perturb one boundary
-		// step.  A step-0 checkpoint carries no history, so the run
-		// simply starts over.
-		if c.StepsDone > 0 {
-			return nil, fmt.Errorf("fdtd: resuming Mur-boundary runs mid-stream is not supported")
-		}
-		return RunSequential(spec)
-	}
-	nx, ny, nz := spec.NX, spec.NY, spec.NZ
-	ex, ey, ez := c.Ex.Clone(), c.Ey.Clone(), c.Ez.Clone()
-	hx, hy, hz := c.Hx.Clone(), c.Hy.Clone(), c.Hz.Clone()
-	ca := grid.New3(nx, ny, nz, 0)
-	cb := grid.New3(nx, ny, nz, 0)
-	da := grid.New3(nx, ny, nz, 0)
-	db := grid.New3(nx, ny, nz, 0)
-	for i := 0; i < nx; i++ {
-		for j := 0; j < ny; j++ {
-			for k := 0; k < nz; k++ {
-				a, b, cc, d := spec.Coefficients(i, j, k)
-				ca.Set(i, j, k, a)
-				cb.Set(i, j, k, b)
-				da.Set(i, j, k, cc)
-				db.Set(i, j, k, d)
-			}
-		}
-	}
-	var ff *farField
-	if spec.IsVersionC() {
-		ff = newFarField(spec, false)
-		copy(ff.A, c.FarA)
-		copy(ff.F, c.FarF)
-	}
-	probe := append([]float64(nil), c.Probe...)
-	work := c.Work
-
-	// The loop body below is RunSequential's, picking up at StepsDone.
-	for n := c.StepsDone; n < spec.Steps; n++ {
-		for i := 0; i < nx; i++ {
-			for j := 1; j < ny; j++ {
-				for k := 1; k < nz; k++ {
-					ex.Set(i, j, k, ca.At(i, j, k)*ex.At(i, j, k)+
-						cb.At(i, j, k)*((hz.At(i, j, k)-hz.At(i, j-1, k))-(hy.At(i, j, k)-hy.At(i, j, k-1))))
-					work++
-				}
-			}
-		}
-		for i := 1; i < nx; i++ {
-			for j := 0; j < ny; j++ {
-				for k := 1; k < nz; k++ {
-					ey.Set(i, j, k, ca.At(i, j, k)*ey.At(i, j, k)+
-						cb.At(i, j, k)*((hx.At(i, j, k)-hx.At(i, j, k-1))-(hz.At(i, j, k)-hz.At(i-1, j, k))))
-					work++
-				}
-			}
-		}
-		for i := 1; i < nx; i++ {
-			for j := 1; j < ny; j++ {
-				for k := 0; k < nz; k++ {
-					ez.Set(i, j, k, ca.At(i, j, k)*ez.At(i, j, k)+
-						cb.At(i, j, k)*((hy.At(i, j, k)-hy.At(i-1, j, k))-(hx.At(i, j, k)-hx.At(i, j-1, k))))
-					work++
-				}
-			}
-		}
-		addSource(ez, spec, n, grid.Range{Lo: 0, Hi: nx}, grid.Range{Lo: 0, Hi: ny})
-		for i := 0; i < nx; i++ {
-			for j := 0; j < ny-1; j++ {
-				for k := 0; k < nz-1; k++ {
-					hx.Set(i, j, k, da.At(i, j, k)*hx.At(i, j, k)+
-						db.At(i, j, k)*((ey.At(i, j, k+1)-ey.At(i, j, k))-(ez.At(i, j+1, k)-ez.At(i, j, k))))
-					work++
-				}
-			}
-		}
-		for i := 0; i < nx-1; i++ {
-			for j := 0; j < ny; j++ {
-				for k := 0; k < nz-1; k++ {
-					hy.Set(i, j, k, da.At(i, j, k)*hy.At(i, j, k)+
-						db.At(i, j, k)*((ez.At(i+1, j, k)-ez.At(i, j, k))-(ex.At(i, j, k+1)-ex.At(i, j, k))))
-					work++
-				}
-			}
-		}
-		for i := 0; i < nx-1; i++ {
-			for j := 0; j < ny-1; j++ {
-				for k := 0; k < nz; k++ {
-					hz.Set(i, j, k, da.At(i, j, k)*hz.At(i, j, k)+
-						db.At(i, j, k)*((ex.At(i, j+1, k)-ex.At(i, j, k))-(ey.At(i+1, j, k)-ey.At(i, j, k))))
-					work++
-				}
-			}
-		}
-		probe = append(probe, ez.At(spec.Probe[0], spec.Probe[1], spec.Probe[2]))
-		if ff != nil {
-			work += float64(ff.accumulate(n, ex, ey, ez, hx, hy, hz, grid.Range{Lo: 0, Hi: nx}, grid.Range{Lo: 0, Hi: ny}))
-		}
-	}
-
-	res := &Result{
-		Spec: spec,
-		Ex:   ex, Ey: ey, Ez: ez, Hx: hx, Hy: hy, Hz: hz,
-		Probe: probe,
-		Work:  work,
-	}
-	if ff != nil {
-		res.FarA, res.FarF = ff.finalize()
-	}
-	return res, nil
+	pr.start = c
+	return pr.exec(mesh.Sim)
 }

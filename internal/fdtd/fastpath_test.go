@@ -1,10 +1,152 @@
 package fdtd
 
 import (
+	"fmt"
+	"path/filepath"
+	"sync"
 	"testing"
 
+	"repro/internal/channel"
+	"repro/internal/machine"
 	"repro/internal/mesh"
 )
+
+// runWorkers executes spec as p RunArchetypeWorker ranks joined by a
+// unix-socket mesh — the body of p -procs worker processes — and
+// returns rank 0's assembled result.
+func runWorkers(spec Spec, p int, dir string) (*Result, error) {
+	addrs := make([]string, p)
+	for i := range addrs {
+		addrs[i] = filepath.Join(dir, fmt.Sprintf("rank-%d.sock", i))
+	}
+	results := make([]*Result, p)
+	errs := make([]error, p)
+	var wg sync.WaitGroup
+	for r := 0; r < p; r++ {
+		r := r
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr, err := channel.DialMesh("unix", addrs, r, mesh.WireCodec(), channel.SocketOptions{})
+			if err != nil {
+				errs[r] = err
+				return
+			}
+			defer tr.Close()
+			results[r], errs[r] = RunArchetypeWorker(spec, r, tr, DefaultOptions())
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return results[0], nil
+}
+
+// TestOneProgramIdentity is the refinement claim as one table: every
+// entry point is the one program (program.rank) on some decomposition
+// over some sequence of step windows, so every row must reproduce the
+// sequential program's near field, probe series and work tally bitwise
+// — and its far field too wherever the summation order is the
+// sequential one (a single rank, however the steps are windowed).
+func TestOneProgramIdentity(t *testing.T) {
+	type row struct {
+		name string
+		far  bool // far field bitwise equal to sequential, not just near
+		run  func(spec Spec) (*Result, error)
+	}
+	arch := func(p int, mode mesh.Mode) func(Spec) (*Result, error) {
+		return func(spec Spec) (*Result, error) { return RunArchetype(spec, p, mode, DefaultOptions()) }
+	}
+	unsplit := []row{
+		{"P=1", true, arch(1, mesh.Sim)},
+		{"slabs P=2", false, arch(2, mesh.Par)},
+		{"slabs P=4", false, arch(4, mesh.Par)},
+		{"blocks 2x2", false, func(spec Spec) (*Result, error) {
+			return RunArchetype2D(spec, 2, 2, mesh.Par, DefaultOptions())
+		}},
+		{"workers P=2 over a socket mesh", false, func(spec Spec) (*Result, error) {
+			return runWorkers(spec, 2, t.TempDir())
+		}},
+		// The end-to-end At/Set oracle: the whole sequential run on the
+		// per-cell reference kernels.
+		{"sequential on the reference kernels", true, func(spec Spec) (*Result, error) {
+			pr, err := plan(spec, 1, sequentialOptions(false))
+			if err != nil {
+				return nil, err
+			}
+			pr.kernel = KernelReference
+			return pr.exec(mesh.Sim)
+		}},
+	}
+	// Every split [0,k)+[k,N) of the run into two windows.
+	split := func(k int) []row {
+		resume := func(cont func(*Checkpoint) (*Result, error)) func(Spec) (*Result, error) {
+			return func(spec Spec) (*Result, error) {
+				ck, err := RunSequentialUntil(spec, k)
+				if err != nil {
+					return nil, err
+				}
+				return cont(ck)
+			}
+		}
+		archAt := func(p int) func(*Checkpoint) (*Result, error) {
+			return func(ck *Checkpoint) (*Result, error) { return ResumeArchetype(ck, p, DefaultOptions()) }
+		}
+		return []row{
+			{fmt.Sprintf("split %d, ResumeSequential", k), true, resume(ResumeSequential)},
+			{fmt.Sprintf("split %d, ResumeArchetype P=1", k), true, resume(archAt(1))},
+			{fmt.Sprintf("split %d, ResumeArchetype P=3", k), false, resume(archAt(3))},
+		}
+	}
+
+	mur := SpecSmall()
+	mur.Boundary = BoundaryMur1
+	for _, spec := range []Spec{SpecSmall(), mur} {
+		rows := unsplit
+		if spec.Boundary != BoundaryMur1 { // Mur history is not checkpointed
+			for k := 0; k <= spec.Steps; k++ {
+				rows = append(rows, split(k)...)
+			}
+		}
+		seq := mustSeq(t, spec)
+		for _, r := range rows {
+			res, err := r.run(spec)
+			if err != nil {
+				t.Fatalf("%v %s: %v", spec.Boundary, r.name, err)
+			}
+			if !seq.NearFieldEqual(res) {
+				t.Errorf("%v %s: near field or probe differs from sequential", spec.Boundary, r.name)
+			}
+			if seq.Work != res.Work {
+				t.Errorf("%v %s: work %v, sequential %v", spec.Boundary, r.name, res.Work, seq.Work)
+			}
+			if r.far && !seq.FarFieldEqual(res) {
+				t.Errorf("%v %s: far field differs from sequential", spec.Boundary, r.name)
+			}
+		}
+
+		// The sequential program is the trivial decomposition: it must
+		// not send a single message.
+		opt := sequentialOptions(false)
+		opt.Mesh.Tally = machine.NewTally(1)
+		pr, err := plan(spec, 1, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pr.exec(mesh.Sim); err != nil {
+			t.Fatal(err)
+		}
+		if n, b := opt.Mesh.Tally.TotalMessages(), opt.Mesh.Tally.TotalBytes(); n != 0 || b != 0 {
+			t.Errorf("%v: sequential program sent %d messages (%d bytes), want none", spec.Boundary, n, b)
+		}
+		if w := opt.Mesh.Tally.TotalWork(); w != seq.Work {
+			t.Errorf("%v: sequential tally work %v != result work %v", spec.Boundary, w, seq.Work)
+		}
+	}
+}
 
 // TestFastPathIdentity1D sweeps the fast-path configuration space of the
 // 1-D slab decomposition — overlap on/off, serial vs tiled kernels, both

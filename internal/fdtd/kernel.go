@@ -56,10 +56,19 @@ func (f *Fields) fillCoefficientsLocal() {
 	}
 }
 
-// setCoefficients installs externally provided (host-scattered)
-// coefficient grids; their shapes must match the block.
-func (f *Fields) setCoefficients(ca, cb, da, db *grid.G3) {
-	f.Ca, f.Cb, f.Da, f.Db = ca, cb, da, db
+// hostCoefficients builds the global coefficient grids the host
+// scatters (Options.HostIO): the local fill on the one block covering
+// the whole domain.  Only the coefficient grids of the returned Fields
+// are set.
+func hostCoefficients(spec Spec) Fields {
+	mk := func() *grid.G3 { return grid.New3(spec.NX, spec.NY, spec.NZ, 0) }
+	g := Fields{
+		Spec: spec,
+		XR:   grid.Range{Lo: 0, Hi: spec.NX}, YR: grid.Range{Lo: 0, Hi: spec.NY},
+		Ca: mk(), Cb: mk(), Da: mk(), Db: mk(),
+	}
+	g.fillCoefficientsLocal()
+	return g
 }
 
 // addSource injects the step-n source value into the local Ez section.
@@ -109,27 +118,23 @@ func imin(a, b int) int {
 	return b
 }
 
-// updateE advances the electric field one step over the local section.
-// Loop bounds are derived from global indices, so boundary processes
-// automatically perform the PEC boundary handling ("calculations that
-// must be done differently in different grid processes").  It returns
-// the number of component updates performed.
+// updateERange advances the electric field one step over local pencil
+// columns [li0, li1) x [lj0, lj1) and returns the number of component
+// updates performed.  Loop bounds are derived from global indices, so
+// boundary processes automatically perform the PEC boundary handling
+// ("calculations that must be done differently in different grid
+// processes").
 //
-// The per-cell expressions are, by construction, operation-for-
-// operation identical to RunSequential's, so the simulated-parallel
-// results are bitwise identical to the sequential ones.
-func updateE(f *Fields) int {
-	return updateERange(f, 0, f.XR.Len(), 0, f.YR.Len())
-}
-
-// updateERange is updateE restricted to local pencil columns
-// [li0, li1) x [lj0, lj1).  Each component's own loop bounds (the PEC
-// clamps derived from global indices) are intersected with the window,
-// so any disjoint cover of the full range performs exactly the cell
-// updates of one updateE call, each with the identical expression —
-// the property the tiled and overlapped drivers rely on for bitwise
-// reproducibility.  The window must not exceed [0, NX) x [0, NY);
-// empty windows are fine and update nothing.
+// The sequential program runs this same kernel on the one block that
+// covers the whole domain, so the simulated-parallel results are
+// bitwise identical to the sequential ones by construction.
+//
+// Each component's own loop bounds (the PEC clamps) are intersected
+// with the window, so any disjoint cover of the local section performs
+// exactly the cell updates of one full-section call, each with the
+// identical expression — the property the tiled and overlapped drivers
+// rely on for bitwise reproducibility.  The window must not exceed
+// [0, NX) x [0, NY); empty windows are fine and update nothing.
 //
 // The E stencils read H one pencil below along x (li-1) and y (lj-1)
 // and never write H, so windows that partition the local section can
@@ -209,14 +214,8 @@ func updateERange(f *Fields, li0, li1, lj0, lj1 int) int {
 	return count
 }
 
-// updateH advances the magnetic field one step over the local section,
-// returning the number of component updates.
-func updateH(f *Fields) int {
-	return updateHRange(f, 0, f.XR.Len(), 0, f.YR.Len())
-}
-
-// updateHRange is updateH restricted to local pencil columns
-// [li0, li1) x [lj0, lj1), with the same windowing contract as
+// updateHRange advances the magnetic field one step over local pencil
+// columns [li0, li1) x [lj0, lj1), with the same windowing contract as
 // updateERange.  The H stencils read E one pencil above along x (li+1)
 // and y (lj+1) and never write E, so disjoint windows are race-free.
 func updateHRange(f *Fields, li0, li1, lj0, lj1 int) int {

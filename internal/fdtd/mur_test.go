@@ -119,8 +119,21 @@ func TestMurRejectsTooThinEdgeSlabs(t *testing.T) {
 	spec := SpecSmallA()
 	spec.Boundary = BoundaryMur1
 	// p == NX gives one-plane slabs: the x-face update cannot run.
-	if _, err := RunArchetype(spec, spec.NX, mesh.Sim, DefaultOptions()); err == nil {
+	_, want := RunArchetype(spec, spec.NX, mesh.Sim, DefaultOptions())
+	if want == nil {
 		t.Fatal("one-plane edge slabs must be rejected under Mur")
+	}
+	// Recovery admits through the same decompose(): a single-segment run
+	// and a step-0 resume are refused with the same words.
+	if _, err := RunWithRecovery(spec, RecoveryOptions{P: spec.NX, Opt: DefaultOptions()}); err == nil || err.Error() != want.Error() {
+		t.Fatalf("RunWithRecovery: got %v, want %v", err, want)
+	}
+	ck0, err := RunSequentialUntil(spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ResumeArchetype(ck0, spec.NX, DefaultOptions()); err == nil || err.Error() != want.Error() {
+		t.Fatalf("ResumeArchetype: got %v, want %v", err, want)
 	}
 	// A p that still leaves >= 2 planes per slab is fine.
 	if _, err := RunArchetype(spec, spec.NX/2, mesh.Sim, DefaultOptions()); err != nil {

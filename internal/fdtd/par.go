@@ -1,10 +1,8 @@
 package fdtd
 
 import (
-	"fmt"
-
+	"repro/internal/channel"
 	"repro/internal/fault"
-	"repro/internal/grid"
 	"repro/internal/mesh"
 )
 
@@ -47,147 +45,55 @@ func DefaultOptions() Options {
 }
 
 // RunArchetype executes the mesh-archetype build of the application on
-// p processes under the given runtime mode (mesh.Sim for the
-// sequential simulated-parallel version, mesh.Par for the real
-// parallel version) and returns the assembled result.
+// p processes (x-slabs) under the given runtime mode (mesh.Sim for the
+// sequential simulated-parallel version, mesh.Par for the real parallel
+// version) and returns the assembled result.
 func RunArchetype(spec Spec, p int, mode mesh.Mode, opt Options) (*Result, error) {
-	slabs, err := decompose(spec, p)
+	pr, err := plan(spec, p, opt)
 	if err != nil {
 		return nil, err
 	}
-	results, err := mesh.Run(p, mode, opt.Mesh, func(c *mesh.Comm) *Result {
-		return spmd(c, spec, slabs, opt)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results[0], nil
+	return pr.exec(mode)
 }
 
-// SPMD is the per-process body of the archetype program, exported so
-// that experiment harnesses can execute it under arbitrary scheduling
+// RunArchetype2D executes the mesh-archetype build of the application
+// on a px-by-py 2-D process grid (the x and y axes of the domain are
+// block-distributed; z stays whole).  This is the general form of the
+// archetype's data distribution; RunArchetype's 1-D slabs own the same
+// cells as py == 1 but redistribute plane by plane.  Results are
+// bitwise identical to the sequential program's near field, with the
+// same far-field reordering caveat as the 1-D build.
+func RunArchetype2D(spec Spec, px, py int, mode mesh.Mode, opt Options) (*Result, error) {
+	pr, err := plan2D(spec, px, py, false, opt)
+	if err != nil {
+		return nil, err
+	}
+	return pr.exec(mode)
+}
+
+// RunArchetypeWorker executes one rank of the archetype application in
+// this process, with the other ranks reached through tr (typically
+// channel.DialMesh in a -procs worker).  The returned Result carries
+// the assembled global fields only on rank 0; every rank gets the
+// probe series and reductions.  By Theorem 1 all of it is bitwise
+// identical to the same rank's slice of a RunArchetype run.
+func RunArchetypeWorker(spec Spec, rank int, tr channel.Transport[mesh.Msg], opt Options) (*Result, error) {
+	pr, err := plan(spec, tr.P(), opt)
+	if err != nil {
+		return nil, err
+	}
+	return mesh.RunWorker(rank, tr, opt.Mesh, pr.rank)
+}
+
+// SPMD admits spec on p processes exactly as RunArchetype does and
+// returns the per-process body of the archetype program, so that
+// experiment harnesses can execute it under arbitrary scheduling
 // policies (the determinacy experiment E4).  RunArchetype wires the
 // same body to the standard Sim and Par runtimes.
-func SPMD(c *mesh.Comm, spec Spec, slabs []grid.Slab, opt Options) *Result {
-	return spmd(c, spec, slabs, opt)
-}
-
-// ownerOf returns the rank owning global x index i.
-func ownerOf(slabs []grid.Slab, i int) int {
-	for _, sl := range slabs {
-		if sl.R.Contains(i) {
-			return sl.Rank
-		}
+func SPMD(spec Spec, p int, opt Options) (func(c *mesh.Comm) *Result, error) {
+	pr, err := plan(spec, p, opt)
+	if err != nil {
+		return nil, err
 	}
-	panic(fmt.Sprintf("fdtd: no slab owns x=%d", i))
-}
-
-// spmd is the per-process body of the archetype program: alternating
-// local computation (grid operations) and archetype communication
-// (boundary exchanges, reductions, broadcast, host I/O redistribution),
-// exactly the structure the mesh archetype prescribes.
-func spmd(c *mesh.Comm, spec Spec, slabs []grid.Slab, opt Options) *Result {
-	rank := c.Rank()
-	sl := slabs[rank]
-	fullY := grid.Range{Lo: 0, Hi: spec.NY}
-	f := newFields(spec, sl.R, fullY)
-
-	if opt.HostIO {
-		// Host process builds the global material-coefficient grids (as
-		// if read from an input file) and scatters them to the grid
-		// processes.
-		var gca, gcb, gda, gdb *grid.G3
-		if rank == 0 {
-			gca = grid.New3(spec.NX, spec.NY, spec.NZ, 0)
-			gcb = grid.New3(spec.NX, spec.NY, spec.NZ, 0)
-			gda = grid.New3(spec.NX, spec.NY, spec.NZ, 0)
-			gdb = grid.New3(spec.NX, spec.NY, spec.NZ, 0)
-			for i := 0; i < spec.NX; i++ {
-				for j := 0; j < spec.NY; j++ {
-					for k := 0; k < spec.NZ; k++ {
-						a, b, cc, d := spec.Coefficients(i, j, k)
-						gca.Set(i, j, k, a)
-						gcb.Set(i, j, k, b)
-						gda.Set(i, j, k, cc)
-						gdb.Set(i, j, k, d)
-					}
-				}
-			}
-		}
-		f.Ca = c.ScatterX(gca, slabs, 0, 0)
-		f.Cb = c.ScatterX(gcb, slabs, 0, 0)
-		f.Da = c.ScatterX(gda, slabs, 0, 0)
-		f.Db = c.ScatterX(gdb, slabs, 0, 0)
-	} else {
-		f.fillCoefficientsLocal()
-	}
-
-	var ff *farField
-	if spec.IsVersionC() {
-		ff = newFarField(spec, opt.FarFieldCompensated)
-	}
-	var mur *murState
-	if spec.Boundary == BoundaryMur1 {
-		mur = newMurState(spec, sl.R, fullY)
-	}
-	probeOwner := ownerOf(slabs, spec.Probe[0])
-	// 1-D chain neighbours along x (-1 at the domain ends).
-	xUp, xDown := -1, -1
-	if rank < c.P()-1 {
-		xUp = rank + 1
-	}
-	if rank > 0 {
-		xDown = rank - 1
-	}
-	st := newStepper(c, spec, f, mur, ff, xUp, xDown, -1, -1, false, rank == probeOwner)
-	defer st.close()
-
-	for n := 0; n < spec.Steps; n++ {
-		opt.Inject.Check(rank, n)
-		opt.Cancel.Check(rank, n)
-		st.step(n)
-	}
-	probeLocal := st.probe
-	localWork := st.work
-
-	// Far field: combine the per-process local double sums — one
-	// reduction at the end of the computation, as in §4.3.
-	var farA, farF []float64
-	if ff != nil {
-		a, fv := ff.finalize()
-		if opt.FarFieldCompensated {
-			// Rank-ordered combining keeps the result reproducible and
-			// the compensated partials keep it accurate.
-			farA = c.AllReduceVecAlg(a, mesh.OpSum, mesh.AllToOne)
-			farF = c.AllReduceVecAlg(fv, mesh.OpSum, mesh.AllToOne)
-		} else {
-			farA = c.AllReduceVec(a, mesh.OpSum)
-			farF = c.AllReduceVec(fv, mesh.OpSum)
-		}
-	}
-	// Re-establish copy consistency of the probe series (global data
-	// computed in one process only).
-	probe := c.BroadcastVec(probeLocal, probeOwner)
-	// Total work is a sum of integers, so the reduction is exact.
-	totalWork := c.AllReduce(localWork, mesh.OpSum)
-
-	// Grid-to-host redistribution of the final fields (file output).
-	gex := c.GatherX(f.Ex, slabs, 0)
-	gey := c.GatherX(f.Ey, slabs, 0)
-	gez := c.GatherX(f.Ez, slabs, 0)
-	ghx := c.GatherX(f.Hx, slabs, 0)
-	ghy := c.GatherX(f.Hy, slabs, 0)
-	ghz := c.GatherX(f.Hz, slabs, 0)
-
-	res := &Result{
-		Spec:  spec,
-		Probe: probe,
-		FarA:  farA, FarF: farF,
-		Work: totalWork,
-	}
-	if rank == 0 {
-		res.Ex, res.Ey, res.Ez = gex, gey, gez
-		res.Hx, res.Hy, res.Hz = ghx, ghy, ghz
-	}
-	return res
+	return pr.rank, nil
 }

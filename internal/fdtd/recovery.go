@@ -1,29 +1,33 @@
 package fdtd
 
 // Crash recovery for the parallel build.  RunWithRecovery executes the
-// archetype program in checkpointed segments: each segment runs the SPMD
-// solver for CheckpointEvery steps starting from the last checkpoint,
-// gathers the advanced state to the host, and saves it atomically.  When
-// a segment dies — an injected fault.Crash, a panic, a deadlock — the
-// driver reloads the last good checkpoint (falling back to the retained
-// previous file if the newest is damaged) and re-runs the segment.
+// archetype program in checkpointed segments: each segment is the one
+// program (program.rank) over the window of CheckpointEvery steps that
+// starts at the last checkpoint, and its host result — the gathered
+// state at the window's end — is saved atomically as the next
+// checkpoint.  When a segment dies — an injected fault.Crash, a panic,
+// a deadlock — the driver reloads the last good checkpoint (falling
+// back to the retained previous file if the newest is damaged) and
+// re-runs the segment.
 //
 // Theorem 1 makes this scheme exactly testable: the solver network is
 // deterministic, so a run that crashes, recovers, and resumes must be
 // bitwise identical to the same segmented run left uninterrupted.  The
 // near fields and the probe series are furthermore bitwise identical to
 // the plain single-segment run (field updates are local and segment
-// boundaries do not touch them); only the far-field accumulators are
-// combined in a different — still deterministic — order, because each
-// segment reduces its own contribution (the same reordering caveat that
-// already distinguishes the parallel far field from the sequential one).
+// boundaries do not touch them); only the far-field sums are combined
+// in a different — still deterministic — order, because the host's
+// accumulators carry the running total across segments and every
+// segment ends in its own reduction (the same reordering caveat that
+// already distinguishes the parallel far field from the sequential
+// one; at P=1 there is nothing to reorder and the far field matches
+// the sequential program's bitwise).
 
 import (
 	"errors"
 	"fmt"
 
 	"repro/internal/fault"
-	"repro/internal/grid"
 	"repro/internal/mesh"
 	"repro/internal/obs"
 )
@@ -73,64 +77,53 @@ type RecoveryReport struct {
 // returned after the restart budget would not help (deadlocks and real
 // panics are deterministic, so they are not retried).
 func RunWithRecovery(spec Spec, ro RecoveryOptions) (*RecoveryReport, error) {
-	if err := spec.Validate(); err != nil {
+	pr, err := plan(spec, ro.P, ro.Opt)
+	if err != nil {
 		return nil, err
-	}
-	p := ro.P
-	if p <= 0 || p > spec.NX {
-		return nil, fmt.Errorf("fdtd: cannot distribute %d x-planes over %d processes", spec.NX, p)
 	}
 	every := ro.CheckpointEvery
 	if every <= 0 || every > spec.Steps {
 		every = spec.Steps
 	}
-	if every == 0 {
-		every = 1 // zero-step run: the loop below just never executes
-	}
 	if spec.Boundary == BoundaryMur1 && every < spec.Steps {
 		// The Mur state (previous-step boundary planes) is not part of
 		// the checkpoint, matching ResumeSequential's refusal.
-		return nil, fmt.Errorf("fdtd: mid-run checkpoints of Mur-boundary runs are not supported")
+		return nil, errors.New("fdtd: mid-run checkpoints of Mur-boundary runs are not supported")
 	}
 	maxRestarts := ro.MaxRestarts
 	if maxRestarts == 0 {
 		maxRestarts = 3
 	}
-	slabs := grid.SlabDecompose3(spec.NX, spec.NY, spec.NZ, p, grid.AxisX)
 
 	// Checkpoint save/load runs host-side between segments; charge it to
 	// rank 0's lane so the run report shows what recovery costs.
 	col := ro.Opt.Mesh.Obs
-
-	rep := &RecoveryReport{}
-	var ckpt *Checkpoint
-	if ro.Resume && ro.Path != "" {
+	load := func() (*Checkpoint, bool, error) {
 		col.Begin(0, obs.PhaseCheckpoint, "checkpoint-load")
-		c, fellBack, err := LoadCheckpointWithFallback(ro.Path, spec)
-		col.End(0)
-		if err != nil {
-			return nil, err
-		}
-		if spec.Boundary == BoundaryMur1 && c.StepsDone > 0 {
-			return nil, errors.New("fdtd: resuming Mur-boundary runs mid-stream is not supported")
-		}
-		ckpt = c
-		rep.FellBack = fellBack
-		rep.ResumedFrom = c.StepsDone
-	} else {
-		c, err := NewCheckpoint(spec)
-		if err != nil {
-			return nil, err
-		}
-		ckpt = c
+		defer col.End(0)
+		return LoadCheckpointWithFallback(ro.Path, spec)
 	}
 
-	for ckpt.StepsDone < spec.Steps {
-		until := ckpt.StepsDone + every
-		if until > spec.Steps {
-			until = spec.Steps
+	rep := &RecoveryReport{}
+	if ro.Resume && ro.Path != "" {
+		c, fellBack, err := load()
+		if err != nil {
+			return nil, err
 		}
-		seg, err := runSegment(spec, p, slabs, ro.Opt, ckpt, until)
+		if err := checkResumable(spec, c); err != nil {
+			return nil, err
+		}
+		pr.start = c
+		rep.FellBack = fellBack
+		rep.ResumedFrom = c.StepsDone
+	}
+
+	// pr.start is the last good state: nil until the first segment (or a
+	// resume) produces one, so a fresh run's first segment scatters no
+	// fields, exactly like RunArchetype.
+	for done := rep.ResumedFrom; done < spec.Steps; {
+		pr.until = imin(done+every, spec.Steps)
+		res, err := pr.exec(mesh.Par)
 		if err != nil {
 			crash, injected := fault.AsCrash(err)
 			if !injected || rep.Restarts >= maxRestarts {
@@ -142,21 +135,19 @@ func RunWithRecovery(spec Spec, ro RecoveryOptions) (*RecoveryReport, error) {
 			// the file (when there is one) exercises the same path a
 			// fresh process would take after a real crash.
 			if ro.Path != "" && rep.CheckpointsSaved > 0 {
-				col.Begin(0, obs.PhaseCheckpoint, "checkpoint-load")
-				c, fellBack, lerr := LoadCheckpointWithFallback(ro.Path, spec)
-				col.End(0)
+				c, fellBack, lerr := load()
 				if lerr != nil {
 					return rep, fmt.Errorf("fdtd: recovery reload failed: %w", lerr)
 				}
-				ckpt = c
+				pr.start, done = c, c.StepsDone
 				rep.FellBack = rep.FellBack || fellBack
 			}
 			continue
 		}
-		mergeSegment(ckpt, seg)
+		pr.start, done = &Checkpoint{Result: *res, StepsDone: pr.until}, pr.until
 		if ro.Path != "" {
 			col.Begin(0, obs.PhaseCheckpoint, "checkpoint-save")
-			err := SaveCheckpoint(ro.Path, ckpt)
+			err := SaveCheckpoint(ro.Path, pr.start)
 			col.End(0)
 			if err != nil {
 				return rep, err
@@ -164,218 +155,18 @@ func RunWithRecovery(spec Spec, ro RecoveryOptions) (*RecoveryReport, error) {
 			rep.CheckpointsSaved++
 		}
 	}
-
-	res := &Result{
-		Spec: spec,
-		Ex:   ckpt.Ex, Ey: ckpt.Ey, Ez: ckpt.Ez,
-		Hx: ckpt.Hx, Hy: ckpt.Hy, Hz: ckpt.Hz,
-		Probe: ckpt.Probe,
-		FarA:  ckpt.FarA, FarF: ckpt.FarF,
-		Work: ckpt.Work,
-	}
-	rep.Result = res
+	rep.Result = &pr.start.Result
 	return rep, nil
-}
-
-// runSegment advances a checkpoint by one segment on the parallel
-// runtime and returns the host's view of the segment: the gathered
-// fields at step `until`, plus the segment's probe samples, far-field
-// contributions, and work, as deltas for mergeSegment.
-func runSegment(spec Spec, p int, slabs []grid.Slab, opt Options, start *Checkpoint, until int) (*Checkpoint, error) {
-	results, err := mesh.Run(p, mesh.Par, opt.Mesh, func(c *mesh.Comm) *Checkpoint {
-		return spmdSegment(c, spec, slabs, opt, start, until)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results[0], nil
-}
-
-// spmdSegment is the per-process body of one checkpointed segment.  It
-// is spmd restricted to steps [start.StepsDone, until): the host
-// scatters the checkpointed fields instead of starting from zero, and
-// the far-field accumulators start empty, so the reduced vectors are
-// this segment's contribution only.
-func spmdSegment(c *mesh.Comm, spec Spec, slabs []grid.Slab, opt Options, start *Checkpoint, until int) *Checkpoint {
-	rank := c.Rank()
-	sl := slabs[rank]
-	fullY := grid.Range{Lo: 0, Hi: spec.NY}
-	f := newFields(spec, sl.R, fullY)
-
-	if opt.HostIO {
-		var gca, gcb, gda, gdb *grid.G3
-		if rank == 0 {
-			gca = grid.New3(spec.NX, spec.NY, spec.NZ, 0)
-			gcb = grid.New3(spec.NX, spec.NY, spec.NZ, 0)
-			gda = grid.New3(spec.NX, spec.NY, spec.NZ, 0)
-			gdb = grid.New3(spec.NX, spec.NY, spec.NZ, 0)
-			for i := 0; i < spec.NX; i++ {
-				for j := 0; j < spec.NY; j++ {
-					for k := 0; k < spec.NZ; k++ {
-						a, b, cc, d := spec.Coefficients(i, j, k)
-						gca.Set(i, j, k, a)
-						gcb.Set(i, j, k, b)
-						gda.Set(i, j, k, cc)
-						gdb.Set(i, j, k, d)
-					}
-				}
-			}
-		}
-		f.Ca = c.ScatterX(gca, slabs, 0, 0)
-		f.Cb = c.ScatterX(gcb, slabs, 0, 0)
-		f.Da = c.ScatterX(gda, slabs, 0, 0)
-		f.Db = c.ScatterX(gdb, slabs, 0, 0)
-	} else {
-		f.fillCoefficientsLocal()
-	}
-
-	// Host scatters the checkpointed field state; each rank copies its
-	// interior section into the ghosted local grids.  Ghost planes start
-	// stale, but every ghost the kernels read is refreshed in-step by a
-	// boundary exchange before its first use.
-	type pair struct {
-		global *grid.G3 // host side (rank 0 only)
-		local  *grid.G3
-	}
-	var pairs [6]pair
-	pairs[0].local, pairs[1].local, pairs[2].local = f.Ex, f.Ey, f.Ez
-	pairs[3].local, pairs[4].local, pairs[5].local = f.Hx, f.Hy, f.Hz
-	if rank == 0 {
-		pairs[0].global, pairs[1].global, pairs[2].global = start.Ex, start.Ey, start.Ez
-		pairs[3].global, pairs[4].global, pairs[5].global = start.Hx, start.Hy, start.Hz
-	}
-	for _, pr := range pairs {
-		sec := c.ScatterX(pr.global, slabs, 0, 0)
-		for li := 0; li < sl.R.Len(); li++ {
-			for lj := 0; lj < spec.NY; lj++ {
-				copy(pr.local.Pencil(li, lj), sec.Pencil(li, lj))
-			}
-		}
-	}
-
-	var ff *farField
-	if spec.IsVersionC() {
-		ff = newFarField(spec, opt.FarFieldCompensated)
-	}
-	var mur *murState
-	if spec.Boundary == BoundaryMur1 {
-		// Callers guarantee start.StepsDone == 0 here (Mur history is
-		// not checkpointable), so a fresh state is the right one.
-		mur = newMurState(spec, sl.R, fullY)
-	}
-	probeOwner := ownerOf(slabs, spec.Probe[0])
-	xUp, xDown := -1, -1
-	if rank < c.P()-1 {
-		xUp = rank + 1
-	}
-	if rank > 0 {
-		xDown = rank - 1
-	}
-	st := newStepper(c, spec, f, mur, ff, xUp, xDown, -1, -1, false, rank == probeOwner)
-	defer st.close()
-
-	for n := start.StepsDone; n < until; n++ {
-		opt.Inject.Check(rank, n)
-		opt.Cancel.Check(rank, n)
-		st.step(n)
-	}
-	probeLocal := st.probe
-	localWork := st.work
-
-	var farA, farF []float64
-	if ff != nil {
-		a, fv := ff.finalize()
-		if opt.FarFieldCompensated {
-			farA = c.AllReduceVecAlg(a, mesh.OpSum, mesh.AllToOne)
-			farF = c.AllReduceVecAlg(fv, mesh.OpSum, mesh.AllToOne)
-		} else {
-			farA = c.AllReduceVec(a, mesh.OpSum)
-			farF = c.AllReduceVec(fv, mesh.OpSum)
-		}
-	}
-	probe := c.BroadcastVec(probeLocal, probeOwner)
-	workDelta := c.AllReduce(localWork, mesh.OpSum)
-
-	gex := c.GatherX(f.Ex, slabs, 0)
-	gey := c.GatherX(f.Ey, slabs, 0)
-	gez := c.GatherX(f.Ez, slabs, 0)
-	ghx := c.GatherX(f.Hx, slabs, 0)
-	ghy := c.GatherX(f.Hy, slabs, 0)
-	ghz := c.GatherX(f.Hz, slabs, 0)
-
-	if rank != 0 {
-		return nil
-	}
-	return &Checkpoint{
-		Spec: spec, StepsDone: until,
-		Ex: gex, Ey: gey, Ez: gez,
-		Hx: ghx, Hy: ghy, Hz: ghz,
-		Probe: probe,
-		FarA:  farA, FarF: farF,
-		Work: workDelta,
-	}
-}
-
-// mergeSegment folds one segment's host view into the running
-// checkpoint.  The gathered fields replace the old state; the probe
-// samples append; the far-field contributions and the work add (work is
-// a sum of integers, so the addition is exact).
-func mergeSegment(ckpt, seg *Checkpoint) {
-	ckpt.StepsDone = seg.StepsDone
-	ckpt.Ex, ckpt.Ey, ckpt.Ez = seg.Ex, seg.Ey, seg.Ez
-	ckpt.Hx, ckpt.Hy, ckpt.Hz = seg.Hx, seg.Hy, seg.Hz
-	ckpt.Probe = append(ckpt.Probe, seg.Probe...)
-	ckpt.FarA = addInto(ckpt.FarA, seg.FarA)
-	ckpt.FarF = addInto(ckpt.FarF, seg.FarF)
-	ckpt.Work += seg.Work
-}
-
-// addInto adds src into dst elementwise, growing dst if needed (a
-// checkpoint of a truncated run carries shorter far-field vectors than
-// a full-run segment).
-func addInto(dst, src []float64) []float64 {
-	if len(src) > len(dst) {
-		dst = append(dst, make([]float64, len(src)-len(dst))...)
-	}
-	for i, v := range src {
-		dst[i] += v
-	}
-	return dst
 }
 
 // ResumeArchetype continues a checkpointed run to completion on the
 // parallel runtime, in one segment, and returns the final result.  It
 // is the parallel counterpart of ResumeSequential.
 func ResumeArchetype(c *Checkpoint, p int, opt Options) (*Result, error) {
-	spec := c.Spec
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if spec.Boundary == BoundaryMur1 && c.StepsDone > 0 {
-		return nil, errors.New("fdtd: resuming Mur-boundary runs mid-stream is not supported")
-	}
-	if p <= 0 || p > spec.NX {
-		return nil, fmt.Errorf("fdtd: cannot distribute %d x-planes over %d processes", spec.NX, p)
-	}
-	slabs := grid.SlabDecompose3(spec.NX, spec.NY, spec.NZ, p, grid.AxisX)
-	seg, err := runSegment(spec, p, slabs, opt, c, spec.Steps)
+	pr, err := plan(c.Spec, p, opt)
 	if err != nil {
 		return nil, err
 	}
-	final := &Checkpoint{
-		Spec: spec, StepsDone: c.StepsDone,
-		Probe: append([]float64(nil), c.Probe...),
-		FarA:  append([]float64(nil), c.FarA...),
-		FarF:  append([]float64(nil), c.FarF...),
-		Work:  c.Work,
-	}
-	mergeSegment(final, seg)
-	return &Result{
-		Spec: spec,
-		Ex:   final.Ex, Ey: final.Ey, Ez: final.Ez,
-		Hx: final.Hx, Hy: final.Hy, Hz: final.Hz,
-		Probe: final.Probe,
-		FarA:  final.FarA, FarF: final.FarF,
-		Work: final.Work,
-	}, nil
+	pr.start = c
+	return pr.exec(mesh.Par)
 }

@@ -2,17 +2,13 @@ package fdtd
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/fault"
-	"repro/internal/grid"
-	"repro/internal/gridio"
 	"repro/internal/mesh"
 )
 
@@ -256,6 +252,17 @@ func TestCheckpointCorruptionDetected(t *testing.T) {
 	if _, err := LoadCheckpoint(path, spec); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncated checkpoint not rejected as corrupt: %v", err)
 	}
+
+	// The unversioned v1 format carried neither fingerprint nor
+	// checksums and is no longer read: its magic is just a bad magic.
+	var v2 bytes.Buffer
+	if err := ck9.Write(&v2); err != nil {
+		t.Fatal(err)
+	}
+	v1 := append([]byte("FDTDCKP1"), v2.Bytes()[len(checkpointMagicV2):]...)
+	if _, err := ReadCheckpoint(bytes.NewReader(v1), spec); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("v1-magic stream not rejected as corrupt: %v", err)
+	}
 }
 
 // TestCheckpointSpecFingerprint checks fail-fast on mismatched specs:
@@ -332,61 +339,4 @@ func TestSaveCheckpointAtomic(t *testing.T) {
 	if len(entries) != 2 {
 		t.Fatalf("expected exactly run.ckp and run.ckp.prev, got %d entries", len(entries))
 	}
-}
-
-// TestCheckpointV1Compat checks that files in the legacy unversioned
-// format still load and resume correctly.
-func TestCheckpointV1Compat(t *testing.T) {
-	spec := SpecSmall()
-	ck, err := RunSequentialUntil(spec, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := writeCheckpointV1(&buf, ck); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()), spec)
-	if err != nil {
-		t.Fatalf("v1 checkpoint rejected: %v", err)
-	}
-	if back.StepsDone != 9 || back.Work != ck.Work {
-		t.Fatalf("v1 header lost: %+v", back)
-	}
-	full := mustSeq(t, spec)
-	resumed, err := ResumeSequential(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !full.NearFieldEqual(resumed) || !full.FarFieldEqual(resumed) {
-		t.Fatal("v1 checkpoint diverged on resume")
-	}
-}
-
-// writeCheckpointV1 emits the legacy format exactly as the old Write
-// did: magic, int64 header, work, raw grids, raw vectors, no checksums.
-func writeCheckpointV1(w io.Writer, c *Checkpoint) error {
-	if _, err := io.WriteString(w, checkpointMagicV1); err != nil {
-		return err
-	}
-	head := []int64{
-		int64(c.StepsDone), int64(len(c.Probe)), int64(len(c.FarA)), int64(len(c.FarF)),
-	}
-	if err := binary.Write(w, binary.LittleEndian, head); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, c.Work); err != nil {
-		return err
-	}
-	for _, g := range []*grid.G3{c.Ex, c.Ey, c.Ez, c.Hx, c.Hy, c.Hz} {
-		if err := gridio.Write3(w, g); err != nil {
-			return err
-		}
-	}
-	for _, vec := range [][]float64{c.Probe, c.FarA, c.FarF} {
-		if err := binary.Write(w, binary.LittleEndian, vec); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -32,6 +32,19 @@ func (v KernelVariant) String() string {
 	return "KernelVariant(?)"
 }
 
+// kernel is one half-step update (E or H) over the window of local
+// pencil columns [li0, li1) x [lj0, lj1); it returns the number of
+// component updates performed.
+type kernel func(f *Fields, li0, li1, lj0, lj1 int) int
+
+// kernels returns the variant's E and H update kernels.
+func (v KernelVariant) kernels() (updE, updH kernel) {
+	if v == KernelReference {
+		return updateERangeRef, updateHRangeRef
+	}
+	return updateERange, updateHRange
+}
+
 // KernelBytesPerCell is the memory-traffic model of one full (E+H)
 // Yee step, in bytes per cell: each sweep streams eleven float64
 // grids per cell — three components read+written, three read, and two
@@ -66,12 +79,7 @@ func MeasureKernelRate(spec Spec, variant KernelVariant, workers int, minTime ti
 	yr := grid.Range{Lo: 0, Hi: spec.NY}
 	f := newFields(spec, xr, yr)
 	f.fillCoefficientsLocal()
-	updE := updateERange
-	updH := updateHRange
-	if variant == KernelReference {
-		updE = updateERangeRef
-		updH = updateHRangeRef
-	}
+	updE, updH := variant.kernels()
 	tp := newTilePool(workers)
 	defer tp.close()
 	nxl, nyl := xr.Len(), yr.Len()

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/grid"
+	"repro/internal/mesh"
 )
 
 // Result is the observable outcome of an FDTD run: the final fields,
@@ -103,10 +104,12 @@ func (r *Result) MaxFieldMagnitude() float64 {
 	return max
 }
 
-// RunSequential executes the original sequential program: full-domain
-// arrays, straightforward triple loops, no notion of processes.  This
-// is the starting point of the refinement pipeline; the archetype
-// versions are measured against it.
+// RunSequential executes the original sequential program: the one
+// program (program.rank) on the trivial decomposition — a single block
+// owning the whole domain, no neighbours, no messages.  This is the
+// starting point of the refinement pipeline; the archetype versions
+// differ from it only in the decomposition they pass, and are measured
+// against it.
 func RunSequential(spec Spec) (*Result, error) {
 	return RunSequentialOpts(spec, false)
 }
@@ -115,127 +118,18 @@ func RunSequential(spec Spec) (*Result, error) {
 // mode exposed: compensated=true uses Neumaier accumulation (the
 // high-accuracy reference for the far-field divergence analysis).
 func RunSequentialOpts(spec Spec, compensated bool) (*Result, error) {
-	if err := spec.Validate(); err != nil {
+	pr, err := plan(spec, 1, sequentialOptions(compensated))
+	if err != nil {
 		return nil, err
 	}
-	nx, ny, nz := spec.NX, spec.NY, spec.NZ
-	ex := grid.New3(nx, ny, nz, 0)
-	ey := grid.New3(nx, ny, nz, 0)
-	ez := grid.New3(nx, ny, nz, 0)
-	hx := grid.New3(nx, ny, nz, 0)
-	hy := grid.New3(nx, ny, nz, 0)
-	hz := grid.New3(nx, ny, nz, 0)
-	ca := grid.New3(nx, ny, nz, 0)
-	cb := grid.New3(nx, ny, nz, 0)
-	da := grid.New3(nx, ny, nz, 0)
-	db := grid.New3(nx, ny, nz, 0)
-	for i := 0; i < nx; i++ {
-		for j := 0; j < ny; j++ {
-			for k := 0; k < nz; k++ {
-				a, b, c, d := spec.Coefficients(i, j, k)
-				ca.Set(i, j, k, a)
-				cb.Set(i, j, k, b)
-				da.Set(i, j, k, c)
-				db.Set(i, j, k, d)
-			}
-		}
-	}
+	return pr.exec(mesh.Sim)
+}
 
-	var ff *farField
-	if spec.IsVersionC() {
-		ff = newFarField(spec, compensated)
-	}
-	var mur *murState
-	if spec.Boundary == BoundaryMur1 {
-		mur = newMurState(spec, grid.Range{Lo: 0, Hi: nx}, grid.Range{Lo: 0, Hi: ny})
-	}
-	probe := make([]float64, 0, spec.Steps)
-	work := 0.0
-
-	for n := 0; n < spec.Steps; n++ {
-		if mur != nil {
-			mur.snapshot(ey, ez, ex)
-		}
-		// Electric field updates.
-		for i := 0; i < nx; i++ {
-			for j := 1; j < ny; j++ {
-				for k := 1; k < nz; k++ {
-					ex.Set(i, j, k, ca.At(i, j, k)*ex.At(i, j, k)+
-						cb.At(i, j, k)*((hz.At(i, j, k)-hz.At(i, j-1, k))-(hy.At(i, j, k)-hy.At(i, j, k-1))))
-					work++
-				}
-			}
-		}
-		for i := 1; i < nx; i++ {
-			for j := 0; j < ny; j++ {
-				for k := 1; k < nz; k++ {
-					ey.Set(i, j, k, ca.At(i, j, k)*ey.At(i, j, k)+
-						cb.At(i, j, k)*((hx.At(i, j, k)-hx.At(i, j, k-1))-(hz.At(i, j, k)-hz.At(i-1, j, k))))
-					work++
-				}
-			}
-		}
-		for i := 1; i < nx; i++ {
-			for j := 1; j < ny; j++ {
-				for k := 0; k < nz; k++ {
-					ez.Set(i, j, k, ca.At(i, j, k)*ez.At(i, j, k)+
-						cb.At(i, j, k)*((hy.At(i, j, k)-hy.At(i-1, j, k))-(hx.At(i, j, k)-hx.At(i, j-1, k))))
-					work++
-				}
-			}
-		}
-		// Soft source on Ez.
-		addSource(ez, spec, n, grid.Range{Lo: 0, Hi: nx}, grid.Range{Lo: 0, Hi: ny})
-		// Absorbing boundary, if configured.
-		if mur != nil {
-			work += float64(mur.apply(ey, ez, ex))
-		}
-		// Magnetic field updates.
-		for i := 0; i < nx; i++ {
-			for j := 0; j < ny-1; j++ {
-				for k := 0; k < nz-1; k++ {
-					hx.Set(i, j, k, da.At(i, j, k)*hx.At(i, j, k)+
-						db.At(i, j, k)*((ey.At(i, j, k+1)-ey.At(i, j, k))-(ez.At(i, j+1, k)-ez.At(i, j, k))))
-					work++
-				}
-			}
-		}
-		for i := 0; i < nx-1; i++ {
-			for j := 0; j < ny; j++ {
-				for k := 0; k < nz-1; k++ {
-					hy.Set(i, j, k, da.At(i, j, k)*hy.At(i, j, k)+
-						db.At(i, j, k)*((ez.At(i+1, j, k)-ez.At(i, j, k))-(ex.At(i, j, k+1)-ex.At(i, j, k))))
-					work++
-				}
-			}
-		}
-		for i := 0; i < nx-1; i++ {
-			for j := 0; j < ny-1; j++ {
-				for k := 0; k < nz; k++ {
-					hz.Set(i, j, k, da.At(i, j, k)*hz.At(i, j, k)+
-						db.At(i, j, k)*((ex.At(i, j+1, k)-ex.At(i, j, k))-(ey.At(i+1, j, k)-ey.At(i, j, k))))
-					work++
-				}
-			}
-		}
-		// Probe.
-		probe = append(probe, ez.At(spec.Probe[0], spec.Probe[1], spec.Probe[2]))
-		// Far field: every surface point contributes to a future sample.
-		if ff != nil {
-			work += float64(ff.accumulate(n, ex, ey, ez, hx, hy, hz, grid.Range{Lo: 0, Hi: nx}, grid.Range{Lo: 0, Hi: ny}))
-		}
-	}
-
-	res := &Result{
-		Spec: spec,
-		Ex:   ex, Ey: ey, Ez: ez, Hx: hx, Hy: hy, Hz: hz,
-		Probe: probe,
-		Work:  work,
-	}
-	if ff != nil {
-		res.FarA, res.FarF = ff.finalize()
-	}
-	return res, nil
+// sequentialOptions are the options under which the one program is the
+// sequential program: no host/grid split, no exchange to overlap, one
+// thread.
+func sequentialOptions(compensated bool) Options {
+	return Options{Mesh: mesh.Options{Workers: 1}, FarFieldCompensated: compensated}
 }
 
 // String summarises a result for diagnostics.

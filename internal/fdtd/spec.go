@@ -15,12 +15,14 @@
 //     closed (Huygens) surface near the grid boundary; each potential
 //     sample is a double sum over time steps and surface points.
 //
-// Each version exists in three builds: RunSequential (the "original
-// sequential program": straightforward full-domain triple loops),
-// and RunArchetype under mesh.Sim (the sequential simulated-parallel
-// version) or mesh.Par (the real parallel version).  The domain is
-// distributed as x-slabs with a one-plane ghost boundary, exactly the
-// mesh-archetype strategy of §4.3.
+// Each version exists in three builds — RunSequential (the "original
+// sequential program"), and RunArchetype under mesh.Sim (the sequential
+// simulated-parallel version) or mesh.Par (the real parallel version) —
+// which are one program (program.rank in step.go) on different
+// decompositions: the sequential build is the single block owning the
+// whole domain; the archetype builds distribute x-slabs (or 2-D blocks)
+// with a one-plane ghost boundary, exactly the mesh-archetype strategy
+// of §4.3.
 package fdtd
 
 import (

@@ -1,11 +1,13 @@
 package fdtd
 
-// The per-step fast path shared by every distributed build (1-D slabs,
-// 2-D blocks, checkpointed segments).  A stepper owns the hoisted
-// exchange groups (so the hot loop passes preexisting slices through
-// the variadic exchange calls without allocating), the per-rank tile
-// pool, and the probe/work accumulators; step(n) advances the local
-// section one leapfrog step.
+// The one program.  Every build of the application — sequential,
+// simulated-parallel, parallel, multi-process worker, recovery segment —
+// is program.rank executed on each process of some decomposition over
+// some step window; nothing else in the package steps fields.  A stepper
+// owns one rank's hoisted exchange groups (so the hot loop passes
+// preexisting slices through the variadic exchange calls without
+// allocating), its tile pool, its kernel pair, and the probe/work
+// accumulators; step(n) advances the local section one leapfrog step.
 //
 // Two schedules, bitwise identical by construction:
 //
@@ -31,6 +33,7 @@ package fdtd
 // parallel execution never reads an empty channel.
 
 import (
+	"errors"
 	"runtime"
 
 	"repro/internal/grid"
@@ -42,11 +45,13 @@ type stepper struct {
 	spec Spec
 	f    *Fields
 	tp   *tilePool
+	block
 
-	overlap    bool
-	exchangeY  bool
-	xUp, xDown int
-	yUp, yDown int
+	// The E and H half-step kernels: the pencil pair on every production
+	// run; tests substitute the per-cell reference pair.
+	updE, updH kernel
+
+	overlap bool
 
 	// Exchange groups, hoisted so the step loop allocates no slices:
 	// eX/eY are the H components whose lower ghosts the E update reads;
@@ -71,23 +76,24 @@ func resolveWorkers(opt mesh.Options) int {
 	return opt.Workers
 }
 
-// newStepper prepares the per-rank step state.  yUp/yDown are -1 (and
-// exchangeY false) for 1-D slab decompositions.  The caller must call
-// close when stepping is done, or the tile workers leak.
-func newStepper(c *mesh.Comm, spec Spec, f *Fields, mur *murState, ff *farField,
-	xUp, xDown, yUp, yDown int, exchangeY, probeOwner bool) *stepper {
+// newStepper prepares the per-rank step state for the block b that f
+// covers.  The caller must call close when stepping is done, or the
+// tile workers leak.
+func newStepper(c *mesh.Comm, spec Spec, f *Fields, b block, variant KernelVariant,
+	mur *murState, ff *farField, probeOwner bool) *stepper {
 	opt := c.Options()
+	updE, updH := variant.kernels()
 	return &stepper{
 		c: c, spec: spec, f: f,
-		tp:        newTilePool(resolveWorkers(opt)),
-		overlap:   opt.Overlap,
-		exchangeY: exchangeY,
-		xUp:       xUp, xDown: xDown, yUp: yUp, yDown: yDown,
-		eX:  []*grid.G3{f.Hy, f.Hz},
-		eY:  []*grid.G3{f.Hx, f.Hz},
-		hX:  []*grid.G3{f.Ey, f.Ez},
-		hY:  []*grid.G3{f.Ex, f.Ez},
-		mur: mur, ff: ff,
+		tp:    newTilePool(resolveWorkers(opt)),
+		block: b,
+		updE:  updE, updH: updH,
+		overlap: opt.Overlap,
+		eX:      []*grid.G3{f.Hy, f.Hz},
+		eY:      []*grid.G3{f.Hx, f.Hz},
+		hX:      []*grid.G3{f.Ey, f.Ez},
+		hY:      []*grid.G3{f.Ex, f.Ez},
+		mur:     mur, ff: ff,
 		probeOwner: probeOwner,
 		probeI:     spec.Probe[0] - f.XR.Lo,
 		probeJ:     spec.Probe[1] - f.YR.Lo,
@@ -97,25 +103,15 @@ func newStepper(c *mesh.Comm, spec Spec, f *Fields, mur *murState, ff *farField,
 
 func (s *stepper) close() { s.tp.close() }
 
-// updateETiled runs updateERange over the window, fanned across the
-// tile pool along the x-pencil range.
-func (s *stepper) updateETiled(li0, li1, lj0, lj1 int) int {
+// tiled runs one kernel over the window, fanned across the tile pool
+// along the x-pencil range.
+func (s *stepper) tiled(upd kernel, li0, li1, lj0, lj1 int) int {
 	if li1 <= li0 || lj1 <= lj0 {
 		return 0
 	}
 	f := s.f
 	return s.tp.run(li0, li1, func(a, b int) int {
-		return updateERange(f, a, b, lj0, lj1)
-	})
-}
-
-func (s *stepper) updateHTiled(li0, li1, lj0, lj1 int) int {
-	if li1 <= li0 || lj1 <= lj0 {
-		return 0
-	}
-	f := s.f
-	return s.tp.run(li0, li1, func(a, b int) int {
-		return updateHRange(f, a, b, lj0, lj1)
+		return upd(f, a, b, lj0, lj1)
 	})
 }
 
@@ -138,15 +134,15 @@ func (s *stepper) step(n int) {
 		}
 		// Interior cells read no ghosts: update them while the
 		// boundary messages are in flight.
-		w = s.updateETiled(1, nxl, 1, nyl)
+		w = s.tiled(s.updE, 1, nxl, 1, nyl)
 		c.FinishSendUpTo(grid.AxisX, s.xDown, s.eX...)
 		if s.exchangeY {
 			c.FinishSendUpTo(grid.AxisY, s.yDown, s.eY...)
 		}
 		// Boundary strips (li == 0, then lj == 0 minus the corner
 		// already covered) read the freshly received ghosts.
-		w += s.updateETiled(0, 1, 0, nyl)
-		w += s.updateETiled(1, nxl, 0, 1)
+		w += s.tiled(s.updE, 0, 1, 0, nyl)
+		w += s.tiled(s.updE, 1, nxl, 0, 1)
 	} else {
 		c.SendUpTo(grid.AxisX, s.xUp, s.xDown, s.eX...)
 		if s.exchangeY {
@@ -155,7 +151,7 @@ func (s *stepper) step(n int) {
 		if s.mur != nil {
 			s.mur.snapshot(f.Ey, f.Ez, f.Ex)
 		}
-		w = s.updateETiled(0, nxl, 0, nyl)
+		w = s.tiled(s.updE, 0, nxl, 0, nyl)
 	}
 	c.Work(float64(w))
 	s.work += float64(w)
@@ -174,19 +170,19 @@ func (s *stepper) step(n int) {
 		if s.exchangeY {
 			c.StartSendDownTo(grid.AxisY, s.yDown, s.hY...)
 		}
-		w = s.updateHTiled(0, nxl-1, 0, nyl-1)
+		w = s.tiled(s.updH, 0, nxl-1, 0, nyl-1)
 		c.FinishSendDownTo(grid.AxisX, s.xUp, s.hX...)
 		if s.exchangeY {
 			c.FinishSendDownTo(grid.AxisY, s.yUp, s.hY...)
 		}
-		w += s.updateHTiled(nxl-1, nxl, 0, nyl)
-		w += s.updateHTiled(0, nxl-1, nyl-1, nyl)
+		w += s.tiled(s.updH, nxl-1, nxl, 0, nyl)
+		w += s.tiled(s.updH, 0, nxl-1, nyl-1, nyl)
 	} else {
 		c.SendDownTo(grid.AxisX, s.xDown, s.xUp, s.hX...)
 		if s.exchangeY {
 			c.SendDownTo(grid.AxisY, s.yDown, s.yUp, s.hY...)
 		}
-		w = s.updateHTiled(0, nxl, 0, nyl)
+		w = s.tiled(s.updH, 0, nxl, 0, nyl)
 	}
 	c.Work(float64(w))
 	s.work += float64(w)
@@ -199,4 +195,163 @@ func (s *stepper) step(n int) {
 		c.Work(float64(pts))
 		s.work += float64(pts)
 	}
+}
+
+// program is one run of the application: a spec, a decomposition of its
+// domain, and a step window.  The window starts at start.StepsDone with
+// the host scattering start's fields, or — start nil — at step 0 with
+// zero fields and nothing to scatter, and ends at until.
+type program struct {
+	spec   Spec
+	dec    decomposition
+	opt    Options
+	start  *Checkpoint
+	until  int
+	kernel KernelVariant
+}
+
+// plan admits spec on p x-slabs and returns the full-run program, steps
+// [0, spec.Steps).
+func plan(spec Spec, p int, opt Options) (*program, error) {
+	return plan2D(spec, p, 1, true, opt)
+}
+
+// plan2D is plan on any decomposition decompose offers.
+func plan2D(spec Spec, px, py int, slabbed bool, opt Options) (*program, error) {
+	dec, err := decompose(spec, px, py, slabbed)
+	if err != nil {
+		return nil, err
+	}
+	return &program{spec: spec, dec: dec, opt: opt, until: spec.Steps}, nil
+}
+
+// checkResumable refuses to continue a Mur-boundary run mid-stream: the
+// Mur state (previous-step boundary planes) is not part of a
+// checkpoint, so restarting would perturb one boundary step.  A step-0
+// checkpoint carries no history and is fine.
+func checkResumable(spec Spec, start *Checkpoint) error {
+	if spec.Boundary == BoundaryMur1 && start != nil && start.StepsDone > 0 {
+		return errors.New("fdtd: resuming Mur-boundary runs mid-stream is not supported")
+	}
+	return nil
+}
+
+// exec runs the program on in-process ranks under the given runtime and
+// returns the host's result: the state at step until.
+func (pr *program) exec(mode mesh.Mode) (*Result, error) {
+	if err := checkResumable(pr.spec, pr.start); err != nil {
+		return nil, err
+	}
+	results, err := mesh.Run(pr.dec.procs(), mode, pr.opt.Mesh, pr.rank)
+	if err != nil {
+		return nil, err
+	}
+	return results[0], nil
+}
+
+// rank is the per-process body of the program: alternating local
+// computation (grid operations) and archetype communication (boundary
+// exchanges, reductions, broadcast, host I/O redistribution), exactly
+// the structure the mesh archetype prescribes.  Every rank returns the
+// probe series, far field and work total; the assembled fields are on
+// the host only.
+func (pr *program) rank(c *mesh.Comm) *Result {
+	spec, dec, opt, start := pr.spec, pr.dec, pr.opt, pr.start
+	rank := c.Rank()
+	host := rank == 0
+	b := dec.block(rank)
+	f := newFields(spec, b.xr, b.yr)
+	local := [6]*grid.G3{f.Ex, f.Ey, f.Ez, f.Hx, f.Hy, f.Hz}
+
+	if opt.HostIO {
+		// Host process builds the global material-coefficient grids (as
+		// if read from an input file) and scatters them to the grid
+		// processes.
+		var g Fields
+		if host {
+			g = hostCoefficients(spec)
+		}
+		f.Ca = dec.scatter(c, g.Ca)
+		f.Cb = dec.scatter(c, g.Cb)
+		f.Da = dec.scatter(c, g.Da)
+		f.Db = dec.scatter(c, g.Db)
+	} else {
+		f.fillCoefficientsLocal()
+	}
+
+	var ff *farField
+	if spec.IsVersionC() {
+		ff = newFarField(spec, opt.FarFieldCompensated)
+	}
+	from := 0
+	if start != nil {
+		from = start.StepsDone
+		// Host scatters the starting field state; each rank copies its
+		// section into the ghosted local grids.  Ghost planes start
+		// stale, but every ghost the kernels read is refreshed in-step
+		// by a boundary exchange before its first use.
+		var global [6]*grid.G3
+		if host {
+			global = [6]*grid.G3{start.Ex, start.Ey, start.Ez, start.Hx, start.Hy, start.Hz}
+			// The far-field sums so far are host state too: the host's
+			// accumulators continue them, so a P=1 resume repeats the
+			// uninterrupted summation order exactly.
+			if ff != nil {
+				copy(ff.A, start.FarA)
+				copy(ff.F, start.FarF)
+			}
+		}
+		for i, l := range local {
+			sec := dec.scatter(c, global[i])
+			for li := 0; li < l.NX(); li++ {
+				for lj := 0; lj < l.NY(); lj++ {
+					copy(l.Pencil(li, lj), sec.Pencil(li, lj))
+				}
+			}
+		}
+	}
+	var mur *murState
+	if spec.Boundary == BoundaryMur1 {
+		mur = newMurState(spec, b.xr, b.yr)
+	}
+	probeOwner := dec.owner(spec.Probe[0], spec.Probe[1])
+	st := newStepper(c, spec, f, b, pr.kernel, mur, ff, rank == probeOwner)
+	defer st.close()
+
+	for n := from; n < pr.until; n++ {
+		opt.Inject.Check(rank, n)
+		opt.Cancel.Check(rank, n)
+		st.step(n)
+	}
+
+	res := &Result{Spec: spec}
+	// Far field: combine the per-process local double sums — one
+	// reduction at the end of the computation, as in §4.3.
+	if ff != nil {
+		alg := opt.Mesh.ReduceAlg
+		if opt.FarFieldCompensated {
+			// Rank-ordered combining keeps the result reproducible and
+			// the compensated partials keep it accurate.
+			alg = mesh.AllToOne
+		}
+		a, fv := ff.finalize()
+		res.FarA = c.AllReduceVecAlg(a, mesh.OpSum, alg)
+		res.FarF = c.AllReduceVecAlg(fv, mesh.OpSum, alg)
+	}
+	// Re-establish copy consistency of the probe series (global data
+	// computed in one process only).
+	res.Probe = c.BroadcastVec(st.probe, probeOwner)
+	// Total work is a sum of integers, so the reduction is exact.
+	res.Work = c.AllReduce(st.work, mesh.OpSum)
+	if start != nil && host {
+		res.Probe = append(append([]float64(nil), start.Probe...), res.Probe...)
+		res.Work += start.Work
+	}
+
+	// Grid-to-host redistribution of the final fields (file output).
+	global := [6]**grid.G3{&res.Ex, &res.Ey, &res.Ez, &res.Hx, &res.Hy, &res.Hz}
+	for i, l := range local {
+		*global[i] = dec.gather(c, l)
+	}
+	return res
 }

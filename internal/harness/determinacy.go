@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/fdtd"
-	"repro/internal/grid"
 	"repro/internal/mesh"
 	"repro/internal/sched"
 )
@@ -41,11 +40,14 @@ func (r *DeterminacyReport) String() string {
 // executions and verifies that the final state (fields, probe, far
 // field) is identical across all of them.
 func RunDeterminacy(spec fdtd.Spec, p, parReps int) (*DeterminacyReport, error) {
-	if err := spec.Validate(); err != nil {
+	opt := fdtd.DefaultOptions()
+	// fdtd.RunArchetype wires this same body to the Sim/Par runtimes;
+	// re-running it here under arbitrary policies is what makes E4 a
+	// test of Theorem 1 rather than of one fixed schedule.
+	body, err := fdtd.SPMD(spec, p, opt)
+	if err != nil {
 		return nil, err
 	}
-	slabs := grid.SlabDecompose3(spec.NX, spec.NY, spec.NZ, p, grid.AxisX)
-	opt := fdtd.DefaultOptions()
 	rep := &DeterminacyReport{Spec: spec, P: p}
 	var ref *fdtd.Result
 
@@ -65,9 +67,7 @@ func RunDeterminacy(spec fdtd.Spec, p, parReps int) (*DeterminacyReport, error) 
 	}
 
 	for _, pol := range sched.DefaultPolicies(4) {
-		results, err := mesh.RunControlledPolicy(p, pol, opt.Mesh, func(c *mesh.Comm) *fdtd.Result {
-			return fdtdSPMD(c, spec, slabs, opt)
-		})
+		results, err := mesh.RunControlledPolicy(p, pol, opt.Mesh, body)
 		if err != nil {
 			return nil, fmt.Errorf("harness: policy %s: %w", pol.Name(), err)
 		}
@@ -81,12 +81,4 @@ func RunDeterminacy(spec fdtd.Spec, p, parReps int) (*DeterminacyReport, error) 
 		check(fmt.Sprintf("goroutines#%d", k), res)
 	}
 	return rep, nil
-}
-
-// fdtdSPMD adapts the fdtd package's SPMD body for policy-controlled
-// runs.  fdtd.RunArchetype wires the same body to the Sim/Par runtimes;
-// re-running it here under arbitrary policies is what makes E4 a test
-// of Theorem 1 rather than of one fixed schedule.
-func fdtdSPMD(c *mesh.Comm, spec fdtd.Spec, slabs []grid.Slab, opt fdtd.Options) *fdtd.Result {
-	return fdtd.SPMD(c, spec, slabs, opt)
 }
