@@ -18,7 +18,7 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -run 'TestTiledKernelDeterminism|TestFastPathIdentity1D|TestOneProgramIdentity|TestKernelPencilVsReferenceProperty' ./internal/fdtd
+	$(GO) test -race -run 'TestTiledKernelDeterminism|TestFastPathIdentity1D|TestOneProgramIdentity|TestKernelPencilVsReferenceProperty|TestSocketBackendIdentity|TestWorkerBackendIdentity' ./internal/fdtd
 
 # bench is legacy (as are BENCH_obs.json, bench-compare and
 # cmd/benchdiff): the measuring instrument is `bash benchmark/run.sh`

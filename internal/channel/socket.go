@@ -24,15 +24,26 @@
 //
 // Send never writes to the socket.  Frames are appended to a
 // per-destination chunk list (the write coalescer); Flush seals the
-// chunks and hands them to one vectored write (net.Buffers → writev),
-// so a single syscall carries every frame queued for a neighbour since
-// the previous flush.  TCP connections also set TCP_NODELAY: batching
-// is decided by the runtime's phase structure, not by Nagle's timer.
+// chunks and offers them to the kernel without waiting, so a single
+// write carries every frame queued for a neighbour since the previous
+// flush.  What the socket buffer does not take is written by a
+// per-link drain goroutine, started on the first overflow: that is
+// where the model's infinite slack lives, and why a rank never blocks
+// in Send or Flush.  TCP connections also set TCP_NODELAY: batching is
+// decided by the runtime's phase structure, not by Nagle's timer.
 // Liveness is the flush protocol's job — see Transport.Flush.
+//
+// # Who reads the socket
+//
+// The receiving rank does, on its own goroutine: Recv and TryRecv read,
+// validate and decode frames straight from the rank's connection end.
+// There is no reader goroutine and no queue between the wire and the
+// rank.  An empty receive polls the connection for pollBudget, yielding
+// between looks, and only then parks in the netpoller; Abort (and any
+// transport failure) wakes parked ranks through an expired deadline.
 package channel
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -40,8 +51,10 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 )
 
@@ -111,18 +124,18 @@ type SocketTransport[T any] struct {
 	codec Codec[T]
 	opt   SocketOptions
 
-	eps   []Endpoint[T] // index from*p+to; nil where not local
-	links []*sockLink[T]
-	boxes []*inbox[T]
+	eps   []Endpoint[T]  // index from*p+to; nil where not local
+	links []*sockLink[T] // send halves, same index; nil where the sender is not local
+	rxs   []*sockRx[T]   // receive halves, same index; nil where the receiver is not local
+	selfs []*Chan[T]     // selfs[r] is the channel r->r of a local rank, which needs no wire
 	conns []net.Conn
 
-	inflight atomic.Int64
-	notify   atomic.Value // of func()
 	trace    atomic.Uint64
 	errv     atomic.Value // of error
 	failOnce sync.Once
+	failed   chan struct{} // closed by fail, for the waits no socket deadline can reach
 	closed   atomic.Bool
-	wg       sync.WaitGroup
+	wg       sync.WaitGroup // drain goroutines of links that overflowed
 	cleanup  func()
 }
 
@@ -137,13 +150,15 @@ func newSocketTransport[T any](p, rank int, codec Codec[T], opt SocketOptions) *
 		panic(fmt.Sprintf("channel: stats sized for %d processes, transport has %d", opt.Stats.P(), p))
 	}
 	return &SocketTransport[T]{
-		p:     p,
-		rank:  rank,
-		codec: codec,
-		opt:   opt,
-		eps:   make([]Endpoint[T], p*p),
-		links: make([]*sockLink[T], p*p),
-		boxes: make([]*inbox[T], p*p),
+		p:      p,
+		rank:   rank,
+		codec:  codec,
+		opt:    opt,
+		eps:    make([]Endpoint[T], p*p),
+		links:  make([]*sockLink[T], p*p),
+		rxs:    make([]*sockRx[T], p*p),
+		selfs:  make([]*Chan[T], p),
+		failed: make(chan struct{}),
 	}
 }
 
@@ -164,7 +179,8 @@ func (t *SocketTransport[T]) Chan(from, to int) Endpoint[T] {
 }
 
 // Flush pushes every frame queued on rank from's outbound links to the
-// wire (one vectored write per neighbour with traffic).
+// wire (one write per neighbour with traffic).  It never blocks: what
+// the kernel buffer does not take goes to the link's drain goroutine.
 func (t *SocketTransport[T]) Flush(from int) {
 	if from < 0 || from >= t.p {
 		panic(fmt.Sprintf("channel: flush rank out of range: %d (p=%d)", from, t.p))
@@ -177,17 +193,6 @@ func (t *SocketTransport[T]) Flush(from int) {
 	}
 }
 
-// InFlight returns the number of messages written by a local sender but
-// not yet enqueued at their (local) destination inbox.  Meaningful only
-// for loopback meshes, where both ends are in this process; per-rank
-// transports always report zero.
-func (t *SocketTransport[T]) InFlight() int {
-	if t.rank >= 0 {
-		return 0
-	}
-	return int(t.inflight.Load())
-}
-
 // Err returns the first transport failure, or nil.
 func (t *SocketTransport[T]) Err() error {
 	if err, ok := t.errv.Load().(error); ok {
@@ -195,9 +200,6 @@ func (t *SocketTransport[T]) Err() error {
 	}
 	return nil
 }
-
-// Notify registers f to run after every local delivery or failure.
-func (t *SocketTransport[T]) Notify(f func()) { t.notify.Store(f) }
 
 // SetTrace tags the transport with the trace id of the job currently
 // riding it, so a transport failure surfaces in logs already correlated
@@ -207,19 +209,20 @@ func (t *SocketTransport[T]) Notify(f func()) { t.notify.Store(f) }
 // the error text only.
 func (t *SocketTransport[T]) SetTrace(id uint64) { t.trace.Store(id) }
 
-func (t *SocketTransport[T]) notifyFn() {
-	if f, ok := t.notify.Load().(func()); ok && f != nil {
-		f()
-	}
-}
-
-// Pending returns the number of delivered-but-unreceived values across
-// local inboxes.
+// Pending returns the number of values sent but not yet received on the
+// channels whose two ends are both local: Σ sent − received, so a frame
+// still in a coalescer, a drain backlog or a kernel socket buffer
+// counts exactly like one already read off the wire.
 func (t *SocketTransport[T]) Pending() int {
 	total := 0
-	for _, b := range t.boxes {
-		if b != nil {
-			total += b.Len()
+	for idx, l := range t.links {
+		if rx := t.rxs[idx]; l != nil && rx != nil {
+			total += int(l.sent.Load() - rx.rcvd.Load())
+		}
+	}
+	for _, q := range t.selfs {
+		if q != nil {
+			total += q.Len()
 		}
 	}
 	return total
@@ -239,7 +242,11 @@ func (t *SocketTransport[T]) WrapEndpoints(wrap func(from, to int, e Endpoint[T]
 }
 
 // Close flushes the local links, closes every connection (unblocking
-// peer readers) and waits for reader goroutines to exit.
+// peer readers) and stops the drain goroutines.  A per-rank transport
+// first waits for its drain backlogs to reach the kernel: the peers are
+// other processes that may still need this rank's last frames.  On a
+// loopback mesh every reader is in this process and Close means the run
+// is over, so an unread backlog is dropped instead of waited for.
 func (t *SocketTransport[T]) Close() error {
 	if t.closed.Swap(true) {
 		return nil
@@ -247,6 +254,7 @@ func (t *SocketTransport[T]) Close() error {
 	for _, l := range t.links {
 		if l != nil {
 			l.flush()
+			l.finish(t.rank >= 0)
 		}
 	}
 	for _, c := range t.conns {
@@ -259,13 +267,13 @@ func (t *SocketTransport[T]) Close() error {
 	return nil
 }
 
-// Abort poisons the transport with err: Err becomes non-nil, every
-// local inbox wakes its blocked receiver (which panics with a
-// *TransportError the runtime supervisor converts to an ordinary run
-// error), and the notify hook fires.  This is the cooperative kill
-// switch for runs that must terminate even from inside a blocking
-// receive — e.g. the job service's per-job timeout.  An aborted
-// transport is permanently failed; build a fresh mesh for the next run.
+// Abort poisons the transport with err: Err becomes non-nil and every
+// rank parked in a receive wakes and panics with a *TransportError the
+// runtime supervisor converts to an ordinary run error.  This is the
+// cooperative kill switch for runs that must terminate even from inside
+// a blocking receive — the job service's per-job timeout, and the Par
+// runtime's own deadlock and stall teardown.  An aborted transport is
+// permanently failed; build a fresh mesh for the next run.
 func (t *SocketTransport[T]) Abort(err error) {
 	if err == nil {
 		err = errors.New("transport aborted")
@@ -273,57 +281,110 @@ func (t *SocketTransport[T]) Abort(err error) {
 	t.fail(fmt.Errorf("transport: aborted: %w", err))
 }
 
-// fail poisons the transport: Err becomes non-nil, every local inbox
-// wakes its blocked receiver with the error, and the notify hook fires
-// so a blocked runtime re-examines its state.
+// fail poisons the transport: Err becomes non-nil, and an expired
+// deadline on every connection wakes the ranks parked in the netpoller
+// (and the drain goroutines parked in a write), which find Err set.
 func (t *SocketTransport[T]) fail(err error) {
 	t.failOnce.Do(func() {
 		if id := t.trace.Load(); id != 0 {
 			err = fmt.Errorf("%w [trace %016x]", err, id)
 		}
 		t.errv.Store(err)
-		for _, b := range t.boxes {
-			if b != nil {
-				b.failWith(err)
-			}
+		close(t.failed)
+		for _, c := range t.conns {
+			c.SetDeadline(time.Unix(1, 0))
 		}
-		t.notifyFn()
 	})
+}
+
+// rawConn returns the non-blocking handle of a connection end.  Every
+// connection the transport builds is a *net.TCPConn or *net.UnixConn.
+func rawConn(conn net.Conn) syscall.RawConn {
+	rc, err := conn.(syscall.Conn).SyscallConn()
+	if err != nil {
+		panic(fmt.Sprintf("channel: raw connection: %v", err))
+	}
+	return rc
 }
 
 // sockLink is the send half of one directed channel: the per-destination
 // write coalescer feeding one connection end.
+//
+// Infinite slack lives here.  flush offers the sealed chunks to the
+// kernel without ever waiting; whatever the socket buffer does not take
+// becomes the link's backlog, written by a drain goroutine started on
+// the first overflow.  A rank therefore never blocks in Send or Flush,
+// however much it sends before anyone receives.
 type sockLink[T any] struct {
 	t      *SocketTransport[T]
 	conn   net.Conn
+	rc     syscall.RawConn
 	from   int
 	to     int
 	chanID uint32
 	cell   *statsCell
+	sent   atomic.Int64 // frames ever queued; sent − the reader's rcvd is the channel's Len
 
-	mu     sync.Mutex
-	cur    []byte      // active chunk being appended to
-	full   [][]byte    // sealed chunks awaiting flush
-	free   [][]byte    // recycled chunk storage
-	bufs   net.Buffers // scratch for assembling the vectored write
-	wcur   net.Buffers // write cursor handed to WriteTo (consumed)
-	frames int
-	werr   error // sticky write failure
+	mu   sync.Mutex
+	cur  []byte   // active chunk being appended to
+	full [][]byte // sealed chunks awaiting flush
+	free [][]byte // recycled chunk storage
+	werr error    // sticky write failure
+
+	// Non-blocking write cursor: tryWrite (prebuilt, so handing it to
+	// RawConn.Write allocates nothing) writes wq from chunk wi, byte
+	// woff, until the kernel would block.
+	tryWrite func(fd uintptr) bool
+	wq       [][]byte
+	wi, woff int
+	wcalls   int
+	wfail    error
+
+	// Overflow: chunks the kernel did not take, in wire order, the
+	// first one from byte backOff.  While there is a backlog or the
+	// drain goroutine is mid-write, flush appends here instead of
+	// writing, so bytes never overtake each other.
+	backlog  [][]byte
+	backOff  int
+	writing  bool
+	draining bool // the drain goroutine exists
+	closing  bool
+	wake     *sync.Cond // on mu: backlog grew, emptied, or the link is closing
 }
 
 func newSockLink[T any](t *SocketTransport[T], conn net.Conn, from, to int) *sockLink[T] {
-	l := &sockLink[T]{t: t, conn: conn, from: from, to: to, chanID: uint32(from*t.p + to)}
+	l := &sockLink[T]{t: t, conn: conn, rc: rawConn(conn), from: from, to: to, chanID: uint32(from*t.p + to)}
 	if t.opt.Stats != nil {
 		l.cell = t.opt.Stats.cell(from, to)
 	}
+	l.wake = sync.NewCond(&l.mu)
 	// Pre-warm the steady-state scratch so first use doesn't allocate
-	// inside a measured solve: the active chunk, the sealed-chunk and
-	// free lists, and the vectored-write header all reach their
-	// steady-state shapes here, at connection setup.
+	// inside a measured solve: the active chunk and the sealed-chunk,
+	// free and write lists all reach their steady-state shapes here, at
+	// connection setup.
 	l.cur = make([]byte, 0, sockChunkSize)
 	l.full = make([][]byte, 0, 4)
 	l.free = make([][]byte, 0, 4)
-	l.bufs = make(net.Buffers, 0, 8)
+	l.wq = make([][]byte, 0, 8)
+	l.tryWrite = func(fd uintptr) bool {
+		for l.wi < len(l.wq) {
+			n, err := syscall.Write(int(fd), l.wq[l.wi][l.woff:])
+			switch {
+			case err == syscall.EINTR:
+				continue
+			case err == syscall.EAGAIN:
+				return true
+			case err != nil:
+				l.wfail = os.NewSyscallError("write", err)
+				return true
+			}
+			l.wcalls++
+			if l.woff += n; l.woff == len(l.wq[l.wi]) {
+				l.wi, l.woff = l.wi+1, 0
+			}
+		}
+		return true
+	}
 	return l
 }
 
@@ -359,10 +420,7 @@ func (l *sockLink[T]) send(v T) {
 	}
 	binary.LittleEndian.PutUint32(l.cur[off:], l.chanID)
 	binary.LittleEndian.PutUint32(l.cur[off+4:], uint32(payload))
-	l.frames++
-	if l.t.rank < 0 {
-		l.t.inflight.Add(1)
-	}
+	l.sent.Add(1)
 	if l.cell != nil {
 		l.cell.wireFrames.Add(1)
 		l.cell.wireBytes.Add(int64(payload + frameHeaderLen))
@@ -374,183 +432,392 @@ func (l *sockLink[T]) send(v T) {
 	l.mu.Unlock()
 }
 
-// flush writes every buffered frame in one vectored write and recycles
-// the chunks.  Empty flushes are free and uncounted.
+// flush offers every buffered frame to the kernel without waiting and
+// hands what it does not take to the drain goroutine.  Empty flushes
+// are free and uncounted.
 func (l *sockLink[T]) flush() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if len(l.full) == 0 && len(l.cur) == 0 {
 		return
 	}
-	bufs := l.bufs[:0]
-	bufs = append(bufs, l.full...)
+	wq := append(l.wq[:0], l.full...)
 	if len(l.cur) > 0 {
-		bufs = append(bufs, l.cur)
+		wq = append(wq, l.cur)
 	}
-	nb := len(bufs)
-	if l.werr == nil {
-		// WriteTo advances (consumes) the net.Buffers header it is
-		// called on, so it gets the struct-resident write cursor: the
-		// assembly scratch keeps its capacity for the next flush, and
-		// no local header escapes to the heap through the pointer-
-		// receiver call.
-		l.wcur = bufs
-		if _, err := l.wcur.WriteTo(l.conn); err != nil {
-			l.werr = err
-			if !l.t.closed.Load() {
-				l.t.fail(fmt.Errorf("transport: write %d->%d: %w", l.from, l.to, err))
+	l.full, l.cur = l.full[:0], nil
+	l.wq, l.wi, l.woff, l.wcalls, l.wfail = wq, 0, 0, 0, nil
+	if l.werr == nil && len(l.backlog) == 0 && !l.writing {
+		if err := l.rc.Write(l.tryWrite); err != nil && l.wfail == nil {
+			l.wfail = err
+		}
+		if l.wfail != nil {
+			l.writeFailed(l.wfail)
+		}
+	}
+	if l.cell != nil {
+		l.cell.flushes.Add(1)
+		l.cell.syscalls.Add(int64(l.wcalls))
+	}
+	if l.werr != nil {
+		l.wi, l.woff = len(wq), 0 // nothing more will be written: recycle everything
+	}
+	for _, c := range wq[:l.wi] {
+		l.free = append(l.free, c[:0])
+	}
+	if l.wi < len(wq) {
+		if len(l.backlog) == 0 {
+			l.backOff = l.woff
+		}
+		l.backlog = append(l.backlog, wq[l.wi:]...)
+		if !l.draining {
+			l.draining = true
+			l.t.wg.Add(1)
+			go l.drain()
+		}
+		l.wake.Broadcast()
+	}
+}
+
+// writeFailed records a sticky write failure and, unless the transport
+// is being closed under the write, fails the transport with it.
+func (l *sockLink[T]) writeFailed(err error) {
+	l.werr = err
+	if !l.t.closed.Load() {
+		l.t.fail(fmt.Errorf("transport: write %d->%d: %w", l.from, l.to, err))
+	}
+}
+
+// drain is the overflow writer of one link: it parks until flush leaves
+// a backlog, writes it with ordinary blocking vectored writes, and
+// recycles the chunks.  Started by the first flush the kernel buffer
+// could not absorb; links that never overflow never have one.
+func (l *sockLink[T]) drain() {
+	defer l.t.wg.Done()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for {
+		for len(l.backlog) == 0 && !l.closing {
+			l.wake.Wait()
+		}
+		if len(l.backlog) == 0 {
+			return
+		}
+		batch, off := l.backlog, l.backOff
+		l.backlog, l.backOff, l.writing = nil, 0, true
+		l.mu.Unlock()
+		// WriteTo consumes the slice it is called on; batch keeps the
+		// chunks for recycling.
+		bufs := append(net.Buffers{batch[0][off:]}, batch[1:]...)
+		_, err := bufs.WriteTo(l.conn)
+		l.mu.Lock()
+		l.writing = false
+		if l.cell != nil {
+			l.cell.syscalls.Add(int64((len(batch) + iovMax - 1) / iovMax))
+		}
+		for _, c := range batch {
+			l.free = append(l.free, c[:0])
+		}
+		if err != nil {
+			l.writeFailed(err)
+			for _, c := range l.backlog {
+				l.free = append(l.free, c[:0])
+			}
+			l.backlog = nil
+		}
+		l.wake.Broadcast()
+	}
+}
+
+// finish tells the drain goroutine to exit once its backlog is written;
+// with wait it first blocks until that has happened (or the link failed).
+func (l *sockLink[T]) finish(wait bool) {
+	l.mu.Lock()
+	for wait && l.werr == nil && (len(l.backlog) > 0 || l.writing) {
+		l.wake.Wait()
+	}
+	l.closing = true
+	l.wake.Broadcast()
+	l.mu.Unlock()
+}
+
+// pollBudget is how long a receiver polls an empty channel — yielding
+// the processor between looks — before it parks.  A parked receiver
+// costs a wake-up on the critical path: on the 2-core pipeline host a
+// message sent to a parked rank is picked up ~40 µs later (the instant
+// the sender itself blocks), against ~4 µs for a 4 KB unix round trip,
+// and a Yee step has two such dependent waits.  Measured with
+// BenchmarkHaloStep (24×16×16, P = 1: 70 µs/step): P = 2 over unix
+// sockets takes 56 µs/step with no polling and 39–46 with any budget
+// from 20 to 400 µs; in process 50 against 35–43.  100 µs sits in the
+// flat part with room for a neighbour whose half-step is several times
+// longer.  Polling is skipped when GOMAXPROCS is 1, where the peer
+// cannot run while this rank polls.
+const pollBudget = 100 * time.Microsecond
+
+// PollRecv is the wait policy's first half, shared by every backend of
+// the Par runtime: look at ep without blocking, again and again for at
+// most pollBudget, yielding between looks.  It reports false when the
+// channel stayed empty; the caller then parks in whatever way its
+// transport parks.  By Theorem 1 when a receiver looks cannot change
+// what it gets, only how soon.
+func PollRecv[T any](ep Endpoint[T]) (T, bool) {
+	if v, ok := ep.TryRecv(); ok {
+		return v, true
+	}
+	if runtime.GOMAXPROCS(0) > 1 {
+		for deadline := time.Now().Add(pollBudget); time.Now().Before(deadline); {
+			runtime.Gosched()
+			if v, ok := ep.TryRecv(); ok {
+				return v, true
 			}
 		}
 	}
-	l.bufs = bufs[:0]
-	if l.cell != nil {
-		l.cell.flushes.Add(1)
-		l.cell.syscalls.Add(int64((nb + iovMax - 1) / iovMax))
-	}
-	for _, c := range l.full {
-		l.free = append(l.free, c[:0])
-	}
-	l.full = l.full[:0]
-	if l.cur != nil {
-		l.free = append(l.free, l.cur[:0])
-		l.cur = nil
-	}
-	l.frames = 0
-}
-
-// inbox is the receive half of one directed channel: an unbounded FIFO
-// fed by the connection's reader goroutine, with a poison state so a
-// transport failure wakes (rather than wedges) a blocked receiver.
-// Buffered values are always drained before the failure is reported.
-type inbox[T any] struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	buf  []T
-	head int
-	fail error
-}
-
-func newInbox[T any]() *inbox[T] {
-	// The FIFO starts with room for a few values so the first puts of a
-	// measured run don't grow it (halo exchanges keep at most a couple
-	// of messages in flight per channel).
-	b := &inbox[T]{buf: make([]T, 0, 8)}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *inbox[T]) put(v T) {
-	b.mu.Lock()
-	b.buf = append(b.buf, v)
-	b.mu.Unlock()
-	b.cond.Broadcast()
-}
-
-func (b *inbox[T]) failWith(err error) {
-	b.mu.Lock()
-	if b.fail == nil {
-		b.fail = err
-	}
-	b.mu.Unlock()
-	b.cond.Broadcast()
-}
-
-func (b *inbox[T]) popLocked() T {
-	v := b.buf[b.head]
 	var zero T
-	b.buf[b.head] = zero
-	b.head++
-	if b.head == len(b.buf) {
-		b.buf = b.buf[:0]
-		b.head = 0
-	}
-	return v
+	return zero, false
 }
 
-func (b *inbox[T]) tryGet() (T, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var zero T
-	if b.head >= len(b.buf) {
-		return zero, false
-	}
-	return b.popLocked(), true
+// sockRx is the receive half of one directed channel: the connection
+// end itself, read, validated and decoded by the receiving rank on its
+// own goroutine — the channel's single reader is literally the reader
+// of the socket.  It is not safe for concurrent use, exactly as the
+// model's single-reader channels need not be.
+type sockRx[T any] struct {
+	t    *SocketTransport[T]
+	conn net.Conn
+	rc   syscall.RawConn
+	from int
+	to   int
+	want uint32
+	rcvd atomic.Int64 // frames ever received
+
+	buf     []byte // buf[r:w] holds bytes read off the wire and not yet parsed
+	r, w    int
+	payload []byte // readFrame's reusable payload storage
+	rerr    error  // what ended the byte stream (io.EOF, a read error), once the buffer is parsed dry
+	dead    error  // sticky failure reported by every later receive
+
+	// tryRead is prebuilt so handing it to RawConn.Read allocates
+	// nothing; it reads once into buf[w:] and never waits.
+	tryRead func(fd uintptr) bool
+	rn      int
+	rfail   error
 }
 
-func (b *inbox[T]) get() (T, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+func newSockRx[T any](t *SocketTransport[T], conn net.Conn, from, to int) *sockRx[T] {
+	x := &sockRx[T]{t: t, conn: conn, rc: rawConn(conn), from: from, to: to, want: uint32(from*t.p + to)}
+	x.buf = make([]byte, sockChunkSize)
+	// Seed the reusable payload buffer so typical frames (halo planes
+	// are a few KB) never allocate on the read path; readFrame regrows
+	// it once, permanently, if a larger frame arrives.
+	x.payload = make([]byte, 0, 4096)
+	x.tryRead = func(fd uintptr) bool {
+		for {
+			x.rn, x.rfail = syscall.Read(int(fd), x.buf[x.w:])
+			if x.rfail != syscall.EINTR {
+				return true
+			}
+		}
+	}
+	return x
+}
+
+// Read serves readFrame from the buffered bytes alone; past them it
+// reports what ended the stream.  next calls readFrame only when a
+// whole frame is buffered or the stream has ended, so this never waits.
+func (x *sockRx[T]) Read(p []byte) (int, error) {
+	if x.r == x.w {
+		if x.rerr == nil {
+			return 0, io.ErrNoProgress
+		}
+		return 0, x.rerr
+	}
+	n := copy(p, x.buf[x.r:x.w])
+	x.r += n
+	return n, nil
+}
+
+// frameLen is the number of buffered bytes readFrame needs before it
+// can finish without waiting.  A header that readFrame will reject
+// needs no payload: the defect is named from the header alone.
+func (x *sockRx[T]) frameLen() int {
+	if x.w-x.r < frameHeaderLen {
+		return frameHeaderLen
+	}
+	id := binary.LittleEndian.Uint32(x.buf[x.r:])
+	n := int(binary.LittleEndian.Uint32(x.buf[x.r+4:]))
+	if id != x.want || n > x.t.opt.maxFrame() {
+		return frameHeaderLen
+	}
+	return frameHeaderLen + n
+}
+
+// room makes buf[w:] non-empty and the buffer large enough for the
+// frame being assembled, moving the unparsed bytes to the front.
+func (x *sockRx[T]) room() {
+	need := x.frameLen()
+	if x.r == x.w {
+		x.r, x.w = 0, 0
+	}
+	if x.r > 0 && (x.w == len(x.buf) || x.r+need > len(x.buf)) {
+		x.w = copy(x.buf, x.buf[x.r:x.w])
+		x.r = 0
+	}
+	if need > len(x.buf) {
+		x.buf = append(x.buf[:x.w], make([]byte, need-x.w)...)
+	}
+}
+
+// fill reads once into the buffer — parking in the netpoller until the
+// connection is readable when wait is set, never waiting otherwise —
+// and reports whether the stream moved: bytes arrived or it ended.
+func (x *sockRx[T]) fill(wait bool) bool {
+	x.room()
+	if wait {
+		n, err := x.conn.Read(x.buf[x.w:])
+		x.w += n
+		x.rerr = err
+		return true
+	}
+	if err := x.rc.Read(x.tryRead); err != nil {
+		x.rerr = err
+		return true
+	}
+	switch {
+	case x.rfail == syscall.EAGAIN:
+		return false
+	case x.rfail != nil:
+		x.rerr = os.NewSyscallError("read", x.rfail)
+	case x.rn == 0:
+		x.rerr = io.EOF
+	default:
+		x.w += x.rn
+	}
+	return true
+}
+
+// next returns the next value of the channel.  Without wait it gives up
+// as soon as the kernel has nothing more to offer; with wait it parks.
+// Frames already read are always delivered before a failure is.
+func (x *sockRx[T]) next(wait bool) (v T, ok bool, err error) {
 	for {
-		if b.head < len(b.buf) {
-			return b.popLocked(), nil
+		switch {
+		case x.w-x.r >= x.frameLen():
+			return x.parse()
+		case x.dead != nil:
+			return v, false, x.dead
+		case x.rerr != nil:
+			return x.parse() // names what the stream ended with, or in the middle of
+		case !x.fill(wait):
+			return v, false, nil
 		}
-		if b.fail != nil {
-			var zero T
-			return zero, b.fail
-		}
-		b.cond.Wait()
 	}
 }
 
-func (b *inbox[T]) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.buf) - b.head
+// parse runs readFrame over the buffered bytes and decodes the payload.
+// Any failure is final: it is recorded in dead and the rest of the
+// buffer, which can no longer be framed, is dropped.
+func (x *sockRx[T]) parse() (v T, ok bool, err error) {
+	var ferr error
+	x.payload, ferr = readFrame(x, x.want, x.t.opt.maxFrame(), x.payload)
+	if ferr == nil {
+		if v, ferr = x.t.codec.Decode(x.payload); ferr == nil {
+			x.rcvd.Add(1)
+			return v, true, nil
+		}
+		ferr = fmt.Errorf("decode frame: %w", ferr)
+	}
+	x.r = x.w
+	switch terr := x.t.Err(); {
+	case terr != nil:
+		// The transport failed or was aborted under the read.
+		x.dead = terr
+	case x.t.closed.Load():
+		x.dead = fmt.Errorf("transport: channel %d->%d: transport closed", x.from, x.to)
+	case ferr == io.EOF:
+		// Clean shutdown at a frame boundary: the peer finished and
+		// closed.  Only a receiver still waiting on this channel is
+		// affected.
+		x.dead = fmt.Errorf("transport: channel %d->%d: peer closed", x.from, x.to)
+	default:
+		x.t.fail(fmt.Errorf("transport: %w on %d->%d", ferr, x.from, x.to))
+		x.dead = x.t.Err()
+	}
+	return v, false, x.dead
 }
 
 // sockEndpoint presents one directed channel as an Endpoint.  link is
-// nil on the receive-only (or self) side; in is nil on the send-only
-// side of a per-rank transport.
+// nil where the sender is not local, rx where the receiver is not.
 type sockEndpoint[T any] struct {
 	t    *SocketTransport[T]
 	link *sockLink[T]
-	in   *inbox[T]
-	self bool
+	rx   *sockRx[T]
 	to   int
 }
 
 func (e *sockEndpoint[T]) Send(v T) {
-	if e.link != nil {
-		e.link.send(v)
-		return
+	if e.link == nil {
+		panic("channel: send on a channel whose sender is not local to this transport")
 	}
-	if e.self {
-		e.in.put(v)
-		e.t.notifyFn()
-		return
-	}
-	panic("channel: send on a channel whose sender is not local to this transport")
+	e.link.send(v)
 }
 
+// Recv is the whole wait policy over a socket: look, push out our own
+// frames, poll for pollBudget, park in the netpoller.
 func (e *sockEndpoint[T]) Recv() T {
-	if e.in == nil {
-		panic("channel: receive on a channel whose receiver is not local to this transport")
-	}
-	if v, ok := e.in.tryGet(); ok {
+	if v, ok := e.TryRecv(); ok {
 		return v
 	}
-	// About to block: our own coalesced frames may be exactly what the
+	// About to wait: our own coalesced frames may be exactly what the
 	// peer needs before it can send to us.
 	e.t.Flush(e.to)
-	v, err := e.in.get()
+	if v, ok := PollRecv[T](e); ok {
+		return v
+	}
+	v, _, err := e.rx.next(true)
 	if err != nil {
 		panic(&TransportError{Err: err})
 	}
 	return v
 }
 
+// TryRecv returns a value if one can be had without waiting.  A failed
+// channel reports false here; the failure surfaces from Recv.
 func (e *sockEndpoint[T]) TryRecv() (T, bool) {
-	if e.in == nil {
+	if e.rx == nil {
 		panic("channel: receive on a channel whose receiver is not local to this transport")
 	}
-	return e.in.tryGet()
+	v, ok, _ := e.rx.next(false)
+	return v, ok
 }
 
+// Len is sent − received.  Only a transport holding both ends of the
+// channel knows both counts; a per-rank transport reports zero.
 func (e *sockEndpoint[T]) Len() int {
-	if e.in == nil {
+	if e.link == nil || e.rx == nil {
 		return 0
 	}
-	return e.in.Len()
+	return int(e.link.sent.Load() - e.rx.rcvd.Load())
+}
+
+// selfEndpoint is the channel of a rank to itself: an in-memory queue,
+// no wire.  Only the rank itself can fill it, so a receive that finds
+// it empty can only ever end by the transport failing.
+type selfEndpoint[T any] struct {
+	t *SocketTransport[T]
+	q *Chan[T]
+}
+
+func (e *selfEndpoint[T]) Send(v T)           { e.q.Send(v) }
+func (e *selfEndpoint[T]) TryRecv() (T, bool) { return e.q.TryRecv() }
+func (e *selfEndpoint[T]) Len() int           { return e.q.Len() }
+
+func (e *selfEndpoint[T]) Recv() T {
+	if v, ok := e.q.TryRecv(); ok {
+		return v
+	}
+	<-e.t.failed
+	panic(&TransportError{Err: e.t.Err()})
 }
 
 // readFrame reads and validates one frame — the header's channel id
@@ -595,79 +862,31 @@ func readFrame(r io.Reader, want uint32, maxFrame int, buf []byte) ([]byte, erro
 	return buf, nil
 }
 
-// readLoop drains one connection end: the directed channel from -> to,
-// where `to` is local.  Every frame is validated (channel id, length)
-// and decoded into the inbox.
-func (t *SocketTransport[T]) readLoop(conn net.Conn, from, to int, in *inbox[T]) {
-	defer t.wg.Done()
-	br := bufio.NewReaderSize(conn, sockChunkSize)
-	// Seed the reusable payload buffer so typical frames (halo planes
-	// are a few KB) never allocate on the read path; readFrame regrows
-	// it once, permanently, if a larger frame arrives.
-	payload := make([]byte, 0, 4096)
-	want := uint32(from*t.p + to)
-	for {
-		var err error
-		payload, err = readFrame(br, want, t.opt.maxFrame(), payload)
-		if err != nil {
-			if t.closed.Load() {
-				return
-			}
-			if err == io.EOF {
-				// Clean shutdown at a frame boundary: the peer finished
-				// and closed.  Only a receiver still waiting on this
-				// channel is affected.
-				in.failWith(fmt.Errorf("transport: channel %d->%d: peer closed", from, to))
-				t.notifyFn()
-				return
-			}
-			t.fail(fmt.Errorf("transport: %w on %d->%d", err, from, to))
-			return
-		}
-		v, err := t.codec.Decode(payload)
-		if err != nil {
-			t.fail(fmt.Errorf("transport: decode frame on %d->%d: %w", from, to, err))
-			return
-		}
-		in.put(v)
-		if t.rank < 0 {
-			t.inflight.Add(-1)
-		}
-		t.notifyFn()
-	}
-}
-
 func setNoDelay(conn net.Conn) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
 }
 
-// wirePair connects the directed channels between ranks i and j over
-// one connection pair end: ci is rank i's end, cj is rank j's end.
-func (t *SocketTransport[T]) wirePair(i, j int, ci, cj net.Conn) {
-	setNoDelay(ci)
-	setNoDelay(cj)
-	t.conns = append(t.conns, ci, cj)
-	t.links[i*t.p+j] = newSockLink(t, ci, i, j)
-	t.links[j*t.p+i] = newSockLink(t, cj, j, i)
-	t.boxes[j*t.p+i] = newInbox[T]()
-	t.boxes[i*t.p+j] = newInbox[T]()
-	t.wg.Add(2)
-	go t.readLoop(ci, j, i, t.boxes[j*t.p+i]) // rank i's end receives j->i
-	go t.readLoop(cj, i, j, t.boxes[i*t.p+j])
+// wire attaches rank `local`'s end of its connection with rank `peer`:
+// the send half of local->peer and the receive half of peer->local.
+func (t *SocketTransport[T]) wire(local, peer int, conn net.Conn) {
+	setNoDelay(conn)
+	t.conns = append(t.conns, conn)
+	t.links[local*t.p+peer] = newSockLink(t, conn, local, peer)
+	t.rxs[peer*t.p+local] = newSockRx(t, conn, peer, local)
 }
 
 func (t *SocketTransport[T]) buildEndpoints() {
 	for from := 0; from < t.p; from++ {
 		for to := 0; to < t.p; to++ {
 			idx := from*t.p + to
-			link := t.links[idx]
-			box := t.boxes[idx]
-			if link == nil && box == nil {
-				continue
+			switch link, rx := t.links[idx], t.rxs[idx]; {
+			case from == to && t.selfs[to] != nil:
+				t.eps[idx] = &selfEndpoint[T]{t: t, q: t.selfs[to]}
+			case link != nil || rx != nil:
+				t.eps[idx] = &sockEndpoint[T]{t: t, link: link, rx: rx, to: to}
 			}
-			t.eps[idx] = &sockEndpoint[T]{t: t, link: link, in: box, self: from == to, to: to}
 		}
 	}
 }
@@ -675,14 +894,14 @@ func (t *SocketTransport[T]) buildEndpoints() {
 // NewLoopbackMesh builds a full socket mesh for P ranks inside one
 // process: every pair of ranks is connected over a real loopback
 // connection ("tcp" on 127.0.0.1, or "unix" in a private temp
-// directory), so the whole framed wire path — coalescing, vectored
-// writes, reader goroutines, pooled decode — is exercised without
-// spawning processes.  The result plugs into sched/mesh exactly like
+// directory), so the whole framed wire path — coalescing, non-blocking
+// writes, direct reads, pooled decode — is exercised without spawning
+// processes.  An idle mesh owns no goroutines.  The result plugs into sched/mesh exactly like
 // the in-process Net.
 func NewLoopbackMesh[T any](p int, network string, codec Codec[T], opt SocketOptions) (*SocketTransport[T], error) {
 	t := newSocketTransport(p, -1, codec, opt)
 	for r := 0; r < p; r++ {
-		t.boxes[r*p+r] = newInbox[T]()
+		t.selfs[r] = NewChan[T]()
 	}
 	if p > 1 {
 		var (
@@ -724,7 +943,8 @@ func NewLoopbackMesh[T any](p int, network string, codec Codec[T], opt SocketOpt
 					t.Close()
 					return nil, fmt.Errorf("transport: accept pair %d-%d: %w", i, j, err)
 				}
-				t.wirePair(i, j, ci, cj)
+				t.wire(i, j, ci)
+				t.wire(j, i, cj)
 			}
 		}
 	}
@@ -796,7 +1016,7 @@ func DialMesh[T any](network string, addrs []string, rank int, codec Codec[T], o
 		return nil, fmt.Errorf("transport: unsupported network %q (want tcp or unix)", network)
 	}
 	t := newSocketTransport(p, rank, codec, opt)
-	t.boxes[rank*p+rank] = newInbox[T]()
+	t.selfs[rank] = NewChan[T]()
 	if p > 1 {
 		deadline := time.Now().Add(opt.dialTimeout())
 		if network == "unix" {
@@ -868,12 +1088,7 @@ func DialMesh[T any](network string, addrs []string, rank int, codec Codec[T], o
 			if conn == nil {
 				continue
 			}
-			setNoDelay(conn)
-			t.conns = append(t.conns, conn)
-			t.links[rank*p+j] = newSockLink(t, conn, rank, j)
-			t.boxes[j*p+rank] = newInbox[T]()
-			t.wg.Add(1)
-			go t.readLoop(conn, j, rank, t.boxes[j*p+rank])
+			t.wire(rank, j, conn)
 		}
 	}
 	t.buildEndpoints()

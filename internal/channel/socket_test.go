@@ -90,7 +90,7 @@ func TestSocketRoundTrip(t *testing.T) {
 }
 
 // TestSocketRecvFlushesOwnLinks checks the anti-starvation rule: a bare
-// Recv on an empty inbox must first push the receiver's own coalesced
+// Recv on an empty channel must first push the receiver's own coalesced
 // frames to the wire, or two ranks could each hold the bytes the other
 // is waiting for.
 func TestSocketRecvFlushesOwnLinks(t *testing.T) {
@@ -121,7 +121,7 @@ func TestSocketRecvFlushesOwnLinks(t *testing.T) {
 
 // TestSocketMultiplexRace hammers every channel of a loopback mesh from
 // concurrent senders and receivers; run under -race it vets the
-// coalescer, inbox and reader goroutines for data races.
+// coalescer, the direct reads and the drain goroutines for data races.
 func TestSocketMultiplexRace(t *testing.T) {
 	const (
 		p    = 4
@@ -316,17 +316,40 @@ func dialRank1(t *testing.T, addrs []string, trCh chan<- *SocketTransport[int64]
 	}()
 }
 
-func waitTransportErr(t *testing.T, tr *SocketTransport[int64]) error {
+// recvAsync starts a Recv on e and returns the channel on which what it
+// panicked with (nil if it returned normally) arrives.
+func recvAsync[T any](e Endpoint[T]) <-chan any {
+	ended := make(chan any, 1)
+	go func() {
+		defer func() { ended <- recover() }()
+		e.Recv()
+	}()
+	return ended
+}
+
+// wantTransportError waits for a receive started by recvAsync to panic
+// with a *TransportError, and returns it.
+func wantTransportError(t *testing.T, ended <-chan any, within time.Duration) *TransportError {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if err := tr.Err(); err != nil {
-			return err
+	select {
+	case r := <-ended:
+		te, ok := r.(*TransportError)
+		if !ok {
+			t.Fatalf("Recv ended with %v (%T), want a *TransportError panic", r, r)
 		}
-		time.Sleep(5 * time.Millisecond)
+		return te
+	case <-time.After(within):
+		t.Fatalf("Recv still waiting after %v", within)
+		return nil
 	}
-	t.Fatal("transport never reported a failure")
-	return nil
+}
+
+// recvFailure receives on e, which must fail: nothing reads a socket
+// until its rank does, so a bad frame is found by the receive that
+// meets it.
+func recvFailure(t *testing.T, e Endpoint[int64]) *TransportError {
+	t.Helper()
+	return wantTransportError(t, recvAsync(e), 10*time.Second)
 }
 
 func TestSocketCorruptFrame(t *testing.T) {
@@ -352,26 +375,18 @@ func TestSocketCorruptFrame(t *testing.T) {
 	if _, err := conn.Write(frame); err != nil {
 		t.Fatalf("write corrupt frame: %v", err)
 	}
-	err := waitTransportErr(t, tr)
-	if got := err.Error(); !strings.Contains(got, "corrupt frame") {
-		t.Fatalf("error %q does not identify a corrupt frame", got)
+	// The receive that meets the frame must surface the failure as a
+	// TransportError panic, not hang, and fail the whole transport.
+	if te := recvFailure(t, tr.Chan(0, 1)); !strings.Contains(te.Error(), "corrupt frame") {
+		t.Fatalf("TransportError %q does not identify the corrupt frame", te.Error())
 	}
-	// A blocked receive must surface the failure as a TransportError
-	// panic, not hang.
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("Recv on a failed transport should panic")
-		}
-		te, ok := r.(*TransportError)
-		if !ok {
-			t.Fatalf("panic value %T, want *TransportError", r)
-		}
-		if !strings.Contains(te.Error(), "corrupt frame") {
-			t.Fatalf("TransportError %q does not identify the corrupt frame", te.Error())
-		}
-	}()
-	tr.Chan(0, 1).Recv()
+	if err := tr.Err(); err == nil || !strings.Contains(err.Error(), "corrupt frame") {
+		t.Fatalf("transport error %v does not identify a corrupt frame", err)
+	}
+	// The failure is sticky: a later receive reports it again.
+	if te := recvFailure(t, tr.Chan(0, 1)); !strings.Contains(te.Error(), "corrupt frame") {
+		t.Fatalf("second receive: %q", te.Error())
+	}
 }
 
 func TestSocketTruncatedFrame(t *testing.T) {
@@ -398,9 +413,11 @@ func TestSocketTruncatedFrame(t *testing.T) {
 		t.Fatalf("write partial payload: %v", err)
 	}
 	closePeer()
-	err := waitTransportErr(t, tr)
-	if !strings.Contains(err.Error(), "truncated frame") {
-		t.Fatalf("error %q does not identify a truncated frame", err)
+	if te := recvFailure(t, tr.Chan(0, 1)); !strings.Contains(te.Error(), "truncated frame") {
+		t.Fatalf("error %q does not identify a truncated frame", te)
+	}
+	if tr.Err() == nil {
+		t.Fatal("a truncated frame did not fail the transport")
 	}
 }
 
@@ -432,8 +449,7 @@ func TestSocketOversizedFrame(t *testing.T) {
 	if _, err := conn.Write(hdr[:]); err != nil {
 		t.Fatalf("write header: %v", err)
 	}
-	err := waitTransportErr(t, tr)
-	if !strings.Contains(err.Error(), "exceeds MaxFrame") {
-		t.Fatalf("error %q does not identify the oversized frame", err)
+	if te := recvFailure(t, tr.Chan(0, 1)); !strings.Contains(te.Error(), "exceeds MaxFrame") {
+		t.Fatalf("error %q does not identify the oversized frame", te)
 	}
 }

@@ -4,9 +4,9 @@ package channel
 // on: a complete point-to-point network of single-reader single-writer
 // channels with infinite slack, plus the delivery-control hooks a real
 // (buffered, asynchronous) wire needs.  The in-process Net implements
-// it trivially — delivery is immediate, so Flush is a no-op and
-// InFlight is always zero.  SocketTransport implements it over framed
-// TCP or Unix-domain connections.
+// it trivially — delivery is immediate and nothing can fail, so Flush
+// and Abort are no-ops.  SocketTransport implements it over framed TCP
+// or Unix-domain connections.
 //
 // Theorem 1 of the paper (all maximal fair executions of an SSP program
 // reach the same final state) is what makes the backend swap exact: as
@@ -26,21 +26,19 @@ type Transport[T any] interface {
 	// operations additionally flush at the end of their send sections
 	// so neighbours see one coalesced write per exchange phase.
 	Flush(from int)
-	// InFlight returns the number of messages sent but not yet
-	// enqueued at their destination endpoint.  The exact deadlock
-	// detector treats a non-zero value as progress pending.  Always
-	// zero for in-process transports.
-	InFlight() int
 	// Err returns the first transport failure (connection reset,
-	// corrupt frame, ...), or nil.  Once non-nil it never reverts.
+	// corrupt frame, abort, ...), or nil.  Once non-nil it never
+	// reverts.
 	Err() error
-	// Notify registers f to be called whenever a message is delivered
-	// to a local endpoint or the transport fails, so a blocked runtime
-	// can re-examine its queues.  Must be called before the transport
-	// carries traffic; only one callback is supported.
-	Notify(f func())
-	// Pending returns the total number of delivered-but-unreceived
-	// values across local endpoints (diagnostics).
+	// Abort fails the transport with err and wakes every rank parked
+	// inside a blocking Recv of one of its endpoints; the woken Recv
+	// panics with a *TransportError.  It is how a supervisor reaches
+	// receivers that wait inside the transport rather than on a lock
+	// of its own.  A no-op for in-process transports, whose receivers
+	// the runtime parks itself.
+	Abort(err error)
+	// Pending returns the total number of sent-but-unreceived values
+	// on the channels whose two ends are both local.
 	Pending() int
 	// WrapEndpoints replaces every local endpoint with
 	// wrap(from, to, original) — the fault-injection and metering seam.
@@ -61,15 +59,12 @@ var (
 // Flush is a no-op: in-process sends are delivered synchronously.
 func (n *Net[T]) Flush(from int) {}
 
-// InFlight is always zero: in-process sends are delivered synchronously.
-func (n *Net[T]) InFlight() int { return 0 }
-
 // Err always returns nil: the in-process network cannot fail.
 func (n *Net[T]) Err() error { return nil }
 
-// Notify is a no-op: in-process delivery happens inside Send, so the
-// runtime's own post-send broadcast already wakes blocked receivers.
-func (n *Net[T]) Notify(f func()) {}
+// Abort is a no-op: nothing parks inside the in-process network's
+// endpoints that the runtime does not park (and wake) itself.
+func (n *Net[T]) Abort(err error) {}
 
 // Close is a no-op for the in-process network.
 func (n *Net[T]) Close() error { return nil }

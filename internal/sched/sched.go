@@ -523,14 +523,14 @@ type abortPanic struct{}
 type concurrent[T any] struct {
 	net channel.Transport[T]
 	// external marks a caller-supplied transport (Options.Transport):
-	// delivery may be asynchronous and buffered, so receives must flush
-	// before blocking and the deadlock detector must respect in-flight
-	// messages.  The default in-process network keeps external false and
-	// pays nothing.
+	// delivery may be asynchronous and buffered, and a receiver parks
+	// inside the transport (on its own socket), not on cond.  The default
+	// in-process network keeps external false.
 	external bool
 
 	// mu guards waitOn, done, failed, abort and the condition variable.
-	// Blocked receives park on cond; every send broadcasts.
+	// Receives blocked on the in-process network park on cond, and its
+	// sends broadcast.
 	mu   sync.Mutex
 	cond *sync.Cond
 	// waitOn[i] is the peer rank process i is blocked receiving from, or
@@ -538,6 +538,14 @@ type concurrent[T any] struct {
 	waitOn []int
 	done   []bool
 	nDone  int
+	// sent and taken count, per channel (index from*p+to), the sends
+	// that have returned and the receives that have completed.  Their
+	// difference is what the deadlock detector calls a non-empty
+	// channel: a message that exists — in a queue, a coalescer or a
+	// socket buffer — and will reach its receiver.  A blocked receive
+	// bumps taken and clears waitOn in one critical section, so the
+	// detector never sees a rank both waiting and already served.
+	sent, taken []atomic.Int64
 	// failed is the first process-panic error; abort is the reason the
 	// supervisor tore the run down (deadlock/stall diagnostic).
 	failed error
@@ -575,6 +583,8 @@ func newConcurrent[T any](p int, opt Options[T]) *concurrent[T] {
 		external: opt.Transport != nil,
 		waitOn:   make([]int, p),
 		done:     make([]bool, p),
+		sent:     make([]atomic.Int64, p*p),
+		taken:    make([]atomic.Int64, p*p),
 		tr:       trace.Safe(opt.Trace),
 		tag:      opt.Tag,
 		col:      opt.Collector,
@@ -583,78 +593,144 @@ func newConcurrent[T any](p int, opt Options[T]) *concurrent[T] {
 		b.waitOn[i] = -1
 	}
 	b.cond = sync.NewCond(&b.mu)
-	if b.external {
-		// Asynchronous deliveries land outside any send path, so the
-		// transport must wake blocked receivers itself.
-		net.Notify(func() {
-			b.mu.Lock()
-			b.cond.Broadcast()
-			b.mu.Unlock()
-		})
-	}
 	return b
 }
+
+// ch is the index of the channel from -> to in sent and taken.
+func (b *concurrent[T]) ch(from, to int) int { return from*len(b.waitOn) + to }
 
 func (b *concurrent[T]) send(from, to int, v T) {
 	if b.aborted.Load() {
 		panic(abortPanic{})
 	}
-	// The send itself runs outside mu: injected delivery delays must
-	// slow only this channel, not the whole network.
-	b.net.Chan(from, to).Send(v)
-	b.progress.Add(1)
-	b.mu.Lock()
-	b.cond.Broadcast()
-	b.mu.Unlock()
+	// Recorded before the message exists: a polling receiver can have it
+	// (and record the receive) the instant Send makes it visible, and
+	// Send takes ownership of v.
 	if b.tr != nil {
 		b.tr.Add(from, trace.Send, to, b.tag(v))
 	}
+	// The send itself runs outside mu: injected delivery delays must
+	// slow only this channel, not the whole network.
+	b.net.Chan(from, to).Send(v)
+	b.sent[b.ch(from, to)].Add(1)
+	b.progress.Add(1)
+	if !b.external {
+		// In-process receivers park on cond.  An external transport
+		// wakes its own: the receiver sits in its socket.
+		b.mu.Lock()
+		b.cond.Broadcast()
+		b.mu.Unlock()
+	}
 }
 
+// recv is the runtime's one wait policy: look, poll briefly, then park.
+// Where it parks is the only thing the two kinds of network differ in.
 func (b *concurrent[T]) recv(from, to int) T {
-	ep := b.net.Chan(from, to)
-	if b.external {
-		// We may block here, and the frames coalesced on our own links
-		// may be exactly what our peers need first: push them out.  The
-		// flush runs outside mu (it performs socket writes).
-		b.net.Flush(to)
+	if b.aborted.Load() {
+		panic(abortPanic{})
 	}
+	ep := b.net.Chan(from, to)
+	var (
+		v  T
+		ok bool
+	)
+	if b.external {
+		// The endpoint's own Recv polls before it parks; all that is
+		// needed here is the fast path that skips the bookkeeping.
+		v, ok = ep.TryRecv()
+	} else {
+		v, ok = channel.PollRecv(ep)
+	}
+	if ok {
+		b.taken[b.ch(from, to)].Add(1)
+	} else if b.external {
+		v = b.parkExternal(from, to, ep)
+	} else {
+		v = b.parkInProc(from, to, ep)
+	}
+	b.progress.Add(1)
+	if b.tr != nil {
+		b.tr.Add(to, trace.Recv, from, b.tag(v))
+	}
+	return v
+}
+
+// block registers process `to` as blocked on the channel from -> to and
+// runs the exact deadlock check: if every other unfinished process
+// already is blocked, the network can never move again — report the
+// deadlock now rather than hang.  Called with mu held.
+func (b *concurrent[T]) block(from, to int) {
+	b.waitOn[to] = from
+	b.col.CountBlock(to)
+	if b.external {
+		if err := b.net.Err(); err != nil {
+			b.abortLocked(fmt.Errorf("sched: transport failed: %w", err))
+			return
+		}
+	}
+	if d := b.deadlockLocked(); d != nil {
+		b.abortLocked(d)
+	}
+}
+
+// unblock records that the receive process `to` was blocked in has
+// completed.  Called with mu held.
+func (b *concurrent[T]) unblock(from, to int) {
+	b.waitOn[to] = -1
+	b.taken[b.ch(from, to)].Add(1)
+}
+
+// parkInProc waits on cond until the in-process channel has a value.
+func (b *concurrent[T]) parkInProc(from, to int, ep channel.Endpoint[T]) T {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	for {
 		if b.abort != nil {
-			b.mu.Unlock()
 			panic(abortPanic{})
 		}
 		if v, ok := ep.TryRecv(); ok {
-			b.waitOn[to] = -1
-			b.mu.Unlock()
-			b.progress.Add(1)
-			if b.tr != nil {
-				b.tr.Add(to, trace.Recv, from, b.tag(v))
-			}
+			b.unblock(from, to)
 			return v
 		}
 		if b.waitOn[to] != from {
 			// First finding the channel empty (not a spurious wakeup):
 			// this is the one logical block of this receive.
-			b.waitOn[to] = from
-			b.col.CountBlock(to)
-		}
-		if b.external {
-			if err := b.net.Err(); err != nil {
-				b.abortLocked(fmt.Errorf("sched: transport failed: %w", err))
-				continue
-			}
-		}
-		// This process just became blocked on an empty channel: if every
-		// other unfinished process already is, the network can never
-		// move again — report the deadlock now rather than hang.
-		if d := b.deadlockLocked(); d != nil {
-			b.abortLocked(d)
-			continue // next iteration unwinds via abortPanic
+			b.block(from, to)
+			continue // block may have aborted the run: look again before waiting
 		}
 		b.cond.Wait()
 	}
+}
+
+// parkExternal waits inside the transport: the rank's own blocking Recv
+// on its own connection end, outside mu.  The frames coalesced on our
+// own links may be exactly what our peers need first, so they are
+// pushed out before the rank registers as blocked — the detector may
+// then rely on every counted message being on its way.
+func (b *concurrent[T]) parkExternal(from, to int, ep channel.Endpoint[T]) (v T) {
+	b.net.Flush(to)
+	b.mu.Lock()
+	b.block(from, to)
+	aborted := b.abort != nil
+	b.mu.Unlock()
+	if aborted {
+		panic(abortPanic{})
+	}
+	defer func() {
+		// The supervisor's abort reaches a parked reader as a transport
+		// failure; it is the teardown, not a failure of this process.
+		if r := recover(); r != nil {
+			if b.aborted.Load() {
+				r = abortPanic{}
+			}
+			panic(r)
+		}
+	}()
+	v = ep.Recv()
+	b.mu.Lock()
+	b.unblock(from, to)
+	b.mu.Unlock()
+	return v
 }
 
 func (b *concurrent[T]) step(id int, name string) {
@@ -710,27 +786,27 @@ func (b *concurrent[T]) abortLocked(reason error) {
 	b.abort = reason
 	b.aborted.Store(true)
 	b.cond.Broadcast()
+	if b.external {
+		b.net.Abort(reason)
+	}
 }
 
 // deadlockLocked reports the network's exact deadlock condition: every
-// unfinished process is blocked receiving from an empty channel.  No
-// such process can ever be re-enabled (only unfinished processes could
-// send, and all of them are blocked), so this detection has no false
-// positives and no timing dependence.  Returns nil when some process is
-// running, some awaited channel has a value, or everything finished.
+// unfinished process is blocked receiving from a channel on which
+// nothing is sent that has not been received.  No such process can ever
+// be re-enabled (only unfinished processes could send, and all of them
+// are blocked), so this detection has no false positives and no timing
+// dependence — on any transport: a counted message has left its
+// sender's Send, and senders flush before they block and when they
+// finish, so it will arrive.  A message parked on a channel nobody
+// waits on does not hide a deadlock of the others.  Returns nil when
+// some process is running, some awaited channel has a value, or
+// everything finished.
 func (b *concurrent[T]) deadlockLocked() *DeadlockError {
 	// Detection pass first, allocation-free: this runs every time any
 	// receiver blocks, so the common "somebody is still running" answer
 	// must not heap-allocate (the steady-state message path is measured
 	// at zero allocations per step).
-	if b.external && b.net.InFlight() > 0 {
-		// A message has been sent but not yet delivered to its inbox:
-		// some receiver is about to be re-enabled.  (Senders flush
-		// before blocking and on termination, so at this point every
-		// undelivered message is visible either in an endpoint queue or
-		// in this in-flight count — the detection stays exact.)
-		return nil
-	}
 	unfinished := 0
 	for i, from := range b.waitOn {
 		if b.done[i] {
@@ -739,7 +815,7 @@ func (b *concurrent[T]) deadlockLocked() *DeadlockError {
 		if from < 0 {
 			return nil // process i is running or mid-send
 		}
-		if b.net.Chan(from, i).Len() > 0 {
+		if ch := b.ch(from, i); b.sent[ch].Load() > b.taken[ch].Load() {
 			return nil // process i is about to wake
 		}
 		unfinished++

@@ -321,10 +321,11 @@ func (ex *executor) runJob(jb *job) {
 	tr.SetTrace(0)
 
 	// The mesh is reusable only if the run ended clean: no transport
-	// failure, nothing buffered, nothing undelivered.  Anything else —
-	// abort, rank panic, drained messages from a half-finished exchange —
-	// retires it; the next job gets a fresh one.
-	if firstErr != nil || tr.Err() != nil || tr.Pending() != 0 || tr.InFlight() != 0 {
+	// failure and nothing sent that was not received — Pending counts
+	// the frames of a half-finished exchange wherever they sit, kernel
+	// socket buffers included.  Anything else — abort, rank panic — retires
+	// it; the next job gets a fresh one.
+	if firstErr != nil || tr.Err() != nil || tr.Pending() != 0 {
 		ex.retireTransport()
 	}
 

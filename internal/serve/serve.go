@@ -390,8 +390,6 @@ func (s *Server) complete(jb *job, res *JobResult, err error) {
 	if jb.bundle.Trace != "" {
 		s.traces.Put(jb.bundle)
 	}
-	jb.res, jb.err = res, err
-	close(jb.done)
 	s.m.jobsInFlight.Add(-1)
 	switch {
 	case err == nil:
@@ -406,6 +404,10 @@ func (s *Server) complete(jb *job, res *JobResult, err error) {
 			s.m.jobsFailed.Add(1)
 		}
 	}
+	// Waiters wake last: a caller that resubmits the moment its job
+	// returns must find the cache filled and the counters settled.
+	jb.res, jb.err = res, err
+	close(jb.done)
 	s.jobs.Done()
 }
 

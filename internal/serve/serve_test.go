@@ -258,6 +258,38 @@ func TestJobTimeoutTypedAndPoolRecovers(t *testing.T) {
 	}
 }
 
+// TestTimedOutJobLeavesCleanMesh: a job killed mid-step leaves frames
+// of its half-finished exchange behind — with ranks reading their own
+// sockets, in kernel buffers nobody will drain.  The executor must
+// retire that mesh exactly once, and the next job on the same executor
+// must come out bitwise equal to the Sim runtime.
+func TestTimedOutJobLeavesCleanMesh(t *testing.T) {
+	s := newTestServer(t, Config{P: 2, Workers: 1})
+	if _, _, err := s.Submit(fdtd.SpecSmall(), SubmitOptions{NoCache: true}); err != nil {
+		t.Fatalf("warm-up job: %v", err)
+	}
+	if _, _, err := s.Submit(longSpec(), SubmitOptions{Timeout: 50 * time.Millisecond}); err == nil {
+		t.Fatal("long job did not time out")
+	} else if _, ok := AsJobTimeout(err); !ok {
+		t.Fatalf("long job returned %v, want *JobTimeoutError", err)
+	}
+	spec := fdtd.SpecSmall()
+	res, _, err := s.Submit(spec, SubmitOptions{NoCache: true})
+	if err != nil {
+		t.Fatalf("job after the timeout: %v", err)
+	}
+	ref, err := fdtd.RunArchetype(spec, 2, mesh.Sim, fdtd.DefaultOptions())
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	if got, want := res.FieldHash, fingerprintString(fieldHash(ref)); got != want {
+		t.Fatalf("job after the timeout hashed %s, Sim runtime %s", got, want)
+	}
+	if st := s.Stats(); st.TransportRebuilds != 1 {
+		t.Fatalf("transport rebuilds = %d, want exactly 1", st.TransportRebuilds)
+	}
+}
+
 // TestDrainDeadlineCancelsInFlight is the mid-step cancellation error
 // path: a hard drain must terminate a running job with a typed
 // cancellation, not hang.
