@@ -3,7 +3,7 @@ GO ?= go
 # Packages whose concurrency the race detector must vet.
 RACE_PKGS = ./internal/channel ./internal/sched ./internal/explore ./internal/mesh ./internal/trace ./internal/obs ./internal/serve ./internal/cluster ./internal/cluster/client ./internal/slo ./cmd/archload
 
-.PHONY: check build vet test race bench bench-smoke benchmark-smoke bench-compare cover kernel-smoke net-smoke serve-smoke cluster-smoke chaos-smoke hotshard-smoke obs-smoke fuzz-smoke explore-smoke
+.PHONY: check build vet test race bench-smoke benchmark-smoke cover kernel-smoke net-smoke serve-smoke cluster-smoke chaos-smoke hotshard-smoke obs-smoke fuzz-smoke explore-smoke
 
 check: vet build test race bench-smoke benchmark-smoke kernel-smoke net-smoke serve-smoke cluster-smoke chaos-smoke hotshard-smoke obs-smoke fuzz-smoke explore-smoke
 
@@ -20,48 +20,11 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -run 'TestTiledKernelDeterminism|TestFastPathIdentity1D|TestOneProgramIdentity|TestKernelPencilVsReferenceProperty|TestSocketBackendIdentity|TestWorkerBackendIdentity' ./internal/fdtd
 
-# bench is legacy (as are BENCH_obs.json, bench-compare and
-# cmd/benchdiff): the measuring instrument is `bash benchmark/run.sh`
-# under the BENCHMARK.json contract, smoke-tested by benchmark-smoke.
-# bench runs the runtime benchmarks with allocation reporting, then a
-# P=4 parallel FDTD run (with a measured P=1 baseline) whose headline
-# observability metrics land in BENCH_obs.json and fdtd_report.json.
-# Three -bench-append runs then extend the artifact with the scale-out
-# numbers: loopback-socket wire counters, a multi-process wall clock,
-# and the P-scaling sweep with measured + modelled speedups.  The
-# roofline run adds the kernel ceiling on the same grid: stream-triad
-# bandwidth, the implied cells/sec bound, and the achieved rates of the
-# pencil-vs-reference kernels per worker count (roofline/*, kernel/*;
-# recorded, never gated).  A final open-loop archload run lands the
-# cluster latency histogram (cluster/load/p50..p999 + bucket family),
-# error/cache rates, and the SLO burn-rate verdict from a
-# self-contained 3-node cluster.  The closing -hotshard run is the
-# hot-shard A/B: the same zipf-headed closed-loop workload with the
-# layer off then on, landing hot-key p99, served-count imbalance and
-# throughput for both arms (cluster/load/hotshard/*; recorded, never
-# gated).
-bench:
-	$(GO) test -bench=. -benchtime=1x -benchmem ./internal/sched ./internal/mesh ./internal/fdtd ./internal/gridio
-	$(GO) run ./cmd/fdtd -build par -p 4 -nx 24 -ny 16 -nz 16 -steps 64 -baseline -quiet \
-		-report fdtd_report.json -bench-out BENCH_obs.json
-	$(GO) run ./cmd/fdtd -build par -p 4 -nx 24 -ny 16 -nz 16 -steps 64 -quiet \
-		-backend socket -net tcp -bench-out BENCH_obs.json -bench-append
-	$(GO) run ./cmd/fdtd -build par -procs 2 -nx 24 -ny 16 -nz 16 -steps 64 -quiet \
-		-net unix -bench-out BENCH_obs.json -bench-append
-	$(GO) run ./cmd/fdtd -build par -sweep 1,2,4 -nx 24 -ny 16 -nz 16 -steps 64 -quiet \
-		-bench-out BENCH_obs.json -bench-append
-	$(GO) run ./cmd/fdtd -roofline -nx 24 -ny 16 -nz 16 -quiet \
-		-bench-out BENCH_obs.json -bench-append
-	$(GO) run ./cmd/archload -cluster 3 -rate 200 -jobs 120 -specs 24 -p 2 -workers 1 -seed 1 \
-		-slo "p99<2s,err<1%" -bench BENCH_obs.json
-	$(GO) run ./cmd/archload -cluster 3 -hotshard -clients 32 -jobs 600 -specs 32 -zipf-s 1.8 \
-		-p 2 -workers 1 -seed 1 -bench BENCH_obs.json
-	@echo "wrote fdtd_report.json and BENCH_obs.json"
-
 # bench-smoke compiles and runs every benchmark once (no timing) so
-# check catches benchmark rot without paying full benchmark time.
+# check catches benchmark rot without paying full benchmark time.  The
+# root package carries the paper and ablation benchmarks.
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' $(RACE_PKGS) ./internal/fdtd > /dev/null
+	$(GO) test -bench=. -benchtime=1x -run='^$$' . $(RACE_PKGS) ./internal/fdtd > /dev/null
 
 # benchmark-smoke runs the smoke test of the measuring instrument
 # (benchmark/ is a module of its own, so `go test ./...` does not reach
@@ -74,10 +37,9 @@ benchmark-smoke:
 # kernels on randomized specs, and a tiny-grid roofline run exercises
 # the stream probe + per-worker measurement end to end.  To compare
 # instruction-set levels, prefix either command with GOAMD64=v2 or
-# GOAMD64=v3 (e.g. `GOAMD64=v3 make kernel-smoke`, or GOAMD64=v3 with
-# the `bench` target for full numbers): v3 licenses AVX2+FMA for the
-# hoisted pencil loops, and the cells_per_sec entries make the
-# difference visible.
+# GOAMD64=v3 (e.g. `GOAMD64=v3 make kernel-smoke`): v3 licenses
+# AVX2+FMA for the hoisted pencil loops, and the Mcells/s a full-size
+# `fdtd -roofline` prints make the difference visible.
 kernel-smoke:
 	$(GO) test -run 'TestKernelPencilVsReferenceProperty' -count=1 ./internal/fdtd
 	$(GO) run ./cmd/fdtd -roofline -nx 8 -ny 8 -nz 8 -roofline-workers 1,2 -quiet
@@ -163,18 +125,3 @@ cover:
 			{ echo "cover: $$pkg at $$pct% is below the $$floor% floor"; exit 1; }; \
 		echo "cover: $$pkg $$pct% (floor $$floor%)"; \
 	done
-
-# bench-compare reruns the BENCH workload into a fresh artifact and
-# fails if any deterministic metric (counts, bytes, allocs) regresses
-# more than 10% against the committed BENCH_obs.json baseline; noisy
-# timing-derived metrics (walls, speedups, ratios) gate at 50%, wide
-# enough to absorb scheduler noise on a loaded single-CPU host while
-# still catching order-of-magnitude slowdowns.  Scale-out entries that
-# only the full `make bench` produces (net/*, sweep/*) are reported as
-# one-sided and never gate.
-bench-compare:
-	$(GO) run ./cmd/fdtd -build par -p 4 -nx 24 -ny 16 -nz 16 -steps 64 -baseline -quiet \
-		-bench-out BENCH_new.json
-	$(GO) run ./cmd/benchdiff -baseline BENCH_obs.json -new BENCH_new.json \
-		-threshold 0.10 -timing-threshold 0.50
-	@rm -f BENCH_new.json

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -124,55 +123,6 @@ type loadResult struct {
 	SampledTrace string      // trace id of the sampled job
 	TraceJSON    []byte      // merged Chrome trace for it
 	samples      []sample
-}
-
-// BenchEntries renders the run as BENCH-file entries under prefix:
-// histogram-derived percentiles (p50/p95/p99/p999), cumulative bucket
-// counts, throughput and rates, and — when an SLO was evaluated — the
-// worst burn rate per window plus the verdict.
-func (r *loadResult) BenchEntries(prefix string) []obs.BenchEntry {
-	entries := r.Hist.PercentileBenchEntries(prefix)
-	entries = append(entries, r.Hist.BucketBenchEntries(prefix)...)
-	frac := func(n int) float64 {
-		if r.Total == 0 {
-			return 0
-		}
-		return float64(n) / float64(r.Total)
-	}
-	entries = append(entries,
-		obs.BenchEntry{Name: prefix + "/throughput", Value: r.Throughput, Unit: "jobs/s"},
-		obs.BenchEntry{Name: prefix + "/error_rate", Value: frac(r.Errs), Unit: "frac"},
-		obs.BenchEntry{Name: prefix + "/rate_429", Value: frac(r.Overloaded), Unit: "frac"},
-		obs.BenchEntry{Name: prefix + "/degraded_rate", Value: frac(r.Degraded), Unit: "frac"},
-		obs.BenchEntry{Name: prefix + "/cache_hit_rate", Value: frac(r.CacheHits), Unit: "frac"},
-	)
-	if r.HotHist.Count > 0 {
-		entries = append(entries, obs.BenchEntry{
-			Name:  prefix + "/hot/p99",
-			Value: float64(r.HotHist.QuantileDuration(0.99)) / float64(time.Millisecond),
-			Unit:  "ms",
-		})
-	}
-	if r.Imbalance > 0 {
-		entries = append(entries, obs.BenchEntry{Name: prefix + "/imbalance", Value: r.Imbalance, Unit: "ratio"})
-	}
-	if r.SLO != nil {
-		var fast, slow float64
-		for _, or := range r.SLO.Objectives {
-			fast = math.Max(fast, or.Fast.Burn)
-			slow = math.Max(slow, or.Slow.Burn)
-		}
-		pass := 0.0
-		if r.SLO.Pass {
-			pass = 1.0
-		}
-		entries = append(entries,
-			obs.BenchEntry{Name: prefix + "/burn_rate_fast", Value: fast, Unit: "ratio"},
-			obs.BenchEntry{Name: prefix + "/burn_rate_slow", Value: slow, Unit: "ratio"},
-			obs.BenchEntry{Name: prefix + "/slo_pass", Value: pass, Unit: "bool"},
-		)
-	}
-	return entries
 }
 
 // loadSpec is spec i of the population: a fast Version A run whose
@@ -461,34 +411,6 @@ func fetchImbalance(hc *http.Client, target string) float64 {
 	}
 	mean := float64(total) / float64(len(st.Nodes))
 	return float64(max) / mean
-}
-
-// hotshardEntries renders a -hotshard A/B comparison (the same seeded
-// workload with the hot-shard layer off, then on) as BENCH entries
-// under <prefix>/hotshard/.  The *_gain entries are off/on ratios —
-// > 1 means the layer helped.  All of these are measurements of one
-// comparison run, compared-but-never-gated by benchdiff.
-func hotshardEntries(prefix string, off, on *loadResult) []obs.BenchEntry {
-	hotP99 := func(r *loadResult) float64 {
-		return float64(r.HotHist.QuantileDuration(0.99)) / float64(time.Millisecond)
-	}
-	ratio := func(a, b float64) float64 {
-		if b == 0 {
-			return 0
-		}
-		return a / b
-	}
-	p := prefix + "/hotshard/"
-	return []obs.BenchEntry{
-		{Name: p + "p99_off", Value: hotP99(off), Unit: "ms"},
-		{Name: p + "p99_on", Value: hotP99(on), Unit: "ms"},
-		{Name: p + "imbalance_off", Value: off.Imbalance, Unit: "ratio"},
-		{Name: p + "imbalance_on", Value: on.Imbalance, Unit: "ratio"},
-		{Name: p + "throughput_off", Value: off.Throughput, Unit: "jobs/s"},
-		{Name: p + "throughput_on", Value: on.Throughput, Unit: "jobs/s"},
-		{Name: p + "p99_gain", Value: ratio(hotP99(off), hotP99(on)), Unit: "x"},
-		{Name: p + "imbalance_gain", Value: ratio(off.Imbalance, on.Imbalance), Unit: "x"},
-	}
 }
 
 // sampleTrace picks one traced response — preferring a computed job,

@@ -96,30 +96,19 @@ func TestObsSmoke(t *testing.T) {
 		t.Fatalf("merged trace has %d rank lanes, want >= 2 (P=2)", len(ranks))
 	}
 
-	// Bench entries: histogram percentiles incl. p999, bucket family,
-	// burn rates and the verdict.
-	entries := res.BenchEntries("cluster/load")
-	names := map[string]bool{}
-	for _, e := range entries {
-		names[e.Name] = true
+	// The summary archload prints: ordered percentiles from a bucketed
+	// histogram, and a throughput.
+	if len(res.Hist.Buckets) == 0 {
+		t.Error("latency histogram has no buckets")
 	}
-	for _, want := range []string{
-		"cluster/load/p50", "cluster/load/p95", "cluster/load/p99", "cluster/load/p999",
-		"cluster/load/throughput", "cluster/load/error_rate",
-		"cluster/load/burn_rate_fast", "cluster/load/burn_rate_slow", "cluster/load/slo_pass",
-	} {
-		if !names[want] {
-			t.Errorf("bench entries lack %s", want)
+	qs := []float64{0.50, 0.95, 0.99, 0.999}
+	for i := 1; i < len(qs); i++ {
+		if lo, hi := res.Hist.Quantile(qs[i-1]), res.Hist.Quantile(qs[i]); hi < lo {
+			t.Errorf("p%g=%d above p%g=%d", 100*qs[i-1], lo, 100*qs[i], hi)
 		}
 	}
-	bucketEntries := 0
-	for name := range names {
-		if strings.Contains(name, "/latency_bucket/le_") {
-			bucketEntries++
-		}
-	}
-	if bucketEntries == 0 {
-		t.Error("bench entries lack the latency bucket family")
+	if res.Throughput <= 0 {
+		t.Errorf("throughput %.3f jobs/s, want > 0", res.Throughput)
 	}
 }
 
@@ -152,6 +141,12 @@ func TestObsSmokeSLOFail(t *testing.T) {
 			if or.Observed < 0.4 {
 				t.Fatalf("observed p99 %.3fs, want >= 0.4 (injection included)", or.Observed)
 			}
+			// The burn rate reflects the breach: slow-window burn must
+			// exceed 1 (budget overrun) by a wide margin when every
+			// request is slow.
+			if or.Slow.Burn < 10 {
+				t.Fatalf("slow burn %.2f, want >> 1 when 100%% of requests breach", or.Slow.Burn)
+			}
 			s := or.Objective
 			latObj = &s
 		}
@@ -159,24 +154,12 @@ func TestObsSmokeSLOFail(t *testing.T) {
 	if latObj == nil {
 		t.Fatal("latency objective missing from report")
 	}
-	// Burn-rate entries reflect the breach: slow-window burn must
-	// exceed 1 (budget overrun) by a wide margin when every request is
-	// slow.
-	for _, e := range res.BenchEntries("cluster/load") {
-		if e.Name == "cluster/load/burn_rate_slow" && e.Value < 10 {
-			t.Fatalf("slow burn %.2f, want >> 1 when 100%% of requests breach", e.Value)
-		}
-		if e.Name == "cluster/load/slo_pass" && e.Value != 0 {
-			t.Fatalf("slo_pass entry %v, want 0", e.Value)
-		}
-	}
 }
 
 // TestHotshardMeasurement: a small self-contained run populates the
-// hot-key histogram (zipf head samples), computes a served-count
-// imbalance from the coordinator's node stats, and renders both as
-// bench entries; hotshardEntries then shapes an off/on pair into the
-// full A/B family.
+// hot-key histogram (zipf head samples) and computes a served-count
+// imbalance from the coordinator's node stats — the two numbers each
+// arm of -hotshard prints.
 func TestHotshardMeasurement(t *testing.T) {
 	res, err := runLoad(loadConfig{
 		Cluster: 2,
@@ -202,33 +185,7 @@ func TestHotshardMeasurement(t *testing.T) {
 	if res.Imbalance < 1.0 {
 		t.Fatalf("imbalance %.3f, want >= 1.0 (max/mean of served counts)", res.Imbalance)
 	}
-	names := map[string]bool{}
-	for _, e := range res.BenchEntries("cluster/load") {
-		names[e.Name] = true
-	}
-	if !names["cluster/load/hot/p99"] || !names["cluster/load/imbalance"] {
-		t.Fatalf("bench entries lack hot/p99 or imbalance: %v", names)
-	}
-
-	// The A/B family from an off/on pair.
-	got := map[string]float64{}
-	for _, e := range hotshardEntries("cluster/load", res, res) {
-		got[e.Name] = e.Value
-	}
-	for _, want := range []string{
-		"cluster/load/hotshard/p99_off", "cluster/load/hotshard/p99_on",
-		"cluster/load/hotshard/imbalance_off", "cluster/load/hotshard/imbalance_on",
-		"cluster/load/hotshard/throughput_off", "cluster/load/hotshard/throughput_on",
-		"cluster/load/hotshard/p99_gain", "cluster/load/hotshard/imbalance_gain",
-	} {
-		if _, ok := got[want]; !ok {
-			t.Errorf("hotshard entries lack %s", want)
-		}
-	}
-	if g := got["cluster/load/hotshard/p99_gain"]; g != 1.0 {
-		t.Fatalf("same-run p99 gain %.3f, want exactly 1.0", g)
-	}
-	if g := got["cluster/load/hotshard/imbalance_gain"]; g != 1.0 {
-		t.Fatalf("same-run imbalance gain %.3f, want exactly 1.0", g)
+	if p99 := res.HotHist.QuantileDuration(0.99); p99 <= 0 {
+		t.Fatalf("hot-key p99 %v, want > 0", p99)
 	}
 }

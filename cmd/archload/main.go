@@ -6,12 +6,14 @@
 // (and should hit node caches), a long tail stays cold.
 //
 //	archload -coord http://127.0.0.1:8090 -clients 8 -jobs 200
-//	archload -cluster 3 -clients 8 -jobs 200 -bench BENCH_obs.json
+//	archload -cluster 3 -clients 8 -jobs 200
 //	archload -cluster 3 -rate 200 -jobs 1000 -slo "p99<250ms,err<1%"
 //
 // With -cluster N the tool is self-contained: it spins up N in-process
 // archserve nodes and a coordinator, runs the load, and tears it all
-// down — so one command produces reproducible cluster numbers.
+// down.  It prints what it measured; the repository's measuring
+// instrument for the cluster is `bash benchmark/run.sh` (workloads
+// jobs-cold and jobs-zipf in BENCHMARK.json).
 //
 // Two load modes:
 //
@@ -36,8 +38,6 @@ import (
 	"log"
 	"os"
 	"time"
-
-	"repro/internal/obs"
 )
 
 func main() {
@@ -56,8 +56,6 @@ func main() {
 		sloSpec     = flag.String("slo", "", `SLO spec to evaluate, e.g. "p99<250ms,err<1%" (exit 1 on failure)`)
 		inject      = flag.Duration("inject-latency", 0, "add this synthetic delay to every measured latency (SLO failure testing)")
 		traceOut    = flag.String("trace-out", "", "write one sampled job's merged Chrome trace to this file")
-		benchOut    = flag.String("bench", "", "append results to this BENCH json file")
-		prefix      = flag.String("prefix", "cluster/load", "bench entry name prefix")
 		hotDisabled = flag.Bool("hot-disabled", false, "disable the coordinator's hot-shard layer (self-contained mode)")
 		hotshard    = flag.Bool("hotshard", false, "A/B mode: run the same seeded workload with the hot-shard layer off, then on, and report the delta (requires -cluster)")
 	)
@@ -88,7 +86,7 @@ func main() {
 		if *clusterN <= 0 {
 			log.Fatal("archload: -hotshard needs -cluster (each arm spins up its own fresh cluster)")
 		}
-		runHotshardCompare(cfg, *prefix, *benchOut)
+		runHotshardCompare(cfg)
 		return
 	}
 
@@ -122,14 +120,6 @@ func main() {
 	} else if *traceOut != "" {
 		log.Printf("archload: no merged trace retrievable this run")
 	}
-
-	if *benchOut != "" {
-		entries := res.BenchEntries(*prefix)
-		if err := obs.MergeBenchFile(*benchOut, entries); err != nil {
-			log.Fatalf("archload: write bench: %v", err)
-		}
-		log.Printf("archload: appended %d entries under %s to %s", len(entries), *prefix, *benchOut)
-	}
 	if res.Errs > 0 || (res.SLO != nil && !res.SLO.Pass) {
 		os.Exit(1)
 	}
@@ -137,8 +127,8 @@ func main() {
 
 // runHotshardCompare is -hotshard: the same seeded workload against two
 // fresh self-contained clusters — hot-shard layer disabled, then
-// enabled — reported as <prefix>/hotshard/* BENCH entries.
-func runHotshardCompare(cfg loadConfig, prefix, benchOut string) {
+// enabled — printed as hot-key p99, imbalance and throughput per arm.
+func runHotshardCompare(cfg loadConfig) {
 	arm := func(disabled bool, label string) *loadResult {
 		c := cfg
 		c.HotDisabled = disabled
@@ -160,12 +150,4 @@ func runHotshardCompare(cfg loadConfig, prefix, benchOut string) {
 	fmt.Printf("  hot-key p99   off=%v on=%v\n", hotP99(off), hotP99(on))
 	fmt.Printf("  imbalance     off=%.3f on=%.3f (max/mean served; 1.0 = even)\n", off.Imbalance, on.Imbalance)
 	fmt.Printf("  throughput    off=%.1f on=%.1f jobs/s\n", off.Throughput, on.Throughput)
-
-	if benchOut != "" {
-		entries := hotshardEntries(prefix, off, on)
-		if err := obs.MergeBenchFile(benchOut, entries); err != nil {
-			log.Fatalf("archload: write bench: %v", err)
-		}
-		log.Printf("archload: appended %d entries under %s/hotshard to %s", len(entries), prefix, benchOut)
-	}
 }

@@ -28,7 +28,6 @@
 // fingerprint names a different workload); -trace-out writes a Chrome
 // trace (open in
 // chrome://tracing or https://ui.perfetto.dev) with one lane per rank;
-// -bench-out writes the headline numbers as a BENCH_*.json artifact;
 // -metrics-addr serves live Prometheus /metrics plus expvar and pprof
 // while the run executes; -quiet suppresses the human-readable output:
 //
@@ -45,7 +44,11 @@
 //
 //	fdtd -build par -p 4 -backend socket -net unix
 //	fdtd -build par -procs 2 -dump ez.grid
-//	fdtd -build par -sweep "1,2,4,8" -bench-out BENCH_obs.json -bench-append
+//	fdtd -build par -sweep "1,2,4,8"
+//
+// -sweep and -roofline print tables for a reader; the repository's
+// measuring instrument is `bash benchmark/run.sh` (BENCHMARK.json),
+// whose numbers are quoted by workload/metric name.
 package main
 
 import (
@@ -54,7 +57,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/channel"
@@ -103,7 +105,6 @@ func main() {
 	injectCrash := flag.String("inject-crash", "", "par build: crash rank@step once, to be absorbed by recovery")
 	report := flag.String("report", "", "ssp/par builds: write the structured run report (JSON) to this file")
 	traceOut := flag.String("trace-out", "", "ssp/par builds: write a Chrome trace_event timeline (JSON) to this file")
-	benchOut := flag.String("bench-out", "", "ssp/par builds: write headline metrics as a BENCH json artifact to this file")
 	metricsAddr := flag.String("metrics-addr", "", "ssp/par builds: serve Prometheus /metrics (+expvar, pprof) on this address during the run")
 	baseline := flag.Bool("baseline", false, "ssp/par builds: also run the workload on P=1 to measure speedup and efficiency")
 	baselineFile := flag.String("baseline-file", "", "ssp/par builds: attach a prior -report JSON as the speedup baseline instead of re-running P=1")
@@ -112,7 +113,6 @@ func main() {
 	netKind := flag.String("net", "tcp", "socket network for -backend socket and -procs: tcp | unix")
 	procsN := flag.Int("procs", 0, "par build: run across N OS processes connected by sockets")
 	sweepList := flag.String("sweep", "", "par build: comma-separated process counts to scale over (e.g. \"1,2,4,8\")")
-	benchAppend := flag.Bool("bench-append", false, "merge entries into the -bench-out file instead of overwriting it")
 	roofline := flag.Bool("roofline", false, "measure kernel cells/sec per worker count against a stream-triad memory bound, then exit")
 	rooflineWorkers := flag.String("roofline-workers", "1,2,4", "comma-separated tile-worker counts for -roofline")
 	workerRank := flag.Int("worker-rank", -1, "internal: run as one rank worker of a -procs launch")
@@ -132,7 +132,7 @@ func main() {
 	// Reject conflicting flag combinations up front, before any work.
 	// Baselines (measured or recorded) need the collector too: the run
 	// report is where the speedup comparison lands.
-	obsWanted := *report != "" || *traceOut != "" || *benchOut != "" || *metricsAddr != "" ||
+	obsWanted := *report != "" || *traceOut != "" || *metricsAddr != "" ||
 		*baseline || *baselineFile != ""
 	if flag.NArg() > 0 {
 		usageErr("unexpected arguments: %v", flag.Args())
@@ -140,14 +140,14 @@ func main() {
 	if *build != "ssp" && *build != "par" && *build != "seq" {
 		usageErr("unknown build %q (want seq, ssp, or par)", *build)
 	}
-	if *build == "seq" && obsWanted && !*roofline {
-		usageErr("-report/-trace-out/-bench-out/-metrics-addr/-baseline/-baseline-file instrument the archetype runtime; they require -build ssp or par")
-	}
 	if *roofline {
 		if *sweepList != "" || *procsN > 0 || *ckEvery > 0 || *resume || *injectCrash != "" ||
-			*dump != "" || *report != "" || *traceOut != "" || *metricsAddr != "" || *baseline || *baselineFile != "" {
-			usageErr("-roofline is a self-contained measurement; combine it only with the grid flags, -roofline-workers, -bench-out/-bench-append, and -quiet")
+			*dump != "" || obsWanted {
+			usageErr("-roofline is a self-contained measurement; combine it only with the grid flags, -roofline-workers, and -quiet")
 		}
+	}
+	if *build == "seq" && obsWanted {
+		usageErr("-report/-trace-out/-metrics-addr/-baseline/-baseline-file instrument the archetype runtime; they require -build ssp or par")
 	}
 	if *baseline && *baselineFile != "" {
 		usageErr("-baseline and -baseline-file are mutually exclusive (measured vs recorded baseline)")
@@ -192,8 +192,8 @@ func main() {
 		if recovery || *injectCrash != "" {
 			usageErr("-procs does not compose with crash recovery or -inject-crash")
 		}
-		if *report != "" || *traceOut != "" || *metricsAddr != "" || *baseline || *baselineFile != "" {
-			usageErr("-report/-trace-out/-metrics-addr/-baseline require an in-process backend; -procs supports -dump and -bench-out")
+		if obsWanted {
+			usageErr("-report/-trace-out/-metrics-addr/-baseline require an in-process backend; -procs supports -dump")
 		}
 	}
 	if *sweepList != "" {
@@ -203,13 +203,9 @@ func main() {
 		if *py > 1 {
 			usageErr("-sweep scales the 1-D slab decomposition only (py=1)")
 		}
-		if recovery || *injectCrash != "" || *dump != "" ||
-			*report != "" || *traceOut != "" || *metricsAddr != "" || *baseline || *baselineFile != "" {
-			usageErr("-sweep runs its own measurement matrix; combine it only with -bench-out/-bench-append, -backend, and -net")
+		if recovery || *injectCrash != "" || *dump != "" || obsWanted {
+			usageErr("-sweep runs its own measurement matrix; combine it only with -backend and -net")
 		}
-	}
-	if *benchAppend && *benchOut == "" {
-		usageErr("-bench-append requires -bench-out")
 	}
 	if *resume {
 		if *ckPath == "" {
@@ -258,20 +254,13 @@ func main() {
 		if err != nil {
 			usageErr("-roofline-workers: %v", err)
 		}
-		entries := runRoofline(spec, ws, *quiet)
-		if *benchOut != "" {
-			writeBench(*benchOut, *benchAppend, entries, *quiet)
-		}
+		runRoofline(spec, ws, *quiet)
 		return
 	}
 	if *sweepList != "" {
-		entries, err := runSweep(spec, *sweepList, *backend, *netKind, *compensated, *quiet)
-		if err != nil {
+		if err := runSweep(spec, *sweepList, *backend, *netKind, *compensated, *quiet); err != nil {
 			fmt.Fprintf(os.Stderr, "fdtd: %v\n", err)
 			os.Exit(1)
-		}
-		if *benchOut != "" {
-			writeBench(*benchOut, *benchAppend, entries, *quiet)
 		}
 		return
 	}
@@ -292,12 +281,6 @@ func main() {
 			if !*quiet {
 				fmt.Printf("final Ez written to %s\n", *dump)
 			}
-		}
-		if *benchOut != "" {
-			prefix := fmt.Sprintf("net/procs-%s/P=%d", *netKind, *procsN)
-			writeBench(*benchOut, *benchAppend, []obs.BenchEntry{
-				{Name: prefix + "/wall", Value: wall.Seconds(), Unit: "s"},
-			}, *quiet)
 		}
 		return
 	}
@@ -326,12 +309,9 @@ func main() {
 		}
 	}
 
-	// The loopback socket mesh is dialed before the allocation
-	// snapshot: allocs_per_step tracks the stepping cost of the solve,
-	// and dial/accept of the long-lived transport is connection setup,
-	// not stepping.  The transport's steady state is allocation-free
-	// (BenchmarkSocketExchangeSteadyState in internal/channel), so
-	// nothing the transport does per step escapes the measurement.
+	// The loopback socket mesh is dialed before the clock starts:
+	// dial/accept of the long-lived transport is connection setup, not
+	// stepping.
 	if *backend == "socket" && (*build == "ssp" || *build == "par") && !recovery {
 		tr, terr := channel.NewLoopbackMesh(ranks, *netKind, mesh.WireCodec(), channel.SocketOptions{Stats: stats})
 		if terr != nil {
@@ -342,8 +322,6 @@ func main() {
 		opt.Mesh.Transport = tr
 	}
 
-	var msBefore runtime.MemStats
-	runtime.ReadMemStats(&msBefore)
 	start := time.Now()
 	var res *fdtd.Result
 	var err error
@@ -396,13 +374,6 @@ func main() {
 	}
 	col.Finish()
 	wall := time.Since(start)
-	var msAfter runtime.MemStats
-	runtime.ReadMemStats(&msAfter)
-	// Amortised heap objects per time step over the whole solve
-	// (including setup and gather, so steady-state steps are strictly
-	// cheaper).  Tracked in the bench trajectory to catch allocation
-	// regressions on the message path.
-	allocsPerStep := float64(msAfter.Mallocs-msBefore.Mallocs) / float64(*steps)
 
 	if !*quiet {
 		fmt.Printf("%s\nbuild=%s wall=%v\n", res, *build, wall)
@@ -525,38 +496,5 @@ func main() {
 		if !*quiet {
 			fmt.Printf("chrome trace written to %s\n", *traceOut)
 		}
-	}
-	if *benchOut != "" {
-		// In-process runs keep the historical fdtd/<build> prefix; the
-		// socket backend publishes under net/* so the two backends'
-		// trajectories never collide in the bench gate.
-		prefix := fmt.Sprintf("fdtd/%s/P=%d", *build, ranks)
-		if *backend == "socket" {
-			prefix = fmt.Sprintf("net/socket-%s/P=%d", *netKind, ranks)
-		}
-		entries := append(runRep.BenchEntries(prefix),
-			obs.BenchEntry{Name: prefix + "/allocs_per_step", Value: allocsPerStep, Unit: "count"})
-		if *backend == "socket" && stats != nil {
-			entries = append(entries, obs.NetBenchEntries(prefix, stats)...)
-		}
-		writeBench(*benchOut, *benchAppend, entries, *quiet)
-	}
-}
-
-// writeBench writes (or, with -bench-append, merges) bench entries to
-// path and exits on failure.
-func writeBench(path string, merge bool, entries []obs.BenchEntry, quiet bool) {
-	var err error
-	if merge {
-		err = obs.MergeBenchFile(path, entries)
-	} else {
-		err = obs.WriteBenchFile(path, entries)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fdtd: %v\n", err)
-		os.Exit(1)
-	}
-	if !quiet {
-		fmt.Printf("bench metrics written to %s\n", path)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/fdtd"
 	"repro/internal/machine"
-	"repro/internal/obs"
 )
 
 // Roofline probe sizing: three 8M-element float64 arrays (192 MB
@@ -23,9 +22,8 @@ const (
 // (the fused pencil kernels and the per-cell reference kernels) at
 // each tile-worker count, against the memory-bandwidth bound implied
 // by a stream-triad probe: bound = measured B/s / KernelBytesPerCell.
-// It prints the achieved-vs-bound table and returns the bench entries
-// (roofline/* and kernel/*/cells_per_sec) for -bench-out.
-func runRoofline(spec fdtd.Spec, workers []int, quiet bool) []obs.BenchEntry {
+// It prints the achieved-vs-bound table.
+func runRoofline(spec fdtd.Spec, workers []int, quiet bool) {
 	if !quiet {
 		fmt.Printf("roofline: grid %dx%dx%d, stream probe %d elements x3...\n",
 			spec.NX, spec.NY, spec.NZ, streamElems)
@@ -36,27 +34,12 @@ func runRoofline(spec fdtd.Spec, workers []int, quiet bool) []obs.BenchEntry {
 		fmt.Printf("%s\nmemory-bound ceiling: %.1f Mcells/s (%d B/cell-step)\n",
 			probe, bound/1e6, fdtd.KernelBytesPerCell)
 	}
-	entries := []obs.BenchEntry{
-		{Name: "roofline/stream_bw", Value: probe.BytesPerSec, Unit: "B/s"},
-		{Name: "roofline/bound", Value: bound, Unit: "cells/s"},
-	}
 	for _, w := range workers {
 		for _, v := range []fdtd.KernelVariant{fdtd.KernelPencil, fdtd.KernelReference} {
 			r := fdtd.MeasureKernelRate(spec, v, w, kernelMinTime)
-			frac := r.CellsPerSec / bound
-			entries = append(entries,
-				obs.BenchEntry{
-					Name:  fmt.Sprintf("kernel/%s/W=%d/cells_per_sec", v, w),
-					Value: r.CellsPerSec, Unit: "cells/s",
-				},
-				obs.BenchEntry{
-					Name:  fmt.Sprintf("roofline/%s/W=%d/of_bound", v, w),
-					Value: frac, Unit: "x",
-				})
 			if !quiet {
-				fmt.Printf("  %s  (%4.1f%% of bound, %d steps)\n", r, 100*frac, r.Steps)
+				fmt.Printf("  %s  (%4.1f%% of bound, %d steps)\n", r, 100*r.CellsPerSec/bound, r.Steps)
 			}
 		}
 	}
-	return entries
 }

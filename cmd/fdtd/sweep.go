@@ -10,7 +10,6 @@ import (
 	"repro/internal/fdtd"
 	"repro/internal/machine"
 	"repro/internal/mesh"
-	"repro/internal/obs"
 )
 
 // parseSweep parses the -sweep process list ("1,2,4,8").
@@ -53,29 +52,28 @@ type sweepRow struct {
 // P=1 — so the table also reports the paper's machine-model speedups,
 // which are deterministic functions of the measured message/work tally
 // and capture what the decomposition buys on the modelled machines.
-func runSweep(spec fdtd.Spec, list, backend, network string, compensated, quiet bool) ([]obs.BenchEntry, error) {
+func runSweep(spec fdtd.Spec, list, backend, network string, compensated, quiet bool) error {
 	ps, err := parseSweep(list)
 	if err != nil {
-		return nil, fmt.Errorf("-sweep: %w", err)
+		return fmt.Errorf("-sweep: %w", err)
 	}
 	// Unmeasured warmup so the measured reference doesn't pay first-run
 	// costs (page faults, pool population) that the later runs skip.
 	if _, err := fdtd.RunSequentialOpts(spec, compensated); err != nil {
-		return nil, err
+		return err
 	}
 	start := time.Now()
 	seq, err := fdtd.RunSequentialOpts(spec, compensated)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	seqWall := time.Since(start)
-	entries := []obs.BenchEntry{{Name: "sweep/seq/wall", Value: seqWall.Seconds(), Unit: "s"}}
 
 	sun, ibm := machine.SunEthernet(), machine.IBMSP()
 	rows := make([]sweepRow, 0, len(ps))
 	for _, p := range ps {
 		if p > spec.NX {
-			return nil, fmt.Errorf("-sweep: cannot split %d x-planes over %d processes", spec.NX, p)
+			return fmt.Errorf("-sweep: cannot split %d x-planes over %d processes", spec.NX, p)
 		}
 		row := sweepRow{p: p}
 		tally := machine.NewTally(p)
@@ -85,11 +83,11 @@ func runSweep(spec fdtd.Spec, list, backend, network string, compensated, quiet 
 		start = time.Now()
 		res, err := fdtd.RunArchetype(spec, p, mesh.Par, opt)
 		if err != nil {
-			return nil, fmt.Errorf("P=%d par: %w", p, err)
+			return fmt.Errorf("P=%d par: %w", p, err)
 		}
 		row.parWall = time.Since(start)
 		if !seq.NearFieldEqual(res) {
-			return nil, fmt.Errorf("P=%d par: near field differs from sequential", p)
+			return fmt.Errorf("P=%d par: near field differs from sequential", p)
 		}
 		row.measuredX = machine.Speedup(seqWall.Seconds(), row.parWall.Seconds())
 		row.modelSunX = machine.Speedup(sun.SequentialTime(tally), sun.Time(tally))
@@ -98,7 +96,7 @@ func runSweep(spec fdtd.Spec, list, backend, network string, compensated, quiet 
 		if backend == "socket" {
 			tr, err := channel.NewLoopbackMesh(p, network, mesh.WireCodec(), channel.SocketOptions{})
 			if err != nil {
-				return nil, fmt.Errorf("P=%d socket: %w", p, err)
+				return fmt.Errorf("P=%d socket: %w", p, err)
 			}
 			sockOpt := fdtd.DefaultOptions()
 			sockOpt.FarFieldCompensated = compensated
@@ -108,22 +106,11 @@ func runSweep(spec fdtd.Spec, list, backend, network string, compensated, quiet 
 			row.sockWall = time.Since(start)
 			tr.Close()
 			if err != nil {
-				return nil, fmt.Errorf("P=%d socket: %w", p, err)
+				return fmt.Errorf("P=%d socket: %w", p, err)
 			}
 			if !seq.NearFieldEqual(sres) {
-				return nil, fmt.Errorf("P=%d socket: near field differs from sequential", p)
+				return fmt.Errorf("P=%d socket: near field differs from sequential", p)
 			}
-		}
-		prefix := fmt.Sprintf("sweep/P=%d", p)
-		entries = append(entries,
-			obs.BenchEntry{Name: prefix + "/wall", Value: row.parWall.Seconds(), Unit: "s"},
-			obs.BenchEntry{Name: prefix + "/measured_speedup", Value: row.measuredX, Unit: "x"},
-			obs.BenchEntry{Name: prefix + "/modelled_speedup_sun", Value: row.modelSunX, Unit: "x"},
-			obs.BenchEntry{Name: prefix + "/modelled_speedup_ibmsp", Value: row.modelIBMX, Unit: "x"},
-		)
-		if backend == "socket" {
-			entries = append(entries, obs.BenchEntry{
-				Name: prefix + "/socket_wall", Value: row.sockWall.Seconds(), Unit: "s"})
 		}
 		rows = append(rows, row)
 	}
@@ -146,7 +133,7 @@ func runSweep(spec fdtd.Spec, list, backend, network string, compensated, quiet 
 		}
 		reportCrossover(rows)
 	}
-	return entries, nil
+	return nil
 }
 
 // reportCrossover prints the first P (if any) where each speedup

@@ -129,13 +129,17 @@ func (r *replicator) replicaNodes(fp uint64, primary string) []Node {
 	if n, ok := r.member.healthyNode(primary); ok {
 		out = append(out, n)
 	}
+	// The inner map is written by markDone under mu, so it is read
+	// under mu too.
+	var held []string
 	r.mu.Lock()
-	holders := r.done[fp]
-	r.mu.Unlock()
 	for _, name := range r.member.ring.SuccessorsN(fp, r.cfg.Replicas) {
-		if name == primary || !holders[name] {
-			continue
+		if name != primary && r.done[fp][name] {
+			held = append(held, name)
 		}
+	}
+	r.mu.Unlock()
+	for _, name := range held {
 		if n, ok := r.member.healthyNode(name); ok {
 			out = append(out, n)
 		}

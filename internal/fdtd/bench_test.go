@@ -68,9 +68,9 @@ func BenchmarkKernels(b *testing.B) {
 }
 
 // BenchmarkKernelsBenchGrid runs the pencil and reference kernels on
-// the BENCH_obs.json bench grid (24x16x16), so the row-view speedup
-// the roofline report claims is reproducible with `go test -bench` on
-// the exact workload the committed baselines were recorded on.
+// the 24x16x16 grid of the halo-p2-socket workload, so the row-view
+// speedup the roofline report claims is reproducible with
+// `go test -bench` on a grid the benchmark runs.
 func BenchmarkKernelsBenchGrid(b *testing.B) {
 	spec := SpecTable1()
 	spec.NX, spec.NY, spec.NZ = 24, 16, 16

@@ -22,7 +22,6 @@ import (
 	"repro/internal/fdtd"
 	"repro/internal/machine"
 	"repro/internal/mesh"
-	"repro/internal/obs"
 )
 
 // Row is one line of a speedup table.
@@ -92,23 +91,6 @@ func (t *Table) CSV() string {
 			r.Label, r.P, r.Seconds, r.Speedup, r.Efficiency, ideal)
 	}
 	return b.String()
-}
-
-// BenchEntries flattens the table into BENCH-file entries (seconds,
-// speedup, efficiency per row) under the given name prefix, so the
-// experiment tables land in the same perf-trajectory artifacts as the
-// observability run reports (obs.WriteBenchFile).
-func (t *Table) BenchEntries(prefix string) []obs.BenchEntry {
-	var out []obs.BenchEntry
-	for _, r := range t.Rows {
-		base := fmt.Sprintf("%s/P=%d", prefix, r.P)
-		out = append(out,
-			obs.BenchEntry{Name: base + "/seconds", Value: r.Seconds, Unit: "s"},
-			obs.BenchEntry{Name: base + "/speedup", Value: r.Speedup, Unit: "x"},
-			obs.BenchEntry{Name: base + "/efficiency", Value: r.Efficiency, Unit: "ratio"},
-		)
-	}
-	return out
 }
 
 // SpeedupConfig configures a speedup experiment.

@@ -242,24 +242,3 @@ func TestTableCSV(t *testing.T) {
 		t.Fatalf("sequential ideal should be empty: %s", lines[1])
 	}
 }
-
-func TestTableBenchEntries(t *testing.T) {
-	tab := &Table{
-		Title: "t",
-		Rows: []Row{
-			{Label: "Sequential", P: 1, Seconds: 8, Speedup: 1, Efficiency: 1},
-			{Label: "Parallel, P=4", P: 4, Seconds: 2.5, Speedup: 3.2, Efficiency: 0.8},
-		},
-	}
-	entries := tab.BenchEntries("table1")
-	if len(entries) != 6 {
-		t.Fatalf("got %d entries, want 6", len(entries))
-	}
-	byName := map[string]float64{}
-	for _, e := range entries {
-		byName[e.Name] = e.Value
-	}
-	if byName["table1/P=4/speedup"] != 3.2 || byName["table1/P=1/seconds"] != 8 {
-		t.Errorf("unexpected entries: %v", byName)
-	}
-}

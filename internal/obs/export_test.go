@@ -142,6 +142,59 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
+// TestPrometheusWireCounters: the exporter must surface the wire-level
+// counters for populated links and stay silent for idle networks.
+func TestPrometheusWireCounters(t *testing.T) {
+	stats := channel.NewNetStats(2)
+	var empty strings.Builder
+	if err := (Exporter{Net: stats}).WriteText(&empty); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(empty.String(), "archetype_wire_frames_total") {
+		t.Fatal("idle network emitted wire counters")
+	}
+	tr, err := channel.NewLoopbackMesh(2, "tcp", intPairCodec(), channel.SocketOptions{Stats: stats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	tr.Chan(1, 0).Send(7)
+	tr.Flush(1)
+	var b strings.Builder
+	if err := (Exporter{Net: stats}).WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{
+		`archetype_wire_frames_total{from="1",to="0"} 1`,
+		`archetype_wire_flushes_total{from="1",to="0"} 1`,
+		`archetype_wire_syscalls_total{from="1",to="0"} 1`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("metrics output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// intPairCodec is a little-endian int64 codec for the loopback mesh.
+func intPairCodec() channel.Codec[int64] {
+	return channel.Codec[int64]{
+		Append: func(dst []byte, v int64) []byte {
+			for i := 0; i < 8; i++ {
+				dst = append(dst, byte(v>>(8*i)))
+			}
+			return dst
+		},
+		Decode: func(src []byte) (int64, error) {
+			var v int64
+			for i := 0; i < 8; i++ {
+				v |= int64(src[i]) << (8 * i)
+			}
+			return v, nil
+		},
+	}
+}
+
 // TestServeEndpoints spins the HTTP server on a free port and checks
 // every mounted endpoint answers.
 func TestServeEndpoints(t *testing.T) {

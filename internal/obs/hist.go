@@ -293,38 +293,3 @@ func WritePromHistogram(w io.Writer, name, help string, labels string, s HistSna
 	_, err := io.WriteString(w, b.String())
 	return err
 }
-
-// PercentileBenchEntries renders the canonical latency percentiles of a
-// duration-valued snapshot as bench entries: p50/p95/p99/p999 in
-// milliseconds under prefix.
-func (s HistSnapshot) PercentileBenchEntries(prefix string) []BenchEntry {
-	ms := func(q float64) float64 {
-		return float64(s.QuantileDuration(q)) / float64(time.Millisecond)
-	}
-	return []BenchEntry{
-		{Name: prefix + "/p50", Value: ms(0.50), Unit: "ms"},
-		{Name: prefix + "/p95", Value: ms(0.95), Unit: "ms"},
-		{Name: prefix + "/p99", Value: ms(0.99), Unit: "ms"},
-		{Name: prefix + "/p999", Value: ms(0.999), Unit: "ms"},
-	}
-}
-
-// BucketBenchEntries renders the snapshot's non-empty buckets as
-// cumulative bench entries (`<prefix>/latency_bucket/le_<ms>`), the
-// histogram-shape trajectory the bench artifact accumulates.  benchdiff
-// counts a bucket family once in its additions/removals summary, so a
-// reshaped histogram does not spam the gate report.
-func (s HistSnapshot) BucketBenchEntries(prefix string) []BenchEntry {
-	var out []BenchEntry
-	var cum int64
-	for _, bk := range s.Buckets {
-		cum += bk.Count
-		le := float64(bk.Upper()+1) / 1e6 // ms
-		out = append(out, BenchEntry{
-			Name:  fmt.Sprintf("%s/latency_bucket/le_%g", prefix, le),
-			Value: float64(cum),
-			Unit:  "count",
-		})
-	}
-	return out
-}

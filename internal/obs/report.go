@@ -215,68 +215,3 @@ func (r *RunReport) Format() string {
 	b.WriteByte('\n')
 	return b.String()
 }
-
-// BenchEntry is one measurement of a BENCH_* trajectory file.
-type BenchEntry struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
-	Unit  string  `json:"unit"`
-}
-
-// BenchEntries flattens the report's headline numbers into BENCH-file
-// entries under the given name prefix (e.g. "fdtd/par/P=4").
-func (r *RunReport) BenchEntries(prefix string) []BenchEntry {
-	entries := []BenchEntry{
-		{Name: prefix + "/wall", Value: r.WallSeconds, Unit: "s"},
-		{Name: prefix + "/load_imbalance", Value: r.LoadImbalance, Unit: "ratio"},
-		{Name: prefix + "/comm_to_compute", Value: r.CommToComputeRatio, Unit: "ratio"},
-		{Name: prefix + "/messages", Value: float64(r.TotalMessages), Unit: "count"},
-		{Name: prefix + "/bytes", Value: float64(r.TotalBytes), Unit: "B"},
-	}
-	if r.Speedup > 0 {
-		entries = append(entries,
-			BenchEntry{Name: prefix + "/speedup", Value: r.Speedup, Unit: "x"},
-			BenchEntry{Name: prefix + "/efficiency", Value: r.Efficiency, Unit: "ratio"},
-		)
-	}
-	return entries
-}
-
-// benchFile is the on-disk shape of BENCH_*.json artifacts.
-type benchFile struct {
-	Schema  string       `json:"schema"`
-	Entries []BenchEntry `json:"entries"`
-}
-
-// WriteBenchFile writes entries to path in the repository's BENCH_*
-// JSON shape, so successive runs accumulate a perf trajectory.
-func WriteBenchFile(path string, entries []BenchEntry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("obs: bench: %w", err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(benchFile{Schema: "bench/v1", Entries: entries}); err != nil {
-		f.Close()
-		return fmt.Errorf("obs: bench: %w", err)
-	}
-	return f.Close()
-}
-
-// ReadBenchFile parses a BENCH_*.json artifact written by
-// WriteBenchFile, validating the schema tag.
-func ReadBenchFile(path string) ([]BenchEntry, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("obs: bench: %w", err)
-	}
-	var bf benchFile
-	if err := json.Unmarshal(raw, &bf); err != nil {
-		return nil, fmt.Errorf("obs: bench: %s: %w", path, err)
-	}
-	if bf.Schema != "bench/v1" {
-		return nil, fmt.Errorf("obs: bench: %s: unsupported schema %q", path, bf.Schema)
-	}
-	return bf.Entries, nil
-}

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -93,41 +91,5 @@ func TestReportFormat(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("formatted report missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestWriteBenchFile(t *testing.T) {
-	rep := BuildReport("synthetic", syntheticSnapshot())
-	rep.SetBaseline(BuildReport("b", Snapshot{P: 1, Wall: 40 * time.Second, Ranks: []RankSnapshot{{}}}))
-	entries := rep.BenchEntries("fdtd/par/P=2")
-	path := filepath.Join(t.TempDir(), "BENCH_obs.json")
-	if err := WriteBenchFile(path, entries); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Schema  string       `json:"schema"`
-		Entries []BenchEntry `json:"entries"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Schema != "bench/v1" {
-		t.Errorf("schema %q", doc.Schema)
-	}
-	names := map[string]float64{}
-	for _, e := range doc.Entries {
-		names[e.Name] = e.Value
-	}
-	for _, want := range []string{"fdtd/par/P=2/wall", "fdtd/par/P=2/speedup", "fdtd/par/P=2/load_imbalance", "fdtd/par/P=2/comm_to_compute"} {
-		if _, ok := names[want]; !ok {
-			t.Errorf("bench file missing %s (have %v)", want, names)
-		}
-	}
-	if names["fdtd/par/P=2/speedup"] != 4 {
-		t.Errorf("speedup entry = %v", names["fdtd/par/P=2/speedup"])
 	}
 }
