@@ -3,15 +3,26 @@ GO ?= go
 # Packages whose concurrency the race detector must vet.
 RACE_PKGS = ./internal/channel ./internal/sched ./internal/explore ./internal/mesh ./internal/trace ./internal/obs ./internal/serve ./internal/cluster ./internal/cluster/client ./internal/slo ./cmd/archload
 
-.PHONY: check build vet test race bench-smoke benchmark-smoke cover kernel-smoke net-smoke serve-smoke cluster-smoke chaos-smoke hotshard-smoke obs-smoke fuzz-smoke explore-smoke
+.PHONY: check build vet cross test race bench-smoke benchmark-smoke cover kernel-smoke net-smoke serve-smoke cluster-smoke chaos-smoke hotshard-smoke obs-smoke fuzz-smoke explore-smoke
 
-check: vet build test race bench-smoke benchmark-smoke kernel-smoke net-smoke serve-smoke cluster-smoke chaos-smoke hotshard-smoke obs-smoke fuzz-smoke explore-smoke
+check: vet cross build test race bench-smoke benchmark-smoke kernel-smoke net-smoke serve-smoke cluster-smoke chaos-smoke hotshard-smoke obs-smoke fuzz-smoke explore-smoke
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# cross type-checks and vets every package for each unix the raw-fd
+# socket code must build on.  Windows is not in the list: the socket
+# fast path hands int fds to syscall.Read/Write, and a net.Conn-only
+# implementation for it does not exist yet.
+CROSS_GOOS = linux darwin freebsd
+cross:
+	@for os in $(CROSS_GOOS); do \
+		echo "cross: GOOS=$$os go vet ./..."; \
+		GOOS=$$os $(GO) vet ./... || exit 1; \
+	done
 
 test:
 	$(GO) test ./...

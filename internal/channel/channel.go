@@ -8,16 +8,22 @@
 // a correct SSP ordering guarantees "no attempt is made to read from a
 // channel unless it is known not to be empty".  Chan is a goroutine-safe
 // unbounded channel used by the real parallel runtime: sends never
-// block (infinite slack) and receives block until a value is available.
+// block (infinite slack), and a receive on an empty channel polls it
+// briefly and then parks on the channel's own condition variable.
 //
 // Net bundles a full point-to-point network of such channels between P
 // processes — the "tagged point-to-point messages" with which the paper
-// simulates channels on message-passing architectures.
+// simulates channels on message-passing architectures.  It is the
+// in-process Transport: Abort wakes every parked receive, exactly as on
+// the socket transport, so the runtime receives the same way on both.
 package channel
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
 )
 
 // Endpoint is the common behaviour of both channel implementations:
@@ -88,15 +94,17 @@ func (q *Queue[T]) Len() int { return len(q.buf) - q.head }
 
 // Chan is a goroutine-safe unbounded channel: a single-reader
 // single-writer channel with infinite slack.  Send never blocks; Recv
-// blocks until a value is available.  (The implementation tolerates
-// multiple senders/receivers, but the paper's model — and all uses in
-// this repository — pair exactly one of each per channel.)
+// blocks until a value is available or the channel is aborted.  (The
+// implementation tolerates multiple senders/receivers, but the paper's
+// model — and all uses in this repository — pair exactly one of each
+// per channel.)
 type Chan[T any] struct {
 	mu    sync.Mutex
 	ready *sync.Cond
 	buf   []T
 	head  int
 	sends int
+	err   error // set by abort: a parked Recv panics with it
 }
 
 // NewChan returns an empty concurrent unbounded channel.
@@ -115,14 +123,31 @@ func (c *Chan[T]) Send(v T) {
 	c.ready.Signal()
 }
 
-// Recv dequeues the oldest value, blocking until one is available.
+// Recv dequeues the oldest value.  An empty channel is polled for
+// pollBudget, then Recv parks until a value arrives.  Values already
+// sent are delivered even after an abort; past them, a Recv on an
+// aborted channel panics with a *TransportError.
 func (c *Chan[T]) Recv() T {
+	if v, ok := pollRecv[T](c); ok {
+		return v
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for c.head >= len(c.buf) {
+		if c.err != nil {
+			panic(&TransportError{Err: c.err})
+		}
 		c.ready.Wait()
 	}
 	return c.popLocked()
+}
+
+// abort fails the channel with err and wakes its parked receiver.
+func (c *Chan[T]) abort(err error) {
+	c.mu.Lock()
+	c.err = err
+	c.mu.Unlock()
+	c.ready.Broadcast()
 }
 
 // TryRecv dequeues the oldest value if one is present, without blocking.
@@ -168,6 +193,7 @@ func (c *Chan[T]) TotalSends() int {
 type Net[T any] struct {
 	p     int
 	chans []Endpoint[T] // index from*p + to
+	err   atomic.Pointer[error]
 }
 
 // NewQueueNet builds a network of sequential channels for P processes,
@@ -208,27 +234,6 @@ func (n *Net[T]) Chan(from, to int) Endpoint[T] {
 	return n.chans[from*n.p+to]
 }
 
-// WrapEndpoints replaces every channel in the network with
-// wrap(from, to, original) — the fault-injection seam: a wrapper can
-// delay or corrupt deliveries while the runtime keeps using the Net
-// interface unchanged.  Wrappers must preserve each channel's FIFO
-// order and single-reader single-writer discipline.  It must be called
-// before the network is in use.
-func (n *Net[T]) WrapEndpoints(wrap func(from, to int, e Endpoint[T]) Endpoint[T]) {
-	for from := 0; from < n.p; from++ {
-		for to := 0; to < n.p; to++ {
-			idx := from*n.p + to
-			n.chans[idx] = wrap(from, to, n.chans[idx])
-		}
-	}
-}
-
-// Send sends v on the channel from -> to.
-func (n *Net[T]) Send(from, to int, v T) { n.Chan(from, to).Send(v) }
-
-// Recv receives the next value on the channel from -> to.
-func (n *Net[T]) Recv(from, to int) T { return n.Chan(from, to).Recv() }
-
 // Pending returns the total number of undelivered values in the
 // network, used by tests and the deadlock detector.
 func (n *Net[T]) Pending() int {
@@ -237,4 +242,40 @@ func (n *Net[T]) Pending() int {
 		total += c.Len()
 	}
 	return total
+}
+
+// pollBudget is how long a receiver polls an empty channel — yielding
+// the processor between looks — before it parks.  A parked receiver
+// costs a wake-up on the critical path: on the 2-core pipeline host a
+// message sent to a parked rank is picked up ~40 µs later (the instant
+// the sender itself blocks), against ~4 µs for a 4 KB unix round trip,
+// and a Yee step has two such dependent waits.  Measured with
+// BenchmarkHaloStep (24×16×16, P = 1: 70 µs/step): P = 2 over unix
+// sockets takes 56 µs/step with no polling and 39–46 with any budget
+// from 20 to 400 µs; in process 50 against 35–43.  100 µs sits in the
+// flat part with room for a neighbour whose half-step is several times
+// longer.  Polling is skipped when GOMAXPROCS is 1, where the peer
+// cannot run while this rank polls.
+const pollBudget = 100 * time.Microsecond
+
+// pollRecv is the first half of every blocking Recv of the Par runtime,
+// in process and over sockets alike: look at ep without blocking, again
+// and again for at most pollBudget, yielding between looks.  It reports
+// false when the channel stayed empty; the caller then parks in
+// whatever way its endpoint parks.  By Theorem 1 when a receiver looks
+// cannot change what it gets, only how soon.
+func pollRecv[T any](ep Endpoint[T]) (T, bool) {
+	if v, ok := ep.TryRecv(); ok {
+		return v, true
+	}
+	if runtime.GOMAXPROCS(0) > 1 {
+		for deadline := time.Now().Add(pollBudget); time.Now().Before(deadline); {
+			runtime.Gosched()
+			if v, ok := ep.TryRecv(); ok {
+				return v, true
+			}
+		}
+	}
+	var zero T
+	return zero, false
 }

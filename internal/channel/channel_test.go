@@ -151,19 +151,19 @@ func TestNetRouting(t *testing.T) {
 	if n.P() != 3 {
 		t.Fatalf("P = %d", n.P())
 	}
-	n.Send(0, 2, 10)
-	n.Send(2, 0, 20)
-	n.Send(0, 0, 30) // self-channel is legal
+	n.Chan(0, 2).Send(10)
+	n.Chan(2, 0).Send(20)
+	n.Chan(0, 0).Send(30) // self-channel is legal
 	if n.Pending() != 3 {
 		t.Fatalf("Pending = %d", n.Pending())
 	}
-	if v := n.Recv(0, 2); v != 10 {
+	if v := n.Chan(0, 2).Recv(); v != 10 {
 		t.Fatalf("Recv(0,2) = %d", v)
 	}
-	if v := n.Recv(2, 0); v != 20 {
+	if v := n.Chan(2, 0).Recv(); v != 20 {
 		t.Fatalf("Recv(2,0) = %d", v)
 	}
-	if v := n.Recv(0, 0); v != 30 {
+	if v := n.Chan(0, 0).Recv(); v != 30 {
 		t.Fatalf("Recv(0,0) = %d", v)
 	}
 	if n.Pending() != 0 {
@@ -173,10 +173,10 @@ func TestNetRouting(t *testing.T) {
 
 func TestNetChannelsAreIndependent(t *testing.T) {
 	n := NewQueueNet[int](2)
-	n.Send(0, 1, 1)
-	n.Send(1, 0, 2)
+	n.Chan(0, 1).Send(1)
+	n.Chan(1, 0).Send(2)
 	// Draining one direction must not disturb the other.
-	if n.Recv(0, 1) != 1 {
+	if n.Chan(0, 1).Recv() != 1 {
 		t.Fatal("wrong value on 0->1")
 	}
 	if n.Chan(1, 0).Len() != 1 {
@@ -187,8 +187,8 @@ func TestNetChannelsAreIndependent(t *testing.T) {
 func TestNetBoundsChecks(t *testing.T) {
 	n := NewChanNet[int](2)
 	for _, f := range []func(){
-		func() { n.Send(-1, 0, 1) },
-		func() { n.Send(0, 2, 1) },
+		func() { n.Chan(-1, 0).Send(1) },
+		func() { n.Chan(0, 2).Send(1) },
 		func() { n.Chan(2, 0) },
 	} {
 		func() {

@@ -153,8 +153,8 @@ func TestSocketNoPump(t *testing.T) {
 }
 
 // parked starts a Recv on e and gives it time to run out of poll budget
-// and park in the netpoller — a state nothing outside the runtime can
-// observe, hence the sleep.
+// and park — a state nothing outside the runtime can observe, hence the
+// sleep.
 func parked[T any](e Endpoint[T]) <-chan any {
 	ended := recvAsync(e)
 	time.Sleep(50 * time.Millisecond)
@@ -170,19 +170,35 @@ func wantWoken(t *testing.T, ended <-chan any, text string) {
 	}
 }
 
-// TestAbortWakesParkedReader: a rank parked in the netpoller on its own
-// socket — not on any lock of ours — is woken by Abort.
+// TestAbortWakesParkedReader: a rank parked inside a transport — on its
+// channel's condition variable in process, in the netpoller on its own
+// socket — is woken by Abort, the same way on both.
 func TestAbortWakesParkedReader(t *testing.T) {
-	tr, err := NewLoopbackMesh(2, "unix", intCodec(), SocketOptions{})
-	if err != nil {
-		t.Fatal(err)
+	for _, row := range []struct {
+		name string
+		net  func() (Transport[int64], error)
+	}{
+		{"NewChanNet", func() (Transport[int64], error) { return NewChanNet[int64](2), nil }},
+		{"NewLoopbackMesh", func() (Transport[int64], error) {
+			return NewLoopbackMesh(2, "unix", intCodec(), SocketOptions{})
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			tr, err := row.net()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			woke := parked(tr.Chan(0, 1))
+			self := parked(tr.Chan(1, 1)) // a rank waiting on itself waits for the abort too
+			tr.Abort(fmt.Errorf("deadline"))
+			wantWoken(t, woke, "aborted: deadline")
+			wantWoken(t, self, "aborted: deadline")
+			if err := tr.Err(); err == nil || !strings.Contains(err.Error(), "aborted: deadline") {
+				t.Fatalf("Err after Abort = %v", err)
+			}
+		})
 	}
-	defer tr.Close()
-	woke := parked(tr.Chan(0, 1))
-	self := parked(tr.Chan(1, 1)) // a rank waiting on itself waits for the abort too
-	tr.Abort(fmt.Errorf("deadline"))
-	wantWoken(t, woke, "aborted: deadline")
-	wantWoken(t, self, "aborted: deadline")
 }
 
 // TestPeerCloseWakesParkedReader: so is a rank whose peer goes away.

@@ -51,7 +51,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -75,10 +74,11 @@ const (
 
 var muxMagic = [8]byte{'A', 'R', 'C', 'H', 'M', 'U', 'X', '1'}
 
-// TransportError is the panic value raised by a blocking Recv (and by
-// Send) on a failed socket transport.  The sched supervisor converts
-// panics to errors, so transport failures surface as ordinary run
-// errors; errors.As / errors.Is reach the underlying cause via Unwrap.
+// TransportError is the panic value raised by a blocking Recv on a
+// failed or aborted transport (and by Send on a failed socket link).
+// The sched supervisor converts panics to errors, so transport failures
+// surface as ordinary run errors; errors.As / errors.Is reach the
+// underlying cause via Unwrap.
 type TransportError struct{ Err error }
 
 func (e *TransportError) Error() string { return "transport failure: " + e.Err.Error() }
@@ -228,19 +228,6 @@ func (t *SocketTransport[T]) Pending() int {
 	return total
 }
 
-// WrapEndpoints replaces every local endpoint with wrap(from, to, e) —
-// the same fault-injection and metering seam Net offers.
-func (t *SocketTransport[T]) WrapEndpoints(wrap func(from, to int, e Endpoint[T]) Endpoint[T]) {
-	for from := 0; from < t.p; from++ {
-		for to := 0; to < t.p; to++ {
-			idx := from*t.p + to
-			if t.eps[idx] != nil {
-				t.eps[idx] = wrap(from, to, t.eps[idx])
-			}
-		}
-	}
-}
-
 // Close flushes the local links, closes every connection (unblocking
 // peer readers) and stops the drain goroutines.  A per-rank transport
 // first waits for its drain backlogs to reach the kernel: the peers are
@@ -274,12 +261,7 @@ func (t *SocketTransport[T]) Close() error {
 // a blocking receive — the job service's per-job timeout, and the Par
 // runtime's own deadlock and stall teardown.  An aborted transport is
 // permanently failed; build a fresh mesh for the next run.
-func (t *SocketTransport[T]) Abort(err error) {
-	if err == nil {
-		err = errors.New("transport aborted")
-	}
-	t.fail(fmt.Errorf("transport: aborted: %w", err))
-}
+func (t *SocketTransport[T]) Abort(err error) { t.fail(abortError(err)) }
 
 // fail poisons the transport: Err becomes non-nil, and an expired
 // deadline on every connection wakes the ranks parked in the netpoller
@@ -541,42 +523,6 @@ func (l *sockLink[T]) finish(wait bool) {
 	l.mu.Unlock()
 }
 
-// pollBudget is how long a receiver polls an empty channel — yielding
-// the processor between looks — before it parks.  A parked receiver
-// costs a wake-up on the critical path: on the 2-core pipeline host a
-// message sent to a parked rank is picked up ~40 µs later (the instant
-// the sender itself blocks), against ~4 µs for a 4 KB unix round trip,
-// and a Yee step has two such dependent waits.  Measured with
-// BenchmarkHaloStep (24×16×16, P = 1: 70 µs/step): P = 2 over unix
-// sockets takes 56 µs/step with no polling and 39–46 with any budget
-// from 20 to 400 µs; in process 50 against 35–43.  100 µs sits in the
-// flat part with room for a neighbour whose half-step is several times
-// longer.  Polling is skipped when GOMAXPROCS is 1, where the peer
-// cannot run while this rank polls.
-const pollBudget = 100 * time.Microsecond
-
-// PollRecv is the wait policy's first half, shared by every backend of
-// the Par runtime: look at ep without blocking, again and again for at
-// most pollBudget, yielding between looks.  It reports false when the
-// channel stayed empty; the caller then parks in whatever way its
-// transport parks.  By Theorem 1 when a receiver looks cannot change
-// what it gets, only how soon.
-func PollRecv[T any](ep Endpoint[T]) (T, bool) {
-	if v, ok := ep.TryRecv(); ok {
-		return v, true
-	}
-	if runtime.GOMAXPROCS(0) > 1 {
-		for deadline := time.Now().Add(pollBudget); time.Now().Before(deadline); {
-			runtime.Gosched()
-			if v, ok := ep.TryRecv(); ok {
-				return v, true
-			}
-		}
-	}
-	var zero T
-	return zero, false
-}
-
 // sockRx is the receive half of one directed channel: the connection
 // end itself, read, validated and decoded by the receiving rank on its
 // own goroutine — the channel's single reader is literally the reader
@@ -771,7 +717,7 @@ func (e *sockEndpoint[T]) Recv() T {
 	// About to wait: our own coalesced frames may be exactly what the
 	// peer needs before it can send to us.
 	e.t.Flush(e.to)
-	if v, ok := PollRecv[T](e); ok {
+	if v, ok := pollRecv[T](e); ok {
 		return v
 	}
 	v, _, err := e.rx.next(true)

@@ -6,7 +6,8 @@ import (
 )
 
 // NetStats accumulates per-channel delivery statistics for a network
-// instrumented with Counted endpoint decorators (via Net.WrapEndpoints):
+// instrumented with Counted endpoint decorators (the runtime installs
+// them per run through its endpoint-wrapping seam, mesh.Options.ChanStats):
 // how many messages each ordered pair of processes exchanged, and the
 // deepest each channel's queue ever grew — the empirical measure of how
 // much of the model's "infinite slack" a program actually uses.  All
@@ -130,12 +131,12 @@ func (s *NetStats) MaxHighWater() int64 {
 // Counted wraps an endpoint so that every send and receive on it
 // updates the from -> to cell of s.  It composes with other decorators
 // (fault injectors) and preserves the wrapped endpoint's FIFO order and
-// blocking behaviour.  Use it with Net.WrapEndpoints:
+// blocking behaviour.  Use it as a sched.Options.WrapEndpoint:
 //
 //	stats := channel.NewNetStats(p)
-//	net.WrapEndpoints(func(from, to int, e channel.Endpoint[T]) channel.Endpoint[T] {
+//	opt.WrapEndpoint = func(from, to int, e channel.Endpoint[T]) channel.Endpoint[T] {
 //		return channel.Counted(stats, from, to, e)
-//	})
+//	}
 func Counted[T any](s *NetStats, from, to int, e Endpoint[T]) Endpoint[T] {
 	return &countedEndpoint[T]{e: e, cell: s.cell(from, to)}
 }

@@ -6,27 +6,26 @@ import (
 )
 
 // TestCountedSequential checks the counters against a known traffic
-// pattern on a wrapped QueueNet.
+// pattern on counted QueueNet channels.
 func TestCountedSequential(t *testing.T) {
 	const p = 3
 	stats := NewNetStats(p)
 	net := NewQueueNet[int](p)
-	net.WrapEndpoints(func(from, to int, e Endpoint[int]) Endpoint[int] {
-		return Counted(stats, from, to, e)
-	})
+	ab := Counted(stats, 0, 1, net.Chan(0, 1))
+	ca := Counted(stats, 2, 0, net.Chan(2, 0))
 
 	// 0 -> 1: five sends, then three receives (two left queued).
 	for i := 0; i < 5; i++ {
-		net.Send(0, 1, i)
+		ab.Send(i)
 	}
 	for i := 0; i < 3; i++ {
-		if got := net.Recv(0, 1); got != i {
+		if got := ab.Recv(); got != i {
 			t.Fatalf("recv %d: got %d", i, got)
 		}
 	}
 	// 2 -> 0: one send, drained by TryRecv.
-	net.Send(2, 0, 42)
-	if v, ok := net.Chan(2, 0).TryRecv(); !ok || v != 42 {
+	ca.Send(42)
+	if v, ok := ca.TryRecv(); !ok || v != 42 {
 		t.Fatalf("TryRecv = %d, %v", v, ok)
 	}
 

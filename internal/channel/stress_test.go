@@ -81,14 +81,14 @@ func TestNetStress(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				for to := 0; to < p; to++ {
 					if to != me {
-						net.Send(me, to, me*1000000+r)
+						net.Chan(me, to).Send(me*1000000 + r)
 					}
 				}
 				for from := 0; from < p; from++ {
 					if from == me {
 						continue
 					}
-					v := net.Recv(from, me)
+					v := net.Chan(from, me).Recv()
 					if v != from*1000000+r {
 						t.Errorf("P%d got %d from P%d in round %d", me, v, from, r)
 						return

@@ -1,12 +1,18 @@
 package channel
 
+import (
+	"errors"
+	"fmt"
+)
+
 // Transport abstracts the message substrate the parallel runtime runs
 // on: a complete point-to-point network of single-reader single-writer
 // channels with infinite slack, plus the delivery-control hooks a real
 // (buffered, asynchronous) wire needs.  The in-process Net implements
-// it trivially — delivery is immediate and nothing can fail, so Flush
-// and Abort are no-ops.  SocketTransport implements it over framed TCP
-// or Unix-domain connections.
+// it with immediate delivery, so its Flush is a no-op; its Abort wakes
+// parked receivers exactly as a socket transport's does.
+// SocketTransport implements it over framed TCP or Unix-domain
+// connections.
 //
 // Theorem 1 of the paper (all maximal fair executions of an SSP program
 // reach the same final state) is what makes the backend swap exact: as
@@ -32,18 +38,13 @@ type Transport[T any] interface {
 	Err() error
 	// Abort fails the transport with err and wakes every rank parked
 	// inside a blocking Recv of one of its endpoints; the woken Recv
-	// panics with a *TransportError.  It is how a supervisor reaches
-	// receivers that wait inside the transport rather than on a lock
-	// of its own.  A no-op for in-process transports, whose receivers
-	// the runtime parks itself.
+	// panics with a *TransportError.  Receivers park inside their
+	// endpoints on every transport, so this is how a supervisor (or a
+	// job timeout) reaches them.  An aborted transport stays failed.
 	Abort(err error)
 	// Pending returns the total number of sent-but-unreceived values
 	// on the channels whose two ends are both local.
 	Pending() int
-	// WrapEndpoints replaces every local endpoint with
-	// wrap(from, to, original) — the fault-injection and metering seam.
-	// Must be called before the network is in use.
-	WrapEndpoints(wrap func(from, to int, e Endpoint[T]) Endpoint[T])
 	// Close releases the transport's resources.  In-process transports
 	// have none; socket transports close their connections, which
 	// unblocks peer readers.
@@ -56,15 +57,40 @@ var (
 	_ Transport[int] = (*SocketTransport[int])(nil)
 )
 
+// abortError is the sticky failure Abort(err) installs, on every
+// transport.
+func abortError(err error) error {
+	if err == nil {
+		err = errors.New("transport aborted")
+	}
+	return fmt.Errorf("transport: aborted: %w", err)
+}
+
 // Flush is a no-op: in-process sends are delivered synchronously.
 func (n *Net[T]) Flush(from int) {}
 
-// Err always returns nil: the in-process network cannot fail.
-func (n *Net[T]) Err() error { return nil }
+// Err returns the abort that failed the network, or nil.
+func (n *Net[T]) Err() error {
+	if err := n.err.Load(); err != nil {
+		return *err
+	}
+	return nil
+}
 
-// Abort is a no-op: nothing parks inside the in-process network's
-// endpoints that the runtime does not park (and wake) itself.
-func (n *Net[T]) Abort(err error) {}
+// Abort fails the network and wakes every receive parked on one of its
+// channels; the woken Recv panics with a *TransportError.  Only the
+// first call has an effect.
+func (n *Net[T]) Abort(err error) {
+	err = abortError(err)
+	if !n.err.CompareAndSwap(nil, &err) {
+		return
+	}
+	for _, e := range n.chans {
+		if c, ok := e.(*Chan[T]); ok {
+			c.abort(err)
+		}
+	}
+}
 
 // Close is a no-op for the in-process network.
 func (n *Net[T]) Close() error { return nil }

@@ -120,7 +120,10 @@ type Options struct {
 	// place of the default in-process channel network.  Its P must match
 	// the run's.  Sim mode rejects it: the simulated-parallel executor
 	// is by construction sequential and in-process.  The caller retains
-	// ownership and should Close the transport after the run.
+	// ownership and should Close the transport after the run.  A run
+	// leaves the transport as it found it (ChanStats and WrapEndpoint
+	// decorate a per-run endpoint table), so one transport can carry
+	// run after run.
 	Transport channel.Transport[Msg]
 	// Workers is the per-rank worker count for tiled compute kernels
 	// (applications consult it via Comm.Workers).  0 means one worker
@@ -243,12 +246,6 @@ func Run[R any](p int, mode Mode, opt Options, f func(c *Comm) R) ([]R, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("mesh: process count must be positive, got %d", p)
 	}
-	if opt.Obs != nil && opt.Obs.P() != p {
-		return nil, fmt.Errorf("mesh: obs collector sized for %d processes, run has %d", opt.Obs.P(), p)
-	}
-	if opt.ChanStats != nil && opt.ChanStats.P() != p {
-		return nil, fmt.Errorf("mesh: channel stats sized for %d processes, run has %d", opt.ChanStats.P(), p)
-	}
 	if opt.Transport != nil {
 		if mode != Par {
 			return nil, fmt.Errorf("mesh: external transports require Par mode, got %v", mode)
@@ -257,25 +254,11 @@ func Run[R any](p int, mode Mode, opt Options, f func(c *Comm) R) ([]R, error) {
 			return nil, fmt.Errorf("mesh: transport built for %d processes, run has %d", opt.Transport.P(), p)
 		}
 	}
+	schedOpt, err := schedOptions(p, opt)
+	if err != nil {
+		return nil, err
+	}
 	procs := Procs(p, opt, f)
-	wrap := opt.WrapEndpoint
-	if stats := opt.ChanStats; stats != nil {
-		inner := wrap
-		wrap = func(from, to int, e channel.Endpoint[Msg]) channel.Endpoint[Msg] {
-			if inner != nil {
-				e = inner(from, to, e)
-			}
-			return channel.Counted(stats, from, to, e)
-		}
-	}
-	schedOpt := sched.Options[Msg]{
-		Tag:          func(m Msg) string { return fmt.Sprintf("[%d]f64", len(m.Data)) },
-		StallTimeout: opt.StallTimeout,
-		WrapEndpoint: wrap,
-		Collector:    opt.Obs,
-		MsgBytes:     func(m Msg) int { return 8 * len(m.Data) },
-		Transport:    opt.Transport,
-	}
 	switch mode {
 	case Sim:
 		// Lowest-rank-first scheduling: each simulated process runs
@@ -293,9 +276,9 @@ func Run[R any](p int, mode Mode, opt Options, f func(c *Comm) R) ([]R, error) {
 // transport (channel.DialMesh) — the multi-process backend: each OS
 // process calls RunWorker with its own rank and its own transport, and
 // by Theorem 1 every rank's result is bitwise identical to the same
-// rank's result under Run.  opt.Transport is ignored (tr takes its
-// place); opt.StallTimeout is ignored (no per-process supervisor can
-// see the whole network — the launcher bounds hangs instead).
+// rank's result under Run.  It runs on Par's supervised backend, so
+// every option means what it means under Par — opt.StallTimeout arms
+// the same watchdog — except opt.Transport, whose place tr takes.
 func RunWorker[R any](rank int, tr channel.Transport[Msg], opt Options, f func(c *Comm) R) (R, error) {
 	var zero R
 	if tr == nil {
@@ -305,11 +288,23 @@ func RunWorker[R any](rank int, tr channel.Transport[Msg], opt Options, f func(c
 	if rank < 0 || rank >= p {
 		return zero, fmt.Errorf("mesh: worker rank %d out of range (P=%d)", rank, p)
 	}
+	schedOpt, err := schedOptions(p, opt)
+	if err != nil {
+		return zero, err
+	}
+	return sched.RunWorker(rank, tr, Procs(p, opt, f)[rank], schedOpt)
+}
+
+// schedOptions checks opt's per-rank instruments against a p-rank run
+// and lowers opt to the scheduler options Run and RunWorker share.
+// ChanStats' counters wrap outside any fault wrapper, so they see what
+// the program attempts to send.
+func schedOptions(p int, opt Options) (sched.Options[Msg], error) {
 	if opt.Obs != nil && opt.Obs.P() != p {
-		return zero, fmt.Errorf("mesh: obs collector sized for %d processes, run has %d", opt.Obs.P(), p)
+		return sched.Options[Msg]{}, fmt.Errorf("mesh: obs collector sized for %d processes, run has %d", opt.Obs.P(), p)
 	}
 	if opt.ChanStats != nil && opt.ChanStats.P() != p {
-		return zero, fmt.Errorf("mesh: channel stats sized for %d processes, run has %d", opt.ChanStats.P(), p)
+		return sched.Options[Msg]{}, fmt.Errorf("mesh: channel stats sized for %d processes, run has %d", opt.ChanStats.P(), p)
 	}
 	wrap := opt.WrapEndpoint
 	if stats := opt.ChanStats; stats != nil {
@@ -321,15 +316,14 @@ func RunWorker[R any](rank int, tr channel.Transport[Msg], opt Options, f func(c
 			return channel.Counted(stats, from, to, e)
 		}
 	}
-	schedOpt := sched.Options[Msg]{
+	return sched.Options[Msg]{
 		Tag:          func(m Msg) string { return fmt.Sprintf("[%d]f64", len(m.Data)) },
+		StallTimeout: opt.StallTimeout,
 		WrapEndpoint: wrap,
 		Collector:    opt.Obs,
 		MsgBytes:     func(m Msg) int { return 8 * len(m.Data) },
-	}
-	return sched.RunWorker(rank, tr, func(ctx *sched.Ctx[Msg]) R {
-		return f(&Comm{ctx: ctx, opt: opt})
-	}, schedOpt)
+		Transport:    opt.Transport,
+	}, nil
 }
 
 // RunControlledPolicy executes the SPMD function under an explicit

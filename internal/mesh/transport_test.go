@@ -2,9 +2,9 @@ package mesh
 
 import (
 	"errors"
-	"strings"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -129,6 +129,37 @@ func TestSocketFlushCoalescing(t *testing.T) {
 		if frames := stats.WireFrames(from, to); frames < int64(iters) {
 			t.Errorf("link %d->%d: only %d frames for %d exchanges", from, to, frames, iters)
 		}
+	}
+}
+
+// TestReusedTransportCountsEachRunOnce: the counters a run installs
+// decorate that run alone.  Two runs on one loopback mesh, each with its
+// own ChanStats, count the same traffic, and the second run leaves the
+// first run's counters alone — the mesh is not wrapped once per run.
+func TestReusedTransportCountsEachRunOnce(t *testing.T) {
+	tr, err := channel.NewLoopbackMesh(2, "unix", WireCodec(), channel.SocketOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	run := func() *channel.NetStats {
+		opt := DefaultOptions()
+		opt.Transport = tr
+		opt.ChanStats = channel.NewNetStats(2)
+		ghostSnapshot(t, 2, 3, Par, opt)
+		return opt.ChanStats
+	}
+	first := run()
+	sent, received := first.TotalMessages(), first.Received(0, 1)+first.Received(1, 0)
+	if sent == 0 || received != sent {
+		t.Fatalf("first run counted %d sends and %d receives", sent, received)
+	}
+	second := run()
+	if got := second.TotalMessages(); got != sent {
+		t.Errorf("second run counted %d sends, first %d", got, sent)
+	}
+	if got := first.TotalMessages(); got != sent {
+		t.Errorf("the second run added %d sends to the first run's counters", got-sent)
 	}
 }
 

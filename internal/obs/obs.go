@@ -8,9 +8,10 @@
 // The central type is the Collector.  It is threaded through the
 // existing runtime seams — sched.Options.Collector counts every
 // communication action, mesh's collectives and boundary exchanges mark
-// phases, and channel.NetStats (attached via Net.WrapEndpoints) counts
-// per-channel traffic — and follows the repository's disabled-is-free
-// idiom: a nil *Collector is valid, every method no-ops on it, and the
+// phases, and channel.NetStats (attached per run through
+// mesh.Options.ChanStats) counts per-channel traffic — and follows the
+// repository's disabled-is-free idiom: a nil *Collector is valid, every
+// method no-ops on it, and the
 // instrumented hot paths add zero allocations (covered by
 // sched's TestInstrumentationAllocs).
 //

@@ -97,21 +97,3 @@ func TestCollectorMatchesTrace(t *testing.T) {
 		})
 	}
 }
-
-// TestBlockCountsSaneUnderConcurrency checks the spurious-wakeup guard:
-// blocks are counted per logical wait, so they can never exceed the
-// number of receives.
-func TestBlockCountsSaneUnderConcurrency(t *testing.T) {
-	col := obs.New(2)
-	if _, err := RunConcurrent(pingPong(200), Options[int]{Collector: col}); err != nil {
-		t.Fatal(err)
-	}
-	col.Finish()
-	snap := col.Snapshot()
-	for rank := 0; rank < 2; rank++ {
-		r := snap.Ranks[rank]
-		if r.Blocks > r.Recvs {
-			t.Errorf("rank %d: %d blocks exceed %d receives", rank, r.Blocks, r.Recvs)
-		}
-	}
-}

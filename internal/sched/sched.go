@@ -2,15 +2,20 @@
 // interact only through single-reader single-writer channels with
 // infinite slack — the parallel program model of the paper's §3.1.
 //
-// Two executors are provided.  RunControlled is a cooperative
+// Two backends are provided.  RunControlled is a cooperative
 // scheduler: exactly one process runs at a time, and at every
 // communication action a pluggable Policy chooses which enabled process
 // acts next.  Running the same network under many policies (or many
 // random seeds) and comparing final states is the empirical form of
 // Theorem 1: all maximal interleavings terminate in the same final
 // state.  RunConcurrent executes the network with real goroutines over
-// concurrent unbounded channels — the "real parallel" version that the
-// mechanical transformation targets.
+// a channel.Transport — the in-process network by default, or a socket
+// mesh — the "real parallel" version that the mechanical transformation
+// targets.  RunWorker runs one rank of such a network in this process,
+// its peers elsewhere, on the same supervised backend.  That backend
+// receives one way on every transport: take a value that is there,
+// flush, register as blocked (exact deadlock detection), and wait
+// inside the endpoint, which polls before it parks.
 //
 // Processes are functions of a Ctx; they must not share memory (the
 // scheduler cannot enforce this, but the determinacy checker in
@@ -316,23 +321,28 @@ type Options[T any] struct {
 	// computation between communication actions and any injected message
 	// delay, or healthy runs will be reported as stalled.
 	StallTimeout time.Duration
-	// WrapEndpoint, if non-nil, wraps every channel of the network —
-	// the injection and instrumentation seam.  RunConcurrent uses it
-	// for message-delivery faults (e.g. seeded delays); RunControlled
+	// WrapEndpoint, if non-nil, wraps every channel of the network with
+	// a local end, in a table that lives for one run — the injection and
+	// instrumentation seam.  RunConcurrent and RunWorker use it for
+	// message-delivery faults (e.g. seeded delays); RunControlled
 	// applies it too, so observers (e.g. channel.Hooked, which numbers
 	// each channel's send/recv operations for the schedule explorer)
 	// can watch the message flow of a controlled run.  Wrappers must
-	// preserve per-channel FIFO order and report Len faithfully — the
-	// controlled scheduler's enabledness and deadlock checks read it;
-	// the paper's model gives channels infinite slack, so pure delays
-	// keep the interleaving legal.
+	// preserve per-channel FIFO order, report Len faithfully — the
+	// controlled scheduler's enabledness and deadlock checks read it —
+	// and delegate a blocking Recv to the wrapped endpoint, where the
+	// transport's Abort can reach it; the paper's model gives channels
+	// infinite slack, so pure delays keep the interleaving legal.
 	WrapEndpoint func(from, to int, e channel.Endpoint[T]) channel.Endpoint[T]
 	// Transport, if non-nil, supplies the message substrate for
 	// RunConcurrent in place of the default in-process channel network —
 	// e.g. a loopback socket mesh (channel.NewLoopbackMesh).  Its P()
 	// must match the number of processes.  The caller retains ownership:
-	// RunConcurrent does not close it.  Ignored by RunControlled, which
-	// by construction simulates the network sequentially.
+	// RunConcurrent neither closes nor modifies it (WrapEndpoint wraps a
+	// per-run endpoint table, not the transport), so one transport can
+	// carry run after run.  Ignored by RunControlled, which by
+	// construction simulates the network sequentially, and by RunWorker,
+	// which takes its transport as an argument.
 	Transport channel.Transport[T]
 }
 
@@ -376,10 +386,7 @@ func RunControlled[T, R any](procs []Proc[T, R], pol Policy, opt Options[T]) ([]
 		}()
 	}
 
-	net := channel.NewQueueNet[T](p)
-	if opt.WrapEndpoint != nil {
-		net.WrapEndpoints(opt.WrapEndpoint)
-	}
+	eps := endpoints(channel.NewQueueNet[T](p), func(int) bool { return true }, opt.WrapEndpoint)
 	var zero T
 	var failure error
 	// advance lets process i run to its next request and records it.
@@ -397,7 +404,7 @@ func RunControlled[T, R any](procs []Proc[T, R], pol Policy, opt Options[T]) ([]
 		}
 		back.ps[i].pending = r
 		back.ps[i].hasPending = true
-		if r.kind == reqRecv && net.Chan(r.peer, i).Len() == 0 {
+		if r.kind == reqRecv && eps[r.peer*p+i].Len() == 0 {
 			opt.Trace.Add(i, trace.Block, r.peer, "")
 			opt.Collector.CountBlock(i)
 		}
@@ -422,7 +429,7 @@ func RunControlled[T, R any](procs []Proc[T, R], pol Policy, opt Options[T]) ([]
 				continue
 			}
 			r := &ps.pending
-			if r.kind == reqRecv && net.Chan(r.peer, i).Len() == 0 {
+			if r.kind == reqRecv && eps[r.peer*p+i].Len() == 0 {
 				ps.blocked = true
 				continue
 			}
@@ -481,11 +488,11 @@ func RunControlled[T, R any](procs []Proc[T, R], pol Policy, opt Options[T]) ([]
 		ps.hasPending = false
 		switch r.kind {
 		case reqSend:
-			net.Send(pick, r.peer, r.val)
+			eps[pick*p+r.peer].Send(r.val)
 			opt.Trace.Add(pick, trace.Send, r.peer, r.tag)
 			advance(pick, zero)
 		case reqRecv:
-			v := net.Recv(r.peer, pick)
+			v := eps[r.peer*p+pick].Recv()
 			if opt.Trace != nil {
 				opt.Trace.Add(pick, trace.Recv, r.peer, opt.Tag(v))
 			}
@@ -499,6 +506,29 @@ func RunControlled[T, R any](procs []Proc[T, R], pol Policy, opt Options[T]) ([]
 			return results, fmt.Errorf("sched: exceeded MaxActions=%d; network may not terminate", opt.MaxActions)
 		}
 	}
+}
+
+// endpoints builds a run's endpoint table over net, index from*p+to:
+// every channel with a local end, wrapped by wrap when it is set, and
+// nil where neither end is local (a per-rank transport has no such
+// channel).  The table belongs to the run, so decorators never pile up
+// on a transport that outlives it.
+func endpoints[T any](net channel.Transport[T], local func(rank int) bool, wrap func(from, to int, e channel.Endpoint[T]) channel.Endpoint[T]) []channel.Endpoint[T] {
+	p := net.P()
+	eps := make([]channel.Endpoint[T], p*p)
+	for from := 0; from < p; from++ {
+		for to := 0; to < p; to++ {
+			if !local(from) && !local(to) {
+				continue
+			}
+			e := net.Chan(from, to)
+			if wrap != nil {
+				e = wrap(from, to, e)
+			}
+			eps[from*p+to] = e
+		}
+	}
+	return eps
 }
 
 func contains(s []int, v int) bool {
@@ -518,21 +548,19 @@ type abortPanic struct{}
 // concurrent is the free-running goroutine backend, supervised: it
 // tracks which processes are blocked on which empty channels, detects
 // the all-blocked deadlock condition exactly at the moment it arises,
-// and can abort the whole network so RunConcurrent returns a diagnostic
-// error instead of hanging.
+// and can abort the whole network so the run returns a diagnostic error
+// instead of hanging.  It runs the processes of the local ranks: all of
+// them under RunConcurrent, one under RunWorker.  A remote rank is
+// never done and never waiting, so the exact detector, which needs every
+// unfinished rank blocked, never fires in a worker.
 type concurrent[T any] struct {
 	net channel.Transport[T]
-	// external marks a caller-supplied transport (Options.Transport):
-	// delivery may be asynchronous and buffered, and a receiver parks
-	// inside the transport (on its own socket), not on cond.  The default
-	// in-process network keeps external false.
-	external bool
+	// eps is this run's endpoint table (see endpoints).
+	eps []channel.Endpoint[T]
 
-	// mu guards waitOn, done, failed, abort and the condition variable.
-	// Receives blocked on the in-process network park on cond, and its
-	// sends broadcast.
-	mu   sync.Mutex
-	cond *sync.Cond
+	// mu guards waitOn, done, failed and abort.  No send takes it; a
+	// receive takes it only to register and unregister a wait.
+	mu sync.Mutex
 	// waitOn[i] is the peer rank process i is blocked receiving from, or
 	// -1 when i is not blocked in a receive.
 	waitOn []int
@@ -565,38 +593,26 @@ type concurrent[T any] struct {
 	col *obs.Collector
 }
 
-func newConcurrent[T any](p int, opt Options[T]) *concurrent[T] {
-	var net channel.Transport[T]
-	if opt.Transport != nil {
-		if opt.Transport.P() != p {
-			panic(fmt.Sprintf("sched: transport built for %d processes, run has %d", opt.Transport.P(), p))
-		}
-		net = opt.Transport
-	} else {
-		net = channel.NewChanNet[T](p)
-	}
-	if opt.WrapEndpoint != nil {
-		net.WrapEndpoints(opt.WrapEndpoint)
-	}
+func newConcurrent[T any](net channel.Transport[T], local func(rank int) bool, opt Options[T]) *concurrent[T] {
+	p := net.P()
 	b := &concurrent[T]{
-		net:      net,
-		external: opt.Transport != nil,
-		waitOn:   make([]int, p),
-		done:     make([]bool, p),
-		sent:     make([]atomic.Int64, p*p),
-		taken:    make([]atomic.Int64, p*p),
-		tr:       trace.Safe(opt.Trace),
-		tag:      opt.Tag,
-		col:      opt.Collector,
+		net:    net,
+		eps:    endpoints(net, local, opt.WrapEndpoint),
+		waitOn: make([]int, p),
+		done:   make([]bool, p),
+		sent:   make([]atomic.Int64, p*p),
+		taken:  make([]atomic.Int64, p*p),
+		tr:     trace.Safe(opt.Trace),
+		tag:    opt.Tag,
+		col:    opt.Collector,
 	}
 	for i := range b.waitOn {
 		b.waitOn[i] = -1
 	}
-	b.cond = sync.NewCond(&b.mu)
 	return b
 }
 
-// ch is the index of the channel from -> to in sent and taken.
+// ch is the index of the channel from -> to in eps, sent and taken.
 func (b *concurrent[T]) ch(from, to int) int { return from*len(b.waitOn) + to }
 
 func (b *concurrent[T]) send(from, to int, v T) {
@@ -609,44 +625,42 @@ func (b *concurrent[T]) send(from, to int, v T) {
 	if b.tr != nil {
 		b.tr.Add(from, trace.Send, to, b.tag(v))
 	}
-	// The send itself runs outside mu: injected delivery delays must
-	// slow only this channel, not the whole network.
-	b.net.Chan(from, to).Send(v)
-	b.sent[b.ch(from, to)].Add(1)
+	ch := b.ch(from, to)
+	b.eps[ch].Send(v)
+	b.sent[ch].Add(1)
 	b.progress.Add(1)
-	if !b.external {
-		// In-process receivers park on cond.  An external transport
-		// wakes its own: the receiver sits in its socket.
-		b.mu.Lock()
-		b.cond.Broadcast()
-		b.mu.Unlock()
-	}
 }
 
-// recv is the runtime's one wait policy: look, poll briefly, then park.
-// Where it parks is the only thing the two kinds of network differ in.
+// recv is the runtime's one receive, the same on every transport.  A
+// value that is already there is taken at once.  Otherwise the rank
+// pushes out its own coalesced frames — they may be exactly what its
+// peers need before they can send — registers as blocked, which runs
+// the exact deadlock check, and waits inside the endpoint, which polls
+// before it parks.  The supervisor's abort reaches it there through
+// the transport.
 func (b *concurrent[T]) recv(from, to int) T {
 	if b.aborted.Load() {
 		panic(abortPanic{})
 	}
-	ep := b.net.Chan(from, to)
-	var (
-		v  T
-		ok bool
-	)
-	if b.external {
-		// The endpoint's own Recv polls before it parks; all that is
-		// needed here is the fast path that skips the bookkeeping.
-		v, ok = ep.TryRecv()
-	} else {
-		v, ok = channel.PollRecv(ep)
-	}
+	ch := b.ch(from, to)
+	ep := b.eps[ch]
+	v, ok := ep.TryRecv()
 	if ok {
-		b.taken[b.ch(from, to)].Add(1)
-	} else if b.external {
-		v = b.parkExternal(from, to, ep)
+		b.taken[ch].Add(1)
 	} else {
-		v = b.parkInProc(from, to, ep)
+		b.net.Flush(to)
+		b.mu.Lock()
+		b.block(from, to)
+		aborted := b.abort != nil
+		b.mu.Unlock()
+		if aborted {
+			panic(abortPanic{})
+		}
+		v = ep.Recv()
+		b.mu.Lock()
+		b.waitOn[to] = -1
+		b.taken[ch].Add(1)
+		b.mu.Unlock()
 	}
 	b.progress.Add(1)
 	if b.tr != nil {
@@ -658,79 +672,18 @@ func (b *concurrent[T]) recv(from, to int) T {
 // block registers process `to` as blocked on the channel from -> to and
 // runs the exact deadlock check: if every other unfinished process
 // already is blocked, the network can never move again — report the
-// deadlock now rather than hang.  Called with mu held.
+// deadlock now rather than hang.  A failed transport ends the run the
+// same way.  Called with mu held.
 func (b *concurrent[T]) block(from, to int) {
 	b.waitOn[to] = from
 	b.col.CountBlock(to)
-	if b.external {
-		if err := b.net.Err(); err != nil {
-			b.abortLocked(fmt.Errorf("sched: transport failed: %w", err))
-			return
-		}
+	if err := b.net.Err(); err != nil {
+		b.abortLocked(fmt.Errorf("sched: %w", &channel.TransportError{Err: err}))
+		return
 	}
 	if d := b.deadlockLocked(); d != nil {
 		b.abortLocked(d)
 	}
-}
-
-// unblock records that the receive process `to` was blocked in has
-// completed.  Called with mu held.
-func (b *concurrent[T]) unblock(from, to int) {
-	b.waitOn[to] = -1
-	b.taken[b.ch(from, to)].Add(1)
-}
-
-// parkInProc waits on cond until the in-process channel has a value.
-func (b *concurrent[T]) parkInProc(from, to int, ep channel.Endpoint[T]) T {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for {
-		if b.abort != nil {
-			panic(abortPanic{})
-		}
-		if v, ok := ep.TryRecv(); ok {
-			b.unblock(from, to)
-			return v
-		}
-		if b.waitOn[to] != from {
-			// First finding the channel empty (not a spurious wakeup):
-			// this is the one logical block of this receive.
-			b.block(from, to)
-			continue // block may have aborted the run: look again before waiting
-		}
-		b.cond.Wait()
-	}
-}
-
-// parkExternal waits inside the transport: the rank's own blocking Recv
-// on its own connection end, outside mu.  The frames coalesced on our
-// own links may be exactly what our peers need first, so they are
-// pushed out before the rank registers as blocked — the detector may
-// then rely on every counted message being on its way.
-func (b *concurrent[T]) parkExternal(from, to int, ep channel.Endpoint[T]) (v T) {
-	b.net.Flush(to)
-	b.mu.Lock()
-	b.block(from, to)
-	aborted := b.abort != nil
-	b.mu.Unlock()
-	if aborted {
-		panic(abortPanic{})
-	}
-	defer func() {
-		// The supervisor's abort reaches a parked reader as a transport
-		// failure; it is the teardown, not a failure of this process.
-		if r := recover(); r != nil {
-			if b.aborted.Load() {
-				r = abortPanic{}
-			}
-			panic(r)
-		}
-	}()
-	v = ep.Recv()
-	b.mu.Lock()
-	b.unblock(from, to)
-	b.mu.Unlock()
-	return v
 }
 
 func (b *concurrent[T]) step(id int, name string) {
@@ -744,23 +697,17 @@ func (b *concurrent[T]) step(id int, name string) {
 }
 
 // flush seals rank id's coalesced outbound frames into the wire.  On
-// the default in-process network Flush is a no-op method call.
-func (b *concurrent[T]) flush(id int) {
-	if b.external {
-		b.net.Flush(id)
-	}
-}
+// the in-process network Flush is a no-op method call.
+func (b *concurrent[T]) flush(id int) { b.net.Flush(id) }
 
 // markDone records a process's termination (normal or by panic) and
 // re-checks the deadlock condition: the remaining processes may now all
 // be blocked on channels nobody will ever fill.
 func (b *concurrent[T]) markDone(id int, err error) {
-	if b.external {
-		// Termination flush: a finished process never blocks in Recv
-		// again, so this is the last chance for its buffered frames to
-		// reach peers still waiting on them.
-		b.net.Flush(id)
-	}
+	// Termination flush: a finished process never blocks in Recv again,
+	// so this is the last chance for its buffered frames to reach peers
+	// still waiting on them.
+	b.net.Flush(id)
 	b.mu.Lock()
 	b.done[id] = true
 	b.nDone++
@@ -776,19 +723,17 @@ func (b *concurrent[T]) markDone(id int, err error) {
 	}
 }
 
-// abortLocked tears the run down: blocked receivers wake and unwind,
-// and every later communication action panics out of the process.
-// Callers must not pass nil.
+// abortLocked tears the run down: the transport's abort wakes the
+// parked receivers, whose *TransportError the process wrapper counts
+// as the teardown, and every later communication action panics out of
+// the process.  Callers must not pass nil.
 func (b *concurrent[T]) abortLocked(reason error) {
 	if b.abort != nil {
 		return
 	}
 	b.abort = reason
 	b.aborted.Store(true)
-	b.cond.Broadcast()
-	if b.external {
-		b.net.Abort(reason)
-	}
+	b.net.Abort(reason)
 }
 
 // deadlockLocked reports the network's exact deadlock condition: every
@@ -905,28 +850,68 @@ func RunConcurrent[T, R any](procs []Proc[T, R], opt Options[T]) ([]R, error) {
 	if p == 0 {
 		return nil, nil
 	}
+	net := opt.Transport
+	if net == nil {
+		net = channel.NewChanNet[T](p)
+	} else if net.P() != p {
+		panic(fmt.Sprintf("sched: transport built for %d processes, run has %d", net.P(), p))
+	}
+	return supervise(net, procs, opt)
+}
+
+// RunWorker executes rank `rank` of a P-process network whose channels
+// are carried by tr — one call per OS process, with tr typically built
+// by channel.DialMesh.  By Theorem 1 the rank's result is bitwise
+// identical to the same rank's result under RunControlled or
+// RunConcurrent.
+//
+// The rank runs on RunConcurrent's supervised backend with its peers
+// elsewhere, so it flushes, fails and aborts exactly as a rank of a
+// RunConcurrent run does, and Options.StallTimeout arms the same
+// watchdog.  No process sees the whole network, so deadlocks are not
+// detected exactly here; the watchdog, or the launcher's timeout,
+// bounds them.  A panic in the process body (including a
+// TransportError from a failed wire) is returned as an error.  The
+// caller retains ownership of tr and should Close it after the result
+// is consumed.
+func RunWorker[T, R any](rank int, tr channel.Transport[T], proc Proc[T, R], opt Options[T]) (res R, err error) {
+	p := tr.P()
+	if rank < 0 || rank >= p {
+		return res, fmt.Errorf("sched: worker rank %d out of range (P=%d)", rank, p)
+	}
+	procs := make([]Proc[T, R], p)
+	procs[rank] = proc
+	results, err := supervise(tr, procs, opt)
+	return results[rank], err
+}
+
+// supervise runs the non-nil processes of procs — the local ranks — on
+// the concurrent backend over net, and returns every result slot with
+// the run's error.
+func supervise[T, R any](net channel.Transport[T], procs []Proc[T, R], opt Options[T]) ([]R, error) {
 	if opt.Tag == nil {
 		opt.Tag = func(v T) string { return fmt.Sprint(v) }
 	}
-	back := newConcurrent[T](p, opt)
+	back := newConcurrent(net, func(r int) bool { return procs[r] != nil }, opt)
+	p := len(procs)
 	results := make([]R, p)
 	var wg sync.WaitGroup
-	wg.Add(p)
-	for i := 0; i < p; i++ {
-		i := i
+	for i, proc := range procs {
+		if proc == nil {
+			continue
+		}
 		ctx := &Ctx[T]{id: i, p: p, ops: back, col: opt.Collector, bytes: opt.MsgBytes}
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var failure error
 			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(abortPanic); !ok {
-						failure = wrapPanic(i, r)
-					}
+				if r := recover(); r != nil && !back.teardown(r) {
+					failure = wrapPanic(i, r)
 				}
 				back.markDone(i, failure)
 			}()
-			results[i] = procs[i](ctx)
+			results[i] = proc(ctx)
 		}()
 	}
 	if opt.StallTimeout > 0 {
@@ -948,4 +933,16 @@ func RunConcurrent[T, R any](procs []Proc[T, R], opt Options[T]) ([]R, error) {
 		return results, aborted
 	}
 	return results, nil
+}
+
+// teardown reports whether a recovered panic is the supervisor's abort
+// unwinding a process rather than a failure of it: abortPanic, or the
+// *TransportError with which the aborted transport woke a parked
+// receiver.
+func (b *concurrent[T]) teardown(r any) bool {
+	if _, ok := r.(abortPanic); ok {
+		return true
+	}
+	_, ok := r.(*channel.TransportError)
+	return ok && b.aborted.Load()
 }

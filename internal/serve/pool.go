@@ -17,13 +17,9 @@ import (
 // executor owns one persistent P-rank loopback mesh transport and P
 // long-lived rank goroutines, so a job pays no process or socket setup:
 // it is handed to already-connected workers (mesh.RunWorker per rank),
-// exactly the way the -procs backend runs, minus the spawning.
-//
-// The transport is the reuse hazard: sched.RunWorker would stack
-// endpoint decorators on it if the mesh options carried ChanStats or
-// WrapEndpoint, so job options must never set those.  Per-job state
-// (obs collector, canceller) rides in Options, which is safe — it is
-// carried per call, not installed on the transport.
+// exactly the way the -procs backend runs, minus the spawning.  Per-job
+// state (obs collector, canceller) rides in Options: it is carried per
+// call, never installed on the transport.
 type pool struct {
 	cfg   Config
 	m     *metrics
