@@ -50,8 +50,13 @@ func runWorkers(spec Spec, p int, dir string) (*Result, error) {
 // over some sequence of step windows, so every row must reproduce the
 // sequential program's near field, probe series and work tally bitwise
 // — and its far field too wherever the summation order is the
-// sequential one (a single rank, however the steps are windowed).
+// sequential one (a single rank, however the steps are windowed).  It
+// runs once per row body.
 func TestOneProgramIdentity(t *testing.T) {
+	forEachRowBody(t, testOneProgramIdentity)
+}
+
+func testOneProgramIdentity(t *testing.T) {
 	type row struct {
 		name string
 		far  bool // far field bitwise equal to sequential, not just near

@@ -141,12 +141,12 @@ func imin(a, b int) int {
 // run concurrently: their writes are disjoint and their reads are of
 // fields no window writes.
 //
-// Every inner loop below walks contiguous z-rows (grid.G3.Row views)
-// with the bounds checks hoisted by the `b = b[:len(a)]` re-slice
-// idiom: once each neighbour row is re-sliced to the primary row's
-// length, the loop condition k < len(row) proves every access in
-// range and the compiler drops the per-element checks, so the loop
-// body is pure branch-free float arithmetic.
+// Each component is one yeeRow call over contiguous z-rows
+// (grid.G3.Row views): every component update has the row primitive's
+// shape out = a*out + b*((p-q) - (r-s)), and the backward z stencil
+// (H at k-1) is the row view shifted by one, so Ex at k >= 1 is
+// yeeRow(ex[1:], ..., hy[1:], hy[:n-1]).  No lane of a row depends on
+// another (E reads only H), which is what lets the row run packed.
 //
 // The three component sweeps are fused into one (li, lj) traversal:
 // the coefficient rows (and the shared field rows) are fetched once
@@ -177,37 +177,29 @@ func updateERange(f *Fields, li0, li1, lj0, lj1 int) int {
 				continue
 			}
 			caP := f.Ca.Row(li, lj)
-			cbP := f.Cb.Row(li, lj)[:len(caP)]
-			hxP := f.Hx.Row(li, lj)[:len(caP)]
-			hyP := f.Hy.Row(li, lj)[:len(caP)]
-			hzP := f.Hz.Row(li, lj)[:len(caP)]
+			cbP := f.Cb.Row(li, lj)
+			hxP := f.Hx.Row(li, lj)
+			hyP := f.Hy.Row(li, lj)
+			hzP := f.Hz.Row(li, lj)
+			n := len(caP)
 			// Ex: all i; global j >= 1; k >= 1.
 			if doJ {
-				exP := f.Ex.Row(li, lj)[:len(caP)]
-				hzJm := f.Hz.Row(li, lj-1)[:len(caP)] // lj == 0 reads the lower y ghost
-				for k := 1; k < len(caP); k++ {
-					exP[k] = caP[k]*exP[k] + cbP[k]*((hzP[k]-hzJm[k])-(hyP[k]-hyP[k-1]))
-				}
-				count += len(caP) - 1
+				exP := f.Ex.Row(li, lj)
+				hzJm := f.Hz.Row(li, lj-1) // lj == 0 reads the lower y ghost
+				yeeRow(exP[1:], caP[1:], cbP[1:], hzP[1:], hzJm[1:], hyP[1:], hyP[:n-1])
+				count += n - 1
 			}
 			// Ey: global i >= 1; all j; k >= 1.
 			if doI {
-				eyP := f.Ey.Row(li, lj)[:len(caP)]
-				hzIm := f.Hz.Row(li-1, lj)[:len(caP)] // li == 0 reads the lower x ghost
-				for k := 1; k < len(caP); k++ {
-					eyP[k] = caP[k]*eyP[k] + cbP[k]*((hxP[k]-hxP[k-1])-(hzP[k]-hzIm[k]))
-				}
-				count += len(caP) - 1
+				eyP := f.Ey.Row(li, lj)
+				hzIm := f.Hz.Row(li-1, lj) // li == 0 reads the lower x ghost
+				yeeRow(eyP[1:], caP[1:], cbP[1:], hxP[1:], hxP[:n-1], hzP[1:], hzIm[1:])
+				count += n - 1
 			}
 			// Ez: global i >= 1; global j >= 1; all k.
 			if doI && doJ {
-				ezP := f.Ez.Row(li, lj)[:len(caP)]
-				hyIm := f.Hy.Row(li-1, lj)[:len(caP)]
-				hxJm := f.Hx.Row(li, lj-1)[:len(caP)]
-				for k := 0; k < len(caP); k++ {
-					ezP[k] = caP[k]*ezP[k] + cbP[k]*((hyP[k]-hyIm[k])-(hxP[k]-hxJm[k]))
-				}
-				count += len(caP)
+				yeeRow(f.Ez.Row(li, lj), caP, cbP, hyP, f.Hy.Row(li-1, lj), hxP, f.Hx.Row(li, lj-1))
+				count += n
 			}
 		}
 	}
@@ -234,9 +226,9 @@ func updateHRange(f *Fields, li0, li1, lj0, lj1 int) int {
 	// One fused (li, lj) traversal, same argument as updateERange: no H
 	// component reads another H component, so interleaving the three
 	// updates per pencil column permutes independent operations only.
-	// The forward z stencils (E at k+1) are expressed as one-shifted
-	// row views so the hoist idiom still proves every access: the
-	// written sub-row has length nz-1, and exUp[k] is ex[k+1].
+	// The forward z stencils (E at k+1) are the row views shifted by
+	// one: the written sub-row has length nz-1, and ex[1:][k] is
+	// ex[k+1].
 	for li := li0; li < li1; li++ {
 		doI := li < liEnd // Hy, Hz stop short of the global top i
 		for lj := lj0; lj < lj1; lj++ {
@@ -245,47 +237,27 @@ func updateHRange(f *Fields, li0, li1, lj0, lj1 int) int {
 				continue
 			}
 			daP := f.Da.Row(li, lj)
-			dbP := f.Db.Row(li, lj)[:len(daP)]
-			exRow := f.Ex.Row(li, lj)[:len(daP)]
-			eyRow := f.Ey.Row(li, lj)[:len(daP)]
-			ezP := f.Ez.Row(li, lj)[:len(daP)]
+			dbP := f.Db.Row(li, lj)
+			exP := f.Ex.Row(li, lj)
+			eyP := f.Ey.Row(li, lj)
+			ezP := f.Ez.Row(li, lj)
+			n := len(daP)
 			// Hx: all i; global j < ny-1; k < nz-1.
 			if doJ {
-				hxRow := f.Hx.Row(li, lj)
-				hxS := hxRow[:len(hxRow)-1]
-				eyP := eyRow[:len(hxS)]
-				eyUp := eyRow[1:][:len(hxS)]
-				ezS := ezP[:len(hxS)]
-				ezJp := f.Ez.Row(li, lj+1)[:len(hxS)] // lj == nyl-1 reads the upper y ghost
-				daS, dbS := daP[:len(hxS)], dbP[:len(hxS)]
-				for k := range hxS {
-					hxS[k] = daS[k]*hxS[k] + dbS[k]*((eyUp[k]-eyP[k])-(ezJp[k]-ezS[k]))
-				}
-				count += len(daP) - 1
+				ezJp := f.Ez.Row(li, lj+1) // lj == nyl-1 reads the upper y ghost
+				yeeRow(f.Hx.Row(li, lj)[:n-1], daP, dbP, eyP[1:], eyP, ezJp, ezP)
+				count += n - 1
 			}
 			// Hy: global i < nx-1; all j; k < nz-1.
 			if doI {
-				hyRow := f.Hy.Row(li, lj)
-				hyS := hyRow[:len(hyRow)-1]
-				ezS := ezP[:len(hyS)]
-				ezIp := f.Ez.Row(li+1, lj)[:len(hyS)] // li == nxl-1 reads the upper x ghost
-				exP := exRow[:len(hyS)]
-				exUp := exRow[1:][:len(hyS)]
-				daS, dbS := daP[:len(hyS)], dbP[:len(hyS)]
-				for k := range hyS {
-					hyS[k] = daS[k]*hyS[k] + dbS[k]*((ezIp[k]-ezS[k])-(exUp[k]-exP[k]))
-				}
-				count += len(daP) - 1
+				ezIp := f.Ez.Row(li+1, lj) // li == nxl-1 reads the upper x ghost
+				yeeRow(f.Hy.Row(li, lj)[:n-1], daP, dbP, ezIp, ezP, exP[1:], exP)
+				count += n - 1
 			}
 			// Hz: global i < nx-1; global j < ny-1; all k.
 			if doI && doJ {
-				hzP := f.Hz.Row(li, lj)[:len(daP)]
-				exJp := f.Ex.Row(li, lj+1)[:len(daP)]
-				eyIp := f.Ey.Row(li+1, lj)[:len(daP)]
-				for k := range hzP {
-					hzP[k] = daP[k]*hzP[k] + dbP[k]*((exJp[k]-exRow[k])-(eyIp[k]-eyRow[k]))
-				}
-				count += len(daP)
+				yeeRow(f.Hz.Row(li, lj), daP, dbP, f.Ex.Row(li, lj+1), exP, f.Ey.Row(li+1, lj), eyP)
+				count += n
 			}
 		}
 	}

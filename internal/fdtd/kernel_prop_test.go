@@ -41,8 +41,12 @@ func randomizeStorage(rng *rand.Rand, g *grid.G3) {
 // trials run snapshot/apply around the E updates, so the scratch-buffer
 // boundary path composes with both kernel forms.  Run under -race by
 // the Makefile race target, the trials double as a data-race check on
-// the row views.
+// the row views.  It runs once per row body.
 func TestKernelPencilVsReferenceProperty(t *testing.T) {
+	forEachRowBody(t, testKernelPencilVsReference)
+}
+
+func testKernelPencilVsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 80; trial++ {
 		spec := Spec{

@@ -6,9 +6,12 @@ package fdtd
 // fast kernels with every row view replaced by a scalar At/Set access,
 // and each per-cell expression is operation-for-operation identical —
 // same operands, same order, same rounding — so the fast kernels must
-// reproduce their results bitwise on any window.  The property tests
-// (TestKernelPencilVsReferenceProperty) pit the two against each other
-// on randomized specs; nothing on the hot path calls these.
+// reproduce their results bitwise on any window.  Each product sits in
+// an explicit float64 conversion, as in yeeRowGeneric, so no build may
+// fuse it into an FMA and the bits are the same on every architecture.
+// The property tests (TestKernelPencilVsReferenceProperty) pit the two
+// against each other on randomized specs; nothing on the hot path calls
+// these.
 
 // updateERangeRef is the per-cell reference for updateERange.
 func updateERangeRef(f *Fields, li0, li1, lj0, lj1 int) int {
@@ -26,8 +29,8 @@ func updateERangeRef(f *Fields, li0, li1, lj0, lj1 int) int {
 	for li := li0; li < li1; li++ {
 		for lj := imax(lj0, ljStart); lj < lj1; lj++ {
 			for k := 1; k < nz; k++ {
-				f.Ex.Set(li, lj, k, f.Ca.At(li, lj, k)*f.Ex.At(li, lj, k)+
-					f.Cb.At(li, lj, k)*((f.Hz.At(li, lj, k)-f.Hz.At(li, lj-1, k))-(f.Hy.At(li, lj, k)-f.Hy.At(li, lj, k-1))))
+				f.Ex.Set(li, lj, k, float64(f.Ca.At(li, lj, k)*f.Ex.At(li, lj, k))+
+					float64(f.Cb.At(li, lj, k)*((f.Hz.At(li, lj, k)-f.Hz.At(li, lj-1, k))-(f.Hy.At(li, lj, k)-f.Hy.At(li, lj, k-1)))))
 			}
 			count += nz - 1
 		}
@@ -36,8 +39,8 @@ func updateERangeRef(f *Fields, li0, li1, lj0, lj1 int) int {
 	for li := imax(li0, liStart); li < li1; li++ {
 		for lj := lj0; lj < lj1; lj++ {
 			for k := 1; k < nz; k++ {
-				f.Ey.Set(li, lj, k, f.Ca.At(li, lj, k)*f.Ey.At(li, lj, k)+
-					f.Cb.At(li, lj, k)*((f.Hx.At(li, lj, k)-f.Hx.At(li, lj, k-1))-(f.Hz.At(li, lj, k)-f.Hz.At(li-1, lj, k))))
+				f.Ey.Set(li, lj, k, float64(f.Ca.At(li, lj, k)*f.Ey.At(li, lj, k))+
+					float64(f.Cb.At(li, lj, k)*((f.Hx.At(li, lj, k)-f.Hx.At(li, lj, k-1))-(f.Hz.At(li, lj, k)-f.Hz.At(li-1, lj, k)))))
 			}
 			count += nz - 1
 		}
@@ -46,8 +49,8 @@ func updateERangeRef(f *Fields, li0, li1, lj0, lj1 int) int {
 	for li := imax(li0, liStart); li < li1; li++ {
 		for lj := imax(lj0, ljStart); lj < lj1; lj++ {
 			for k := 0; k < nz; k++ {
-				f.Ez.Set(li, lj, k, f.Ca.At(li, lj, k)*f.Ez.At(li, lj, k)+
-					f.Cb.At(li, lj, k)*((f.Hy.At(li, lj, k)-f.Hy.At(li-1, lj, k))-(f.Hx.At(li, lj, k)-f.Hx.At(li, lj-1, k))))
+				f.Ez.Set(li, lj, k, float64(f.Ca.At(li, lj, k)*f.Ez.At(li, lj, k))+
+					float64(f.Cb.At(li, lj, k)*((f.Hy.At(li, lj, k)-f.Hy.At(li-1, lj, k))-(f.Hx.At(li, lj, k)-f.Hx.At(li, lj-1, k)))))
 			}
 			count += nz
 		}
@@ -72,8 +75,8 @@ func updateHRangeRef(f *Fields, li0, li1, lj0, lj1 int) int {
 	for li := li0; li < li1; li++ {
 		for lj := lj0; lj < imin(lj1, ljEnd); lj++ {
 			for k := 0; k < nz-1; k++ {
-				f.Hx.Set(li, lj, k, f.Da.At(li, lj, k)*f.Hx.At(li, lj, k)+
-					f.Db.At(li, lj, k)*((f.Ey.At(li, lj, k+1)-f.Ey.At(li, lj, k))-(f.Ez.At(li, lj+1, k)-f.Ez.At(li, lj, k))))
+				f.Hx.Set(li, lj, k, float64(f.Da.At(li, lj, k)*f.Hx.At(li, lj, k))+
+					float64(f.Db.At(li, lj, k)*((f.Ey.At(li, lj, k+1)-f.Ey.At(li, lj, k))-(f.Ez.At(li, lj+1, k)-f.Ez.At(li, lj, k)))))
 			}
 			count += nz - 1
 		}
@@ -82,8 +85,8 @@ func updateHRangeRef(f *Fields, li0, li1, lj0, lj1 int) int {
 	for li := li0; li < imin(li1, liEnd); li++ {
 		for lj := lj0; lj < lj1; lj++ {
 			for k := 0; k < nz-1; k++ {
-				f.Hy.Set(li, lj, k, f.Da.At(li, lj, k)*f.Hy.At(li, lj, k)+
-					f.Db.At(li, lj, k)*((f.Ez.At(li+1, lj, k)-f.Ez.At(li, lj, k))-(f.Ex.At(li, lj, k+1)-f.Ex.At(li, lj, k))))
+				f.Hy.Set(li, lj, k, float64(f.Da.At(li, lj, k)*f.Hy.At(li, lj, k))+
+					float64(f.Db.At(li, lj, k)*((f.Ez.At(li+1, lj, k)-f.Ez.At(li, lj, k))-(f.Ex.At(li, lj, k+1)-f.Ex.At(li, lj, k)))))
 			}
 			count += nz - 1
 		}
@@ -92,8 +95,8 @@ func updateHRangeRef(f *Fields, li0, li1, lj0, lj1 int) int {
 	for li := li0; li < imin(li1, liEnd); li++ {
 		for lj := lj0; lj < imin(lj1, ljEnd); lj++ {
 			for k := 0; k < nz; k++ {
-				f.Hz.Set(li, lj, k, f.Da.At(li, lj, k)*f.Hz.At(li, lj, k)+
-					f.Db.At(li, lj, k)*((f.Ex.At(li, lj+1, k)-f.Ex.At(li, lj, k))-(f.Ey.At(li+1, lj, k)-f.Ey.At(li, lj, k))))
+				f.Hz.Set(li, lj, k, float64(f.Da.At(li, lj, k)*f.Hz.At(li, lj, k))+
+					float64(f.Db.At(li, lj, k)*((f.Ex.At(li, lj+1, k)-f.Ex.At(li, lj, k))-(f.Ey.At(li+1, lj, k)-f.Ey.At(li, lj, k)))))
 			}
 			count += nz
 		}

@@ -13,8 +13,8 @@ type KernelVariant int
 
 // Kernel variants.
 const (
-	// KernelPencil is the hot path: the fused row-view kernels with
-	// hoisted bounds checks (updateERange/updateHRange).
+	// KernelPencil is the hot path: the fused row-view kernels
+	// (updateERange/updateHRange) over the row primitive yeeRow.
 	KernelPencil KernelVariant = iota
 	// KernelReference is the retained per-cell At/Set specification
 	// (updateERangeRef/updateHRangeRef) — the scalar baseline the
@@ -57,6 +57,7 @@ const KernelBytesPerCell = 2 * 11 * 8
 // update rate of one kernel variant at one tile-worker count.
 type KernelRate struct {
 	Variant     KernelVariant
+	Body        string // row body the pencil kernels ran: "generic" or "avx2"; empty for the reference
 	Workers     int
 	Steps       int     // full E+H steps timed
 	Seconds     float64 // wall clock for those steps
@@ -64,7 +65,11 @@ type KernelRate struct {
 }
 
 func (r KernelRate) String() string {
-	return fmt.Sprintf("%-6s W=%d: %8.1f Mcells/s", r.Variant, r.Workers, r.CellsPerSec/1e6)
+	name := r.Variant.String()
+	if r.Body != "" {
+		name += "/" + r.Body
+	}
+	return fmt.Sprintf("%-14s W=%d: %8.1f Mcells/s", name, r.Workers, r.CellsPerSec/1e6)
 }
 
 // MeasureKernelRate times repeated full-grid E+H sweeps of the given
@@ -96,8 +101,13 @@ func MeasureKernelRate(spec Spec, variant KernelVariant, workers int, minTime ti
 		steps++
 	}
 	secs := time.Since(t0).Seconds()
+	body := ""
+	if variant == KernelPencil {
+		body = activeRow.String()
+	}
 	return KernelRate{
 		Variant:     variant,
+		Body:        body,
 		Workers:     workers,
 		Steps:       steps,
 		Seconds:     secs,
