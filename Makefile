@@ -18,11 +18,14 @@ vet:
 # fast path hands int fds to syscall.Read/Write, and a net.Conn-only
 # implementation for it does not exist yet.  It then vets arm64, where
 # only the generic Yee row exists, and fails if the arm64 build of the
-# Yee kernels contains a fused multiply-add: Go fuses x*y + z there
-# unless an explicit float64(x*y) forbids it, and a fused update would
-# round differently from amd64.
+# Yee kernels, the Mur boundary update, the source pulse or the far
+# field contains a fused multiply-add: Go fuses x*y + z there unless an
+# explicit float64(x*y) forbids it, and a fused update would round
+# differently from amd64.  addPoint is not inlined into accumulate, so
+# both symbols are listed; proj and delay are inlined into addPoint and
+# newFarField, norm3 into newFarField and Validate.
 CROSS_GOOS = linux darwin freebsd
-CROSS_FMA_SYMS = fdtd\.(update[EH]Range|yeeRow)
+CROSS_FMA_SYMS = fdtd\.(update[EH]Range|yeeRow|\(\*murState\)\.murPlane|\(\*farField\)\.(addPoint|accumulate)|newFarField|SourceSpec\.Pulse|Spec\.Validate)
 cross:
 	@for os in $(CROSS_GOOS); do \
 		echo "cross: GOOS=$$os go vet ./..."; \
@@ -30,11 +33,13 @@ cross:
 	done
 	@echo "cross: GOOS=linux GOARCH=arm64 go vet ./..."
 	@GOOS=linux GOARCH=arm64 $(GO) vet ./...
-	@echo "cross: no fused multiply-add in the arm64 Yee kernels"
+	@echo "cross: no fused multiply-add in the arm64 Yee kernels, Mur, source or far field"
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 		GOOS=linux GOARCH=arm64 $(GO) test -c -o "$$dir/fdtd.test" ./internal/fdtd && \
 		$(GO) tool objdump -s '$(CROSS_FMA_SYMS)' "$$dir/fdtd.test" > "$$dir/dis" && \
 		grep -q 'TEXT.*updateERange' "$$dir/dis" && \
+		grep -q 'TEXT.*murPlane' "$$dir/dis" && \
+		grep -q 'TEXT.*addPoint' "$$dir/dis" && \
 		! grep -E 'F(N)?M(ADD|SUB)D' "$$dir/dis"
 
 test:
@@ -42,7 +47,7 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -run 'TestTiledKernelDeterminism|TestFastPathIdentity1D|TestOneProgramIdentity|TestKernelPencilVsReferenceProperty|TestSocketBackendIdentity|TestWorkerBackendIdentity' ./internal/fdtd
+	$(GO) test -race -run 'TestTiledKernelDeterminism|TestFastPathIdentity1D|TestOneProgramIdentity|TestKernelPencilVsReferenceProperty|TestCoefficientTable|TestSocketBackendIdentity|TestWorkerBackendIdentity' ./internal/fdtd
 
 # bench-smoke compiles and runs every benchmark once (no timing) so
 # check catches benchmark rot without paying full benchmark time.  The
@@ -57,12 +62,14 @@ benchmark-smoke:
 	$(GO) test -C benchmark ./...
 
 # kernel-smoke proves the kernel fast path in seconds: every row body
-# is held bitwise to the generic row, the property test pits the fused
-# pencil kernels, once per row body, against the per-cell reference
-# kernels on randomized specs, and a tiny-grid roofline run exercises
-# the stream probe + per-worker measurement end to end.
+# is held bitwise to the generic row, the interned coefficient table is
+# held bitwise to the spec on every block of the paper's grids, the
+# property test pits the fused pencil kernels, once per row body,
+# against the per-cell reference kernels on randomized specs, and a
+# tiny-grid roofline run exercises the stream probe + per-worker
+# measurement end to end.
 kernel-smoke:
-	$(GO) test -run 'TestYeeRow|TestKernelPencilVsReferenceProperty' -count=1 ./internal/fdtd
+	$(GO) test -run 'TestYeeRow|TestCoefficientTable|TestKernelPencilVsReferenceProperty' -count=1 ./internal/fdtd
 	$(GO) run ./cmd/fdtd -roofline -nx 8 -ny 8 -nz 8 -roofline-workers 1,2 -quiet
 
 # net-smoke is the end-to-end acceptance run of the scale-out

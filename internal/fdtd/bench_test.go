@@ -8,6 +8,20 @@ import (
 	"repro/internal/mesh"
 )
 
+// haloGrid is the 24x16x16 Version C grid of the benchmark's
+// halo-p2-socket and job workloads, object layout included.
+func haloGrid(steps int) Spec {
+	spec := SpecTable1()
+	spec.NX, spec.NY, spec.NZ, spec.Steps = 24, 16, 16, steps
+	spec.Source.I, spec.Source.J, spec.Source.K = 12, 8, 8
+	spec.Probe = [3]int{15, 8, 8}
+	spec.Objects = []Object{
+		{I0: 6, I1: 11, J0: 4, J1: 12, K0: 4, K1: 12, EpsR: 4, MuR: 1, Sigma: 0.02},
+		{I0: 14, I1: 19, J0: 5, J1: 11, K0: 5, K1: 11, EpsR: 1, MuR: 2, SigmaM: 0.01},
+	}
+	return spec
+}
+
 // BenchmarkHaloStep runs the exchange-bound workload — the 24×16×16
 // Version C grid, cache-resident, a step a few tens of µs — at P = 1,
 // at P = 2 over in-process channels and at P = 2 over a unix loopback
@@ -15,14 +29,7 @@ import (
 // both P = 2 rows belong below the P = 1 row; if the ranks ever go back
 // to running one at a time, the P = 2 rows rise above it.
 func BenchmarkHaloStep(b *testing.B) {
-	spec := SpecTable1()
-	spec.NX, spec.NY, spec.NZ, spec.Steps = 24, 16, 16, 4096
-	spec.Source.I, spec.Source.J, spec.Source.K = 12, 8, 8
-	spec.Probe = [3]int{15, 8, 8}
-	spec.Objects = []Object{
-		{I0: 6, I1: 11, J0: 4, J1: 12, K0: 4, K1: 12, EpsR: 4, MuR: 1, Sigma: 0.02},
-		{I0: 14, I1: 19, J0: 5, J1: 11, K0: 5, K1: 11, EpsR: 1, MuR: 2, SigmaM: 0.01},
-	}
+	spec := haloGrid(4096)
 	for _, c := range []struct {
 		name   string
 		p      int
@@ -56,8 +63,8 @@ func BenchmarkHaloStep(b *testing.B) {
 // reproducible with `go test -bench`.
 func BenchmarkKernels(b *testing.B) {
 	spec := SpecFigure2()
-	f := newFields(spec, grid.Range{Lo: 0, Hi: spec.NX}, grid.Range{Lo: 0, Hi: spec.NY})
-	f.fillCoefficientsLocal()
+	xr, yr := grid.Range{Lo: 0, Hi: spec.NX}, grid.Range{Lo: 0, Hi: spec.NY}
+	f := newFields(spec, xr, yr, internCoefficients(spec, xr, yr))
 	benchRowBodies(b, func(b *testing.B) {
 		updates := 0
 		for i := 0; i < b.N; i++ {
@@ -73,10 +80,9 @@ func BenchmarkKernels(b *testing.B) {
 // halo-p2-socket workload, so the speedups the roofline report claims
 // are reproducible with `go test -bench` on a grid the benchmark runs.
 func BenchmarkKernelsBenchGrid(b *testing.B) {
-	spec := SpecTable1()
-	spec.NX, spec.NY, spec.NZ = 24, 16, 16
-	f := newFields(spec, grid.Range{Lo: 0, Hi: spec.NX}, grid.Range{Lo: 0, Hi: spec.NY})
-	f.fillCoefficientsLocal()
+	spec := haloGrid(1)
+	xr, yr := grid.Range{Lo: 0, Hi: spec.NX}, grid.Range{Lo: 0, Hi: spec.NY}
+	f := newFields(spec, xr, yr, internCoefficients(spec, xr, yr))
 	run := func(updE, updH kernel) func(b *testing.B) {
 		return func(b *testing.B) {
 			updates := 0
@@ -123,8 +129,7 @@ func BenchmarkFarFieldAccumulate(b *testing.B) {
 	spec := SpecTable1()
 	full := grid.Range{Lo: 0, Hi: spec.NX}
 	fullY := grid.Range{Lo: 0, Hi: spec.NY}
-	f := newFields(spec, full, fullY)
-	f.fillCoefficientsLocal()
+	f := newFields(spec, full, fullY, nil)
 	ff := newFarField(spec, false)
 	b.ResetTimer()
 	points := 0

@@ -2,6 +2,7 @@ package fdtd
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/grid"
 	"repro/internal/mesh"
@@ -32,10 +33,11 @@ type decomposition interface {
 	block(rank int) block
 	// owner returns the rank owning global column (i, j).
 	owner(i, j int) int
-	// scatter distributes a global grid held by the host into ghost-free
-	// local sections; gather is its inverse, returning the assembled
-	// grid on the host and nil elsewhere.
-	scatter(c *mesh.Comm, global *grid.G3) *grid.G3
+	// scatter distributes a global nx x ny x nz grid held by the host
+	// into ghost-free local sections (nz is 1 for a plane of per-column
+	// values); gather is its inverse for full-depth grids, returning the
+	// assembled grid on the host and nil elsewhere.
+	scatter(c *mesh.Comm, global *grid.G3, nz int) *grid.G3
 	gather(c *mesh.Comm, local *grid.G3) *grid.G3
 }
 
@@ -65,7 +67,13 @@ func (s slabs) owner(i, _ int) int {
 	panic(fmt.Sprintf("fdtd: no slab owns x=%d", i))
 }
 
-func (s slabs) scatter(c *mesh.Comm, global *grid.G3) *grid.G3 {
+func (s slabs) scatter(c *mesh.Comm, global *grid.G3, nz int) *grid.G3 {
+	if nz != s[0].NZ {
+		s = slices.Clone(s)
+		for i := range s {
+			s[i].NZ = nz
+		}
+	}
 	return c.ScatterX(global, s, 0, 0)
 }
 
@@ -97,8 +105,8 @@ func (b blocks2D) block(rank int) block {
 
 func (b blocks2D) owner(i, j int) int { return b.topo.Owner(i, j) }
 
-func (b blocks2D) scatter(c *mesh.Comm, global *grid.G3) *grid.G3 {
-	return c.Scatter3DBlocks(global, b.topo, b.nz, 0, 0, 0)
+func (b blocks2D) scatter(c *mesh.Comm, global *grid.G3, nz int) *grid.G3 {
+	return c.Scatter3DBlocks(global, b.topo, nz, 0, 0, 0)
 }
 
 func (b blocks2D) gather(c *mesh.Comm, local *grid.G3) *grid.G3 {

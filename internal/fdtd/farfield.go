@@ -126,7 +126,7 @@ func newFarField(spec Spec, compensated bool) *farField {
 }
 
 func (ff *farField) proj(i, j, k int) float64 {
-	return ff.rhat[0]*float64(i) + ff.rhat[1]*float64(j) + ff.rhat[2]*float64(k)
+	return float64(ff.rhat[0]*float64(i)) + float64(ff.rhat[1]*float64(j)) + float64(ff.rhat[2]*float64(k))
 }
 
 // delay returns the future-sample offset for a surface point.
@@ -136,17 +136,20 @@ func (ff *farField) delay(i, j, k int) int {
 
 // addPoint adds one surface point's projected equivalent currents
 // (J = n x H, M = -(n x E), both projected onto pol) to the potential
-// samples at the point's delayed time index.
+// samples at the point's delayed time index.  Every product sits in an
+// explicit float64 conversion, as in yeeRowGeneric, so no build fuses a
+// cross or dot product into an FMA and the potentials carry the same
+// bits on every architecture.
 func (ff *farField) addPoint(face, i, j, k, n int, e0, e1, e2, h0, h1, h2 float64) {
 	nv := faceNormals[face]
-	jx := nv[1]*h2 - nv[2]*h1
-	jy := nv[2]*h0 - nv[0]*h2
-	jz := nv[0]*h1 - nv[1]*h0
-	mx := -(nv[1]*e2 - nv[2]*e1)
-	my := -(nv[2]*e0 - nv[0]*e2)
-	mz := -(nv[0]*e1 - nv[1]*e0)
-	a := jx*ff.pol[0] + jy*ff.pol[1] + jz*ff.pol[2]
-	f := mx*ff.pol[0] + my*ff.pol[1] + mz*ff.pol[2]
+	jx := float64(nv[1]*h2) - float64(nv[2]*h1)
+	jy := float64(nv[2]*h0) - float64(nv[0]*h2)
+	jz := float64(nv[0]*h1) - float64(nv[1]*h0)
+	mx := -(float64(nv[1]*e2) - float64(nv[2]*e1))
+	my := -(float64(nv[2]*e0) - float64(nv[0]*e2))
+	mz := -(float64(nv[0]*e1) - float64(nv[1]*e0))
+	a := float64(jx*ff.pol[0]) + float64(jy*ff.pol[1]) + float64(jz*ff.pol[2])
+	f := float64(mx*ff.pol[0]) + float64(my*ff.pol[1]) + float64(mz*ff.pol[2])
 	m := n + ff.delay(i, j, k)
 	if ff.compensated {
 		ff.A[m], ff.compA[m] = neumaierAdd(ff.A[m], ff.compA[m], a)

@@ -206,6 +206,11 @@ func TestHostIOAndConcurrentIOAgree(t *testing.T) {
 	if !a.NearFieldEqual(b) || !a.FarFieldEqual(b) {
 		t.Fatal("host-I/O and concurrent-I/O coefficient setup must agree")
 	}
+	dec, err := decompose(spec, 3, 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireHostIOTablesAgree(t, spec, dec)
 }
 
 func TestMessageCombiningDoesNotChangeResults(t *testing.T) {

@@ -5,70 +5,33 @@ import (
 )
 
 // Fields holds one process's local section of the six Yee field
-// components and the four update-coefficient grids.  The local section
+// components and its interned update coefficients.  The local section
 // is the block XR x YR of the global grid (the z axis is never split);
-// field grids carry a one-plane ghost boundary along x and y, while
-// coefficient grids have none (coefficients are only read at interior
-// cells).  A 1-D slab decomposition is the special case YR == [0, NY).
+// field grids carry a one-plane ghost boundary along x and y.  The
+// coefficients are not grids: because materials are axis-aligned boxes,
+// Coef maps each local pencil column to one of a few shared row sets
+// (coefTable).  A 1-D slab decomposition is the special case
+// YR == [0, NY).
 type Fields struct {
-	Spec           Spec
-	XR, YR         grid.Range
-	Ex, Ey, Ez     *grid.G3
-	Hx, Hy, Hz     *grid.G3
-	Ca, Cb, Da, Db *grid.G3
+	Spec       Spec
+	XR, YR     grid.Range
+	Ex, Ey, Ez *grid.G3
+	Hx, Hy, Hz *grid.G3
+	Coef       *coefTable
 }
 
-// newFields allocates zeroed local fields for a block.  Coefficients
-// must be filled separately (locally or by host scatter).
-func newFields(spec Spec, xr, yr grid.Range) *Fields {
-	mk := func(ghost int) *grid.G3 {
-		return grid.New3G(xr.Len(), yr.Len(), spec.NZ, ghost, ghost, 0)
+// newFields allocates zeroed local fields for a block with coefficient
+// table coef.
+func newFields(spec Spec, xr, yr grid.Range, coef *coefTable) *Fields {
+	mk := func() *grid.G3 {
+		return grid.New3G(xr.Len(), yr.Len(), spec.NZ, 1, 1, 0)
 	}
 	return &Fields{
 		Spec: spec, XR: xr, YR: yr,
-		Ex: mk(1), Ey: mk(1), Ez: mk(1),
-		Hx: mk(1), Hy: mk(1), Hz: mk(1),
-		Ca: mk(0), Cb: mk(0), Da: mk(0), Db: mk(0),
+		Ex: mk(), Ey: mk(), Ez: mk(),
+		Hx: mk(), Hy: mk(), Hz: mk(),
+		Coef: coef,
 	}
-}
-
-// fillCoefficientsLocal computes the update coefficients for the local
-// section directly from the spec (the "concurrent I/O" alternative to
-// host scattering: every process derives its own slice of the global
-// data).
-// The loop is the documented example of the row-view idiom the hot
-// kernels use: take one Row per grid, re-slice the rest to the first
-// row's length so the compiler drops the per-element bounds checks,
-// and walk the contiguous z-run.
-func (f *Fields) fillCoefficientsLocal() {
-	for li := 0; li < f.Ca.NX(); li++ {
-		gi := f.XR.Lo + li
-		for lj := 0; lj < f.Ca.NY(); lj++ {
-			gj := f.YR.Lo + lj
-			caR := f.Ca.Row(li, lj)
-			cbR := f.Cb.Row(li, lj)[:len(caR)]
-			daR := f.Da.Row(li, lj)[:len(caR)]
-			dbR := f.Db.Row(li, lj)[:len(caR)]
-			for k := range caR {
-				caR[k], cbR[k], daR[k], dbR[k] = f.Spec.Coefficients(gi, gj, k)
-			}
-		}
-	}
-}
-
-// hostCoefficients builds the global coefficient grids the host
-// scatters (Options.HostIO): the local fill on the one block covering
-// the whole domain.  Only the coefficient grids of the returned Fields
-// are set.
-func hostCoefficients(spec Spec) Fields {
-	mk := func() *grid.G3 { return grid.New3(spec.NX, spec.NY, spec.NZ, 0) }
-	g := Fields{
-		Spec: spec,
-		XR:   grid.Range{Lo: 0, Hi: spec.NX}, YR: grid.Range{Lo: 0, Hi: spec.NY},
-		Ca: mk(), Cb: mk(), Da: mk(), Db: mk(),
-	}
-	g.fillCoefficientsLocal()
-	return g
 }
 
 // addSource injects the step-n source value into the local Ez section.
@@ -142,7 +105,8 @@ func imin(a, b int) int {
 // fields no window writes.
 //
 // Each component is one yeeRow call over contiguous z-rows
-// (grid.G3.Row views): every component update has the row primitive's
+// (grid.G3.Row views of the fields, the column's interned rows of the
+// coefficient table): every component update has the row primitive's
 // shape out = a*out + b*((p-q) - (r-s)), and the backward z stencil
 // (H at k-1) is the row view shifted by one, so Ex at k >= 1 is
 // yeeRow(ex[1:], ..., hy[1:], hy[:n-1]).  No lane of a row depends on
@@ -150,8 +114,9 @@ func imin(a, b int) int {
 //
 // The three component sweeps are fused into one (li, lj) traversal:
 // the coefficient rows (and the shared field rows) are fetched once
-// per pencil column instead of once per component, cutting the memory
-// traffic of the coefficient grids to a third.  Fusing is invisible in
+// per pencil column instead of once per component.  The coefficient
+// rows are a few shared table rows, so they stay in L1 and the sweep
+// streams only the field grids.  Fusing is invisible in
 // the results because no E component reads another E component — the
 // three updates at one column commute — so only independent operations
 // are permuted (Theorem 1 again).  The per-cell expressions are
@@ -176,8 +141,8 @@ func updateERange(f *Fields, li0, li1, lj0, lj1 int) int {
 			if !doI && !doJ {
 				continue
 			}
-			caP := f.Ca.Row(li, lj)
-			cbP := f.Cb.Row(li, lj)
+			cr := f.Coef.rows(li, lj)
+			caP, cbP := cr.ca, cr.cb
 			hxP := f.Hx.Row(li, lj)
 			hyP := f.Hy.Row(li, lj)
 			hzP := f.Hz.Row(li, lj)
@@ -236,8 +201,8 @@ func updateHRange(f *Fields, li0, li1, lj0, lj1 int) int {
 			if !doI && !doJ {
 				continue
 			}
-			daP := f.Da.Row(li, lj)
-			dbP := f.Db.Row(li, lj)
+			cr := f.Coef.rows(li, lj)
+			daP, dbP := cr.da, cr.db
 			exP := f.Ex.Row(li, lj)
 			eyP := f.Ey.Row(li, lj)
 			ezP := f.Ez.Row(li, lj)

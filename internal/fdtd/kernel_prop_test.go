@@ -7,15 +7,30 @@ import (
 	"repro/internal/grid"
 )
 
-// cloneFields deep-copies a block's fields and coefficients so two
-// kernel implementations can advance the same state independently.
+// cloneFields deep-copies a block's fields so two kernel
+// implementations can advance the same state independently; the
+// read-only coefficient table is shared.
 func cloneFields(f *Fields) *Fields {
 	return &Fields{
 		Spec: f.Spec, XR: f.XR, YR: f.YR,
 		Ex: f.Ex.Clone(), Ey: f.Ey.Clone(), Ez: f.Ez.Clone(),
 		Hx: f.Hx.Clone(), Hy: f.Hy.Clone(), Hz: f.Hz.Clone(),
-		Ca: f.Ca.Clone(), Cb: f.Cb.Clone(), Da: f.Da.Clone(), Db: f.Db.Clone(),
+		Coef: f.Coef,
 	}
+}
+
+// randomBox draws an axis-aligned material box anywhere in the grid,
+// with random material parameters.
+func randomBox(rng *rand.Rand, spec Spec) Object {
+	span := func(n int) (lo, hi int) {
+		lo = rng.Intn(n)
+		return lo, lo + 1 + rng.Intn(n-lo)
+	}
+	o := Object{EpsR: 1 + rng.Float64(), MuR: 1 + rng.Float64(), Sigma: rng.Float64(), SigmaM: rng.Float64()}
+	o.I0, o.I1 = span(spec.NX)
+	o.J0, o.J1 = span(spec.NY)
+	o.K0, o.K1 = span(spec.NZ)
+	return o
 }
 
 // randomizeStorage fills a grid's entire backing array — ghost cells
@@ -30,9 +45,13 @@ func randomizeStorage(rng *rand.Rand, g *grid.G3) {
 
 // TestKernelPencilVsReferenceProperty is the executable form of the
 // claim in kernel_ref.go: on ANY window of ANY block of ANY spec, the
-// fused row-view kernels (updateERange/updateHRange) produce bitwise
-// the results of the per-cell reference kernels.  Each trial draws a
-// random spec (sizes, material objects, PEC or Mur boundary), a random
+// fused row-view kernels (updateERange/updateHRange) over the block's
+// interned coefficient table produce bitwise the results of the
+// per-cell reference kernels, which read every coefficient from the
+// spec.  Each trial draws a random spec (sizes, zero to three possibly
+// overlapping material boxes — later ones override, so blocks hold
+// several column classes with overlapping footprints — PEC or Mur
+// boundary), a random
 // block of the global domain (so every PEC-clamp and ghost-read case
 // occurs: interior blocks, boundary blocks, the full domain), random
 // field state including ghosts, and a random — possibly empty — update
@@ -60,14 +79,8 @@ func testKernelPencilVsReference(t *testing.T) {
 		if rng.Intn(2) == 1 {
 			spec.Boundary = BoundaryMur1
 		}
-		if rng.Intn(2) == 1 {
-			spec.Objects = []Object{{
-				I0: 1, I1: 1 + rng.Intn(spec.NX-1),
-				J0: 1, J1: 1 + rng.Intn(spec.NY-1),
-				K0: 1, K1: 1 + rng.Intn(spec.NZ-1),
-				EpsR: 1 + rng.Float64(), MuR: 1 + rng.Float64(),
-				Sigma: rng.Float64(), SigmaM: rng.Float64(),
-			}}
+		for n := rng.Intn(4); n > 0; n-- {
+			spec.Objects = append(spec.Objects, randomBox(rng, spec))
 		}
 		if err := spec.Validate(); err != nil {
 			t.Fatalf("trial %d: spec invalid: %v", trial, err)
@@ -77,8 +90,7 @@ func testKernelPencilVsReference(t *testing.T) {
 		ylo := rng.Intn(spec.NY)
 		yr := grid.Range{Lo: ylo, Hi: ylo + 1 + rng.Intn(spec.NY-ylo)}
 
-		fast := newFields(spec, xr, yr)
-		fast.fillCoefficientsLocal()
+		fast := newFields(spec, xr, yr, internCoefficients(spec, xr, yr))
 		for _, g := range []*grid.G3{fast.Ex, fast.Ey, fast.Ez, fast.Hx, fast.Hy, fast.Hz} {
 			randomizeStorage(rng, g)
 		}

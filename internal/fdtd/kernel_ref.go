@@ -6,7 +6,11 @@ package fdtd
 // fast kernels with every row view replaced by a scalar At/Set access,
 // and each per-cell expression is operation-for-operation identical —
 // same operands, same order, same rounding — so the fast kernels must
-// reproduce their results bitwise on any window.  Each product sits in
+// reproduce their results bitwise on any window.  Every coefficient
+// comes straight from Spec.Coefficients at the cell's global index, not
+// from the block's interned coefficient table, so the property tests
+// hold the table to the spec as well as the row kernels to the per-cell
+// form.  Each product sits in
 // an explicit float64 conversion, as in yeeRowGeneric, so no build may
 // fuse it into an FMA and the bits are the same on every architecture.
 // The property tests (TestKernelPencilVsReferenceProperty) pit the two
@@ -29,8 +33,9 @@ func updateERangeRef(f *Fields, li0, li1, lj0, lj1 int) int {
 	for li := li0; li < li1; li++ {
 		for lj := imax(lj0, ljStart); lj < lj1; lj++ {
 			for k := 1; k < nz; k++ {
-				f.Ex.Set(li, lj, k, float64(f.Ca.At(li, lj, k)*f.Ex.At(li, lj, k))+
-					float64(f.Cb.At(li, lj, k)*((f.Hz.At(li, lj, k)-f.Hz.At(li, lj-1, k))-(f.Hy.At(li, lj, k)-f.Hy.At(li, lj, k-1)))))
+				ca, cb, _, _ := f.Spec.Coefficients(f.XR.Lo+li, f.YR.Lo+lj, k)
+				f.Ex.Set(li, lj, k, float64(ca*f.Ex.At(li, lj, k))+
+					float64(cb*((f.Hz.At(li, lj, k)-f.Hz.At(li, lj-1, k))-(f.Hy.At(li, lj, k)-f.Hy.At(li, lj, k-1)))))
 			}
 			count += nz - 1
 		}
@@ -39,8 +44,9 @@ func updateERangeRef(f *Fields, li0, li1, lj0, lj1 int) int {
 	for li := imax(li0, liStart); li < li1; li++ {
 		for lj := lj0; lj < lj1; lj++ {
 			for k := 1; k < nz; k++ {
-				f.Ey.Set(li, lj, k, float64(f.Ca.At(li, lj, k)*f.Ey.At(li, lj, k))+
-					float64(f.Cb.At(li, lj, k)*((f.Hx.At(li, lj, k)-f.Hx.At(li, lj, k-1))-(f.Hz.At(li, lj, k)-f.Hz.At(li-1, lj, k)))))
+				ca, cb, _, _ := f.Spec.Coefficients(f.XR.Lo+li, f.YR.Lo+lj, k)
+				f.Ey.Set(li, lj, k, float64(ca*f.Ey.At(li, lj, k))+
+					float64(cb*((f.Hx.At(li, lj, k)-f.Hx.At(li, lj, k-1))-(f.Hz.At(li, lj, k)-f.Hz.At(li-1, lj, k)))))
 			}
 			count += nz - 1
 		}
@@ -49,8 +55,9 @@ func updateERangeRef(f *Fields, li0, li1, lj0, lj1 int) int {
 	for li := imax(li0, liStart); li < li1; li++ {
 		for lj := imax(lj0, ljStart); lj < lj1; lj++ {
 			for k := 0; k < nz; k++ {
-				f.Ez.Set(li, lj, k, float64(f.Ca.At(li, lj, k)*f.Ez.At(li, lj, k))+
-					float64(f.Cb.At(li, lj, k)*((f.Hy.At(li, lj, k)-f.Hy.At(li-1, lj, k))-(f.Hx.At(li, lj, k)-f.Hx.At(li, lj-1, k)))))
+				ca, cb, _, _ := f.Spec.Coefficients(f.XR.Lo+li, f.YR.Lo+lj, k)
+				f.Ez.Set(li, lj, k, float64(ca*f.Ez.At(li, lj, k))+
+					float64(cb*((f.Hy.At(li, lj, k)-f.Hy.At(li-1, lj, k))-(f.Hx.At(li, lj, k)-f.Hx.At(li, lj-1, k)))))
 			}
 			count += nz
 		}
@@ -75,8 +82,9 @@ func updateHRangeRef(f *Fields, li0, li1, lj0, lj1 int) int {
 	for li := li0; li < li1; li++ {
 		for lj := lj0; lj < imin(lj1, ljEnd); lj++ {
 			for k := 0; k < nz-1; k++ {
-				f.Hx.Set(li, lj, k, float64(f.Da.At(li, lj, k)*f.Hx.At(li, lj, k))+
-					float64(f.Db.At(li, lj, k)*((f.Ey.At(li, lj, k+1)-f.Ey.At(li, lj, k))-(f.Ez.At(li, lj+1, k)-f.Ez.At(li, lj, k)))))
+				_, _, da, db := f.Spec.Coefficients(f.XR.Lo+li, f.YR.Lo+lj, k)
+				f.Hx.Set(li, lj, k, float64(da*f.Hx.At(li, lj, k))+
+					float64(db*((f.Ey.At(li, lj, k+1)-f.Ey.At(li, lj, k))-(f.Ez.At(li, lj+1, k)-f.Ez.At(li, lj, k)))))
 			}
 			count += nz - 1
 		}
@@ -85,8 +93,9 @@ func updateHRangeRef(f *Fields, li0, li1, lj0, lj1 int) int {
 	for li := li0; li < imin(li1, liEnd); li++ {
 		for lj := lj0; lj < lj1; lj++ {
 			for k := 0; k < nz-1; k++ {
-				f.Hy.Set(li, lj, k, float64(f.Da.At(li, lj, k)*f.Hy.At(li, lj, k))+
-					float64(f.Db.At(li, lj, k)*((f.Ez.At(li+1, lj, k)-f.Ez.At(li, lj, k))-(f.Ex.At(li, lj, k+1)-f.Ex.At(li, lj, k)))))
+				_, _, da, db := f.Spec.Coefficients(f.XR.Lo+li, f.YR.Lo+lj, k)
+				f.Hy.Set(li, lj, k, float64(da*f.Hy.At(li, lj, k))+
+					float64(db*((f.Ez.At(li+1, lj, k)-f.Ez.At(li, lj, k))-(f.Ex.At(li, lj, k+1)-f.Ex.At(li, lj, k)))))
 			}
 			count += nz - 1
 		}
@@ -95,8 +104,9 @@ func updateHRangeRef(f *Fields, li0, li1, lj0, lj1 int) int {
 	for li := li0; li < imin(li1, liEnd); li++ {
 		for lj := lj0; lj < imin(lj1, ljEnd); lj++ {
 			for k := 0; k < nz; k++ {
-				f.Hz.Set(li, lj, k, float64(f.Da.At(li, lj, k)*f.Hz.At(li, lj, k))+
-					float64(f.Db.At(li, lj, k)*((f.Ex.At(li, lj+1, k)-f.Ex.At(li, lj, k))-(f.Ey.At(li+1, lj, k)-f.Ey.At(li, lj, k)))))
+				_, _, da, db := f.Spec.Coefficients(f.XR.Lo+li, f.YR.Lo+lj, k)
+				f.Hz.Set(li, lj, k, float64(da*f.Hz.At(li, lj, k))+
+					float64(db*((f.Ex.At(li, lj+1, k)-f.Ex.At(li, lj, k))-(f.Ey.At(li+1, lj, k)-f.Ey.At(li, lj, k)))))
 			}
 			count += nz
 		}

@@ -148,7 +148,9 @@ func (m *murState) snapshot(ey, ez, ex *grid.G3) {
 // Both plane buffers come from the murState scratch, so the per-step
 // boundary update allocates nothing; the inner loop re-slices the
 // snapshot rows to the output length so the bounds checks hoist (the
-// same row-view idiom as the field kernels).
+// same row-view idiom as the field kernels).  The product sits in an
+// explicit float64 conversion, as in yeeRowGeneric, so no build fuses
+// the update into an FMA.
 func (m *murState) murPlane(g *grid.G3, axis grid.Axis, boundary, inner int, oldB, oldIn []float64) int {
 	cur := g.PackPlane(axis, inner, m.cur[:len(oldB)])
 	out := m.out[:len(cur)]
@@ -156,7 +158,7 @@ func (m *murState) murPlane(g *grid.G3, axis grid.Axis, boundary, inner int, old
 	oldInS := oldIn[:len(out)]
 	curS := cur[:len(out)]
 	for i := range out {
-		out[i] = oldInS[i] + m.coef*(curS[i]-oldBS[i])
+		out[i] = oldInS[i] + float64(m.coef*(curS[i]-oldBS[i]))
 	}
 	g.UnpackPlane(axis, boundary, out)
 	return len(out)

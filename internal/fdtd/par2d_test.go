@@ -103,6 +103,11 @@ func TestHostIO2DAgreesWithLocal(t *testing.T) {
 	if !a.NearFieldEqual(b) {
 		t.Fatal("2-D host I/O and local coefficients must agree")
 	}
+	dec, err := decompose(spec, 2, 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireHostIOTablesAgree(t, spec, dec)
 }
 
 func TestRunArchetype2DErrors(t *testing.T) {

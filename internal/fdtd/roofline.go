@@ -17,8 +17,9 @@ const (
 	// (updateERange/updateHRange) over the row primitive yeeRow.
 	KernelPencil KernelVariant = iota
 	// KernelReference is the retained per-cell At/Set specification
-	// (updateERangeRef/updateHRangeRef) — the scalar baseline the
-	// pencil speedup is honest against.
+	// (updateERangeRef/updateHRangeRef).  It evaluates
+	// Spec.Coefficients at every cell component, so its rate is the
+	// cost of the specification, not a kernel baseline.
 	KernelReference
 )
 
@@ -46,12 +47,14 @@ func (v KernelVariant) kernels() (updE, updH kernel) {
 }
 
 // KernelBytesPerCell is the memory-traffic model of one full (E+H)
-// Yee step, in bytes per cell: each sweep streams eleven float64
-// grids per cell — three components read+written, three read, and two
-// coefficient grids read — under the roofline convention that within
-// a sweep each grid crosses the memory bus once (stencil-neighbour
-// reuse is cache-resident).  2 sweeps x 11 accesses x 8 bytes.
-const KernelBytesPerCell = 2 * 11 * 8
+// Yee step, in bytes per cell: each sweep streams nine float64 field
+// grids per cell — three components read+written and three read —
+// under the roofline convention that within a sweep each grid crosses
+// the memory bus once (stencil-neighbour reuse is cache-resident).  The
+// update coefficients add nothing: they are a few interned table rows
+// (coefTable) shared by every pencil column, resident in L1.
+// 2 sweeps x 9 accesses x 8 bytes.
+const KernelBytesPerCell = 2 * 9 * 8
 
 // KernelRate is one roofline measurement: the achieved full-step
 // update rate of one kernel variant at one tile-worker count.
@@ -82,8 +85,7 @@ func (r KernelRate) String() string {
 func MeasureKernelRate(spec Spec, variant KernelVariant, workers int, minTime time.Duration) KernelRate {
 	xr := grid.Range{Lo: 0, Hi: spec.NX}
 	yr := grid.Range{Lo: 0, Hi: spec.NY}
-	f := newFields(spec, xr, yr)
-	f.fillCoefficientsLocal()
+	f := newFields(spec, xr, yr, internCoefficients(spec, xr, yr))
 	updE, updH := variant.kernels()
 	tp := newTilePool(workers)
 	defer tp.close()

@@ -91,12 +91,14 @@ type SourceSpec struct {
 	Kind      SourceKind
 }
 
-// Pulse returns the source value at step n.
+// Pulse returns the source value at step n.  The Ricker product 2u^2
+// sits in an explicit float64 conversion so no build fuses 1 - 2u^2
+// into an FMA.
 func (s SourceSpec) Pulse(n int) float64 {
 	u := (float64(n) - s.Delay) / s.Width
 	switch s.Shape {
 	case PulseRicker:
-		return s.Amplitude * (1 - 2*u*u) * math.Exp(-u*u)
+		return s.Amplitude * (1 - float64(2*u*u)) * math.Exp(-u*u)
 	default:
 		return s.Amplitude * math.Exp(-u*u)
 	}
@@ -189,8 +191,10 @@ func (s Spec) inGrid(i, j, k int) bool {
 // IsVersionC reports whether the spec includes far-field calculations.
 func (s Spec) IsVersionC() bool { return s.FarField != nil }
 
+// norm3 is the Euclidean norm, its products pinned against FMA fusion
+// like every far-field product it normalises for.
 func norm3(v [3]float64) float64 {
-	return math.Sqrt(v[0]*v[0] + v[1]*v[1] + v[2]*v[2])
+	return math.Sqrt(float64(v[0]*v[0]) + float64(v[1]*v[1]) + float64(v[2]*v[2]))
 }
 
 // material returns the material parameters at a global cell.

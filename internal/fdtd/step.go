@@ -260,24 +260,8 @@ func (pr *program) rank(c *mesh.Comm) *Result {
 	rank := c.Rank()
 	host := rank == 0
 	b := dec.block(rank)
-	f := newFields(spec, b.xr, b.yr)
+	f := newFields(spec, b.xr, b.yr, loadCoefficients(c, spec, dec, b, opt.HostIO))
 	local := [6]*grid.G3{f.Ex, f.Ey, f.Ez, f.Hx, f.Hy, f.Hz}
-
-	if opt.HostIO {
-		// Host process builds the global material-coefficient grids (as
-		// if read from an input file) and scatters them to the grid
-		// processes.
-		var g Fields
-		if host {
-			g = hostCoefficients(spec)
-		}
-		f.Ca = dec.scatter(c, g.Ca)
-		f.Cb = dec.scatter(c, g.Cb)
-		f.Da = dec.scatter(c, g.Da)
-		f.Db = dec.scatter(c, g.Db)
-	} else {
-		f.fillCoefficientsLocal()
-	}
 
 	var ff *farField
 	if spec.IsVersionC() {
@@ -302,7 +286,7 @@ func (pr *program) rank(c *mesh.Comm) *Result {
 			}
 		}
 		for i, l := range local {
-			sec := dec.scatter(c, global[i])
+			sec := dec.scatter(c, global[i], spec.NZ)
 			for li := 0; li < l.NX(); li++ {
 				for lj := 0; lj < l.NY(); lj++ {
 					copy(l.Pencil(li, lj), sec.Pencil(li, lj))
