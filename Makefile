@@ -18,14 +18,14 @@ vet:
 # fast path hands int fds to syscall.Read/Write, and a net.Conn-only
 # implementation for it does not exist yet.  It then vets arm64, where
 # only the generic Yee row exists, and fails if the arm64 build of the
-# Yee kernels, the Mur boundary update, the source pulse or the far
-# field contains a fused multiply-add: Go fuses x*y + z there unless an
-# explicit float64(x*y) forbids it, and a fused update would round
-# differently from amd64.  addPoint is not inlined into accumulate, so
+# Yee kernels, the Mur boundary update, the source pulse, the far
+# field or the RCS post-processing (dft, Result.RCS) contains a fused
+# multiply-add: Go fuses x*y + z there unless an explicit float64(x*y)
+# forbids it, and a fused update would round differently from amd64.  addPoint is not inlined into accumulate, so
 # both symbols are listed; proj and delay are inlined into addPoint and
 # newFarField, norm3 into newFarField and Validate.
 CROSS_GOOS = linux darwin freebsd
-CROSS_FMA_SYMS = fdtd\.(update[EH]Range|yeeRow|\(\*murState\)\.murPlane|\(\*farField\)\.(addPoint|accumulate)|newFarField|SourceSpec\.Pulse|Spec\.Validate)
+CROSS_FMA_SYMS = fdtd\.(update[EH]Range|yeeRow|\(\*murState\)\.murPlane|\(\*farField\)\.(addPoint|accumulate)|newFarField|SourceSpec\.Pulse|Spec\.Validate|dft|\(\*Result\)\.RCS)
 cross:
 	@for os in $(CROSS_GOOS); do \
 		echo "cross: GOOS=$$os go vet ./..."; \
@@ -33,13 +33,14 @@ cross:
 	done
 	@echo "cross: GOOS=linux GOARCH=arm64 go vet ./..."
 	@GOOS=linux GOARCH=arm64 $(GO) vet ./...
-	@echo "cross: no fused multiply-add in the arm64 Yee kernels, Mur, source or far field"
+	@echo "cross: no fused multiply-add in the arm64 Yee kernels, Mur, source, far field or RCS"
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 		GOOS=linux GOARCH=arm64 $(GO) test -c -o "$$dir/fdtd.test" ./internal/fdtd && \
 		$(GO) tool objdump -s '$(CROSS_FMA_SYMS)' "$$dir/fdtd.test" > "$$dir/dis" && \
 		grep -q 'TEXT.*updateERange' "$$dir/dis" && \
 		grep -q 'TEXT.*murPlane' "$$dir/dis" && \
 		grep -q 'TEXT.*addPoint' "$$dir/dis" && \
+		grep -q 'TEXT.*RCS' "$$dir/dis" && \
 		! grep -E 'F(N)?M(ADD|SUB)D' "$$dir/dis"
 
 test:
@@ -47,7 +48,7 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -run 'TestTiledKernelDeterminism|TestFastPathIdentity1D|TestOneProgramIdentity|TestKernelPencilVsReferenceProperty|TestCoefficientTable|TestSocketBackendIdentity|TestWorkerBackendIdentity' ./internal/fdtd
+	$(GO) test -race -run 'TestTiledKernelDeterminism|TestFastPathIdentity1D|TestFastPathIdentity2D|TestOneProgramIdentity|TestKernelPencilVsReferenceProperty|TestCoefficientTable|TestSocketBackendIdentity|TestWorkerBackendIdentity' ./internal/fdtd
 
 # bench-smoke compiles and runs every benchmark once (no timing) so
 # check catches benchmark rot without paying full benchmark time.  The

@@ -186,7 +186,9 @@ func BenchmarkAblationHostIO(b *testing.B) {
 }
 
 // BenchmarkAblationDirectionalExchange compares the leapfrog-aware
-// directional exchange against refreshing the full ghost boundary.
+// directional exchange — the send and receive halves of one direction,
+// as the FDTD stepper runs them — against refreshing the full ghost
+// boundary of both grids in one coalesced exchange.
 func BenchmarkAblationDirectionalExchange(b *testing.B) {
 	const nx, ny, nz, p, steps = 32, 32, 32, 4, 16
 	slabs := grid.SlabDecompose3(nx, ny, nz, p, grid.AxisX)
@@ -195,14 +197,17 @@ func BenchmarkAblationDirectionalExchange(b *testing.B) {
 		opt := mesh.DefaultOptions()
 		opt.Tally = ta
 		_, err := mesh.Run(p, mesh.Sim, opt, func(c *mesh.Comm) int {
-			g1 := slabs[c.Rank()].NewLocal3(1)
-			g2 := slabs[c.Rank()].NewLocal3(1)
+			gs := []*grid.G3{slabs[c.Rank()].NewLocal3(1), slabs[c.Rank()].NewLocal3(1)}
+			up, down := c.Rank()+1, c.Rank()-1
+			if up == p {
+				up = -1
+			}
 			for s := 0; s < steps; s++ {
 				if full {
-					c.ExchangeGhostPlanesX(g1)
-					c.ExchangeGhostPlanesX(g2)
+					c.ExchangeGhostPlanesMulti(grid.AxisX, gs...)
 				} else {
-					c.SendUpX(g1, g2)
+					c.StartSendUpTo(grid.AxisX, up, gs...)
+					c.FinishSendUpTo(grid.AxisX, down, gs...)
 				}
 			}
 			return 0
@@ -352,7 +357,7 @@ func BenchmarkAblationGhostWidth(b *testing.B) {
 			g := slabs[c.Rank()].NewLocal3(width)
 			for s := 0; s < steps; s++ {
 				if s%width == 0 {
-					c.ExchangeGhostPlanes(g, grid.AxisX)
+					c.ExchangeGhostPlanesMulti(grid.AxisX, g)
 				}
 				// The wider halo pays for skipped exchanges with
 				// redundant updates of ghost-adjacent cells.

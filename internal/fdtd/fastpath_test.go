@@ -65,7 +65,7 @@ func testOneProgramIdentity(t *testing.T) {
 	arch := func(p int, mode mesh.Mode) func(Spec) (*Result, error) {
 		return func(spec Spec) (*Result, error) { return RunArchetype(spec, p, mode, DefaultOptions()) }
 	}
-	unsplit := []row{
+	oneWindow := []row{
 		{"P=1", true, arch(1, mesh.Sim)},
 		{"slabs P=2", false, arch(2, mesh.Par)},
 		{"slabs P=4", false, arch(4, mesh.Par)},
@@ -110,7 +110,7 @@ func testOneProgramIdentity(t *testing.T) {
 	mur := SpecSmall()
 	mur.Boundary = BoundaryMur1
 	for _, spec := range []Spec{SpecSmall(), mur} {
-		rows := unsplit
+		rows := oneWindow
 		if spec.Boundary != BoundaryMur1 { // Mur history is not checkpointed
 			for k := 0; k <= spec.Steps; k++ {
 				rows = append(rows, split(k)...)
@@ -154,32 +154,30 @@ func testOneProgramIdentity(t *testing.T) {
 }
 
 // TestFastPathIdentity1D sweeps the fast-path configuration space of the
-// 1-D slab decomposition — overlap on/off, serial vs tiled kernels, both
-// runtimes, P in {1,2,4} — and requires the near field and probe series
-// to stay bitwise identical to the sequential program.  This is the
-// refinement-correctness claim of the performance work: every fast-path
-// transformation permutes independent operations only, so by the
-// paper's Theorem 1 the final state cannot change at all.
+// 1-D slab decomposition — serial vs tiled kernels, both runtimes, P in
+// {1,2,4}, each with the interior windows its neighbours give it — and
+// requires the near field and probe series to stay bitwise identical to
+// the sequential program.  This is the refinement-correctness claim of
+// the performance work: every fast-path transformation permutes
+// independent operations only, so by the paper's Theorem 1 the final
+// state cannot change at all.
 func TestFastPathIdentity1D(t *testing.T) {
 	for _, spec := range []Spec{SpecSmallA(), SpecSmall()} {
 		seq := mustSeq(t, spec)
 		for _, p := range []int{1, 2, 4} {
-			for _, overlap := range []bool{true, false} {
-				for _, workers := range []int{1, 4} {
-					for _, mode := range []mesh.Mode{mesh.Sim, mesh.Par} {
-						opt := DefaultOptions()
-						opt.Mesh.Overlap = overlap
-						opt.Mesh.Workers = workers
-						res := mustArch(t, spec, p, mode, opt)
-						if !seq.NearFieldEqual(res) {
-							t.Fatalf("ffield=%v p=%d overlap=%v workers=%d %v: near field differs from sequential",
-								spec.IsVersionC(), p, overlap, workers, mode)
-						}
-						for i := range seq.Probe {
-							if seq.Probe[i] != res.Probe[i] {
-								t.Fatalf("ffield=%v p=%d overlap=%v workers=%d %v: probe[%d] differs",
-									spec.IsVersionC(), p, overlap, workers, mode, i)
-							}
+			for _, workers := range []int{1, 4} {
+				for _, mode := range []mesh.Mode{mesh.Sim, mesh.Par} {
+					opt := DefaultOptions()
+					opt.Mesh.Workers = workers
+					res := mustArch(t, spec, p, mode, opt)
+					if !seq.NearFieldEqual(res) {
+						t.Fatalf("ffield=%v p=%d workers=%d %v: near field differs from sequential",
+							spec.IsVersionC(), p, workers, mode)
+					}
+					for i := range seq.Probe {
+						if seq.Probe[i] != res.Probe[i] {
+							t.Fatalf("ffield=%v p=%d workers=%d %v: probe[%d] differs",
+								spec.IsVersionC(), p, workers, mode, i)
 						}
 					}
 				}
@@ -189,27 +187,85 @@ func TestFastPathIdentity1D(t *testing.T) {
 }
 
 // TestFastPathIdentity2D repeats the sweep for the 2-D block
-// decomposition, where the overlap split defers both the x- and y-axis
-// ghost receives past the interior update.
+// decomposition, where the split exchange defers both the x- and y-axis
+// ghost receives past the interior update, and each block's windows
+// depend on which of its four neighbours exist.
 func TestFastPathIdentity2D(t *testing.T) {
 	spec := SpecSmall()
 	seq := mustSeq(t, spec)
 	for _, pg := range [][2]int{{1, 1}, {2, 1}, {1, 2}, {2, 2}, {4, 2}} {
-		for _, overlap := range []bool{true, false} {
-			for _, workers := range []int{1, 4} {
-				for _, mode := range []mesh.Mode{mesh.Sim, mesh.Par} {
-					opt := DefaultOptions()
-					opt.Mesh.Overlap = overlap
-					opt.Mesh.Workers = workers
-					res, err := RunArchetype2D(spec, pg[0], pg[1], mode, opt)
-					if err != nil {
-						t.Fatal(err)
+		for _, workers := range []int{1, 4} {
+			for _, mode := range []mesh.Mode{mesh.Sim, mesh.Par} {
+				opt := DefaultOptions()
+				opt.Mesh.Workers = workers
+				res, err := RunArchetype2D(spec, pg[0], pg[1], mode, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !seq.NearFieldEqual(res) {
+					t.Fatalf("px=%d py=%d workers=%d %v: near field differs from sequential",
+						pg[0], pg[1], workers, mode)
+				}
+			}
+		}
+	}
+}
+
+// TestStepWindows checks the stepper's update windows on every rank of
+// slab (P = 1, 2, 3) and block (2x2, 4x2) decompositions: the three E
+// windows, and separately the three H windows, cover every local
+// column exactly once, no interior window contains a column that reads
+// a ghost a neighbour fills, and the sequential program (P = 1) runs
+// each half-step as one window.
+func TestStepWindows(t *testing.T) {
+	spec := SpecSmall()
+	type layout struct {
+		px, py  int
+		slabbed bool
+	}
+	for _, l := range []layout{{1, 1, true}, {2, 1, true}, {3, 1, true}, {2, 2, false}, {4, 2, false}} {
+		dec, err := decompose(spec, l.px, l.py, l.slabbed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < dec.procs(); r++ {
+			b := dec.block(r)
+			nxl, nyl := b.xr.Len(), b.yr.Len()
+			e, h := b.windows()
+			for half, ws := range map[string][3]window{"E": e, "H": h} {
+				seen := make([]int, nxl*nyl)
+				nonEmpty := 0
+				for _, w := range ws {
+					if w.i0 < 0 || w.j0 < 0 || w.i1 > nxl || w.j1 > nyl {
+						t.Fatalf("%v rank %d %s: window %+v outside %dx%d", l, r, half, w, nxl, nyl)
 					}
-					if !seq.NearFieldEqual(res) {
-						t.Fatalf("px=%d py=%d overlap=%v workers=%d %v: near field differs from sequential",
-							pg[0], pg[1], overlap, workers, mode)
+					if w.i1 > w.i0 && w.j1 > w.j0 {
+						nonEmpty++
+					}
+					for li := w.i0; li < w.i1; li++ {
+						for lj := w.j0; lj < w.j1; lj++ {
+							seen[li*nyl+lj]++
+						}
 					}
 				}
+				for c, n := range seen {
+					if n != 1 {
+						t.Fatalf("%v rank %d %s: column (%d,%d) updated %d times", l, r, half, c/nyl, c%nyl, n)
+					}
+				}
+				if dec.procs() == 1 && nonEmpty != 1 {
+					t.Fatalf("%v %s: sequential half-step runs %d windows, want 1", l, half, nonEmpty)
+				}
+			}
+			// The interiors read no received ghost: E reads li-1, lj-1;
+			// H reads li+1, lj+1.
+			in := e[0]
+			if (b.xDown >= 0 && in.i0 < 1) || (b.exchangeY && b.yDown >= 0 && in.j0 < 1) {
+				t.Fatalf("%v rank %d: E interior %+v reads a lower ghost", l, r, in)
+			}
+			in = h[0]
+			if (b.xUp >= 0 && in.i1 > nxl-1) || (b.exchangeY && b.yUp >= 0 && in.j1 > nyl-1) {
+				t.Fatalf("%v rank %d: H interior %+v reads an upper ghost", l, r, in)
 			}
 		}
 	}

@@ -13,7 +13,9 @@ import (
 // potentials accumulated by the far-field transform are Fourier-
 // transformed and normalised by the source spectrum, yielding a
 // radar-cross-section-like frequency response for the observation
-// direction.
+// direction.  Every product that feeds a sum sits in an explicit
+// float64 conversion, as in yeeRowGeneric, so no build fuses it into an
+// FMA and the response has the same bits on every architecture.
 
 // dft returns the discrete-time Fourier transform of xs at normalised
 // frequency f (cycles per time unit), with sample spacing dt.
@@ -22,7 +24,7 @@ func dft(xs []float64, f, dt float64) complex128 {
 	w := -2 * math.Pi * f * dt
 	for n, x := range xs {
 		s, c := math.Sincos(w * float64(n))
-		acc += complex(x*c, x*s)
+		acc += complex(float64(x*c), float64(x*s))
 	}
 	return acc
 }
@@ -50,7 +52,7 @@ func (r *Result) RCS(freqs []float64) ([]RCSPoint, error) {
 	energy := 0.0
 	for n := range src {
 		src[n] = spec.Source.Pulse(n)
-		energy += src[n] * src[n]
+		energy += float64(src[n] * src[n])
 	}
 	out := make([]RCSPoint, 0, len(freqs))
 	for _, f := range freqs {
@@ -58,7 +60,7 @@ func (r *Result) RCS(freqs []float64) ([]RCSPoint, error) {
 			return nil, fmt.Errorf("fdtd: negative frequency %g", f)
 		}
 		s := dft(src, f, spec.DT)
-		power := real(s)*real(s) + imag(s)*imag(s)
+		power := float64(real(s)*real(s)) + float64(imag(s)*imag(s))
 		// Refuse frequencies where the normalisation would divide by
 		// spectral leakage rather than real pulse energy.
 		if power < 1e-12*energy {
@@ -67,7 +69,7 @@ func (r *Result) RCS(freqs []float64) ([]RCSPoint, error) {
 		a := dft(r.FarA, f, spec.DT)
 		ff := dft(r.FarF, f, spec.DT)
 		k := 2 * math.Pi * f
-		sigma := k * k * (cmplx.Abs(a)*cmplx.Abs(a) + cmplx.Abs(ff)*cmplx.Abs(ff)) / power
+		sigma := k * k * (float64(cmplx.Abs(a)*cmplx.Abs(a)) + float64(cmplx.Abs(ff)*cmplx.Abs(ff))) / power
 		out = append(out, RCSPoint{Freq: f, Sigma: sigma})
 	}
 	return out, nil

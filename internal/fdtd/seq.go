@@ -126,8 +126,8 @@ func RunSequentialOpts(spec Spec, compensated bool) (*Result, error) {
 }
 
 // sequentialOptions are the options under which the one program is the
-// sequential program: no host/grid split, no exchange to overlap, one
-// thread.
+// sequential program: no host/grid split, one thread.  Its one block has
+// no neighbours, so each half-step updates a single window.
 func sequentialOptions(compensated bool) Options {
 	return Options{Mesh: mesh.Options{Workers: 1}, FarFieldCompensated: compensated}
 }

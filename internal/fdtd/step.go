@@ -9,19 +9,15 @@ package fdtd
 // allocating), its tile pool, its kernel pair, and the probe/work
 // accumulators; step(n) advances the local section one leapfrog step.
 //
-// Two schedules, bitwise identical by construction:
-//
-//   - Unsplit (Options.Mesh.Overlap off): the original archetype
-//     sequence — exchange, update, exchange, update.
-//   - Overlapped (Overlap on, the default): each exchange is split
-//     into its send half and its receive half, and the cells that read
-//     no ghost plane — the interior window — are updated between the
-//     two, while the messages are in flight.  The remaining boundary
-//     windows run after the receive.  The windows disjointly cover the
-//     local section and each cell's update expression is unchanged, so
-//     by the determinacy argument of Theorem 1 the final state is the
-//     same: deferring a receive past computation that does not read
-//     the received cells permutes independent operations only.
+// One schedule.  Each half-step's exchange is split into its send half
+// and its receive half, and the cells that read no ghost plane a
+// neighbour fills — the interior window — are updated between the two,
+// while the messages are in flight.  The remaining boundary strips run
+// after the receive.  The windows disjointly cover the local section
+// and each cell's update expression is unchanged, so by the determinacy
+// argument of Theorem 1 the final state is that of exchange-then-update:
+// deferring a receive past computation that does not read the received
+// cells permutes independent operations only.
 //
 // Ghost dependencies (one-plane stencils):
 //
@@ -29,8 +25,11 @@ package fdtd
 //   H updates read E at li+1 and lj+1  -> interior is li < nxl-1,
 //                                          lj < nyl-1
 //
-// Sends still precede receives on every rank, so the simulated-
-// parallel execution never reads an empty channel.
+// A side with no neighbour has no ghost to wait for, so the interior
+// reaches the block's edge there and the strip on that side is empty:
+// the sequential program (one block, no neighbours) updates one full
+// window per half-step.  Sends still precede receives on every rank,
+// so the simulated-parallel execution never reads an empty channel.
 
 import (
 	"errors"
@@ -51,7 +50,9 @@ type stepper struct {
 	// run; tests substitute the per-cell reference pair.
 	updE, updH kernel
 
-	overlap bool
+	// The update windows of each half-step: the interior first, then
+	// the two boundary strips that read received ghosts.
+	eWin, hWin [3]window
 
 	// Exchange groups, hoisted so the step loop allocates no slices:
 	// eX/eY are the H components whose lower ghosts the E update reads;
@@ -81,19 +82,19 @@ func resolveWorkers(opt mesh.Options) int {
 // tile workers leak.
 func newStepper(c *mesh.Comm, spec Spec, f *Fields, b block, variant KernelVariant,
 	mur *murState, ff *farField, probeOwner bool) *stepper {
-	opt := c.Options()
 	updE, updH := variant.kernels()
+	eWin, hWin := b.windows()
 	return &stepper{
 		c: c, spec: spec, f: f,
-		tp:    newTilePool(resolveWorkers(opt)),
+		tp:    newTilePool(resolveWorkers(c.Options())),
 		block: b,
 		updE:  updE, updH: updH,
-		overlap: opt.Overlap,
-		eX:      []*grid.G3{f.Hy, f.Hz},
-		eY:      []*grid.G3{f.Hx, f.Hz},
-		hX:      []*grid.G3{f.Ey, f.Ez},
-		hY:      []*grid.G3{f.Ex, f.Ez},
-		mur:     mur, ff: ff,
+		eWin: eWin, hWin: hWin,
+		eX:  []*grid.G3{f.Hy, f.Hz},
+		eY:  []*grid.G3{f.Hx, f.Hz},
+		hX:  []*grid.G3{f.Ey, f.Ez},
+		hY:  []*grid.G3{f.Ex, f.Ez},
+		mur: mur, ff: ff,
 		probeOwner: probeOwner,
 		probeI:     spec.Probe[0] - f.XR.Lo,
 		probeJ:     spec.Probe[1] - f.YR.Lo,
@@ -103,56 +104,70 @@ func newStepper(c *mesh.Comm, spec Spec, f *Fields, b block, variant KernelVaria
 
 func (s *stepper) close() { s.tp.close() }
 
+// window is the half-open rectangle [i0, i1) x [j0, j1) of a block's
+// local (li, lj) columns; every window spans all of z.
+type window struct{ i0, i1, j0, j1 int }
+
+// windows splits the block into the update windows of each half-step,
+// interior first.  The E interior starts one column in on each side
+// whose lower ghost a neighbour fills; the H interior stops one column
+// short on each side whose upper ghost a neighbour fills.  The strips
+// are the remainder.
+func (b block) windows() (e, h [3]window) {
+	nxl, nyl := b.xr.Len(), b.yr.Len()
+	ei, ej, hi, hj := 0, 0, nxl, nyl
+	if b.xDown >= 0 {
+		ei = 1
+	}
+	if b.xUp >= 0 {
+		hi = nxl - 1
+	}
+	if b.exchangeY && b.yDown >= 0 {
+		ej = 1
+	}
+	if b.exchangeY && b.yUp >= 0 {
+		hj = nyl - 1
+	}
+	e = [3]window{{ei, nxl, ej, nyl}, {0, ei, 0, nyl}, {ei, nxl, 0, ej}}
+	h = [3]window{{0, hi, 0, hj}, {hi, nxl, 0, nyl}, {0, hi, hj, nyl}}
+	return e, h
+}
+
 // tiled runs one kernel over the window, fanned across the tile pool
 // along the x-pencil range.
-func (s *stepper) tiled(upd kernel, li0, li1, lj0, lj1 int) int {
-	if li1 <= li0 || lj1 <= lj0 {
+func (s *stepper) tiled(upd kernel, w window) int {
+	if w.i1 <= w.i0 || w.j1 <= w.j0 {
 		return 0
 	}
 	f := s.f
-	return s.tp.run(li0, li1, func(a, b int) int {
-		return upd(f, a, b, lj0, lj1)
+	return s.tp.run(w.i0, w.i1, func(a, b int) int {
+		return upd(f, a, b, w.j0, w.j1)
 	})
 }
 
 // step advances the local section from step n to n+1.
 func (s *stepper) step(n int) {
 	c, f := s.c, s.f
-	nxl, nyl := f.XR.Len(), f.YR.Len()
 
 	// E half-step.  The E update reads Hy, Hz one plane below along x
 	// (and Hx, Hz one plane below along y in 2-D): refresh the lower
 	// ghost planes.
-	var w int
-	if s.overlap {
-		c.StartSendUpTo(grid.AxisX, s.xUp, s.eX...)
-		if s.exchangeY {
-			c.StartSendUpTo(grid.AxisY, s.yUp, s.eY...)
-		}
-		if s.mur != nil {
-			s.mur.snapshot(f.Ey, f.Ez, f.Ex)
-		}
-		// Interior cells read no ghosts: update them while the
-		// boundary messages are in flight.
-		w = s.tiled(s.updE, 1, nxl, 1, nyl)
-		c.FinishSendUpTo(grid.AxisX, s.xDown, s.eX...)
-		if s.exchangeY {
-			c.FinishSendUpTo(grid.AxisY, s.yDown, s.eY...)
-		}
-		// Boundary strips (li == 0, then lj == 0 minus the corner
-		// already covered) read the freshly received ghosts.
-		w += s.tiled(s.updE, 0, 1, 0, nyl)
-		w += s.tiled(s.updE, 1, nxl, 0, 1)
-	} else {
-		c.SendUpTo(grid.AxisX, s.xUp, s.xDown, s.eX...)
-		if s.exchangeY {
-			c.SendUpTo(grid.AxisY, s.yUp, s.yDown, s.eY...)
-		}
-		if s.mur != nil {
-			s.mur.snapshot(f.Ey, f.Ez, f.Ex)
-		}
-		w = s.tiled(s.updE, 0, nxl, 0, nyl)
+	c.StartSendUpTo(grid.AxisX, s.xUp, s.eX...)
+	if s.exchangeY {
+		c.StartSendUpTo(grid.AxisY, s.yUp, s.eY...)
 	}
+	if s.mur != nil {
+		s.mur.snapshot(f.Ey, f.Ez, f.Ex)
+	}
+	// Interior cells read no received ghost: update them while the
+	// boundary messages are in flight.
+	w := s.tiled(s.updE, s.eWin[0])
+	c.FinishSendUpTo(grid.AxisX, s.xDown, s.eX...)
+	if s.exchangeY {
+		c.FinishSendUpTo(grid.AxisY, s.yDown, s.eY...)
+	}
+	// Boundary strips read the freshly received ghosts.
+	w += s.tiled(s.updE, s.eWin[1]) + s.tiled(s.updE, s.eWin[2])
 	c.Work(float64(w))
 	s.work += float64(w)
 
@@ -165,25 +180,16 @@ func (s *stepper) step(n int) {
 
 	// H half-step.  The H update reads Ey, Ez one plane above along x
 	// (and Ex, Ez one plane above along y in 2-D).
-	if s.overlap {
-		c.StartSendDownTo(grid.AxisX, s.xDown, s.hX...)
-		if s.exchangeY {
-			c.StartSendDownTo(grid.AxisY, s.yDown, s.hY...)
-		}
-		w = s.tiled(s.updH, 0, nxl-1, 0, nyl-1)
-		c.FinishSendDownTo(grid.AxisX, s.xUp, s.hX...)
-		if s.exchangeY {
-			c.FinishSendDownTo(grid.AxisY, s.yUp, s.hY...)
-		}
-		w += s.tiled(s.updH, nxl-1, nxl, 0, nyl)
-		w += s.tiled(s.updH, 0, nxl-1, nyl-1, nyl)
-	} else {
-		c.SendDownTo(grid.AxisX, s.xDown, s.xUp, s.hX...)
-		if s.exchangeY {
-			c.SendDownTo(grid.AxisY, s.yDown, s.yUp, s.hY...)
-		}
-		w = s.tiled(s.updH, 0, nxl, 0, nyl)
+	c.StartSendDownTo(grid.AxisX, s.xDown, s.hX...)
+	if s.exchangeY {
+		c.StartSendDownTo(grid.AxisY, s.yDown, s.hY...)
 	}
+	w = s.tiled(s.updH, s.hWin[0])
+	c.FinishSendDownTo(grid.AxisX, s.xUp, s.hX...)
+	if s.exchangeY {
+		c.FinishSendDownTo(grid.AxisY, s.yUp, s.hY...)
+	}
+	w += s.tiled(s.updH, s.hWin[1]) + s.tiled(s.updH, s.hWin[2])
 	c.Work(float64(w))
 	s.work += float64(w)
 

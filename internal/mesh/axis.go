@@ -7,19 +7,26 @@ import (
 	"repro/internal/obs"
 )
 
-// Axis-generic boundary exchange.  The mesh archetype distributes an
-// N-dimensional grid as contiguous slabs along one axis; the exchange
-// logic is identical for every axis, differing only in which planes are
-// packed.  ExchangeGhostPlanesX and the directional SendUpX/SendDownX
-// operations are the AxisX specialisations used by the FDTD code.
+// The 3-D boundary exchange.  The mesh archetype distributes a grid as
+// contiguous blocks along one or more axes; the exchange logic is
+// identical for every axis, differing only in which planes are packed.
+// There is one exchange family: ExchangeGhostPlanesMulti refreshes both
+// ghost sides of several grids in one phase, and the four Start/Finish
+// halves ship one direction each, split at the point where the caller
+// may compute on cells that read no ghost.  Both pack and unpack through
+// haloSend and haloRecv, so a plane travels in the same message layout
+// whichever entry point moved it.
+//
+// Every operation accepts several grids at once: when message combining
+// is enabled, the boundary planes of all grids travel to a neighbour in
+// a single message — the paper's combining of message-passing
+// operations "with a common sender and a common receiver".
 //
 // Phase labels are precomputed per axis: label strings sit on the
 // per-step hot path and building them with concatenation would allocate
 // on every exchange.
 var (
-	ghostExchangeLabels   = [3]string{"ghost-exchange-x", "ghost-exchange-y", "ghost-exchange-z"}
 	multiExchangeLabels   = [3]string{"ghost-exchange-multi-x", "ghost-exchange-multi-y", "ghost-exchange-multi-z"}
-	directionalLabels     = [3]string{"directional-exchange-x", "directional-exchange-y", "directional-exchange-z"}
 	directionalSendLabels = [3]string{"directional-send-x", "directional-send-y", "directional-send-z"}
 	directionalRecvLabels = [3]string{"directional-recv-x", "directional-recv-y", "directional-recv-z"}
 )
@@ -31,273 +38,184 @@ func axisLabel(tab *[3]string, axis grid.Axis) string {
 	return tab[axis]
 }
 
-// ExchangeGhostPlanes refreshes the ghost planes of a 3-D local
-// section split along the given axis, exchanging the full ghost width
-// with both neighbours (sends before receives).
-func (c *Comm) ExchangeGhostPlanes(g *grid.G3, axis grid.Axis) {
-	p, r := c.P(), c.Rank()
-	w := g.AxisGhost(axis)
-	if w == 0 {
-		panic(fmt.Sprintf("mesh: ExchangeGhostPlanes requires a ghost boundary along %v", axis))
-	}
-	n := g.AxisN(axis)
-	if 2*w > n {
-		panic(fmt.Sprintf("mesh: ghost width %d too large for %d local planes along %v", w, n, axis))
-	}
-	c.beginPhase(obs.PhaseExchange, "ghost-exchange")
-	size := g.PlaneSize(axis)
-	if r > 0 {
-		c.sendPlanes(r-1, w, size, func(k int, dst []float64) { g.PackPlane(axis, k, dst) })
-	}
-	if r < p-1 {
-		c.sendPlanes(r+1, w, size, func(k int, dst []float64) { g.PackPlane(axis, n-w+k, dst) })
-	}
-	c.flush()
-	if r > 0 {
-		c.recvPlanes(r-1, w, func(k int, data []float64) { g.UnpackPlane(axis, -w+k, data) })
-	}
-	if r < p-1 {
-		c.recvPlanes(r+1, w, func(k int, data []float64) { g.UnpackPlane(axis, n+k, data) })
-	}
-	c.endPhase(axisLabel(&ghostExchangeLabels, axis))
-}
-
 // ExchangeGhostPlanesMulti refreshes the ghost planes of several grids
-// split along the same axis in one coalesced exchange: all planes bound
-// for one neighbour — every ghost layer of every grid — travel in a
-// single message per direction (when Options.Combine is set), instead
-// of one message per grid.  For the FDTD's two-fields-per-direction
-// exchanges this alone cuts the per-step message count in half; for a
-// six-field full exchange it is a 6x reduction.  All grids must share
-// the split-axis extent, ghost width, and plane size.
+// split along the same axis in one coalesced exchange with both
+// neighbours of the 1-D chain of ranks: all planes bound for one
+// neighbour — every ghost layer of every grid — travel in a single
+// message per direction (when Options.Combine is set), instead of one
+// message per grid.  For a six-field full exchange that is a 6x cut in
+// the message count.  The full ghost width of the first grid is
+// exchanged; every grid must have at least that ghost width and the
+// same plane size.
 func (c *Comm) ExchangeGhostPlanesMulti(axis grid.Axis, gs ...*grid.G3) {
 	if len(gs) == 0 {
 		return
 	}
 	p, r := c.P(), c.Rank()
-	g0 := gs[0]
-	w, n, size := g0.AxisGhost(axis), g0.AxisN(axis), g0.PlaneSize(axis)
+	w := gs[0].AxisGhost(axis)
 	if w == 0 {
 		panic(fmt.Sprintf("mesh: ExchangeGhostPlanesMulti requires a ghost boundary along %v", axis))
 	}
-	if 2*w > n {
-		panic(fmt.Sprintf("mesh: ghost width %d too large for %d local planes along %v", w, n, axis))
-	}
-	for _, g := range gs[1:] {
-		if g.AxisGhost(axis) != w || g.AxisN(axis) != n || g.PlaneSize(axis) != size {
-			panic(fmt.Sprintf("mesh: ExchangeGhostPlanesMulti requires identical sections: %v vs %v", g, g0))
-		}
+	haloValidate(axis, w, gs)
+	down, up := r-1, r+1
+	if up == p {
+		up = -1
 	}
 	c.beginPhase(obs.PhaseExchange, "ghost-exchange-multi")
-	planes := len(gs) * w
-	if r > 0 {
-		c.sendPlanes(r-1, planes, size, func(k int, dst []float64) {
-			gs[k/w].PackPlane(axis, k%w, dst)
-		})
-	}
-	if r < p-1 {
-		c.sendPlanes(r+1, planes, size, func(k int, dst []float64) {
-			gs[k/w].PackPlane(axis, n-w+k%w, dst)
-		})
-	}
+	c.haloSend(axis, false, down, w, gs)
+	c.haloSend(axis, true, up, w, gs)
 	c.flush()
-	if r > 0 {
-		c.recvPlanes(r-1, planes, func(k int, data []float64) {
-			gs[k/w].UnpackPlane(axis, -w+k%w, data)
-		})
-	}
-	if r < p-1 {
-		c.recvPlanes(r+1, planes, func(k int, data []float64) {
-			gs[k/w].UnpackPlane(axis, n+k%w, data)
-		})
-	}
+	c.haloRecv(axis, true, down, w, gs)
+	c.haloRecv(axis, false, up, w, gs)
 	c.endPhase(axisLabel(&multiExchangeLabels, axis))
 }
 
-// SendUp ships each grid's top interior plane along the axis to the
-// upper neighbour and fills each grid's low ghost plane from the lower
-// neighbour, with neighbours taken from the 1-D chain of ranks.  All
-// grids must share the two non-split extents.
-func (c *Comm) SendUp(axis grid.Axis, gs ...*grid.G3) {
-	p, r := c.P(), c.Rank()
-	up, down := -1, -1
-	if r > 0 {
-		down = r - 1
-	}
-	if r < p-1 {
-		up = r + 1
-	}
-	c.SendUpTo(axis, up, down, gs...)
-}
-
-// SendDown ships each grid's bottom interior plane to the lower
-// neighbour and fills each grid's high ghost plane from the upper
-// neighbour, with neighbours from the 1-D chain of ranks.
-func (c *Comm) SendDown(axis grid.Axis, gs ...*grid.G3) {
-	p, r := c.P(), c.Rank()
-	up, down := -1, -1
-	if r > 0 {
-		down = r - 1
-	}
-	if r < p-1 {
-		up = r + 1
-	}
-	c.SendDownTo(axis, down, up, gs...)
-}
-
-// SendUpTo is the topology-explicit form of SendUp: the caller names
-// the rank above (sendTo) and below (recvFrom), each -1 when absent —
-// as for processes on a 2-D process grid, where the neighbour along an
-// axis is not rank±1.
-func (c *Comm) SendUpTo(axis grid.Axis, sendTo, recvFrom int, gs ...*grid.G3) {
-	c.directional(axis, true, sendTo, recvFrom, gs)
-}
-
-// SendDownTo is the topology-explicit form of SendDown.
-func (c *Comm) SendDownTo(axis grid.Axis, sendTo, recvFrom int, gs ...*grid.G3) {
-	c.directional(axis, false, sendTo, recvFrom, gs)
-}
-
-// StartSendUpTo performs only the send half of SendUpTo; the matching
-// FinishSendUpTo performs the receive half.  Between the two the caller
-// may update any cells that do not read the low ghost plane, so the
-// interior computation overlaps the message flight (Options.Overlap).
-// Results are bitwise identical to the unsplit call: deferring a
-// receive past computation that does not read the received cells
-// changes nothing, by the same determinacy argument as Theorem 1.
-// Each half is its own bulk-synchronous phase, so all ranks must call
-// Start and Finish in the same order.
+// StartSendUpTo ships each grid's top interior plane along the axis to
+// the rank above (sendTo, -1 when absent); the matching FinishSendUpTo
+// fills each grid's low ghost plane from the rank below.  Neighbours
+// are named by the caller, as for processes on a 2-D process grid,
+// where the neighbour along an axis is not rank±1.  This is the
+// direction the FDTD E update needs (it reads H one plane below).
+//
+// Between the two halves the caller may update any cell that does not
+// read the low ghost plane, so that computation overlaps the message
+// flight.  Deferring a receive past computation that does not read the
+// received cells changes nothing, by the same determinacy argument as
+// Theorem 1.  Each half is its own bulk-synchronous phase, so all ranks
+// must call Start and Finish in the same order.
 func (c *Comm) StartSendUpTo(axis grid.Axis, sendTo int, gs ...*grid.G3) {
-	c.beginPhase(obs.PhaseExchange, axisLabel(&directionalSendLabels, axis))
-	if len(gs) > 0 {
-		directionalValidate(axis, gs)
-		c.directionalSend(axis, true, sendTo, gs)
-		// End of the send half: push the coalesced frames now so the
-		// message flight overlaps the interior computation.
-		c.flush()
-	}
-	c.endPhase(axisLabel(&directionalSendLabels, axis))
+	c.startHalf(axis, true, sendTo, gs)
 }
 
 // FinishSendUpTo completes a StartSendUpTo by receiving the upward
-// messages from the rank below into each grid's low ghost plane.
+// messages from the rank below (recvFrom, -1 when absent) into each
+// grid's low ghost plane.
 func (c *Comm) FinishSendUpTo(axis grid.Axis, recvFrom int, gs ...*grid.G3) {
-	c.beginPhase(obs.PhaseExchange, axisLabel(&directionalRecvLabels, axis))
-	if len(gs) > 0 {
-		c.directionalRecv(axis, true, recvFrom, gs)
-	}
-	c.endPhase(axisLabel(&directionalRecvLabels, axis))
+	c.finishHalf(axis, true, recvFrom, gs)
 }
 
-// StartSendDownTo performs only the send half of SendDownTo.
+// StartSendDownTo ships each grid's bottom interior plane to the rank
+// below (sendTo); the FDTD H update needs this direction (it reads E
+// one plane above).  It is the mirror image of StartSendUpTo.
 func (c *Comm) StartSendDownTo(axis grid.Axis, sendTo int, gs ...*grid.G3) {
-	c.beginPhase(obs.PhaseExchange, axisLabel(&directionalSendLabels, axis))
-	if len(gs) > 0 {
-		directionalValidate(axis, gs)
-		c.directionalSend(axis, false, sendTo, gs)
-		c.flush()
-	}
-	c.endPhase(axisLabel(&directionalSendLabels, axis))
+	c.startHalf(axis, false, sendTo, gs)
 }
 
 // FinishSendDownTo completes a StartSendDownTo by receiving the
 // downward messages from the rank above into each grid's high ghost
 // plane.
 func (c *Comm) FinishSendDownTo(axis grid.Axis, recvFrom int, gs ...*grid.G3) {
+	c.finishHalf(axis, false, recvFrom, gs)
+}
+
+func (c *Comm) startHalf(axis grid.Axis, up bool, sendTo int, gs []*grid.G3) {
+	c.beginPhase(obs.PhaseExchange, axisLabel(&directionalSendLabels, axis))
+	if len(gs) > 0 {
+		haloValidate(axis, 1, gs)
+		c.haloSend(axis, up, sendTo, 1, gs)
+		// End of the send half: push the coalesced frames now so the
+		// message flight overlaps the caller's computation.
+		c.flush()
+	}
+	c.endPhase(axisLabel(&directionalSendLabels, axis))
+}
+
+func (c *Comm) finishHalf(axis grid.Axis, up bool, recvFrom int, gs []*grid.G3) {
 	c.beginPhase(obs.PhaseExchange, axisLabel(&directionalRecvLabels, axis))
 	if len(gs) > 0 {
-		c.directionalRecv(axis, false, recvFrom, gs)
+		c.haloRecv(axis, up, recvFrom, 1, gs)
 	}
 	c.endPhase(axisLabel(&directionalRecvLabels, axis))
 }
 
-func (c *Comm) directional(axis grid.Axis, up bool, sendTo, recvFrom int, gs []*grid.G3) {
-	c.beginPhase(obs.PhaseExchange, axisLabel(&directionalLabels, axis))
-	if len(gs) > 0 {
-		directionalValidate(axis, gs)
-		c.directionalSend(axis, up, sendTo, gs)
-		c.flush()
-		c.directionalRecv(axis, up, recvFrom, gs)
-	}
-	c.endPhase(axisLabel(&directionalLabels, axis))
-}
-
-func directionalValidate(axis grid.Axis, gs []*grid.G3) {
+// haloValidate panics unless every grid can send and receive w planes
+// along the axis: a ghost width of at least w, at least w interior
+// planes, and one common plane size.
+func haloValidate(axis grid.Axis, w int, gs []*grid.G3) {
+	size := gs[0].PlaneSize(axis)
 	for _, g := range gs {
-		if g.AxisGhost(axis) < 1 {
-			panic(fmt.Sprintf("mesh: directional exchange requires ghost width >= 1 along %v", axis))
+		if g.AxisGhost(axis) < w {
+			panic(fmt.Sprintf("mesh: ghost exchange requires ghost width >= %d along %v", w, axis))
 		}
-	}
-	for _, g := range gs[1:] {
-		if g.PlaneSize(axis) != gs[0].PlaneSize(axis) {
-			panic(fmt.Sprintf("mesh: directional exchange requires equal plane sizes: %v vs %v", g, gs[0]))
+		if n := g.AxisN(axis); w > n {
+			panic(fmt.Sprintf("mesh: ghost width %d too large for %d local planes along %v", w, n, axis))
+		}
+		if g.PlaneSize(axis) != size {
+			panic(fmt.Sprintf("mesh: ghost exchange requires equal plane sizes: %v vs %v", g, gs[0]))
 		}
 	}
 }
 
-// directionalSend packs one boundary plane per grid — the top interior
-// plane when up, the bottom when down — and ships all of them to sendTo
-// as a single pooled message (or one per grid when message combining is
-// off).  The loops pack straight into the outgoing buffer: no closures,
-// no intermediate copies.
-func (c *Comm) directionalSend(axis grid.Axis, up bool, sendTo int, gs []*grid.G3) {
+// haloSend packs the w boundary planes of every grid — the top interior
+// planes when up, the bottom ones otherwise — grid by grid, and ships
+// them to sendTo as a single pooled message, or as one message per
+// plane when message combining is off.  The loops pack straight into
+// the outgoing buffer: no closures, no intermediate copies.  A negative
+// sendTo (no neighbour) sends nothing.
+func (c *Comm) haloSend(axis grid.Axis, up bool, sendTo, w int, gs []*grid.G3) {
 	if sendTo < 0 {
 		return
 	}
 	size := gs[0].PlaneSize(axis)
+	var buf []float64
 	if c.opt.Combine {
-		buf := getBuf(len(gs) * size)
-		for k, g := range gs {
-			idx := 0
-			if up {
-				idx = g.AxisN(axis) - 1
-			}
-			g.PackPlane(axis, idx, buf[k*size:(k+1)*size])
-		}
-		c.sendOwned(sendTo, buf)
-		return
+		buf = getBuf(len(gs) * w * size)
 	}
+	off := 0
 	for _, g := range gs {
-		buf := getBuf(size)
-		idx := 0
+		lo := 0
 		if up {
-			idx = g.AxisN(axis) - 1
+			lo = g.AxisN(axis) - w
 		}
-		g.PackPlane(axis, idx, buf)
+		for k := 0; k < w; k++ {
+			if !c.opt.Combine {
+				buf, off = getBuf(size), 0
+			}
+			g.PackPlane(axis, lo+k, buf[off:off+size])
+			off += size
+			if !c.opt.Combine {
+				c.sendOwned(sendTo, buf)
+			}
+		}
+	}
+	if c.opt.Combine {
 		c.sendOwned(sendTo, buf)
 	}
 }
 
-// directionalRecv receives the boundary planes from recvFrom and
-// unpacks each into its grid's ghost plane — the low ghost when up, the
-// high ghost when down — returning the consumed payload to the arena.
-func (c *Comm) directionalRecv(axis grid.Axis, up bool, recvFrom int, gs []*grid.G3) {
+// haloRecv receives what haloSend shipped from recvFrom and unpacks it
+// into each grid's ghost planes — the low ghosts when up, the high ones
+// otherwise — returning every consumed payload to the arena.
+func (c *Comm) haloRecv(axis grid.Axis, up bool, recvFrom, w int, gs []*grid.G3) {
 	if recvFrom < 0 {
 		return
 	}
 	size := gs[0].PlaneSize(axis)
+	var buf []float64
 	if c.opt.Combine {
-		buf := c.recv(recvFrom)
-		if len(buf) != len(gs)*size {
-			panic(fmt.Sprintf("mesh: directional message length %d, want %d", len(buf), len(gs)*size))
+		buf = c.recv(recvFrom)
+		if len(buf) != len(gs)*w*size {
+			panic(fmt.Sprintf("mesh: ghost message length %d, want %d", len(buf), len(gs)*w*size))
 		}
-		for k, g := range gs {
-			idx := g.AxisN(axis)
-			if up {
-				idx = -1
-			}
-			g.UnpackPlane(axis, idx, buf[k*size:(k+1)*size])
-		}
-		putBuf(buf)
-		return
 	}
+	off := 0
 	for _, g := range gs {
-		buf := c.recv(recvFrom)
-		idx := g.AxisN(axis)
-		if up {
-			idx = -1
+		lo := -w
+		if !up {
+			lo = g.AxisN(axis)
 		}
-		g.UnpackPlane(axis, idx, buf)
+		for k := 0; k < w; k++ {
+			if !c.opt.Combine {
+				buf, off = c.recv(recvFrom), 0
+			}
+			g.UnpackPlane(axis, lo+k, buf[off:off+size])
+			off += size
+			if !c.opt.Combine {
+				putBuf(buf)
+			}
+		}
+	}
+	if c.opt.Combine {
 		putBuf(buf)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/machine"
 )
 
 func TestExchangeGhostPlanesAllAxes(t *testing.T) {
@@ -27,7 +28,7 @@ func TestExchangeGhostPlanesAllAxes(t *testing.T) {
 				}
 				return f(gi, gj, gk)
 			})
-			c.ExchangeGhostPlanes(g, axis)
+			c.ExchangeGhostPlanesMulti(axis, g)
 			var lo, hi float64
 			switch axis {
 			case grid.AxisX:
@@ -90,7 +91,7 @@ func jacobi3D(t *testing.T, axis grid.Axis, p int) []float64 {
 			return float64(gi*gi+2*gj+3*gk) * 0.01
 		})
 		for s := 0; s < steps; s++ {
-			c.ExchangeGhostPlanes(cur, axis)
+			c.ExchangeGhostPlanesMulti(axis, cur)
 			for i := 0; i < cur.NX(); i++ {
 				for j := 0; j < cur.NY(); j++ {
 					for k := 0; k < cur.NZ(); k++ {
@@ -156,22 +157,26 @@ func TestJacobiAgreesAcrossDecompositionAxes(t *testing.T) {
 
 func TestDirectionalAllAxes(t *testing.T) {
 	const p = 3
-	for _, axis := range []grid.Axis{grid.AxisY, grid.AxisZ} {
+	for _, axis := range []grid.Axis{grid.AxisX, grid.AxisY, grid.AxisZ} {
 		slabs := grid.SlabDecompose3(6, 9, 12, p, axis)
 		res, err := Run(p, Sim, DefaultOptions(), func(c *Comm) [2]float64 {
 			sl := slabs[c.Rank()]
 			g := sl.NewLocal3(1)
 			g.FillFunc(func(i, j, k int) float64 {
 				switch axis {
+				case grid.AxisX:
+					return float64(sl.ToGlobal(i))
 				case grid.AxisY:
 					return float64(sl.ToGlobal(j))
 				default:
 					return float64(sl.ToGlobal(k))
 				}
 			})
-			c.SendUp(axis, g)
-			c.SendDown(axis, g)
+			sendUp(c, axis, g)
+			sendDown(c, axis, g)
 			switch axis {
+			case grid.AxisX:
+				return [2]float64{g.At(-1, 0, 0), g.At(g.NX(), 0, 0)}
 			case grid.AxisY:
 				return [2]float64{g.At(0, -1, 0), g.At(0, g.NY(), 0)}
 			default:
@@ -184,10 +189,10 @@ func TestDirectionalAllAxes(t *testing.T) {
 		for r := 0; r < p; r++ {
 			sl := slabs[r]
 			if r > 0 && res[r][0] != float64(sl.R.Lo-1) {
-				t.Fatalf("axis %v proc %d: SendUp ghost %v", axis, r, res[r][0])
+				t.Fatalf("axis %v proc %d: upward ghost %v", axis, r, res[r][0])
 			}
 			if r < p-1 && res[r][1] != float64(sl.R.Hi) {
-				t.Fatalf("axis %v proc %d: SendDown ghost %v", axis, r, res[r][1])
+				t.Fatalf("axis %v proc %d: downward ghost %v", axis, r, res[r][1])
 			}
 		}
 	}
@@ -197,7 +202,7 @@ func TestAxisExchangePanics(t *testing.T) {
 	_, err := Run(2, Sim, DefaultOptions(), func(c *Comm) bool {
 		defer func() { recover() }()
 		g := grid.New3(4, 4, 4, 0)
-		c.ExchangeGhostPlanes(g, grid.AxisY)
+		c.ExchangeGhostPlanesMulti(grid.AxisY, g)
 		return false
 	})
 	if err != nil {
@@ -207,10 +212,188 @@ func TestAxisExchangePanics(t *testing.T) {
 		defer func() { recover() }()
 		a := grid.New3G(4, 4, 4, 0, 1, 0)
 		b := grid.New3G(4, 5, 4, 0, 1, 0)
-		c.SendUp(grid.AxisY, a, b)
+		sendUp(c, grid.AxisY, a, b)
 		return false
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// chainNeighbours returns this rank's neighbours on the 1-D chain of
+// ranks, -1 where the chain ends.
+func chainNeighbours(c *Comm) (up, down int) {
+	up, down = c.Rank()+1, c.Rank()-1
+	if up == c.P() {
+		up = -1
+	}
+	return up, down
+}
+
+// sendUp and sendDown run both halves of one direction back to back on
+// the 1-D chain of ranks: a step with no interior work between them.
+func sendUp(c *Comm, axis grid.Axis, gs ...*grid.G3) {
+	up, down := chainNeighbours(c)
+	c.StartSendUpTo(axis, up, gs...)
+	c.FinishSendUpTo(axis, down, gs...)
+}
+
+func sendDown(c *Comm, axis grid.Axis, gs ...*grid.G3) {
+	up, down := chainNeighbours(c)
+	c.StartSendDownTo(axis, down, gs...)
+	c.FinishSendDownTo(axis, up, gs...)
+}
+
+func TestSendUpXFillsLowerGhost(t *testing.T) {
+	const nx, ny, nz, p = 8, 3, 2, 4
+	slabs := grid.SlabDecompose3(nx, ny, nz, p, grid.AxisX)
+	for _, combine := range []bool{true, false} {
+		for _, mode := range bothModes {
+			opt := DefaultOptions()
+			opt.Combine = combine
+			res, err := Run(p, mode, opt, func(c *Comm) [2]float64 {
+				sl := slabs[c.Rank()]
+				a := sl.NewLocal3(1)
+				b := sl.NewLocal3(1)
+				a.FillFunc(func(i, j, k int) float64 { return float64(sl.ToGlobal(i)) })
+				b.FillFunc(func(i, j, k int) float64 { return float64(100 + sl.ToGlobal(i)) })
+				sendUp(c, grid.AxisX, a, b)
+				return [2]float64{a.At(-1, 1, 1), b.At(-1, 1, 1)}
+			})
+			if err != nil {
+				t.Fatalf("combine=%v %v: %v", combine, mode, err)
+			}
+			for r := 1; r < p; r++ {
+				lo := slabs[r].R.Lo
+				if res[r][0] != float64(lo-1) || res[r][1] != float64(100+lo-1) {
+					t.Fatalf("combine=%v %v proc %d: ghosts = %v", combine, mode, r, res[r])
+				}
+			}
+		}
+	}
+}
+
+func TestSendDownXFillsUpperGhost(t *testing.T) {
+	const nx, ny, nz, p = 9, 2, 2, 3
+	slabs := grid.SlabDecompose3(nx, ny, nz, p, grid.AxisX)
+	res, err := Run(p, Sim, DefaultOptions(), func(c *Comm) float64 {
+		sl := slabs[c.Rank()]
+		g := sl.NewLocal3(1)
+		g.FillFunc(func(i, j, k int) float64 { return float64(sl.ToGlobal(i)) })
+		sendDown(c, grid.AxisX, g)
+		return g.At(g.NX(), 0, 0)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < p-1; r++ {
+		if res[r] != float64(slabs[r].R.Hi) {
+			t.Fatalf("proc %d upper ghost = %v want %v", r, res[r], float64(slabs[r].R.Hi))
+		}
+	}
+}
+
+func TestDirectionalHalvesMessagesVsFullExchange(t *testing.T) {
+	const nx, ny, nz, p = 8, 2, 2, 4
+	slabs := grid.SlabDecompose3(nx, ny, nz, p, grid.AxisX)
+	count := func(f func(c *Comm, g *grid.G3)) int {
+		ta := machine.NewTally(p)
+		opt := DefaultOptions()
+		opt.Tally = ta
+		_, err := Run(p, Sim, opt, func(c *Comm) int {
+			g := slabs[c.Rank()].NewLocal3(1)
+			f(c, g)
+			return 0
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ta.TotalMessages()
+	}
+	full := count(func(c *Comm, g *grid.G3) { c.ExchangeGhostPlanesMulti(grid.AxisX, g) })
+	up := count(func(c *Comm, g *grid.G3) { sendUp(c, grid.AxisX, g) })
+	if up*2 != full {
+		t.Fatalf("directional should halve messages: up=%d full=%d", up, full)
+	}
+}
+
+func TestDirectionalCombiningMergesGrids(t *testing.T) {
+	const p = 3
+	slabs := grid.SlabDecompose3(9, 2, 2, p, grid.AxisX)
+	count := func(combine bool) int {
+		ta := machine.NewTally(p)
+		opt := DefaultOptions()
+		opt.Combine = combine
+		opt.Tally = ta
+		_, err := Run(p, Sim, opt, func(c *Comm) int {
+			a := slabs[c.Rank()].NewLocal3(1)
+			b := slabs[c.Rank()].NewLocal3(1)
+			sendUp(c, grid.AxisX, a, b)
+			return 0
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ta.TotalMessages()
+	}
+	combined, uncombined := count(true), count(false)
+	if uncombined != 2*combined {
+		t.Fatalf("two grids should combine into one message: %d vs %d", combined, uncombined)
+	}
+}
+
+func TestDirectionalEmptyAndErrors(t *testing.T) {
+	ta := machine.NewTally(2)
+	opt := DefaultOptions()
+	opt.Tally = ta
+	_, err := Run(2, Sim, opt, func(c *Comm) int {
+		sendUp(c, grid.AxisX) // no grids: still two phases, no messages
+		sendDown(c, grid.AxisX)
+		return 0
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ta.TotalMessages(); n != 0 {
+		t.Fatalf("empty halves sent %d messages", n)
+	}
+	// Ghostless grid panics.
+	_, err = Run(2, Sim, DefaultOptions(), func(c *Comm) bool {
+		defer func() { recover() }()
+		g := grid.New3(4, 2, 2, 0)
+		sendUp(c, grid.AxisX, g)
+		return false
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Mismatched y-z extents panic.
+	_, err = Run(2, Sim, DefaultOptions(), func(c *Comm) bool {
+		defer func() { recover() }()
+		a := grid.New3G(4, 2, 2, 1, 0, 0)
+		b := grid.New3G(4, 3, 2, 1, 0, 0)
+		sendUp(c, grid.AxisX, a, b)
+		return false
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestDirectionalSingleProcessNoop(t *testing.T) {
+	slabs := grid.SlabDecompose3(4, 2, 2, 1, grid.AxisX)
+	res, err := Run(1, Sim, DefaultOptions(), func(c *Comm) [3]float64 {
+		g := slabs[0].NewLocal3(1)
+		g.Fill(3)
+		sendUp(c, grid.AxisX, g)
+		sendDown(c, grid.AxisX, g)
+		c.ExchangeGhostPlanesMulti(grid.AxisX, g)
+		return [3]float64{g.At(-1, 0, 0), g.At(0, 0, 0), g.At(g.NX(), 0, 0)}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0] != [3]float64{0, 3, 0} {
+		t.Fatalf("single-process exchange should be a no-op: ghost, interior, ghost = %v", res[0])
 	}
 }

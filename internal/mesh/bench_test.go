@@ -16,7 +16,7 @@ func BenchmarkGhostExchange3D(b *testing.B) {
 				_, err := Run(p, mode, DefaultOptions(), func(c *Comm) int {
 					g := slabs[c.Rank()].NewLocal3(1)
 					for s := 0; s < 8; s++ {
-						c.ExchangeGhostPlanesX(g)
+						c.ExchangeGhostPlanesMulti(grid.AxisX, g)
 					}
 					return 0
 				})

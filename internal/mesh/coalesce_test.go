@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/grid"
@@ -49,7 +50,7 @@ func TestMultiExchangeMatchesPerField(t *testing.T) {
 	}
 	perField := func(c *Comm, gs []*grid.G3) {
 		for _, g := range gs {
-			c.ExchangeGhostPlanes(g, grid.AxisX)
+			c.ExchangeGhostPlanesMulti(grid.AxisX, g)
 		}
 	}
 	multi := func(c *Comm, gs []*grid.G3) {
@@ -97,7 +98,7 @@ func TestMultiExchangeCoalescesMessages(t *testing.T) {
 	}
 	perField := count(func(c *Comm, gs []*grid.G3) {
 		for _, g := range gs {
-			c.ExchangeGhostPlanes(g, grid.AxisX)
+			c.ExchangeGhostPlanesMulti(grid.AxisX, g)
 		}
 	})
 	multi := count(func(c *Comm, gs []*grid.G3) {
@@ -111,59 +112,56 @@ func TestMultiExchangeCoalescesMessages(t *testing.T) {
 	}
 }
 
-// TestSplitExchangeMatchesUnsplit: the overlap primitives (Start/Finish
-// halves with computation between) must produce exactly the ghosts of
-// the unsplit directional exchange, and the same message totals.
-func TestSplitExchangeMatchesUnsplit(t *testing.T) {
+// TestHalvesMatchMultiExchange: on width-1 grids, the stepper's
+// exchange — the Start/Finish halves of both directions, with
+// computation allowed between each pair — must leave exactly the ghosts
+// of one ExchangeGhostPlanesMulti and send exactly as many messages,
+// under both runtimes and with combining on or off.
+func TestHalvesMatchMultiExchange(t *testing.T) {
 	const nx, ny, nz, p = 9, 3, 3, 3
 	slabs := grid.SlabDecompose3(nx, ny, nz, p, grid.AxisX)
-	run := func(split bool, mode Mode) ([][2]float64, int) {
+	run := func(halves bool, mode Mode, combine bool) ([][]float64, int) {
 		ta := machine.NewTally(p)
 		opt := DefaultOptions()
+		opt.Combine = combine
 		opt.Tally = ta
-		res, err := Run(p, mode, opt, func(c *Comm) [2]float64 {
-			r, pp := c.Rank(), c.P()
-			sl := slabs[r]
-			a := sl.NewLocal3(1)
-			b := sl.NewLocal3(1)
-			a.FillFunc(func(i, j, k int) float64 { return float64(sl.ToGlobal(i)) })
-			b.FillFunc(func(i, j, k int) float64 { return float64(100 + sl.ToGlobal(i)) })
-			xUp, xDown := -1, -1
-			if r < pp-1 {
-				xUp = r + 1
-			}
-			if r > 0 {
-				xDown = r - 1
-			}
-			if split {
-				c.StartSendUpTo(grid.AxisX, xUp, a, b)
+		res, err := Run(p, mode, opt, func(c *Comm) []float64 {
+			gs := mkFields(slabs[c.Rank()], c.Rank())[:2]
+			if halves {
+				up, down := chainNeighbours(c)
+				c.StartSendUpTo(grid.AxisX, up, gs...)
 				// Interior work would happen here, messages in flight.
-				c.FinishSendUpTo(grid.AxisX, xDown, a, b)
-				c.StartSendDownTo(grid.AxisX, xDown, a, b)
-				c.FinishSendDownTo(grid.AxisX, xUp, a, b)
+				c.FinishSendUpTo(grid.AxisX, down, gs...)
+				c.StartSendDownTo(grid.AxisX, down, gs...)
+				c.FinishSendDownTo(grid.AxisX, up, gs...)
 			} else {
-				c.SendUpTo(grid.AxisX, xUp, xDown, a, b)
-				c.SendDownTo(grid.AxisX, xDown, xUp, a, b)
+				c.ExchangeGhostPlanesMulti(grid.AxisX, gs...)
 			}
-			return [2]float64{a.At(-1, 0, 0), b.At(b.NX(), 0, 0)}
+			var out []float64
+			for _, g := range gs {
+				out = append(out, g.PackPlane(grid.AxisX, -1, nil)...)
+				out = append(out, g.PackPlane(grid.AxisX, g.NX(), nil)...)
+			}
+			return out
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := make([][2]float64, len(res))
-		copy(out, res)
-		return out, ta.TotalMessages()
+		return res, ta.TotalMessages()
 	}
 	for _, mode := range bothModes {
-		wantGhosts, wantMsgs := run(false, mode)
-		gotGhosts, gotMsgs := run(true, mode)
-		for r := range wantGhosts {
-			if wantGhosts[r] != gotGhosts[r] {
-				t.Fatalf("%v rank %d: split ghosts %v, unsplit %v", mode, r, gotGhosts[r], wantGhosts[r])
+		for _, combine := range []bool{true, false} {
+			wantGhosts, wantMsgs := run(false, mode, combine)
+			gotGhosts, gotMsgs := run(true, mode, combine)
+			for r := range wantGhosts {
+				if !reflect.DeepEqual(wantGhosts[r], gotGhosts[r]) {
+					t.Fatalf("%v combine=%v rank %d: halves' ghosts %v, multi %v",
+						mode, combine, r, gotGhosts[r], wantGhosts[r])
+				}
 			}
-		}
-		if wantMsgs != gotMsgs {
-			t.Fatalf("%v: split sends %d messages, unsplit %d", mode, gotMsgs, wantMsgs)
+			if wantMsgs != gotMsgs || gotMsgs == 0 {
+				t.Fatalf("%v combine=%v: halves send %d messages, multi %d", mode, combine, gotMsgs, wantMsgs)
+			}
 		}
 	}
 }

@@ -132,15 +132,10 @@ func (c *Comm) AllReduceAlg(v float64, op ReduceOp, alg ReduceAlg) float64 {
 	return out[0]
 }
 
-// AllReduceVec element-wise combines every process's vals under op and
-// returns the combined vector on every process, using the run's
-// configured algorithm.  All processes must pass vectors of the same
-// length.  The input slice is not modified.
-func (c *Comm) AllReduceVec(vals []float64, op ReduceOp) []float64 {
-	return c.AllReduceVecAlg(vals, op, c.opt.ReduceAlg)
-}
-
-// AllReduceVecAlg is AllReduceVec with an explicit algorithm choice.
+// AllReduceVecAlg element-wise combines every process's vals under op
+// with the given algorithm and returns the combined vector on every
+// process.  All processes must pass vectors of the same length.  The
+// input slice is not modified.
 func (c *Comm) AllReduceVecAlg(vals []float64, op ReduceOp, alg ReduceAlg) []float64 {
 	c.beginPhase(obs.PhaseCollective, "reduce")
 	acc := make([]float64, len(vals))

@@ -61,14 +61,6 @@ func copyRow2(g *grid.G2, i int, data []float64) {
 	g.UnpackRow(i, 0, data)
 }
 
-// ExchangeGhostPlanesX refreshes the x-ghost planes of a 3-D local
-// section split along x, exchanging full y-z planes with the lower and
-// upper neighbours.  It is the AxisX specialisation of
-// ExchangeGhostPlanes.
-func (c *Comm) ExchangeGhostPlanesX(g *grid.G3) {
-	c.ExchangeGhostPlanes(g, grid.AxisX)
-}
-
 // sendPlanes transmits w equal-sized planes to a neighbour: as a single
 // combined message when Options.Combine is set, otherwise as w
 // individual messages (the message-combining ablation).  Each plane is
@@ -226,48 +218,4 @@ func (c *Comm) GatherRows(local *grid.G2, ranges []grid.Range, globalNX int, roo
 		})
 	}
 	return global
-}
-
-// ScatterRows distributes a global 2-D grid held by root into local
-// row-blocks with the given ghost width.  Every process returns its
-// local section.
-func (c *Comm) ScatterRows(global *grid.G2, ranges []grid.Range, ghost int, root int) *grid.G2 {
-	p, r := c.P(), c.Rank()
-	if len(ranges) != p {
-		panic(fmt.Sprintf("mesh: %d ranges for %d processes", len(ranges), p))
-	}
-	c.beginPhase(obs.PhaseIO, "scatter")
-	defer c.endPhase("scatter")
-	if r == root {
-		if global == nil {
-			panic("mesh: ScatterRows requires the global grid on root")
-		}
-		ny := global.NY()
-		for dst := 0; dst < p; dst++ {
-			if dst == root {
-				continue
-			}
-			rg := ranges[dst]
-			c.sendPlanes(dst, rg.Len(), ny, func(k int, dst []float64) {
-				copy(dst, global.Row(rg.Lo+k))
-			})
-		}
-		c.flush()
-		rg := ranges[r]
-		local := grid.New2(rg.Len(), ny, ghost)
-		for k := 0; k < rg.Len(); k++ {
-			local.UnpackRow(k, 0, global.Row(rg.Lo+k))
-		}
-		return local
-	}
-	rg := ranges[r]
-	// Non-root processes learn NY from the first received row.
-	local := (*grid.G2)(nil)
-	c.recvPlanes(root, rg.Len(), func(k int, data []float64) {
-		if local == nil {
-			local = grid.New2(rg.Len(), len(data), ghost)
-		}
-		copyRow2(local, k, data)
-	})
-	return local
 }

@@ -101,32 +101,39 @@ func TestExchangeGhostRowsWidth2(t *testing.T) {
 func TestExchangeGhostPlanesX(t *testing.T) {
 	f := func(gx, y, z int) float64 { return float64(10000*gx + 100*y + z) }
 	const nx, ny, nz = 9, 3, 4
-	for _, combine := range []bool{true, false} {
-		for _, p := range []int{2, 3} {
-			slabs := grid.SlabDecompose3(nx, ny, nz, p, grid.AxisX)
-			opt := DefaultOptions()
-			opt.Combine = combine
-			res, err := Run(p, Sim, opt, func(c *Comm) [2]float64 {
-				sl := slabs[c.Rank()]
-				g := sl.NewLocal3(1)
-				g.FillFunc(func(i, j, k int) float64 { return f(sl.ToGlobal(i), j, k) })
-				c.ExchangeGhostPlanesX(g)
-				// Sample one ghost cell each side.
-				var out [2]float64
-				out[0] = g.At(-1, 1, 2)
-				out[1] = g.At(g.NX(), 1, 2)
-				return out
-			})
-			if err != nil {
-				t.Fatalf("combine=%v p=%d: %v", combine, p, err)
-			}
-			for r, pair := range res {
-				sl := slabs[r]
-				if r > 0 && pair[0] != f(sl.R.Lo-1, 1, 2) {
-					t.Fatalf("p=%d proc %d lower ghost = %v want %v", p, r, pair[0], f(sl.R.Lo-1, 1, 2))
+	for _, width := range []int{1, 2} {
+		for _, combine := range []bool{true, false} {
+			for _, p := range []int{2, 3} {
+				slabs := grid.SlabDecompose3(nx, ny, nz, p, grid.AxisX)
+				opt := DefaultOptions()
+				opt.Combine = combine
+				res, err := Run(p, Sim, opt, func(c *Comm) [][2]float64 {
+					sl := slabs[c.Rank()]
+					g := sl.NewLocal3(width)
+					g.FillFunc(func(i, j, k int) float64 { return f(sl.ToGlobal(i), j, k) })
+					c.ExchangeGhostPlanesMulti(grid.AxisX, g)
+					// Sample one cell of every ghost layer each side.
+					out := make([][2]float64, width)
+					for d := range out {
+						out[d] = [2]float64{g.At(-1-d, 1, 2), g.At(g.NX()+d, 1, 2)}
+					}
+					return out
+				})
+				if err != nil {
+					t.Fatalf("width=%d combine=%v p=%d: %v", width, combine, p, err)
 				}
-				if r < p-1 && pair[1] != f(sl.R.Hi, 1, 2) {
-					t.Fatalf("p=%d proc %d upper ghost = %v want %v", p, r, pair[1], f(sl.R.Hi, 1, 2))
+				for r, layers := range res {
+					sl := slabs[r]
+					for d, pair := range layers {
+						if r > 0 && pair[0] != f(sl.R.Lo-1-d, 1, 2) {
+							t.Fatalf("width=%d p=%d proc %d lower ghost %d = %v want %v",
+								width, p, r, d, pair[0], f(sl.R.Lo-1-d, 1, 2))
+						}
+						if r < p-1 && pair[1] != f(sl.R.Hi+d, 1, 2) {
+							t.Fatalf("width=%d p=%d proc %d upper ghost %d = %v want %v",
+								width, p, r, d, pair[1], f(sl.R.Hi+d, 1, 2))
+						}
+					}
 				}
 			}
 		}
@@ -194,11 +201,13 @@ func TestScatterGatherRoundTrip2D(t *testing.T) {
 	for _, p := range []int{1, 2, 3} {
 		ranges := grid.Decompose(nx, p)
 		res, err := Run(p, Sim, DefaultOptions(), func(c *Comm) *grid.G2 {
-			var src *grid.G2
-			if c.Rank() == 0 {
-				src = global
+			// Each rank takes its own rows of the global grid; GatherRows
+			// must reassemble exactly that grid on the root.
+			rg := ranges[c.Rank()]
+			local := grid.New2(rg.Len(), ny, 1)
+			for k := 0; k < rg.Len(); k++ {
+				local.UnpackRow(k, 0, global.Row(rg.Lo+k))
 			}
-			local := c.ScatterRows(src, ranges, 1, 0)
 			return c.GatherRows(local, ranges, nx, 0)
 		})
 		if err != nil {

@@ -20,11 +20,12 @@
 // under both runtimes; the fdtd package's tests verify this bitwise.
 //
 // The communication operations are the archetype's catalogue:
-// boundary exchange (ExchangeGhostRows / ExchangeGhostPlanesX),
-// broadcast of global data (Broadcast, BroadcastVec), reductions
-// (AllReduce, AllReduceVec, with recursive-doubling and all-to-one
-// algorithms), and host↔grid redistribution for file I/O (GatherX,
-// ScatterX, GatherRows, ScatterRows).
+// boundary exchange (ExchangeGhostRows, ExchangeGhost2D and the 3-D
+// family in axis.go), broadcast of global data (Broadcast,
+// BroadcastVec), reductions (AllReduce, AllReduceVecAlg, with
+// recursive-doubling and all-to-one algorithms), and host↔grid
+// redistribution for file I/O (GatherX, ScatterX, GatherRows, and the
+// block forms Gather2D, Gather3DBlocks, Scatter3DBlocks).
 package mesh
 
 import (
@@ -105,15 +106,6 @@ type Options struct {
 	// When combined with WrapEndpoint, fault wrappers sit inside the
 	// counters, so ChanStats sees what the program attempts to send.
 	ChanStats *channel.NetStats
-	// Overlap lets applications split their boundary exchanges into a
-	// send half and a receive half (StartSendUpTo / FinishSendUpTo and
-	// the SendDown counterparts) so that interior cells are updated
-	// while ghost messages are in flight.  The library primitives exist
-	// regardless; this flag is the application-facing switch the fdtd
-	// builds consult.  Results are bitwise identical either way: the
-	// split only defers the receive past computations that do not read
-	// ghost cells.  On by default via DefaultOptions.
-	Overlap bool
 	// Transport, if non-nil, carries Par-mode messages over an external
 	// substrate — e.g. a loopback socket mesh built with
 	// channel.NewLoopbackMesh(p, network, mesh.WireCodec(), ...) — in
@@ -133,10 +125,10 @@ type Options struct {
 	Workers int
 }
 
-// DefaultOptions returns the archetype defaults: combined messages,
-// recursive-doubling reductions, and overlapped boundary exchanges.
+// DefaultOptions returns the archetype defaults: combined messages and
+// recursive-doubling reductions.
 func DefaultOptions() Options {
-	return Options{Combine: true, ReduceAlg: RecursiveDoubling, Overlap: true}
+	return Options{Combine: true, ReduceAlg: RecursiveDoubling}
 }
 
 // Comm is one process's handle to the archetype library.  It is valid

@@ -314,7 +314,7 @@ func TestCombineAffectsMessageCountNotResult(t *testing.T) {
 			// Reduction of a 2-vector plus a broadcast; message count
 			// differences come from ghost exchanges, tested in
 			// gridops_test; here combined and uncombined must agree.
-			v := c.AllReduceVec([]float64{float64(c.Rank()), 2}, OpSum)
+			v := c.AllReduceVecAlg([]float64{float64(c.Rank()), 2}, OpSum, c.Options().ReduceAlg)
 			return v[0] + v[1]
 		})
 		if err != nil {

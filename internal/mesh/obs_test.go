@@ -10,21 +10,14 @@ import (
 )
 
 // obsWorkload exercises every phase kind: ghost exchange, collectives,
-// and scatter/gather I/O.
+// and gather I/O.
 func obsWorkload(nx, steps int) func(c *Comm) float64 {
 	return func(c *Comm) float64 {
 		p, r := c.P(), c.Rank()
 		ranges := grid.Decompose(nx, p)
-		var global *grid.G2
-		if r == 0 {
-			global = grid.New2(nx, 3, 0)
-			for i := 0; i < nx; i++ {
-				for j := 0; j < 3; j++ {
-					global.Set(i, j, float64(i*3+j))
-				}
-			}
-		}
-		local := c.ScatterRows(global, ranges, 1, 0)
+		lo := ranges[r].Lo
+		local := grid.New2(ranges[r].Len(), 3, 1)
+		local.FillFunc(func(i, j int) float64 { return float64((lo+i)*3 + j) })
 		acc := 0.0
 		for n := 0; n < steps; n++ {
 			c.ExchangeGhostRows(local)

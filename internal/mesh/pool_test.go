@@ -35,8 +35,9 @@ func TestBufferArenaSizeClasses(t *testing.T) {
 }
 
 // TestSteadyStateExchangeAllocs enforces the pooled fast path's central
-// claim: once warm, a full leapfrog-style exchange pair (SendUpX +
-// SendDownX of two grids) allocates zero heap objects — the pack
+// claim: once warm, a full leapfrog-style exchange pair (the stepper's
+// Start/Finish halves, up then down, of two grids) allocates zero heap
+// objects — the pack
 // buffers recycle through the arena, the channel queues reuse their
 // backing arrays, and the scheduler's bookkeeping is allocation-free.
 // GC is disabled for the measurement so the pools cannot be cleared
@@ -54,11 +55,13 @@ func TestSteadyStateExchangeAllocs(t *testing.T) {
 		opt := Options{Combine: true} // no tally, no obs: the bare message path
 		res, err := Run(p, mode, opt, func(c *Comm) float64 {
 			sl := slabs[c.Rank()]
-			a := sl.NewLocal3(1)
-			b := sl.NewLocal3(1)
+			gs := []*grid.G3{sl.NewLocal3(1), sl.NewLocal3(1)}
+			up, down := chainNeighbours(c)
 			step := func() {
-				c.SendUpX(a, b)
-				c.SendDownX(a, b)
+				c.StartSendUpTo(grid.AxisX, up, gs...)
+				c.FinishSendUpTo(grid.AxisX, down, gs...)
+				c.StartSendDownTo(grid.AxisX, down, gs...)
+				c.FinishSendDownTo(grid.AxisX, up, gs...)
 			}
 			for i := 0; i < warm; i++ {
 				step()
@@ -106,8 +109,8 @@ func TestPooledBufferPatternIntegrity(t *testing.T) {
 				fb := float64(1000*r+n) + 0.5
 				a.Fill(fa)
 				b.Fill(fb)
-				c.SendUpX(a, b)
-				c.SendDownX(a, b)
+				sendUp(c, grid.AxisX, a, b)
+				sendDown(c, grid.AxisX, a, b)
 				c.ExchangeGhostPlanesMulti(grid.AxisX, a, b)
 				if r > 0 {
 					want := float64(1000*(r-1) + n)

@@ -50,13 +50,6 @@ func (t *Topo2D) Block(rank int) (xr, yr grid.Range) {
 	return t.XRanges[rx], t.YRanges[ry]
 }
 
-// NewLocal allocates rank's local section with the given ghost width
-// on all four sides.
-func (t *Topo2D) NewLocal(rank, ghost int) *grid.G2 {
-	xr, yr := t.Block(rank)
-	return grid.New2(xr.Len(), yr.Len(), ghost)
-}
-
 // Owner returns the rank owning global point (i, j).
 func (t *Topo2D) Owner(i, j int) int {
 	rx := grid.Owner(t.XRanges, i)

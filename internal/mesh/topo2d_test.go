@@ -52,8 +52,8 @@ func heat2D(t *testing.T, px, py, steps int, corners bool) *grid.G2 {
 	tp := NewTopo2D(nx, ny, px, py)
 	res, err := Run(tp.P(), Sim, DefaultOptions(), func(c *Comm) *grid.G2 {
 		xr, yr := tp.Block(c.Rank())
-		cur := tp.NewLocal(c.Rank(), 1)
-		next := tp.NewLocal(c.Rank(), 1)
+		cur := grid.New2(xr.Len(), yr.Len(), 1)
+		next := grid.New2(xr.Len(), yr.Len(), 1)
 		cur.FillFunc(func(i, j int) float64 {
 			return float64((xr.Lo+i)*3+(yr.Lo+j)*7) * 0.125
 		})
@@ -110,8 +110,8 @@ func TestHeat2DSimEqualsPar(t *testing.T) {
 	const nx, ny = 12, 10
 	tp := NewTopo2D(nx, ny, 2, 2)
 	prog := func(c *Comm) *grid.G2 {
-		cur := tp.NewLocal(c.Rank(), 1)
 		xr, yr := tp.Block(c.Rank())
+		cur := grid.New2(xr.Len(), yr.Len(), 1)
 		cur.FillFunc(func(i, j int) float64 { return float64(xr.Lo+i) * float64(yr.Lo+j) })
 		for s := 0; s < 3; s++ {
 			c.ExchangeGhost2D(cur, tp, true)
@@ -140,7 +140,7 @@ func TestExchangeGhost2DGhostWidth2(t *testing.T) {
 	tp := NewTopo2D(12, 12, 2, 2)
 	res, err := Run(4, Sim, DefaultOptions(), func(c *Comm) [4]float64 {
 		xr, yr := tp.Block(c.Rank())
-		g := tp.NewLocal(c.Rank(), 2)
+		g := grid.New2(xr.Len(), yr.Len(), 2)
 		g.FillFunc(func(i, j int) float64 { return float64(100*(xr.Lo+i) + yr.Lo + j) })
 		c.ExchangeGhost2D(g, tp, true)
 		// Sample the outermost ghost ring (distance 2) in each direction.

@@ -26,7 +26,7 @@ func ghostSnapshot(t *testing.T, p, iters int, mode Mode, opt Options) [][]float
 			return float64(1000*slabs[c.Rank()].ToGlobal(i) + 10*j + k)
 		})
 		for it := 0; it < iters; it++ {
-			c.ExchangeGhostPlanes(g, grid.AxisX)
+			c.ExchangeGhostPlanesMulti(grid.AxisX, g)
 		}
 		var out []float64
 		out = append(out, g.PackPlane(grid.AxisX, -1, nil)...)
@@ -221,7 +221,7 @@ func TestRunWorkerDialMesh(t *testing.T) {
 					return float64(1000*slabs[c.Rank()].ToGlobal(i) + 10*j + k)
 				})
 				for it := 0; it < iters; it++ {
-					c.ExchangeGhostPlanes(g, grid.AxisX)
+					c.ExchangeGhostPlanesMulti(grid.AxisX, g)
 				}
 				var out []float64
 				out = append(out, g.PackPlane(grid.AxisX, -1, nil)...)
