@@ -3,6 +3,7 @@ package archetype
 import (
 	"repro/internal/channel"
 	"repro/internal/core"
+	"repro/internal/explore"
 	"repro/internal/farm"
 	"repro/internal/fdtd"
 	"repro/internal/grid"
@@ -147,9 +148,10 @@ type (
 	Policy = sched.Policy
 )
 
-// CheckDeterminacy empirically tests Theorem 1 for a process network.
-func CheckDeterminacy[T, R any](make func() []sched.Proc[T, R], opt core.DeterminacyOptions[R]) (*core.DeterminacyReport, error) {
-	return core.CheckDeterminacy(make, opt)
+// CheckDeterminacy checks Theorem 1 for a process network by exploring
+// its reduced schedule space (see internal/explore).
+func CheckDeterminacy[T, R any](mk func() []sched.Proc[T, R], opt explore.Options[R]) (*explore.Report, error) {
+	return explore.Run(mk, opt)
 }
 
 // SSP program model.
@@ -267,8 +269,6 @@ var (
 	RunCorrectness = harness.RunCorrectness
 	// RunFarFieldAnalysis runs experiment E2's divergence analysis.
 	RunFarFieldAnalysis = harness.RunFarFieldAnalysis
-	// RunDeterminacy runs experiment E4 on the full application.
-	RunDeterminacy = harness.RunDeterminacy
 	// RunFigure1 demonstrates the Figure 1 correspondence.
 	RunFigure1 = harness.RunFigure1
 	// RunEffort produces the ease-of-use proxy table.

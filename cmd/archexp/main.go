@@ -7,8 +7,9 @@
 //	archexp -exp table1      run one experiment
 //	archexp -quick           use reduced workloads (seconds, not minutes)
 //
-// Experiments: correctness, farfield, determinacy, table1, figure2,
-// figure1, effort, ablations, all.
+// Experiments: correctness, farfield, table1, figure2, rcs, figure1,
+// effort, ablations, all.  The determinacy experiment (E4) is
+// cmd/determinacy.
 package main
 
 import (
@@ -24,7 +25,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (correctness|farfield|determinacy|table1|figure2|rcs|figure1|effort|ablations|all)")
+	exp := flag.String("exp", "all", "experiment to run (correctness|farfield|table1|figure2|rcs|figure1|effort|ablations|all)")
 	quick := flag.Bool("quick", false, "use reduced workloads")
 	flag.Parse()
 
@@ -69,15 +70,6 @@ func main() {
 			return err
 		}
 		fmt.Print(a)
-		return nil
-	})
-
-	run("determinacy", func() error {
-		rep, err := harness.RunDeterminacy(fdtd.SpecSmall(), 3, 3)
-		if err != nil {
-			return err
-		}
-		fmt.Print(rep)
 		return nil
 	})
 
@@ -215,7 +207,7 @@ func main() {
 		return nil
 	})
 
-	if *exp != "all" && !strings.Contains("correctness farfield determinacy table1 figure2 rcs figure1 effort ablations", *exp) {
+	if *exp != "all" && !strings.Contains("correctness farfield table1 figure2 rcs figure1 effort ablations", *exp) {
 		fmt.Fprintf(os.Stderr, "archexp: unknown experiment %q\n", *exp)
 		os.Exit(2)
 	}

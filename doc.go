@@ -8,13 +8,13 @@
 //   - a parallel program model of deterministic processes communicating
 //     over single-reader single-writer channels with infinite slack
 //     (internal/channel, internal/sched), with an interleaving-
-//     controlled scheduler that makes Theorem 1 — all maximal
-//     interleavings reach the same final state — empirically checkable;
+//     controlled scheduler on which Theorem 1 — all maximal
+//     interleavings reach the same final state — is checked by
+//     systematic schedule exploration (internal/explore);
 //   - the sequential simulated-parallel (SSP) program model with
 //     validators for the paper's three data-exchange restrictions and
 //     the mechanical SSP-to-parallel transformation (internal/ssp);
-//   - the refinement-pipeline methodology and determinacy checker
-//     (internal/core);
+//   - the refinement-pipeline methodology (internal/core);
 //   - the mesh archetype: ghost-boundary exchange, reductions
 //     (recursive doubling and all-to-one), broadcast, and host/grid
 //     redistribution, over interchangeable simulated-parallel and

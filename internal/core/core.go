@@ -9,9 +9,9 @@
 // last transformation stay in the sequential domain and are checked by
 // testing ("more amenable to checking by testing and debugging"); the
 // last transformation, SSP to parallel, is the one Theorem 1 justifies
-// formally, and this package provides an empirical checker for it: run
-// the parallel program under many maximal interleavings and verify that
-// every one terminates in the same final state.
+// formally, and the schedule explorer (internal/explore) checks it: it
+// enumerates the parallel program's reduced schedule space and verifies
+// that every schedule terminates in the same final state.
 package core
 
 import (

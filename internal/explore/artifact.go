@@ -58,15 +58,32 @@ func LoadArtifact(path string) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	var a Artifact
-	if err := json.Unmarshal(b, &a); err != nil {
+	a, err := parseArtifact(b)
+	if err != nil {
 		return nil, fmt.Errorf("explore: artifact %s: %v", path, err)
 	}
+	return a, nil
+}
+
+// parseArtifact decodes and validates an artifact's JSON.  An empty
+// trace decodes as nil, the form Save writes, so a loaded artifact
+// saves and reloads equal.
+func parseArtifact(b []byte) (*Artifact, error) {
+	var a Artifact
+	if err := json.Unmarshal(b, &a); err != nil {
+		return nil, err
+	}
 	if a.Version != ArtifactVersion {
-		return nil, fmt.Errorf("explore: artifact %s: version %d, want %d", path, a.Version, ArtifactVersion)
+		return nil, fmt.Errorf("version %d, want %d", a.Version, ArtifactVersion)
 	}
 	if a.Network == "" {
-		return nil, fmt.Errorf("explore: artifact %s: missing network name", path)
+		return nil, fmt.Errorf("missing network name")
+	}
+	if err := a.Schedule.Validate(); err != nil {
+		return nil, fmt.Errorf("schedule: %v", err)
+	}
+	if len(a.Trace) == 0 {
+		a.Trace = nil
 	}
 	return &a, nil
 }

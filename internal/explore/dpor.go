@@ -84,6 +84,7 @@ func exploreAll(run runner, p int, opt *driverOpts) (*Report, error) {
 		return nil, err
 	}
 	rep.Reference = first.outcome
+	rep.Err = first.err
 	rep.Schedules = 1
 
 	stack := make([]*node, 0, len(first.points))

@@ -127,6 +127,9 @@ func TestLoadArtifactRejectsGarbage(t *testing.T) {
 		"nojson.json":  "not json",
 		"version.json": `{"version": 99, "network": "racy"}`,
 		"nonet.json":   `{"version": 1}`,
+		// A negative forced pick names no rank; LoadSchedule rejects
+		// it, and so must the artifact loader.
+		"negpick.json": `{"version": 1, "network": "racy", "schedule": {"picks": [0, -1]}}`,
 	}
 	for name, body := range cases {
 		p := filepath.Join(dir, name)

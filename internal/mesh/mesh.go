@@ -318,21 +318,10 @@ func schedOptions(p int, opt Options) (sched.Options[Msg], error) {
 	}, nil
 }
 
-// RunControlledPolicy executes the SPMD function under an explicit
-// interleaving policy — used by the determinacy experiments to show
-// that archetype programs reach the same final state under arbitrary
-// maximal interleavings.
-func RunControlledPolicy[R any](p int, pol sched.Policy, opt Options, f func(c *Comm) R) ([]R, error) {
-	if p <= 0 {
-		return nil, fmt.Errorf("mesh: process count must be positive, got %d", p)
-	}
-	return sched.RunControlled(Procs(p, opt, f), pol, sched.Options[Msg]{})
-}
-
 // Procs lowers the SPMD function to a plain network of sched processes,
-// exposed so the determinacy and exploration tools can drive archetype
-// programs under arbitrary policies and forced schedules.  Run and
-// RunControlledPolicy wire the same lowering to the standard runtimes.
+// exposed so the schedule explorer can drive archetype programs under
+// arbitrary policies and forced schedules.  Run wires the same lowering
+// to the standard runtimes.
 func Procs[R any](p int, opt Options, f func(c *Comm) R) []sched.Proc[Msg, R] {
 	procs := make([]sched.Proc[Msg, R], p)
 	for i := 0; i < p; i++ {

@@ -34,9 +34,6 @@ func TestRunErrors(t *testing.T) {
 	if _, err := Run(2, Mode(99), DefaultOptions(), func(c *Comm) int { return 0 }); err == nil {
 		t.Fatal("bad mode should error")
 	}
-	if _, err := RunControlledPolicy(0, sched.Lowest{}, DefaultOptions(), func(c *Comm) int { return 0 }); err == nil {
-		t.Fatal("p=0 should error")
-	}
 }
 
 func TestModeString(t *testing.T) {
@@ -253,7 +250,7 @@ func TestArbitraryPoliciesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pol := range sched.DefaultPolicies(6) {
-		got, err := RunControlledPolicy(4, pol, DefaultOptions(), prog)
+		got, err := sched.RunControlled(Procs(4, DefaultOptions(), prog), pol, sched.Options[Msg]{})
 		if err != nil {
 			t.Fatalf("policy %s: %v", pol.Name(), err)
 		}

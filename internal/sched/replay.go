@@ -56,12 +56,22 @@ func LoadSchedule(path string) (Schedule, error) {
 	if err := json.Unmarshal(b, &s); err != nil {
 		return s, fmt.Errorf("sched: schedule %s: %v", path, err)
 	}
-	for i, p := range s.Picks {
-		if p < 0 {
-			return s, fmt.Errorf("sched: schedule %s: pick %d is negative (%d)", path, i, p)
-		}
+	if err := s.Validate(); err != nil {
+		return s, fmt.Errorf("sched: schedule %s: %v", path, err)
 	}
 	return s, nil
+}
+
+// Validate checks a decoded schedule: every forced pick must name a
+// rank, so none may be negative.  Every loader of a recorded schedule
+// calls it.
+func (s Schedule) Validate() error {
+	for i, p := range s.Picks {
+		if p < 0 {
+			return fmt.Errorf("pick %d is negative (%d)", i, p)
+		}
+	}
+	return nil
 }
 
 // Replay forces a recorded prefix of picks and then hands over to a

@@ -5,21 +5,21 @@
 // Two backends are provided.  RunControlled is a cooperative
 // scheduler: exactly one process runs at a time, and at every
 // communication action a pluggable Policy chooses which enabled process
-// acts next.  Running the same network under many policies (or many
-// random seeds) and comparing final states is the empirical form of
-// Theorem 1: all maximal interleavings terminate in the same final
-// state.  RunConcurrent executes the network with real goroutines over
-// a channel.Transport — the in-process network by default, or a socket
-// mesh — the "real parallel" version that the mechanical transformation
-// targets.  RunWorker runs one rank of such a network in this process,
-// its peers elsewhere, on the same supervised backend.  That backend
-// receives one way on every transport: take a value that is there,
-// flush, register as blocked (exact deadlock detection), and wait
-// inside the endpoint, which polls before it parks.
+// acts next.  That is the seam the schedule explorer (internal/explore)
+// drives to check Theorem 1: all maximal interleavings terminate in the
+// same final state.  RunConcurrent executes the network with real
+// goroutines over a channel.Transport — the in-process network by
+// default, or a socket mesh — the "real parallel" version that the
+// mechanical transformation targets.  RunWorker runs one rank of such
+// a network in this process, its peers elsewhere, on the same
+// supervised backend.  That backend receives one way on every
+// transport: take a value that is there, flush, register as blocked
+// (exact deadlock detection), and wait inside the endpoint, which polls
+// before it parks.
 //
 // Processes are functions of a Ctx; they must not share memory (the
-// scheduler cannot enforce this, but the determinacy checker in
-// internal/core detects violations by exhibiting diverging final
+// scheduler cannot enforce this, but the schedule explorer in
+// internal/explore detects violations by exhibiting diverging final
 // states).
 package sched
 
