@@ -24,7 +24,7 @@ type (
 	// redistribution).
 	Comm = mesh.Comm
 	// MeshOptions configures a mesh run (message combining, reduction
-	// algorithm, performance tally).
+	// algorithm, performance profile).
 	MeshOptions = mesh.Options
 	// Mode selects the simulated-parallel or parallel runtime.
 	Mode = mesh.Mode
@@ -167,8 +167,9 @@ type (
 	// MachineModel converts recorded work/message profiles into
 	// simulated execution times.
 	MachineModel = machine.Model
-	// Tally records a parallel run's work and message profile.
-	Tally = machine.Tally
+	// Profile records a parallel run's work, messages and phases for
+	// the machine model (MachineModel.Time, Breakdown and DES).
+	Profile = machine.Profile
 )
 
 // Machine presets and profiling re-exported from machine.
@@ -177,8 +178,8 @@ var (
 	SunEthernet = machine.SunEthernet
 	// IBMSP models the paper's IBM SP.
 	IBMSP = machine.IBMSP
-	// NewTally creates a work/message profile recorder.
-	NewTally = machine.NewTally
+	// NewProfile creates a profile recorder for p processes.
+	NewProfile = machine.NewProfile
 )
 
 // Second application and second archetype.
@@ -219,13 +220,6 @@ var (
 
 // Automatic transformation of 1-D stencil programs (ssp.Stencil1D).
 type Stencil1D = ssp.Stencil1D
-
-// Event-log performance analysis.
-type EventLog = machine.EventLog
-
-// NewEventLog creates a per-process event recorder for the discrete-
-// event replay (MachineModel.DES).
-var NewEventLog = machine.NewEventLog
 
 // Runtime observability (attach via MeshOptions.Obs / MeshOptions.ChanStats).
 type (

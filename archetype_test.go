@@ -77,11 +77,11 @@ func TestFacadeFDTDPipeline(t *testing.T) {
 }
 
 func TestFacadeMachineModels(t *testing.T) {
-	ta := NewTally(2)
-	ta.AddWork(0, 0, 100)
-	ta.AddWork(0, 1, 100)
+	prof := NewProfile(2)
+	prof.Work(0, 100)
+	prof.Work(1, 100)
 	sun, sp := SunEthernet(), IBMSP()
-	if sun.Time(ta) <= sp.Time(ta) {
+	if sun.Time(prof) <= sp.Time(prof) {
 		t.Fatal("Sun should be slower than SP on pure compute")
 	}
 }
@@ -152,7 +152,7 @@ func TestFacadeSecondApplicationAndArchetype(t *testing.T) {
 	}
 }
 
-func TestFacadeStencilAndEventLog(t *testing.T) {
+func TestFacadeStencilAndProfile(t *testing.T) {
 	st := Stencil1D{
 		N: 9, Radius: 1, Steps: 2,
 		Init:   func(i int) float64 { return float64(i) },
@@ -175,12 +175,12 @@ func TestFacadeStencilAndEventLog(t *testing.T) {
 			t.Fatal("facade stencil mismatch")
 		}
 	}
-	// Event log + DES through the facade.
-	log := NewEventLog(2)
-	log.AddWork(0, 10)
-	log.AddSend(0, 1, 8)
-	log.AddRecv(1, 0)
-	if _, total, err := IBMSP().DES(log); err != nil || total <= 0 {
+	// Profile + DES through the facade.
+	prof := NewProfile(2)
+	prof.Work(0, 10)
+	prof.Send(0, 1, 8)
+	prof.Recv(1, 0)
+	if _, total, err := IBMSP().DES(prof); err != nil || total <= 0 {
 		t.Fatalf("facade DES: %v %v", total, err)
 	}
 }

@@ -42,7 +42,7 @@ func benchSpeedup(b *testing.B, spec fdtd.Spec, ps []int, model machine.Model) {
 			var lastSpeedup float64
 			for i := 0; i < b.N; i++ {
 				opt := fdtd.DefaultOptions()
-				opt.Mesh.Tally = machine.NewTally(p)
+				opt.Mesh.Profile = machine.NewProfile(p)
 				arch, err := fdtd.RunArchetype(spec, p, mesh.Sim, opt)
 				if err != nil {
 					b.Fatal(err)
@@ -50,7 +50,7 @@ func benchSpeedup(b *testing.B, spec fdtd.Spec, ps []int, model machine.Model) {
 				if arch.Work != seq.Work {
 					b.Fatalf("work mismatch: %v vs %v", arch.Work, seq.Work)
 				}
-				lastSpeedup = machine.Speedup(seqTime, model.Time(opt.Mesh.Tally))
+				lastSpeedup = machine.Speedup(seqTime, model.Time(opt.Mesh.Profile))
 			}
 			b.ReportMetric(lastSpeedup, "simspeedup")
 			b.ReportMetric(float64(p), "procs")
@@ -121,12 +121,12 @@ func BenchmarkAblationMessageCombining(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opt := fdtd.DefaultOptions()
 				opt.Mesh.Combine = combine
-				opt.Mesh.Tally = machine.NewTally(8)
+				opt.Mesh.Profile = machine.NewProfile(8)
 				if _, err := fdtd.RunArchetype(spec, 8, mesh.Sim, opt); err != nil {
 					b.Fatal(err)
 				}
-				simTime = model.Time(opt.Mesh.Tally)
-				msgs = opt.Mesh.Tally.TotalMessages()
+				simTime = model.Time(opt.Mesh.Profile)
+				msgs = opt.Mesh.Profile.Totals().Messages
 			}
 			b.ReportMetric(simTime, "simsec")
 			b.ReportMetric(float64(msgs), "msgs")
@@ -147,11 +147,11 @@ func BenchmarkAblationReduction(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opt := fdtd.DefaultOptions()
 				opt.Mesh.ReduceAlg = alg
-				opt.Mesh.Tally = machine.NewTally(8)
+				opt.Mesh.Profile = machine.NewProfile(8)
 				if _, err := fdtd.RunArchetype(spec, 8, mesh.Sim, opt); err != nil {
 					b.Fatal(err)
 				}
-				simTime = model.Time(opt.Mesh.Tally)
+				simTime = model.Time(opt.Mesh.Profile)
 			}
 			b.ReportMetric(simTime, "simsec")
 		})
@@ -172,12 +172,12 @@ func BenchmarkAblationHostIO(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opt := fdtd.DefaultOptions()
 				opt.HostIO = host
-				opt.Mesh.Tally = machine.NewTally(4)
+				opt.Mesh.Profile = machine.NewProfile(4)
 				if _, err := fdtd.RunArchetype(spec, 4, mesh.Sim, opt); err != nil {
 					b.Fatal(err)
 				}
-				bytes = opt.Mesh.Tally.TotalBytes()
-				simTime = model.Time(opt.Mesh.Tally)
+				bytes = opt.Mesh.Profile.Totals().Bytes
+				simTime = model.Time(opt.Mesh.Profile)
 			}
 			b.ReportMetric(float64(bytes), "bytes")
 			b.ReportMetric(simTime, "simsec")
@@ -192,10 +192,10 @@ func BenchmarkAblationHostIO(b *testing.B) {
 func BenchmarkAblationDirectionalExchange(b *testing.B) {
 	const nx, ny, nz, p, steps = 32, 32, 32, 4, 16
 	slabs := grid.SlabDecompose3(nx, ny, nz, p, grid.AxisX)
-	run := func(full bool) *machine.Tally {
-		ta := machine.NewTally(p)
+	run := func(full bool) *machine.Profile {
+		prof := machine.NewProfile(p)
 		opt := mesh.DefaultOptions()
-		opt.Tally = ta
+		opt.Profile = prof
 		_, err := mesh.Run(p, mesh.Sim, opt, func(c *mesh.Comm) int {
 			gs := []*grid.G3{slabs[c.Rank()].NewLocal3(1), slabs[c.Rank()].NewLocal3(1)}
 			up, down := c.Rank()+1, c.Rank()-1
@@ -215,7 +215,7 @@ func BenchmarkAblationDirectionalExchange(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		return ta
+		return prof
 	}
 	model := machine.SunEthernet()
 	for _, full := range []bool{false, true} {
@@ -349,10 +349,10 @@ func BenchmarkAblationGhostWidth(b *testing.B) {
 	const nx, ny, nz, p, steps = 64, 48, 48, 4, 32
 	slabs := grid.SlabDecompose3(nx, ny, nz, p, grid.AxisX)
 	model := machine.SunEthernet()
-	run := func(width int) *machine.Tally {
-		ta := machine.NewTally(p)
+	run := func(width int) *machine.Profile {
+		prof := machine.NewProfile(p)
 		opt := mesh.DefaultOptions()
-		opt.Tally = ta
+		opt.Profile = prof
 		_, err := mesh.Run(p, mesh.Sim, opt, func(c *mesh.Comm) int {
 			g := slabs[c.Rank()].NewLocal3(width)
 			for s := 0; s < steps; s++ {
@@ -369,7 +369,7 @@ func BenchmarkAblationGhostWidth(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		return ta
+		return prof
 	}
 	for _, width := range []int{1, 2} {
 		width := width
@@ -377,9 +377,9 @@ func BenchmarkAblationGhostWidth(b *testing.B) {
 			var simTime float64
 			var msgs int
 			for i := 0; i < b.N; i++ {
-				ta := run(width)
-				simTime = model.Time(ta)
-				msgs = ta.TotalMessages()
+				prof := run(width)
+				simTime = model.Time(prof)
+				msgs = prof.Totals().Messages
 			}
 			b.ReportMetric(simTime, "simsec")
 			b.ReportMetric(float64(msgs), "msgs")
@@ -394,9 +394,9 @@ func BenchmarkDecompositionShape(b *testing.B) {
 	spec := fdtd.SpecTable1()
 	spec.Steps = 16
 	model := machine.SunEthernet()
-	run := func(oneD bool) *machine.Tally {
+	run := func(oneD bool) *machine.Profile {
 		opt := fdtd.DefaultOptions()
-		opt.Mesh.Tally = machine.NewTally(8)
+		opt.Mesh.Profile = machine.NewProfile(8)
 		var err error
 		if oneD {
 			_, err = fdtd.RunArchetype(spec, 8, mesh.Sim, opt)
@@ -406,7 +406,7 @@ func BenchmarkDecompositionShape(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		return opt.Mesh.Tally
+		return opt.Mesh.Profile
 	}
 	for _, oneD := range []bool{true, false} {
 		oneD := oneD
@@ -418,9 +418,9 @@ func BenchmarkDecompositionShape(b *testing.B) {
 			var simTime float64
 			var bytes int64
 			for i := 0; i < b.N; i++ {
-				ta := run(oneD)
-				simTime = model.Time(ta)
-				bytes = ta.TotalBytes()
+				prof := run(oneD)
+				simTime = model.Time(prof)
+				bytes = prof.Totals().Bytes
 			}
 			b.ReportMetric(simTime, "simsec")
 			b.ReportMetric(float64(bytes)/1e6, "MB")

@@ -183,27 +183,27 @@ func main() {
 		}
 		fmt.Printf("%-48s %10s %10s %12s %12s %12s\n",
 			"variant", "msgs", "MB", "compute (s)", "comm (s)", "total (s)")
-		report := func(name string, ta *machine.Tally) {
-			bd := model.Breakdown(ta)
+		report := func(name string, prof *machine.Profile) {
+			bd, tot := model.Breakdown(prof), prof.Totals()
 			fmt.Printf("%-48s %10d %10.2f %12.3f %12.3f %12.3f\n", name,
-				ta.TotalMessages(), float64(ta.TotalBytes())/1e6,
+				tot.Messages, float64(tot.Bytes)/1e6,
 				bd.Compute, bd.Comm, bd.Compute+bd.Comm)
 		}
 		for _, v := range variants {
 			opt := v.opt
-			opt.Mesh.Tally = machine.NewTally(8)
+			opt.Mesh.Profile = machine.NewProfile(8)
 			if _, err := fdtd.RunArchetype(spec, 8, mesh.Sim, opt); err != nil {
 				return err
 			}
-			report(v.name, opt.Mesh.Tally)
+			report(v.name, opt.Mesh.Profile)
 		}
 		// Decomposition-shape ablation at the same process count.
 		opt2d := base
-		opt2d.Mesh.Tally = machine.NewTally(8)
+		opt2d.Mesh.Profile = machine.NewProfile(8)
 		if _, err := fdtd.RunArchetype2D(spec, 4, 2, mesh.Sim, opt2d); err != nil {
 			return err
 		}
-		report("2-D decomposition (4x2 blocks)", opt2d.Mesh.Tally)
+		report("2-D decomposition (4x2 blocks)", opt2d.Mesh.Profile)
 		return nil
 	})
 

@@ -286,7 +286,7 @@ func main() {
 	}
 
 	ranks := *p * *py
-	var tally *machine.Tally
+	var prof *machine.Profile
 	var col *obs.Collector
 	var stats *channel.NetStats
 	if obsWanted {
@@ -360,8 +360,8 @@ func main() {
 		if *build == "par" {
 			mode = mesh.Par
 		}
-		tally = machine.NewTally(ranks)
-		opt.Mesh.Tally = tally
+		prof = machine.NewProfile(ranks)
+		opt.Mesh.Profile = prof
 		if *py > 1 {
 			res, err = fdtd.RunArchetype2D(spec, *p, *py, mode, opt)
 		} else {
@@ -412,12 +412,13 @@ func main() {
 			fmt.Printf("final Ez written to %s\n", *dump)
 		}
 	}
-	if tally != nil && !*quiet {
+	if prof != nil && !*quiet {
+		tot := prof.Totals()
 		fmt.Printf("profile: %d messages, %.2f MB, %d phases\n",
-			tally.TotalMessages(), float64(tally.TotalBytes())/1e6, tally.Phases())
+			tot.Messages, float64(tot.Bytes)/1e6, tot.Phases)
 		for _, m := range []machine.Model{machine.SunEthernet(), machine.IBMSP()} {
-			simT := m.Time(tally)
-			seqT := m.SequentialTime(tally)
+			simT := m.Time(prof)
+			seqT := m.SequentialTime(prof)
 			fmt.Printf("  %-40s simulated %8.3f s (speedup %.2f on %d procs)\n",
 				m.Name, simT, machine.Speedup(seqT, simT), ranks)
 		}

@@ -50,7 +50,7 @@ type sweepRow struct {
 // clocks are whatever this host
 // gives — on a single hardware thread a CPU-bound solve cannot beat
 // P=1 — so the table also reports the paper's machine-model speedups,
-// which are deterministic functions of the measured message/work tally
+// which are deterministic functions of the measured message/work profile
 // and capture what the decomposition buys on the modelled machines.
 func runSweep(spec fdtd.Spec, list, backend, network string, compensated, quiet bool) error {
 	ps, err := parseSweep(list)
@@ -76,10 +76,10 @@ func runSweep(spec fdtd.Spec, list, backend, network string, compensated, quiet 
 			return fmt.Errorf("-sweep: cannot split %d x-planes over %d processes", spec.NX, p)
 		}
 		row := sweepRow{p: p}
-		tally := machine.NewTally(p)
+		prof := machine.NewProfile(p)
 		opt := fdtd.DefaultOptions()
 		opt.FarFieldCompensated = compensated
-		opt.Mesh.Tally = tally
+		opt.Mesh.Profile = prof
 		start = time.Now()
 		res, err := fdtd.RunArchetype(spec, p, mesh.Par, opt)
 		if err != nil {
@@ -90,8 +90,8 @@ func runSweep(spec fdtd.Spec, list, backend, network string, compensated, quiet 
 			return fmt.Errorf("P=%d par: near field differs from sequential", p)
 		}
 		row.measuredX = machine.Speedup(seqWall.Seconds(), row.parWall.Seconds())
-		row.modelSunX = machine.Speedup(sun.SequentialTime(tally), sun.Time(tally))
-		row.modelIBMX = machine.Speedup(ibm.SequentialTime(tally), ibm.Time(tally))
+		row.modelSunX = machine.Speedup(sun.SequentialTime(prof), sun.Time(prof))
+		row.modelIBMX = machine.Speedup(ibm.SequentialTime(prof), ibm.Time(prof))
 
 		if backend == "socket" {
 			tr, err := channel.NewLoopbackMesh(p, network, mesh.WireCodec(), channel.SocketOptions{})

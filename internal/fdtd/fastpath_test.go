@@ -136,7 +136,7 @@ func testOneProgramIdentity(t *testing.T) {
 		// The sequential program is the trivial decomposition: it must
 		// not send a single message.
 		opt := sequentialOptions(false)
-		opt.Mesh.Tally = machine.NewTally(1)
+		opt.Mesh.Profile = machine.NewProfile(1)
 		pr, err := plan(spec, 1, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -144,11 +144,11 @@ func testOneProgramIdentity(t *testing.T) {
 		if _, err := pr.exec(mesh.Sim); err != nil {
 			t.Fatal(err)
 		}
-		if n, b := opt.Mesh.Tally.TotalMessages(), opt.Mesh.Tally.TotalBytes(); n != 0 || b != 0 {
+		if n, b := opt.Mesh.Profile.Totals().Messages, opt.Mesh.Profile.Totals().Bytes; n != 0 || b != 0 {
 			t.Errorf("%v: sequential program sent %d messages (%d bytes), want none", spec.Boundary, n, b)
 		}
-		if w := opt.Mesh.Tally.TotalWork(); w != seq.Work {
-			t.Errorf("%v: sequential tally work %v != result work %v", spec.Boundary, w, seq.Work)
+		if w := opt.Mesh.Profile.Totals().Work; w != seq.Work {
+			t.Errorf("%v: sequential profile work %v != result work %v", spec.Boundary, w, seq.Work)
 		}
 	}
 }

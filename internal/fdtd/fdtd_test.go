@@ -230,11 +230,11 @@ func TestCombiningReducesMessageCount(t *testing.T) {
 	count := func(combine bool) int {
 		opt := DefaultOptions()
 		opt.Mesh.Combine = combine
-		opt.Mesh.Tally = machine.NewTally(4)
+		opt.Mesh.Profile = machine.NewProfile(4)
 		if _, err := RunArchetype(spec, 4, mesh.Sim, opt); err != nil {
 			t.Fatal(err)
 		}
-		return opt.Mesh.Tally.TotalMessages()
+		return opt.Mesh.Profile.Totals().Messages
 	}
 	on, off := count(true), count(false)
 	if on >= off {
@@ -279,20 +279,20 @@ func TestWorkMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestTallyRecordsProfile(t *testing.T) {
+func TestProfileRecordsRun(t *testing.T) {
 	spec := SpecSmallA()
 	opt := DefaultOptions()
-	opt.Mesh.Tally = machine.NewTally(4)
+	opt.Mesh.Profile = machine.NewProfile(4)
 	arch := mustArch(t, spec, 4, mesh.Sim, opt)
-	ta := opt.Mesh.Tally
-	if ta.TotalWork() != arch.Work {
-		t.Fatalf("tally work %v != result work %v", ta.TotalWork(), arch.Work)
+	prof := opt.Mesh.Profile
+	if prof.Totals().Work != arch.Work {
+		t.Fatalf("profile work %v != result work %v", prof.Totals().Work, arch.Work)
 	}
-	if ta.TotalMessages() == 0 || ta.TotalBytes() == 0 {
-		t.Fatal("tally missed messages")
+	if prof.Totals().Messages == 0 || prof.Totals().Bytes == 0 {
+		t.Fatal("profile missed messages")
 	}
 	m := machine.IBMSP()
-	if m.Time(ta) <= 0 || m.SequentialTime(ta) <= 0 {
+	if m.Time(prof) <= 0 || m.SequentialTime(prof) <= 0 {
 		t.Fatal("model times must be positive")
 	}
 }
@@ -412,17 +412,16 @@ func TestDESRefinesBSPBound(t *testing.T) {
 	// bound synchronises every exchange globally.
 	spec := SpecSmallA()
 	opt := DefaultOptions()
-	opt.Mesh.Tally = machine.NewTally(4)
-	opt.Mesh.Events = machine.NewEventLog(4)
+	opt.Mesh.Profile = machine.NewProfile(4)
 	if _, err := RunArchetype(spec, 4, mesh.Sim, opt); err != nil {
 		t.Fatal(err)
 	}
 	m := machine.SunEthernet()
-	_, des, err := m.DES(opt.Mesh.Events)
+	_, des, err := m.DES(opt.Mesh.Profile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bsp := m.Time(opt.Mesh.Tally)
+	bsp := m.Time(opt.Mesh.Profile)
 	if des > bsp {
 		t.Fatalf("DES time %v exceeds the BSP bound %v", des, bsp)
 	}
@@ -431,21 +430,21 @@ func TestDESRefinesBSPBound(t *testing.T) {
 	}
 }
 
-func TestEventLogIdenticalAcrossRuntimes(t *testing.T) {
+func TestProfileIdenticalAcrossRuntimes(t *testing.T) {
 	// The event sequence is part of the program's deterministic
-	// behaviour: Sim and Par runs log the same number of events and
+	// behaviour: Sim and Par runs record the same number of events and
 	// yield the same DES time.
 	run := func(mode mesh.Mode) (int, float64) {
 		opt := DefaultOptions()
-		opt.Mesh.Events = machine.NewEventLog(3)
+		opt.Mesh.Profile = machine.NewProfile(3)
 		if _, err := RunArchetype(SpecSmallA(), 3, mode, opt); err != nil {
 			t.Fatal(err)
 		}
-		_, des, err := machine.IBMSP().DES(opt.Mesh.Events)
+		_, des, err := machine.IBMSP().DES(opt.Mesh.Profile)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return opt.Mesh.Events.Events(), des
+		return opt.Mesh.Profile.Totals().Events, des
 	}
 	nSim, tSim := run(mesh.Sim)
 	nPar, tPar := run(mesh.Par)

@@ -10,7 +10,7 @@ import (
 // builds of the application.
 type Options struct {
 	// Mesh carries the archetype runtime options (message combining,
-	// reduction algorithm, performance tally).
+	// reduction algorithm, performance profile).
 	Mesh mesh.Options
 	// FarFieldCompensated switches the far-field accumulation to
 	// Neumaier-compensated local sums combined in rank order — the

@@ -131,26 +131,26 @@ func TestRunArchetype2DErrors(t *testing.T) {
 	}
 }
 
-func Test2DTallyBalance(t *testing.T) {
+func Test2DProfileBalance(t *testing.T) {
 	// A 2-D decomposition of a cube should move less boundary data per
 	// process than the 1-D slab decomposition at the same P (surface-
 	// to-volume advantage) once P is large enough.
 	spec := SpecSmallA()
 	run1D := func(p int) int64 {
 		opt := DefaultOptions()
-		opt.Mesh.Tally = machine.NewTally(p)
+		opt.Mesh.Profile = machine.NewProfile(p)
 		if _, err := RunArchetype(spec, p, mesh.Sim, opt); err != nil {
 			t.Fatal(err)
 		}
-		return opt.Mesh.Tally.TotalBytes()
+		return opt.Mesh.Profile.Totals().Bytes
 	}
 	run2D := func(px, py int) int64 {
 		opt := DefaultOptions()
-		opt.Mesh.Tally = machine.NewTally(px * py)
+		opt.Mesh.Profile = machine.NewProfile(px * py)
 		if _, err := RunArchetype2D(spec, px, py, mesh.Sim, opt); err != nil {
 			t.Fatal(err)
 		}
-		return opt.Mesh.Tally.TotalBytes()
+		return opt.Mesh.Profile.Totals().Bytes
 	}
 	b1 := run1D(8)
 	b2 := run2D(4, 2)

@@ -146,7 +146,7 @@ func RunSpeedup(cfg SpeedupConfig) (*Table, error) {
 
 	for _, p := range cfg.Ps {
 		opt := cfg.Opt
-		opt.Mesh.Tally = machine.NewTally(p)
+		opt.Mesh.Profile = machine.NewProfile(p)
 		arch, err := fdtd.RunArchetype(cfg.Spec, p, mesh.Sim, opt)
 		if err != nil {
 			return nil, err
@@ -154,7 +154,7 @@ func RunSpeedup(cfg SpeedupConfig) (*Table, error) {
 		if arch.Work != seq.Work {
 			return nil, fmt.Errorf("harness: work mismatch at p=%d: %v vs %v", p, arch.Work, seq.Work)
 		}
-		parTime := model.Time(opt.Mesh.Tally)
+		parTime := model.Time(opt.Mesh.Profile)
 		sp := machine.Speedup(seqModel, parTime)
 		table.Rows = append(table.Rows, Row{
 			Label:      fmt.Sprintf("Parallel, P=%d", p),

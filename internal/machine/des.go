@@ -1,16 +1,14 @@
 package machine
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Discrete-event replay.  Model.Time charges each bulk-synchronous
 // phase the slowest process's compute plus the slowest process's
 // communication — a sound upper bound, but one that synchronises
-// neighbour-only exchanges globally.  The event log recorded here
-// preserves the actual dependency structure (which process waited for
-// which message), and DES replays it with Lamport-style virtual clocks:
+// neighbour-only exchanges globally.  The profile's per-process event
+// sequences preserve the actual dependency structure (which process
+// waited for which message), and DES replays them with Lamport-style
+// virtual clocks, ignoring phase ends:
 //
 //	work          clock[p] += units * SecPerWork
 //	send p -> q   arrival = clock[p] + Latency + bytes*SecPerByte;
@@ -18,89 +16,19 @@ import (
 //	recv q <- p   clock[q] = max(clock[q], arrival of the matching send)
 //
 // The result is a per-process finish time under the same cost model but
-// without artificial global barriers, so DES total <= Time(tally) for
+// without artificial global barriers, so DES total <= Time(profile) for
 // the same run.  Comparing the two quantifies how much the
 // bulk-synchronous approximation overestimates.
 
-// eventKind classifies a logged event.
-type eventKind int
-
-const (
-	evWork eventKind = iota
-	evSend
-	evRecv
-)
-
-type event struct {
-	kind  eventKind
-	peer  int
-	units float64 // work units (evWork) or payload bytes (evSend)
-}
-
-// EventLog records, per process, the ordered sequence of work and
-// communication events of one run.  All methods are safe for
-// concurrent use (processes log independently; cross-process order is
-// irrelevant because matching is by per-channel FIFO position).
-type EventLog struct {
-	mu   sync.Mutex
-	p    int
-	evs  [][]event
-	msgs int
-}
-
-// NewEventLog returns an empty log for p processes.
-func NewEventLog(p int) *EventLog {
-	if p <= 0 {
-		panic(fmt.Sprintf("machine: event log needs p > 0, got %d", p))
-	}
-	return &EventLog{p: p, evs: make([][]event, p)}
-}
-
-// P returns the process count.
-func (l *EventLog) P() int { return l.p }
-
-// Events returns the total number of logged events.
-func (l *EventLog) Events() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for _, es := range l.evs {
-		n += len(es)
-	}
-	return n
-}
-
-// AddWork logs compute work on proc.
-func (l *EventLog) AddWork(proc int, units float64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.evs[proc] = append(l.evs[proc], event{kind: evWork, units: units})
-}
-
-// AddSend logs a message send from proc to peer with the given payload.
-func (l *EventLog) AddSend(proc, peer, bytes int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.evs[proc] = append(l.evs[proc], event{kind: evSend, peer: peer, units: float64(bytes)})
-	l.msgs++
-}
-
-// AddRecv logs a (blocking) receive on proc from peer.
-func (l *EventLog) AddRecv(proc, peer int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.evs[proc] = append(l.evs[proc], event{kind: evRecv, peer: peer})
-}
-
-// DES replays the event log under the model and returns each process's
-// virtual finish time.  It returns an error if the log is causally
+// DES replays the profile under the model and returns each process's
+// virtual finish time.  It returns an error if the profile is causally
 // incomplete (a receive with no matching send) — which cannot happen
-// for logs recorded from completed runs.
-func (m Model) DES(l *EventLog) (perProc []float64, total float64, err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	clock := make([]float64, l.p)
-	cursor := make([]int, l.p)
+// for profiles recorded from completed runs.
+func (m Model) DES(f *Profile) (perProc []float64, total float64, err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	clock := make([]float64, len(f.evs))
+	cursor := make([]int, len(f.evs))
 	// arrivals[from][to] is the FIFO of computed arrival times.
 	arrivals := make(map[[2]int][]float64)
 
@@ -109,31 +37,28 @@ func (m Model) DES(l *EventLog) (perProc []float64, total float64, err error) {
 	for {
 		progress := false
 		done := true
-		for p := 0; p < l.p; p++ {
-			for cursor[p] < len(l.evs[p]) {
-				e := l.evs[p][cursor[p]]
-				if e.kind == evRecv {
+		for p, es := range f.evs {
+		replay:
+			for ; cursor[p] < len(es); cursor[p]++ {
+				switch e := es[cursor[p]]; e.kind {
+				case evWork:
+					clock[p] += e.units * m.SecPerWork
+				case evSend:
+					ser := e.units * m.SecPerByte
+					key := [2]int{p, e.peer}
+					arrivals[key] = append(arrivals[key], clock[p]+m.Latency+ser)
+					clock[p] += ser
+				case evRecv:
 					key := [2]int{e.peer, p}
 					if len(arrivals[key]) == 0 {
-						break // wait for the sender's replay to catch up
+						break replay // wait for the sender's replay to catch up
 					}
-					t := arrivals[key][0]
+					clock[p] = max(clock[p], arrivals[key][0])
 					arrivals[key] = arrivals[key][1:]
-					if t > clock[p] {
-						clock[p] = t
-					}
-				} else if e.kind == evSend {
-					ser := e.units * m.SecPerByte
-					arrivals[[2]int{p, e.peer}] = append(arrivals[[2]int{p, e.peer}],
-						clock[p]+m.Latency+ser)
-					clock[p] += ser
-				} else {
-					clock[p] += e.units * m.SecPerWork
 				}
-				cursor[p]++
 				progress = true
 			}
-			if cursor[p] < len(l.evs[p]) {
+			if cursor[p] < len(es) {
 				done = false
 			}
 		}
@@ -141,7 +66,7 @@ func (m Model) DES(l *EventLog) (perProc []float64, total float64, err error) {
 			break
 		}
 		if !progress {
-			return nil, 0, fmt.Errorf("machine: event log causally incomplete (receive without matching send)")
+			return nil, 0, fmt.Errorf("machine: profile causally incomplete (receive without matching send)")
 		}
 	}
 	for _, c := range clock {

@@ -7,11 +7,11 @@ import (
 
 func TestDESPureCompute(t *testing.T) {
 	m := Model{SecPerWork: 2}
-	l := NewEventLog(3)
-	l.AddWork(0, 10)
-	l.AddWork(1, 5)
-	l.AddWork(2, 8)
-	per, total, err := m.DES(l)
+	f := NewProfile(3)
+	f.Work(0, 10)
+	f.Work(1, 5)
+	f.Work(2, 8)
+	per, total, err := m.DES(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,14 +25,14 @@ func TestDESPureCompute(t *testing.T) {
 
 func TestDESMessageDelays(t *testing.T) {
 	m := Model{SecPerWork: 1, Latency: 10, SecPerByte: 0.5}
-	l := NewEventLog(2)
+	f := NewProfile(2)
 	// P0: work 4, send 8 bytes to P1.
-	l.AddWork(0, 4)
-	l.AddSend(0, 1, 8)
+	f.Work(0, 4)
+	f.Send(0, 1, 8)
 	// P1: recv, work 1.
-	l.AddRecv(1, 0)
-	l.AddWork(1, 1)
-	per, total, err := m.DES(l)
+	f.Recv(1, 0)
+	f.Work(1, 1)
+	per, total, err := m.DES(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +44,11 @@ func TestDESMessageDelays(t *testing.T) {
 
 func TestDESNoWaitWhenMessageEarly(t *testing.T) {
 	m := Model{SecPerWork: 1, Latency: 1}
-	l := NewEventLog(2)
-	l.AddSend(0, 1, 0) // arrives at t=1
-	l.AddWork(1, 50)   // busy far past the arrival
-	l.AddRecv(1, 0)    // no extra wait
-	per, _, err := m.DES(l)
+	f := NewProfile(2)
+	f.Send(0, 1, 0) // arrives at t=1
+	f.Work(1, 50)   // busy far past the arrival
+	f.Recv(1, 0)    // no extra wait
+	per, _, err := m.DES(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,12 +59,12 @@ func TestDESNoWaitWhenMessageEarly(t *testing.T) {
 
 func TestDESFIFOOrderAcrossMessages(t *testing.T) {
 	m := Model{Latency: 1, SecPerByte: 1}
-	l := NewEventLog(2)
-	l.AddSend(0, 1, 4) // arrival 0+1+4 = 5, clock -> 4
-	l.AddSend(0, 1, 2) // arrival 4+1+2 = 7
-	l.AddRecv(1, 0)
-	l.AddRecv(1, 0)
-	per, _, err := m.DES(l)
+	f := NewProfile(2)
+	f.Send(0, 1, 4) // arrival 0+1+4 = 5, clock -> 4
+	f.Send(0, 1, 2) // arrival 4+1+2 = 7
+	f.Recv(1, 0)
+	f.Recv(1, 0)
+	per, _, err := m.DES(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,9 +75,9 @@ func TestDESFIFOOrderAcrossMessages(t *testing.T) {
 
 func TestDESIncompleteLog(t *testing.T) {
 	m := Model{}
-	l := NewEventLog(2)
-	l.AddRecv(1, 0) // no matching send, ever
-	if _, _, err := m.DES(l); err == nil {
+	f := NewProfile(2)
+	f.Recv(1, 0) // no matching send, ever
+	if _, _, err := m.DES(f); err == nil {
 		t.Fatal("causally incomplete log accepted")
 	}
 }
@@ -88,28 +88,24 @@ func TestDESPipelineBeatsBSPBound(t *testing.T) {
 	// strictly faster for multi-item pipelines.
 	m := Model{SecPerWork: 1, Latency: 0.1}
 	const p, items = 4, 8
-	l := NewEventLog(p)
-	ta := NewTally(p)
-	phase := 0
+	f := NewProfile(p)
 	for it := 0; it < items; it++ {
 		for stage := 0; stage < p; stage++ {
 			if stage > 0 {
-				l.AddRecv(stage, stage-1)
+				f.Recv(stage, stage-1)
 			}
-			l.AddWork(stage, 1)
-			ta.AddWork(phase, stage, 1)
+			f.Work(stage, 1)
 			if stage < p-1 {
-				l.AddSend(stage, stage+1, 8)
-				ta.Message(phase, stage, stage+1, 8)
+				f.Send(stage, stage+1, 8)
 			}
-			phase++
+			endPhase(f)
 		}
 	}
-	_, des, err := m.DES(l)
+	_, des, err := m.DES(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bsp := m.Time(ta)
+	bsp := m.Time(f)
 	if des >= bsp {
 		t.Fatalf("DES %v should beat the BSP bound %v on a pipeline", des, bsp)
 	}
@@ -126,59 +122,36 @@ func TestDESMatchesBSPOnFullySynchronousProgram(t *testing.T) {
 	// tight: DES and BSP agree closely.
 	m := Model{SecPerWork: 1, Latency: 0.01}
 	const p, steps = 3, 5
-	l := NewEventLog(p)
-	ta := NewTally(p)
+	f := NewProfile(p)
 	for s := 0; s < steps; s++ {
 		for i := 0; i < p; i++ {
-			l.AddWork(i, 10)
-			ta.AddWork(s, i, 10)
+			f.Work(i, 10)
 		}
 		for i := 0; i < p; i++ {
 			for j := 0; j < p; j++ {
 				if i != j {
-					l.AddSend(i, j, 0)
-					ta.Message(s, i, j, 0)
+					f.Send(i, j, 0)
 				}
 			}
 		}
 		for i := 0; i < p; i++ {
 			for j := 0; j < p; j++ {
 				if i != j {
-					l.AddRecv(i, j)
+					f.Recv(i, j)
 				}
 			}
 		}
+		endPhase(f)
 	}
-	_, des, err := m.DES(l)
+	_, des, err := m.DES(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bsp := m.Time(ta)
+	bsp := m.Time(f)
 	if des > bsp {
 		t.Fatalf("DES %v exceeds the BSP bound %v", des, bsp)
 	}
 	if math.Abs(des-bsp)/bsp > 0.2 {
 		t.Fatalf("fully synchronous program: DES %v should be close to BSP %v", des, bsp)
 	}
-}
-
-func TestEventLogBasics(t *testing.T) {
-	l := NewEventLog(2)
-	if l.P() != 2 || l.Events() != 0 {
-		t.Fatal("empty log state")
-	}
-	l.AddWork(0, 1)
-	l.AddSend(0, 1, 8)
-	l.AddRecv(1, 0)
-	if l.Events() != 3 {
-		t.Fatalf("Events = %d", l.Events())
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected panic")
-			}
-		}()
-		NewEventLog(0)
-	}()
 }

@@ -22,11 +22,10 @@ import (
 // a single message — the paper's combining of message-passing
 // operations "with a common sender and a common receiver".
 //
-// Phase labels are precomputed per axis: label strings sit on the
-// per-step hot path and building them with concatenation would allocate
-// on every exchange.
+// The directional halves' observability labels are precomputed per
+// axis: label strings sit on the per-step hot path and building them
+// with concatenation would allocate on every exchange.
 var (
-	multiExchangeLabels   = [3]string{"ghost-exchange-multi-x", "ghost-exchange-multi-y", "ghost-exchange-multi-z"}
 	directionalSendLabels = [3]string{"directional-send-x", "directional-send-y", "directional-send-z"}
 	directionalRecvLabels = [3]string{"directional-recv-x", "directional-recv-y", "directional-recv-z"}
 )
@@ -67,7 +66,7 @@ func (c *Comm) ExchangeGhostPlanesMulti(axis grid.Axis, gs ...*grid.G3) {
 	c.flush()
 	c.haloRecv(axis, true, down, w, gs)
 	c.haloRecv(axis, false, up, w, gs)
-	c.endPhase(axisLabel(&multiExchangeLabels, axis))
+	c.endPhase()
 }
 
 // StartSendUpTo ships each grid's top interior plane along the axis to
@@ -117,7 +116,7 @@ func (c *Comm) startHalf(axis grid.Axis, up bool, sendTo int, gs []*grid.G3) {
 		// message flight overlaps the caller's computation.
 		c.flush()
 	}
-	c.endPhase(axisLabel(&directionalSendLabels, axis))
+	c.endPhase()
 }
 
 func (c *Comm) finishHalf(axis grid.Axis, up bool, recvFrom int, gs []*grid.G3) {
@@ -125,7 +124,7 @@ func (c *Comm) finishHalf(axis grid.Axis, up bool, recvFrom int, gs []*grid.G3) 
 	if len(gs) > 0 {
 		c.haloRecv(axis, up, recvFrom, 1, gs)
 	}
-	c.endPhase(axisLabel(&directionalRecvLabels, axis))
+	c.endPhase()
 }
 
 // haloValidate panics unless every grid can send and receive w planes

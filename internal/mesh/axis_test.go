@@ -297,9 +297,9 @@ func TestDirectionalHalvesMessagesVsFullExchange(t *testing.T) {
 	const nx, ny, nz, p = 8, 2, 2, 4
 	slabs := grid.SlabDecompose3(nx, ny, nz, p, grid.AxisX)
 	count := func(f func(c *Comm, g *grid.G3)) int {
-		ta := machine.NewTally(p)
+		prof := machine.NewProfile(p)
 		opt := DefaultOptions()
-		opt.Tally = ta
+		opt.Profile = prof
 		_, err := Run(p, Sim, opt, func(c *Comm) int {
 			g := slabs[c.Rank()].NewLocal3(1)
 			f(c, g)
@@ -308,7 +308,7 @@ func TestDirectionalHalvesMessagesVsFullExchange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ta.TotalMessages()
+		return prof.Totals().Messages
 	}
 	full := count(func(c *Comm, g *grid.G3) { c.ExchangeGhostPlanesMulti(grid.AxisX, g) })
 	up := count(func(c *Comm, g *grid.G3) { sendUp(c, grid.AxisX, g) })
@@ -321,10 +321,10 @@ func TestDirectionalCombiningMergesGrids(t *testing.T) {
 	const p = 3
 	slabs := grid.SlabDecompose3(9, 2, 2, p, grid.AxisX)
 	count := func(combine bool) int {
-		ta := machine.NewTally(p)
+		prof := machine.NewProfile(p)
 		opt := DefaultOptions()
 		opt.Combine = combine
-		opt.Tally = ta
+		opt.Profile = prof
 		_, err := Run(p, Sim, opt, func(c *Comm) int {
 			a := slabs[c.Rank()].NewLocal3(1)
 			b := slabs[c.Rank()].NewLocal3(1)
@@ -334,7 +334,7 @@ func TestDirectionalCombiningMergesGrids(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ta.TotalMessages()
+		return prof.Totals().Messages
 	}
 	combined, uncombined := count(true), count(false)
 	if uncombined != 2*combined {
@@ -343,9 +343,9 @@ func TestDirectionalCombiningMergesGrids(t *testing.T) {
 }
 
 func TestDirectionalEmptyAndErrors(t *testing.T) {
-	ta := machine.NewTally(2)
+	prof := machine.NewProfile(2)
 	opt := DefaultOptions()
-	opt.Tally = ta
+	opt.Profile = prof
 	_, err := Run(2, Sim, opt, func(c *Comm) int {
 		sendUp(c, grid.AxisX) // no grids: still two phases, no messages
 		sendDown(c, grid.AxisX)
@@ -354,7 +354,7 @@ func TestDirectionalEmptyAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := ta.TotalMessages(); n != 0 {
+	if n := prof.Totals().Messages; n != 0 {
 		t.Fatalf("empty halves sent %d messages", n)
 	}
 	// Ghostless grid panics.

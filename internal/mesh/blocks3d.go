@@ -65,7 +65,7 @@ func (c *Comm) Gather3DBlocks(local *grid.G3, t *Topo2D, nz, root int) *grid.G3 
 		panic(fmt.Sprintf("mesh: topology has %d processes, run has %d", t.P(), c.P()))
 	}
 	c.beginPhase(obs.PhaseIO, "gather-3d-blocks")
-	defer c.endPhase("gather-3d-blocks")
+	defer c.endPhase()
 	r := c.Rank()
 	if r != root {
 		buf := getBuf(local.NX() * local.NY() * local.NZ())
@@ -99,7 +99,7 @@ func (c *Comm) Scatter3DBlocks(global *grid.G3, t *Topo2D, nz, root, gx, gy int)
 		panic(fmt.Sprintf("mesh: topology has %d processes, run has %d", t.P(), c.P()))
 	}
 	c.beginPhase(obs.PhaseIO, "scatter-3d-blocks")
-	defer c.endPhase("scatter-3d-blocks")
+	defer c.endPhase()
 	r := c.Rank()
 	mkLocal := func(rank int) *grid.G3 {
 		xr, yr := t.Block(rank)

@@ -83,9 +83,9 @@ func TestMultiExchangeCoalescesMessages(t *testing.T) {
 	const nx, ny, nz, p = 12, 4, 3, 4
 	slabs := grid.SlabDecompose3(nx, ny, nz, p, grid.AxisX)
 	count := func(exchange func(c *Comm, gs []*grid.G3)) int {
-		ta := machine.NewTally(p)
+		prof := machine.NewProfile(p)
 		opt := DefaultOptions()
-		opt.Tally = ta
+		opt.Profile = prof
 		_, err := Run(p, Sim, opt, func(c *Comm) int {
 			gs := mkFields(slabs[c.Rank()], c.Rank())
 			exchange(c, gs)
@@ -94,7 +94,7 @@ func TestMultiExchangeCoalescesMessages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ta.TotalMessages()
+		return prof.Totals().Messages
 	}
 	perField := count(func(c *Comm, gs []*grid.G3) {
 		for _, g := range gs {
@@ -121,10 +121,10 @@ func TestHalvesMatchMultiExchange(t *testing.T) {
 	const nx, ny, nz, p = 9, 3, 3, 3
 	slabs := grid.SlabDecompose3(nx, ny, nz, p, grid.AxisX)
 	run := func(halves bool, mode Mode, combine bool) ([][]float64, int) {
-		ta := machine.NewTally(p)
+		prof := machine.NewProfile(p)
 		opt := DefaultOptions()
 		opt.Combine = combine
-		opt.Tally = ta
+		opt.Profile = prof
 		res, err := Run(p, mode, opt, func(c *Comm) []float64 {
 			gs := mkFields(slabs[c.Rank()], c.Rank())[:2]
 			if halves {
@@ -147,7 +147,7 @@ func TestHalvesMatchMultiExchange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, ta.TotalMessages()
+		return res, prof.Totals().Messages
 	}
 	for _, mode := range bothModes {
 		for _, combine := range []bool{true, false} {

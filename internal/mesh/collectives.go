@@ -73,7 +73,7 @@ func (c *Comm) Barrier() {
 		c.flush()
 		putBuf(c.recv((r - k + p) % p))
 	}
-	c.endPhase("barrier")
+	c.endPhase()
 }
 
 // Broadcast distributes root's value of v to every process; each
@@ -116,7 +116,7 @@ func (c *Comm) BroadcastVec(vals []float64, root int) []float64 {
 		}
 	}
 	c.flush()
-	c.endPhase("broadcast")
+	c.endPhase()
 	return vals
 }
 
@@ -148,7 +148,7 @@ func (c *Comm) AllReduceVecAlg(vals []float64, op ReduceOp, alg ReduceAlg) []flo
 	default:
 		panic(fmt.Sprintf("mesh: unknown reduction algorithm %v", alg))
 	}
-	c.endPhase("reduce(" + op.Name + ")")
+	c.endPhase()
 	return acc
 }
 

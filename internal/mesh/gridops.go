@@ -51,7 +51,7 @@ func (c *Comm) ExchangeGhostRows(g *grid.G2) {
 			copyRow2(g, nx+k, data)
 		})
 	}
-	c.endPhase("ghost-exchange")
+	c.endPhase()
 }
 
 func copyRow2(g *grid.G2, i int, data []float64) {
@@ -121,7 +121,7 @@ func (c *Comm) GatherX(local *grid.G3, slabs []grid.Slab, root int) *grid.G3 {
 		panic(fmt.Sprintf("mesh: %d slabs for %d processes", len(slabs), p))
 	}
 	c.beginPhase(obs.PhaseIO, "gather")
-	defer c.endPhase("gather")
+	defer c.endPhase()
 	if r != root {
 		c.sendPlanes(root, local.NX(), local.PlaneSize(grid.AxisX),
 			func(k int, dst []float64) { local.PackPlaneX(k, dst) })
@@ -157,7 +157,7 @@ func (c *Comm) ScatterX(global *grid.G3, slabs []grid.Slab, root, ghost int) *gr
 		panic(fmt.Sprintf("mesh: %d slabs for %d processes", len(slabs), p))
 	}
 	c.beginPhase(obs.PhaseIO, "scatter")
-	defer c.endPhase("scatter")
+	defer c.endPhase()
 	if r == root {
 		if global == nil {
 			panic("mesh: ScatterX requires the global grid on root")
@@ -197,7 +197,7 @@ func (c *Comm) GatherRows(local *grid.G2, ranges []grid.Range, globalNX int, roo
 		panic(fmt.Sprintf("mesh: %d ranges for %d processes", len(ranges), p))
 	}
 	c.beginPhase(obs.PhaseIO, "gather")
-	defer c.endPhase("gather")
+	defer c.endPhase()
 	if r != root {
 		c.sendPlanes(root, local.NX(), local.NY(),
 			func(k int, dst []float64) { copy(dst, local.Row(k)) })

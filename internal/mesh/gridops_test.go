@@ -246,10 +246,10 @@ func TestCombiningReducesMessages(t *testing.T) {
 	// plane; combined sends one per neighbour.  The payload bytes must
 	// be identical either way.
 	run := func(combine bool) (msgs int, bytes int64) {
-		ta := machine.NewTally(3)
+		prof := machine.NewProfile(3)
 		opt := DefaultOptions()
 		opt.Combine = combine
-		opt.Tally = ta
+		opt.Profile = prof
 		ranges := grid.Decompose(12, 3)
 		_, err := Run(3, Sim, opt, func(c *Comm) int {
 			g := buildLocal2(ranges[c.Rank()], 4, 2, func(gx, y int) float64 { return 1 })
@@ -259,7 +259,7 @@ func TestCombiningReducesMessages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ta.TotalMessages(), ta.TotalBytes()
+		return prof.Totals().Messages, prof.Totals().Bytes
 	}
 	mc, bc := run(true)
 	mu, bu := run(false)

@@ -73,14 +73,10 @@ type Options struct {
 	Combine bool
 	// ReduceAlg selects the reduction algorithm.
 	ReduceAlg ReduceAlg
-	// Tally, if non-nil, records per-phase work and message counts for
-	// the machine performance model's bulk-synchronous bound.
-	Tally *machine.Tally
-	// Events, if non-nil, records the full per-process event sequence
-	// for the machine model's discrete-event replay (machine.Model.DES),
-	// which preserves the actual wait-for structure instead of
-	// synchronising every phase globally.
-	Events *machine.EventLog
+	// Profile, if non-nil, records every process's work, messages and
+	// phase ends for the machine performance model (see "Record a
+	// profile" in docs/mesh-archetype.md).  Its P must match the run's.
+	Profile *machine.Profile
 	// StallTimeout arms the Par-mode stall watchdog (see
 	// sched.Options.StallTimeout).  Exact deadlocks are detected
 	// immediately regardless; this additionally bounds hangs the exact
@@ -134,9 +130,8 @@ func DefaultOptions() Options {
 // Comm is one process's handle to the archetype library.  It is valid
 // only within the function passed to Run.
 type Comm struct {
-	ctx   *sched.Ctx[Msg]
-	opt   Options
-	phase int // this process's bulk-synchronous phase index
+	ctx *sched.Ctx[Msg]
+	opt Options
 }
 
 // Rank returns this process's rank in [0, P).
@@ -151,15 +146,10 @@ func (c *Comm) Options() Options { return c.opt }
 // Work credits compute work (in abstract units, e.g. cell updates) to
 // this process in its current phase, for the performance model.
 func (c *Comm) Work(units float64) {
-	if c.opt.Tally != nil {
-		c.opt.Tally.AddWork(c.phase, c.Rank(), units)
-	}
-	if c.opt.Events != nil {
-		c.opt.Events.AddWork(c.Rank(), units)
-	}
+	c.opt.Profile.Work(c.Rank(), units)
 }
 
-// send transmits data to process `to`, recording it in the tally.  The
+// send transmits data to process `to`, recording it in the profile.  The
 // slice is copied (into a pooled buffer): archetype messages never
 // alias sender memory, just as real message passing cannot.  Hot paths
 // that already pack into a getBuf buffer should call sendOwned instead
@@ -177,20 +167,13 @@ func (c *Comm) send(to int, data []float64) {
 // grid.Pack* directly into the message payload, then hand it off.
 func (c *Comm) sendOwned(to int, data []float64) {
 	c.ctx.Send(to, Msg{Data: data})
-	if c.opt.Tally != nil {
-		c.opt.Tally.Message(c.phase, c.Rank(), to, 8*len(data))
-	}
-	if c.opt.Events != nil {
-		c.opt.Events.AddSend(c.Rank(), to, 8*len(data))
-	}
+	c.opt.Profile.Send(c.Rank(), to, 8*len(data))
 }
 
 // recv receives the next message from process `from`.
 func (c *Comm) recv(from int) []float64 {
 	m := c.ctx.Recv(from)
-	if c.opt.Events != nil {
-		c.opt.Events.AddRecv(c.Rank(), from)
-	}
+	c.opt.Profile.Recv(c.Rank(), from)
 	return m.Data
 }
 
@@ -214,12 +197,9 @@ func (c *Comm) beginPhase(ph obs.Phase, label string) {
 // endPhase closes this process's current bulk-synchronous phase.
 // Every collective calls it exactly once, so all processes advance
 // through the same phase sequence.
-func (c *Comm) endPhase(label string) {
-	if c.opt.Tally != nil && c.Rank() == 0 {
-		c.opt.Tally.Label(c.phase, label)
-	}
+func (c *Comm) endPhase() {
 	c.opt.Obs.End(c.Rank())
-	c.phase++
+	c.opt.Profile.EndPhase(c.Rank())
 }
 
 // Run executes the SPMD function f on p processes under the given mode
@@ -294,6 +274,9 @@ func RunWorker[R any](rank int, tr channel.Transport[Msg], opt Options, f func(c
 func schedOptions(p int, opt Options) (sched.Options[Msg], error) {
 	if opt.Obs != nil && opt.Obs.P() != p {
 		return sched.Options[Msg]{}, fmt.Errorf("mesh: obs collector sized for %d processes, run has %d", opt.Obs.P(), p)
+	}
+	if opt.Profile != nil && opt.Profile.P() != p {
+		return sched.Options[Msg]{}, fmt.Errorf("mesh: profile sized for %d processes, run has %d", opt.Profile.P(), p)
 	}
 	if opt.ChanStats != nil && opt.ChanStats.P() != p {
 		return sched.Options[Msg]{}, fmt.Errorf("mesh: channel stats sized for %d processes, run has %d", opt.ChanStats.P(), p)

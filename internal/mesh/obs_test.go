@@ -34,16 +34,16 @@ func obsWorkload(nx, steps int) func(c *Comm) float64 {
 // TestObsPhaseAccounting runs the workload under both runtimes and
 // checks the collector's core invariants: every phase kind is marked,
 // each rank's phase times sum exactly to the wall time, and the obs
-// counters agree with the machine tally's independent message count.
+// counters agree with the machine profile's independent message count.
 func TestObsPhaseAccounting(t *testing.T) {
 	const p, nx, steps = 4, 12, 5
 	for _, mode := range []Mode{Sim, Par} {
 		t.Run(mode.String(), func(t *testing.T) {
 			col := obs.New(p)
-			tally := machine.NewTally(p)
+			prof := machine.NewProfile(p)
 			opt := DefaultOptions()
 			opt.Obs = col
-			opt.Tally = tally
+			opt.Profile = prof
 			if _, err := Run(p, mode, opt, obsWorkload(nx, steps)); err != nil {
 				t.Fatal(err)
 			}
@@ -62,11 +62,11 @@ func TestObsPhaseAccounting(t *testing.T) {
 					t.Errorf("rank %d phase times sum to %v, wall is %v", r, busy, snap.Wall)
 				}
 			}
-			if want := int64(tally.TotalMessages()); sends != want {
-				t.Errorf("obs counted %d sends, tally counted %d messages", sends, want)
+			if want := int64(prof.Totals().Messages); sends != want {
+				t.Errorf("obs counted %d sends, profile counted %d messages", sends, want)
 			}
-			if want := int64(tally.TotalBytes()); bytes != want {
-				t.Errorf("obs counted %d bytes, tally counted %d", bytes, want)
+			if want := int64(prof.Totals().Bytes); bytes != want {
+				t.Errorf("obs counted %d bytes, profile counted %d", bytes, want)
 			}
 
 			// Every phase kind must appear in the span log.

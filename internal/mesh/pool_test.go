@@ -52,7 +52,7 @@ func TestSteadyStateExchangeAllocs(t *testing.T) {
 	const runs = 50
 	slabs := grid.SlabDecompose3(8, 4, 4, p, grid.AxisX)
 	for _, mode := range bothModes {
-		opt := Options{Combine: true} // no tally, no obs: the bare message path
+		opt := Options{Combine: true} // no profile, no obs: the bare message path
 		res, err := Run(p, mode, opt, func(c *Comm) float64 {
 			sl := slabs[c.Rank()]
 			gs := []*grid.G3{sl.NewLocal3(1), sl.NewLocal3(1)}

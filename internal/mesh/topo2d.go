@@ -156,14 +156,14 @@ func (c *Comm) ExchangeGhost2D(g *grid.G2, t *Topo2D, corners bool) {
 			recvCorner(dr, nx, ny)
 		}
 	}
-	c.endPhase("ghost-exchange-2d")
+	c.endPhase()
 }
 
 // Gather2D collects a 2-D block-distributed grid onto root, returning
 // the assembled global grid there and nil elsewhere.
 func (c *Comm) Gather2D(local *grid.G2, t *Topo2D, root int) *grid.G2 {
 	c.beginPhase(obs.PhaseIO, "gather-2d")
-	defer c.endPhase("gather-2d")
+	defer c.endPhase()
 	r := c.Rank()
 	if r != root {
 		buf := getBuf(local.NX() * local.NY())

@@ -129,15 +129,15 @@ func TestLossySlabAttenuates(t *testing.T) {
 	}
 }
 
-func TestTallyAndErrors(t *testing.T) {
+func TestProfileAndErrors(t *testing.T) {
 	spec := testSpec()
 	opt := mesh.DefaultOptions()
-	opt.Tally = machine.NewTally(4)
+	opt.Profile = machine.NewProfile(4)
 	if _, err := RunArchetype(spec, 2, 2, mesh.Sim, opt); err != nil {
 		t.Fatal(err)
 	}
-	if opt.Tally.TotalWork() == 0 || opt.Tally.TotalMessages() == 0 {
-		t.Fatal("tally not recorded")
+	if tot := opt.Profile.Totals(); tot.Work == 0 || tot.Messages == 0 {
+		t.Fatal("profile not recorded")
 	}
 	if _, err := RunArchetype(spec, 0, 1, mesh.Sim, mesh.DefaultOptions()); err == nil {
 		t.Fatal("px=0 should error")
