@@ -7,11 +7,9 @@
 // Format (little-endian):
 //
 //	magic   [8]byte  "MESHGRD1"
-//	dims    3 x int64 (nx, ny, nz; 2-D grids store nz == 0,
-//	                   1-D grids store ny == nz == 0)
-//	payload nx*ny*nz (or nx*ny, or nx) float64 values in storage
-//	        order (interior only — ghost cells are runtime artifacts
-//	        and never serialised)
+//	dims    3 x int64 (nx, ny, nz)
+//	payload nx*ny*nz float64 values in storage order (interior only —
+//	        ghost cells are runtime artifacts and never serialised)
 package gridio
 
 import (
@@ -50,21 +48,16 @@ func readHeader(r io.Reader) (nx, ny, nz int, err error) {
 	hx := int64(binary.LittleEndian.Uint64(b[8:]))
 	hy := int64(binary.LittleEndian.Uint64(b[16:]))
 	hz := int64(binary.LittleEndian.Uint64(b[24:]))
-	if hx <= 0 || hy < 0 || hz < 0 {
+	if hx <= 0 || hy <= 0 || hz <= 0 {
 		return 0, 0, 0, fmt.Errorf("gridio: invalid dimensions %dx%dx%d", hx, hy, hz)
 	}
-	const max = 1 << 28 // refuse absurd allocations from corrupt files
-	if hx > max || hy > max || hz > max || hx*maxi(hy, 1)*maxi(hz, 1) > max {
+	// Refuse absurd allocations from corrupt files.  Each bound divides
+	// rather than multiplies, so the cell count cannot overflow.
+	const max = 1 << 28
+	if hx > max || hy > max/hx || hz > max/(hx*hy) {
 		return 0, 0, 0, fmt.Errorf("gridio: dimensions %dx%dx%d too large", hx, hy, hz)
 	}
 	return int(hx), int(hy), int(hz), nil
-}
-
-func maxi(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // scratch is a reusable encode/decode buffer: each Write*/Read* call
@@ -115,14 +108,16 @@ func Write3(w io.Writer, g *grid.G3) error {
 	return nil
 }
 
-// Read3 deserialises a 3-D grid (ghost width 0) from r.
+// Read3 deserialises a 3-D grid (ghost width 0) from r.  When r knows
+// how many bytes it has left (a bytes.Reader, for one), a payload
+// shorter than the header claims fails before the grid is allocated.
 func Read3(r io.Reader) (*grid.G3, error) {
 	nx, ny, nz, err := readHeader(r)
 	if err != nil {
 		return nil, err
 	}
-	if ny == 0 || nz == 0 {
-		return nil, fmt.Errorf("gridio: file holds a %d-D grid, want 3-D", dims(nx, ny, nz))
+	if l, ok := r.(interface{ Len() int }); ok && l.Len()/8 < nx*ny*nz {
+		return nil, fmt.Errorf("gridio: reading payload: %w", io.ErrUnexpectedEOF)
 	}
 	g := grid.New3(nx, ny, nz, 0)
 	var s scratch
@@ -134,76 +129,6 @@ func Read3(r io.Reader) (*grid.G3, error) {
 		}
 	}
 	return g, nil
-}
-
-// Write2 serialises a 2-D grid's interior to w.
-func Write2(w io.Writer, g *grid.G2) error {
-	if err := writeHeader(w, g.NX(), g.NY(), 0); err != nil {
-		return err
-	}
-	var s scratch
-	for i := 0; i < g.NX(); i++ {
-		if err := writeValues(w, g.Row(i), &s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Read2 deserialises a 2-D grid (ghost width 0) from r.
-func Read2(r io.Reader) (*grid.G2, error) {
-	nx, ny, nz, err := readHeader(r)
-	if err != nil {
-		return nil, err
-	}
-	if nz != 0 || ny == 0 {
-		return nil, fmt.Errorf("gridio: file holds a %d-D grid, want 2-D", dims(nx, ny, nz))
-	}
-	g := grid.New2(nx, ny, 0)
-	var s scratch
-	for i := 0; i < nx; i++ {
-		if err := readValues(r, g.Row(i), &s); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
-}
-
-// Write1 serialises a 1-D grid's interior to w.
-func Write1(w io.Writer, g *grid.G1) error {
-	if err := writeHeader(w, g.N(), 0, 0); err != nil {
-		return err
-	}
-	var s scratch
-	return writeValues(w, g.Interior(), &s)
-}
-
-// Read1 deserialises a 1-D grid (ghost width 0) from r.
-func Read1(r io.Reader) (*grid.G1, error) {
-	nx, ny, nz, err := readHeader(r)
-	if err != nil {
-		return nil, err
-	}
-	if ny != 0 || nz != 0 {
-		return nil, fmt.Errorf("gridio: file holds a %d-D grid, want 1-D", dims(nx, ny, nz))
-	}
-	g := grid.New1(nx, 0)
-	var s scratch
-	if err := readValues(r, g.Interior(), &s); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-func dims(nx, ny, nz int) int {
-	switch {
-	case nz > 0:
-		return 3
-	case ny > 0:
-		return 2
-	default:
-		return 1
-	}
 }
 
 // SaveFile3 writes a 3-D grid to path, buffered.
