@@ -48,8 +48,8 @@ import (
 const (
 	checkpointMagicV2  = "FDTDCKP2"
 	checkpointVersion2 = 2
-	// maxCheckpointSection caps a section payload (and any vector
-	// length), refusing absurd allocations from corrupt files.
+	// maxCheckpointSection caps a section payload, refusing absurd
+	// lengths from corrupt files.
 	maxCheckpointSection = 1 << 31
 )
 
@@ -102,8 +102,13 @@ func readSection(r io.Reader, wantTag string) ([]byte, error) {
 	if n > maxCheckpointSection {
 		return nil, fmt.Errorf("%w: absurd %q section length %d", ErrCorrupt, wantTag, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// Read what is there rather than allocate what the length claims:
+	// a lying length then costs only the bytes the stream holds.
+	payload, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err == nil && uint64(len(payload)) < n {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, fmt.Errorf("%w: %q section truncated: %v", ErrCorrupt, wantTag, err)
 	}
 	var sum uint32
@@ -224,7 +229,7 @@ func ReadCheckpoint(r io.Reader, spec Spec) (*Checkpoint, error) {
 	return c, nil
 }
 
-func (c *Checkpoint) readGrids(r io.Reader, spec Spec) error {
+func (c *Checkpoint) readGrids(r *bytes.Reader, spec Spec) error {
 	for _, gp := range []**grid.G3{&c.Ex, &c.Ey, &c.Ez, &c.Hx, &c.Hy, &c.Hz} {
 		g, err := gridio.Read3(r)
 		if err != nil {
@@ -239,10 +244,10 @@ func (c *Checkpoint) readGrids(r io.Reader, spec Spec) error {
 	return nil
 }
 
-func (c *Checkpoint) readVectors(r io.Reader, nProbe, nFarA, nFarF int64) error {
+func (c *Checkpoint) readVectors(r *bytes.Reader, nProbe, nFarA, nFarF int64) error {
 	for i, n := range []int64{nProbe, nFarA, nFarF} {
-		if n < 0 || n > maxCheckpointSection/8 {
-			return fmt.Errorf("%w: absurd checkpoint vector length %d", ErrCorrupt, n)
+		if n < 0 || n > int64(r.Len()/8) {
+			return fmt.Errorf("%w: checkpoint vector length %d exceeds the VECS section", ErrCorrupt, n)
 		}
 		vec := make([]float64, n)
 		if err := binary.Read(r, binary.LittleEndian, vec); err != nil {
