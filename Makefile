@@ -3,12 +3,16 @@ GO ?= go
 # Packages whose concurrency the race detector must vet.
 RACE_PKGS = . ./internal/core ./internal/farm ./internal/channel ./internal/sched ./internal/explore ./internal/mesh ./internal/trace ./internal/obs ./internal/serve ./internal/cluster ./internal/cluster/client ./internal/slo ./cmd/archload
 
-.PHONY: check build vet cross test race bench-smoke benchmark-smoke cover kernel-smoke net-smoke serve-smoke cluster-smoke chaos-smoke hotshard-smoke obs-smoke fuzz-smoke explore-smoke
+.PHONY: check fmt build vet cross test race bench-smoke benchmark-smoke cover kernel-smoke net-smoke serve-smoke cluster-smoke chaos-smoke hotshard-smoke obs-smoke fuzz-smoke explore-smoke
 
-check: vet cross build test race bench-smoke benchmark-smoke kernel-smoke net-smoke serve-smoke cluster-smoke chaos-smoke hotshard-smoke obs-smoke fuzz-smoke explore-smoke
+check: fmt vet cross build test race bench-smoke benchmark-smoke kernel-smoke net-smoke serve-smoke cluster-smoke chaos-smoke hotshard-smoke obs-smoke fuzz-smoke explore-smoke
 
 build:
 	$(GO) build ./...
+
+# fmt fails if any Go file is not gofmt-formatted.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -48,7 +52,7 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -run 'TestTiledKernelDeterminism|TestFastPathIdentity1D|TestFastPathIdentity2D|TestOneProgramIdentity|TestKernelPencilVsReferenceProperty|TestCoefficientTable|TestSocketBackendIdentity|TestWorkerBackendIdentity' ./internal/fdtd
+	$(GO) test -race -run 'TestTiledKernelDeterminism|TestFastPathIdentity1D|TestFastPathIdentity2D|TestOneProgramIdentity|TestKernelPencilVsReferenceProperty|TestCoefficientTable|TestSocketBackendIdentity|TestWorkerBackendIdentity|TestProfileIdenticalAcrossRuntimes|TestModelGolden' ./internal/fdtd
 
 # bench-smoke compiles and runs every benchmark once (no timing) so
 # check catches benchmark rot without paying full benchmark time.  The
@@ -124,13 +128,18 @@ obs-smoke:
 
 # fuzz-smoke runs each parser fuzz target briefly: long enough to
 # replay the seed corpus and explore a little, short enough for CI.
-# The targets cover the two wire-protocol parsers and the two text
-# inputs of the determinacy tool (policy specs, replay artifacts).
+# The targets cover the two wire-protocol parsers, the two text inputs
+# of the determinacy tool (policy specs, replay artifacts) and the two
+# file decoders (grid files, checkpoints).  The checkpoint seed is
+# ~3 KB, and minimising each new interesting input of that size would
+# otherwise take the whole 5 s, so its minimisation is capped.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzFrameDecode' -fuzztime 5s ./internal/channel
 	$(GO) test -run '^$$' -fuzz 'FuzzHello' -fuzztime 5s ./internal/channel
 	$(GO) test -run '^$$' -fuzz 'FuzzParsePolicy' -fuzztime 5s ./internal/sched
 	$(GO) test -run '^$$' -fuzz 'FuzzLoadArtifact' -fuzztime 5s ./internal/explore
+	$(GO) test -run '^$$' -fuzz 'FuzzRead3' -fuzztime 5s ./internal/gridio
+	$(GO) test -run '^$$' -fuzz 'FuzzReadCheckpoint' -fuzztime 5s -fuzzminimizetime 200x ./internal/fdtd
 
 # explore-smoke is the acceptance run of the systematic schedule
 # explorer, under the race detector: bounded-exhaustive DPOR over the

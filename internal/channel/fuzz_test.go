@@ -34,12 +34,12 @@ func FuzzFrameDecode(f *testing.F) {
 
 	// Seed corpus: the deterministic failure modes the socket tests
 	// construct by hand.
-	f.Add([]byte{})              // empty stream: clean EOF
-	f.Add(valid)                 // one well-formed frame
+	f.Add([]byte{})                                     // empty stream: clean EOF
+	f.Add(valid)                                        // one well-formed frame
 	f.Add(append(append([]byte{}, valid...), valid...)) // two frames back to back
-	f.Add(valid[:3])             // short header
-	f.Add(valid[:frameHeaderLen]) // header only, truncated payload
-	f.Add(valid[:len(valid)-4])  // payload cut mid-frame
+	f.Add(valid[:3])                                    // short header
+	f.Add(valid[:frameHeaderLen])                       // header only, truncated payload
+	f.Add(valid[:len(valid)-4])                         // payload cut mid-frame
 	corrupt := append([]byte{}, valid...)
 	corrupt[0] ^= 0xFF // flipped channel-id byte
 	f.Add(corrupt)
@@ -94,11 +94,11 @@ func FuzzHello(f *testing.F) {
 		}
 		return b.Bytes()
 	}
-	f.Add([]byte{})          // truncated: empty
-	f.Add(hello(wantP, 2))   // valid
+	f.Add([]byte{})             // truncated: empty
+	f.Add(hello(wantP, 2))      // valid
 	f.Add(hello(wantP, 2)[:10]) // truncated mid-hello
-	f.Add(hello(3, 1))       // peer built for the wrong P
-	f.Add(hello(wantP, 99))  // rank out of range
+	f.Add(hello(3, 1))          // peer built for the wrong P
+	f.Add(hello(wantP, 99))     // rank out of range
 	bad := hello(wantP, 0)
 	bad[0] = 'X' // bad magic
 	f.Add(bad)

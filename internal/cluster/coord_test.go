@@ -275,7 +275,7 @@ func TestCoordinator429Propagation(t *testing.T) {
 	}))
 	defer shed.Close()
 	coord, err := New(Config{
-		Nodes: []Node{{Name: "n0", URL: shed.URL}},
+		Nodes:  []Node{{Name: "n0", URL: shed.URL}},
 		Member: MemberConfig{ProbeInterval: 10 * time.Millisecond},
 		Client: client.Policy{
 			MaxAttempts:   2,

@@ -95,16 +95,16 @@ func (c MemberConfig) withDefaults() MemberConfig {
 
 // member is one node plus its live health state.
 type member struct {
-	node  Node
-	state State
-	fails int     // consecutive probe failures
-	succs int     // consecutive probe successes while dead/rejoining
-	load  float64 // node-reported load score (admitted jobs per worker)
-	ok    bool    // a probe has ever succeeded (load is meaningful)
-	last  error   // most recent probe failure
-	served int64  // responses this coordinator got from the node
-	inflight int64 // requests this coordinator has outstanding at the node
-	drained  bool  // a drain event fired for the current drain episode
+	node     Node
+	state    State
+	fails    int     // consecutive probe failures
+	succs    int     // consecutive probe successes while dead/rejoining
+	load     float64 // node-reported load score (admitted jobs per worker)
+	ok       bool    // a probe has ever succeeded (load is meaningful)
+	last     error   // most recent probe failure
+	served   int64   // responses this coordinator got from the node
+	inflight int64   // requests this coordinator has outstanding at the node
+	drained  bool    // a drain event fired for the current drain episode
 }
 
 // probeStatusError is a probe failure caused by a non-200 healthz

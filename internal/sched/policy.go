@@ -134,7 +134,7 @@ func (a *Alternating) Pick(enabled []int, step int) int {
 // fair policies never exercise.  Newly enabled ties are broken towards
 // the highest rank.
 type LIFO struct {
-	seen map[int]int // rank -> step at which it (re-)entered the enabled set
+	seen map[int]int  // rank -> step at which it (re-)entered the enabled set
 	prev map[int]bool // enabled set at the previous scheduling point
 }
 

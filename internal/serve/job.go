@@ -132,14 +132,14 @@ func buildResult(jb *job, p int, res *fdtd.Result, wall time.Duration, snap obs.
 		}
 	}
 	return &JobResult{
-		Fingerprint: fingerprintString(jb.fp),
-		P:           p,
-		Probe:       res.Probe,
-		FarA:        res.FarA,
-		FarF:        res.FarF,
-		FieldHash:   fingerprintString(fieldHash(res)),
-		Work:        res.Work,
-		WallSeconds: wall.Seconds(),
+		Fingerprint:  fingerprintString(jb.fp),
+		P:            p,
+		Probe:        res.Probe,
+		FarA:         res.FarA,
+		FarF:         res.FarF,
+		FieldHash:    fingerprintString(fieldHash(res)),
+		Work:         res.Work,
+		WallSeconds:  wall.Seconds(),
 		PhaseSeconds: phases,
 	}
 }

@@ -160,8 +160,8 @@ type Server struct {
 
 	mu       sync.Mutex
 	draining bool
-	inflight map[uint64]*job       // fingerprint -> shared in-flight job (coalescing)
-	all      map[*job]struct{}     // every admitted, uncompleted job (drain cancel)
+	inflight map[uint64]*job   // fingerprint -> shared in-flight job (coalescing)
+	all      map[*job]struct{} // every admitted, uncompleted job (drain cancel)
 	jobs     sync.WaitGroup
 	nextID   atomic.Uint64
 	closed   atomic.Bool
@@ -455,24 +455,24 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // Stats is a point-in-time summary of the service, served as JSON.
 type Stats struct {
-	P                 int   `json:"p"`
-	Workers           int   `json:"workers"`
-	QueueDepth        int   `json:"queue_depth"`
-	QueueCap          int   `json:"queue_capacity"`
-	Draining          bool  `json:"draining"`
-	JobsInFlight      int64 `json:"jobs_inflight"`
-	JobsOK            int64 `json:"jobs_ok"`
-	JobsFailed        int64 `json:"jobs_failed"`
-	JobsTimedOut      int64 `json:"jobs_timed_out"`
-	CacheEntries      int   `json:"cache_entries"`
-	CacheHits         int64 `json:"cache_hits"`
-	CacheMisses       int64 `json:"cache_misses"`
-	CacheEvictions    int64 `json:"cache_evictions"`
+	P              int   `json:"p"`
+	Workers        int   `json:"workers"`
+	QueueDepth     int   `json:"queue_depth"`
+	QueueCap       int   `json:"queue_capacity"`
+	Draining       bool  `json:"draining"`
+	JobsInFlight   int64 `json:"jobs_inflight"`
+	JobsOK         int64 `json:"jobs_ok"`
+	JobsFailed     int64 `json:"jobs_failed"`
+	JobsTimedOut   int64 `json:"jobs_timed_out"`
+	CacheEntries   int   `json:"cache_entries"`
+	CacheHits      int64 `json:"cache_hits"`
+	CacheMisses    int64 `json:"cache_misses"`
+	CacheEvictions int64 `json:"cache_evictions"`
 	// ReplicatedIn counts results admitted from another node (hot-shard
 	// replication, drain handoff, rejoin prefill); ReplicatedOut counts
 	// entries exported to the cluster.
-	ReplicatedIn  int64 `json:"replicated_in"`
-	ReplicatedOut int64 `json:"replicated_out"`
+	ReplicatedIn      int64 `json:"replicated_in"`
+	ReplicatedOut     int64 `json:"replicated_out"`
 	Coalesced         int64 `json:"coalesced"`
 	RejectedOverload  int64 `json:"rejected_overload"`
 	RejectedDraining  int64 `json:"rejected_draining"`
