@@ -128,7 +128,8 @@ obs-smoke:
 
 # fuzz-smoke runs each parser fuzz target briefly: long enough to
 # replay the seed corpus and explore a little, short enough for CI.
-# The targets cover the two wire-protocol parsers, the two text inputs
+# The targets cover the two wire-protocol parsers, the job-request
+# path of the service (decode, resolve, validate), the two text inputs
 # of the determinacy tool (policy specs, replay artifacts) and the two
 # file decoders (grid files, checkpoints).  The checkpoint seed is
 # ~3 KB, and minimising each new interesting input of that size would
@@ -136,6 +137,7 @@ obs-smoke:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzFrameDecode' -fuzztime 5s ./internal/channel
 	$(GO) test -run '^$$' -fuzz 'FuzzHello' -fuzztime 5s ./internal/channel
+	$(GO) test -run '^$$' -fuzz 'FuzzJobRequest' -fuzztime 5s ./internal/serve
 	$(GO) test -run '^$$' -fuzz 'FuzzParsePolicy' -fuzztime 5s ./internal/sched
 	$(GO) test -run '^$$' -fuzz 'FuzzLoadArtifact' -fuzztime 5s ./internal/explore
 	$(GO) test -run '^$$' -fuzz 'FuzzRead3' -fuzztime 5s ./internal/gridio

@@ -1,8 +1,9 @@
 // Command archserve exposes the archetype runtime as a long-running
 // HTTP job service: POST a simulation spec (or a named preset) to
-// /v1/jobs and get its result, computed on a pool of warm workers with
-// admission control and fingerprint-keyed result caching (sound by
-// Theorem 1: any execution of the same spec is bitwise identical).
+// /v1/jobs and get its result, computed by a pool of executors (see
+// docs/service.md) with admission control and fingerprint-keyed result
+// caching (sound by Theorem 1: any execution of the same spec is
+// bitwise identical).
 //
 //	archserve -addr :8080 -p 2 -workers 2 -queue 16
 //
@@ -29,10 +30,9 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8080", "HTTP listen address")
-		p            = flag.Int("p", 2, "ranks per job (warm mesh size)")
-		workers      = flag.Int("workers", 2, "concurrent warm executors")
+		p            = flag.Int("p", 2, "ranks per job, one goroutine each (see docs/service.md)")
+		workers      = flag.Int("workers", 2, "executors: jobs run at once")
 		queue        = flag.Int("queue", 16, "admission queue depth")
-		network      = flag.String("network", "unix", "warm mesh socket family (unix or tcp)")
 		timeout      = flag.Duration("job-timeout", 30*time.Second, "default per-job deadline")
 		cacheN       = flag.Int("cache", 256, "result cache entries (negative disables)")
 		batchMax     = flag.Int("batch-max", 4, "max small jobs coalesced into one dispatch")
@@ -46,7 +46,6 @@ func main() {
 		P:              *p,
 		Workers:        *workers,
 		QueueDepth:     *queue,
-		Network:        *network,
 		DefaultTimeout: *timeout,
 		CacheEntries:   *cacheN,
 		BatchMax:       *batchMax,

@@ -130,7 +130,6 @@ type SocketTransport[T any] struct {
 	selfs []*Chan[T]     // selfs[r] is the channel r->r of a local rank, which needs no wire
 	conns []net.Conn
 
-	trace    atomic.Uint64
 	errv     atomic.Value // of error
 	failOnce sync.Once
 	failed   chan struct{} // closed by fail, for the waits no socket deadline can reach
@@ -201,14 +200,6 @@ func (t *SocketTransport[T]) Err() error {
 	return nil
 }
 
-// SetTrace tags the transport with the trace id of the job currently
-// riding it, so a transport failure surfaces in logs already correlated
-// with the request that suffered it.  Warm-pool executors run jobs
-// serially per transport, making a plain overwrite per job safe; zero
-// clears the tag.  The id never touches the wire format — it decorates
-// the error text only.
-func (t *SocketTransport[T]) SetTrace(id uint64) { t.trace.Store(id) }
-
 // Pending returns the number of values sent but not yet received on the
 // channels whose two ends are both local: Σ sent − received, so a frame
 // still in a coalescer, a drain backlog or a kernel socket buffer
@@ -258,9 +249,9 @@ func (t *SocketTransport[T]) Close() error {
 // rank parked in a receive wakes and panics with a *TransportError the
 // runtime supervisor converts to an ordinary run error.  This is the
 // cooperative kill switch for runs that must terminate even from inside
-// a blocking receive — the job service's per-job timeout, and the Par
-// runtime's own deadlock and stall teardown.  An aborted transport is
-// permanently failed; build a fresh mesh for the next run.
+// a blocking receive — a caller's deadline, and the Par runtime's own
+// deadlock and stall teardown.  An aborted transport is permanently
+// failed; build a fresh mesh for the next run.
 func (t *SocketTransport[T]) Abort(err error) { t.fail(abortError(err)) }
 
 // fail poisons the transport: Err becomes non-nil, and an expired
@@ -268,9 +259,6 @@ func (t *SocketTransport[T]) Abort(err error) { t.fail(abortError(err)) }
 // (and the drain goroutines parked in a write), which find Err set.
 func (t *SocketTransport[T]) fail(err error) {
 	t.failOnce.Do(func() {
-		if id := t.trace.Load(); id != 0 {
-			err = fmt.Errorf("%w [trace %016x]", err, id)
-		}
 		t.errv.Store(err)
 		close(t.failed)
 		for _, c := range t.conns {

@@ -204,12 +204,10 @@ func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "method", "use POST")
 		return
 	}
-	var req serve.JobRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := serve.DecodeJobRequest(r.Body)
+	if err != nil {
 		c.rejected.Add(1)
-		writeError(w, http.StatusBadRequest, "invalid", fmt.Sprintf("decode request: %v", err))
+		writeError(w, http.StatusBadRequest, "invalid", err.Error())
 		return
 	}
 	// Resolve exactly as a node would, so a preset and its expanded

@@ -238,6 +238,7 @@ func TestCoordinatorRejectsBadRequests(t *testing.T) {
 		`{}`,
 		`{"preset":"small","bogus":1}`,
 		`not json`,
+		`{"preset":"small"}xyz`,
 	} {
 		resp, err := http.Post(tc.front.URL+"/v1/jobs", "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {
@@ -248,8 +249,8 @@ func TestCoordinatorRejectsBadRequests(t *testing.T) {
 			t.Fatalf("body %q: status %d, want 400 (rejected locally, not forwarded)", body, resp.StatusCode)
 		}
 	}
-	if got := tc.coord.rejected.Load(); got != 4 {
-		t.Fatalf("rejected counter %d, want 4", got)
+	if got := tc.coord.rejected.Load(); got != 5 {
+		t.Fatalf("rejected counter %d, want 5", got)
 	}
 	resp, err := http.Get(tc.front.URL + "/v1/jobs")
 	if err != nil {

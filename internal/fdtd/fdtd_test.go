@@ -42,6 +42,10 @@ func TestSpecValidation(t *testing.T) {
 		func(s *Spec) { s.FarField.Offset = 0 },
 		func(s *Spec) { s.FarField.Offset = 6 },
 		func(s *Spec) { s.FarField.Dir = [3]float64{} },
+		func(s *Spec) { s.NX, s.NY, s.NZ = 1<<21, 1<<21, 1<<21 }, // cell count overflows int64
+		func(s *Spec) { s.NX, s.NY, s.NZ = 257, 256, 256 },
+		func(s *Spec) { s.DT = 1e-12 },                 // far-field delay span
+		func(s *Spec) { s.Steps = MaxFarFieldSamples }, // far-field length
 	}
 	for i, mutate := range cases {
 		s := SpecSmall()
@@ -51,6 +55,12 @@ func TestSpecValidation(t *testing.T) {
 		if err := s.Validate(); err == nil {
 			t.Fatalf("case %d: expected validation error", i)
 		}
+	}
+	largest := SpecSmallA()
+	largest.NX, largest.NY, largest.NZ = 256, 256, 256
+	largest.Steps = 1 << 30
+	if err := largest.Validate(); err != nil {
+		t.Fatalf("a %d-cell Version A grid is within bounds: %v", MaxCells, err)
 	}
 }
 

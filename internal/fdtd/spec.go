@@ -149,10 +149,24 @@ type Spec struct {
 	Boundary BoundaryKind
 }
 
+// Allocation bounds of Validate.  A run allocates six float64 field
+// grids of NX*NY*NZ cells up front, and a Version C run two far-field
+// series of about Steps + (NX+NY+NZ)/DT samples; a spec past these
+// bounds would stop the whole process with an unrecoverable
+// out-of-memory error instead of failing as a bad spec.  Every preset
+// is far inside them.
+const (
+	MaxCells           = 1 << 24 // 256^3; six grids are 768 MiB
+	MaxFarFieldSamples = 1 << 24 // 128 MiB per series
+)
+
 // Validate reports the first structural problem with the spec.
 func (s Spec) Validate() error {
 	if s.NX < 4 || s.NY < 4 || s.NZ < 4 {
 		return fmt.Errorf("fdtd: grid %dx%dx%d too small (need >= 4 per axis)", s.NX, s.NY, s.NZ)
+	}
+	if s.NX > MaxCells || s.NY > MaxCells/s.NX || s.NZ > MaxCells/(s.NX*s.NY) {
+		return fmt.Errorf("fdtd: grid %dx%dx%d exceeds %d cells", s.NX, s.NY, s.NZ, MaxCells)
 	}
 	if s.Steps <= 0 {
 		return fmt.Errorf("fdtd: Steps must be positive, got %d", s.Steps)
@@ -179,6 +193,10 @@ func (s Spec) Validate() error {
 		}
 		if norm3(ff.Dir) == 0 || norm3(ff.Pol) == 0 {
 			return fmt.Errorf("fdtd: far-field direction and polarisation must be non-zero")
+		}
+		// The surface's delay span is at most its diameter over DT.
+		if float64(s.Steps)+float64(s.NX+s.NY+s.NZ)/s.DT > MaxFarFieldSamples {
+			return fmt.Errorf("fdtd: far field of %d steps at DT=%g exceeds %d samples", s.Steps, s.DT, MaxFarFieldSamples)
 		}
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -59,6 +60,23 @@ func presetSpec(name string) (fdtd.Spec, error) {
 		return fdtd.SpecFigure2(), nil
 	}
 	return fdtd.Spec{}, fmt.Errorf("unknown preset %q (want small, small-a, table1 or figure2)", name)
+}
+
+// DecodeJobRequest decodes a POST /v1/jobs body: one JSON object with
+// no unknown fields and nothing but white space after it.  Nodes and
+// the cluster coordinator both decode with it, so they accept the same
+// bodies.
+func DecodeJobRequest(r io.Reader) (JobRequest, error) {
+	var req JobRequest
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return JobRequest{}, fmt.Errorf("decode request: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return JobRequest{}, errors.New("decode request: data after the JSON object")
+	}
+	return req, nil
 }
 
 // ResolveRequest resolves a JobRequest into the spec and submit
@@ -196,11 +214,9 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "method", fmt.Errorf("use POST"))
 		return
 	}
-	var req JobRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid", fmt.Errorf("decode request: %w", err))
+	req, err := DecodeJobRequest(r.Body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "invalid", err)
 		return
 	}
 	spec, opts, err := ResolveRequest(req)

@@ -75,6 +75,7 @@ func TestHTTPJobLifecycle(t *testing.T) {
 		{`{"preset":"small-a","spec":{"NX":8}}`, http.StatusBadRequest},
 		{`{"spec":{"NX":8,"NY":8,"NZ":8,"Steps":0,"DT":0.5}}`, http.StatusBadRequest},
 		{`not json`, http.StatusBadRequest},
+		{`{"preset":"small-a"}xyz`, http.StatusBadRequest},
 	} {
 		resp, _ := postJob(t, ts, tc.body)
 		if resp.StatusCode != tc.want {

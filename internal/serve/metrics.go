@@ -29,7 +29,6 @@ type metrics struct {
 	replicatedOut atomic.Int64 // cached results exported to the cluster
 	batches       atomic.Int64 // dispatches (>= 1 job each)
 	batchedJobs   atomic.Int64 // jobs that shared a dispatch with another
-	rebuilds      atomic.Int64 // warm transports rebuilt after failure
 	// latency is the job wall-time distribution (HDR-style log-bucketed
 	// histogram, ~3% relative error).  It subsumes the old scalar mean:
 	// the mean is Sum/Count, and the quantiles the mean used to hide —
@@ -103,7 +102,7 @@ func (m *metrics) writeText(w io.Writer, queueDepth, queueCap, workers, cached i
 	}
 	gauge("archserve_queue_depth", "Jobs waiting in the admission queue.", int64(queueDepth))
 	gauge("archserve_queue_capacity", "Admission queue bound.", int64(queueCap))
-	gauge("archserve_workers", "Warm pool executors.", int64(workers))
+	gauge("archserve_workers", "Pool executors.", int64(workers))
 	gauge("archserve_jobs_inflight", "Jobs admitted and not yet completed.", m.jobsInFlight.Load())
 	gauge("archserve_cache_entries", "Results currently cached.", int64(cached))
 
@@ -125,7 +124,6 @@ func (m *metrics) writeText(w io.Writer, queueDepth, queueCap, workers, cached i
 	counter("archserve_coalesced_total", "Requests attached to an identical in-flight job.", m.coalesced.Load())
 	counter("archserve_batches_total", "Pool dispatches (each may carry several coalesced small jobs).", m.batches.Load())
 	counter("archserve_batched_jobs_total", "Jobs that shared a dispatch with at least one other job.", m.batchedJobs.Load())
-	counter("archserve_transport_rebuilds_total", "Warm worker meshes rebuilt after a failure or abort.", m.rebuilds.Load())
 
 	latSnap := m.latency.Snapshot()
 	fmt.Fprintf(&b, "# HELP archserve_job_wall_seconds_total Cumulative job wall time.\n# TYPE archserve_job_wall_seconds_total counter\n")

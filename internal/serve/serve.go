@@ -1,8 +1,7 @@
 // Package serve turns the archetype runtime into a long-running job
 // service: clients POST simulation specs, the server executes them on
-// a pool of warm workers (persistent mesh transports and resident rank
-// goroutines, the -procs execution model minus per-run spawning) and
-// returns the result.
+// a pool of executors, each job one in-process parallel solve (see "The
+// executor" in docs/service.md), and returns the result.
 //
 // Three properties shape the design:
 //
@@ -15,8 +14,8 @@
 //     interchangeable with recomputation, and identical in-flight
 //     requests can share one execution (coalescing).
 //   - Bounded failure: per-job timeouts pair a cooperative canceller
-//     with a transport abort so runaway jobs terminate instead of
-//     wedging a warm worker, and graceful shutdown drains in-flight
+//     with a network abort so runaway jobs terminate instead of
+//     wedging an executor, and graceful shutdown drains in-flight
 //     work before closing the pool.
 package serve
 
@@ -38,8 +37,7 @@ import (
 // Config sizes the service.  The zero value is unusable; call
 // withDefaults (done by New) or fill every field.
 type Config struct {
-	// P is the number of ranks each job runs on (every warm mesh is a
-	// P-process loopback network).  Default 2.
+	// P is the number of ranks each job runs on.  Default 2.
 	P int
 	// Workers is the number of executors — jobs running concurrently.
 	// Default 2.
@@ -47,9 +45,6 @@ type Config struct {
 	// QueueDepth bounds the admission queue; a submit finding it full
 	// is rejected with *OverloadedError.  Default 16.
 	QueueDepth int
-	// Network is the loopback socket family for warm meshes ("unix" or
-	// "tcp").  Default "unix".
-	Network string
 	// DefaultTimeout applies to jobs that do not set their own.
 	// Default 30s.
 	DefaultTimeout time.Duration
@@ -79,9 +74,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 16
-	}
-	if c.Network == "" {
-		c.Network = "unix"
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
@@ -167,7 +159,7 @@ type Server struct {
 	closed   atomic.Bool
 }
 
-// New builds and starts a server: the warm pool spins up immediately.
+// New builds and starts a server: the executors start immediately.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -413,9 +405,9 @@ func (s *Server) complete(jb *job, res *JobResult, err error) {
 
 // Shutdown drains the server: new submissions are rejected with
 // ErrDraining, in-flight and queued jobs run to completion, then the
-// pool (dispatchers, rank goroutines, warm transports) winds down.  If
-// ctx expires first, remaining jobs are hard-cancelled — cancellers
-// armed and warm meshes aborted, so blocked ranks terminate with typed
+// executors wind down.  If ctx expires first, remaining jobs are
+// hard-cancelled — cancellers armed and running jobs' networks aborted
+// (see docs/service.md), so blocked ranks terminate with typed
 // errors rather than hang — and ctx.Err() is returned after the pool
 // is still fully closed.  Shutdown is idempotent; concurrent calls
 // after the first return nil immediately.
@@ -479,7 +471,7 @@ type Stats struct {
 	RejectedInvalid   int64 `json:"rejected_invalid"`
 	Batches           int64 `json:"batches"`
 	BatchedJobs       int64 `json:"batched_jobs"`
-	TransportRebuilds int64 `json:"transport_rebuilds"`
+	TransportRebuilds int64 `json:"transport_rebuilds"` // always 0: each job has its own network; kept for the benchmark, which reads it
 	// JobLatency digests the completed-job wall-time histogram.
 	JobLatency LatencySummary `json:"job_latency"`
 	// LoadScore is admitted-but-uncompleted jobs (queued + executing)
@@ -494,29 +486,28 @@ func (s *Server) Stats() Stats {
 	draining := s.draining
 	s.mu.Unlock()
 	return Stats{
-		P:                 s.cfg.P,
-		Workers:           s.cfg.Workers,
-		QueueDepth:        len(s.pool.queue),
-		QueueCap:          cap(s.pool.queue),
-		Draining:          draining,
-		JobsInFlight:      s.m.jobsInFlight.Load(),
-		JobsOK:            s.m.jobsOK.Load(),
-		JobsFailed:        s.m.jobsFailed.Load(),
-		JobsTimedOut:      s.m.jobsTimedOut.Load(),
-		CacheEntries:      s.cache.len(),
-		CacheHits:         s.m.cacheHits.Load(),
-		CacheMisses:       s.m.cacheMisses.Load(),
-		CacheEvictions:    s.cache.evicted(),
-		ReplicatedIn:      s.m.replicatedIn.Load(),
-		ReplicatedOut:     s.m.replicatedOut.Load(),
-		Coalesced:         s.m.coalesced.Load(),
-		RejectedOverload:  s.m.rejectedLoad.Load(),
-		RejectedDraining:  s.m.rejectedDrain.Load(),
-		RejectedInvalid:   s.m.rejectedBad.Load(),
-		Batches:           s.m.batches.Load(),
-		BatchedJobs:       s.m.batchedJobs.Load(),
-		TransportRebuilds: s.m.rebuilds.Load(),
-		JobLatency:        s.m.latencySummary(),
-		LoadScore:         float64(s.m.jobsInFlight.Load()) / float64(s.cfg.Workers),
+		P:                s.cfg.P,
+		Workers:          s.cfg.Workers,
+		QueueDepth:       len(s.pool.queue),
+		QueueCap:         cap(s.pool.queue),
+		Draining:         draining,
+		JobsInFlight:     s.m.jobsInFlight.Load(),
+		JobsOK:           s.m.jobsOK.Load(),
+		JobsFailed:       s.m.jobsFailed.Load(),
+		JobsTimedOut:     s.m.jobsTimedOut.Load(),
+		CacheEntries:     s.cache.len(),
+		CacheHits:        s.m.cacheHits.Load(),
+		CacheMisses:      s.m.cacheMisses.Load(),
+		CacheEvictions:   s.cache.evicted(),
+		ReplicatedIn:     s.m.replicatedIn.Load(),
+		ReplicatedOut:    s.m.replicatedOut.Load(),
+		Coalesced:        s.m.coalesced.Load(),
+		RejectedOverload: s.m.rejectedLoad.Load(),
+		RejectedDraining: s.m.rejectedDrain.Load(),
+		RejectedInvalid:  s.m.rejectedBad.Load(),
+		Batches:          s.m.batches.Load(),
+		BatchedJobs:      s.m.batchedJobs.Load(),
+		JobLatency:       s.m.latencySummary(),
+		LoadScore:        float64(s.m.jobsInFlight.Load()) / float64(s.cfg.Workers),
 	}
 }

@@ -2,8 +2,11 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
@@ -84,35 +87,35 @@ func TestSubmitComputesAndCaches(t *testing.T) {
 }
 
 // TestServiceMatchesSimRuntime ties the service to Theorem 1 directly:
-// the warm-pool socket execution must reproduce the simulated-parallel
-// runtime bit for bit.
+// the service's execution must reproduce the simulated-parallel runtime
+// bit for bit.
 func TestServiceMatchesSimRuntime(t *testing.T) {
 	s := newTestServer(t, Config{P: 2, Workers: 1})
-	spec := fdtd.SpecSmall()
-
-	res, _, err := s.Submit(spec, SubmitOptions{})
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	ref, err := fdtd.RunArchetype(spec, 2, mesh.Sim, fdtd.DefaultOptions())
-	if err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
-	if len(res.Probe) != len(ref.Probe) {
-		t.Fatalf("probe length %d vs reference %d", len(res.Probe), len(ref.Probe))
-	}
-	for i := range ref.Probe {
-		if res.Probe[i] != ref.Probe[i] {
-			t.Fatalf("probe[%d] differs from Sim runtime: %g vs %g", i, res.Probe[i], ref.Probe[i])
+	for _, spec := range []fdtd.Spec{fdtd.SpecSmall(), fdtd.SpecSmallA()} {
+		res, _, err := s.Submit(spec, SubmitOptions{})
+		if err != nil {
+			t.Fatalf("submit: %v", err)
 		}
-	}
-	for i := range ref.FarA {
-		if res.FarA[i] != ref.FarA[i] || res.FarF[i] != ref.FarF[i] {
-			t.Fatalf("far field sample %d differs from Sim runtime", i)
+		ref, err := fdtd.RunArchetype(spec, 2, mesh.Sim, fdtd.DefaultOptions())
+		if err != nil {
+			t.Fatalf("reference run: %v", err)
 		}
-	}
-	if got, want := res.FieldHash, fingerprintString(fieldHash(ref)); got != want {
-		t.Fatalf("field hash %s differs from Sim runtime %s", got, want)
+		if len(res.Probe) != len(ref.Probe) || len(res.FarA) != len(ref.FarA) {
+			t.Fatalf("probe/far-field lengths %d/%d vs reference %d/%d", len(res.Probe), len(res.FarA), len(ref.Probe), len(ref.FarA))
+		}
+		for i := range ref.Probe {
+			if res.Probe[i] != ref.Probe[i] {
+				t.Fatalf("probe[%d] differs from Sim runtime: %g vs %g", i, res.Probe[i], ref.Probe[i])
+			}
+		}
+		for i := range ref.FarA {
+			if res.FarA[i] != ref.FarA[i] || res.FarF[i] != ref.FarF[i] {
+				t.Fatalf("far field sample %d differs from Sim runtime", i)
+			}
+		}
+		if got, want := res.FieldHash, fingerprintString(fieldHash(ref)); got != want {
+			t.Fatalf("Version C %v: field hash %s differs from Sim runtime %s", spec.IsVersionC(), got, want)
+		}
 	}
 }
 
@@ -243,27 +246,22 @@ func TestJobTimeoutTypedAndPoolRecovers(t *testing.T) {
 		t.Fatalf("timeout error reports %v", to.Timeout)
 	}
 
-	// The aborted mesh must not wedge the worker: the next job runs on
-	// a rebuilt transport and succeeds.
+	// The aborted job must not wedge the executor: the next job
+	// succeeds.
 	res, _, err := s.Submit(fdtd.SpecSmallA(), SubmitOptions{})
 	if err != nil || res == nil {
 		t.Fatalf("submit after timeout: %v", err)
 	}
-	st := s.Stats()
-	if st.JobsTimedOut != 1 {
+	if st := s.Stats(); st.JobsTimedOut != 1 {
 		t.Fatalf("timed-out jobs = %d, want 1", st.JobsTimedOut)
-	}
-	if st.TransportRebuilds < 1 {
-		t.Fatalf("expected at least one transport rebuild after abort")
 	}
 }
 
-// TestTimedOutJobLeavesCleanMesh: a job killed mid-step leaves frames
-// of its half-finished exchange behind — with ranks reading their own
-// sockets, in kernel buffers nobody will drain.  The executor must
-// retire that mesh exactly once, and the next job on the same executor
-// must come out bitwise equal to the Sim runtime.
-func TestTimedOutJobLeavesCleanMesh(t *testing.T) {
+// TestJobAfterTimeoutMatchesSim: a job killed mid-step leaves frames
+// of its half-finished exchange behind.  None of them may reach the
+// next job on the same executor, which must come out bitwise equal to
+// the Sim runtime.
+func TestJobAfterTimeoutMatchesSim(t *testing.T) {
 	s := newTestServer(t, Config{P: 2, Workers: 1})
 	if _, _, err := s.Submit(fdtd.SpecSmall(), SubmitOptions{NoCache: true}); err != nil {
 		t.Fatalf("warm-up job: %v", err)
@@ -285,8 +283,87 @@ func TestTimedOutJobLeavesCleanMesh(t *testing.T) {
 	if got, want := res.FieldHash, fingerprintString(fieldHash(ref)); got != want {
 		t.Fatalf("job after the timeout hashed %s, Sim runtime %s", got, want)
 	}
-	if st := s.Stats(); st.TransportRebuilds != 1 {
-		t.Fatalf("transport rebuilds = %d, want exactly 1", st.TransportRebuilds)
+}
+
+// TestJobsLeaveNoGoroutines: every job starts P rank goroutines; a
+// cached, a computed, a timed-out and a coalesced job must all leave
+// the goroutine count where New left it.
+func TestJobsLeaveNoGoroutines(t *testing.T) {
+	s := newTestServer(t, Config{P: 2, Workers: 1})
+	base := runtime.NumGoroutine()
+
+	for i := 0; i < 2; i++ { // computed, then cached
+		if _, _, err := s.Submit(uniqueSpec(0), SubmitOptions{}); err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+	}
+	if _, _, err := s.Submit(longSpec(), SubmitOptions{Timeout: 50 * time.Millisecond}); !isTimeout(err) {
+		t.Fatalf("long job returned %v, want *JobTimeoutError", err)
+	}
+	hold := &testHold{entered: make(chan *job, 1), release: make(chan struct{})}
+	s.pool.setHold(hold)
+	errs := make(chan error, 2)
+	submit := func() {
+		_, _, err := s.Submit(uniqueSpec(1), SubmitOptions{})
+		errs <- err
+	}
+	go submit()
+	select {
+	case <-hold.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker never picked up the job")
+	}
+	go submit()
+	waitFor(t, func() bool { return s.Stats().Coalesced == 1 })
+	s.pool.setHold(nil)
+	close(hold.release)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("coalesced submit: %v", err)
+		}
+	}
+	if st := s.Stats(); st.JobsOK != 2 || st.CacheHits != 1 || st.JobsTimedOut != 1 {
+		t.Fatalf("stats = ok %d hits %d timed out %d, want 2/1/1", st.JobsOK, st.CacheHits, st.JobsTimedOut)
+	}
+
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the jobs, %d after New", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestOversizedSpecRejected: a grid whose cell count cannot be
+// allocated is a bad spec, not a job.  Admitting it would stop the
+// whole process with an out-of-memory error.
+func TestOversizedSpecRejected(t *testing.T) {
+	s := newTestServer(t, Config{P: 2, Workers: 1})
+	huge := fdtd.SpecSmall()
+	huge.NX, huge.NY, huge.NZ = 1<<21, 1<<21, 1<<21
+	var inv *InvalidJobError
+	if _, _, err := s.Submit(huge, SubmitOptions{}); !errors.As(err, &inv) {
+		t.Fatalf("submit error = %v, want *InvalidJobError", err)
+	}
+
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body, err := json.Marshal(JobRequest{Spec: &huge})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, raw := postJob(t, ts, string(body))
+	var e errorResponse
+	if err := json.Unmarshal(raw, &e); err != nil || resp.StatusCode != http.StatusBadRequest || e.Kind != "invalid" {
+		t.Fatalf("POST oversized spec -> %d %s, want 400 invalid", resp.StatusCode, raw)
+	}
+
+	if _, _, err := s.Submit(fdtd.SpecSmallA(), SubmitOptions{}); err != nil {
+		t.Fatalf("normal job after the rejection: %v", err)
+	}
+	if st := s.Stats(); st.RejectedInvalid != 2 || st.JobsOK != 1 {
+		t.Fatalf("stats = invalid %d ok %d, want 2/1", st.RejectedInvalid, st.JobsOK)
 	}
 }
 
@@ -491,6 +568,8 @@ func TestServiceEndToEnd(t *testing.T) {
 
 func isOverloaded(err error) bool { _, ok := AsOverloaded(err); return ok }
 
+func isTimeout(err error) bool { _, ok := AsJobTimeout(err); return ok }
+
 // waitFor polls cond for up to 10s — used where the interesting state
 // is reached asynchronously but guaranteed.
 func waitFor(t *testing.T, cond func() bool) {
@@ -530,7 +609,7 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.P != 2 || c.Workers != 2 || c.QueueDepth != 16 || c.Network != "unix" ||
+	if c.P != 2 || c.Workers != 2 || c.QueueDepth != 16 ||
 		c.DefaultTimeout != 30*time.Second || c.CacheEntries != 256 ||
 		c.BatchMax != 4 || c.BatchCells != 32768 {
 		t.Fatalf("unexpected defaults: %+v", c)
