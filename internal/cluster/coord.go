@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -125,9 +126,10 @@ func (c *Coordinator) Close() {
 func (c *Coordinator) Membership() *Membership { return c.member }
 
 // ClusterResponse is the coordinator's POST /v1/jobs success body: the
-// node's JobResponse fields plus routing provenance.  Result is kept as
-// the node's verbatim JSON (json.RawMessage) so float64 values are
-// never re-encoded — the bitwise-identity guarantee survives the hop.
+// node's JobResponse fields plus routing provenance.  Result is the
+// node's JSON (json.RawMessage), spliced into the body as the node sent
+// it (clusterBody), so float64 values are never re-encoded — the
+// bitwise-identity guarantee survives the hop.
 type ClusterResponse struct {
 	Origin string          `json:"origin"`
 	Result json.RawMessage `json:"result"`
@@ -204,10 +206,11 @@ func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "method", "use POST")
 		return
 	}
-	req, err := serve.DecodeJobRequest(r.Body)
+	body, req, err := serve.ReadJobRequest(w, r)
 	if err != nil {
 		c.rejected.Add(1)
-		writeError(w, http.StatusBadRequest, "invalid", err.Error())
+		status, kind := serve.RequestErrorStatus(err)
+		writeError(w, status, kind, err.Error())
 		return
 	}
 	// Resolve exactly as a node would, so a preset and its expanded
@@ -259,15 +262,6 @@ func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	c.jobs.Add(1)
 
-	// Re-encode the decoded request rather than forwarding raw bytes:
-	// the body was already consumed by strict decoding, and JobRequest
-	// round-trips losslessly (ints and bools only; the spec's float
-	// fields re-encode shortest-round-trip, preserving bits).
-	body, err := json.Marshal(req)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", err.Error())
-		return
-	}
 	urls := make([]string, len(cands))
 	for i, n := range cands {
 		urls[i] = n.URL
@@ -324,17 +318,23 @@ func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
 		w.Write(res.Body)
 		return
 	}
-	var nodeResp struct {
-		Origin string          `json:"origin"`
-		Result json.RawMessage `json:"result"`
-	}
-	if err := json.Unmarshal(res.Body, &nodeResp); err != nil {
+	degraded := servedName != primary
+	out, err := clusterBody(res.Body, ClusterResponse{
+		Node:       servedName,
+		Primary:    primary,
+		Degraded:   degraded,
+		Hot:        hot,
+		Attempts:   res.Attempts,
+		Failovers:  res.Failovers,
+		Retried429: res.Retried429,
+		Trace:      trace.String(),
+	})
+	if err != nil {
 		writeError(w, http.StatusBadGateway, "bad_node_response", err.Error())
 		return
 	}
 	c.forwarded.Add(1)
 	c.member.servedBy(servedName)
-	degraded := servedName != primary
 	if degraded {
 		c.degraded.Add(1)
 	}
@@ -348,18 +348,77 @@ func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
 			obs.ServiceSpan("forward", fmt.Sprintf("forward to %s (%d attempts)", servedName, res.Attempts), fwdStart, fwdEnd),
 		},
 	})
-	writeJSON(w, http.StatusOK, ClusterResponse{
-		Origin:     nodeResp.Origin,
-		Result:     nodeResp.Result,
-		Node:       servedName,
-		Primary:    primary,
-		Degraded:   degraded,
-		Hot:        hot,
-		Attempts:   res.Attempts,
-		Failovers:  res.Failovers,
-		Retried429: res.Retried429,
-		Trace:      trace.String(),
-	})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(out)
+}
+
+// resultNull is where clusterBody splices the node's result into the
+// encoded envelope.  Inside an encoded string every quote is escaped,
+// so the first match is the result field itself.
+var resultNull = []byte(`,"result":null`)
+
+// clusterBody encodes resp as the coordinator's POST /v1/jobs success
+// body, with Origin and Result taken from the node's 200 body.
+//
+// The node body is decoded once: that is the check that it is a
+// JobResponse, and its error is the caller's 502.  The result's bytes
+// are then spliced into the encoded envelope instead of going through
+// encoding/json again, which would validate and compact them a second
+// time.  The body returned is byte for byte what
+// json.NewEncoder(w).Encode(resp) writes with the node's result in it.
+func clusterBody(nodeBody []byte, resp ClusterResponse) ([]byte, error) {
+	var node struct {
+		Origin string          `json:"origin"`
+		Result json.RawMessage `json:"result"`
+	}
+	if err := json.Unmarshal(nodeBody, &node); err != nil {
+		return nil, err
+	}
+	result := []byte(node.Result)
+	if !canonical(result) {
+		// The form the encoder gives a RawMessage: compact, HTML-escaped.
+		var err error
+		if result, err = json.Marshal(node.Result); err != nil {
+			return nil, err
+		}
+	}
+	resp.Origin, resp.Result = node.Origin, nil
+	env, err := json.Marshal(resp)
+	if err != nil {
+		return nil, err
+	}
+	head, tail, ok := bytes.Cut(env, resultNull)
+	if !ok {
+		return nil, fmt.Errorf("cluster: no result field in %s", env)
+	}
+	out := make([]byte, 0, len(env)+len(result)+1)
+	out = append(out, head...)
+	out = append(out, `,"result":`...)
+	out = append(out, result...)
+	out = append(out, tail...)
+	return append(out, '\n'), nil
+}
+
+// canonical reports whether raw, a valid JSON value, is already in the
+// form encoding/json writes a RawMessage in, so that it can be spliced
+// as is.  That holds when raw has no white space (compaction drops it,
+// and telling that from a space inside a string takes a full scan) and
+// nothing HTML escaping rewrites: <, >, & and U+2028 and U+2029, whose
+// lead byte 0xE2 stands in for them here.  A node's result qualifies:
+// json.Marshal wrote it, and it is ASCII with no space in a string.
+// One vectorised IndexByte pass per byte beats a byte loop over a result
+// several kilobytes long.
+func canonical(raw []byte) bool {
+	if len(raw) == 0 {
+		return false
+	}
+	for _, c := range []byte(" \t\n\r<>&\xe2") {
+		if bytes.IndexByte(raw, c) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // p2cPair samples two distinct replicas of a hot fingerprint and orders

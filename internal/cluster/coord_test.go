@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -233,24 +234,38 @@ func TestCoordinatorAllNodesDown(t *testing.T) {
 
 func TestCoordinatorRejectsBadRequests(t *testing.T) {
 	tc := newTestCluster(t, "n0")
-	for _, body := range []string{
-		`{"preset":"nope"}`,
-		`{}`,
-		`{"preset":"small","bogus":1}`,
-		`not json`,
-		`{"preset":"small"}xyz`,
+	// One byte past the bound, all of it read before the refusal, so
+	// the 413 reaches the client.
+	const head, tail = `{"preset":"`, `"}`
+	oversized := head + strings.Repeat("x", serve.MaxRequestBytes+1-len(head)-len(tail)) + tail
+	for _, bad := range []struct {
+		body string
+		want int
+		kind string
+	}{
+		{`{"preset":"nope"}`, http.StatusBadRequest, "invalid"},
+		{`{}`, http.StatusBadRequest, "invalid"},
+		{`{"preset":"small","bogus":1}`, http.StatusBadRequest, "invalid"},
+		{`not json`, http.StatusBadRequest, "invalid"},
+		{`{"preset":"small"}xyz`, http.StatusBadRequest, "invalid"},
+		{oversized, http.StatusRequestEntityTooLarge, "too_large"},
 	} {
-		resp, err := http.Post(tc.front.URL+"/v1/jobs", "application/json", bytes.NewReader([]byte(body)))
+		resp, err := http.Post(tc.front.URL+"/v1/jobs", "application/json", strings.NewReader(bad.body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		var e struct{ Kind string }
+		json.NewDecoder(resp.Body).Decode(&e)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("body %q: status %d, want 400 (rejected locally, not forwarded)", body, resp.StatusCode)
+		if resp.StatusCode != bad.want || e.Kind != bad.kind {
+			t.Fatalf("body %.40q: %d %q, want %d %q (rejected locally, not forwarded)", bad.body, resp.StatusCode, e.Kind, bad.want, bad.kind)
 		}
 	}
-	if got := tc.coord.rejected.Load(); got != 5 {
-		t.Fatalf("rejected counter %d, want 5", got)
+	if got := tc.coord.rejected.Load(); got != 6 {
+		t.Fatalf("rejected counter %d, want 6", got)
+	}
+	if st := tc.servers["n0"].Stats(); st.JobsOK+st.RejectedInvalid != 0 {
+		t.Fatalf("node saw %d jobs and %d invalid requests, want none forwarded", st.JobsOK, st.RejectedInvalid)
 	}
 	resp, err := http.Get(tc.front.URL + "/v1/jobs")
 	if err != nil {
@@ -388,5 +403,52 @@ func TestCoordinatorStatsAndNodes(t *testing.T) {
 	}
 	if len(nodes) != 2 {
 		t.Fatalf("/v1/nodes returned %d rows, want 2", len(nodes))
+	}
+}
+
+// TestClusterResponseBytesMatchEncoder: the coordinator splices the
+// node's result into its body instead of re-encoding it.  The body must
+// still be exactly what json.Encoder writes for the ClusterResponse it
+// decodes to, and its result exactly the bytes the node stored.
+func TestClusterResponseBytesMatchEncoder(t *testing.T) {
+	tc := newTestCluster(t, "n0")
+	// White space in the request: the coordinator forwards the bytes it
+	// read, and the node decodes them as the coordinator did.
+	const req = "{ \"preset\" : \"small-a\" }\n"
+	for _, origin := range []string{"computed", "cache"} {
+		resp, err := http.Post(tc.front.URL+"/v1/jobs", "application/json", strings.NewReader(req))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		var cr ClusterResponse
+		if err := json.Unmarshal(body, &cr); err != nil {
+			t.Fatalf("decode %s: %v", body, err)
+		}
+		var want bytes.Buffer
+		json.NewEncoder(&want).Encode(cr)
+		if !bytes.Equal(body, want.Bytes()) {
+			t.Fatalf("%s: body differs from the encoder's output\n got %s\nwant %s", origin, body, want.Bytes())
+		}
+		if cr.Origin != origin {
+			t.Fatalf("origin %q, want %q", cr.Origin, origin)
+		}
+		var res serve.JobResult
+		if err := json.Unmarshal(cr.Result, &res); err != nil {
+			t.Fatal(err)
+		}
+		cresp, err := http.Get(tc.nodes["n0"].URL + "/v1/cache/" + res.Fingerprint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored, _ := io.ReadAll(cresp.Body)
+		cresp.Body.Close()
+		if !bytes.Equal(cr.Result, bytes.TrimSuffix(stored, []byte("\n"))) {
+			t.Fatalf("%s: result differs from the node's stored bytes\n got %s\nwant %s", origin, cr.Result, stored)
+		}
 	}
 }

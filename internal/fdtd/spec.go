@@ -249,29 +249,59 @@ func (s Spec) Cells() int { return s.NX * s.NY * s.NZ }
 // spec — which would silently produce garbage — fails fast instead.
 // Two specs that fingerprint equal describe the same computation.
 func (s Spec) Fingerprint() uint64 {
-	h := fnv.New64a()
-	w := func(vs ...any) {
-		for _, v := range vs {
-			binary.Write(h, binary.LittleEndian, v)
-		}
-	}
-	w(int64(s.NX), int64(s.NY), int64(s.NZ), int64(s.Steps), s.DT)
-	w(int64(s.Source.I), int64(s.Source.J), int64(s.Source.K),
-		s.Source.Amplitude, s.Source.Delay, s.Source.Width,
-		int64(s.Source.Shape), int64(s.Source.Kind))
-	w(int64(s.Probe[0]), int64(s.Probe[1]), int64(s.Probe[2]))
-	w(int64(len(s.Objects)))
+	// Each field is one little-endian 8-byte word, ints widened to
+	// int64, in a fixed order.  The words go into one stack buffer and
+	// one Write: the bytes hashed are exactly those of the per-field
+	// binary.Write this replaced, without boxing each field.  The
+	// buffer holds a spec of up to ten objects; a larger one grows it.
+	var buf [128 * 8]byte
+	b := buf[:0]
+	i := func(v int) { b = binary.LittleEndian.AppendUint64(b, uint64(int64(v))) }
+	f := func(v float64) { b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v)) }
+	i(s.NX)
+	i(s.NY)
+	i(s.NZ)
+	i(s.Steps)
+	f(s.DT)
+	i(s.Source.I)
+	i(s.Source.J)
+	i(s.Source.K)
+	f(s.Source.Amplitude)
+	f(s.Source.Delay)
+	f(s.Source.Width)
+	i(int(s.Source.Shape))
+	i(int(s.Source.Kind))
+	i(s.Probe[0])
+	i(s.Probe[1])
+	i(s.Probe[2])
+	i(len(s.Objects))
 	for _, o := range s.Objects {
-		w(int64(o.I0), int64(o.I1), int64(o.J0), int64(o.J1), int64(o.K0), int64(o.K1),
-			o.EpsR, o.MuR, o.Sigma, o.SigmaM)
+		i(o.I0)
+		i(o.I1)
+		i(o.J0)
+		i(o.J1)
+		i(o.K0)
+		i(o.K1)
+		f(o.EpsR)
+		f(o.MuR)
+		f(o.Sigma)
+		f(o.SigmaM)
 	}
 	if ff := s.FarField; ff != nil {
-		w(int64(1), int64(ff.Offset),
-			ff.Dir[0], ff.Dir[1], ff.Dir[2], ff.Pol[0], ff.Pol[1], ff.Pol[2])
+		i(1)
+		i(ff.Offset)
+		for _, v := range ff.Dir {
+			f(v)
+		}
+		for _, v := range ff.Pol {
+			f(v)
+		}
 	} else {
-		w(int64(0))
+		i(0)
 	}
-	w(int64(s.Boundary))
+	i(int(s.Boundary))
+	h := fnv.New64a()
+	h.Write(b)
 	return h.Sum64()
 }
 

@@ -27,7 +27,7 @@ type cache struct {
 
 type cacheEntry struct {
 	fp  uint64
-	res *JobResult
+	out *encoded
 }
 
 func newCache(capacity int) *cache {
@@ -39,7 +39,7 @@ func newCache(capacity int) *cache {
 }
 
 // get returns the cached result for fp, refreshing its recency.
-func (c *cache) get(fp uint64) (*JobResult, bool) {
+func (c *cache) get(fp uint64) (*encoded, bool) {
 	if c == nil || c.cap <= 0 {
 		return nil, false
 	}
@@ -50,24 +50,24 @@ func (c *cache) get(fp uint64) (*JobResult, bool) {
 		return nil, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	return el.Value.(*cacheEntry).out, true
 }
 
-// put stores res under fp, evicting the least recently used entry past
+// put stores out under fp, evicting the least recently used entry past
 // capacity.  Storing an existing key refreshes it; by determinacy the
 // value cannot differ.
-func (c *cache) put(fp uint64, res *JobResult) {
-	if c == nil || c.cap <= 0 || res == nil {
+func (c *cache) put(fp uint64, out *encoded) {
+	if c == nil || c.cap <= 0 || out == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[fp]; ok {
 		c.order.MoveToFront(el)
-		el.Value.(*cacheEntry).res = res
+		el.Value.(*cacheEntry).out = out
 		return
 	}
-	c.entries[fp] = c.order.PushFront(&cacheEntry{fp: fp, res: res})
+	c.entries[fp] = c.order.PushFront(&cacheEntry{fp: fp, out: out})
 	for c.order.Len() > c.cap {
 		last := c.order.Back()
 		c.order.Remove(last)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -60,6 +61,36 @@ func presetSpec(name string) (fdtd.Spec, error) {
 		return fdtd.SpecFigure2(), nil
 	}
 	return fdtd.Spec{}, fmt.Errorf("unknown preset %q (want small, small-a, table1 or figure2)", name)
+}
+
+// MaxRequestBytes bounds a POST /v1/jobs body, on a node and on the
+// cluster coordinator alike.  A request is a preset name or one spec,
+// well under a kilobyte; the coordinator holds the whole body in memory
+// to forward it verbatim.
+const MaxRequestBytes = 1 << 20
+
+// ReadJobRequest reads a POST /v1/jobs body of at most MaxRequestBytes
+// and decodes it with DecodeJobRequest.  It returns the bytes it read
+// too, which the coordinator forwards verbatim.  RequestErrorStatus
+// maps its errors onto HTTP.
+func ReadJobRequest(w http.ResponseWriter, r *http.Request) ([]byte, JobRequest, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
+	if err != nil {
+		return nil, JobRequest{}, fmt.Errorf("read request: %w", err)
+	}
+	req, err := DecodeJobRequest(bytes.NewReader(body))
+	return body, req, err
+}
+
+// RequestErrorStatus maps a ReadJobRequest error onto an HTTP status
+// and error kind: 413 too_large for a body past MaxRequestBytes, 400
+// invalid for anything else.
+func RequestErrorStatus(err error) (int, string) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge, "too_large"
+	}
+	return http.StatusBadRequest, "invalid"
 }
 
 // DecodeJobRequest decodes a POST /v1/jobs body: one JSON object with
@@ -180,12 +211,15 @@ func (s *Server) handleCacheEntry(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodGet:
-		res, ok := s.CachedResult(fp)
+		out, ok := s.cached(fp)
 		if !ok {
 			writeError(w, http.StatusNotFound, "not_found", fmt.Errorf("fingerprint %s not cached", fingerprintString(fp)))
 			return
 		}
-		writeJSON(w, http.StatusOK, res)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		w.Write(out.json)
+		io.WriteString(w, "\n")
 	case http.MethodPut:
 		var res JobResult
 		if err := json.NewDecoder(r.Body).Decode(&res); err != nil {
@@ -214,9 +248,10 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "method", fmt.Errorf("use POST"))
 		return
 	}
-	req, err := DecodeJobRequest(r.Body)
+	_, req, err := ReadJobRequest(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid", err)
+		status, kind := RequestErrorStatus(err)
+		writeError(w, status, kind, err)
 		return
 	}
 	spec, opts, err := ResolveRequest(req)
@@ -238,14 +273,31 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	opts.Trace = trace
 
-	res, origin, err := s.Submit(spec, opts)
+	out, origin, err := s.submit(spec, opts)
 	if err != nil {
 		s.writeSubmitError(w, err, trace)
 		return
 	}
 	w.Header().Set("X-Archserve-Origin", origin.String())
 	w.Header().Set(obs.TraceHeader, trace.String())
-	writeJSON(w, http.StatusOK, JobResponse{Origin: origin.String(), Result: res, Trace: trace.String()})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	writeJobResponse(w, origin.String(), out.json, trace.String())
+}
+
+// writeJobResponse writes a JobResponse around a result's stored
+// encoding: the bytes json.NewEncoder(w).Encode(JobResponse{...})
+// writes, without encoding the result again.  Origin names and trace
+// ids are lower-case words and hex digits, so they need no escaping,
+// and the trace is never empty here.
+func writeJobResponse(w io.Writer, origin string, result []byte, trace string) {
+	io.WriteString(w, `{"origin":"`)
+	io.WriteString(w, origin)
+	io.WriteString(w, `","result":`)
+	w.Write(result)
+	io.WriteString(w, `,"trace":"`)
+	io.WriteString(w, trace)
+	io.WriteString(w, "\"}\n")
 }
 
 // handleTrace serves GET /v1/trace/{id}: the node-local span bundle for

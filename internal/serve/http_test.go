@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -10,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/fdtd"
 )
 
 func postJob(t *testing.T, ts *httptest.Server, body string) (*http.Response, []byte) {
@@ -27,6 +30,15 @@ func postJob(t *testing.T, ts *httptest.Server, body string) (*http.Response, []
 		buf.Write(raw)
 	}
 	return resp, []byte(buf.String())
+}
+
+// oversizedRequest is a well-formed job request one byte past
+// MaxRequestBytes.  The server reads all of it before refusing it, so
+// the connection closes with nothing unread and the 413 reaches the
+// client.
+func oversizedRequest() string {
+	const head, tail = `{"preset":"`, `"}`
+	return head + strings.Repeat("x", MaxRequestBytes+1-len(head)-len(tail)) + tail
 }
 
 func TestHTTPJobLifecycle(t *testing.T) {
@@ -69,17 +81,21 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	for _, tc := range []struct {
 		body string
 		want int
+		kind string
 	}{
-		{`{"preset":"nope"}`, http.StatusBadRequest},
-		{`{}`, http.StatusBadRequest},
-		{`{"preset":"small-a","spec":{"NX":8}}`, http.StatusBadRequest},
-		{`{"spec":{"NX":8,"NY":8,"NZ":8,"Steps":0,"DT":0.5}}`, http.StatusBadRequest},
-		{`not json`, http.StatusBadRequest},
-		{`{"preset":"small-a"}xyz`, http.StatusBadRequest},
+		{`{"preset":"nope"}`, http.StatusBadRequest, "invalid"},
+		{`{}`, http.StatusBadRequest, "invalid"},
+		{`{"preset":"small-a","spec":{"NX":8}}`, http.StatusBadRequest, "invalid"},
+		{`{"spec":{"NX":8,"NY":8,"NZ":8,"Steps":0,"DT":0.5}}`, http.StatusBadRequest, "invalid"},
+		{`not json`, http.StatusBadRequest, "invalid"},
+		{`{"preset":"small-a"}xyz`, http.StatusBadRequest, "invalid"},
+		{oversizedRequest(), http.StatusRequestEntityTooLarge, "too_large"},
 	} {
-		resp, _ := postJob(t, ts, tc.body)
-		if resp.StatusCode != tc.want {
-			t.Fatalf("POST %s -> %d, want %d", tc.body, resp.StatusCode, tc.want)
+		resp, body := postJob(t, ts, tc.body)
+		var e errorResponse
+		json.Unmarshal(body, &e)
+		if resp.StatusCode != tc.want || e.Kind != tc.kind {
+			t.Fatalf("POST %.40s -> %d %q, want %d %q", tc.body, resp.StatusCode, e.Kind, tc.want, tc.kind)
 		}
 	}
 	if resp, err := http.Get(ts.URL + "/v1/jobs"); err != nil || resp.StatusCode != http.StatusMethodNotAllowed {
@@ -421,4 +437,141 @@ func mustParseFP(t *testing.T, s string) uint64 {
 		t.Fatal(err)
 	}
 	return fp
+}
+
+// postRaw POSTs body to /v1/jobs and returns the response bytes as
+// sent.
+func postRaw(t *testing.T, url, body string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Errorf("POST /v1/jobs: %v", err)
+		return nil, nil
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Errorf("read response: %v", err)
+	}
+	return resp, raw
+}
+
+// assertEncoderBytes checks that body is exactly what json.Encoder
+// writes for the value body decodes into.
+func assertEncoderBytes[T any](t *testing.T, what string, body []byte) T {
+	t.Helper()
+	var v T
+	if err := json.Unmarshal(body, &v); err != nil {
+		t.Fatalf("%s: decode %s: %v", what, body, err)
+	}
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(v); err != nil {
+		t.Fatalf("%s: encode: %v", what, err)
+	}
+	if !bytes.Equal(body, want.Bytes()) {
+		t.Fatalf("%s: body differs from the encoder's output\n got %s\nwant %s", what, body, want.Bytes())
+	}
+	return v
+}
+
+// TestResponseBytesMatchEncoder: a node writes each result's stored
+// encoding instead of encoding it per response.  For every origin, and
+// for a cache export, the bytes must be those json.Encoder writes for
+// the same value, so clients see no difference.
+func TestResponseBytesMatchEncoder(t *testing.T) {
+	s := newTestServer(t, Config{P: 2, Workers: 1})
+	hold := &testHold{entered: make(chan *job, 1), release: make(chan struct{})}
+	s.pool.setHold(hold)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	req := `{"spec":` + specJSON(uniqueSpec(60)) + `}`
+	bodies := make(chan []byte, 2)
+	post := func() {
+		resp, body := postRaw(t, ts.URL, req)
+		if resp != nil && resp.StatusCode != http.StatusOK {
+			t.Errorf("POST status %d: %s", resp.StatusCode, body)
+		}
+		bodies <- body
+	}
+	go post()
+	select {
+	case <-hold.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker never picked up the job")
+	}
+	go post()
+	waitFor(t, func() bool { return s.Stats().Coalesced == 1 })
+	close(hold.release)
+
+	origins := map[string]int{}
+	var fp string
+	for i := 0; i < 2; i++ {
+		r := assertEncoderBytes[JobResponse](t, "POST /v1/jobs", <-bodies)
+		origins[r.Origin]++
+		fp = r.Result.Fingerprint
+	}
+	resp, body := postRaw(t, ts.URL, req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cached POST status %d: %s", resp.StatusCode, body)
+	}
+	origins[assertEncoderBytes[JobResponse](t, "POST /v1/jobs", body).Origin]++
+	if origins["computed"] != 1 || origins["coalesced"] != 1 || origins["cache"] != 1 {
+		t.Fatalf("origins %v, want one each of computed, coalesced and cache", origins)
+	}
+
+	status, body := getCacheEntry(t, ts, fp)
+	if status != http.StatusOK {
+		t.Fatalf("GET /v1/cache/%s status %d: %s", fp, status, body)
+	}
+	assertEncoderBytes[JobResult](t, "GET /v1/cache", body)
+}
+
+// BenchmarkJobCacheHit measures a POST /v1/jobs answered from the
+// cache, end to end through the handler: decode, validate,
+// fingerprint, look up, write the stored bytes.
+func BenchmarkJobCacheHit(b *testing.B) {
+	s := New(Config{P: 2, Workers: 1})
+	defer s.Shutdown(context.Background())
+	h := s.Handler()
+	const body = `{"preset":"small-a"}`
+	do := func() *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+		return w
+	}
+	if w := do(); w.Code != http.StatusOK {
+		b.Fatalf("warm-up status %d: %s", w.Code, w.Body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if w := do(); w.Code != http.StatusOK || w.Header().Get("X-Archserve-Origin") != "cache" {
+			b.Fatalf("status %d origin %q", w.Code, w.Header().Get("X-Archserve-Origin"))
+		}
+	}
+}
+
+// TestUnencodableResultFailsJob: a spec whose fields turn NaN (here an
+// object with zero permittivity over the probe) has a result JSON
+// cannot carry.  Its job fails with a typed 500 and nothing is cached;
+// it is not answered with a 200 whose body is cut short.
+func TestUnencodableResultFailsJob(t *testing.T) {
+	s := newTestServer(t, Config{P: 2, Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	spec := uniqueSpec(70)
+	spec.Objects = []fdtd.Object{{I0: 0, I1: spec.NX, J0: 0, J1: spec.NY, K0: 0, K1: spec.NZ, EpsR: 0, MuR: 1}}
+	resp, body := postJob(t, ts, `{"spec":`+specJSON(spec)+`}`)
+	var e errorResponse
+	if err := json.Unmarshal(body, &e); err != nil {
+		t.Fatalf("status %d, body %q: %v", resp.StatusCode, body, err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || e.Kind != "internal" || !strings.Contains(e.Error, "encode result") {
+		t.Fatalf("status %d %+v, want 500 internal naming the encoding", resp.StatusCode, e)
+	}
+	if st := s.Stats(); st.JobsFailed != 1 || st.JobsOK != 0 || st.CacheEntries != 0 {
+		t.Fatalf("stats failed %d ok %d cached %d, want 1/0/0", st.JobsFailed, st.JobsOK, st.CacheEntries)
+	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -28,7 +29,7 @@ type job struct {
 
 	cancel *fault.Canceller
 	done   chan struct{}
-	res    *JobResult
+	out    *encoded
 	err    error
 	// bundle is the job's trace spans (service lane + per-rank phase
 	// spans), filled by the executor for traced jobs and stored into the
@@ -86,6 +87,30 @@ func (r *JobResult) BitwiseEqual(o *JobResult) bool {
 		}
 	}
 	return true
+}
+
+// encoded is a result together with its JSON encoding.  The service
+// encodes a result exactly once, when it becomes shareable: in complete
+// for a computed result, in ImportResult for a replicated one.  Every
+// response that carries the result afterwards — computed, cache or
+// coalesced, or a cache export — writes these bytes and formats no
+// float again.  Theorem 1 is what makes one encoding enough: a result
+// stands in for any recomputation of its fingerprint bit for bit, and
+// so does its encoding.
+type encoded struct {
+	res  *JobResult
+	json []byte // json.Marshal(res): compact, no trailing newline
+}
+
+// encodeResult encodes res once for every later response.  It fails
+// only on a float JSON cannot carry (NaN or ±Inf), which then fails
+// the job instead of sending a truncated 200.
+func encodeResult(res *JobResult) (*encoded, error) {
+	b, err := json.Marshal(res)
+	if err != nil {
+		return nil, fmt.Errorf("serve: encode result: %w", err)
+	}
+	return &encoded{res: res, json: b}, nil
 }
 
 func floatBits(v float64) uint64 { return math.Float64bits(v) }

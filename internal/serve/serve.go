@@ -190,16 +190,26 @@ func (s *Server) Config() Config { return s.cfg }
 // full), ErrDraining (shutting down), *JobTimeoutError (deadline).
 // Submit blocks until the result is available or the job fails.
 func (s *Server) Submit(spec fdtd.Spec, opts SubmitOptions) (*JobResult, Origin, error) {
+	out, origin, err := s.submit(spec, opts)
+	if err != nil {
+		return nil, origin, err
+	}
+	return out.res, origin, nil
+}
+
+// submit is Submit returning the result with its encoding, which the
+// HTTP layer writes as is.
+func (s *Server) submit(spec fdtd.Spec, opts SubmitOptions) (*encoded, Origin, error) {
 	if err := fdtd.ValidateForP(spec, s.cfg.P); err != nil {
 		s.m.rejectedBad.Add(1)
 		return nil, OriginComputed, &InvalidJobError{Reason: err}
 	}
 	fp := spec.Fingerprint()
 	if !opts.NoCache {
-		if res, ok := s.cache.get(fp); ok {
+		if out, ok := s.cache.get(fp); ok {
 			s.m.cacheHits.Add(1)
 			s.storeServiceTrace(opts.Trace, "cache", time.Now())
-			return res, OriginCache, nil
+			return out, OriginCache, nil
 		}
 	}
 
@@ -224,7 +234,7 @@ func (s *Server) Submit(spec fdtd.Spec, opts SubmitOptions) (*JobResult, Origin,
 			waitStart := time.Now()
 			<-existing.done
 			s.storeServiceTrace(opts.Trace, "coalesced", waitStart)
-			return existing.res, OriginCoalesced, existing.err
+			return existing.out, OriginCoalesced, existing.err
 		}
 	}
 	jb := &job{
@@ -268,7 +278,7 @@ func (s *Server) Submit(spec fdtd.Spec, opts SubmitOptions) (*JobResult, Origin,
 	}
 
 	<-jb.done
-	return jb.res, OriginComputed, jb.err
+	return jb.out, OriginComputed, jb.err
 }
 
 // retryAfter estimates when a rejected client should try again: the
@@ -336,14 +346,24 @@ func (s *Server) CacheFingerprints() []uint64 {
 // other counters.  Exports stay available while draining — that window
 // is exactly when the cluster pulls the cache for handoff.
 func (s *Server) CachedResult(fp uint64) (*JobResult, bool) {
+	out, ok := s.cached(fp)
+	if !ok {
+		return nil, false
+	}
+	return out.res, true
+}
+
+// cached is CachedResult returning the result with its encoding, which
+// GET /v1/cache/{fp} writes as is.
+func (s *Server) cached(fp uint64) (*encoded, bool) {
 	if s.cfg.CacheEntries <= 0 {
 		return nil, false
 	}
-	res, ok := s.cache.get(fp)
+	out, ok := s.cache.get(fp)
 	if ok {
 		s.m.replicatedOut.Add(1)
 	}
-	return res, ok
+	return out, ok
 }
 
 // ImportResult admits a result computed elsewhere into the local cache
@@ -365,13 +385,23 @@ func (s *Server) ImportResult(fp uint64, res *JobResult) error {
 	if draining {
 		return ErrDraining
 	}
-	s.cache.put(fp, res)
+	out, err := encodeResult(res)
+	if err != nil {
+		return err
+	}
+	s.cache.put(fp, out)
 	s.m.replicatedIn.Add(1)
 	return nil
 }
 
-// complete is the pool's single exit point for job outcomes.
+// complete is the pool's single exit point for job outcomes.  A
+// computed result is encoded here, before anything can share it: the
+// cache, coalesced waiters and the submitter all get the one encoding.
 func (s *Server) complete(jb *job, res *JobResult, err error) {
+	var out *encoded
+	if err == nil {
+		out, err = encodeResult(res)
+	}
 	s.mu.Lock()
 	if jb.shared && s.inflight[jb.fp] == jb {
 		delete(s.inflight, jb.fp)
@@ -387,7 +417,7 @@ func (s *Server) complete(jb *job, res *JobResult, err error) {
 	case err == nil:
 		s.m.jobsOK.Add(1)
 		if !jb.noCache {
-			s.cache.put(jb.fp, res)
+			s.cache.put(jb.fp, out)
 		}
 	default:
 		if _, ok := AsJobTimeout(err); ok {
@@ -398,7 +428,7 @@ func (s *Server) complete(jb *job, res *JobResult, err error) {
 	}
 	// Waiters wake last: a caller that resubmits the moment its job
 	// returns must find the cache filled and the counters settled.
-	jb.res, jb.err = res, err
+	jb.out, jb.err = out, err
 	close(jb.done)
 	s.jobs.Done()
 }

@@ -586,7 +586,7 @@ func waitFor(t *testing.T, cond func() bool) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := newCache(2)
-	r := func(i int) *JobResult { return &JobResult{Fingerprint: fmt.Sprint(i)} }
+	r := func(i int) *encoded { return &encoded{res: &JobResult{Fingerprint: fmt.Sprint(i)}} }
 	c.put(1, r(1))
 	c.put(2, r(2))
 	if _, ok := c.get(1); !ok { // refresh 1; 2 becomes LRU
