@@ -61,11 +61,6 @@ func main() {
 		baseBackoff   = flag.Duration("base-backoff", 25*time.Millisecond, "first full-cycle backoff")
 		maxBackoff    = flag.Duration("max-backoff", time.Second, "backoff ceiling")
 		maxRetryAfter = flag.Duration("max-retry-after", 2*time.Second, "cap on honoured Retry-After hints")
-		hotDisabled   = flag.Bool("hot-disabled", false, "disable the hot-shard layer (replication, p2c routing, warm handoff)")
-		hotReplicas   = flag.Int("hot-replicas", 2, "ring successors a hot cache entry is replicated to")
-		hotTopK       = flag.Int("hot-top-k", 16, "space-saving counters tracking candidate hot fingerprints")
-		hotFraction   = flag.Float64("hot-fraction", 0.10, "traffic share a fingerprint must exceed to count as hot")
-		hotMinTotal   = flag.Int64("hot-min-total", 32, "observations required before any fingerprint can be promoted")
 	)
 	flag.Parse()
 
@@ -89,13 +84,6 @@ func main() {
 			BaseBackoff:       *baseBackoff,
 			MaxBackoff:        *maxBackoff,
 			MaxRetryAfter:     *maxRetryAfter,
-		},
-		Hot: cluster.HotConfig{
-			Disabled:    *hotDisabled,
-			Replicas:    *hotReplicas,
-			TopK:        *hotTopK,
-			HotFraction: *hotFraction,
-			MinTotal:    *hotMinTotal,
 		},
 		Seed: time.Now().UnixNano(),
 	})

@@ -60,10 +60,6 @@ type loadConfig struct {
 	// from the coordinator after the run.
 	SampleTrace bool
 
-	// HotDisabled turns off the coordinator's hot-shard layer in
-	// self-contained mode — the baseline arm of a -hotshard comparison.
-	HotDisabled bool
-
 	Quiet bool // suppress progress logging (tests)
 }
 
@@ -103,7 +99,6 @@ type sample struct {
 	degraded bool
 	err      bool // transport-level failure
 	trace    string
-	specIdx  int // workload spec index; 0 is the zipf head (the hot key)
 }
 
 // loadResult is the structured outcome of one run.
@@ -112,17 +107,10 @@ type loadResult struct {
 	Elapsed                                          time.Duration
 	Throughput                                       float64 // ok jobs per second
 	Hist                                             obs.HistSnapshot
-	// HotHist is the latency histogram restricted to the zipf head
-	// (spec index 0) — the requests hot-shard routing acts on.
-	HotHist obs.HistSnapshot
-	// Imbalance is max/mean of per-node served counts from the
-	// coordinator's /v1/stats after the run (1.0 = perfectly even; 0
-	// when the target exposes no node stats).
-	Imbalance    float64
-	SLO          *slo.Report // nil unless requested
-	SampledTrace string      // trace id of the sampled job
-	TraceJSON    []byte      // merged Chrome trace for it
-	samples      []sample
+	SLO                                              *slo.Report // nil unless requested
+	SampledTrace                                     string      // trace id of the sampled job
+	TraceJSON                                        []byte      // merged Chrome trace for it
+	samples                                          []sample
 }
 
 // loadSpec is spec i of the population: a fast Version A run whose
@@ -142,7 +130,7 @@ type localNode struct {
 
 // startLocalCluster spins up n nodes and a coordinator, returning the
 // coordinator URL and a teardown function.
-func startLocalCluster(n, p, workers int, hotDisabled bool) (string, func(), error) {
+func startLocalCluster(n, p, workers int) (string, func(), error) {
 	var nodes []localNode
 	var roster []cluster.Node
 	teardown := func() {
@@ -173,7 +161,6 @@ func startLocalCluster(n, p, workers int, hotDisabled bool) (string, func(), err
 		Nodes:  roster,
 		Member: cluster.MemberConfig{ProbeInterval: 100 * time.Millisecond},
 		Client: client.Policy{},
-		Hot:    cluster.HotConfig{Disabled: hotDisabled},
 		Seed:   1,
 	})
 	if err != nil {
@@ -235,7 +222,7 @@ func runLoad(cfg loadConfig) (*loadResult, error) {
 		if target != "" {
 			return nil, fmt.Errorf("use Target or Cluster, not both")
 		}
-		url, teardown, err := startLocalCluster(cfg.Cluster, cfg.P, cfg.Workers, cfg.HotDisabled)
+		url, teardown, err := startLocalCluster(cfg.Cluster, cfg.P, cfg.Workers)
 		if err != nil {
 			return nil, fmt.Errorf("start cluster: %w", err)
 		}
@@ -299,7 +286,6 @@ func runLoad(cfg loadConfig) (*loadResult, error) {
 				// service counts against the service.
 				s.start = sched
 				s.latency = time.Since(start.Add(sched)) + cfg.InjectLatency
-				s.specIdx = specIdx[i]
 				add(s)
 			}(i, sched)
 		}
@@ -328,7 +314,6 @@ func runLoad(cfg loadConfig) (*loadResult, error) {
 					s := doRequest(hc, target, loadSpec(specIdx[i]))
 					s.start = t0.Sub(start)
 					s.latency = time.Since(t0) + cfg.InjectLatency
-					s.specIdx = specIdx[i]
 					add(s)
 				}
 			}()
@@ -339,14 +324,10 @@ func runLoad(cfg loadConfig) (*loadResult, error) {
 
 	res := &loadResult{Elapsed: elapsed, samples: samples}
 	hist := obs.NewHistogram()
-	hotHist := obs.NewHistogram()
 	var sloSamples []slo.Sample
 	for _, s := range samples {
 		res.Total++
 		hist.Record(s.latency)
-		if s.specIdx == 0 {
-			hotHist.Record(s.latency)
-		}
 		bad := s.err
 		switch {
 		case s.err:
@@ -369,9 +350,7 @@ func runLoad(cfg loadConfig) (*loadResult, error) {
 		sloSamples = append(sloSamples, slo.Sample{Start: s.start, Latency: s.latency, Err: bad})
 	}
 	res.Hist = hist.Snapshot()
-	res.HotHist = hotHist.Snapshot()
 	res.Throughput = float64(res.OK) / elapsed.Seconds()
-	res.Imbalance = fetchImbalance(hc, target)
 	if spec != nil {
 		res.SLO = slo.Eval(spec, sloSamples, elapsed)
 	}
@@ -379,38 +358,6 @@ func runLoad(cfg loadConfig) (*loadResult, error) {
 		res.sampleTrace(hc, target)
 	}
 	return res, nil
-}
-
-// fetchImbalance reads the coordinator's per-node served counts and
-// returns max/mean — 1.0 is a perfectly even spread, N is everything on
-// one node of N.  Best-effort: a target without node stats (a single
-// archserve, say) yields 0.
-func fetchImbalance(hc *http.Client, target string) float64 {
-	resp, err := hc.Get(target + "/v1/stats")
-	if err != nil {
-		return 0
-	}
-	defer resp.Body.Close()
-	var st struct {
-		Nodes []struct {
-			Served int64 `json:"served"`
-		} `json:"nodes"`
-	}
-	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&st) != nil || len(st.Nodes) == 0 {
-		return 0
-	}
-	var total, max int64
-	for _, n := range st.Nodes {
-		total += n.Served
-		if n.Served > max {
-			max = n.Served
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	mean := float64(total) / float64(len(st.Nodes))
-	return float64(max) / mean
 }
 
 // sampleTrace picks one traced response — preferring a computed job,

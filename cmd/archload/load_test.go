@@ -155,37 +155,3 @@ func TestObsSmokeSLOFail(t *testing.T) {
 		t.Fatal("latency objective missing from report")
 	}
 }
-
-// TestHotshardMeasurement: a small self-contained run populates the
-// hot-key histogram (zipf head samples) and computes a served-count
-// imbalance from the coordinator's node stats — the two numbers each
-// arm of -hotshard prints.
-func TestHotshardMeasurement(t *testing.T) {
-	res, err := runLoad(loadConfig{
-		Cluster: 2,
-		Clients: 4,
-		Jobs:    30,
-		Specs:   4,
-		ZipfS:   1.5,
-		Seed:    3,
-		Quiet:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Errs > 0 {
-		t.Fatalf("%d transport errors", res.Errs)
-	}
-	if res.HotHist.Count == 0 {
-		t.Fatal("hot-key histogram empty — the zipf head never sampled")
-	}
-	if res.HotHist.Count >= res.Hist.Count {
-		t.Fatalf("hot histogram %d >= total %d — head filter not applied", res.HotHist.Count, res.Hist.Count)
-	}
-	if res.Imbalance < 1.0 {
-		t.Fatalf("imbalance %.3f, want >= 1.0 (max/mean of served counts)", res.Imbalance)
-	}
-	if p99 := res.HotHist.QuantileDuration(0.99); p99 <= 0 {
-		t.Fatalf("hot-key p99 %v, want > 0", p99)
-	}
-}

@@ -42,22 +42,20 @@ import (
 
 func main() {
 	var (
-		coordURL    = flag.String("coord", "", "coordinator (or single archserve) base URL")
-		clusterN    = flag.Int("cluster", 0, "self-contained mode: spin up N in-process nodes + coordinator")
-		clients     = flag.Int("clients", 8, "closed-loop client goroutines")
-		jobs        = flag.Int("jobs", 200, "total requests to issue")
-		specs       = flag.Int("specs", 32, "distinct spec population size")
-		zipfS       = flag.Float64("zipf-s", 1.2, "zipf exponent (>1; larger = hotter head)")
-		zipfV       = flag.Float64("zipf-v", 1.0, "zipf offset (>=1)")
-		p           = flag.Int("p", 2, "ranks per job (self-contained nodes)")
-		workers     = flag.Int("workers", 1, "executors per node (self-contained nodes)")
-		seed        = flag.Int64("seed", 1, "workload RNG seed")
-		rate        = flag.Float64("rate", 0, "open-loop mode: Poisson arrival rate in jobs/s (0 = closed loop)")
-		sloSpec     = flag.String("slo", "", `SLO spec to evaluate, e.g. "p99<250ms,err<1%" (exit 1 on failure)`)
-		inject      = flag.Duration("inject-latency", 0, "add this synthetic delay to every measured latency (SLO failure testing)")
-		traceOut    = flag.String("trace-out", "", "write one sampled job's merged Chrome trace to this file")
-		hotDisabled = flag.Bool("hot-disabled", false, "disable the coordinator's hot-shard layer (self-contained mode)")
-		hotshard    = flag.Bool("hotshard", false, "A/B mode: run the same seeded workload with the hot-shard layer off, then on, and report the delta (requires -cluster)")
+		coordURL = flag.String("coord", "", "coordinator (or single archserve) base URL")
+		clusterN = flag.Int("cluster", 0, "self-contained mode: spin up N in-process nodes + coordinator")
+		clients  = flag.Int("clients", 8, "closed-loop client goroutines")
+		jobs     = flag.Int("jobs", 200, "total requests to issue")
+		specs    = flag.Int("specs", 32, "distinct spec population size")
+		zipfS    = flag.Float64("zipf-s", 1.2, "zipf exponent (>1; larger = hotter head)")
+		zipfV    = flag.Float64("zipf-v", 1.0, "zipf offset (>=1)")
+		p        = flag.Int("p", 2, "ranks per job (self-contained nodes)")
+		workers  = flag.Int("workers", 1, "executors per node (self-contained nodes)")
+		seed     = flag.Int64("seed", 1, "workload RNG seed")
+		rate     = flag.Float64("rate", 0, "open-loop mode: Poisson arrival rate in jobs/s (0 = closed loop)")
+		sloSpec  = flag.String("slo", "", `SLO spec to evaluate, e.g. "p99<250ms,err<1%" (exit 1 on failure)`)
+		inject   = flag.Duration("inject-latency", 0, "add this synthetic delay to every measured latency (SLO failure testing)")
+		traceOut = flag.String("trace-out", "", "write one sampled job's merged Chrome trace to this file")
 	)
 	flag.Parse()
 
@@ -79,15 +77,6 @@ func main() {
 		SLO:           *sloSpec,
 		InjectLatency: *inject,
 		SampleTrace:   *traceOut != "",
-		HotDisabled:   *hotDisabled,
-	}
-
-	if *hotshard {
-		if *clusterN <= 0 {
-			log.Fatal("archload: -hotshard needs -cluster (each arm spins up its own fresh cluster)")
-		}
-		runHotshardCompare(cfg)
-		return
 	}
 
 	res, err := runLoad(cfg)
@@ -123,31 +112,4 @@ func main() {
 	if res.Errs > 0 || (res.SLO != nil && !res.SLO.Pass) {
 		os.Exit(1)
 	}
-}
-
-// runHotshardCompare is -hotshard: the same seeded workload against two
-// fresh self-contained clusters — hot-shard layer disabled, then
-// enabled — printed as hot-key p99, imbalance and throughput per arm.
-func runHotshardCompare(cfg loadConfig) {
-	arm := func(disabled bool, label string) *loadResult {
-		c := cfg
-		c.HotDisabled = disabled
-		res, err := runLoad(c)
-		if err != nil {
-			log.Fatalf("archload: %s arm: %v", label, err)
-		}
-		if res.Errs > 0 {
-			log.Fatalf("archload: %s arm had %d transport errors", label, res.Errs)
-		}
-		return res
-	}
-	off := arm(true, "hot-off")
-	on := arm(false, "hot-on")
-
-	hotP99 := func(r *loadResult) time.Duration { return r.HotHist.QuantileDuration(0.99).Round(time.Microsecond) }
-	fmt.Printf("archload hotshard A/B (%d jobs, %d specs, zipf s=%.2f, %d nodes):\n",
-		cfg.Jobs, cfg.Specs, cfg.ZipfS, cfg.Cluster)
-	fmt.Printf("  hot-key p99   off=%v on=%v\n", hotP99(off), hotP99(on))
-	fmt.Printf("  imbalance     off=%.3f on=%.3f (max/mean served; 1.0 = even)\n", off.Imbalance, on.Imbalance)
-	fmt.Printf("  throughput    off=%.1f on=%.1f jobs/s\n", off.Throughput, on.Throughput)
 }

@@ -38,7 +38,6 @@ func main() {
 		batchMax     = flag.Int("batch-max", 4, "max small jobs coalesced into one dispatch")
 		batchCells   = flag.Int("batch-cells", 32768, "largest grid (cells) considered small enough to batch")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
-		drainGrace   = flag.Duration("drain-grace", 2*time.Second, "how long the HTTP listener stays up after the drain completes, so the cluster can pull the cache for warm handoff")
 	)
 	flag.Parse()
 
@@ -81,25 +80,9 @@ func main() {
 		cancel()
 	}()
 
-	// Drain the service first and close the listener last: the moment
-	// srv.Shutdown flips the draining flag, /healthz answers 503, so the
-	// cluster coordinator notices the drain on its next probe and pulls
-	// this node's cache (GET /v1/cache/...) for warm handoff to the ring
-	// successors.  Shutting the listener first — the old order — would
-	// slam that window shut and force the successors to recompute
-	// everything this cache already holds.  The -drain-grace window is
-	// measured from the signal (a slow drain eats into it) and skipped
-	// when the drain was aborted.
-	drainStart := time.Now()
+	// Drain the service first and close the listener last, so the
+	// requests whose jobs are still in flight get their responses.
 	drainErr := srv.Shutdown(ctx)
-	if drainErr == nil {
-		if wait := *drainGrace - time.Since(drainStart); wait > 0 {
-			select {
-			case <-time.After(wait):
-			case <-ctx.Done():
-			}
-		}
-	}
 	httpSrv.Shutdown(ctx)
 	if drainErr != nil {
 		log.Printf("archserve: drain incomplete: %v", drainErr)

@@ -192,12 +192,6 @@ func TestClusterChaos(t *testing.T) {
 			MaxBackoff:        50 * time.Millisecond,
 			MaxRetryAfter:     200 * time.Millisecond,
 		},
-		// Every spec here draws ~1/12 of the traffic, so the victim's
-		// spec crosses the 10% hot threshold around the post-rejoin
-		// probes and p2c may then answer from a replica instead of the
-		// rejoined primary this test asserts on.  Hot keys under chaos
-		// are TestHotShardChaos's subject; this test pins plain sharding.
-		Hot:  HotConfig{Disabled: true},
 		Seed: 7,
 	})
 	if err != nil {

@@ -285,33 +285,6 @@ func (c *Client) post(ctx context.Context, node, path string, body []byte, extra
 	return resp.StatusCode, resp.Header, respBody, nil
 }
 
-// PutJSON performs one PUT against a single node with the per-attempt
-// timeout and no retrying.  It is the cache-transfer primitive behind
-// hot-shard replication and warm handoff: the body is the verbatim
-// bytes of another node's GET /v1/cache/{fp} response, passed through
-// untouched so the bitwise-identity guarantee is a property of the
-// wire.  Best-effort like GetJSON — a failed transfer costs a future
-// recompute, never an answer.
-func (c *Client) PutJSON(ctx context.Context, node, path string, body []byte) (int, []byte, error) {
-	actx, cancel := context.WithTimeout(ctx, c.pol.PerAttemptTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodPut, node+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	respBody, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, nil, fmt.Errorf("reading response: %w", err)
-	}
-	return resp.StatusCode, respBody, nil
-}
-
 // GetJSON performs one plain GET against a single node with the
 // per-attempt timeout and no retrying — the shape of best-effort
 // sidecar fetches like the coordinator's trace fan-out, where a missing

@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -204,70 +203,5 @@ func TestBackoffBounded(t *testing.T) {
 		if d := c.backoff(cycle); d < 0 || d > 8*time.Millisecond {
 			t.Fatalf("cycle %d: backoff %v outside [0, 8ms]", cycle, d)
 		}
-	}
-}
-
-// TestPutJSONVerbatimBody: the cache-transfer primitive ships the body
-// bytes untouched — no re-encoding hop that could perturb float bits —
-// and reports the node's status and response verbatim.
-func TestPutJSONVerbatimBody(t *testing.T) {
-	var gotBody atomic.Value
-	var gotMethod atomic.Value
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		b, _ := io.ReadAll(r.Body)
-		gotBody.Store(string(b))
-		gotMethod.Store(r.Method)
-		w.WriteHeader(http.StatusNoContent)
-	}))
-	t.Cleanup(srv.Close)
-	c := New(fastPolicy(4), 1)
-	defer c.Close()
-
-	// A body whose exact bytes matter: a shortest-round-trip float that
-	// any decode/re-encode cycle could reformat.
-	body := []byte(`{"probe":[0.1000000000000000055511151231257827]}`)
-	status, _, err := c.PutJSON(context.Background(), srv.URL, "/v1/cache/00000000000000ff", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status != http.StatusNoContent {
-		t.Fatalf("status %d, want 204", status)
-	}
-	if gotMethod.Load() != http.MethodPut {
-		t.Fatalf("method %v, want PUT", gotMethod.Load())
-	}
-	if gotBody.Load() != string(body) {
-		t.Fatalf("body arrived as %q, want the verbatim bytes %q", gotBody.Load(), body)
-	}
-}
-
-// TestPutJSONNoRetry: PutJSON is single-attempt best-effort — a 500 is
-// returned to the caller, not retried (a failed transfer costs a future
-// recompute, so persistence buys nothing).
-func TestPutJSONNoRetry(t *testing.T) {
-	srv, hits := statusNode(t, http.StatusInternalServerError, "boom", nil)
-	c := New(fastPolicy(4), 1)
-	defer c.Close()
-	status, body, err := c.PutJSON(context.Background(), srv.URL, "/v1/cache/00", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status != http.StatusInternalServerError || string(body) != "boom" {
-		t.Fatalf("result %d %q, want the 500 passed through", status, body)
-	}
-	if hits.Load() != 1 {
-		t.Fatalf("node hit %d times, want exactly 1 (no retrying)", hits.Load())
-	}
-}
-
-// TestPutJSONTransportError: an unreachable node is an error, not a
-// panic or a hang.
-func TestPutJSONTransportError(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	srv.Close() // dead on arrival
-	c := New(fastPolicy(2), 1)
-	defer c.Close()
-	if _, _, err := c.PutJSON(context.Background(), srv.URL, "/v1/cache/00", nil); err == nil {
-		t.Fatal("expected a transport error against a closed listener")
 	}
 }

@@ -5,10 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -27,12 +25,6 @@ type Config struct {
 	Member MemberConfig
 	// Client tunes the forwarding retry policy.
 	Client client.Policy
-	// Hot tunes the hot-shard layer: online skew detection, replication
-	// of hot cache entries to ring successors, power-of-two-choices
-	// routing over the replicas, and cache warm-handoff on drain/rejoin.
-	// The zero value enables it with defaults; Hot.Disabled turns the
-	// whole layer off.
-	Hot HotConfig
 	// Seed decorrelates the client's backoff jitter and the trace-id
 	// mint.
 	Seed int64
@@ -53,12 +45,6 @@ type Coordinator struct {
 	mint   func() obs.TraceID // per-request trace ids
 	traces *obs.TraceStore    // coordinator-side service spans
 
-	// hot-shard layer (nil when Config.Hot.Disabled)
-	hots *hotSet
-	repl *replicator
-	rmu  sync.Mutex
-	rng  *rand.Rand // p2c replica sampling
-
 	// counters (atomic; exposed by /v1/stats)
 	jobs      atomic.Int64 // requests accepted for forwarding
 	forwarded atomic.Int64 // final responses obtained from a node
@@ -67,8 +53,6 @@ type Coordinator struct {
 	retried   atomic.Int64 // 429s absorbed by the client
 	exhausted atomic.Int64 // requests that spent their retry budget
 	rejected  atomic.Int64 // malformed requests answered locally
-	hotJobs   atomic.Int64 // requests whose fingerprint was hot at routing time
-	p2cRoutes atomic.Int64 // hot requests routed by power-of-two-choices
 
 	// fwdLatency is the end-to-end forward-latency histogram (/metrics).
 	fwdLatency obs.Histogram
@@ -97,28 +81,14 @@ func New(cfg Config) (*Coordinator, error) {
 		client: client.New(cfg.Client, cfg.Seed),
 		mint:   obs.NewTraceSource(cfg.Seed),
 		traces: obs.NewTraceStore(depth),
-		// Decorrelate p2c sampling from the client's backoff jitter,
-		// which shares cfg.Seed.
-		rng: rand.New(rand.NewSource(cfg.Seed ^ 0x5e3779b97f4a7c15)),
-	}
-	if !cfg.Hot.Disabled {
-		hot := cfg.Hot.withDefaults()
-		c.hots = newHotSet(hot)
-		c.repl = newReplicator(hot, m, c.client)
-		m.onDrain = c.repl.onDrain
-		m.onRejoin = c.repl.onRejoin
 	}
 	m.Start()
 	return c, nil
 }
 
-// Close stops the probe loop, waits out in-flight cache transfers, and
-// releases client connections.
+// Close stops the probe loop and releases client connections.
 func (c *Coordinator) Close() {
 	c.member.Close()
-	if c.repl != nil {
-		c.repl.close()
-	}
 	c.client.Close()
 }
 
@@ -134,17 +104,14 @@ type ClusterResponse struct {
 	Origin string          `json:"origin"`
 	Result json.RawMessage `json:"result"`
 	// Node served the response; Primary is the ring's first choice for
-	// this fingerprint.  Degraded means Node != Primary: the answer is
-	// still bitwise-correct (Theorem 1 — any node computes the same
-	// result), only placement quality suffered, so the coordinator
-	// degrades instead of failing.
+	// this fingerprint.  Degraded means Node != Primary, which happens
+	// only on failover (the primary was down, suspect or shedding load):
+	// the answer is still bitwise-correct (Theorem 1 — any node computes
+	// the same result), only placement quality suffered, so the
+	// coordinator degrades instead of failing.
 	Node     string `json:"node"`
 	Primary  string `json:"primary"`
 	Degraded bool   `json:"degraded"`
-	// Hot means the fingerprint was in the hot set at routing time, so
-	// the request was eligible for power-of-two-choices placement over
-	// the key's replicas instead of strict primary affinity.
-	Hot bool `json:"hot,omitempty"`
 	// Attempts/Failovers/Retried429 describe the forwarding effort.
 	Attempts   int `json:"attempts"`
 	Failovers  int `json:"failovers,omitempty"`
@@ -157,22 +124,17 @@ type ClusterResponse struct {
 
 // Stats is the coordinator's GET /v1/stats body.
 type Stats struct {
-	Jobs      int64 `json:"jobs"`
-	Forwarded int64 `json:"forwarded"`
-	Degraded  int64 `json:"degraded"`
-	Failovers int64 `json:"failovers"`
-	Retried   int64 `json:"retried_429"`
-	Exhausted int64 `json:"exhausted"`
-	Rejected  int64 `json:"rejected"`
-	// Hot-shard layer counters (zero when the layer is disabled).
-	HotJobs        int64        `json:"hot_jobs"`
-	P2CRoutes      int64        `json:"p2c_routes"`
-	Replicated     int64        `json:"replicated"`
-	ReplicateErrs  int64        `json:"replicate_errors"`
-	HandoffEntries int64        `json:"handoff_entries"`
-	PrefillEntries int64        `json:"prefill_entries"`
-	HotKeys        []HotKey     `json:"hot_keys,omitempty"`
-	Nodes          []NodeStatus `json:"nodes"`
+	Jobs       int64        `json:"jobs"`
+	Forwarded  int64        `json:"forwarded"`
+	Degraded   int64        `json:"degraded"`
+	Failovers  int64        `json:"failovers"`
+	Retried    int64        `json:"retried_429"`
+	Exhausted  int64        `json:"exhausted"`
+	Rejected   int64        `json:"rejected"`
+	HotJobs    int64        `json:"hot_jobs"`   // always 0; kept for the benchmark, which reads it
+	P2CRoutes  int64        `json:"p2c_routes"` // always 0; kept for the benchmark, which reads it
+	Replicated int64        `json:"replicated"` // always 0; kept for the benchmark, which reads it
+	Nodes      []NodeStatus `json:"nodes"`
 }
 
 // Handler returns the coordinator's HTTP mux:
@@ -241,25 +203,6 @@ func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("no live node for fingerprint %016x (primary %s is down) [trace %s]", fp, primary, trace))
 		return
 	}
-	// Hot-shard routing: record the fingerprint in the hot-set tracker;
-	// once it is hot, make sure its cache entry is (being) replicated to
-	// the ring successors, and route by power of two choices over the
-	// replicas — sample two, forward to the lower of (in-flight, load).
-	// Cold keys keep the alive-primary order so their caches stay
-	// sharded; the unsampled candidates remain as failover tail either
-	// way, so availability is never narrower than before.
-	hot := false
-	if c.hots != nil {
-		hot = c.hots.observe(fp)
-		if hot {
-			c.hotJobs.Add(1)
-			c.repl.maybeReplicate(fp, primary)
-			if pair := c.p2cPair(fp, primary); pair != nil {
-				cands = frontload(pair, cands)
-				c.p2cRoutes.Add(1)
-			}
-		}
-	}
 	c.jobs.Add(1)
 
 	urls := make([]string, len(cands))
@@ -270,11 +213,10 @@ func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
 	hdr.Set(obs.TraceHeader, trace.String())
 	w.Header().Set(obs.TraceHeader, trace.String())
 	fwdStart := time.Now()
-	// In-flight accounting brackets the forward: the first candidate is
-	// the one p2c compares against, so its counter carries the signal.
-	// A failover mid-forward shifts the load elsewhere without moving
-	// the counter — an approximation that self-corrects when the forward
-	// returns, and failovers are the rare path.
+	// In-flight accounting brackets the forward and is charged to the
+	// first candidate.  A failover mid-forward shifts the load elsewhere
+	// without moving the counter — an approximation that self-corrects
+	// when the forward returns, and failovers are the rare path.
 	c.member.addInflight(cands[0].Name, 1)
 	res, err := c.client.PostJSON(r.Context(), urls, "/v1/jobs", body, hdr)
 	c.member.addInflight(cands[0].Name, -1)
@@ -323,7 +265,6 @@ func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
 		Node:       servedName,
 		Primary:    primary,
 		Degraded:   degraded,
-		Hot:        hot,
 		Attempts:   res.Attempts,
 		Failovers:  res.Failovers,
 		Retried429: res.Retried429,
@@ -421,57 +362,6 @@ func canonical(raw []byte) bool {
 	return true
 }
 
-// p2cPair samples two distinct replicas of a hot fingerprint and orders
-// them by instantaneous load: fewer coordinator-side in-flight forwards
-// first, probed load score as the tiebreak.  Returns nil when fewer
-// than two healthy replicas exist (routing then falls back to the plain
-// candidate order).  Two random choices beat one deterministic
-// least-loaded pick because every coordinator decision shifts the very
-// signal it reads — always chasing the minimum herds the traffic onto
-// one node per load-score refresh; sampling two and taking the lesser
-// spreads decisions while still avoiding the loaded node (the classic
-// power-of-two-choices result).
-func (c *Coordinator) p2cPair(fp uint64, primary string) []Node {
-	reps := c.repl.replicaNodes(fp, primary)
-	if len(reps) < 2 {
-		return nil
-	}
-	c.rmu.Lock()
-	i := c.rng.Intn(len(reps))
-	j := c.rng.Intn(len(reps) - 1)
-	c.rmu.Unlock()
-	if j >= i {
-		j++
-	}
-	a, b := reps[i], reps[j]
-	ia, la := c.member.loadInfo(a.Name)
-	ib, lb := c.member.loadInfo(b.Name)
-	if ib < ia || (ib == ia && lb < la) {
-		a, b = b, a
-	}
-	return []Node{a, b}
-}
-
-// frontload moves the sampled pair to the head of the candidate list,
-// keeping the remaining candidates (deduplicated) as the failover tail.
-func frontload(pair []Node, cands []Node) []Node {
-	out := make([]Node, 0, len(cands))
-	out = append(out, pair...)
-	for _, n := range cands {
-		dup := false
-		for _, p := range pair {
-			if p.Name == n.Name {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // handleJobTrace serves GET /v1/jobs/{id}/trace: the merged Chrome
 // trace for one traced job.  The coordinator contributes its own
 // forward span and fans out to every node's GET /v1/trace/{id} —
@@ -524,15 +414,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		Retried:   c.retried.Load(),
 		Exhausted: c.exhausted.Load(),
 		Rejected:  c.rejected.Load(),
-		HotJobs:   c.hotJobs.Load(),
-		P2CRoutes: c.p2cRoutes.Load(),
 		Nodes:     c.member.Snapshot(),
-	}
-	if c.repl != nil {
-		st.Replicated, st.ReplicateErrs, st.HandoffEntries, st.PrefillEntries = c.repl.stats()
-	}
-	if c.hots != nil {
-		st.HotKeys = c.hots.snapshot()
 	}
 	writeJSON(w, http.StatusOK, st)
 }

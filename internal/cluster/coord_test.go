@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -35,12 +36,6 @@ type testCluster struct {
 }
 
 func newTestCluster(t *testing.T, names ...string) *testCluster {
-	return newTestClusterCfg(t, nil, names...)
-}
-
-// newTestClusterCfg is newTestCluster with a config hook (the hot-shard
-// tests tune HotConfig through it).
-func newTestClusterCfg(t *testing.T, mut func(*Config), names ...string) *testCluster {
 	t.Helper()
 	tc := &testCluster{
 		nodes:   make(map[string]*httptest.Server),
@@ -60,7 +55,7 @@ func newTestClusterCfg(t *testing.T, mut func(*Config), names ...string) *testCl
 			s.Shutdown(ctx)
 		})
 	}
-	cfg := Config{
+	coord, err := New(Config{
 		Nodes: roster,
 		Member: MemberConfig{
 			ProbeInterval: 10 * time.Millisecond,
@@ -74,11 +69,7 @@ func newTestClusterCfg(t *testing.T, mut func(*Config), names ...string) *testCl
 			MaxBackoff:  10 * time.Millisecond,
 		},
 		Seed: 1,
-	}
-	if mut != nil {
-		mut(&cfg)
-	}
-	coord, err := New(cfg)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,6 +104,21 @@ func (tc *testCluster) submit(t *testing.T, spec fdtd.Spec) (*ClusterResponse, *
 		t.Fatalf("decode result: %v", err)
 	}
 	return &cr, &jr
+}
+
+// stats fetches the coordinator's GET /v1/stats.
+func (tc *testCluster) stats(t *testing.T) Stats {
+	t.Helper()
+	resp, err := http.Get(tc.front.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // waitState polls until a node reaches the wanted membership state.
@@ -168,6 +174,21 @@ func TestCoordinatorShardsAndCaches(t *testing.T) {
 	}
 	if !jr.BitwiseEqual(jr2) {
 		t.Fatal("cached result differs from computed result")
+	}
+
+	// A zipf-headed burst with every node healthy: the head key is
+	// most of the traffic, and each request is still answered by its
+	// primary, so nothing counts as degraded.
+	zipf := rand.NewZipf(rand.New(rand.NewSource(5)), 1.8, 1, 7)
+	for i := 0; i < 64; i++ {
+		cr, _ := tc.submit(t, uniqueSpec(100+int(zipf.Uint64())))
+		if cr.Node != cr.Primary || cr.Degraded {
+			t.Fatalf("burst request %d served by %q (primary %q, degraded %v), want its primary",
+				i, cr.Node, cr.Primary, cr.Degraded)
+		}
+	}
+	if st := tc.stats(t); st.Degraded != 0 {
+		t.Fatalf("coordinator counted %d degraded responses with every node healthy", st.Degraded)
 	}
 }
 
@@ -375,15 +396,7 @@ func TestCoordinatorStatsAndNodes(t *testing.T) {
 	spec := uniqueSpec(0)
 	tc.submit(t, spec)
 
-	resp, err := http.Get(tc.front.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
+	st := tc.stats(t)
 	if st.Jobs != 1 || st.Forwarded != 1 || len(st.Nodes) != 2 {
 		t.Fatalf("stats %+v, want jobs=1 forwarded=1 with 2 nodes", st)
 	}
@@ -409,7 +422,8 @@ func TestCoordinatorStatsAndNodes(t *testing.T) {
 // TestClusterResponseBytesMatchEncoder: the coordinator splices the
 // node's result into its body instead of re-encoding it.  The body must
 // still be exactly what json.Encoder writes for the ClusterResponse it
-// decodes to, and its result exactly the bytes the node stored.
+// decodes to, and its result exactly the bytes the node itself answers
+// with.
 func TestClusterResponseBytesMatchEncoder(t *testing.T) {
 	tc := newTestCluster(t, "n0")
 	// White space in the request: the coordinator forwards the bytes it
@@ -437,18 +451,23 @@ func TestClusterResponseBytesMatchEncoder(t *testing.T) {
 		if cr.Origin != origin {
 			t.Fatalf("origin %q, want %q", cr.Origin, origin)
 		}
-		var res serve.JobResult
-		if err := json.Unmarshal(cr.Result, &res); err != nil {
-			t.Fatal(err)
-		}
-		cresp, err := http.Get(tc.nodes["n0"].URL + "/v1/cache/" + res.Fingerprint)
+		// A direct POST to the node is a cache hit, which writes the
+		// result's one stored encoding.
+		nresp, err := http.Post(tc.nodes["n0"].URL+"/v1/jobs", "application/json", strings.NewReader(req))
 		if err != nil {
 			t.Fatal(err)
 		}
-		stored, _ := io.ReadAll(cresp.Body)
-		cresp.Body.Close()
-		if !bytes.Equal(cr.Result, bytes.TrimSuffix(stored, []byte("\n"))) {
-			t.Fatalf("%s: result differs from the node's stored bytes\n got %s\nwant %s", origin, cr.Result, stored)
+		var node struct {
+			Origin string          `json:"origin"`
+			Result json.RawMessage `json:"result"`
+		}
+		err = json.NewDecoder(nresp.Body).Decode(&node)
+		nresp.Body.Close()
+		if err != nil || node.Origin != "cache" {
+			t.Fatalf("direct node POST: origin %q, err %v; want a cache hit", node.Origin, err)
+		}
+		if !bytes.Equal(cr.Result, node.Result) {
+			t.Fatalf("%s: result differs from the node's own bytes\n got %s\nwant %s", origin, cr.Result, node.Result)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -104,24 +103,13 @@ type member struct {
 	last     error   // most recent probe failure
 	served   int64   // responses this coordinator got from the node
 	inflight int64   // requests this coordinator has outstanding at the node
-	drained  bool    // a drain event fired for the current drain episode
 }
 
 // probeStatusError is a probe failure caused by a non-200 healthz
-// answer.  It keeps the status typed so the membership layer can tell a
-// deliberate drain (503) from a crash (connection refused) and fire the
-// warm-handoff event only for the former — a crashed node has no cache
-// left to hand off.
+// answer (a draining node answers 503).
 type probeStatusError struct{ status int }
 
 func (e *probeStatusError) Error() string { return fmt.Sprintf("healthz status %d", e.status) }
-
-// draining reports whether a probe failure is a node announcing a
-// graceful drain.
-func draining(err error) bool {
-	var pe *probeStatusError
-	return errors.As(err, &pe) && pe.status == http.StatusServiceUnavailable
-}
 
 // probeFn checks one node and returns its reported load score.  The
 // default implementation does HTTP /healthz + /v1/stats; unit tests
@@ -137,14 +125,6 @@ type Membership struct {
 	mu      sync.Mutex
 	members map[string]*member
 	order   []*member // construction order, for stable snapshots
-
-	// onDrain fires once per drain episode when a node starts answering
-	// healthz with 503; onRejoin fires when a rejoining node completes
-	// its walk back to healthy.  Both are invoked from the probe
-	// goroutine with no membership lock held (the handlers do HTTP work).
-	// Set before Start; nil disables.
-	onDrain  func(Node)
-	onRejoin func(Node)
 
 	stop chan struct{}
 	done chan struct{}
@@ -243,20 +223,15 @@ func (m *Membership) tick() {
 	}
 }
 
-// observe applies one probe outcome to one node's state machine.  The
-// drain and rejoin events it detects fire after the lock is released:
-// their handlers move cache entries over HTTP and must not hold up
-// concurrent routing.  (The handlers only *schedule* that work — see
-// replicator — so firing from the probe goroutine stays cheap.)
+// observe applies one probe outcome to one node's state machine.
 func (m *Membership) observe(mb *member, load float64, err error) {
-	var fire func(Node)
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if err == nil {
 		mb.last = nil
 		mb.fails = 0
 		mb.load = load
 		mb.ok = true
-		mb.drained = false
 		switch mb.state {
 		case StateSuspect:
 			mb.state = StateHealthy
@@ -268,20 +243,12 @@ func (m *Membership) observe(mb *member, load float64, err error) {
 			if mb.succs >= m.cfg.RejoinAfter {
 				mb.state = StateHealthy
 				mb.succs = 0
-				fire = m.onRejoin
 			}
 		}
 	} else {
 		mb.last = err
 		mb.fails++
 		mb.succs = 0
-		if draining(err) && !mb.drained {
-			// The node announced a graceful drain: its cache is still
-			// servable for a grace window, so the handoff event fires now,
-			// before the state machine walks it to dead.
-			mb.drained = true
-			fire = m.onDrain
-		}
 		switch mb.state {
 		case StateHealthy:
 			if mb.fails >= m.cfg.SuspectAfter {
@@ -294,11 +261,6 @@ func (m *Membership) observe(mb *member, load float64, err error) {
 		case StateRejoining:
 			mb.state = StateDead
 		}
-	}
-	node := mb.node
-	m.mu.Unlock()
-	if fire != nil {
-		fire(node)
 	}
 }
 
@@ -376,8 +338,6 @@ func (m *Membership) servedBy(name string) {
 
 // addInflight adjusts a node's coordinator-side outstanding-request
 // count (+1 when a forward targets it, -1 when the forward returns).
-// This is the instantaneous signal power-of-two-choices routing
-// compares; the probed load score is its slower-moving tiebreak.
 func (m *Membership) addInflight(name string, d int64) {
 	m.mu.Lock()
 	if mb, ok := m.members[name]; ok {
@@ -387,39 +347,6 @@ func (m *Membership) addInflight(name string, d int64) {
 		}
 	}
 	m.mu.Unlock()
-}
-
-// loadInfo reports the p2c comparison key for a node: outstanding
-// forwards and last probed load score.  Unknown nodes compare as
-// infinitely loaded.
-func (m *Membership) loadInfo(name string) (inflight int64, load float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if mb, ok := m.members[name]; ok {
-		return mb.inflight, mb.load
-	}
-	return 1 << 30, 0
-}
-
-// healthyNode returns the node record iff it is currently healthy —
-// the only state replication targets and p2c routing consider.
-func (m *Membership) healthyNode(name string) (Node, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if mb, ok := m.members[name]; ok && mb.state == StateHealthy {
-		return mb.node, true
-	}
-	return Node{}, false
-}
-
-// nodeRecord returns the node record regardless of state.
-func (m *Membership) nodeRecord(name string) (Node, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if mb, ok := m.members[name]; ok {
-		return mb.node, true
-	}
-	return Node{}, false
 }
 
 // NodeStatus is one node's row in the membership snapshot.

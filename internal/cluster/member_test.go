@@ -397,126 +397,9 @@ func TestProbeLoadFetchHangNeverWedges(t *testing.T) {
 	}
 }
 
-// TestProbeDrainTyped: a 503 healthz is a typed drain signal, any other
-// bad status is a plain failure.
-func TestProbeDrainTyped(t *testing.T) {
-	mux := http.NewServeMux()
-	status := http.StatusServiceUnavailable
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "draining", status)
-	})
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-	probe := httpProbe(&http.Client{})
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	_, err := probe(ctx, Node{Name: "n", URL: srv.URL})
-	if err == nil || !draining(err) {
-		t.Fatalf("healthz 503 error %v not recognised as draining", err)
-	}
-	status = http.StatusTeapot
-	_, err = probe(ctx, Node{Name: "n", URL: srv.URL})
-	if err == nil || draining(err) {
-		t.Fatalf("healthz 418 error %v misread as draining", err)
-	}
-}
-
-// --- drain / rejoin events ---
-
-// drainErr fakes what httpProbe returns for a draining node.
-func drainErr() error { return &probeStatusError{status: http.StatusServiceUnavailable} }
-
-// TestDrainEventFiresOncePerEpisode: the drain callback fires on the
-// first 503, not again while the drain persists, and re-arms after the
-// node recovers.
-func TestDrainEventFiresOncePerEpisode(t *testing.T) {
-	var failWith error
-	probe := func(_ context.Context, n Node) (float64, error) {
-		if failWith != nil {
-			return 0, failWith
-		}
-		return 0, nil
-	}
-	m, err := NewMembership(testNodes("a"), MemberConfig{
-		SuspectAfter: 1, DeadAfter: 3, RejoinAfter: 2,
-	}, probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var drains []string
-	m.onDrain = func(n Node) { drains = append(drains, n.Name) }
-
-	failWith = drainErr()
-	m.tick()
-	m.tick()
-	m.tick()
-	if len(drains) != 1 || drains[0] != "a" {
-		t.Fatalf("drain events %v, want exactly one for a", drains)
-	}
-	if m.State("a") != StateDead {
-		t.Fatalf("draining node state %v, want dead after DeadAfter failures", m.State("a"))
-	}
-
-	// A plain crash (non-503 failure) must not fire the handoff event:
-	// there is no cache left to pull.
-	failWith = nil
-	m.tick()
-	m.tick() // rejoining -> healthy
-	failWith = errors.New("connection refused")
-	m.tick()
-	m.tick()
-	m.tick()
-	if len(drains) != 1 {
-		t.Fatalf("crash fired a drain event: %v", drains)
-	}
-
-	// Recovery re-arms the episode: a second drain fires again.
-	failWith = nil
-	m.tick()
-	m.tick()
-	failWith = drainErr()
-	m.tick()
-	if len(drains) != 2 {
-		t.Fatalf("drain events after second episode: %v, want 2", drains)
-	}
-}
-
-// TestRejoinEventFires: the rejoin callback fires exactly when a dead
-// node completes its rejoining walk back to healthy.
-func TestRejoinEventFires(t *testing.T) {
-	probe := &fakeProbe{fail: map[string]bool{}, load: map[string]float64{}}
-	m := newTestMembership(t, probe, "a", "b")
-	var rejoins []string
-	m.onRejoin = func(n Node) { rejoins = append(rejoins, n.Name) }
-
-	probe.fail["a"] = true
-	for i := 0; i < 3; i++ {
-		m.tick()
-	}
-	if len(rejoins) != 0 {
-		t.Fatalf("rejoin fired while dying: %v", rejoins)
-	}
-	probe.fail["a"] = false
-	m.tick() // dead -> rejoining
-	if len(rejoins) != 0 {
-		t.Fatalf("rejoin fired before RejoinAfter successes: %v", rejoins)
-	}
-	m.tick() // rejoining -> healthy (RejoinAfter=2)
-	if len(rejoins) != 1 || rejoins[0] != "a" {
-		t.Fatalf("rejoin events %v, want exactly one for a", rejoins)
-	}
-	// A suspect -> healthy recovery is not a rejoin.
-	probe.fail["b"] = true
-	m.tick()
-	probe.fail["b"] = false
-	m.tick()
-	if len(rejoins) != 1 {
-		t.Fatalf("suspect recovery fired rejoin: %v", rejoins)
-	}
-}
-
 // TestInflightAccounting: addInflight tracks per-node outstanding
-// forwards, clamps at zero, and feeds loadInfo.
+// forwards, clamps at zero, ignores unknown nodes, and shows in the
+// snapshot.
 func TestInflightAccounting(t *testing.T) {
 	probe := &fakeProbe{fail: map[string]bool{}, load: map[string]float64{"a": 1.5}}
 	m := newTestMembership(t, probe, "a", "b")
@@ -524,20 +407,19 @@ func TestInflightAccounting(t *testing.T) {
 	m.addInflight("a", 1)
 	m.addInflight("a", 1)
 	m.addInflight("a", -1)
-	if in, load := m.loadInfo("a"); in != 1 || load != 1.5 {
-		t.Fatalf("loadInfo(a) = (%d, %v), want (1, 1.5)", in, load)
-	}
 	m.addInflight("b", -5)
-	if in, _ := m.loadInfo("b"); in != 0 {
-		t.Fatalf("inflight clamped to %d, want 0", in)
-	}
-	if in, _ := m.loadInfo("nope"); in < 1<<29 {
-		t.Fatalf("unknown node inflight %d, want effectively infinite", in)
-	}
+	m.addInflight("nope", 1)
+	want := map[string]int64{"a": 1, "b": 0}
 	snap := m.Snapshot()
+	if len(snap) != 2 {
+		t.Fatalf("snapshot has %d rows, want 2", len(snap))
+	}
 	for _, s := range snap {
-		if s.Name == "a" && s.Inflight != 1 {
-			t.Fatalf("snapshot inflight %d, want 1", s.Inflight)
+		if s.Inflight != want[s.Name] {
+			t.Fatalf("node %s inflight %d, want %d", s.Name, s.Inflight, want[s.Name])
 		}
+	}
+	if snap[0].Load != 1.5 {
+		t.Fatalf("node a load %v, want 1.5", snap[0].Load)
 	}
 }

@@ -28,16 +28,6 @@ func (c *Coordinator) writeMetrics(w io.Writer) error {
 	counter("archcoord_retried_429_total", "429 responses absorbed by the forwarding client.", c.retried.Load())
 	counter("archcoord_exhausted_total", "Requests that spent their retry budget.", c.exhausted.Load())
 	counter("archcoord_rejected_total", "Malformed requests answered locally.", c.rejected.Load())
-	counter("archcoord_hot_jobs_total", "Requests whose fingerprint was hot at routing time.", c.hotJobs.Load())
-	counter("archcoord_p2c_routes_total", "Hot requests routed by power-of-two-choices over replicas.", c.p2cRoutes.Load())
-	var replicated, replicateErrs, handoff, prefill int64
-	if c.repl != nil {
-		replicated, replicateErrs, handoff, prefill = c.repl.stats()
-	}
-	counter("archcoord_replicated_total", "Hot cache entries copied to ring successors.", replicated)
-	counter("archcoord_replicate_errors_total", "Failed cache-transfer attempts (replication, handoff, prefill).", replicateErrs)
-	counter("archcoord_handoff_entries_total", "Cache entries moved off draining nodes.", handoff)
-	counter("archcoord_prefill_entries_total", "Cache entries pushed to rejoined nodes.", prefill)
 
 	nodes := c.member.Snapshot()
 	fmt.Fprintf(&b, "# HELP archcoord_node_up Node health (1 healthy, 0 suspect, dead or rejoining).\n# TYPE archcoord_node_up gauge\n")
@@ -56,7 +46,7 @@ func (c *Coordinator) writeMetrics(w io.Writer) error {
 	for _, n := range nodes {
 		fmt.Fprintf(&b, "archcoord_node_load{node=\"%s\"} %g\n", obs.PromEscapeLabel(n.Name), n.Load)
 	}
-	fmt.Fprintf(&b, "# HELP archcoord_node_inflight Coordinator-side outstanding forwards per node (the p2c signal).\n# TYPE archcoord_node_inflight gauge\n")
+	fmt.Fprintf(&b, "# HELP archcoord_node_inflight Coordinator-side outstanding forwards per node.\n# TYPE archcoord_node_inflight gauge\n")
 	for _, n := range nodes {
 		fmt.Fprintf(&b, "archcoord_node_inflight{node=\"%s\"} %d\n", obs.PromEscapeLabel(n.Name), n.Inflight)
 	}

@@ -114,26 +114,5 @@ func (r *Ring) Lookup(key uint64, n int) []string {
 // Primary returns the key's primary node.
 func (r *Ring) Primary(key uint64) string { return r.Lookup(key, 1)[0] }
 
-// SuccessorsN returns up to n distinct nodes after the key's primary in
-// ring order — the replication targets for a hot key.  Because the ring
-// is immutable, Lookup(key, m) is a prefix of Lookup(key, m') for
-// m < m': filtering dead nodes out of a successor set never reorders
-// the survivors, which is the invariant hot-entry placement relies on
-// (a replica set shrinks under failure, it does not reshuffle).
-func (r *Ring) SuccessorsN(key uint64, n int) []string {
-	if n <= 0 {
-		return nil
-	}
-	order := r.Lookup(key, n+1)
-	if len(order) <= 1 {
-		return nil
-	}
-	return order[1:]
-}
-
-// fpKey renders a fingerprint the way the wire does (the cache endpoint
-// paths and the JobResult.Fingerprint field): 16 lowercase hex digits.
-func fpKey(fp uint64) string { return fmt.Sprintf("%016x", fp) }
-
 // Nodes returns the ring's node names in construction order.
 func (r *Ring) Nodes() []string { return append([]string(nil), r.names...) }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math/rand"
 	"testing"
 )
 
@@ -94,121 +93,4 @@ func TestRingArcStability(t *testing.T) {
 			break
 		}
 	}
-}
-
-// TestSuccessorsNBasic: the successor set is the lookup order minus the
-// primary, never contains the primary, and caps at cluster size - 1.
-func TestSuccessorsNBasic(t *testing.T) {
-	r, _ := NewRing([]string{"a", "b", "c"}, 0)
-	for key := uint64(0); key < 200; key++ {
-		prim := r.Primary(key)
-		succs := r.SuccessorsN(key, 2)
-		if len(succs) != 2 {
-			t.Fatalf("key %d: %d successors, want 2", key, len(succs))
-		}
-		order := r.Lookup(key, 0)
-		for i, s := range succs {
-			if s == prim {
-				t.Fatalf("key %d: primary %q appears in its own successor set", key, prim)
-			}
-			if s != order[i+1] {
-				t.Fatalf("key %d: successor %d is %q, want ring order %q", key, i, s, order[i+1])
-			}
-		}
-		if got := r.SuccessorsN(key, 10); len(got) != 2 {
-			t.Fatalf("key %d: asking for 10 successors of a 3-ring returned %d, want 2", key, len(got))
-		}
-	}
-	one, _ := NewRing([]string{"solo"}, 0)
-	if got := one.SuccessorsN(1, 2); got != nil {
-		t.Fatalf("single-node ring returned successors %v, want none", got)
-	}
-}
-
-// TestSuccessorsStableUnderFiltering is the invariant hot-entry
-// placement relies on: filtering dead nodes out of a successor set
-// drops exactly those nodes and keeps the survivors in their relative
-// order — equivalently, "take R successors then filter" agrees with
-// "filter the full ring order then take what survives of the first R".
-// Randomized over rosters, keys and dead sets.
-func TestSuccessorsStableUnderFiltering(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	letters := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-	for trial := 0; trial < 200; trial++ {
-		n := 3 + rng.Intn(6) // 3..8 nodes
-		names := append([]string(nil), letters[:n]...)
-		r, err := NewRing(names, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Kill a random subset (possibly empty, never everyone).
-		dead := map[string]bool{}
-		for _, name := range names {
-			if rng.Float64() < 0.4 {
-				dead[name] = true
-			}
-		}
-		if len(dead) == n {
-			delete(dead, names[rng.Intn(n)])
-		}
-		R := 1 + rng.Intn(3)
-		for probe := 0; probe < 50; probe++ {
-			key := rng.Uint64()
-			succs := r.SuccessorsN(key, R)
-
-			// Survivor subsequence of the successor set.
-			var filtered []string
-			for _, s := range succs {
-				if !dead[s] {
-					filtered = append(filtered, s)
-				}
-			}
-			// The same set computed from the full ring order.
-			var fromFull []string
-			for _, s := range r.Lookup(key, 0)[1:] {
-				if len(fromFull) == len(filtered) {
-					break
-				}
-				if pos := indexOf(succs, s); pos >= 0 && !dead[s] {
-					fromFull = append(fromFull, s)
-				}
-			}
-			if !equalStrings(filtered, fromFull) {
-				t.Fatalf("trial %d key %d: filtered successors %v != full-order filter %v (succs %v dead %v)",
-					trial, key, filtered, fromFull, succs, dead)
-			}
-			// Relative order of survivors matches their ring positions.
-			full := r.Lookup(key, 0)
-			last := -1
-			for _, s := range filtered {
-				pos := indexOf(full, s)
-				if pos <= last {
-					t.Fatalf("trial %d key %d: survivor %q out of ring order (pos %d after %d)",
-						trial, key, s, pos, last)
-				}
-				last = pos
-			}
-		}
-	}
-}
-
-func indexOf(xs []string, want string) int {
-	for i, x := range xs {
-		if x == want {
-			return i
-		}
-	}
-	return -1
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -11,11 +11,6 @@ import (
 // and every maximal execution of that computation reaches the same
 // final state, so a cached result is bitwise interchangeable with a
 // fresh one — returning it is indistinguishable from recomputing.
-//
-// The same theorem is why the cluster layer may *move* entries between
-// nodes (hot-shard replication, drain handoff): an imported entry is
-// indistinguishable from one computed locally, so admission needs only
-// a fingerprint match, never a provenance check.
 type cache struct {
 	mu      sync.Mutex
 	cap     int
@@ -89,19 +84,4 @@ func (c *cache) evicted() int64 {
 		return 0
 	}
 	return c.evictions.Load()
-}
-
-// fingerprints lists the cached keys, most recently used first — the
-// export index the cluster's warm-handoff and prefill paths walk.
-func (c *cache) fingerprints() []uint64 {
-	if c == nil || c.cap <= 0 {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]uint64, 0, c.order.Len())
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*cacheEntry).fp)
-	}
-	return out
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -149,97 +148,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/jobs", s.handleJobs)
 	mux.HandleFunc("/v1/stats", s.handleStats)
 	mux.HandleFunc("/v1/trace/", s.handleTrace)
-	mux.HandleFunc("/v1/cache", s.handleCacheIndex)
-	mux.HandleFunc("/v1/cache/", s.handleCacheEntry)
 	mux.HandleFunc("/healthz", s.handleHealth)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	return mux
-}
-
-// CacheIndex is the GET /v1/cache body: the cached fingerprints, most
-// recently used first.
-type CacheIndex struct {
-	Fingerprints []string `json:"fingerprints"`
-}
-
-// handleCacheIndex serves GET /v1/cache: the export index the cluster's
-// warm-handoff and rejoin-prefill paths walk.  The index stays served
-// while draining — that grace window is exactly when the coordinator
-// pulls a leaving node's cache.
-func (s *Server) handleCacheIndex(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "method", fmt.Errorf("use GET"))
-		return
-	}
-	if s.cfg.CacheEntries <= 0 {
-		writeError(w, http.StatusConflict, "cache_disabled", ErrCacheDisabled)
-		return
-	}
-	fps := s.CacheFingerprints()
-	idx := CacheIndex{Fingerprints: make([]string, len(fps))}
-	for i, fp := range fps {
-		idx.Fingerprints[i] = fingerprintString(fp)
-	}
-	writeJSON(w, http.StatusOK, idx)
-}
-
-// handleCacheEntry serves the per-entry cache transfer API:
-//
-//	GET /v1/cache/{fp}  the cached JobResult, verbatim JSON (404 if absent)
-//	PUT /v1/cache/{fp}  admit a result computed elsewhere
-//
-// The bodies are JobResult JSON.  Callers that relay entries between
-// nodes must pass the GET body through as raw bytes (json.RawMessage):
-// Go's float encoding is shortest-round-trip so a decode/re-encode away
-// from the raw bytes would still be bit-faithful, but shipping verbatim
-// bytes makes bitwise identity a property of the wire rather than of an
-// encoder argument.  PUT asserts the path fingerprint against the
-// result's own before admission (Theorem 1 pairs results to
-// fingerprints; a mismatched pair is the one corruption a cache must
-// never accept).
-func (s *Server) handleCacheEntry(w http.ResponseWriter, r *http.Request) {
-	fpStr := strings.TrimPrefix(r.URL.Path, "/v1/cache/")
-	fp, err := strconv.ParseUint(fpStr, 16, 64)
-	if err != nil || len(fpStr) != 16 {
-		writeError(w, http.StatusBadRequest, "invalid", fmt.Errorf("bad fingerprint %q in path (want 16 hex digits)", fpStr))
-		return
-	}
-	if s.cfg.CacheEntries <= 0 {
-		writeError(w, http.StatusConflict, "cache_disabled", ErrCacheDisabled)
-		return
-	}
-	switch r.Method {
-	case http.MethodGet:
-		out, ok := s.cached(fp)
-		if !ok {
-			writeError(w, http.StatusNotFound, "not_found", fmt.Errorf("fingerprint %s not cached", fingerprintString(fp)))
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.Write(out.json)
-		io.WriteString(w, "\n")
-	case http.MethodPut:
-		var res JobResult
-		if err := json.NewDecoder(r.Body).Decode(&res); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid", fmt.Errorf("decode result: %w", err))
-			return
-		}
-		switch err := s.ImportResult(fp, &res); {
-		case err == nil:
-			w.WriteHeader(http.StatusNoContent)
-		case errors.Is(err, ErrFingerprintMismatch):
-			writeError(w, http.StatusBadRequest, "fingerprint_mismatch", err)
-		case errors.Is(err, ErrDraining):
-			writeError(w, http.StatusServiceUnavailable, "draining", err)
-		default:
-			writeError(w, http.StatusInternalServerError, "internal", err)
-		}
-	default:
-		w.Header().Set("Allow", "GET, PUT")
-		writeError(w, http.StatusMethodNotAllowed, "method", fmt.Errorf("use GET or PUT"))
-	}
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {

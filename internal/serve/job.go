@@ -90,10 +90,9 @@ func (r *JobResult) BitwiseEqual(o *JobResult) bool {
 }
 
 // encoded is a result together with its JSON encoding.  The service
-// encodes a result exactly once, when it becomes shareable: in complete
-// for a computed result, in ImportResult for a replicated one.  Every
-// response that carries the result afterwards — computed, cache or
-// coalesced, or a cache export — writes these bytes and formats no
+// encodes a result exactly once, in complete, before anything can
+// share it.  Every response that carries the result afterwards —
+// computed, cache or coalesced — writes these bytes and formats no
 // float again.  Theorem 1 is what makes one encoding enough: a result
 // stands in for any recomputation of its fingerprint bit for bit, and
 // so does its encoding.

@@ -25,8 +25,6 @@ type metrics struct {
 	cacheHits     atomic.Int64
 	cacheMisses   atomic.Int64
 	coalesced     atomic.Int64 // requests attached to an in-flight duplicate
-	replicatedIn  atomic.Int64 // results admitted from another node's cache
-	replicatedOut atomic.Int64 // cached results exported to the cluster
 	batches       atomic.Int64 // dispatches (>= 1 job each)
 	batchedJobs   atomic.Int64 // jobs that shared a dispatch with another
 	// latency is the job wall-time distribution (HDR-style log-bucketed
@@ -119,8 +117,6 @@ func (m *metrics) writeText(w io.Writer, queueDepth, queueCap, workers, cached i
 	counter("archserve_cache_hits_total", "Jobs answered from the result cache.", m.cacheHits.Load())
 	counter("archserve_cache_misses_total", "Jobs that had to compute.", m.cacheMisses.Load())
 	counter("archserve_cache_evictions_total", "Cached results dropped past the LRU capacity.", evicted)
-	counter("archserve_replicated_in_total", "Results admitted from another node's cache (replication, handoff, prefill).", m.replicatedIn.Load())
-	counter("archserve_replicated_out_total", "Cached results exported to the cluster.", m.replicatedOut.Load())
 	counter("archserve_coalesced_total", "Requests attached to an identical in-flight job.", m.coalesced.Load())
 	counter("archserve_batches_total", "Pool dispatches (each may carry several coalesced small jobs).", m.batches.Load())
 	counter("archserve_batched_jobs_total", "Jobs that shared a dispatch with at least one other job.", m.batchedJobs.Load())

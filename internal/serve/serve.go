@@ -21,7 +21,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -318,82 +317,6 @@ func (s *Server) storeServiceTrace(id obs.TraceID, label string, start time.Time
 // Trace returns the node-local span bundle recorded for a trace id.
 func (s *Server) Trace(id obs.TraceID) (obs.TraceBundle, bool) { return s.traces.Get(id) }
 
-// Cache import/export errors (the cluster's replication and handoff
-// paths map these onto HTTP statuses).
-var (
-	// ErrCacheDisabled: this node runs with caching off, so it can
-	// neither export nor admit entries.
-	ErrCacheDisabled = errors.New("serve: result cache disabled")
-	// ErrFingerprintMismatch: an imported result's fingerprint does not
-	// match the key it was offered under.  Admission would break the
-	// cache's core invariant (fingerprint determines result), so the
-	// entry is refused.
-	ErrFingerprintMismatch = errors.New("serve: result fingerprint does not match key")
-)
-
-// CacheFingerprints lists the cached result keys, most recently used
-// first.  It is the export index for cache warm-handoff: a draining
-// node's entries are walked in recency order so the most valuable
-// entries move first if the drain window closes early.
-func (s *Server) CacheFingerprints() []uint64 {
-	if s.cfg.CacheEntries <= 0 {
-		return nil
-	}
-	return s.cache.fingerprints()
-}
-
-// CachedResult returns the cached result for fp without touching any
-// other counters.  Exports stay available while draining — that window
-// is exactly when the cluster pulls the cache for handoff.
-func (s *Server) CachedResult(fp uint64) (*JobResult, bool) {
-	out, ok := s.cached(fp)
-	if !ok {
-		return nil, false
-	}
-	return out.res, true
-}
-
-// cached is CachedResult returning the result with its encoding, which
-// GET /v1/cache/{fp} writes as is.
-func (s *Server) cached(fp uint64) (*encoded, bool) {
-	if s.cfg.CacheEntries <= 0 {
-		return nil, false
-	}
-	out, ok := s.cache.get(fp)
-	if ok {
-		s.m.replicatedOut.Add(1)
-	}
-	return out, ok
-}
-
-// ImportResult admits a result computed elsewhere into the local cache
-// under fp.  Theorem 1 makes this sound — any node's result for a
-// fingerprint is bitwise equal to what this node would compute — but
-// only if the pairing is right, so admission asserts that the result
-// actually carries the offered fingerprint.  Imports are refused while
-// draining (the cache is on its way out) and when caching is disabled.
-func (s *Server) ImportResult(fp uint64, res *JobResult) error {
-	if s.cfg.CacheEntries <= 0 {
-		return ErrCacheDisabled
-	}
-	if res == nil || res.Fingerprint != fingerprintString(fp) {
-		return ErrFingerprintMismatch
-	}
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
-		return ErrDraining
-	}
-	out, err := encodeResult(res)
-	if err != nil {
-		return err
-	}
-	s.cache.put(fp, out)
-	s.m.replicatedIn.Add(1)
-	return nil
-}
-
 // complete is the pool's single exit point for job outcomes.  A
 // computed result is encoded here, before anything can share it: the
 // cache, coalesced waiters and the submitter all get the one encoding.
@@ -477,24 +400,19 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // Stats is a point-in-time summary of the service, served as JSON.
 type Stats struct {
-	P              int   `json:"p"`
-	Workers        int   `json:"workers"`
-	QueueDepth     int   `json:"queue_depth"`
-	QueueCap       int   `json:"queue_capacity"`
-	Draining       bool  `json:"draining"`
-	JobsInFlight   int64 `json:"jobs_inflight"`
-	JobsOK         int64 `json:"jobs_ok"`
-	JobsFailed     int64 `json:"jobs_failed"`
-	JobsTimedOut   int64 `json:"jobs_timed_out"`
-	CacheEntries   int   `json:"cache_entries"`
-	CacheHits      int64 `json:"cache_hits"`
-	CacheMisses    int64 `json:"cache_misses"`
-	CacheEvictions int64 `json:"cache_evictions"`
-	// ReplicatedIn counts results admitted from another node (hot-shard
-	// replication, drain handoff, rejoin prefill); ReplicatedOut counts
-	// entries exported to the cluster.
-	ReplicatedIn      int64 `json:"replicated_in"`
-	ReplicatedOut     int64 `json:"replicated_out"`
+	P                 int   `json:"p"`
+	Workers           int   `json:"workers"`
+	QueueDepth        int   `json:"queue_depth"`
+	QueueCap          int   `json:"queue_capacity"`
+	Draining          bool  `json:"draining"`
+	JobsInFlight      int64 `json:"jobs_inflight"`
+	JobsOK            int64 `json:"jobs_ok"`
+	JobsFailed        int64 `json:"jobs_failed"`
+	JobsTimedOut      int64 `json:"jobs_timed_out"`
+	CacheEntries      int   `json:"cache_entries"`
+	CacheHits         int64 `json:"cache_hits"`
+	CacheMisses       int64 `json:"cache_misses"`
+	CacheEvictions    int64 `json:"cache_evictions"`
 	Coalesced         int64 `json:"coalesced"`
 	RejectedOverload  int64 `json:"rejected_overload"`
 	RejectedDraining  int64 `json:"rejected_draining"`
@@ -529,8 +447,6 @@ func (s *Server) Stats() Stats {
 		CacheHits:        s.m.cacheHits.Load(),
 		CacheMisses:      s.m.cacheMisses.Load(),
 		CacheEvictions:   s.cache.evicted(),
-		ReplicatedIn:     s.m.replicatedIn.Load(),
-		ReplicatedOut:    s.m.replicatedOut.Load(),
 		Coalesced:        s.m.coalesced.Load(),
 		RejectedOverload: s.m.rejectedLoad.Load(),
 		RejectedDraining: s.m.rejectedDrain.Load(),
