@@ -18,16 +18,22 @@ vet:
 	$(GO) vet ./...
 
 # cross type-checks and vets every package for each unix the raw-fd
-# socket code must build on.  Windows is not in the list: the socket
-# fast path hands int fds to syscall.Read/Write, and a net.Conn-only
-# implementation for it does not exist yet.  It then vets arm64, where
-# only the generic Yee row exists, and fails if the arm64 build of the
-# Yee kernels, the Mur boundary update, the source pulse, the far
-# field or the RCS post-processing (dft, Result.RCS) contains a fused
-# multiply-add: Go fuses x*y + z there unless an explicit float64(x*y)
-# forbids it, and a fused update would round differently from amd64.  addPoint is not inlined into accumulate, so
-# both symbols are listed; proj and delay are inlined into addPoint and
-# newFarField, norm3 into newFarField and Validate.
+# socket code must build on.  The socket transport is unix only, and
+# Windows is out of scope on purpose: the socket fast path hands int
+# fds to syscall.Read/Write, and a second, net.Conn-based receive path
+# that no host here can run or measure is not wanted.  It then vets
+# arm64, where only the generic Yee row exists, and fails if the arm64
+# build contains a fused multiply-add where the results are pinned bit
+# for bit: Go fuses x*y + z there unless an explicit float64(x*y)
+# forbids it, and a fused update would round differently from amd64.
+# In the fdtd test binary it checks the Yee kernels, the Mur boundary
+# update, the source pulse, the far field and the RCS post-processing
+# (dft, Result.RCS).  addPoint is not inlined into accumulate, so both
+# symbols are listed; proj and delay are inlined into addPoint and
+# newFarField, norm3 into newFarField and Validate.  In the machine
+# and wave2d test binaries it checks every symbol of the package, its
+# tests included: the DES, phase-cost and triad readings and the 2-D
+# solver.
 CROSS_GOOS = linux darwin freebsd
 CROSS_FMA_SYMS = fdtd\.(update[EH]Range|yeeRow|\(\*murState\)\.murPlane|\(\*farField\)\.(addPoint|accumulate)|newFarField|SourceSpec\.Pulse|Spec\.Validate|dft|\(\*Result\)\.RCS)
 cross:
@@ -45,6 +51,15 @@ cross:
 		grep -q 'TEXT.*murPlane' "$$dir/dis" && \
 		grep -q 'TEXT.*addPoint' "$$dir/dis" && \
 		grep -q 'TEXT.*RCS' "$$dir/dis" && \
+		! grep -E 'F(N)?M(ADD|SUB)D' "$$dir/dis"
+	@echo "cross: no fused multiply-add in the arm64 machine and wave2d packages"
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+		for pkg in machine wave2d; do \
+			GOOS=linux GOARCH=arm64 $(GO) test -c -o "$$dir/$$pkg.test" ./internal/$$pkg && \
+			$(GO) tool objdump -s 'repro/internal/(machine|wave2d)\.' "$$dir/$$pkg.test" >> "$$dir/dis" || exit 1; \
+		done && \
+		grep -q 'TEXT.*machine\.Model\.DES' "$$dir/dis" && \
+		grep -q 'TEXT.*wave2d\.' "$$dir/dis" && \
 		! grep -E 'F(N)?M(ADD|SUB)D' "$$dir/dis"
 
 test:

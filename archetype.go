@@ -1,7 +1,6 @@
 package archetype
 
 import (
-	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/farm"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/machine"
 	"repro/internal/mesh"
-	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/ssp"
 	"repro/internal/wave2d"
@@ -221,48 +219,8 @@ var (
 // Automatic transformation of 1-D stencil programs (ssp.Stencil1D).
 type Stencil1D = ssp.Stencil1D
 
-// Runtime observability (attach via MeshOptions.Obs / MeshOptions.ChanStats).
-type (
-	// Collector accumulates a run's per-rank counters (sends, receives,
-	// steps, blocks, bytes) and wall-clock phase timers.
-	Collector = obs.Collector
-	// RunReport quantifies one run: wall time, per-phase breakdown, load
-	// imbalance, comm-to-compute ratio, and (with a baseline) speedup.
-	RunReport = obs.RunReport
-	// ObsExporter serves Prometheus /metrics, expvar, and pprof for a
-	// collector.
-	ObsExporter = obs.Exporter
-	// NetStats counts per-channel messages and queue high-water marks
-	// (Par mode only).
-	NetStats = channel.NetStats
-)
-
-// Observability constructors and exporters re-exported from obs/channel.
-var (
-	// NewCollector creates a collector for a P-process run.
-	NewCollector = obs.New
-	// NewNetStats creates per-channel traffic counters for P processes.
-	NewNetStats = channel.NewNetStats
-	// BuildRunReport condenses a collector snapshot into a RunReport.
-	BuildRunReport = obs.BuildReport
-	// WriteChromeTraceFile writes the collector's timeline as Chrome
-	// trace_event JSON (one lane per rank).
-	WriteChromeTraceFile = obs.WriteChromeTraceFile
-	// ServeMetrics serves /metrics, /debug/obs, /debug/vars, and
-	// /debug/pprof/ on an address.
-	ServeMetrics = obs.Serve
-)
-
 // Experiments.
 var (
-	// Table1 regenerates the paper's Table 1.
-	Table1 = harness.Table1
-	// Figure2 regenerates the paper's Figure 2.
-	Figure2 = harness.Figure2
-	// RunCorrectness runs experiments E1-E3.
-	RunCorrectness = harness.RunCorrectness
-	// RunFarFieldAnalysis runs experiment E2's divergence analysis.
-	RunFarFieldAnalysis = harness.RunFarFieldAnalysis
 	// RunFigure1 demonstrates the Figure 1 correspondence.
 	RunFigure1 = harness.RunFigure1
 	// RunEffort produces the ease-of-use proxy table.

@@ -21,38 +21,32 @@
 //
 // Observability (ssp/par builds): -report writes a structured run
 // report (wall time, per-phase breakdown, load imbalance,
-// comm-to-compute ratio) and prints its table; -baseline additionally
-// runs the same workload on P=1 to compute measured speedup and
-// efficiency; -baseline-file attaches a previously written -report
-// JSON as the baseline instead (refused with a warning when its spec
-// fingerprint names a different workload); -trace-out writes a Chrome
-// trace (open in
-// chrome://tracing or https://ui.perfetto.dev) with one lane per rank;
-// -metrics-addr serves live Prometheus /metrics plus expvar and pprof
-// while the run executes; -quiet suppresses the human-readable output:
+// comm-to-compute ratio) and prints its table; -trace-out writes a
+// Chrome trace (open in chrome://tracing or https://ui.perfetto.dev)
+// with one lane per rank; -metrics-addr serves live Prometheus
+// /metrics plus expvar and pprof while the run executes; -quiet
+// suppresses the human-readable output:
 //
 //	fdtd -build par -p 4 -report report.json -trace-out trace.json \
-//	     -baseline -metrics-addr :9090
+//	     -metrics-addr :9090
 //
 // Scale-out transport (par build): -backend socket carries the
 // channels over a real loopback socket mesh (-net tcp|unix) inside one
 // process; -procs N runs N separate OS processes connected by sockets
-// (one rank each, spawned and supervised by this launcher); -sweep
-// "1,2,4,8" measures P-scaling with measured and machine-model
-// speedups and prints the crossover table.  All of them produce
-// bitwise-identical physics (Theorem 1):
+// (one rank each, spawned and supervised by this launcher).  Both
+// produce bitwise-identical physics (Theorem 1):
 //
 //	fdtd -build par -p 4 -backend socket -net unix
 //	fdtd -build par -procs 2 -dump ez.grid
-//	fdtd -build par -sweep "1,2,4,8"
 //
-// -sweep and -roofline print tables for a reader; the repository's
-// measuring instrument is `bash benchmark/run.sh` (BENCHMARK.json),
-// whose numbers are quoted by workload/metric name.
+// Each invocation runs one solve.  The speedup table over P, modelled
+// and measured, is `archexp -exp table1|figure2`; -roofline prints a
+// kernel table for a reader; the repository's measuring instrument is
+// `bash benchmark/run.sh` (BENCHMARK.json), whose numbers are quoted
+// by workload/metric name.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -106,13 +100,10 @@ func main() {
 	report := flag.String("report", "", "ssp/par builds: write the structured run report (JSON) to this file")
 	traceOut := flag.String("trace-out", "", "ssp/par builds: write a Chrome trace_event timeline (JSON) to this file")
 	metricsAddr := flag.String("metrics-addr", "", "ssp/par builds: serve Prometheus /metrics (+expvar, pprof) on this address during the run")
-	baseline := flag.Bool("baseline", false, "ssp/par builds: also run the workload on P=1 to measure speedup and efficiency")
-	baselineFile := flag.String("baseline-file", "", "ssp/par builds: attach a prior -report JSON as the speedup baseline instead of re-running P=1")
 	quiet := flag.Bool("quiet", false, "suppress the human-readable run summary (artifacts are still written)")
 	backend := flag.String("backend", "inproc", "par build channel backend: inproc | socket (loopback socket mesh)")
 	netKind := flag.String("net", "tcp", "socket network for -backend socket and -procs: tcp | unix")
 	procsN := flag.Int("procs", 0, "par build: run across N OS processes connected by sockets")
-	sweepList := flag.String("sweep", "", "par build: comma-separated process counts to scale over (e.g. \"1,2,4,8\")")
 	roofline := flag.Bool("roofline", false, "measure kernel cells/sec per worker count against a stream-triad memory bound, then exit")
 	rooflineWorkers := flag.String("roofline-workers", "1,2,4", "comma-separated tile-worker counts for -roofline")
 	workerRank := flag.Int("worker-rank", -1, "internal: run as one rank worker of a -procs launch")
@@ -130,10 +121,7 @@ func main() {
 	}
 
 	// Reject conflicting flag combinations up front, before any work.
-	// Baselines (measured or recorded) need the collector too: the run
-	// report is where the speedup comparison lands.
-	obsWanted := *report != "" || *traceOut != "" || *metricsAddr != "" ||
-		*baseline || *baselineFile != ""
+	obsWanted := *report != "" || *traceOut != "" || *metricsAddr != ""
 	if flag.NArg() > 0 {
 		usageErr("unexpected arguments: %v", flag.Args())
 	}
@@ -141,16 +129,13 @@ func main() {
 		usageErr("unknown build %q (want seq, ssp, or par)", *build)
 	}
 	if *roofline {
-		if *sweepList != "" || *procsN > 0 || *ckEvery > 0 || *resume || *injectCrash != "" ||
+		if *procsN > 0 || *ckEvery > 0 || *resume || *injectCrash != "" ||
 			*dump != "" || obsWanted {
 			usageErr("-roofline is a self-contained measurement; combine it only with the grid flags, -roofline-workers, and -quiet")
 		}
 	}
 	if *build == "seq" && obsWanted {
-		usageErr("-report/-trace-out/-metrics-addr/-baseline/-baseline-file instrument the archetype runtime; they require -build ssp or par")
-	}
-	if *baseline && *baselineFile != "" {
-		usageErr("-baseline and -baseline-file are mutually exclusive (measured vs recorded baseline)")
+		usageErr("-report/-trace-out/-metrics-addr instrument the archetype runtime; they require -build ssp or par")
 	}
 	if *injectCrash != "" && *build != "par" {
 		usageErr("-inject-crash requires -build par (crash recovery runs on the parallel build)")
@@ -186,25 +171,11 @@ func main() {
 		if *backend != "inproc" {
 			usageErr("-procs already runs over sockets; it does not combine with -backend")
 		}
-		if *sweepList != "" {
-			usageErr("-sweep and -procs are mutually exclusive")
-		}
 		if recovery || *injectCrash != "" {
 			usageErr("-procs does not compose with crash recovery or -inject-crash")
 		}
 		if obsWanted {
-			usageErr("-report/-trace-out/-metrics-addr/-baseline require an in-process backend; -procs supports -dump")
-		}
-	}
-	if *sweepList != "" {
-		if *build != "par" {
-			usageErr("-sweep requires -build par")
-		}
-		if *py > 1 {
-			usageErr("-sweep scales the 1-D slab decomposition only (py=1)")
-		}
-		if recovery || *injectCrash != "" || *dump != "" || obsWanted {
-			usageErr("-sweep runs its own measurement matrix; combine it only with -backend and -net")
+			usageErr("-report/-trace-out/-metrics-addr require an in-process backend; -procs supports -dump")
 		}
 	}
 	if *resume {
@@ -246,22 +217,14 @@ func main() {
 		}
 		opt.Inject = inj
 	}
-	// Self-contained run modes: the roofline report, the scaling sweep
-	// and the multi-process launcher do their own measurement and
-	// reporting.
+	// Self-contained run modes: the roofline report and the
+	// multi-process launcher do their own measurement and reporting.
 	if *roofline {
-		ws, err := parseSweep(*rooflineWorkers)
+		ws, err := parseWorkers(*rooflineWorkers)
 		if err != nil {
 			usageErr("-roofline-workers: %v", err)
 		}
 		runRoofline(spec, ws, *quiet)
-		return
-	}
-	if *sweepList != "" {
-		if err := runSweep(spec, *sweepList, *backend, *netKind, *compensated, *quiet); err != nil {
-			fmt.Fprintf(os.Stderr, "fdtd: %v\n", err)
-			os.Exit(1)
-		}
 		return
 	}
 	if *procsN > 0 {
@@ -428,55 +391,9 @@ func main() {
 		return
 	}
 
-	// Build the structured run report, with a measured P=1 baseline when
-	// requested — the paper's speedup experiment, quantified from this
-	// host's wall clocks.
 	title := fmt.Sprintf("fdtd version=%s build=%s P=%d grid=%dx%dx%d steps=%d",
 		*version, *build, ranks, *nx, *ny, *nz, *steps)
 	runRep := obs.BuildReport(title, col.Snapshot())
-	runRep.SpecFingerprint = fmt.Sprintf("%016x", spec.Fingerprint())
-	if *baseline && ranks > 1 {
-		mode := mesh.Sim
-		if *build == "par" {
-			mode = mesh.Par
-		}
-		baseCol := obs.New(1)
-		baseOpt := fdtd.DefaultOptions()
-		baseOpt.FarFieldCompensated = *compensated
-		baseOpt.Mesh.Obs = baseCol
-		if _, err := fdtd.RunArchetype(spec, 1, mode, baseOpt); err != nil {
-			fmt.Fprintf(os.Stderr, "fdtd: baseline run: %v\n", err)
-			os.Exit(1)
-		}
-		baseCol.Finish()
-		baseRep := obs.BuildReport(title+" baseline", baseCol.Snapshot())
-		baseRep.SpecFingerprint = runRep.SpecFingerprint
-		if err := runRep.SetBaseline(baseRep); err != nil {
-			fmt.Fprintf(os.Stderr, "fdtd: warning: baseline not attached: %v\n", err)
-		}
-	}
-	if *baselineFile != "" {
-		// A recorded baseline can silently go stale: the report on disk
-		// may describe a different workload than this run.  SetBaseline
-		// refuses fingerprint mismatches with a typed error; surface it
-		// as a warning (speedup stays unset) rather than comparing a run
-		// against the wrong workload.
-		baseRep, err := obs.ReadReportFile(*baselineFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fdtd: -baseline-file: %v\n", err)
-			os.Exit(1)
-		}
-		if err := runRep.SetBaseline(baseRep); err != nil {
-			var mismatch *obs.BaselineMismatchError
-			if errors.As(err, &mismatch) {
-				fmt.Fprintf(os.Stderr, "fdtd: warning: %s ignored: %v\n", *baselineFile, mismatch)
-			} else {
-				fmt.Fprintf(os.Stderr, "fdtd: -baseline-file: %v\n", err)
-				os.Exit(1)
-			}
-		}
-	}
-
 	if !*quiet {
 		fmt.Print(runRep.Format())
 	}

@@ -2,6 +2,8 @@ package main
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/fdtd"
@@ -17,6 +19,26 @@ const (
 	streamIters   = 5
 	kernelMinTime = 150 * time.Millisecond
 )
+
+// parseWorkers parses the -roofline-workers list ("1,2,4").
+func parseWorkers(list string) ([]int, error) {
+	var ws []int
+	for _, tok := range strings.Split(list, ",") {
+		tok = strings.TrimSpace(tok)
+		if tok == "" {
+			continue
+		}
+		w, err := strconv.Atoi(tok)
+		if err != nil || w <= 0 {
+			return nil, fmt.Errorf("bad worker count %q (want positive integers, comma-separated)", tok)
+		}
+		ws = append(ws, w)
+	}
+	if len(ws) == 0 {
+		return nil, fmt.Errorf("empty worker-count list")
+	}
+	return ws, nil
+}
 
 // runRoofline measures the achieved cells/sec of both kernel variants
 // (the fused pencil kernels and the per-cell reference kernels) at

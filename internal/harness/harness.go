@@ -24,14 +24,17 @@ import (
 	"repro/internal/mesh"
 )
 
-// Row is one line of a speedup table.
+// Row is one line of a speedup table.  Seconds, Speedup and
+// Efficiency are the machine model's; Wall and Measured are this
+// host's wall clock and the speedup it gives.
 type Row struct {
 	Label      string
 	P          int
 	Seconds    float64
 	Speedup    float64
 	Efficiency float64
-	Ideal      float64 // ideal speedup (== P); 0 to omit
+	Wall       float64
+	Measured   float64
 }
 
 // Table is a formatted experiment result.
@@ -42,53 +45,26 @@ type Table struct {
 	Notes   []string
 }
 
-// Format renders the table as aligned text.
+// Format renders the table as aligned text.  The ideal speedup of a
+// parallel row is its P.
 func (t *Table) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", t.Title)
 	if t.Machine != "" {
 		fmt.Fprintf(&b, "machine model: %s\n", t.Machine)
 	}
-	hasIdeal := false
+	fmt.Fprintf(&b, "%-16s %12s %10s %12s %8s %10s %11s\n",
+		"", "time (s)", "speedup", "efficiency", "ideal", "wall (s)", "measured x")
 	for _, r := range t.Rows {
-		if r.Ideal > 0 {
-			hasIdeal = true
+		ideal := ""
+		if r.P > 1 {
+			ideal = fmt.Sprint(r.P)
 		}
-	}
-	if hasIdeal {
-		fmt.Fprintf(&b, "%-16s %12s %10s %12s %8s\n", "", "time (s)", "speedup", "efficiency", "ideal")
-	} else {
-		fmt.Fprintf(&b, "%-16s %12s %10s %12s\n", "", "time (s)", "speedup", "efficiency")
-	}
-	for _, r := range t.Rows {
-		if hasIdeal {
-			ideal := ""
-			if r.Ideal > 0 {
-				ideal = fmt.Sprintf("%.0f", r.Ideal)
-			}
-			fmt.Fprintf(&b, "%-16s %12.3f %10.2f %12.2f %8s\n", r.Label, r.Seconds, r.Speedup, r.Efficiency, ideal)
-		} else {
-			fmt.Fprintf(&b, "%-16s %12.3f %10.2f %12.2f\n", r.Label, r.Seconds, r.Speedup, r.Efficiency)
-		}
+		fmt.Fprintf(&b, "%-16s %12.3f %10.2f %12.2f %8s %10.3f %11.2f\n",
+			r.Label, r.Seconds, r.Speedup, r.Efficiency, ideal, r.Wall, r.Measured)
 	}
 	for _, n := range t.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
-	}
-	return b.String()
-}
-
-// CSV renders the table as comma-separated values (header + one row
-// per entry), for downstream plotting tools.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	b.WriteString("label,procs,seconds,speedup,efficiency,ideal\n")
-	for _, r := range t.Rows {
-		ideal := ""
-		if r.Ideal > 0 {
-			ideal = fmt.Sprintf("%g", r.Ideal)
-		}
-		fmt.Fprintf(&b, "%q,%d,%g,%g,%g,%s\n",
-			r.Label, r.P, r.Seconds, r.Speedup, r.Efficiency, ideal)
 	}
 	return b.String()
 }
@@ -106,15 +82,25 @@ type SpeedupConfig struct {
 	CalibrateOff bool
 }
 
-// RunSpeedup reproduces a speedup table/figure: it times the original
-// sequential program on this host, calibrates the machine model's
-// compute cost from that measurement (unless disabled), executes the
-// archetype program for each process count while recording its real
-// work/message profile, and reports the model's simulated execution
-// times and the resulting speedups.
+// RunSpeedup reproduces a speedup table/figure.  It times the original
+// sequential program on this host after one unmeasured warm-up, and
+// calibrates the machine model's compute cost from that measurement
+// (unless disabled).  For each process count it then runs the
+// archetype program on the parallel runtime (mesh.Par), timing it and
+// recording its work/message profile, and checks its near field
+// bitwise against the sequential run's; a mismatch is an error.  Each
+// row carries the model's simulated time and speedup beside the
+// measured wall clock and speedup.  The profile is the same under
+// mesh.Sim and mesh.Par, so the modelled columns do not depend on the
+// runtime.
 func RunSpeedup(cfg SpeedupConfig) (*Table, error) {
 	if len(cfg.Ps) == 0 {
 		cfg.Ps = []int{2, 4, 8}
+	}
+	// The warm-up keeps first-run costs (page faults, pool population)
+	// that the later runs skip out of the measured reference.
+	if _, err := fdtd.RunSequential(cfg.Spec); err != nil {
+		return nil, err
 	}
 	start := time.Now()
 	seq, err := fdtd.RunSequential(cfg.Spec)
@@ -133,7 +119,7 @@ func RunSpeedup(cfg SpeedupConfig) (*Table, error) {
 		Machine: model.Name,
 		Rows: []Row{{
 			Label: "Sequential", P: 1, Seconds: seqModel,
-			Speedup: 1, Efficiency: 1,
+			Speedup: 1, Efficiency: 1, Wall: seqWall, Measured: 1,
 		}},
 	}
 	if !cfg.CalibrateOff {
@@ -142,14 +128,20 @@ func RunSpeedup(cfg SpeedupConfig) (*Table, error) {
 			seqWall, seq.Work))
 	}
 	table.Notes = append(table.Notes,
-		"parallel times are simulated from real work/message profiles (see DESIGN.md substitutions)")
+		"parallel times are simulated from real work/message profiles (see DESIGN.md substitutions)",
+		"wall and measured x are this host's; every P's near field is bitwise equal to the sequential run's")
 
 	for _, p := range cfg.Ps {
 		opt := cfg.Opt
 		opt.Mesh.Profile = machine.NewProfile(p)
-		arch, err := fdtd.RunArchetype(cfg.Spec, p, mesh.Sim, opt)
+		start := time.Now()
+		arch, err := fdtd.RunArchetype(cfg.Spec, p, mesh.Par, opt)
 		if err != nil {
 			return nil, err
+		}
+		wall := time.Since(start).Seconds()
+		if !seq.NearFieldEqual(arch) {
+			return nil, fmt.Errorf("harness: near field at p=%d differs from the sequential run", p)
 		}
 		if arch.Work != seq.Work {
 			return nil, fmt.Errorf("harness: work mismatch at p=%d: %v vs %v", p, arch.Work, seq.Work)
@@ -162,36 +154,11 @@ func RunSpeedup(cfg SpeedupConfig) (*Table, error) {
 			Seconds:    parTime,
 			Speedup:    sp,
 			Efficiency: machine.Efficiency(sp, p),
-			Ideal:      float64(p),
+			Wall:       wall,
+			Measured:   machine.Speedup(seqWall, wall),
 		})
 	}
 	return table, nil
-}
-
-// Table1 reproduces the paper's Table 1: execution times and speedups
-// for the electromagnetics code (Version C), 33x33x33 grid, 128 steps,
-// on a network-of-Suns machine model, P in {2, 4, 8}.
-func Table1() (*Table, error) {
-	return RunSpeedup(SpeedupConfig{
-		Spec:  fdtd.SpecTable1(),
-		Ps:    []int{2, 4, 8},
-		Model: machine.SunEthernet(),
-		Opt:   fdtd.DefaultOptions(),
-		Title: "Table 1: electromagnetics code (Version C), 33x33x33 grid, 128 steps",
-	})
-}
-
-// Figure2 reproduces the paper's Figure 2: execution times and
-// speedups for Version A, 66x66x66 grid, 512 steps, on an IBM SP
-// machine model, with the ideal-speedup series alongside.
-func Figure2() (*Table, error) {
-	return RunSpeedup(SpeedupConfig{
-		Spec:  fdtd.SpecFigure2(),
-		Ps:    []int{2, 4, 8, 16},
-		Model: machine.IBMSP(),
-		Opt:   fdtd.DefaultOptions(),
-		Title: "Figure 2: electromagnetics code (Version A), 66x66x66 grid, 512 steps",
-	})
 }
 
 // CheckShape verifies the paper's qualitative claims on a speedup

@@ -25,16 +25,16 @@ func TestRunSpeedupSmall(t *testing.T) {
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	if tab.Rows[0].Speedup != 1 {
-		t.Fatal("sequential row should have speedup 1")
+	if seq := tab.Rows[0]; seq.Speedup != 1 || seq.Measured != 1 || seq.Wall <= 0 {
+		t.Fatalf("bad sequential row %+v", seq)
 	}
 	for _, r := range tab.Rows[1:] {
-		if r.Seconds <= 0 || r.Speedup <= 0 {
+		if r.Seconds <= 0 || r.Speedup <= 0 || r.Wall <= 0 || r.Measured <= 0 {
 			t.Fatalf("bad row %+v", r)
 		}
 	}
 	out := tab.Format()
-	for _, want := range []string{"small speedup", "Sequential", "Parallel, P=2", "ideal"} {
+	for _, want := range []string{"small speedup", "Sequential", "Parallel, P=2", "ideal", "wall (s)", "measured x"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Format missing %q:\n%s", want, out)
 		}
@@ -225,27 +225,5 @@ func TestCheckShapeCatchesViolations(t *testing.T) {
 	tab.Rows[2].Speedup = 3.1
 	if msg := tab.CheckShape(); msg != "" {
 		t.Fatalf("valid shape flagged: %s", msg)
-	}
-}
-
-func TestTableCSV(t *testing.T) {
-	tab := &Table{Rows: []Row{
-		{Label: "Sequential", P: 1, Seconds: 2, Speedup: 1, Efficiency: 1},
-		{Label: "Parallel, P=2", P: 2, Seconds: 1.2, Speedup: 1.67, Efficiency: 0.83, Ideal: 2},
-	}}
-	out := tab.CSV()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("lines = %d:\n%s", len(lines), out)
-	}
-	if !strings.HasPrefix(lines[0], "label,procs") {
-		t.Fatalf("header: %s", lines[0])
-	}
-	if !strings.Contains(lines[2], `"Parallel, P=2",2,1.2,1.67,0.83,2`) {
-		t.Fatalf("row: %s", lines[2])
-	}
-	// Sequential row has an empty ideal column.
-	if !strings.HasSuffix(lines[1], ",") {
-		t.Fatalf("sequential ideal should be empty: %s", lines[1])
 	}
 }

@@ -42,9 +42,9 @@ func TestFigurePlots(t *testing.T) {
 		Title: "fig",
 		Rows: []Row{
 			{Label: "Sequential", P: 1, Seconds: 8, Speedup: 1},
-			{Label: "P=2", P: 2, Seconds: 4.4, Speedup: 1.8, Ideal: 2},
-			{Label: "P=4", P: 4, Seconds: 2.5, Speedup: 3.2, Ideal: 4},
-			{Label: "P=8", P: 8, Seconds: 1.6, Speedup: 5.0, Ideal: 8},
+			{Label: "P=2", P: 2, Seconds: 4.4, Speedup: 1.8},
+			{Label: "P=4", P: 4, Seconds: 2.5, Speedup: 3.2},
+			{Label: "P=8", P: 8, Seconds: 1.6, Speedup: 5.0},
 		},
 	}
 	out := FigurePlots(tab)

@@ -23,7 +23,9 @@ import "fmt"
 // DES replays the profile under the model and returns each process's
 // virtual finish time.  It returns an error if the profile is causally
 // incomplete (a receive with no matching send) — which cannot happen
-// for profiles recorded from completed runs.
+// for profiles recorded from completed runs.  Every product sits in an
+// explicit float64 conversion so no build fuses a clock update into an
+// FMA, and the finish times carry the same bits on every architecture.
 func (m Model) DES(f *Profile) (perProc []float64, total float64, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -42,9 +44,9 @@ func (m Model) DES(f *Profile) (perProc []float64, total float64, err error) {
 			for ; cursor[p] < len(es); cursor[p]++ {
 				switch e := es[cursor[p]]; e.kind {
 				case evWork:
-					clock[p] += e.units * m.SecPerWork
+					clock[p] += float64(e.units * m.SecPerWork)
 				case evSend:
-					ser := e.units * m.SecPerByte
+					ser := float64(e.units * m.SecPerByte)
 					key := [2]int{p, e.peer}
 					arrivals[key] = append(arrivals[key], clock[p]+m.Latency+ser)
 					clock[p] += ser

@@ -219,14 +219,16 @@ type Breakdown struct {
 }
 
 // phaseCosts returns, per phase of the profile, the slowest process's
-// compute time and the slowest process's communication time.
+// compute time and the slowest process's communication time.  The
+// products of the communication cost sit in explicit float64
+// conversions so no build fuses them into an FMA.
 func (m Model) phaseCosts(f *Profile) []Breakdown {
 	phs, _ := f.fold()
 	costs := make([]Breakdown, len(phs))
 	for i, ph := range phs {
 		for proc := range ph.work {
 			costs[i].Compute = max(costs[i].Compute, ph.work[proc]*m.SecPerWork)
-			costs[i].Comm = max(costs[i].Comm, float64(ph.msgs[proc])*m.Latency+float64(ph.bytes[proc])*m.SecPerByte)
+			costs[i].Comm = max(costs[i].Comm, float64(float64(ph.msgs[proc])*m.Latency)+float64(float64(ph.bytes[proc])*m.SecPerByte))
 		}
 	}
 	return costs

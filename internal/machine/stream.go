@@ -68,11 +68,12 @@ func StreamTriad(elems, iters int) StreamResult {
 
 // triad is the measured kernel, kept free of bounds checks by the same
 // re-slice hoist the FDTD kernels use so the probe measures memory,
-// not checks.
+// not checks.  The product sits in an explicit float64 conversion so
+// no build fuses it into an FMA.
 func triad(a, b, c []float64, s float64) {
 	b = b[:len(a)]
 	c = c[:len(a)]
 	for i := range a {
-		a[i] = b[i] + s*c[i]
+		a[i] = b[i] + float64(s*c[i])
 	}
 }

@@ -13,7 +13,7 @@ func TestStreamTriadComputesTriad(t *testing.T) {
 	}
 	triad(a, b, c, 3)
 	for i := range a {
-		if want := b[i] + 3*c[i]; a[i] != want {
+		if want := b[i] + float64(3*c[i]); a[i] != want {
 			t.Fatalf("a[%d] = %v, want %v", i, a[i], want)
 		}
 	}

@@ -2,8 +2,8 @@
 // counters and phase timers for the parallel runtime, with exporters
 // for Chrome trace_event JSON (chrometrace.go), Prometheus text
 // exposition plus expvar/pprof HTTP endpoints (prometheus.go), and a
-// structured RunReport that reproduces the shape of the paper's speedup
-// tables as machine-readable artifacts (report.go).
+// structured RunReport of one run's time breakdown, balance and
+// communication as a machine-readable artifact (report.go).
 //
 // The central type is the Collector.  It is threaded through the
 // existing runtime seams — sched.Options.Collector counts every

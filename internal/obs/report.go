@@ -23,19 +23,13 @@ type RankReport struct {
 
 // RunReport quantifies one run the way the paper's experimental section
 // does: wall time, where the time went (per-phase breakdown), how
-// balanced the ranks were, how much communication the decomposition
-// cost, and — when a baseline P=1 run is attached — the resulting
-// speedup and efficiency.  It marshals to JSON for tooling and formats
-// as an aligned table for humans.
+// balanced the ranks were, and how much communication the
+// decomposition cost.  It marshals to JSON for tooling and formats as
+// an aligned table for humans.
 type RunReport struct {
-	Title string `json:"title"`
-	P     int    `json:"p"`
-	// SpecFingerprint identifies the workload (the spec's 16-hex-digit
-	// fingerprint).  Baseline attachment refuses to compare runs whose
-	// fingerprints differ — a speedup of one workload over a different
-	// workload is noise masquerading as measurement.
-	SpecFingerprint string  `json:"spec_fingerprint,omitempty"`
-	WallSeconds     float64 `json:"wall_seconds"`
+	Title       string  `json:"title"`
+	P           int     `json:"p"`
+	WallSeconds float64 `json:"wall_seconds"`
 	// PhaseSeconds is the mean over ranks of each phase's time; the
 	// values sum to ~WallSeconds because each rank's phases tile its
 	// timeline.
@@ -52,11 +46,6 @@ type RunReport struct {
 	TotalMessages      int64   `json:"total_messages"`
 	TotalBytes         int64   `json:"total_bytes"`
 	DroppedSpans       int64   `json:"dropped_spans,omitempty"`
-	// Baseline comparison (paper's speedup definition: baseline wall
-	// time divided by this run's wall time).  Zero until SetBaseline.
-	BaselineWallSeconds float64 `json:"baseline_wall_seconds,omitempty"`
-	Speedup             float64 `json:"speedup,omitempty"`
-	Efficiency          float64 `json:"efficiency,omitempty"`
 }
 
 // BuildReport condenses a snapshot into a RunReport.
@@ -107,56 +96,6 @@ func BuildReport(title string, snap Snapshot) *RunReport {
 	return rep
 }
 
-// BaselineMismatchError reports a baseline whose workload is not the
-// one this run executed: the two reports carry different spec
-// fingerprints, so a speedup computed from their wall times would be
-// comparing different programs.  Typical cause: a stale -baseline-file
-// left over from an earlier experiment.
-type BaselineMismatchError struct {
-	RunFingerprint      string
-	BaselineFingerprint string
-}
-
-// Error implements error.
-func (e *BaselineMismatchError) Error() string {
-	return fmt.Sprintf("obs: baseline spec fingerprint %s does not match this run's %s; speedup/efficiency not computed (stale baseline file?)",
-		e.BaselineFingerprint, e.RunFingerprint)
-}
-
-// SetBaseline attaches a reference run (normally P=1 of the same
-// workload) and computes the paper's speedup and efficiency from the
-// two measured wall times.  When both reports carry spec fingerprints
-// and they differ, nothing is set and a *BaselineMismatchError is
-// returned — stale baselines fail loudly instead of producing a
-// plausible-looking speedup of one workload over another.
-func (r *RunReport) SetBaseline(base *RunReport) error {
-	if r.SpecFingerprint != "" && base.SpecFingerprint != "" && r.SpecFingerprint != base.SpecFingerprint {
-		return &BaselineMismatchError{RunFingerprint: r.SpecFingerprint, BaselineFingerprint: base.SpecFingerprint}
-	}
-	r.BaselineWallSeconds = base.WallSeconds
-	if r.WallSeconds > 0 {
-		r.Speedup = base.WallSeconds / r.WallSeconds
-		if r.P > 0 {
-			r.Efficiency = r.Speedup / float64(r.P)
-		}
-	}
-	return nil
-}
-
-// ReadReportFile parses a RunReport JSON artifact written by
-// WriteJSONFile — the reader behind cmd/fdtd's -baseline-file.
-func ReadReportFile(path string) (*RunReport, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("obs: report: %w", err)
-	}
-	var r RunReport
-	if err := json.Unmarshal(raw, &r); err != nil {
-		return nil, fmt.Errorf("obs: report: %s: %w", path, err)
-	}
-	return &r, nil
-}
-
 // WriteJSON writes the report as indented JSON.
 func (r *RunReport) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -184,12 +123,7 @@ var phaseOrder = []Phase{PhaseCompute, PhaseExchange, PhaseCollective, PhaseIO, 
 func (r *RunReport) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", r.Title)
-	fmt.Fprintf(&b, "P=%d  wall %.4f s", r.P, r.WallSeconds)
-	if r.Speedup > 0 {
-		fmt.Fprintf(&b, "  speedup %.2f (vs P=1: %.4f s)  efficiency %.2f",
-			r.Speedup, r.BaselineWallSeconds, r.Efficiency)
-	}
-	b.WriteByte('\n')
+	fmt.Fprintf(&b, "P=%d  wall %.4f s\n", r.P, r.WallSeconds)
 	fmt.Fprintf(&b, "load imbalance %.3f  comm/compute %.3f  messages %d  bytes %d\n",
 		r.LoadImbalance, r.CommToComputeRatio, r.TotalMessages, r.TotalBytes)
 	if r.DroppedSpans > 0 {

@@ -61,12 +61,6 @@ func TestBuildReportMath(t *testing.T) {
 			t.Errorf("rank %d busy %v", rr.Rank, rr.BusySeconds)
 		}
 	}
-
-	base := BuildReport("baseline", Snapshot{P: 1, Wall: 40 * time.Second, Ranks: []RankSnapshot{{}}})
-	rep.SetBaseline(base)
-	if !approx(rep.Speedup, 4) || !approx(rep.Efficiency, 2) {
-		t.Errorf("speedup %v efficiency %v", rep.Speedup, rep.Efficiency)
-	}
 }
 
 func TestReportJSONRoundTrip(t *testing.T) {

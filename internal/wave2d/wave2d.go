@@ -59,15 +59,17 @@ func (s Spec) sigma(i, j int) float64 {
 	return s.Sigma(i, j)
 }
 
-// coeffs returns the Ez update coefficients at a cell.
+// coeffs returns the Ez update coefficients at a cell.  Here and in
+// pulse, updateEz and updateH every product sits in an explicit
+// float64 conversion so no build fuses it into an FMA.
 func (s Spec) coeffs(i, j int) (ca, cb float64) {
-	l := s.sigma(i, j) * s.DT / 2
+	l := float64(s.sigma(i, j) * s.DT / 2)
 	return (1 - l) / (1 + l), s.DT / (1 + l)
 }
 
 func (s Spec) pulse(n int) float64 {
 	u := (float64(n) - s.Delay) / s.Width
-	return (1 - 2*u*u) * math.Exp(-u*u)
+	return (1 - float64(2*u*u)) * math.Exp(-u*u)
 }
 
 // Result is the observable outcome.
@@ -130,8 +132,8 @@ func (b *block) updateEz() {
 	}
 	for i := i0; i < b.xr.Len(); i++ {
 		for j := j0; j < b.yr.Len(); j++ {
-			b.ez.Set(i, j, b.ca.At(i, j)*b.ez.At(i, j)+
-				b.cb.At(i, j)*((b.hy.At(i, j)-b.hy.At(i-1, j))-(b.hx.At(i, j)-b.hx.At(i, j-1))))
+			b.ez.Set(i, j, float64(b.ca.At(i, j)*b.ez.At(i, j))+
+				float64(b.cb.At(i, j)*((b.hy.At(i, j)-b.hy.At(i-1, j))-(b.hx.At(i, j)-b.hx.At(i, j-1)))))
 		}
 	}
 }
@@ -144,7 +146,7 @@ func (b *block) updateH(dt float64) {
 	}
 	for i := 0; i < b.xr.Len(); i++ {
 		for j := 0; j < jEnd; j++ {
-			b.hx.Set(i, j, b.hx.At(i, j)-dt*(b.ez.At(i, j+1)-b.ez.At(i, j)))
+			b.hx.Set(i, j, b.hx.At(i, j)-float64(dt*(b.ez.At(i, j+1)-b.ez.At(i, j))))
 		}
 	}
 	iEnd := b.xr.Len()
@@ -153,7 +155,7 @@ func (b *block) updateH(dt float64) {
 	}
 	for i := 0; i < iEnd; i++ {
 		for j := 0; j < b.yr.Len(); j++ {
-			b.hy.Set(i, j, b.hy.At(i, j)+dt*(b.ez.At(i+1, j)-b.ez.At(i, j)))
+			b.hy.Set(i, j, b.hy.At(i, j)+float64(dt*(b.ez.At(i+1, j)-b.ez.At(i, j))))
 		}
 	}
 }
