@@ -124,17 +124,26 @@ func BenchmarkSequentialLoops(b *testing.B) {
 }
 
 // BenchmarkFarFieldAccumulate measures the near-to-far-field transform
-// cost per surface point.
+// cost per surface point on the Table 1 grid and on the 24x16x16 job
+// grid of the service workloads.
 func BenchmarkFarFieldAccumulate(b *testing.B) {
-	spec := SpecTable1()
-	full := grid.Range{Lo: 0, Hi: spec.NX}
-	fullY := grid.Range{Lo: 0, Hi: spec.NY}
-	f := newFields(spec, full, fullY, nil)
-	ff := newFarField(spec, false)
-	b.ResetTimer()
-	points := 0
-	for i := 0; i < b.N; i++ {
-		points += ff.accumulate(i%spec.Steps, f.Ex, f.Ey, f.Ez, f.Hx, f.Hy, f.Hz, full, fullY)
+	for _, c := range []struct {
+		name string
+		spec Spec
+	}{{"table1", SpecTable1()}, {"job", haloGrid(64)}} {
+		b.Run(c.name, func(b *testing.B) {
+			spec := c.spec
+			full := grid.Range{Lo: 0, Hi: spec.NX}
+			fullY := grid.Range{Lo: 0, Hi: spec.NY}
+			f := newFields(spec, full, fullY, nil)
+			ff := newFarField(spec, false)
+			b.ResetTimer()
+			points := 0
+			for i := 0; i < b.N; i++ {
+				points += ff.accumulate(i%spec.Steps, f.Ex, f.Ey, f.Ez, f.Hx, f.Hy, f.Hz, full, fullY)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(points), "ns/point")
+			b.ReportMetric(float64(points)/b.Elapsed().Seconds(), "points/s")
+		})
 	}
-	b.ReportMetric(float64(points)/b.Elapsed().Seconds(), "points/s")
 }

@@ -82,6 +82,7 @@ type farField struct {
 	rhat, pol    [3]float64
 	minProj      float64
 	maxDelay     int
+	delays       [6][]int32 // per face, every point's delay in visit order
 	invDT        float64
 	A, F         []float64
 	compA, compF []float64 // Neumaier compensation terms (compensated mode)
@@ -115,6 +116,12 @@ func newFarField(spec Spec, compensated bool) *farField {
 	})
 	ff.minProj = minP
 	ff.maxDelay = int(math.Round((maxP - minP) * ff.invDT))
+	// The full-domain enumeration visits each face's points in the
+	// row-major order of its two varying axes, the order accumulate
+	// indexes the table in.
+	forEachSurface(spec, 0, spec.NX, 0, spec.NY, func(face, i, j, k int) {
+		ff.delays[face] = append(ff.delays[face], int32(ff.delay(i, j, k)))
+	})
 	n := spec.Steps + ff.maxDelay + 1
 	ff.A = make([]float64, n)
 	ff.F = make([]float64, n)
@@ -130,17 +137,19 @@ func (ff *farField) proj(i, j, k int) float64 {
 }
 
 // delay returns the future-sample offset for a surface point.
+// newFarField tabulates it once per point in ff.delays, which the step
+// path reads instead.
 func (ff *farField) delay(i, j, k int) int {
 	return int(math.Round((ff.proj(i, j, k) - ff.minProj) * ff.invDT))
 }
 
 // addPoint adds one surface point's projected equivalent currents
 // (J = n x H, M = -(n x E), both projected onto pol) to the potential
-// samples at the point's delayed time index.  Every product sits in an
+// samples at m, the point's delayed time index.  Every product sits in an
 // explicit float64 conversion, as in yeeRowGeneric, so no build fuses a
 // cross or dot product into an FMA and the potentials carry the same
 // bits on every architecture.
-func (ff *farField) addPoint(face, i, j, k, n int, e0, e1, e2, h0, h1, h2 float64) {
+func (ff *farField) addPoint(face, m int, e0, e1, e2, h0, h1, h2 float64) {
 	nv := faceNormals[face]
 	jx := float64(nv[1]*h2) - float64(nv[2]*h1)
 	jy := float64(nv[2]*h0) - float64(nv[0]*h2)
@@ -150,7 +159,6 @@ func (ff *farField) addPoint(face, i, j, k, n int, e0, e1, e2, h0, h1, h2 float6
 	mz := -(float64(nv[0]*e1) - float64(nv[1]*e0))
 	a := float64(jx*ff.pol[0]) + float64(jy*ff.pol[1]) + float64(jz*ff.pol[2])
 	f := float64(mx*ff.pol[0]) + float64(my*ff.pol[1]) + float64(mz*ff.pol[2])
-	m := n + ff.delay(i, j, k)
 	if ff.compensated {
 		ff.A[m], ff.compA[m] = neumaierAdd(ff.A[m], ff.compA[m], a)
 		ff.F[m], ff.compF[m] = neumaierAdd(ff.F[m], ff.compF[m], f)
@@ -169,10 +177,11 @@ func (ff *farField) addPoint(face, i, j, k, n int, e0, e1, e2, h0, h1, h2 float6
 // same order, same per-point arithmetic (via addPoint) — but read the
 // fields through contiguous row views on the constant-x and constant-y
 // faces, where the inner loop runs along z, instead of six At calls per
-// point.  Because neither the visit order nor any expression changes,
-// the accumulated potentials stay bitwise identical to the per-point
-// form; forEachSurface remains the order's definition and serves the
-// setup scan in newFarField.
+// point, and read each point's delay from its face's table instead of
+// recomputing it.  Because neither the visit order nor any expression
+// changes, the accumulated potentials stay bitwise identical to the
+// per-point form; forEachSurface remains the order's definition and
+// serves the setup scans in newFarField.
 func (ff *farField) accumulate(n int, ex, ey, ez, hx, hy, hz *grid.G3, xr, yr grid.Range) int {
 	spec := ff.spec
 	off := spec.FarField.Offset
@@ -180,6 +189,7 @@ func (ff *farField) accumulate(n int, ex, ey, ez, hx, hy, hz *grid.G3, xr, yr gr
 	y0, y1 := off, spec.NY-1-off
 	z0, z1 := off, spec.NZ-1-off
 	nz := z1 - z0 + 1
+	ny := y1 - y0 + 1
 	clampXLo, clampXHi := x0, x1
 	if clampXLo < xr.Lo {
 		clampXLo = xr.Lo
@@ -195,7 +205,8 @@ func (ff *farField) accumulate(n int, ex, ey, ez, hx, hy, hz *grid.G3, xr, yr gr
 		clampYHi = yr.Hi - 1
 	}
 	points := 0
-	// Faces 0, 1: constant x; the k run is a contiguous row segment.
+	// Faces 0, 1: constant x; the k run is a contiguous row segment, and
+	// so is its run of the (j, k) delay table.
 	for face, x := range [2]int{x0, x1} {
 		if x < xr.Lo || x >= xr.Hi {
 			continue
@@ -209,13 +220,15 @@ func (ff *farField) accumulate(n int, ex, ey, ez, hx, hy, hz *grid.G3, xr, yr gr
 			hxR := hx.RowFrom(li, lj, z0, nz)[:len(exR)]
 			hyR := hy.RowFrom(li, lj, z0, nz)[:len(exR)]
 			hzR := hz.RowFrom(li, lj, z0, nz)[:len(exR)]
+			dR := ff.delays[face][(j-y0)*nz:][:len(exR)]
 			for kk := range exR {
-				ff.addPoint(face, x, j, z0+kk, n, exR[kk], eyR[kk], ezR[kk], hxR[kk], hyR[kk], hzR[kk])
+				ff.addPoint(face, n+int(dR[kk]), exR[kk], eyR[kk], ezR[kk], hxR[kk], hyR[kk], hzR[kk])
 			}
 			points += len(exR)
 		}
 	}
-	// Faces 2, 3: constant y (x-major iteration), contiguous k runs.
+	// Faces 2, 3: constant y (x-major iteration), contiguous k runs of
+	// the fields and of the (i, k) delay table.
 	for fi, y := range [2]int{y0, y1} {
 		if y < yr.Lo || y >= yr.Hi {
 			continue
@@ -229,20 +242,23 @@ func (ff *farField) accumulate(n int, ex, ey, ez, hx, hy, hz *grid.G3, xr, yr gr
 			hxR := hx.RowFrom(li, lj, z0, nz)[:len(exR)]
 			hyR := hy.RowFrom(li, lj, z0, nz)[:len(exR)]
 			hzR := hz.RowFrom(li, lj, z0, nz)[:len(exR)]
+			dR := ff.delays[2+fi][(i-x0)*nz:][:len(exR)]
 			for kk := range exR {
-				ff.addPoint(2+fi, i, y, z0+kk, n, exR[kk], eyR[kk], ezR[kk], hxR[kk], hyR[kk], hzR[kk])
+				ff.addPoint(2+fi, n+int(dR[kk]), exR[kk], eyR[kk], ezR[kk], hxR[kk], hyR[kk], hzR[kk])
 			}
 			points += len(exR)
 		}
 	}
 	// Faces 4, 5: constant z; the j loop strides across rows, so each
-	// point is a single-element read at the fixed k.
+	// point is a single-element read at the fixed k, while the (i, j)
+	// delay table is still read in a contiguous run.
 	for fi, z := range [2]int{z0, z1} {
 		for i := clampXLo; i <= clampXHi; i++ {
 			li := i - xr.Lo
+			dR := ff.delays[4+fi][(i-x0)*ny:]
 			for j := clampYLo; j <= clampYHi; j++ {
 				lj := j - yr.Lo
-				ff.addPoint(4+fi, i, j, z, n,
+				ff.addPoint(4+fi, n+int(dR[j-y0]),
 					ex.At(li, lj, z), ey.At(li, lj, z), ez.At(li, lj, z),
 					hx.At(li, lj, z), hy.At(li, lj, z), hz.At(li, lj, z))
 				points++

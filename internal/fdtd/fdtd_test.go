@@ -2,8 +2,10 @@ package fdtd
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
+	"repro/internal/grid"
 	"repro/internal/machine"
 	"repro/internal/mesh"
 )
@@ -337,32 +339,129 @@ func TestSlabOfOnePlane(t *testing.T) {
 	}
 }
 
+// delaySpecs are the far-field specs the delay-table tests cover:
+// SpecSmall, Table 1, the 24x16x16 job grid and a direction with
+// negative components.
+func delaySpecs() map[string]Spec {
+	skew := SpecSmall()
+	skew.FarField = &FarFieldSpec{Offset: 2, Dir: [3]float64{-0.7, 0.4, -1.3}, Pol: [3]float64{0.2, -1, 0.5}}
+	return map[string]Spec{"small": SpecSmall(), "table1": SpecTable1(), "job": haloGrid(64), "negdir": skew}
+}
+
+// delayBlocks returns the full domain and every block of a 2x2
+// decomposition of spec.
+func delayBlocks(t *testing.T, spec Spec) []block {
+	t.Helper()
+	dec, err := decompose(spec, 2, 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := []block{{xr: grid.Range{Lo: 0, Hi: spec.NX}, yr: grid.Range{Lo: 0, Hi: spec.NY}}}
+	for r := 0; r < dec.procs(); r++ {
+		blocks = append(blocks, dec.block(r))
+	}
+	return blocks
+}
+
+// TestFarFieldDelayProperties checks the surface delays: the smallest is
+// 0, none exceeds maxDelay, the accumulators hold every delayed sample,
+// and each face's delay table holds ff.delay(i, j, k) at the position
+// accumulate reads for every surface point of every block — row-major
+// over the face's two varying axes.
 func TestFarFieldDelayProperties(t *testing.T) {
-	spec := SpecSmall()
-	ff := newFarField(spec, false)
-	minD, maxD := 1<<30, -1
-	points := 0
-	forEachSurface(spec, 0, spec.NX, 0, spec.NY, func(face, i, j, k int) {
-		points++
-		d := ff.delay(i, j, k)
-		if d < minD {
-			minD = d
+	for name, spec := range delaySpecs() {
+		t.Run(name, func(t *testing.T) {
+			ff := newFarField(spec, false)
+			off := spec.FarField.Offset
+			x0, y0, z0 := off, off, off
+			ny, nz := spec.NY-2*off, spec.NZ-2*off
+			minD, maxD := 1<<30, -1
+			points := 0
+			var facePoints [6]int
+			forEachSurface(spec, 0, spec.NX, 0, spec.NY, func(face, i, j, k int) {
+				points++
+				facePoints[face]++
+				d := ff.delay(i, j, k)
+				minD, maxD = min(minD, d), max(maxD, d)
+			})
+			if points == 0 {
+				t.Fatal("no surface points")
+			}
+			if minD != 0 {
+				t.Fatalf("minimum delay should be 0, got %d", minD)
+			}
+			if maxD > ff.maxDelay {
+				t.Fatalf("delay %d exceeds computed maximum %d", maxD, ff.maxDelay)
+			}
+			if len(ff.A) != spec.Steps+ff.maxDelay+1 {
+				t.Fatalf("accumulator length %d", len(ff.A))
+			}
+			for face, n := range facePoints {
+				if len(ff.delays[face]) != n {
+					t.Fatalf("face %d: delay table holds %d entries for %d points", face, len(ff.delays[face]), n)
+				}
+			}
+			for _, b := range delayBlocks(t, spec) {
+				forEachSurface(spec, b.xr.Lo, b.xr.Hi, b.yr.Lo, b.yr.Hi, func(face, i, j, k int) {
+					var at int
+					switch face / 2 {
+					case 0:
+						at = (j-y0)*nz + (k - z0)
+					case 1:
+						at = (i-x0)*nz + (k - z0)
+					default:
+						at = (i-x0)*ny + (j - y0)
+					}
+					if got, want := int(ff.delays[face][at]), ff.delay(i, j, k); got != want {
+						t.Fatalf("block x%v y%v face %d point (%d,%d,%d): table delay %d, ff.delay %d",
+							b.xr, b.yr, face, i, j, k, got, want)
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestFarFieldAccumulateMatchesPerPoint holds accumulate, with its row
+// views and delay tables, bitwise to the per-point form it replaces —
+// forEachSurface's order, six At reads and ff.delay per point — on
+// random fields, for the full domain and every block of a 2x2
+// decomposition, naive and compensated.
+func TestFarFieldAccumulateMatchesPerPoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for name, spec := range delaySpecs() {
+		for _, b := range delayBlocks(t, spec) {
+			for _, comp := range []bool{false, true} {
+				f := newFields(spec, b.xr, b.yr, nil)
+				g := []*grid.G3{f.Ex, f.Ey, f.Ez, f.Hx, f.Hy, f.Hz}
+				for _, x := range g {
+					randomizeStorage(rng, x)
+				}
+				got, want := newFarField(spec, comp), newFarField(spec, comp)
+				for n := 0; n < 3; n++ {
+					pts := got.accumulate(n, f.Ex, f.Ey, f.Ez, f.Hx, f.Hy, f.Hz, b.xr, b.yr)
+					wantPts := 0
+					forEachSurface(spec, b.xr.Lo, b.xr.Hi, b.yr.Lo, b.yr.Hi, func(face, i, j, k int) {
+						li, lj := i-b.xr.Lo, j-b.yr.Lo
+						want.addPoint(face, n+want.delay(i, j, k),
+							f.Ex.At(li, lj, k), f.Ey.At(li, lj, k), f.Ez.At(li, lj, k),
+							f.Hx.At(li, lj, k), f.Hy.At(li, lj, k), f.Hz.At(li, lj, k))
+						wantPts++
+					})
+					if pts != wantPts {
+						t.Fatalf("%s block x%v y%v: %d points, per-point form %d", name, b.xr, b.yr, pts, wantPts)
+					}
+				}
+				ga, gf := got.finalize()
+				wa, wf := want.finalize()
+				for m := range wa {
+					if math.Float64bits(ga[m]) != math.Float64bits(wa[m]) || math.Float64bits(gf[m]) != math.Float64bits(wf[m]) {
+						t.Fatalf("%s block x%v y%v compensated=%v: sample %d differs from the per-point form",
+							name, b.xr, b.yr, comp, m)
+					}
+				}
+			}
 		}
-		if d > maxD {
-			maxD = d
-		}
-	})
-	if points == 0 {
-		t.Fatal("no surface points")
-	}
-	if minD != 0 {
-		t.Fatalf("minimum delay should be 0, got %d", minD)
-	}
-	if maxD > ff.maxDelay {
-		t.Fatalf("delay %d exceeds computed maximum %d", maxD, ff.maxDelay)
-	}
-	if len(ff.A) != spec.Steps+ff.maxDelay+1 {
-		t.Fatalf("accumulator length %d", len(ff.A))
 	}
 }
 

@@ -1,6 +1,9 @@
 package fdtd
 
 import (
+	"fmt"
+	"unsafe"
+
 	"repro/internal/grid"
 )
 
@@ -81,6 +84,66 @@ func imin(a, b int) int {
 	return b
 }
 
+// rowBases is what the packed kernels take from a window proof: the
+// start of each field grid's backing store, and the strides and row
+// length the six grids share.
+type rowBases struct {
+	ex, ey, ez, hx, hy, hz *float64
+	sx, sy, nz             int
+}
+
+// at returns the address off elements past p.
+func at(p *float64, off int) *float64 {
+	return (*float64)(unsafe.Add(unsafe.Pointer(p), off*8))
+}
+
+// proveWindow checks, once per window, everything the packed row calls
+// of updateERange and updateHRange rely on, and panics before anything
+// is written if any of it fails:
+//
+//   - the six field grids share one geometry (extents, ghost widths and
+//     so strides), so one offset addresses the same cell in each;
+//   - the rows [li0-1, li1] x [lj0-1, lj1] — the window and the
+//     neighbour rows its stencils read one column below (E) or above
+//     (H) — lie inside the ghosted extent and inside every backing
+//     store;
+//   - the coefficient table maps every local column, and each of its
+//     row sets holds rows of length NZ.
+//
+// The window must be non-empty.  After the proof no row call of the
+// window can address memory outside the grids, which is what lets the
+// kernels hand the row body bare pointers and a length.
+func proveWindow(f *Fields, li0, li1, lj0, lj1 int) rowBases {
+	g := f.Ex
+	nx, ny, nz := g.NX(), g.NY(), g.NZ()
+	for _, h := range [...]*grid.G3{f.Ey, f.Ez, f.Hx, f.Hy, f.Hz} {
+		if h.NX() != nx || h.NY() != ny || h.NZ() != nz || h.GhostX() != g.GhostX() ||
+			h.GhostY() != g.GhostY() || h.GhostZ() != g.GhostZ() || len(h.Data()) != len(g.Data()) {
+			panic("fdtd: the six field grids do not share one geometry")
+		}
+	}
+	if li0-1 < -g.GhostX() || li1 >= nx+g.GhostX() || lj0-1 < -g.GhostY() || lj1 >= ny+g.GhostY() ||
+		g.Index(li0-1, lj0-1, 0) < 0 || g.Index(li1, lj1, 0)+nz > len(g.Data()) {
+		panic(fmt.Sprintf("fdtd: window [%d,%d)x[%d,%d) reaches past the %dx%d local grid", li0, li1, lj0, lj1, nx, ny))
+	}
+	t := f.Coef
+	if t.ny != ny || len(t.class) != nx*ny {
+		panic(fmt.Sprintf("fdtd: coefficient table of %d columns (%d along y) does not map the %dx%d local grid",
+			len(t.class), t.ny, nx, ny))
+	}
+	for c := range t.sets {
+		r := &t.sets[c]
+		if len(r.ca) != nz || len(r.cb) != nz || len(r.da) != nz || len(r.db) != nz {
+			panic(fmt.Sprintf("fdtd: coefficient class %d does not hold rows of length NZ = %d", c, nz))
+		}
+	}
+	return rowBases{
+		ex: unsafe.SliceData(f.Ex.Data()), ey: unsafe.SliceData(f.Ey.Data()), ez: unsafe.SliceData(f.Ez.Data()),
+		hx: unsafe.SliceData(f.Hx.Data()), hy: unsafe.SliceData(f.Hy.Data()), hz: unsafe.SliceData(f.Hz.Data()),
+		sx: g.StrideX(), sy: g.StrideY(), nz: nz,
+	}
+}
+
 // updateERange advances the electric field one step over local pencil
 // columns [li0, li1) x [lj0, lj1) and returns the number of component
 // updates performed.  Loop bounds are derived from global indices, so
@@ -97,20 +160,23 @@ func imin(a, b int) int {
 // exactly the cell updates of one full-section call, each with the
 // identical expression — the property the tiled and overlapped drivers
 // rely on for bitwise reproducibility.  The window must not exceed
-// [0, NX) x [0, NY); empty windows are fine and update nothing.
+// [0, NX) x [0, NY) (proveWindow panics otherwise); empty windows are
+// fine and update nothing.
 //
 // The E stencils read H one pencil below along x (li-1) and y (lj-1)
 // and never write H, so windows that partition the local section can
 // run concurrently: their writes are disjoint and their reads are of
 // fields no window writes.
 //
-// Each component is one yeeRow call over contiguous z-rows
-// (grid.G3.Row views of the fields, the column's interned rows of the
+// Each component is one packed row call, yeeRowAt, over contiguous
+// z-rows (of the fields, and of the column's interned rows of the
 // coefficient table): every component update has the row primitive's
 // shape out = a*out + b*((p-q) - (r-s)), and the backward z stencil
-// (H at k-1) is the row view shifted by one, so Ex at k >= 1 is
-// yeeRow(ex[1:], ..., hy[1:], hy[:n-1]).  No lane of a row depends on
-// another (E reads only H), which is what lets the row run packed.
+// (H at k-1) is the row start shifted by one, so Ex at k >= 1 is the
+// call on ex+1, ..., hy+1, hy with n = NZ-1.  No lane of a row depends
+// on another (E reads only H), which is what lets the row run packed.
+// The window is proven once (proveWindow), so a row costs one base
+// offset per column and one call with seven pointers and a length.
 //
 // The three component sweeps are fused into one (li, lj) traversal:
 // the coefficient rows (and the shared field rows) are fetched once
@@ -123,6 +189,12 @@ func imin(a, b int) int {
 // unchanged — see updateERangeRef for the retained per-cell reference
 // kernels the property tests pit these against.
 func updateERange(f *Fields, li0, li1, lj0, lj1 int) int {
+	if li0 >= li1 || lj0 >= lj1 {
+		return 0
+	}
+	w := proveWindow(f, li0, li1, lj0, lj1)
+	sx, sy, n := w.sx, w.sy, w.nz
+	t := f.Coef
 	count := 0
 	// Components skip the global index 0 along the axes their curl
 	// stencil reaches backwards on.
@@ -136,36 +208,34 @@ func updateERange(f *Fields, li0, li1, lj0, lj1 int) int {
 	}
 	for li := li0; li < li1; li++ {
 		doI := li >= liStart // Ey, Ez skip global i == 0
-		for lj := lj0; lj < lj1; lj++ {
-			doJ := lj >= ljStart // Ex, Ez skip global j == 0
-			if !doI && !doJ {
-				continue
+		o := f.Ex.Index(li, lj0, 0)
+		for dj, c := range t.class[li*t.ny+lj0 : li*t.ny+lj1] {
+			doJ := lj0+dj >= ljStart // Ex, Ez skip global j == 0
+			if doI || doJ {
+				cr := &t.sets[c]
+				ca, cb := unsafe.SliceData(cr.ca), unsafe.SliceData(cr.cb)
+				// Ex: all i; global j >= 1; k >= 1.  lj == 0 reads the
+				// lower y ghost of Hz.
+				if doJ {
+					yeeRowAt(at(w.ex, o+1), at(ca, 1), at(cb, 1),
+						at(w.hz, o+1), at(w.hz, o-sy+1), at(w.hy, o+1), at(w.hy, o), n-1)
+					count += n - 1
+				}
+				// Ey: global i >= 1; all j; k >= 1.  li == 0 reads the
+				// lower x ghost of Hz.
+				if doI {
+					yeeRowAt(at(w.ey, o+1), at(ca, 1), at(cb, 1),
+						at(w.hx, o+1), at(w.hx, o), at(w.hz, o+1), at(w.hz, o-sx+1), n-1)
+					count += n - 1
+				}
+				// Ez: global i >= 1; global j >= 1; all k.
+				if doI && doJ {
+					yeeRowAt(at(w.ez, o), ca, cb,
+						at(w.hy, o), at(w.hy, o-sx), at(w.hx, o), at(w.hx, o-sy), n)
+					count += n
+				}
 			}
-			cr := f.Coef.rows(li, lj)
-			caP, cbP := cr.ca, cr.cb
-			hxP := f.Hx.Row(li, lj)
-			hyP := f.Hy.Row(li, lj)
-			hzP := f.Hz.Row(li, lj)
-			n := len(caP)
-			// Ex: all i; global j >= 1; k >= 1.
-			if doJ {
-				exP := f.Ex.Row(li, lj)
-				hzJm := f.Hz.Row(li, lj-1) // lj == 0 reads the lower y ghost
-				yeeRow(exP[1:], caP[1:], cbP[1:], hzP[1:], hzJm[1:], hyP[1:], hyP[:n-1])
-				count += n - 1
-			}
-			// Ey: global i >= 1; all j; k >= 1.
-			if doI {
-				eyP := f.Ey.Row(li, lj)
-				hzIm := f.Hz.Row(li-1, lj) // li == 0 reads the lower x ghost
-				yeeRow(eyP[1:], caP[1:], cbP[1:], hxP[1:], hxP[:n-1], hzP[1:], hzIm[1:])
-				count += n - 1
-			}
-			// Ez: global i >= 1; global j >= 1; all k.
-			if doI && doJ {
-				yeeRow(f.Ez.Row(li, lj), caP, cbP, hyP, f.Hy.Row(li-1, lj), hxP, f.Hx.Row(li, lj-1))
-				count += n
-			}
+			o += sy
 		}
 	}
 	return count
@@ -176,6 +246,12 @@ func updateERange(f *Fields, li0, li1, lj0, lj1 int) int {
 // updateERange.  The H stencils read E one pencil above along x (li+1)
 // and y (lj+1) and never write E, so disjoint windows are race-free.
 func updateHRange(f *Fields, li0, li1, lj0, lj1 int) int {
+	if li0 >= li1 || lj0 >= lj1 {
+		return 0
+	}
+	w := proveWindow(f, li0, li1, lj0, lj1)
+	sx, sy, n := w.sx, w.sy, w.nz
+	t := f.Coef
 	nxl, nyl := f.XR.Len(), f.YR.Len()
 	count := 0
 	// Components stop one short of the global top along the axes their
@@ -191,39 +267,38 @@ func updateHRange(f *Fields, li0, li1, lj0, lj1 int) int {
 	// One fused (li, lj) traversal, same argument as updateERange: no H
 	// component reads another H component, so interleaving the three
 	// updates per pencil column permutes independent operations only.
-	// The forward z stencils (E at k+1) are the row views shifted by
-	// one: the written sub-row has length nz-1, and ex[1:][k] is
-	// ex[k+1].
+	// The forward z stencils (E at k+1) are the row starts shifted by
+	// one: the written row has length nz-1, and ex+1 addresses ex[k+1].
 	for li := li0; li < li1; li++ {
 		doI := li < liEnd // Hy, Hz stop short of the global top i
-		for lj := lj0; lj < lj1; lj++ {
-			doJ := lj < ljEnd // Hx, Hz stop short of the global top j
-			if !doI && !doJ {
-				continue
+		o := f.Ex.Index(li, lj0, 0)
+		for dj, c := range t.class[li*t.ny+lj0 : li*t.ny+lj1] {
+			doJ := lj0+dj < ljEnd // Hx, Hz stop short of the global top j
+			if doI || doJ {
+				cr := &t.sets[c]
+				da, db := unsafe.SliceData(cr.da), unsafe.SliceData(cr.db)
+				// Hx: all i; global j < ny-1; k < nz-1.  lj == nyl-1
+				// reads the upper y ghost of Ez.
+				if doJ {
+					yeeRowAt(at(w.hx, o), da, db,
+						at(w.ey, o+1), at(w.ey, o), at(w.ez, o+sy), at(w.ez, o), n-1)
+					count += n - 1
+				}
+				// Hy: global i < nx-1; all j; k < nz-1.  li == nxl-1
+				// reads the upper x ghost of Ez.
+				if doI {
+					yeeRowAt(at(w.hy, o), da, db,
+						at(w.ez, o+sx), at(w.ez, o), at(w.ex, o+1), at(w.ex, o), n-1)
+					count += n - 1
+				}
+				// Hz: global i < nx-1; global j < ny-1; all k.
+				if doI && doJ {
+					yeeRowAt(at(w.hz, o), da, db,
+						at(w.ex, o+sy), at(w.ex, o), at(w.ey, o+sx), at(w.ey, o), n)
+					count += n
+				}
 			}
-			cr := f.Coef.rows(li, lj)
-			daP, dbP := cr.da, cr.db
-			exP := f.Ex.Row(li, lj)
-			eyP := f.Ey.Row(li, lj)
-			ezP := f.Ez.Row(li, lj)
-			n := len(daP)
-			// Hx: all i; global j < ny-1; k < nz-1.
-			if doJ {
-				ezJp := f.Ez.Row(li, lj+1) // lj == nyl-1 reads the upper y ghost
-				yeeRow(f.Hx.Row(li, lj)[:n-1], daP, dbP, eyP[1:], eyP, ezJp, ezP)
-				count += n - 1
-			}
-			// Hy: global i < nx-1; all j; k < nz-1.
-			if doI {
-				ezIp := f.Ez.Row(li+1, lj) // li == nxl-1 reads the upper x ghost
-				yeeRow(f.Hy.Row(li, lj)[:n-1], daP, dbP, ezIp, ezP, exP[1:], exP)
-				count += n - 1
-			}
-			// Hz: global i < nx-1; global j < ny-1; all k.
-			if doI && doJ {
-				yeeRow(f.Hz.Row(li, lj), daP, dbP, f.Ex.Row(li, lj+1), exP, f.Ey.Row(li+1, lj), eyP)
-				count += n
-			}
+			o += sy
 		}
 	}
 	return count

@@ -14,7 +14,7 @@ type KernelVariant int
 // Kernel variants.
 const (
 	// KernelPencil is the hot path: the fused row-view kernels
-	// (updateERange/updateHRange) over the row primitive yeeRow.
+	// (updateERange/updateHRange) over the packed row primitive yeeRowAt.
 	KernelPencil KernelVariant = iota
 	// KernelReference is the retained per-cell At/Set specification
 	// (updateERangeRef/updateHRangeRef).  It evaluates

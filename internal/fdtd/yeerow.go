@@ -1,6 +1,6 @@
 package fdtd
 
-// rowBody names one implementation of yeeRow.
+// rowBody names one implementation of yeeRowAt.
 type rowBody int
 
 // Row bodies.
@@ -21,7 +21,7 @@ func (b rowBody) String() string {
 	return "rowBody(?)"
 }
 
-// activeRow is the body yeeRow runs: the fastest one the CPU supports,
+// activeRow is the body yeeRowAt runs: the fastest one the CPU supports,
 // chosen once at package init.  Tests switch it to run every body;
 // nothing else writes it.
 var activeRow = bestRowBody()
@@ -36,7 +36,7 @@ func bestRowBody() rowBody {
 //	out[k] = a[k]*out[k] + b[k]*((p[k]-q[k]) - (r[k]-s[k]))
 //
 // for k in [0, len(out)).  All six components of both half-steps have
-// this shape over shifted row views (see updateERange).  The inputs may
+// this shape over shifted rows (see updateERange).  The inputs may
 // be longer than out; a shorter one panics on the re-slice (row views
 // are capacity-clamped).  The explicit float64 conversions forbid the
 // compiler to fuse a product and a sum into one FMA, which it does on

@@ -34,18 +34,17 @@ func rowBodies() []rowBody {
 	return []rowBody{rowGeneric}
 }
 
-// yeeRow runs yeeRowGeneric's update with the active body.  The
-// assembly reads len(out) elements of every input, so each is re-sliced
-// to that length first: a short view panics here, as it does in the Go
-// loop, instead of being read past its end.
-func yeeRow(out, a, b, p, q, r, s []float64) {
+// yeeRowAt runs yeeRowGeneric's update with the active body on the
+// n-element rows that start at out, a, b, p, q, r and s.  It checks
+// nothing: the caller proves every row lies inside its backing store
+// (see proveWindow), as the assembly reads and writes n elements of
+// each.
+func yeeRowAt(out, a, b, p, q, r, s *float64, n int) {
 	if activeRow != rowAVX2 {
-		yeeRowGeneric(out, a, b, p, q, r, s)
+		yeeRowGeneric(unsafe.Slice(out, n), unsafe.Slice(a, n), unsafe.Slice(b, n),
+			unsafe.Slice(p, n), unsafe.Slice(q, n), unsafe.Slice(r, n), unsafe.Slice(s, n))
 		return
 	}
-	n := len(out)
-	a, b, p, q, r, s = a[:n], b[:n], p[:n], q[:n], r[:n], s[:n]
-	raceRow(out, a, b, p, q, r, s)
-	yeeRowAVX2(unsafe.SliceData(out), unsafe.SliceData(a), unsafe.SliceData(b),
-		unsafe.SliceData(p), unsafe.SliceData(q), unsafe.SliceData(r), unsafe.SliceData(s), n)
+	raceRow(out, a, b, p, q, r, s, n)
+	yeeRowAVX2(out, a, b, p, q, r, s, n)
 }

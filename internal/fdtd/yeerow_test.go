@@ -7,7 +7,18 @@ import (
 	"regexp"
 	"slices"
 	"testing"
+	"unsafe"
 )
+
+// yeeRow is the checked row entry: it re-slices every input to
+// len(out), so a short one panics instead of being read past its end,
+// and runs yeeRowAt on the rows.
+func yeeRow(out, a, b, p, q, r, s []float64) {
+	n := len(out)
+	a, b, p, q, r, s = a[:n], b[:n], p[:n], q[:n], r[:n], s[:n]
+	yeeRowAt(unsafe.SliceData(out), unsafe.SliceData(a), unsafe.SliceData(b),
+		unsafe.SliceData(p), unsafe.SliceData(q), unsafe.SliceData(r), unsafe.SliceData(s), n)
+}
 
 // forEachRowBody runs fn as one subtest per row body with that body
 // active; a body this CPU cannot run is skipped with a message.
