@@ -29,9 +29,6 @@ type coefTable struct {
 	data  []float64  // class-major backing store: ca, cb, da, db of class 0, then class 1, ...
 }
 
-// rows returns the coefficient rows of local pencil column (li, lj).
-func (t *coefTable) rows(li, lj int) *coefRows { return &t.sets[t.class[li*t.ny+lj]] }
-
 func newCoefTable(nx, ny int) *coefTable {
 	return &coefTable{ny: ny, class: make([]int32, nx*ny)}
 }

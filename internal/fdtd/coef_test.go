@@ -36,7 +36,7 @@ func checkTableMatchesSpec(t *testing.T, name string, spec Spec, xr, yr grid.Ran
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	for li := 0; li < xr.Len(); li++ {
 		for lj := 0; lj < yr.Len(); lj++ {
-			r := tab.rows(li, lj)
+			r := &tab.sets[tab.class[li*tab.ny+lj]]
 			for k := 0; k < spec.NZ; k++ {
 				ca, cb, da, db := spec.Coefficients(xr.Lo+li, yr.Lo+lj, k)
 				if !same(r.ca[k], ca) || !same(r.cb[k], cb) || !same(r.da[k], da) || !same(r.db[k], db) {

@@ -1,7 +1,9 @@
 package fdtd
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 
 	"repro/internal/grid"
@@ -84,6 +86,31 @@ func (r *Result) FarFieldMaxRelDiff(o *Result) float64 {
 		}
 	}
 	return max
+}
+
+// FieldHash digests the bit patterns of the six final field grids:
+// FNV-64a over the little-endian bits of Ex, Ey, Ez, Hx, Hy, Hz, each
+// walked pencil by pencil; a grid the result does not hold is skipped.
+// Two runs of the same spec hash equal iff their fields are bitwise
+// identical.  It is the service's field_hash and the near-field digest
+// of the committed identity goldens.
+func (r *Result) FieldHash() uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, g := range []*grid.G3{r.Ex, r.Ey, r.Ez, r.Hx, r.Hy, r.Hz} {
+		if g == nil {
+			continue
+		}
+		for i := 0; i < g.NX(); i++ {
+			for j := 0; j < g.NY(); j++ {
+				for _, v := range g.Pencil(i, j) {
+					binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+					h.Write(b[:])
+				}
+			}
+		}
+	}
+	return h.Sum64()
 }
 
 // MaxFieldMagnitude returns the largest |value| across the six final

@@ -1,16 +1,12 @@
 package serve
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"time"
 
 	"repro/internal/fault"
 	"repro/internal/fdtd"
-	"repro/internal/grid"
 	"repro/internal/obs"
 )
 
@@ -112,39 +108,15 @@ func encodeResult(res *JobResult) (*encoded, error) {
 	return &encoded{res: res, json: b}, nil
 }
 
-func floatBits(v float64) uint64 { return math.Float64bits(v) }
-
 // fingerprintString renders a 64-bit digest the way the API exposes
 // it: 16 lowercase hex digits.
 func fingerprintString(v uint64) string { return fmt.Sprintf("%016x", v) }
-
-// fieldHash digests the bit patterns of the six final field grids in a
-// fixed order.  Two runs of the same spec hash equal iff their fields
-// are bitwise identical.
-func fieldHash(res *fdtd.Result) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	for _, g := range []*grid.G3{res.Ex, res.Ey, res.Ez, res.Hx, res.Hy, res.Hz} {
-		if g == nil {
-			continue
-		}
-		for i := 0; i < g.NX(); i++ {
-			for j := 0; j < g.NY(); j++ {
-				for _, v := range g.Pencil(i, j) {
-					binary.LittleEndian.PutUint64(b[:], floatBits(v))
-					h.Write(b[:])
-				}
-			}
-		}
-	}
-	return h.Sum64()
-}
 
 // ResultFieldHash renders the service's field digest for an fdtd
 // result the way the API exposes it.  External bitwise-identity checks
 // (the cluster chaos tests) use it to compare a node's JSON response
 // against a fresh mesh.Sim recomputation.
-func ResultFieldHash(res *fdtd.Result) string { return fingerprintString(fieldHash(res)) }
+func ResultFieldHash(res *fdtd.Result) string { return fingerprintString(res.FieldHash()) }
 
 // buildResult assembles the serialisable result from rank 0's Result
 // and the job's observability snapshot.
@@ -161,7 +133,7 @@ func buildResult(jb *job, p int, res *fdtd.Result, wall time.Duration, snap obs.
 		Probe:        res.Probe,
 		FarA:         res.FarA,
 		FarF:         res.FarF,
-		FieldHash:    fingerprintString(fieldHash(res)),
+		FieldHash:    fingerprintString(res.FieldHash()),
 		Work:         res.Work,
 		WallSeconds:  wall.Seconds(),
 		PhaseSeconds: phases,

@@ -113,7 +113,7 @@ func TestServiceMatchesSimRuntime(t *testing.T) {
 				t.Fatalf("far field sample %d differs from Sim runtime", i)
 			}
 		}
-		if got, want := res.FieldHash, fingerprintString(fieldHash(ref)); got != want {
+		if got, want := res.FieldHash, fingerprintString(ref.FieldHash()); got != want {
 			t.Fatalf("Version C %v: field hash %s differs from Sim runtime %s", spec.IsVersionC(), got, want)
 		}
 	}
@@ -280,7 +280,7 @@ func TestJobAfterTimeoutMatchesSim(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
-	if got, want := res.FieldHash, fingerprintString(fieldHash(ref)); got != want {
+	if got, want := res.FieldHash, fingerprintString(ref.FieldHash()); got != want {
 		t.Fatalf("job after the timeout hashed %s, Sim runtime %s", got, want)
 	}
 }
