@@ -3,9 +3,9 @@ GO ?= go
 # Packages whose concurrency the race detector must vet.
 RACE_PKGS = . ./internal/core ./internal/farm ./internal/channel ./internal/sched ./internal/explore ./internal/mesh ./internal/trace ./internal/obs ./internal/serve ./internal/cluster ./internal/cluster/client ./internal/slo ./cmd/archload
 
-.PHONY: check fmt build vet cross test race bench-smoke benchmark-smoke cover kernel-smoke net-smoke serve-smoke cluster-smoke chaos-smoke obs-smoke fuzz-smoke explore-smoke
+.PHONY: check fmt build vet cross test run-lists race bench-smoke benchmark-smoke cover kernel-smoke net-smoke serve-smoke cluster-smoke chaos-smoke obs-smoke fuzz-smoke explore-smoke
 
-check: fmt vet cross build test race bench-smoke benchmark-smoke kernel-smoke net-smoke serve-smoke cluster-smoke chaos-smoke obs-smoke fuzz-smoke explore-smoke
+check: fmt vet cross build test run-lists race bench-smoke benchmark-smoke kernel-smoke net-smoke serve-smoke cluster-smoke chaos-smoke obs-smoke fuzz-smoke explore-smoke
 
 build:
 	$(GO) build ./...
@@ -60,9 +60,30 @@ cross:
 test:
 	$(GO) test ./...
 
-race:
+# The -run lists of race, kernel-smoke and explore-smoke, by package.
+RACE_FDTD_RUN = TestOneProgramIdentity|TestIdentityGolden|FuzzRefinement|TestKernelPencilVsReferenceProperty|TestCoefficientTable|TestProfileIdenticalAcrossRuntimes|TestModelGolden
+KERNEL_SMOKE_RUN = TestYeeRow|TestCoefficientTable|TestKernelPencilVsReferenceProperty
+EXPLORE_RUN = TestExploreMatchesBruteForceClassCount|TestExploreExactCounts|TestMinimizeRacyDivergence
+DETERMINACY_RUN = TestExploreSmoke
+
+# run-lists fails when an alternative of one of those -run lists names
+# no test of its package under go test -list, so a renamed or folded
+# test fails check instead of silently dropping out of a target.
+RUN_LISTS = './internal/fdtd:$(RACE_FDTD_RUN)' './internal/fdtd:$(KERNEL_SMOKE_RUN)' \
+	'./internal/explore:$(EXPLORE_RUN)' './cmd/determinacy:$(DETERMINACY_RUN)'
+run-lists:
+	@for spec in $(RUN_LISTS); do \
+		pkg=$${spec%%:*}; pat=$${spec#*:}; \
+		listed=$$($(GO) test -list "$$pat" $$pkg) || exit 1; \
+		for alt in $$(echo "$$pat" | tr '|' ' '); do \
+			echo "$$listed" | grep -E '^(Test|Fuzz)' | grep -qE "$$alt" || \
+				{ echo "run-lists: $$pkg: -run alternative $$alt names no test"; exit 1; }; \
+		done; \
+	done
+
+race: run-lists
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -run 'TestTiledKernelDeterminism|TestFastPathIdentity1D|TestFastPathIdentity2D|TestOneProgramIdentity|TestKernelPencilVsReferenceProperty|TestCoefficientTable|TestSocketBackendIdentity|TestWorkerBackendIdentity|TestProfileIdenticalAcrossRuntimes|TestModelGolden' ./internal/fdtd
+	$(GO) test -race -run '$(RACE_FDTD_RUN)' ./internal/fdtd
 
 # bench-smoke compiles and runs every benchmark once (no timing) so
 # check catches benchmark rot without paying full benchmark time.  The
@@ -83,8 +104,8 @@ benchmark-smoke:
 # against the per-cell reference kernels on randomized specs, and a
 # tiny-grid roofline run exercises the stream probe + per-worker
 # measurement end to end.
-kernel-smoke:
-	$(GO) test -run 'TestYeeRow|TestCoefficientTable|TestKernelPencilVsReferenceProperty' -count=1 ./internal/fdtd
+kernel-smoke: run-lists
+	$(GO) test -run '$(KERNEL_SMOKE_RUN)' -count=1 ./internal/fdtd
 	$(GO) run ./cmd/fdtd -roofline -nx 8 -ny 8 -nz 8 -roofline-workers 1,2 -quiet
 
 # net-smoke is the end-to-end acceptance run of the scale-out
@@ -135,6 +156,9 @@ obs-smoke:
 # file decoders (grid files, checkpoints).  The checkpoint seed is
 # ~3 KB, and minimising each new interesting input of that size would
 # otherwise take the whole 5 s, so its minimisation is capped.
+# FuzzRefinement is not a parser target: it draws a random small spec,
+# process grid and window split from its seed and holds SSP, parallel
+# and two-window runs to the sequential program bit for bit.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzFrameDecode' -fuzztime 5s ./internal/channel
 	$(GO) test -run '^$$' -fuzz 'FuzzHello' -fuzztime 5s ./internal/channel
@@ -144,6 +168,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzLoadArtifact' -fuzztime 5s ./internal/explore
 	$(GO) test -run '^$$' -fuzz 'FuzzRead3' -fuzztime 5s ./internal/gridio
 	$(GO) test -run '^$$' -fuzz 'FuzzReadCheckpoint' -fuzztime 5s -fuzzminimizetime 200x ./internal/fdtd
+	$(GO) test -run '^$$' -fuzz 'FuzzRefinement' -fuzztime 5s ./internal/fdtd
 
 # explore-smoke is the acceptance run of the systematic schedule
 # explorer, under the race detector: bounded-exhaustive DPOR over the
@@ -156,9 +181,9 @@ fuzz-smoke:
 # reported as a deadlock, and one minimized divergence round-tripped
 # through a saved artifact and the -replay path, reproducing the
 # divergent final state bitwise.
-explore-smoke:
-	$(GO) test -race -run 'TestExploreMatchesBruteForceClassCount|TestExploreExactCounts|TestMinimizeRacyDivergence' -count=1 ./internal/explore
-	$(GO) test -race -run 'TestExploreSmoke' -count=1 ./cmd/determinacy
+explore-smoke: run-lists
+	$(GO) test -race -run '$(EXPLORE_RUN)' -count=1 ./internal/explore
+	$(GO) test -race -run '$(DETERMINACY_RUN)' -count=1 ./cmd/determinacy
 
 # cover enforces per-package statement-coverage floors on the packages
 # at the heart of the determinacy story.  Floors sit a few points below

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/grid"
 	"repro/internal/gridio"
-	"repro/internal/mesh"
 )
 
 // Checkpointing.  A long scattering run can be stopped and resumed:
@@ -342,34 +341,4 @@ func LoadCheckpointWithFallback(path string, spec Spec) (c *Checkpoint, fellBack
 		return prev, true, nil
 	}
 	return nil, false, err
-}
-
-// RunSequentialUntil executes the sequential program for the first
-// `until` steps only and returns the state as a checkpoint.
-func RunSequentialUntil(spec Spec, until int) (*Checkpoint, error) {
-	if until < 0 || until > spec.Steps {
-		return nil, fmt.Errorf("fdtd: checkpoint step %d outside run of %d steps", until, spec.Steps)
-	}
-	pr, err := plan(spec, 1, sequentialOptions(false))
-	if err != nil {
-		return nil, err
-	}
-	pr.until = until
-	res, err := pr.exec(mesh.Sim)
-	if err != nil {
-		return nil, err
-	}
-	return &Checkpoint{Result: *res, StepsDone: until}, nil
-}
-
-// ResumeSequential continues a checkpointed run to completion and
-// returns the final result.  A resumed run is bitwise identical to an
-// uninterrupted one.
-func ResumeSequential(c *Checkpoint) (*Result, error) {
-	pr, err := plan(c.Spec, 1, sequentialOptions(false))
-	if err != nil {
-		return nil, err
-	}
-	pr.start = c
-	return pr.exec(mesh.Sim)
 }

@@ -3,40 +3,14 @@ package fdtd
 import (
 	"bytes"
 	"path/filepath"
-	"strings"
 	"testing"
-)
 
-func TestResumeBitwiseIdentical(t *testing.T) {
-	spec := SpecSmall()
-	full := mustSeq(t, spec)
-	for _, split := range []int{0, 1, 7, 15, 16} {
-		ck, err := RunSequentialUntil(spec, split)
-		if err != nil {
-			t.Fatalf("split %d: %v", split, err)
-		}
-		resumed, err := ResumeSequential(ck)
-		if err != nil {
-			t.Fatalf("split %d: %v", split, err)
-		}
-		if !full.NearFieldEqual(resumed) {
-			t.Fatalf("split %d: resumed near field differs", split)
-		}
-		if !full.FarFieldEqual(resumed) {
-			t.Fatalf("split %d: resumed far field differs", split)
-		}
-		if full.Work != resumed.Work {
-			t.Fatalf("split %d: work differs: %v vs %v", split, full.Work, resumed.Work)
-		}
-	}
-}
+	"repro/internal/mesh"
+)
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	spec := SpecSmall()
-	ck, err := RunSequentialUntil(spec, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ck := mustSeqUntil(t, spec, 9)
 	var buf bytes.Buffer
 	if err := ck.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -56,21 +30,18 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	// And the deserialised checkpoint resumes identically.
 	full := mustSeq(t, spec)
-	resumed, err := ResumeSequential(back)
+	resumed, err := runWindow(spec, 1, sequentialOptions(false), mesh.Sim, back, spec.Steps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !full.NearFieldEqual(resumed) || !full.FarFieldEqual(resumed) {
+	if !full.NearFieldEqual(&resumed.Result) || !full.FarFieldEqual(&resumed.Result) {
 		t.Fatal("round-tripped checkpoint diverged on resume")
 	}
 }
 
 func TestCheckpointFileAndErrors(t *testing.T) {
 	spec := SpecSmallA()
-	ck, err := RunSequentialUntil(spec, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ck := mustSeqUntil(t, spec, 4)
 	path := filepath.Join(t.TempDir(), "run.ckp")
 	if err := SaveCheckpoint(path, ck); err != nil {
 		t.Fatal(err)
@@ -101,39 +72,5 @@ func TestCheckpointFileAndErrors(t *testing.T) {
 	}
 	if _, err := LoadCheckpoint(filepath.Join(t.TempDir(), "nope.ckp"), spec); err == nil {
 		t.Fatal("missing file accepted")
-	}
-}
-
-func TestCheckpointBoundsChecks(t *testing.T) {
-	spec := SpecSmallA()
-	if _, err := RunSequentialUntil(spec, -1); err == nil {
-		t.Fatal("negative split accepted")
-	}
-	if _, err := RunSequentialUntil(spec, spec.Steps+1); err == nil {
-		t.Fatal("split beyond run accepted")
-	}
-	// Mur runs cannot be resumed mid-stream (boundary history is not
-	// part of the checkpoint).
-	mur := SpecSmallA()
-	mur.Boundary = BoundaryMur1
-	ck, err := RunSequentialUntil(mur, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ResumeSequential(ck); err == nil || !strings.Contains(err.Error(), "Mur") {
-		t.Fatalf("Mur mid-stream resume should be refused: %v", err)
-	}
-	// But a step-0 Mur checkpoint resumes (restarts) fine.
-	ck0, err := RunSequentialUntil(mur, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := mustSeq(t, mur)
-	resumed, err := ResumeSequential(ck0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !full.NearFieldEqual(resumed) {
-		t.Fatal("step-0 Mur resume diverged")
 	}
 }

@@ -76,45 +76,6 @@ func TestMurStable(t *testing.T) {
 	}
 }
 
-func TestMurSSPIdenticalToSequential(t *testing.T) {
-	spec := SpecSmall()
-	spec.Boundary = BoundaryMur1
-	seq, err := RunSequential(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []int{1, 2, 3, 4} {
-		arch, err := RunArchetype(spec, p, mesh.Sim, DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !seq.NearFieldEqual(arch) {
-			t.Fatalf("p=%d: Mur SSP differs from sequential", p)
-		}
-		if arch.Work != seq.Work {
-			t.Fatalf("p=%d: Mur work mismatch: %v vs %v", p, arch.Work, seq.Work)
-		}
-	}
-}
-
-func TestMurParallelIdenticalToSSP(t *testing.T) {
-	spec := SpecSmallA()
-	spec.Boundary = BoundaryMur1
-	ssp, err := RunArchetype(spec, 4, mesh.Sim, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rep := 0; rep < 3; rep++ {
-		par, err := RunArchetype(spec, 4, mesh.Par, DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ssp.NearFieldEqual(par) {
-			t.Fatalf("rep %d: Mur parallel differs from SSP", rep)
-		}
-	}
-}
-
 func TestMurRejectsTooThinEdgeSlabs(t *testing.T) {
 	spec := SpecSmallA()
 	spec.Boundary = BoundaryMur1
@@ -128,12 +89,9 @@ func TestMurRejectsTooThinEdgeSlabs(t *testing.T) {
 	if _, err := RunWithRecovery(spec, RecoveryOptions{P: spec.NX, Opt: DefaultOptions()}); err == nil || err.Error() != want.Error() {
 		t.Fatalf("RunWithRecovery: got %v, want %v", err, want)
 	}
-	ck0, err := RunSequentialUntil(spec, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ResumeArchetype(ck0, spec.NX, DefaultOptions()); err == nil || err.Error() != want.Error() {
-		t.Fatalf("ResumeArchetype: got %v, want %v", err, want)
+	ck0 := mustSeqUntil(t, spec, 0)
+	if _, err := runWindow(spec, spec.NX, DefaultOptions(), mesh.Par, ck0, spec.Steps); err == nil || err.Error() != want.Error() {
+		t.Fatalf("step-0 resume: got %v, want %v", err, want)
 	}
 	// A p that still leaves >= 2 planes per slab is fine.
 	if _, err := RunArchetype(spec, spec.NX/2, mesh.Sim, DefaultOptions()); err != nil {

@@ -87,7 +87,7 @@ func RunWithRecovery(spec Spec, ro RecoveryOptions) (*RecoveryReport, error) {
 	}
 	if spec.Boundary == BoundaryMur1 && every < spec.Steps {
 		// The Mur state (previous-step boundary planes) is not part of
-		// the checkpoint, matching ResumeSequential's refusal.
+		// the checkpoint, matching checkResumable's refusal.
 		return nil, errors.New("fdtd: mid-run checkpoints of Mur-boundary runs are not supported")
 	}
 	maxRestarts := ro.MaxRestarts
@@ -157,16 +157,4 @@ func RunWithRecovery(spec Spec, ro RecoveryOptions) (*RecoveryReport, error) {
 	}
 	rep.Result = &pr.start.Result
 	return rep, nil
-}
-
-// ResumeArchetype continues a checkpointed run to completion on the
-// parallel runtime, in one segment, and returns the final result.  It
-// is the parallel counterpart of ResumeSequential.
-func ResumeArchetype(c *Checkpoint, p int, opt Options) (*Result, error) {
-	pr, err := plan(c.Spec, p, opt)
-	if err != nil {
-		return nil, err
-	}
-	pr.start = c
-	return pr.exec(mesh.Par)
 }
