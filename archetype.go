@@ -94,6 +94,9 @@ type (
 	Slab = grid.Slab
 	// Range is a half-open interval of global grid indices.
 	Range = grid.Range
+	// Topo2D is the archetype's block distribution: px-by-py processes
+	// owning contiguous blocks of an nx-by-ny grid (px x 1 is x-slabs).
+	Topo2D = mesh.Topo2D
 )
 
 // Grid constructors and decompositions re-exported from grid.
@@ -108,6 +111,8 @@ var (
 	Decompose = grid.Decompose
 	// SlabDecompose3 splits a 3-D grid into slabs along one axis.
 	SlabDecompose3 = grid.SlabDecompose3
+	// NewTopo2D distributes an nx-by-ny grid over px-by-py processes.
+	NewTopo2D = mesh.NewTopo2D
 )
 
 // The FDTD application.
@@ -124,10 +129,10 @@ type (
 var (
 	// RunFDTDSequential runs the original sequential program.
 	RunFDTDSequential = fdtd.RunSequential
-	// RunFDTDArchetype runs the mesh-archetype build (Sim or Par) on a
-	// 1-D slab decomposition.
+	// RunFDTDArchetype runs the mesh-archetype build (Sim or Par) on
+	// p x 1 blocks (x-slabs).
 	RunFDTDArchetype = fdtd.RunArchetype
-	// RunFDTDArchetype2D runs it on a 2-D block process grid.
+	// RunFDTDArchetype2D runs it on px-by-py blocks.
 	RunFDTDArchetype2D = fdtd.RunArchetype2D
 	// DefaultFDTDOptions returns the paper's experimental configuration.
 	DefaultFDTDOptions = fdtd.DefaultOptions

@@ -85,7 +85,7 @@ func main() {
 	version := flag.String("version", "C", "application version: A (near field) or C (near + far field)")
 	build := flag.String("build", "seq", "build to run: seq | ssp | par")
 	p := flag.Int("p", 4, "process count for ssp/par builds (x-axis split)")
-	py := flag.Int("py", 1, "y-axis process count (>1 selects the 2-D block decomposition)")
+	py := flag.Int("py", 1, "y-axis process count: the ssp/par builds run on p x py blocks")
 	nx := flag.Int("nx", 33, "grid extent x")
 	ny := flag.Int("ny", 33, "grid extent y")
 	nz := flag.Int("nz", 33, "grid extent z")
@@ -155,7 +155,7 @@ func main() {
 			usageErr("-backend socket requires -build par (the socket mesh carries real parallel channels)")
 		}
 		if *py > 1 {
-			usageErr("-backend socket supports the 1-D slab decomposition only (py=1)")
+			usageErr("-backend socket supports p x 1 blocks only (py=1)")
 		}
 		if recovery || *injectCrash != "" {
 			usageErr("-backend socket does not compose with crash recovery or -inject-crash")
@@ -166,7 +166,7 @@ func main() {
 			usageErr("-procs requires -build par")
 		}
 		if *py > 1 {
-			usageErr("-procs supports the 1-D slab decomposition only (py=1)")
+			usageErr("-procs supports p x 1 blocks only (py=1)")
 		}
 		if *backend != "inproc" {
 			usageErr("-procs already runs over sockets; it does not combine with -backend")
@@ -293,7 +293,7 @@ func main() {
 		res, err = fdtd.RunSequentialOpts(spec, *compensated)
 	case *build == "par" && recovery:
 		if *py > 1 {
-			usageErr("crash recovery supports the 1-D slab decomposition only (py=1)")
+			usageErr("crash recovery supports p x 1 blocks only (py=1)")
 		}
 		var rep *fdtd.RecoveryReport
 		rep, err = fdtd.RunWithRecovery(spec, fdtd.RecoveryOptions{
@@ -325,11 +325,7 @@ func main() {
 		}
 		prof = machine.NewProfile(ranks)
 		opt.Mesh.Profile = prof
-		if *py > 1 {
-			res, err = fdtd.RunArchetype2D(spec, *p, *py, mode, opt)
-		} else {
-			res, err = fdtd.RunArchetype(spec, *p, mode, opt)
-		}
+		res, err = fdtd.RunArchetype2D(spec, *p, *py, mode, opt)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fdtd: %v\n", err)

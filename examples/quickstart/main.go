@@ -2,7 +2,7 @@
 // archetype.
 //
 // The program is written once, in SPMD style, against the archetype's
-// communication library (ghost-row exchange, max-reduction, gather) and
+// communication library (ghost exchange, max-reduction, gather) and
 // executed under both runtimes:
 //
 //   - archetype.Sim — the sequential simulated-parallel version, and
@@ -29,10 +29,11 @@ const (
 	tol    = 1e-6
 )
 
-// heat is the SPMD program: each process owns a block of rows.
+// heat is the SPMD program: each process owns a block of rows, the
+// p x 1 case of the archetype's block distribution.
 func heat(c *archetype.Comm) []float64 {
-	ranges := archetype.Decompose(nx, c.P())
-	rg := ranges[c.Rank()]
+	topo := archetype.NewTopo2D(nx, ny, c.P(), 1)
+	rg, _ := topo.Block(c.Rank())
 
 	cur := archetype.NewGrid2(rg.Len(), ny, 1)
 	next := archetype.NewGrid2(rg.Len(), ny, 1)
@@ -48,7 +49,7 @@ func heat(c *archetype.Comm) []float64 {
 	iters := 0
 	for ; iters < limit; iters++ {
 		// Refresh ghost rows from the neighbouring processes.
-		c.ExchangeGhostRows(cur)
+		c.ExchangeGhost2D(cur, topo, false)
 		// Pure grid operation: new values from old neighbours only.
 		maxDelta := 0.0
 		for i := 0; i < cur.NX(); i++ {
@@ -88,7 +89,7 @@ func heat(c *archetype.Comm) []float64 {
 	}
 
 	// Gather the temperature field onto the host process.
-	global := c.GatherRows(cur, ranges, nx, 0)
+	global := c.Gather2D(cur, topo, 0)
 	if c.Rank() != 0 {
 		return []float64{float64(iters)}
 	}

@@ -3,10 +3,12 @@ package fdtd
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 
 	"repro/internal/channel"
 	"repro/internal/grid"
+	"repro/internal/machine"
 	"repro/internal/mesh"
 	"repro/internal/obs"
 )
@@ -71,7 +73,7 @@ func sameTable(a, b *coefTable) bool {
 // tables, by rank.
 func rankTables(t *testing.T, spec Spec, dec decomposition, hostIO bool) []*coefTable {
 	t.Helper()
-	tabs, err := mesh.Run(dec.procs(), mesh.Sim, mesh.DefaultOptions(), func(c *mesh.Comm) *coefTable {
+	tabs, err := mesh.Run(dec.topo.P(), mesh.Sim, mesh.DefaultOptions(), func(c *mesh.Comm) *coefTable {
 		return loadCoefficients(c, spec, dec, dec.block(c.Rank()), hostIO)
 	})
 	if err != nil {
@@ -95,7 +97,7 @@ func requireHostIOTablesAgree(t *testing.T, spec Spec, dec decomposition) {
 }
 
 // TestCoefficientTable holds the interned coefficient table to the
-// spec: on every block of several slab and 2-D decompositions of the
+// spec: on every block of several px x 1 and 2-D decompositions of the
 // paper's workloads, the benchmark grid and a spec whose columns all
 // differ, the table reproduces Spec.Coefficients bit for bit at every
 // cell, and the host-I/O path (the global table's class plane
@@ -111,18 +113,18 @@ func TestCoefficientTable(t *testing.T) {
 		{"halo grid", haloGrid(1)},
 		{"tiny boxes", tinyBoxes()},
 	}
-	grids := [][3]int{{1, 1, 1}, {2, 1, 1}, {3, 1, 1}, {5, 1, 1}, {2, 2, 0}, {3, 2, 0}, {2, 3, 0}}
+	grids := [][2]int{{1, 1}, {2, 1}, {3, 1}, {5, 1}, {2, 2}, {3, 2}, {2, 3}}
 	for _, s := range specs {
 		spec := s.spec
 		full := internCoefficients(spec, grid.Range{Lo: 0, Hi: spec.NX}, grid.Range{Lo: 0, Hi: spec.NY})
 		plane := full.plane()
 		for _, g := range grids {
-			dec, err := decompose(spec, g[0], g[1], g[2] == 1)
+			dec, err := decompose(spec, g[0], g[1])
 			if err != nil {
 				t.Fatal(err)
 			}
 			name := fmt.Sprintf("%s %dx%d", s.name, g[0], g[1])
-			for r := 0; r < dec.procs(); r++ {
+			for r := 0; r < dec.topo.P(); r++ {
 				b := dec.block(r)
 				tab := internCoefficients(spec, b.xr, b.yr)
 				checkTableMatchesSpec(t, name, spec, b.xr, b.yr, tab)
@@ -145,7 +147,7 @@ func TestCoefficientTable(t *testing.T) {
 	if n := len(internCoefficients(tiny, grid.Range{Lo: 0, Hi: tiny.NX}, grid.Range{Lo: 0, Hi: tiny.NY}).sets); n != tiny.NX*tiny.NY {
 		t.Errorf("tiny boxes: %d classes, want one per column (%d)", n, tiny.NX*tiny.NY)
 	}
-	dec, err := decompose(tiny, 2, 2, false)
+	dec, err := decompose(tiny, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,24 +155,17 @@ func TestCoefficientTable(t *testing.T) {
 }
 
 // TestHostIOTrafficIsExact pins the message traffic of a host-I/O run
-// term by term: SpecSmall on two slabs over the in-process transport
-// sends exactly the ghost exchanges, the coefficient class-index plane
-// and class table, the far-field and work reductions, the probe
-// broadcast and the final gather — every term computed here from the
-// spec — so a regression to per-cell coefficient scatters fails here
-// rather than showing up as a benchmark reading.
+// term by term: SpecSmall on two x-slabs (RunArchetype) and on 2x2
+// blocks over the in-process transport sends exactly the x and y ghost
+// exchanges, the coefficient class-index plane and class table, the
+// far-field and work reductions, the probe broadcast and the final
+// gather — every term computed here from the spec and the process grid
+// — in exactly the bulk-synchronous phases those operations need, so a
+// regression to per-cell coefficient scatters, a px x 1 run that runs
+// (empty) y exchange phases or a 2-D run that skips its y halos fails
+// here rather than showing up as a benchmark reading.
 func TestHostIOTrafficIsExact(t *testing.T) {
 	spec := SpecSmall()
-	const p = 2
-	opt := DefaultOptions()
-	opt.Mesh.ChanStats = channel.NewNetStats(p)
-	col := obs.New(p)
-	opt.Mesh.Obs = col
-	if _, err := RunArchetype(spec, p, mesh.Par, opt); err != nil {
-		t.Fatal(err)
-	}
-	col.Finish()
-
 	// Distinct object-footprint sets over the (x, y) plane: the classes.
 	sets := map[string]bool{}
 	for i := 0; i < spec.NX; i++ {
@@ -182,36 +177,74 @@ func TestHostIOTrafficIsExact(t *testing.T) {
 			sets[key] = true
 		}
 	}
-	upper := grid.SlabDecompose3(spec.NX, spec.NY, spec.NZ, p, grid.AxisX)[1].R.Len()
 	farLen := len(newFarField(spec, false).A)
-	terms := []struct {
-		name       string
-		msgs, vals int
-	}{
-		// One combined two-plane message each way per step.
-		{"halo", 2 * spec.Steps, 2 * spec.Steps * 2 * spec.NY * spec.NZ},
-		{"index plane", 1, upper * spec.NY},
-		{"class table", 1, len(sets) * 4 * spec.NZ},
-		// Two potentials, each all-reduced by one message per rank.
-		{"far field", 2 * p, 2 * p * farLen},
-		{"probe", 1, spec.Steps},
-		{"work", p, p},
-		{"gather", 6, 6 * upper * spec.NY * spec.NZ},
-	}
-	var msgs, bytes int64
-	for _, term := range terms {
-		msgs += int64(term.msgs)
-		bytes += 8 * int64(term.vals)
-	}
-	var sends, sent int64
-	for _, r := range col.Snapshot().Ranks {
-		sends += r.Sends
-		sent += r.BytesSent
-	}
-	if got := opt.Mesh.ChanStats.TotalMessages(); got != msgs || sends != msgs {
-		t.Errorf("messages: channel stats %d, obs %d, want %d (%+v)", got, sends, msgs, terms)
-	}
-	if sent != bytes {
-		t.Errorf("bytes sent %d, want %d (%+v)", sent, bytes, terms)
+	for _, g := range [][2]int{{2, 1}, {2, 2}} {
+		px, py := g[0], g[1]
+		p := px * py
+		t.Run(fmt.Sprintf("%dx%d", px, py), func(t *testing.T) {
+			opt := DefaultOptions()
+			opt.Mesh.ChanStats = channel.NewNetStats(p)
+			col := obs.New(p)
+			opt.Mesh.Obs = col
+			opt.Mesh.Profile = machine.NewProfile(p)
+			var err error
+			if py == 1 {
+				_, err = RunArchetype(spec, px, mesh.Par, opt)
+			} else {
+				_, err = RunArchetype2D(spec, px, py, mesh.Par, opt)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			col.Finish()
+
+			xr, yr := mesh.NewTopo2D(spec.NX, spec.NY, px, py).Block(0)
+			remote := spec.NX*spec.NY - xr.Len()*yr.Len() // columns the host does not own
+			rounds := bits.Len(uint(p)) - 1               // recursive-doubling rounds (p a power of two)
+			terms := []struct {
+				name       string
+				msgs, vals int
+			}{
+				// Each inner face carries one combined two-plane message
+				// each way per step.
+				{"x halo", 2 * (px - 1) * py * spec.Steps, 2 * spec.Steps * 2 * (px - 1) * spec.NY * spec.NZ},
+				{"y halo", 2 * px * (py - 1) * spec.Steps, 2 * spec.Steps * 2 * (py - 1) * spec.NX * spec.NZ},
+				{"index plane", p - 1, remote},
+				{"class table", p - 1, (p - 1) * len(sets) * 4 * spec.NZ},
+				// Two potentials, each all-reduced by one message per
+				// rank and round.
+				{"far field", 2 * p * rounds, 2 * p * rounds * farLen},
+				{"probe", p - 1, (p - 1) * spec.Steps},
+				{"work", p * rounds, p * rounds},
+				{"gather", 6 * (p - 1), 6 * remote * spec.NZ},
+			}
+			var msgs, bytes int64
+			for _, term := range terms {
+				msgs += int64(term.msgs)
+				bytes += 8 * int64(term.vals)
+			}
+			var sends, sent int64
+			for _, r := range col.Snapshot().Ranks {
+				sends += r.Sends
+				sent += r.BytesSent
+			}
+			if got := opt.Mesh.ChanStats.TotalMessages(); got != msgs || sends != msgs {
+				t.Errorf("messages: channel stats %d, obs %d, want %d (%+v)", got, sends, msgs, terms)
+			}
+			if sent != bytes {
+				t.Errorf("bytes sent %d, want %d (%+v)", sent, bytes, terms)
+			}
+			// Per step a send and a receive phase per half-step and split
+			// axis; then the index-plane scatter, the class-table
+			// broadcast, two far-field reductions, the probe broadcast,
+			// the work reduction and six gathers.
+			axes := 1
+			if py > 1 {
+				axes = 2
+			}
+			if got, want := opt.Mesh.Profile.Totals().Phases, 4*axes*spec.Steps+12; got != want {
+				t.Errorf("phases %d, want %d", got, want)
+			}
+		})
 	}
 }

@@ -17,7 +17,7 @@ var faceNormals = [6][3]float64{
 // order: face-major, then x-major within a face.  The sequential
 // program passes the full domain; each parallel process passes its
 // block and therefore visits its own points in the same relative order
-// as the sequential program visits them (1-D slabs pass the full y
+// as the sequential program visits them (px×1 blocks pass the full y
 // range).
 func forEachSurface(spec Spec, xlo, xhi, ylo, yhi int, f func(face, i, j, k int)) {
 	off := spec.FarField.Offset

@@ -3,23 +3,19 @@ package fdtd
 import "testing"
 
 // TestStepWindows checks the stepper's update windows on every rank of
-// slab (P = 1, 2, 3) and block (2x2, 4x2) decompositions: the three E
-// windows, and separately the three H windows, cover every local
-// column exactly once, no interior window contains a column that reads
-// a ghost a neighbour fills, and the sequential program (P = 1) runs
-// each half-step as one window.
+// px x 1 (P = 1, 2, 3) and 2-D (2x2, 4x2) block decompositions: the
+// three E windows, and separately the three H windows, cover every
+// local column exactly once, no interior window contains a column that
+// reads a ghost a neighbour fills, and the sequential program (P = 1)
+// runs each half-step as one window.
 func TestStepWindows(t *testing.T) {
 	spec := SpecSmall()
-	type layout struct {
-		px, py  int
-		slabbed bool
-	}
-	for _, l := range []layout{{1, 1, true}, {2, 1, true}, {3, 1, true}, {2, 2, false}, {4, 2, false}} {
-		dec, err := decompose(spec, l.px, l.py, l.slabbed)
+	for _, l := range [][2]int{{1, 1}, {2, 1}, {3, 1}, {2, 2}, {4, 2}} {
+		dec, err := decompose(spec, l[0], l[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		for r := 0; r < dec.procs(); r++ {
+		for r := 0; r < dec.topo.P(); r++ {
 			b := dec.block(r)
 			nxl, nyl := b.xr.Len(), b.yr.Len()
 			e, h := b.windows()
@@ -44,7 +40,7 @@ func TestStepWindows(t *testing.T) {
 						t.Fatalf("%v rank %d %s: column (%d,%d) updated %d times", l, r, half, c/nyl, c%nyl, n)
 					}
 				}
-				if dec.procs() == 1 && nonEmpty != 1 {
+				if dec.topo.P() == 1 && nonEmpty != 1 {
 					t.Fatalf("%v %s: sequential half-step runs %d windows, want 1", l, half, nonEmpty)
 				}
 			}

@@ -166,7 +166,7 @@ func TestCompensatedFarFieldAccurate(t *testing.T) {
 // "host I/O off P=3" row.
 func TestHostIOAndConcurrentIOAgree(t *testing.T) {
 	spec := SpecSmall()
-	dec, err := decompose(spec, 3, 1, true)
+	dec, err := decompose(spec, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,12 +265,12 @@ func delaySpecs() map[string]Spec {
 // decomposition of spec.
 func delayBlocks(t *testing.T, spec Spec) []block {
 	t.Helper()
-	dec, err := decompose(spec, 2, 2, false)
+	dec, err := decompose(spec, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	blocks := []block{{xr: grid.Range{Lo: 0, Hi: spec.NX}, yr: grid.Range{Lo: 0, Hi: spec.NY}}}
-	for r := 0; r < dec.procs(); r++ {
+	for r := 0; r < dec.topo.P(); r++ {
 		blocks = append(blocks, dec.block(r))
 	}
 	return blocks

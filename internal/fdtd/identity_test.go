@@ -137,12 +137,11 @@ type stageRun func(t *testing.T, spec Spec, opt Options) (*Result, error)
 type stage struct {
 	name string
 	// order names the far-field summation order: the decomposition
-	// ("P=3" for x-slabs, "2x3" for blocks), then the reduction
+	// ("P=3" for 3x1 blocks, "2x3" for 2x3 blocks), then the reduction
 	// algorithm, compensation and window split where they differ from
 	// one naive recursive-doubling reduction after one window.  A
 	// single rank reduces nothing, so every one-rank stage sums in the
-	// order "P=1"; blocks px x 1 own the slabs' planes and sum in their
-	// order, "P=px".
+	// order "P=1".
 	order  string
 	reps   int               // runs per cell: a Par stage repeats
 	serial bool              // it switches package state: no stage runs beside it
@@ -155,7 +154,7 @@ type stage struct {
 // from start (step 0 when nil) to until, exactly as RunWithRecovery
 // runs each segment, and returns the state at until.
 func runWindow(spec Spec, p int, opt Options, mode mesh.Mode, start *Checkpoint, until int) (*Checkpoint, error) {
-	pr, err := plan(spec, p, opt)
+	pr, err := plan(spec, p, 1, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +183,7 @@ func sequentialOn(kernel KernelVariant) stageRun {
 	return func(_ *testing.T, spec Spec, opt Options) (*Result, error) {
 		sopt := sequentialOptions(opt.FarFieldCompensated)
 		sopt.Mesh.Profile = machine.NewProfile(1)
-		pr, err := plan(spec, 1, sopt)
+		pr, err := plan(spec, 1, 1, sopt)
 		if err != nil {
 			return nil, err
 		}
@@ -335,16 +334,13 @@ func identityStages() []stage {
 		runtimes(fmt.Sprintf("P=%d", p), fmt.Sprintf("P=%d", p), ssp, append(slices.Clone(pair), mur...),
 			func(mode mesh.Mode) stageRun { return slabs(p, mode) })
 	}
-	for _, g := range [][2]int{{1, 2}, {2, 1}, {2, 2}, {3, 2}, {2, 3}, {4, 3}} {
+	for _, g := range [][2]int{{1, 2}, {2, 2}, {3, 2}, {2, 3}, {4, 3}} {
 		order := fmt.Sprintf("%dx%d", g[0], g[1])
-		if g[1] == 1 {
-			order = fmt.Sprintf("P=%d", g[0])
-		}
 		ssp := slices.Clone(small)
 		if g == [2]int{2, 2} {
 			ssp = append(ssp, "job", "job-compensated")
 		}
-		runtimes(fmt.Sprintf("%dx%d", g[0], g[1]), order, ssp, pair,
+		runtimes(order, order, ssp, pair,
 			func(mode mesh.Mode) stageRun { return blocks(g[0], g[1], mode) })
 	}
 	for _, w := range []int{1, 2, 3, 4, 7} {

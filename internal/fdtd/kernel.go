@@ -13,8 +13,7 @@ import (
 // field grids carry a one-plane ghost boundary along x and y.  The
 // coefficients are not grids: because materials are axis-aligned boxes,
 // Coef maps each local pencil column to one of a few shared row sets
-// (coefTable).  A 1-D slab decomposition is the special case
-// YR == [0, NY).
+// (coefTable).  An x-slab (a px×1 block) has YR == [0, NY).
 type Fields struct {
 	Spec       Spec
 	XR, YR     grid.Range

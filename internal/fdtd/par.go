@@ -45,11 +45,12 @@ func DefaultOptions() Options {
 }
 
 // RunArchetype executes the mesh-archetype build of the application on
-// p processes (x-slabs) under the given runtime mode (mesh.Sim for the
-// sequential simulated-parallel version, mesh.Par for the real parallel
-// version) and returns the assembled result.
+// p processes (x-slabs: RunArchetype2D's p x 1 blocks) under the given
+// runtime mode (mesh.Sim for the sequential simulated-parallel version,
+// mesh.Par for the real parallel version) and returns the assembled
+// result.
 func RunArchetype(spec Spec, p int, mode mesh.Mode, opt Options) (*Result, error) {
-	pr, err := plan(spec, p, opt)
+	pr, err := plan(spec, p, 1, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -58,13 +59,12 @@ func RunArchetype(spec Spec, p int, mode mesh.Mode, opt Options) (*Result, error
 
 // RunArchetype2D executes the mesh-archetype build of the application
 // on a px-by-py 2-D process grid (the x and y axes of the domain are
-// block-distributed; z stays whole).  This is the general form of the
-// archetype's data distribution; RunArchetype's 1-D slabs own the same
-// cells as py == 1 but redistribute plane by plane.  Results are
-// bitwise identical to the sequential program's near field, with the
-// same far-field reordering caveat as the 1-D build.
+// block-distributed; z stays whole).  This is the archetype's one data
+// distribution; RunArchetype is its py == 1 case.  Results are bitwise
+// identical to the sequential program's near field; the far field is
+// combined in the order of the px-by-py reduction.
 func RunArchetype2D(spec Spec, px, py int, mode mesh.Mode, opt Options) (*Result, error) {
-	pr, err := plan2D(spec, px, py, false, opt)
+	pr, err := plan(spec, px, py, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +78,7 @@ func RunArchetype2D(spec Spec, px, py int, mode mesh.Mode, opt Options) (*Result
 // probe series and reductions.  By Theorem 1 all of it is bitwise
 // identical to the same rank's slice of a RunArchetype run.
 func RunArchetypeWorker(spec Spec, rank int, tr channel.Transport[mesh.Msg], opt Options) (*Result, error) {
-	pr, err := plan(spec, tr.P(), opt)
+	pr, err := plan(spec, tr.P(), 1, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +91,7 @@ func RunArchetypeWorker(spec Spec, rank int, tr channel.Transport[mesh.Msg], opt
 // policies (the determinacy experiment E4).  RunArchetype wires the
 // same body to the standard Sim and Par runtimes.
 func SPMD(spec Spec, p int, opt Options) (func(c *mesh.Comm) *Result, error) {
-	pr, err := plan(spec, p, opt)
+	pr, err := plan(spec, p, 1, opt)
 	if err != nil {
 		return nil, err
 	}

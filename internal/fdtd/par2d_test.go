@@ -41,7 +41,7 @@ func TestFarField2DReorderWithinRounding(t *testing.T) {
 // "host I/O off 2x2" row.
 func TestHostIO2DAgreesWithLocal(t *testing.T) {
 	spec := SpecSmallA()
-	dec, err := decompose(spec, 2, 2, false)
+	dec, err := decompose(spec, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

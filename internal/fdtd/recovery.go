@@ -77,7 +77,7 @@ type RecoveryReport struct {
 // returned after the restart budget would not help (deadlocks and real
 // panics are deterministic, so they are not retried).
 func RunWithRecovery(spec Spec, ro RecoveryOptions) (*RecoveryReport, error) {
-	pr, err := plan(spec, ro.P, ro.Opt)
+	pr, err := plan(spec, ro.P, 1, ro.Opt)
 	if err != nil {
 		return nil, err
 	}

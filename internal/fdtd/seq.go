@@ -145,7 +145,7 @@ func RunSequential(spec Spec) (*Result, error) {
 // mode exposed: compensated=true uses Neumaier accumulation (the
 // high-accuracy reference for the far-field divergence analysis).
 func RunSequentialOpts(spec Spec, compensated bool) (*Result, error) {
-	pr, err := plan(spec, 1, sequentialOptions(compensated))
+	pr, err := plan(spec, 1, 1, sequentialOptions(compensated))
 	if err != nil {
 		return nil, err
 	}

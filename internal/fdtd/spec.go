@@ -20,9 +20,9 @@
 // simulated-parallel version) or mesh.Par (the real parallel version) —
 // which are one program (program.rank in step.go) on different
 // decompositions: the sequential build is the single block owning the
-// whole domain; the archetype builds distribute x-slabs (or 2-D blocks)
-// with a one-plane ghost boundary, exactly the mesh-archetype strategy
-// of §4.3.
+// whole domain; the archetype builds distribute px×py blocks
+// (RunArchetype's x-slabs are px×1) with a one-plane ghost boundary,
+// exactly the mesh-archetype strategy of §4.3.
 package fdtd
 
 import (

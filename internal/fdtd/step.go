@@ -216,15 +216,10 @@ type program struct {
 	kernel KernelVariant
 }
 
-// plan admits spec on p x-slabs and returns the full-run program, steps
-// [0, spec.Steps).
-func plan(spec Spec, p int, opt Options) (*program, error) {
-	return plan2D(spec, p, 1, true, opt)
-}
-
-// plan2D is plan on any decomposition decompose offers.
-func plan2D(spec Spec, px, py int, slabbed bool, opt Options) (*program, error) {
-	dec, err := decompose(spec, px, py, slabbed)
+// plan admits spec on px-by-py blocks and returns the full-run program,
+// steps [0, spec.Steps).
+func plan(spec Spec, px, py int, opt Options) (*program, error) {
+	dec, err := decompose(spec, px, py)
 	if err != nil {
 		return nil, err
 	}
@@ -248,7 +243,7 @@ func (pr *program) exec(mode mesh.Mode) (*Result, error) {
 	if err := checkResumable(pr.spec, pr.start); err != nil {
 		return nil, err
 	}
-	results, err := mesh.Run(pr.dec.procs(), mode, pr.opt.Mesh, pr.rank)
+	results, err := mesh.Run(pr.dec.topo.P(), mode, pr.opt.Mesh, pr.rank)
 	if err != nil {
 		return nil, err
 	}
@@ -304,7 +299,7 @@ func (pr *program) rank(c *mesh.Comm) *Result {
 	if spec.Boundary == BoundaryMur1 {
 		mur = newMurState(spec, b.xr, b.yr)
 	}
-	probeOwner := dec.owner(spec.Probe[0], spec.Probe[1])
+	probeOwner := dec.topo.Owner(spec.Probe[0], spec.Probe[1])
 	st := newStepper(c, spec, f, b, pr.kernel, mur, ff, rank == probeOwner)
 	defer st.close()
 

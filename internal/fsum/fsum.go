@@ -155,7 +155,7 @@ func Permuted(xs []float64, rng *rand.Rand) float64 {
 func WideRange(n int, decades float64, rng *rand.Rand) []float64 {
 	out := make([]float64, n)
 	for i := range out {
-		mag := math.Pow(10, rng.Float64()*decades-decades/2)
+		mag := math.Pow(10, float64(rng.Float64()*decades)-decades/2)
 		if rng.Intn(2) == 0 {
 			mag = -mag
 		}
@@ -170,7 +170,7 @@ func WideRange(n int, decades float64, rng *rand.Rand) []float64 {
 func Narrow(n int, rng *rand.Rand) []float64 {
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = rng.Float64()*9 + 1
+		out[i] = float64(rng.Float64()*9) + 1
 	}
 	return out
 }

@@ -112,19 +112,6 @@ func TestG3MaxAbsDiffValues(t *testing.T) {
 	}
 }
 
-func TestIntersectBranches(t *testing.T) {
-	r := Range{3, 9}
-	if got := r.Intersect(Range{0, 5}); got != (Range{3, 5}) {
-		t.Fatalf("Intersect = %v", got)
-	}
-	if got := r.Intersect(Range{0, 100}); got != (Range{3, 9}) {
-		t.Fatalf("Intersect = %v", got)
-	}
-	if got := r.Intersect(Range{0, 1}); got.Len() != 0 {
-		t.Fatalf("Intersect = %v", got)
-	}
-}
-
 func TestSlabDecomposeBadAxisPanics(t *testing.T) {
 	mustPanic(t, func() { SlabDecompose3(4, 4, 4, 2, Axis(9)) })
 }

@@ -129,19 +129,9 @@ func (s Slab) LocalNZ() int {
 	return s.NZ
 }
 
-// ToLocal converts a global coordinate along the split axis to the
-// slab-local coordinate.
-func (s Slab) ToLocal(g int) int { return g - s.R.Lo }
-
 // ToGlobal converts a slab-local coordinate along the split axis to
 // the global coordinate.
 func (s Slab) ToGlobal(l int) int { return l + s.R.Lo }
-
-// HasLower reports whether the slab has a lower neighbour.
-func (s Slab) HasLower() bool { return s.Rank > 0 }
-
-// HasUpper reports whether the slab has an upper neighbour.
-func (s Slab) HasUpper() bool { return s.Rank < s.World-1 }
 
 // NewLocal3 allocates the local grid for the slab with ghost width g
 // along the split axis only (other axes get no ghosts, matching the

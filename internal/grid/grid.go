@@ -46,19 +46,4 @@ func (r Range) Len() int { return r.Hi - r.Lo }
 // Contains reports whether the global index i falls inside the range.
 func (r Range) Contains(i int) bool { return i >= r.Lo && i < r.Hi }
 
-// Intersect returns the overlap of two ranges (possibly empty).
-func (r Range) Intersect(s Range) Range {
-	lo, hi := r.Lo, r.Hi
-	if s.Lo > lo {
-		lo = s.Lo
-	}
-	if s.Hi < hi {
-		hi = s.Hi
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return Range{lo, hi}
-}
-
 func (r Range) String() string { return fmt.Sprintf("[%d,%d)", r.Lo, r.Hi) }

@@ -84,13 +84,6 @@ func (g *G3) Pencil(i, j int) []float64 {
 	return g.data[base : base+g.ze.N]
 }
 
-// PencilFrom returns the z-run at (i, j) starting at logical k0 with
-// length n, which may extend into ghost cells.
-func (g *G3) PencilFrom(i, j, k0, n int) []float64 {
-	base := g.Index(i, j, k0)
-	return g.data[base : base+n]
-}
-
 // Row is the kernel view of the interior z-row at (i, j): the same
 // aliased storage as Pencil, but with the capacity clamped to the row
 // length, so a stray append or re-slice past NZ panics instead of
@@ -193,51 +186,6 @@ func (g *G3) MaxAbsDiff(h *G3) float64 {
 		}
 	}
 	return max
-}
-
-// SumInterior returns the naive left-to-right sum of all interior
-// values in storage order.  Used by reductions and tests.
-func (g *G3) SumInterior() float64 {
-	s := 0.0
-	for i := 0; i < g.xe.N; i++ {
-		for j := 0; j < g.ye.N; j++ {
-			for _, v := range g.Pencil(i, j) {
-				s += v
-			}
-		}
-	}
-	return s
-}
-
-// MaxInterior returns the maximum interior value.
-func (g *G3) MaxInterior() float64 {
-	first := true
-	m := 0.0
-	for i := 0; i < g.xe.N; i++ {
-		for j := 0; j < g.ye.N; j++ {
-			for _, v := range g.Pencil(i, j) {
-				if first || v > m {
-					m = v
-					first = false
-				}
-			}
-		}
-	}
-	return m
-}
-
-// CopyPlaneX copies the full y-z interior plane at x=srcI of src into
-// the plane at x=dstI of g (which may be a ghost plane, i.e. dstI may
-// be negative or >= NX).  Both grids must agree on NY and NZ.
-func (g *G3) CopyPlaneX(dstI int, src *G3, srcI int) {
-	if g.ye.N != src.ye.N || g.ze.N != src.ze.N {
-		panic("grid: CopyPlaneX shape mismatch")
-	}
-	for j := 0; j < g.ye.N; j++ {
-		dst := g.data[g.Index(dstI, j, 0) : g.Index(dstI, j, 0)+g.ze.N]
-		s := src.Pencil(srcI, j)
-		copy(dst, s)
-	}
 }
 
 // PackPlaneX serialises the interior y-z plane at x=i into buf (which

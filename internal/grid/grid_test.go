@@ -136,28 +136,11 @@ func TestG3PencilStride1(t *testing.T) {
 	if g.At(1, 1, 3) != 11 {
 		t.Fatal("Pencil does not alias store")
 	}
-	pf := g.PencilFrom(1, 1, -1, 8)
-	if len(pf) != 8 {
-		t.Fatalf("PencilFrom length %d", len(pf))
-	}
-	if pf[4] != 11 {
-		t.Fatal("PencilFrom offset wrong")
-	}
 }
 
 func TestG3PlaneCopyAndPack(t *testing.T) {
 	a := New3(4, 3, 2, 1)
-	b := New3(4, 3, 2, 1)
 	a.FillFunc(func(i, j, k int) float64 { return float64(i*100 + j*10 + k) })
-	// Copy a's last interior plane into b's low ghost plane.
-	b.CopyPlaneX(-1, a, 3)
-	for j := 0; j < 3; j++ {
-		for k := 0; k < 2; k++ {
-			if b.At(-1, j, k) != a.At(3, j, k) {
-				t.Fatalf("CopyPlaneX mismatch at (%d,%d)", j, k)
-			}
-		}
-	}
 	// Pack/unpack round trip.
 	buf := a.PackPlaneX(2, nil)
 	if len(buf) != 6 {
@@ -171,23 +154,6 @@ func TestG3PlaneCopyAndPack(t *testing.T) {
 				t.Fatalf("pack/unpack mismatch at (%d,%d)", j, k)
 			}
 		}
-	}
-}
-
-func TestG3SumAndMax(t *testing.T) {
-	g := New3(2, 2, 2, 0)
-	g.FillFunc(func(i, j, k int) float64 { return float64(i + j + k) })
-	if s := g.SumInterior(); s != 12 {
-		t.Fatalf("SumInterior = %v, want 12", s)
-	}
-	if m := g.MaxInterior(); m != 3 {
-		t.Fatalf("MaxInterior = %v, want 3", m)
-	}
-	neg := New3(1, 1, 2, 0)
-	neg.Set(0, 0, 0, -5)
-	neg.Set(0, 0, 1, -9)
-	if m := neg.MaxInterior(); m != -5 {
-		t.Fatalf("MaxInterior of negatives = %v, want -5", m)
 	}
 }
 
@@ -218,14 +184,6 @@ func TestRangeOps(t *testing.T) {
 	}
 	if !r.Contains(2) || r.Contains(7) || r.Contains(1) {
 		t.Fatal("Contains wrong")
-	}
-	got := r.Intersect(Range{5, 10})
-	if got != (Range{5, 7}) {
-		t.Fatalf("Intersect = %v", got)
-	}
-	empty := r.Intersect(Range{8, 10})
-	if empty.Len() != 0 {
-		t.Fatalf("disjoint Intersect = %v", empty)
 	}
 	if r.String() != "[2,7)" {
 		t.Fatalf("String = %q", r.String())
@@ -307,16 +265,6 @@ func TestSlabDecompose(t *testing.T) {
 	}
 	if total != 33 {
 		t.Fatalf("z total = %d", total)
-	}
-	if slabs[0].HasLower() || !slabs[0].HasUpper() {
-		t.Fatal("slab 0 neighbours wrong")
-	}
-	if !slabs[3].HasLower() || slabs[3].HasUpper() {
-		t.Fatal("slab 3 neighbours wrong")
-	}
-	s := slabs[1]
-	if s.ToGlobal(s.ToLocal(s.R.Lo)) != s.R.Lo {
-		t.Fatal("ToLocal/ToGlobal not inverse")
 	}
 }
 

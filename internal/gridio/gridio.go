@@ -1,8 +1,9 @@
 // Package gridio reads and writes grids in a simple binary format, the
 // concrete "file input/output operations" of the mesh archetype.  In
 // the host-process I/O pattern, the host reads a file with this package
-// and scatters the grid to the grid processes (mesh.ScatterX); a write
-// gathers first (mesh.GatherX) and then serialises here.
+// and scatters the grid to the grid processes' blocks
+// (mesh.Scatter3DBlocks); a write gathers first (mesh.Gather3DBlocks)
+// and then serialises here.
 //
 // Format (little-endian):
 //

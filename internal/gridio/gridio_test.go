@@ -178,7 +178,7 @@ func TestHostIOPattern(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	slabs := grid.SlabDecompose3(nx, ny, nz, p, grid.AxisX)
+	topo := mesh.NewTopo2D(nx, ny, p, 1)
 	_, err := mesh.Run(p, mesh.Sim, mesh.DefaultOptions(), func(c *mesh.Comm) error {
 		var global *grid.G3
 		if c.Rank() == 0 {
@@ -188,7 +188,7 @@ func TestHostIOPattern(t *testing.T) {
 				return err
 			}
 		}
-		local := c.ScatterX(global, slabs, 0, 0)
+		local := c.Scatter3DBlocks(global, topo, nz, 0, 0, 0)
 		for i := 0; i < local.NX(); i++ {
 			for j := 0; j < local.NY(); j++ {
 				pcl := local.Pencil(i, j)
@@ -197,7 +197,7 @@ func TestHostIOPattern(t *testing.T) {
 				}
 			}
 		}
-		out := c.GatherX(local, slabs, 0)
+		out := c.Gather3DBlocks(local, topo, nz, 0)
 		if c.Rank() == 0 {
 			return SaveFile3(outPath, out)
 		}

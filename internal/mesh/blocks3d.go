@@ -8,51 +8,36 @@ import (
 )
 
 // Host/grid redistribution of 3-D grids distributed over a 2-D process
-// topology (x and y split, z whole): the file-I/O pattern for the
-// 2-D-decomposed builds of the FDTD application.
+// topology (x and y split, z whole): the file-I/O pattern of the mesh
+// archetype's block distribution.  A block travels as its x-planes,
+// one message per plane or one combined message (sendPlanes), so a
+// px x 1 topology moves the same planes as a plane-by-plane slab
+// redistribution.
 
-// packLocal3Into serialises a local section's interior, x-major then
-// y-major then z, into dst (length NX*NY*NZ, typically pooled).
-func packLocal3Into(g *grid.G3, dst []float64) {
+// packPlane copies the z-pencils (i, j0), …, (i, j0+n-1) of g into
+// dst, j-major.
+func packPlane(g *grid.G3, i, j0, n int, dst []float64) {
 	nz := g.NZ()
-	off := 0
-	for i := 0; i < g.NX(); i++ {
-		for j := 0; j < g.NY(); j++ {
-			copy(dst[off:off+nz], g.Pencil(i, j))
-			off += nz
-		}
+	for j := 0; j < n; j++ {
+		copy(dst[j*nz:(j+1)*nz], g.Pencil(i, j0+j))
 	}
 }
 
-// unpackInto writes a packed local section into the global grid at the
-// block position (xr, yr).
-func unpackInto(global *grid.G3, xr, yr grid.Range, data []float64) {
-	nz := global.NZ()
-	off := 0
-	for i := 0; i < xr.Len(); i++ {
-		for j := 0; j < yr.Len(); j++ {
-			copy(global.Pencil(xr.Lo+i, yr.Lo+j), data[off:off+nz])
-			off += nz
-		}
+// unpackPlane is packPlane's inverse: it writes data's pencils to
+// (i, j0), (i, j0+1), … of g.
+func unpackPlane(g *grid.G3, i, j0 int, data []float64) {
+	nz := g.NZ()
+	for j := 0; j < len(data)/nz; j++ {
+		copy(g.Pencil(i, j0+j), data[j*nz:(j+1)*nz])
 	}
 }
 
-// copyBlockIn copies a local section's interior pencils directly into
-// the global grid (root's own block: no serialisation round trip).
-func copyBlockIn(global *grid.G3, xr, yr grid.Range, local *grid.G3) {
-	for i := 0; i < local.NX(); i++ {
-		for j := 0; j < local.NY(); j++ {
-			copy(global.Pencil(xr.Lo+i, yr.Lo+j), local.Pencil(i, j))
-		}
-	}
-}
-
-// copyBlockOut copies the (xr, yr) block of the global grid directly
-// into a local section's interior pencils.
-func copyBlockOut(local *grid.G3, global *grid.G3, xr, yr grid.Range) {
-	for i := 0; i < local.NX(); i++ {
-		for j := 0; j < local.NY(); j++ {
-			copy(local.Pencil(i, j), global.Pencil(xr.Lo+i, yr.Lo+j))
+// copyBlock copies the nx x ny pencils at (si, sj) of src to (di, dj)
+// of dst: root's own block, with no serialisation round trip.
+func copyBlock(dst *grid.G3, di, dj int, src *grid.G3, si, sj, nx, ny int) {
+	for i := 0; i < nx; i++ {
+		for j := 0; j < ny; j++ {
+			copy(dst.Pencil(di+i, dj+j), src.Pencil(si+i, sj+j))
 		}
 	}
 }
@@ -64,29 +49,27 @@ func (c *Comm) Gather3DBlocks(local *grid.G3, t *Topo2D, nz, root int) *grid.G3 
 	if c.P() != t.P() {
 		panic(fmt.Sprintf("mesh: topology has %d processes, run has %d", t.P(), c.P()))
 	}
-	c.beginPhase(obs.PhaseIO, "gather-3d-blocks")
+	c.beginPhase(obs.PhaseIO, "gather")
 	defer c.endPhase()
 	r := c.Rank()
 	if r != root {
-		buf := getBuf(local.NX() * local.NY() * local.NZ())
-		packLocal3Into(local, buf)
-		c.sendOwned(root, buf)
+		ny := local.NY()
+		c.sendPlanes(root, local.NX(), ny*local.NZ(), func(k int, dst []float64) { packPlane(local, k, 0, ny, dst) })
+		c.flush()
 		return nil
 	}
 	// The preallocated global grid is the full receive area; the own
-	// block is copied pencil-by-pencil, received blocks are unpacked
-	// straight into place and their payloads returned to the arena.
+	// block is copied pencil by pencil, received planes are unpacked
+	// straight into place.
 	global := grid.New3(t.NX, t.NY, nz, 0)
 	xr, yr := t.Block(r)
-	copyBlockIn(global, xr, yr, local)
+	copyBlock(global, xr.Lo, yr.Lo, local, 0, 0, xr.Len(), yr.Len())
 	for src := 0; src < c.P(); src++ {
 		if src == root {
 			continue
 		}
 		sxr, syr := t.Block(src)
-		buf := c.recv(src)
-		unpackInto(global, sxr, syr, buf)
-		putBuf(buf)
+		c.recvPlanes(src, sxr.Len(), func(k int, data []float64) { unpackPlane(global, sxr.Lo+k, syr.Lo, data) })
 	}
 	return global
 }
@@ -98,49 +81,26 @@ func (c *Comm) Scatter3DBlocks(global *grid.G3, t *Topo2D, nz, root, gx, gy int)
 	if c.P() != t.P() {
 		panic(fmt.Sprintf("mesh: topology has %d processes, run has %d", t.P(), c.P()))
 	}
-	c.beginPhase(obs.PhaseIO, "scatter-3d-blocks")
+	c.beginPhase(obs.PhaseIO, "scatter")
 	defer c.endPhase()
 	r := c.Rank()
-	mkLocal := func(rank int) *grid.G3 {
-		xr, yr := t.Block(rank)
-		return grid.New3G(xr.Len(), yr.Len(), nz, gx, gy, 0)
-	}
-	fill := func(local *grid.G3, data []float64) {
-		off := 0
-		for i := 0; i < local.NX(); i++ {
-			for j := 0; j < local.NY(); j++ {
-				copy(local.Pencil(i, j), data[off:off+nz])
-				off += nz
-			}
-		}
-	}
-	if r == root {
-		if global == nil {
-			panic("mesh: Scatter3DBlocks requires the global grid on root")
-		}
-		for dst := 0; dst < c.P(); dst++ {
-			if dst == root {
-				continue
-			}
-			xr, yr := t.Block(dst)
-			buf := getBuf(xr.Len() * yr.Len() * nz)
-			off := 0
-			for i := xr.Lo; i < xr.Hi; i++ {
-				for j := yr.Lo; j < yr.Hi; j++ {
-					copy(buf[off:off+nz], global.Pencil(i, j))
-					off += nz
-				}
-			}
-			c.sendOwned(dst, buf)
-		}
-		local := mkLocal(r)
-		xr, yr := t.Block(r)
-		copyBlockOut(local, global, xr, yr)
+	xr, yr := t.Block(r)
+	local := grid.New3G(xr.Len(), yr.Len(), nz, gx, gy, 0)
+	if r != root {
+		c.recvPlanes(root, xr.Len(), func(k int, data []float64) { unpackPlane(local, k, 0, data) })
 		return local
 	}
-	local := mkLocal(r)
-	buf := c.recv(root)
-	fill(local, buf)
-	putBuf(buf)
+	if global == nil {
+		panic("mesh: Scatter3DBlocks requires the global grid on root")
+	}
+	for dst := 0; dst < c.P(); dst++ {
+		if dst == root {
+			continue
+		}
+		dxr, dyr := t.Block(dst)
+		c.sendPlanes(dst, dxr.Len(), dyr.Len()*nz, func(k int, buf []float64) { packPlane(global, dxr.Lo+k, dyr.Lo, dyr.Len(), buf) })
+	}
+	c.flush()
+	copyBlock(local, 0, 0, global, xr.Lo, yr.Lo, xr.Len(), yr.Len())
 	return local
 }

@@ -6,40 +6,47 @@ import (
 	"repro/internal/grid"
 )
 
+// TestScatterGather3DBlocksRoundTrip scatters a grid over px x 1
+// (x-slab) and 2-D block topologies, combined (one message per block)
+// and not (one per x-plane), and gathers it back.
 func TestScatterGather3DBlocksRoundTrip(t *testing.T) {
 	const nx, ny, nz = 9, 8, 5
 	global := grid.New3(nx, ny, nz, 0)
 	global.FillFunc(func(i, j, k int) float64 { return float64(i*1000 + j*10 + k) })
-	for _, pq := range [][2]int{{1, 1}, {2, 2}, {3, 2}, {1, 4}} {
+	for _, pq := range [][2]int{{1, 1}, {2, 1}, {4, 1}, {2, 2}, {3, 2}, {1, 4}} {
 		topo := NewTopo2D(nx, ny, pq[0], pq[1])
-		for _, mode := range bothModes {
-			res, err := Run(topo.P(), mode, DefaultOptions(), func(c *Comm) *grid.G3 {
-				var src *grid.G3
-				if c.Rank() == 0 {
-					src = global
-				}
-				local := c.Scatter3DBlocks(src, topo, nz, 0, 1, 1)
-				// Spot-check the local contents and ghost allocation.
-				xr, yr := topo.Block(c.Rank())
-				if local.GhostX() != 1 || local.GhostY() != 1 || local.GhostZ() != 0 {
-					panic("scatter ghost widths wrong")
-				}
-				for i := 0; i < local.NX(); i++ {
-					if local.At(i, 0, 0) != global.At(xr.Lo+i, yr.Lo, 0) {
-						panic("scatter delivered wrong block")
+		for _, combine := range []bool{true, false} {
+			for _, mode := range bothModes {
+				opt := DefaultOptions()
+				opt.Combine = combine
+				res, err := Run(topo.P(), mode, opt, func(c *Comm) *grid.G3 {
+					var src *grid.G3
+					if c.Rank() == 0 {
+						src = global
 					}
+					local := c.Scatter3DBlocks(src, topo, nz, 0, 1, 1)
+					// Spot-check the local contents and ghost allocation.
+					xr, yr := topo.Block(c.Rank())
+					if local.GhostX() != 1 || local.GhostY() != 1 || local.GhostZ() != 0 {
+						panic("scatter ghost widths wrong")
+					}
+					for i := 0; i < local.NX(); i++ {
+						if local.At(i, local.NY()-1, nz-1) != global.At(xr.Lo+i, yr.Hi-1, nz-1) {
+							panic("scatter delivered wrong block")
+						}
+					}
+					return c.Gather3DBlocks(local, topo, nz, 0)
+				})
+				if err != nil {
+					t.Fatalf("%v combine=%v %v: %v", pq, combine, mode, err)
 				}
-				return c.Gather3DBlocks(local, topo, nz, 0)
-			})
-			if err != nil {
-				t.Fatalf("%v %v: %v", pq, mode, err)
-			}
-			if res[0] == nil || !res[0].Equal(global) {
-				t.Fatalf("%v %v: gather(scatter(g)) != g", pq, mode)
-			}
-			for r := 1; r < topo.P(); r++ {
-				if res[r] != nil {
-					t.Fatalf("non-root %d returned a grid", r)
+				if res[0] == nil || !res[0].Equal(global) {
+					t.Fatalf("%v combine=%v %v: gather(scatter(g)) != g", pq, combine, mode)
+				}
+				for r := 1; r < topo.P(); r++ {
+					if res[r] != nil {
+						t.Fatalf("non-root %d returned a grid", r)
+					}
 				}
 			}
 		}
@@ -75,23 +82,8 @@ func TestGather3DBlocksToNonZeroRoot(t *testing.T) {
 
 func TestBlocks3DPanics(t *testing.T) {
 	topo := NewTopo2D(6, 6, 2, 2)
-	_, err := Run(2, Sim, DefaultOptions(), func(c *Comm) bool {
-		defer func() { recover() }()
-		g := grid.New3(3, 3, 3, 0)
-		c.Gather3DBlocks(g, topo, 3, 0) // run P != topo P
-		return false
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Run(4, Sim, DefaultOptions(), func(c *Comm) bool {
-		defer func() { recover() }()
-		c.Scatter3DBlocks(nil, topo, 3, c.Rank(), 0, 0) // nil global on root
-		return false
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	requirePanics(t, "run P != topo P", 2, func(c *Comm) { c.Gather3DBlocks(grid.New3(3, 3, 3, 0), topo, 3, 0) })
+	requirePanics(t, "nil global on root", 4, func(c *Comm) { c.Scatter3DBlocks(nil, topo, 3, c.Rank(), 0, 0) })
 }
 
 func TestCommOptionsAccessor(t *testing.T) {

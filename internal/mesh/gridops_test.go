@@ -1,7 +1,6 @@
 package mesh
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -17,19 +16,23 @@ func buildLocal2(rg grid.Range, ny, ghost int, f func(gx, y int) float64) *grid.
 	return g
 }
 
+// TestExchangeGhostRows exchanges the ghost rows of a p x 1 block
+// distribution (rows split, columns whole), combined and not, under
+// both runtimes.
 func TestExchangeGhostRows(t *testing.T) {
 	f := func(gx, y int) float64 { return float64(1000*gx + y) }
 	const nx, ny = 13, 4
 	for _, combine := range []bool{true, false} {
 		for _, mode := range bothModes {
 			for _, p := range []int{2, 3, 5} {
-				ranges := grid.Decompose(nx, p)
+				topo := NewTopo2D(nx, ny, p, 1)
+				ranges := topo.XRanges
 				opt := DefaultOptions()
 				opt.Combine = combine
 				res, err := Run(p, mode, opt, func(c *Comm) []float64 {
 					rg := ranges[c.Rank()]
 					g := buildLocal2(rg, ny, 1, f)
-					c.ExchangeGhostRows(g)
+					c.ExchangeGhost2D(g, topo, false)
 					// Return the ghost rows for verification.
 					out := make([]float64, 0, 2*ny)
 					for j := 0; j < ny; j++ {
@@ -60,39 +63,6 @@ func TestExchangeGhostRows(t *testing.T) {
 						}
 					}
 				}
-			}
-		}
-	}
-}
-
-func TestExchangeGhostRowsWidth2(t *testing.T) {
-	f := func(gx, y int) float64 { return float64(gx)*7.5 - float64(y) }
-	const nx, ny, w = 12, 3, 2
-	ranges := grid.Decompose(nx, 3)
-	res, err := Run(3, Sim, DefaultOptions(), func(c *Comm) [][]float64 {
-		rg := ranges[c.Rank()]
-		g := buildLocal2(rg, ny, w, f)
-		c.ExchangeGhostRows(g)
-		var rows [][]float64
-		for i := -w; i < 0; i++ {
-			row := make([]float64, ny)
-			for j := range row {
-				row[j] = g.At(i, j)
-			}
-			rows = append(rows, row)
-		}
-		return rows
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Process 1's ghost rows -2,-1 are global rows Lo-2, Lo-1.
-	rg := ranges[1]
-	for k, row := range res[1] {
-		gx := rg.Lo - w + k
-		for j, v := range row {
-			if v != f(gx, j) {
-				t.Fatalf("ghost row %d col %d = %v want %v", k, j, v, f(gx, j))
 			}
 		}
 	}
@@ -140,103 +110,29 @@ func TestExchangeGhostPlanesX(t *testing.T) {
 	}
 }
 
-func TestGhostExchangePanicsWithoutGhosts(t *testing.T) {
-	_, err := Run(2, Sim, DefaultOptions(), func(c *Comm) bool {
-		defer func() { recover() }()
-		g := grid.New2(4, 4, 0)
-		c.ExchangeGhostRows(g)
-		return false
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestScatterGatherRoundTrip3D(t *testing.T) {
-	const nx, ny, nz = 11, 4, 3
-	global := grid.New3(nx, ny, nz, 0)
-	rng := rand.New(rand.NewSource(8))
-	global.FillFunc(func(i, j, k int) float64 { return rng.NormFloat64() })
-	for _, combine := range []bool{true, false} {
-		for _, mode := range bothModes {
-			for _, p := range []int{1, 2, 4} {
-				slabs := grid.SlabDecompose3(nx, ny, nz, p, grid.AxisX)
-				opt := DefaultOptions()
-				opt.Combine = combine
-				res, err := Run(p, mode, opt, func(c *Comm) *grid.G3 {
-					var src *grid.G3
-					if c.Rank() == 0 {
-						src = global
-					}
-					local := c.ScatterX(src, slabs, 0, 1)
-					// Verify local contents in passing.
-					sl := slabs[c.Rank()]
-					for i := 0; i < local.NX(); i++ {
-						if local.At(i, 1, 1) != global.At(sl.ToGlobal(i), 1, 1) {
-							panic("scatter delivered wrong plane")
-						}
-					}
-					return c.GatherX(local, slabs, 0)
-				})
-				if err != nil {
-					t.Fatalf("combine=%v %v p=%d: %v", combine, mode, p, err)
-				}
-				if res[0] == nil || !res[0].Equal(global) {
-					t.Fatalf("combine=%v %v p=%d: gather(scatter(g)) != g", combine, mode, p)
-				}
-				for r := 1; r < p; r++ {
-					if res[r] != nil {
-						t.Fatalf("non-root %d should return nil from GatherX", r)
-					}
-				}
-			}
-		}
-	}
-}
-
+// TestScatterGatherRoundTrip2D gathers the rows of a p x 1 block
+// distribution back into the global grid.
 func TestScatterGatherRoundTrip2D(t *testing.T) {
 	const nx, ny = 10, 5
 	global := grid.New2(nx, ny, 0)
 	global.FillFunc(func(i, j int) float64 { return float64(i*100 + j) })
 	for _, p := range []int{1, 2, 3} {
-		ranges := grid.Decompose(nx, p)
+		topo := NewTopo2D(nx, ny, p, 1)
 		res, err := Run(p, Sim, DefaultOptions(), func(c *Comm) *grid.G2 {
-			// Each rank takes its own rows of the global grid; GatherRows
+			// Each rank takes its own rows of the global grid; Gather2D
 			// must reassemble exactly that grid on the root.
-			rg := ranges[c.Rank()]
+			rg := topo.XRanges[c.Rank()]
 			local := grid.New2(rg.Len(), ny, 1)
 			for k := 0; k < rg.Len(); k++ {
 				local.UnpackRow(k, 0, global.Row(rg.Lo+k))
 			}
-			return c.GatherRows(local, ranges, nx, 0)
+			return c.Gather2D(local, topo, 0)
 		})
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
 		if res[0] == nil || !res[0].Equal(global) {
 			t.Fatalf("p=%d: 2-D round trip failed", p)
-		}
-	}
-}
-
-func TestGatherToNonZeroRoot(t *testing.T) {
-	const nx, ny, nz = 6, 2, 2
-	slabs := grid.SlabDecompose3(nx, ny, nz, 3, grid.AxisX)
-	res, err := Run(3, Sim, DefaultOptions(), func(c *Comm) *grid.G3 {
-		sl := slabs[c.Rank()]
-		local := sl.NewLocal3(0)
-		local.FillFunc(func(i, j, k int) float64 { return float64(sl.ToGlobal(i)) })
-		return c.GatherX(local, slabs, 2)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0] != nil || res[1] != nil || res[2] == nil {
-		t.Fatal("only root 2 should hold the gathered grid")
-	}
-	for i := 0; i < nx; i++ {
-		if res[2].At(i, 0, 0) != float64(i) {
-			t.Fatalf("gathered plane %d wrong", i)
 		}
 	}
 }
@@ -250,10 +146,10 @@ func TestCombiningReducesMessages(t *testing.T) {
 		opt := DefaultOptions()
 		opt.Combine = combine
 		opt.Profile = prof
-		ranges := grid.Decompose(12, 3)
+		topo := NewTopo2D(12, 4, 3, 1)
 		_, err := Run(3, Sim, opt, func(c *Comm) int {
-			g := buildLocal2(ranges[c.Rank()], 4, 2, func(gx, y int) float64 { return 1 })
-			c.ExchangeGhostRows(g)
+			g := buildLocal2(topo.XRanges[c.Rank()], 4, 2, func(gx, y int) float64 { return 1 })
+			c.ExchangeGhost2D(g, topo, false)
 			return 0
 		})
 		if err != nil {
@@ -275,15 +171,15 @@ func TestGhostExchangeSimEqualsPar(t *testing.T) {
 	// A diffusion-like sweep with exchanges every step: Sim and Par
 	// results must be bitwise identical.
 	const nx, ny, steps, p = 16, 6, 5, 4
-	ranges := grid.Decompose(nx, p)
+	topo := NewTopo2D(nx, ny, p, 1)
 	prog := func(c *Comm) []float64 {
-		rg := ranges[c.Rank()]
+		rg := topo.XRanges[c.Rank()]
 		g := buildLocal2(rg, ny, 1, func(gx, y int) float64 {
 			return float64(gx*gx) * 0.013 * float64(y+1)
 		})
 		next := g.Clone()
 		for s := 0; s < steps; s++ {
-			c.ExchangeGhostRows(g)
+			c.ExchangeGhost2D(g, topo, false)
 			for i := 0; i < g.NX(); i++ {
 				gi := rg.Lo + i
 				for j := 0; j < ny; j++ {

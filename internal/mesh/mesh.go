@@ -20,12 +20,12 @@
 // under both runtimes; the fdtd package's tests verify this bitwise.
 //
 // The communication operations are the archetype's catalogue:
-// boundary exchange (ExchangeGhostRows, ExchangeGhost2D and the 3-D
-// family in axis.go), broadcast of global data (Broadcast,
-// BroadcastVec), reductions (AllReduce, AllReduceVecAlg, with
-// recursive-doubling and all-to-one algorithms), and host↔grid
-// redistribution for file I/O (GatherX, ScatterX, GatherRows, and the
-// block forms Gather2D, Gather3DBlocks, Scatter3DBlocks).
+// boundary exchange (ExchangeGhost2D and the 3-D family in axis.go),
+// broadcast of global data (Broadcast, BroadcastVec), reductions
+// (AllReduce, AllReduceVecAlg, with recursive-doubling and all-to-one
+// algorithms), and host↔grid redistribution for file I/O over px×py
+// blocks, x-slabs being px×1 (Gather2D, Gather3DBlocks,
+// Scatter3DBlocks).
 package mesh
 
 import (

@@ -159,24 +159,27 @@ func TestExchangeGhost2DGhostWidth2(t *testing.T) {
 	}
 }
 
+// requirePanics runs f on p ranks and fails unless it panics on every
+// rank.
+func requirePanics(t *testing.T, name string, p int, f func(c *Comm)) {
+	t.Helper()
+	res, err := Run(p, Sim, DefaultOptions(), func(c *Comm) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		f(c)
+		return false
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	for r, panicked := range res {
+		if !panicked {
+			t.Errorf("%s: rank %d did not panic", name, r)
+		}
+	}
+}
+
 func TestTopo2DPanics(t *testing.T) {
 	tp := NewTopo2D(8, 8, 2, 2)
-	_, err := Run(2, Sim, DefaultOptions(), func(c *Comm) bool {
-		defer func() { recover() }()
-		g := grid.New2(4, 4, 1)
-		c.ExchangeGhost2D(g, tp, false) // run has 2 procs, topo has 4
-		return false
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Run(4, Sim, DefaultOptions(), func(c *Comm) bool {
-		defer func() { recover() }()
-		g := grid.New2(4, 4, 0) // no ghosts
-		c.ExchangeGhost2D(g, tp, false)
-		return false
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	requirePanics(t, "run P != topo P", 2, func(c *Comm) { c.ExchangeGhost2D(grid.New2(4, 4, 1), tp, false) })
+	requirePanics(t, "no ghosts", 4, func(c *Comm) { c.ExchangeGhost2D(grid.New2(4, 4, 0), tp, false) })
 }
