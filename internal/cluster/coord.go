@@ -45,6 +45,8 @@ type Coordinator struct {
 	mint   func() obs.TraceID // per-request trace ids
 	traces *obs.TraceStore    // coordinator-side service spans
 
+	requests serve.RequestReader // POST /v1/jobs bodies, repeats decoded once
+
 	// counters (atomic; exposed by /v1/stats)
 	jobs      atomic.Int64 // requests accepted for forwarding
 	forwarded atomic.Int64 // final responses obtained from a node
@@ -168,7 +170,7 @@ func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "method", "use POST")
 		return
 	}
-	body, req, err := serve.ReadJobRequest(w, r)
+	body, req, err := c.requests.ReadJobRequest(w, r)
 	if err != nil {
 		c.rejected.Add(1)
 		status, kind := serve.RequestErrorStatus(err)
@@ -302,29 +304,34 @@ var resultNull = []byte(`,"result":null`)
 // clusterBody encodes resp as the coordinator's POST /v1/jobs success
 // body, with Origin and Result taken from the node's 200 body.
 //
-// The node body is decoded once: that is the check that it is a
-// JobResponse, and its error is the caller's 502.  The result's bytes
-// are then spliced into the encoded envelope instead of going through
+// Reading the node body is the check that it is a JobResponse, and its
+// error is the caller's 502.  A body in the exact shape a node writes
+// is read in one pass by serve.ParseJobResponse; any other body goes
+// to json.Unmarshal, whose verdict stands.  The result's bytes are then
+// spliced into the encoded envelope instead of going through
 // encoding/json again, which would validate and compact them a second
 // time.  The body returned is byte for byte what
 // json.NewEncoder(w).Encode(resp) writes with the node's result in it.
 func clusterBody(nodeBody []byte, resp ClusterResponse) ([]byte, error) {
-	var node struct {
-		Origin string          `json:"origin"`
-		Result json.RawMessage `json:"result"`
+	origin, result, canonical, ok := serve.ParseJobResponse(nodeBody)
+	if !ok {
+		var node struct {
+			Origin string          `json:"origin"`
+			Result json.RawMessage `json:"result"`
+		}
+		if err := json.Unmarshal(nodeBody, &node); err != nil {
+			return nil, err
+		}
+		origin, result = node.Origin, node.Result
 	}
-	if err := json.Unmarshal(nodeBody, &node); err != nil {
-		return nil, err
-	}
-	result := []byte(node.Result)
-	if !canonical(result) {
+	if !canonical {
 		// The form the encoder gives a RawMessage: compact, HTML-escaped.
 		var err error
-		if result, err = json.Marshal(node.Result); err != nil {
+		if result, err = json.Marshal(json.RawMessage(result)); err != nil {
 			return nil, err
 		}
 	}
-	resp.Origin, resp.Result = node.Origin, nil
+	resp.Origin, resp.Result = origin, nil
 	env, err := json.Marshal(resp)
 	if err != nil {
 		return nil, err
@@ -339,27 +346,6 @@ func clusterBody(nodeBody []byte, resp ClusterResponse) ([]byte, error) {
 	out = append(out, result...)
 	out = append(out, tail...)
 	return append(out, '\n'), nil
-}
-
-// canonical reports whether raw, a valid JSON value, is already in the
-// form encoding/json writes a RawMessage in, so that it can be spliced
-// as is.  That holds when raw has no white space (compaction drops it,
-// and telling that from a space inside a string takes a full scan) and
-// nothing HTML escaping rewrites: <, >, & and U+2028 and U+2029, whose
-// lead byte 0xE2 stands in for them here.  A node's result qualifies:
-// json.Marshal wrote it, and it is ASCII with no space in a string.
-// One vectorised IndexByte pass per byte beats a byte loop over a result
-// several kilobytes long.
-func canonical(raw []byte) bool {
-	if len(raw) == 0 {
-		return false
-	}
-	for _, c := range []byte(" \t\n\r<>&\xe2") {
-		if bytes.IndexByte(raw, c) >= 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // handleJobTrace serves GET /v1/jobs/{id}/trace: the merged Chrome

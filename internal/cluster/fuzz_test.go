@@ -32,6 +32,34 @@ func FuzzNodeResponse(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(res, "n0")
+	// The exact body a node writes, which serve.ParseJobResponse reads
+	// in one pass, and one seed for each class of body it hands to
+	// json.Unmarshal instead.
+	node := func(origin, result, trace string) []byte {
+		return []byte(`{"origin":"` + origin + `","result":` + result + `,"trace":"` + trace + `"}` + "\n")
+	}
+	f.Add(append(res, '\n'), "n0")
+	for _, body := range [][]byte{
+		node(`ca\u0063he`, `1`, "00000000000000ff"),                       // escaped origin
+		node("cach\u00e9", `1`, "00000000000000ff"),                       // non-ASCII origin
+		node("cache", `["a\"b",2]`, "00000000000000ff"),                   // escape in a result string
+		node("cache", "[\"caf\u00e9\"]", "00000000000000ff"),              // non-ASCII result string
+		node("cache", "[\"\x7f\"]", "00000000000000ff"),                   // DEL in a result string
+		node("cache", `{"a": [1, 2]}`, "00000000000000ff"),                // white space in the result
+		node("cache", `[[[[[[[[[1]]]]]]]]]`, "00000000000000ff"),          // nesting past the bound
+		node("cache", `[[[[[[[[1]]]]]]]]`, "00000000000000ff"),            // nesting at the bound
+		node("cache", `{"a":"<&>"}`, "00000000000000ff"),                  // one pass, not in encoder form
+		[]byte(`{"ORIGIN":"cache","result":1,"trace":"ff"}` + "\n"),       // a key in another case
+		[]byte(`{"result":1,"origin":"cache","trace":"ff"}` + "\n"),       // keys in another order
+		[]byte(`{"origin":"cache","result":1}` + "\n"),                    // a missing member
+		[]byte(`{"origin":"cache","result":1,"trace":"ff","x":2}` + "\n"), // an extra member
+		append(node("cache", `1`, "ff"), '\n'),                            // trailing white space
+		append(node("cache", `1`, "ff"), 'x'),                             // trailing bytes
+		node("cache", `-01`, "ff"),                                        // a bad number
+		node("cache", `1.5e+3`, "ff"),                                     // a good number
+	} {
+		f.Add(body, "n1")
+	}
 	// Each of these seeds holds one reason not to splice the result as
 	// is: a white space byte, or one that HTML escaping rewrites.
 	for _, ws := range []string{" ", "\t", "\n", "\r"} {

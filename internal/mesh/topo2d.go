@@ -160,15 +160,16 @@ func (c *Comm) ExchangeGhost2D(g *grid.G2, t *Topo2D, corners bool) {
 }
 
 // Gather2D collects a 2-D block-distributed grid onto root, returning
-// the assembled global grid there and nil elsewhere.
+// the assembled global grid there and nil elsewhere.  A block travels
+// as its rows: one message per row, or one per block when combining.
 func (c *Comm) Gather2D(local *grid.G2, t *Topo2D, root int) *grid.G2 {
 	c.beginPhase(obs.PhaseIO, "gather-2d")
 	defer c.endPhase()
 	r := c.Rank()
 	if r != root {
-		buf := getBuf(local.NX() * local.NY())
-		local.PackBlock(0, 0, local.NX(), local.NY(), buf)
-		c.sendOwned(root, buf)
+		ny := local.NY()
+		c.sendPlanes(root, local.NX(), ny, func(k int, dst []float64) { local.PackRow(k, 0, ny, dst) })
+		c.flush()
 		return nil
 	}
 	// The full receive area is the preallocated global grid itself;
@@ -183,9 +184,7 @@ func (c *Comm) Gather2D(local *grid.G2, t *Topo2D, root int) *grid.G2 {
 			continue
 		}
 		sxr, syr := t.Block(src)
-		buf := c.recv(src)
-		global.UnpackBlock(sxr.Lo, syr.Lo, sxr.Len(), syr.Len(), buf)
-		putBuf(buf)
+		c.recvPlanes(src, sxr.Len(), func(k int, data []float64) { global.UnpackRow(sxr.Lo+k, syr.Lo, data) })
 	}
 	return global
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/machine"
 )
 
 func TestTopo2DGeometry(t *testing.T) {
@@ -182,4 +183,53 @@ func TestTopo2DPanics(t *testing.T) {
 	tp := NewTopo2D(8, 8, 2, 2)
 	requirePanics(t, "run P != topo P", 2, func(c *Comm) { c.ExchangeGhost2D(grid.New2(4, 4, 1), tp, false) })
 	requirePanics(t, "no ghosts", 4, func(c *Comm) { c.ExchangeGhost2D(grid.New2(4, 4, 0), tp, false) })
+}
+
+// TestGather2DHonoursCombine: a gathered block travels as its rows, one
+// message each, and as one message when combining; the payload and the
+// assembled grid are the same bit for bit.
+func TestGather2DHonoursCombine(t *testing.T) {
+	const nx, ny = 7, 5
+	global := grid.New2(nx, ny, 0)
+	global.FillFunc(func(i, j int) float64 { return float64(i*100+j) + 0.25 })
+	for _, pq := range [][2]int{{2, 2}, {3, 1}} {
+		topo := NewTopo2D(nx, ny, pq[0], pq[1])
+		rows := 0
+		for r := 1; r < topo.P(); r++ {
+			xr, _ := topo.Block(r)
+			rows += xr.Len()
+		}
+		var bytes [2]int64
+		for ci, combine := range []bool{false, true} {
+			want := rows
+			if combine {
+				want = topo.P() - 1
+			}
+			for _, mode := range bothModes {
+				prof := machine.NewProfile(topo.P())
+				opt := DefaultOptions()
+				opt.Combine, opt.Profile = combine, prof
+				res, err := Run(topo.P(), mode, opt, func(c *Comm) *grid.G2 {
+					xr, yr := topo.Block(c.Rank())
+					local := grid.New2(xr.Len(), yr.Len(), 1)
+					local.FillFunc(func(i, j int) float64 { return global.At(xr.Lo+i, yr.Lo+j) })
+					return c.Gather2D(local, topo, 0)
+				})
+				if err != nil {
+					t.Fatalf("%v combine=%v %v: %v", pq, combine, mode, err)
+				}
+				if res[0] == nil || !res[0].Equal(global) {
+					t.Fatalf("%v combine=%v %v: gathered grid differs", pq, combine, mode)
+				}
+				tot := prof.Totals()
+				if tot.Messages != want {
+					t.Fatalf("%v combine=%v %v: %d messages, want %d", pq, combine, mode, tot.Messages, want)
+				}
+				bytes[ci] = tot.Bytes
+			}
+		}
+		if bytes[0] != bytes[1] {
+			t.Fatalf("%v: %d bytes uncombined, %d combined", pq, bytes[0], bytes[1])
+		}
+	}
 }

@@ -14,23 +14,9 @@ import (
 // across a JSON round trip, since that fingerprint keys the cache and
 // the cluster's shard.
 func FuzzJobRequest(f *testing.F) {
-	huge := fdtd.SpecSmall()
-	huge.NX, huge.NY, huge.NZ = 1<<21, 1<<21, 1<<21
-	small := fdtd.SpecSmallA()
-	for _, req := range []JobRequest{
-		{Spec: &huge},
-		{Spec: &small, TimeoutMS: 50, NoCache: true},
-		{Preset: "small"},
-	} {
-		body, err := json.Marshal(req)
-		if err != nil {
-			f.Fatal(err)
-		}
+	for _, body := range jobRequestSeeds(f) {
 		f.Add(body)
 	}
-	f.Add([]byte(`{"preset":"small"}xyz`))
-	f.Add([]byte(`{"preset":"small","spec":{"NX":8}}`))
-	f.Add([]byte(`{"preset":"figure2","bogus":1}`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, err := DecodeJobRequest(bytes.NewReader(body))
@@ -53,4 +39,31 @@ func FuzzJobRequest(f *testing.F) {
 			t.Fatalf("fingerprint %016x became %016x across JSON: %s", want, got, again)
 		}
 	})
+}
+
+// jobRequestSeeds are FuzzJobRequest's seed bodies: a spec past the
+// size bound, one with every option, the job grid, a preset, and three
+// bodies the decoder or the resolver refuses.
+func jobRequestSeeds(tb testing.TB) [][]byte {
+	huge := fdtd.SpecSmall()
+	huge.NX, huge.NY, huge.NZ = 1<<21, 1<<21, 1<<21
+	small := fdtd.SpecSmallA()
+	grid := jobGridSpec()
+	var seeds [][]byte
+	for _, req := range []JobRequest{
+		{Spec: &huge},
+		{Spec: &small, TimeoutMS: 50, NoCache: true},
+		{Spec: &grid},
+		{Preset: "small"},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		seeds = append(seeds, body)
+	}
+	return append(seeds,
+		[]byte(`{"preset":"small"}xyz`),
+		[]byte(`{"preset":"small","spec":{"NX":8}}`),
+		[]byte(`{"preset":"figure2","bogus":1}`))
 }

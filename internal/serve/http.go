@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/fdtd"
@@ -68,17 +70,90 @@ func presetSpec(name string) (fdtd.Spec, error) {
 // to forward it verbatim.
 const MaxRequestBytes = 1 << 20
 
+// RequestReader reads POST /v1/jobs bodies.  Each Server and each
+// cluster Coordinator owns one.  Its zero value is ready to use.
+//
+// It remembers the decode of recent bodies, keyed by their exact
+// bytes, so a body sent again is not decoded again.  That is sound
+// because DecodeJobRequest is a pure function of the bytes: the same
+// body always decodes to the same request, or fails the same way.  Only
+// byte-identical repeats hit, such as a hot spec sent by the same
+// client code.  The memo holds at most memoEntries bodies of at most
+// memoBodyBytes each; a full memo drops its oldest entry for the new
+// one.  A body that fails to decode is never stored, so a bad body is
+// refused the same way every time.
+type RequestReader struct {
+	mu   sync.Mutex
+	memo map[string]JobRequest // body -> its decode; handed out only as clones
+	keys [memoEntries]string   // memo's keys in a ring, oldest at next
+	next int
+}
+
+// Bounds of RequestReader's memo.  A job-grid request is about 420
+// bytes; a preset request is a few dozen.
+const (
+	memoEntries   = 256
+	memoBodyBytes = 4 << 10
+)
+
 // ReadJobRequest reads a POST /v1/jobs body of at most MaxRequestBytes
-// and decodes it with DecodeJobRequest.  It returns the bytes it read
-// too, which the coordinator forwards verbatim.  RequestErrorStatus
-// maps its errors onto HTTP.
-func ReadJobRequest(w http.ResponseWriter, r *http.Request) ([]byte, JobRequest, error) {
+// and decodes it as DecodeJobRequest does.  It returns the bytes it
+// read too, which the coordinator forwards verbatim.
+// RequestErrorStatus maps its errors onto HTTP.
+func (rr *RequestReader) ReadJobRequest(w http.ResponseWriter, r *http.Request) ([]byte, JobRequest, error) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
 	if err != nil {
 		return nil, JobRequest{}, fmt.Errorf("read request: %w", err)
 	}
-	req, err := DecodeJobRequest(bytes.NewReader(body))
+	req, err := rr.decode(body)
 	return body, req, err
+}
+
+// decode is DecodeJobRequest through the memo.  The request returned
+// is the caller's own: a hit returns a deep copy, and a miss stores
+// one.
+func (rr *RequestReader) decode(body []byte) (JobRequest, error) {
+	if len(body) > memoBodyBytes {
+		return DecodeJobRequest(bytes.NewReader(body))
+	}
+	rr.mu.Lock()
+	req, ok := rr.memo[string(body)]
+	rr.mu.Unlock()
+	if ok {
+		return req.clone(), nil
+	}
+	req, err := DecodeJobRequest(bytes.NewReader(body))
+	if err != nil {
+		return req, err
+	}
+	rr.mu.Lock()
+	defer rr.mu.Unlock()
+	if rr.memo == nil {
+		rr.memo = make(map[string]JobRequest, memoEntries)
+	}
+	if _, ok := rr.memo[string(body)]; !ok {
+		key := string(body)
+		delete(rr.memo, rr.keys[rr.next]) // "" when not yet full: never a key
+		rr.keys[rr.next] = key
+		rr.next = (rr.next + 1) % memoEntries
+		rr.memo[key] = req.clone()
+	}
+	return req, nil
+}
+
+// clone copies r down to the values it points at: the Spec, its
+// Objects and its FarField.
+func (r JobRequest) clone() JobRequest {
+	if r.Spec != nil {
+		spec := *r.Spec
+		spec.Objects = slices.Clone(spec.Objects)
+		if ff := spec.FarField; ff != nil {
+			c := *ff
+			spec.FarField = &c
+		}
+		r.Spec = &spec
+	}
+	return r
 }
 
 // RequestErrorStatus maps a ReadJobRequest error onto an HTTP status
@@ -159,7 +234,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "method", fmt.Errorf("use POST"))
 		return
 	}
-	_, req, err := ReadJobRequest(w, r)
+	_, req, err := s.requests.ReadJobRequest(w, r)
 	if err != nil {
 		status, kind := RequestErrorStatus(err)
 		writeError(w, status, kind, err)
@@ -209,6 +284,171 @@ func writeJobResponse(w io.Writer, origin string, result []byte, trace string) {
 	io.WriteString(w, `,"trace":"`)
 	io.WriteString(w, trace)
 	io.WriteString(w, "\"}\n")
+}
+
+// maxResultDepth bounds the nesting ParseJobResponse follows inside a
+// result.  A JobResult is an object holding arrays and one object, two
+// levels deep.
+const maxResultDepth = 8
+
+// ParseJobResponse reads a node's POST /v1/jobs 200 body in one pass,
+// provided the body has exactly the shape writeJobResponse writes:
+//
+//	{"origin":"…","result":…,"trace":"…"}\n
+//
+// The origin and the trace must be ASCII strings without escapes.  The
+// result must be valid JSON with no white space, ASCII strings without
+// escapes, and nesting below maxResultDepth.  ParseJobResponse returns
+// the origin, the result's bytes (a subslice of body), and whether
+// those bytes are already in the form encoding/json writes a
+// json.RawMessage in.  They are compact by the shape, so that holds
+// when no string holds <, > or &, which HTML escaping rewrites.
+//
+// ok is false for any other body, valid or not, and the caller then
+// decodes it with encoding/json.  The check is sound but not complete:
+// a body it accepts, json.Unmarshal accepts too, with the same origin
+// and result, and a body it refuses may still be valid.
+func ParseJobResponse(body []byte) (origin string, result []byte, canonical, ok bool) {
+	p := respParser{b: body}
+	if !p.lit(`{"origin":`) || !p.str() {
+		return "", nil, false, false
+	}
+	origin = string(body[len(`{"origin":"`) : p.i-1])
+	if !p.lit(`,"result":`) {
+		return "", nil, false, false
+	}
+	start := p.i
+	p.html = false
+	if !p.value(0) {
+		return "", nil, false, false
+	}
+	result, canonical = body[start:p.i], !p.html
+	if !p.lit(`,"trace":`) || !p.str() || !p.lit("}\n") || p.i != len(body) {
+		return "", nil, false, false
+	}
+	return origin, result, canonical, true
+}
+
+// respParser is ParseJobResponse's scanner over b from offset i.  Each
+// method consumes one token or value and reports whether it matched;
+// after a mismatch the parse is over.
+type respParser struct {
+	b    []byte
+	i    int
+	html bool // a string so far held <, > or &
+}
+
+// lit consumes the literal s.
+func (p *respParser) lit(s string) bool {
+	if len(p.b)-p.i < len(s) || string(p.b[p.i:p.i+len(s)]) != s {
+		return false
+	}
+	p.i += len(s)
+	return true
+}
+
+// str consumes a string of printable ASCII without escapes.
+func (p *respParser) str() bool {
+	if !p.lit(`"`) {
+		return false
+	}
+	b := p.b
+	for i := p.i; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			p.i = i + 1
+			return true
+		case c < 0x20 || c >= 0x7f || c == '\\':
+			return false
+		case c == '<' || c == '>' || c == '&':
+			p.html = true
+		}
+	}
+	return false
+}
+
+// value consumes one JSON value at nesting depth d.
+func (p *respParser) value(d int) bool {
+	if p.i >= len(p.b) {
+		return false
+	}
+	switch p.b[p.i] {
+	case '{':
+		return d < maxResultDepth && p.list('}', func() bool { return p.str() && p.lit(":") && p.value(d+1) })
+	case '[':
+		return d < maxResultDepth && p.list(']', func() bool { return p.value(d + 1) })
+	case '"':
+		return p.str()
+	case 't':
+		return p.lit("true")
+	case 'f':
+		return p.lit("false")
+	case 'n':
+		return p.lit("null")
+	}
+	return p.number()
+}
+
+// list consumes an object or an array after its opening byte: members
+// separated by commas, then end.
+func (p *respParser) list(end byte, member func() bool) bool {
+	p.i++
+	if p.i < len(p.b) && p.b[p.i] == end {
+		p.i++
+		return true
+	}
+	for member() {
+		if p.i >= len(p.b) {
+			return false
+		}
+		switch p.b[p.i] {
+		case ',':
+			p.i++
+		case end:
+			p.i++
+			return true
+		default:
+			return false
+		}
+	}
+	return false
+}
+
+// number consumes a JSON number: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
+func (p *respParser) number() bool {
+	if p.i < len(p.b) && p.b[p.i] == '-' {
+		p.i++
+	}
+	if p.i < len(p.b) && p.b[p.i] == '0' {
+		p.i++
+	} else if !p.digits() {
+		return false
+	}
+	if p.i < len(p.b) && p.b[p.i] == '.' {
+		p.i++
+		if !p.digits() {
+			return false
+		}
+	}
+	if p.i < len(p.b) && (p.b[p.i] == 'e' || p.b[p.i] == 'E') {
+		p.i++
+		if p.i < len(p.b) && (p.b[p.i] == '+' || p.b[p.i] == '-') {
+			p.i++
+		}
+		return p.digits()
+	}
+	return true
+}
+
+// digits consumes one or more decimal digits.
+func (p *respParser) digits() bool {
+	b, i := p.b, p.i
+	for i < len(b) && b[i]-'0' < 10 {
+		i++
+	}
+	ok := i > p.i
+	p.i = i
+	return ok
 }
 
 // handleTrace serves GET /v1/trace/{id}: the node-local span bundle for

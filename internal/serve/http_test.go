@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/fdtd"
+	"repro/internal/obs"
 )
 
 func postJob(t *testing.T, ts *httptest.Server, body string) (*http.Response, []byte) {
@@ -288,6 +289,123 @@ func TestResponseBytesMatchEncoder(t *testing.T) {
 	origins[assertEncoderBytes[JobResponse](t, "POST /v1/jobs", body).Origin]++
 	if origins["computed"] != 1 || origins["coalesced"] != 1 || origins["cache"] != 1 {
 		t.Fatalf("origins %v, want one each of computed, coalesced and cache", origins)
+	}
+}
+
+// TestNodeBodiesTakeOnePass: every 200 body a node writes — computed,
+// coalesced and cache, here with a job-grid result and a trace id — is
+// read by ParseJobResponse's one pass, already in encoder form, with
+// the origin and the result json.Unmarshal finds.  The coordinator
+// then never falls back to encoding/json on a node's answer.
+func TestNodeBodiesTakeOnePass(t *testing.T) {
+	s := newTestServer(t, Config{P: 2, Workers: 1})
+	hold := &testHold{entered: make(chan *job, 1), release: make(chan struct{})}
+	s.pool.setHold(hold)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	spec := jobGridSpec()
+	req := `{"spec":` + specJSON(spec) + `}`
+	post := func(trace string) []byte {
+		r, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", strings.NewReader(req))
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		r.Header.Set(obs.TraceHeader, trace)
+		resp, err := http.DefaultClient.Do(r)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Errorf("POST status %d, err %v: %s", resp.StatusCode, err, body)
+		}
+		return body
+	}
+	bodies := make(chan []byte, 2)
+	go func() { bodies <- post("00000000000000a1") }()
+	select {
+	case <-hold.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker never picked up the job")
+	}
+	go func() { bodies <- post("00000000000000a2") }()
+	waitFor(t, func() bool { return s.Stats().Coalesced == 1 })
+	close(hold.release)
+
+	origins := map[string]int{}
+	for _, body := range [][]byte{<-bodies, <-bodies, post("00000000000000a3")} {
+		origin, result, canonical, ok := ParseJobResponse(body)
+		if !ok || !canonical {
+			t.Fatalf("node body took the fallback (ok %v, canonical %v): %s", ok, canonical, body)
+		}
+		var node struct {
+			Origin string          `json:"origin"`
+			Result json.RawMessage `json:"result"`
+			Trace  string          `json:"trace"`
+		}
+		if err := json.Unmarshal(body, &node); err != nil {
+			t.Fatalf("decode %s: %v", body, err)
+		}
+		if origin != node.Origin || !bytes.Equal(result, node.Result) {
+			t.Fatalf("one pass read origin %q and result %s; json.Unmarshal %q and %s", origin, result, node.Origin, node.Result)
+		}
+		if !strings.HasPrefix(node.Trace, "00000000000000a") || len(result) < 4000 {
+			t.Fatalf("trace %q and a %d-byte result, want a propagated trace id and a job-grid result", node.Trace, len(result))
+		}
+		origins[origin]++
+	}
+	if origins["computed"] != 1 || origins["coalesced"] != 1 || origins["cache"] != 1 {
+		t.Fatalf("origins %v, want one each of computed, coalesced and cache", origins)
+	}
+}
+
+// TestParseJobResponseShape: the one pass reads the exact shape a node
+// writes and hands every other body to json.Unmarshal, valid or not.
+func TestParseJobResponseShape(t *testing.T) {
+	node := func(origin, result string) string {
+		return `{"origin":"` + origin + `","result":` + result + `,"trace":"00000000000000ff"}` + "\n"
+	}
+	for _, c := range []struct {
+		body      string
+		ok, canon bool
+	}{
+		{node("cache", `{"p":[0,-1.5e-300,2E+21],"s":"a b","t":true,"f":false,"n":null,"o":{}}`), true, true},
+		{node("cache", `[[[[[[[[1]]]]]]]]`), true, true},
+		{node("cache", `{"a<b":"c&d>"}`), true, false},
+		{node(`ca\u0063he`, `1`), false, false},
+		{node("cach\u00e9", `1`), false, false},
+		{node("cache", `"a\"b"`), false, false},
+		{node("cache", "\"\x7f\""), false, false},
+		{node("cache", `[1, 2]`), false, false},
+		{node("cache", `[[[[[[[[[1]]]]]]]]]`), false, false},
+		{node("cache", `01`), false, false},
+		{node("cache", `1.`), false, false},
+		{node("cache", `[1,]`), false, false},
+		{`{"Origin":"cache","result":1,"trace":"ff"}` + "\n", false, false},
+		{`{"result":1,"origin":"cache","trace":"ff"}` + "\n", false, false},
+		{`{"origin":"cache","result":1}` + "\n", false, false},
+		{`{"origin":"cache","result":1,"trace":"ff","x":2}` + "\n", false, false},
+		{node("cache", `1`) + "\n", false, false},
+		{strings.TrimSuffix(node("cache", `1`), "\n"), false, false},
+	} {
+		origin, result, canon, ok := ParseJobResponse([]byte(c.body))
+		if ok != c.ok || canon != c.canon {
+			t.Fatalf("%q: ok %v canonical %v, want %v %v", c.body, ok, canon, c.ok, c.canon)
+		}
+		if !ok {
+			continue
+		}
+		var v struct {
+			Origin string          `json:"origin"`
+			Result json.RawMessage `json:"result"`
+		}
+		if err := json.Unmarshal([]byte(c.body), &v); err != nil || v.Origin != origin || string(v.Result) != string(result) {
+			t.Fatalf("%q: one pass read %q %s; json.Unmarshal %q %s (%v)", c.body, origin, result, v.Origin, v.Result, err)
+		}
 	}
 }
 

@@ -149,6 +149,8 @@ type Server struct {
 	traces *obs.TraceStore
 	mint   func() obs.TraceID // node-local trace ids for untraced submits
 
+	requests RequestReader // POST /v1/jobs bodies, repeats decoded once
+
 	mu       sync.Mutex
 	draining bool
 	inflight map[uint64]*job   // fingerprint -> shared in-flight job (coalescing)
