@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -80,15 +81,30 @@ type Client struct {
 func New(pol Policy, seed int64) *Client {
 	return &Client{
 		pol: pol.withDefaults(),
-		hc:  &http.Client{},
+		hc:  &http.Client{Transport: newTransport()},
 		rng: rand.New(rand.NewSource(seed)),
 	}
+}
+
+// newTransport returns a transport of the client's own: the default
+// one's settings, but no cap on a node's idle pool.  The default keeps
+// two idle connections per host, so at three or more concurrent
+// forwards to one node it closes each connection returned while two
+// are idle, and a later forward dials again.  Here every returned
+// connection stays.  One is dialled only when none is idle, so a
+// node's pool follows the peak of concurrent forwards to it, and an
+// unused connection still closes after IdleConnTimeout.
+func newTransport() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConns = 0 // no limit across nodes
+	t.MaxIdleConnsPerHost = math.MaxInt
+	return t
 }
 
 // Policy returns the client's effective (defaulted) policy.
 func (c *Client) Policy() Policy { return c.pol }
 
-// Close releases idle connections.
+// Close releases the client's idle connections.
 func (c *Client) Close() { c.hc.CloseIdleConnections() }
 
 // Result is one successfully transported response (any HTTP status the
@@ -275,7 +291,7 @@ func (c *Client) post(ctx context.Context, node, path string, body []byte, extra
 		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(resp.Body)
+	respBody, err := readBody(resp)
 	if err != nil {
 		// The response died mid-body (e.g. the node was killed while
 		// streaming): treat like a transport failure so the request
@@ -301,9 +317,32 @@ func (c *Client) GetJSON(ctx context.Context, node, path string) (int, []byte, e
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := readBody(resp)
 	if err != nil {
 		return 0, nil, fmt.Errorf("reading response: %w", err)
 	}
 	return resp.StatusCode, body, nil
+}
+
+// maxSizedRead caps what a declared Content-Length reserves before the
+// body arrives, so a node that declares more than it sends cannot make
+// the client allocate the declared size.  A longer body still reads in
+// full; its buffer grows past the cap as it arrives.
+const maxSizedRead = 1 << 20
+
+// readBody reads a response body to its end.  A body of declared
+// length goes into one buffer of that size, up to maxSizedRead; one of
+// unknown length, such as a chunked body, goes through io.ReadAll.
+// Reading on to io.EOF is what returns the connection to the idle pool.
+func readBody(resp *http.Response) ([]byte, error) {
+	if resp.ContentLength < 0 {
+		return io.ReadAll(resp.Body)
+	}
+	// ReadFrom keeps MinRead bytes free for each read, the last one
+	// included, so with them on top a body of the declared length
+	// never moves.
+	var buf bytes.Buffer
+	buf.Grow(int(min(resp.ContentLength, maxSizedRead)) + bytes.MinRead)
+	_, err := buf.ReadFrom(resp.Body)
+	return buf.Bytes(), err
 }

@@ -2,8 +2,13 @@ package client
 
 import (
 	"context"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -203,5 +208,92 @@ func TestBackoffBounded(t *testing.T) {
 		if d := c.backoff(cycle); d < 0 || d > 8*time.Millisecond {
 			t.Fatalf("cycle %d: backoff %v outside [0, 8ms]", cycle, d)
 		}
+	}
+}
+
+// TestConcurrentForwardsKeepTheirConnections: rounds of concurrent
+// forwards to one node open no more connections than one round sends.
+// With two idle connections kept per node, as the default transport
+// does, each round would close all but two of the connections it
+// returns, and the next round would dial them again.
+func TestConcurrentForwardsKeepTheirConnections(t *testing.T) {
+	const workers, rounds = 4, 50
+	var conns atomic.Int64
+	// The node holds each round's forwards until all of them have
+	// arrived.  In the first round that makes each forward dial a
+	// connection of its own: otherwise one still waiting on its dial
+	// may take a connection another forward has just returned, and the
+	// dial adds one more to the pool.
+	var mu sync.Mutex
+	waiting, round := 0, make(chan struct{})
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		mu.Lock()
+		ch := round
+		if waiting++; waiting == workers {
+			waiting, round = 0, make(chan struct{})
+			close(ch)
+		}
+		mu.Unlock()
+		<-ch
+		w.Write([]byte(`{"ok":true}`))
+	}))
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	c := New(fastPolicy(1), 1)
+	defer c.Close()
+
+	for i := 0; i < rounds; i++ {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := c.PostJSON(context.Background(), []string{srv.URL}, "/", []byte(`{}`)); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+	}
+	if got := conns.Load(); got > workers {
+		t.Fatalf("%d connections for %d rounds of %d concurrent forwards, want at most %d", got, rounds, workers, workers)
+	}
+}
+
+// TestOverdeclaredBodyFailsOver: a node that declares a far longer
+// body than it sends fails over like any body cut short, and the
+// client reserves at most maxSizedRead for it, not the declared size.
+func TestOverdeclaredBodyFailsOver(t *testing.T) {
+	const declared = 64 << 20
+	liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(declared))
+		w.Write([]byte(`{"origin":`))
+	}))
+	defer liar.Close()
+	good, _ := statusNode(t, http.StatusOK, "fine", nil)
+	c := New(fastPolicy(4), 1)
+	defer c.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := c.PostJSON(context.Background(), []string{liar.URL, good.URL}, "/", nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Node != good.URL || res.Failovers != 1 || string(res.Body) != "fine" {
+		t.Fatalf("served by %q after %d failovers: %q; want the second node after one", res.Node, res.Failovers, res.Body)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > declared/8 {
+		t.Fatalf("allocated %d bytes for a body declared %d bytes long, want well under that", got, declared)
 	}
 }

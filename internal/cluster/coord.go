@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -258,8 +259,7 @@ func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
 		if ct := res.Header.Get("Content-Type"); ct != "" {
 			w.Header().Set("Content-Type", ct)
 		}
-		w.WriteHeader(res.Status)
-		w.Write(res.Body)
+		writeBody(w, res.Status, res.Body)
 		return
 	}
 	degraded := servedName != primary
@@ -292,8 +292,15 @@ func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
 		},
 	})
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(out)
+	writeBody(w, http.StatusOK, out)
+}
+
+// writeBody answers with status and body, framed by its length rather
+// than chunked.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	w.Write(body)
 }
 
 // resultNull is where clusterBody splices the node's result into the

@@ -472,12 +472,11 @@ func TestClusterResponseBytesMatchEncoder(t *testing.T) {
 	}
 }
 
-// BenchmarkClusterBody measures the coordinator's splice of a node's
-// 200 body into its own, on the body a node writes for the 24x16x16
-// Version C job grid of the benchmark's service workloads (about
-// 5.3 KB): the one-pass read of the node's answer, the envelope and
-// the copy.
-func BenchmarkClusterBody(b *testing.B) {
+// jobGridRequest is a POST /v1/jobs body for the 24x16x16 Version C
+// job grid of the benchmark's service workloads.  A node's answer to
+// it is about 5.3 KB.
+func jobGridRequest(tb testing.TB) []byte {
+	tb.Helper()
 	spec := fdtd.SpecTable1()
 	spec.NX, spec.NY, spec.NZ, spec.Steps = 24, 16, 16, 64
 	spec.Source.I, spec.Source.J, spec.Source.K = 12, 8, 8
@@ -486,18 +485,33 @@ func BenchmarkClusterBody(b *testing.B) {
 		{I0: 6, I1: 11, J0: 4, J1: 12, K0: 4, K1: 12, EpsR: 4, MuR: 1, Sigma: 0.02},
 		{I0: 14, I1: 19, J0: 5, J1: 11, K0: 5, K1: 11, EpsR: 1, MuR: 2, SigmaM: 0.01},
 	}
-	srv := serve.New(serve.Config{P: 2, Workers: 1})
-	defer srv.Shutdown(context.Background())
 	req, err := json.Marshal(serve.JobRequest{Spec: &spec})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return req
+}
+
+// jobGridAnswer returns jobGridRequest and the 200 body a node answers
+// it with.
+func jobGridAnswer(tb testing.TB) (req, body []byte) {
+	tb.Helper()
+	req = jobGridRequest(tb)
+	srv := serve.New(serve.Config{P: 2, Workers: 1})
+	defer srv.Shutdown(context.Background())
 	w := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(req)))
 	if w.Code != http.StatusOK {
-		b.Fatalf("node status %d: %s", w.Code, w.Body)
+		tb.Fatalf("node status %d: %s", w.Code, w.Body)
 	}
-	node := w.Body.Bytes()
+	return req, w.Body.Bytes()
+}
+
+// BenchmarkClusterBody measures the coordinator's splice of a node's
+// 200 body into its own, on the body a node writes for the job grid:
+// the one-pass read of the node's answer, the envelope and the copy.
+func BenchmarkClusterBody(b *testing.B) {
+	_, node := jobGridAnswer(b)
 	meta := ClusterResponse{Node: "n1", Primary: "n1", Attempts: 1, Trace: "00000000000000ff"}
 	b.SetBytes(int64(len(node)))
 	b.ReportAllocs()

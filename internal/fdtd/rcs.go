@@ -15,7 +15,10 @@ import (
 // radar-cross-section-like frequency response for the observation
 // direction.  Every product that feeds a sum sits in an explicit
 // float64 conversion, as in yeeRowGeneric, so no build fuses it into an
-// FMA and the response has the same bits on every architecture.
+// FMA.  That pins the products only: math.Sincos stays unpinned, and
+// its range reduction carries fused operations on arm64, so the
+// response can differ there in the last bits until the repository owns
+// its own sine and cosine.
 
 // dft returns the discrete-time Fourier transform of xs at normalised
 // frequency f (cycles per time unit), with sample spacing dt.

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -264,12 +265,25 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		s.writeSubmitError(w, err, trace)
 		return
 	}
-	w.Header().Set("X-Archserve-Origin", origin.String())
-	w.Header().Set(obs.TraceHeader, trace.String())
+	originName, traceID := origin.String(), trace.String()
+	w.Header().Set("X-Archserve-Origin", originName)
+	w.Header().Set(obs.TraceHeader, traceID)
 	w.Header().Set("Content-Type", "application/json")
+	// A declared length frames the answer as one body instead of
+	// chunks, and lets the coordinator read it into one buffer.
+	w.Header().Set("Content-Length", strconv.Itoa(jobResponseLen(originName, out.json, traceID)))
 	w.WriteHeader(http.StatusOK)
-	writeJobResponse(w, origin.String(), out.json, trace.String())
+	writeJobResponse(w, originName, out.json, traceID)
 }
+
+// The literals of a JobResponse body around its origin, result and
+// trace, shared by writeJobResponse and jobResponseLen.
+const (
+	respOrigin = `{"origin":"`
+	respResult = `","result":`
+	respTrace  = `,"trace":"`
+	respEnd    = "\"}\n"
+)
 
 // writeJobResponse writes a JobResponse around a result's stored
 // encoding: the bytes json.NewEncoder(w).Encode(JobResponse{...})
@@ -277,13 +291,18 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 // ids are lower-case words and hex digits, so they need no escaping,
 // and the trace is never empty here.
 func writeJobResponse(w io.Writer, origin string, result []byte, trace string) {
-	io.WriteString(w, `{"origin":"`)
+	io.WriteString(w, respOrigin)
 	io.WriteString(w, origin)
-	io.WriteString(w, `","result":`)
+	io.WriteString(w, respResult)
 	w.Write(result)
-	io.WriteString(w, `,"trace":"`)
+	io.WriteString(w, respTrace)
 	io.WriteString(w, trace)
-	io.WriteString(w, "\"}\n")
+	io.WriteString(w, respEnd)
+}
+
+// jobResponseLen is the length of the body writeJobResponse writes.
+func jobResponseLen(origin string, result []byte, trace string) int {
+	return len(respOrigin) + len(origin) + len(respResult) + len(result) + len(respTrace) + len(trace) + len(respEnd)
 }
 
 // maxResultDepth bounds the nesting ParseJobResponse follows inside a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -248,47 +249,84 @@ func assertEncoderBytes[T any](t *testing.T, what string, body []byte) T {
 	return v
 }
 
+// postEveryOrigin has one job answered three ways and returns what
+// post returned for each, in order: computed, coalesced onto that
+// computation, and from the cache.  post(i) sends the i-th request for
+// the job, which s must not have computed yet.
+func postEveryOrigin[T any](t *testing.T, s *Server, post func(i int) T) [3]T {
+	t.Helper()
+	hold := &testHold{entered: make(chan *job, 1), release: make(chan struct{})}
+	s.pool.setHold(hold)
+	computed, coalesced := make(chan T, 1), make(chan T, 1)
+	go func() { computed <- post(0) }()
+	select {
+	case <-hold.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker never picked up the job")
+	}
+	go func() { coalesced <- post(1) }()
+	waitFor(t, func() bool { return s.Stats().Coalesced == 1 })
+	close(hold.release)
+	return [3]T{<-computed, <-coalesced, post(2)}
+}
+
 // TestResponseBytesMatchEncoder: a node writes each result's stored
 // encoding instead of encoding it per response.  For every origin the
 // bytes must be those json.Encoder writes for the same value, so
 // clients see no difference.
 func TestResponseBytesMatchEncoder(t *testing.T) {
 	s := newTestServer(t, Config{P: 2, Workers: 1})
-	hold := &testHold{entered: make(chan *job, 1), release: make(chan struct{})}
-	s.pool.setHold(hold)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	req := `{"spec":` + specJSON(uniqueSpec(60)) + `}`
-	bodies := make(chan []byte, 2)
-	post := func() {
+	bodies := postEveryOrigin(t, s, func(int) []byte {
 		resp, body := postRaw(t, ts.URL, req)
 		if resp != nil && resp.StatusCode != http.StatusOK {
 			t.Errorf("POST status %d: %s", resp.StatusCode, body)
 		}
-		bodies <- body
-	}
-	go post()
-	select {
-	case <-hold.entered:
-	case <-time.After(10 * time.Second):
-		t.Fatal("worker never picked up the job")
-	}
-	go post()
-	waitFor(t, func() bool { return s.Stats().Coalesced == 1 })
-	close(hold.release)
+		return body
+	})
 
 	origins := map[string]int{}
-	for i := 0; i < 2; i++ {
-		origins[assertEncoderBytes[JobResponse](t, "POST /v1/jobs", <-bodies).Origin]++
+	for _, body := range bodies {
+		origins[assertEncoderBytes[JobResponse](t, "POST /v1/jobs", body).Origin]++
 	}
-	resp, body := postRaw(t, ts.URL, req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cached POST status %d: %s", resp.StatusCode, body)
-	}
-	origins[assertEncoderBytes[JobResponse](t, "POST /v1/jobs", body).Origin]++
 	if origins["computed"] != 1 || origins["coalesced"] != 1 || origins["cache"] != 1 {
 		t.Fatalf("origins %v, want one each of computed, coalesced and cache", origins)
+	}
+}
+
+// TestNodeAnswersAreFramed: every 200 answer a node writes — computed,
+// coalesced and cache, here with a job-grid result, longer than the
+// server buffers before it falls back to chunks — declares its length,
+// so it crosses the hop as one framed body.
+func TestNodeAnswersAreFramed(t *testing.T) {
+	s := newTestServer(t, Config{P: 2, Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	req := `{"spec":` + specJSON(jobGridSpec()) + `}`
+	type answer struct {
+		resp *http.Response
+		body []byte
+	}
+	answers := postEveryOrigin(t, s, func(int) answer {
+		resp, body := postRaw(t, ts.URL, req)
+		return answer{resp, body}
+	})
+	for i, want := range []string{"computed", "coalesced", "cache"} {
+		resp, body := answers[i].resp, answers[i].body
+		if resp == nil {
+			continue // postRaw has reported it
+		}
+		if origin := resp.Header.Get("X-Archserve-Origin"); resp.StatusCode != http.StatusOK || origin != want {
+			t.Fatalf("answer %d: status %d origin %q, want 200 %q", i, resp.StatusCode, origin, want)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 || len(body) < 4096 {
+			t.Fatalf("%s: %d-byte body with Content-Length %d and Transfer-Encoding %v, want a job-grid body framed by its length",
+				want, len(body), resp.ContentLength, resp.TransferEncoding)
+		}
 	}
 }
 
@@ -299,8 +337,6 @@ func TestResponseBytesMatchEncoder(t *testing.T) {
 // then never falls back to encoding/json on a node's answer.
 func TestNodeBodiesTakeOnePass(t *testing.T) {
 	s := newTestServer(t, Config{P: 2, Workers: 1})
-	hold := &testHold{entered: make(chan *job, 1), release: make(chan struct{})}
-	s.pool.setHold(hold)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -325,19 +361,10 @@ func TestNodeBodiesTakeOnePass(t *testing.T) {
 		}
 		return body
 	}
-	bodies := make(chan []byte, 2)
-	go func() { bodies <- post("00000000000000a1") }()
-	select {
-	case <-hold.entered:
-	case <-time.After(10 * time.Second):
-		t.Fatal("worker never picked up the job")
-	}
-	go func() { bodies <- post("00000000000000a2") }()
-	waitFor(t, func() bool { return s.Stats().Coalesced == 1 })
-	close(hold.release)
+	bodies := postEveryOrigin(t, s, func(i int) []byte { return post(fmt.Sprintf("00000000000000a%d", i+1)) })
 
 	origins := map[string]int{}
-	for _, body := range [][]byte{<-bodies, <-bodies, post("00000000000000a3")} {
+	for _, body := range bodies {
 		origin, result, canonical, ok := ParseJobResponse(body)
 		if !ok || !canonical {
 			t.Fatalf("node body took the fallback (ok %v, canonical %v): %s", ok, canonical, body)
