@@ -3,7 +3,7 @@ GO ?= go
 # Packages whose concurrency the race detector must vet.
 RACE_PKGS = . ./internal/core ./internal/farm ./internal/channel ./internal/sched ./internal/explore ./internal/mesh ./internal/trace ./internal/obs ./internal/serve ./internal/cluster ./internal/cluster/client ./internal/slo ./cmd/archload
 
-.PHONY: check fmt build vet cross test run-lists race bench-smoke benchmark-smoke cover kernel-smoke net-smoke serve-smoke cluster-smoke chaos-smoke obs-smoke fuzz-smoke explore-smoke
+.PHONY: check fmt build vet cross test run-lists race bench-smoke benchmark-smoke cover kernel-smoke net-smoke serve-smoke cluster-smoke chaos-smoke obs-smoke fuzz-smoke explore-smoke ab
 
 check: fmt vet cross build test run-lists race bench-smoke benchmark-smoke kernel-smoke net-smoke serve-smoke cluster-smoke chaos-smoke obs-smoke fuzz-smoke explore-smoke
 
@@ -156,19 +156,24 @@ obs-smoke:
 # file decoders (grid files, checkpoints).  The checkpoint seed is
 # ~3 KB, and minimising each new interesting input of that size would
 # otherwise take the whole 5 s, so its minimisation is capped.
+# FuzzRecvSplitReads feeds the same frame stream through a real socket
+# into the receive half, cut at read boundaries of its own choosing.
+# Each -fuzz pattern is anchored: an unanchored one that matches two
+# fuzzers of a package fails.
 # FuzzRefinement is not a parser target: it draws a random small spec,
 # process grid and window split from its seed and holds SSP, parallel
 # and two-window runs to the sequential program bit for bit.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz 'FuzzFrameDecode' -fuzztime 5s ./internal/channel
-	$(GO) test -run '^$$' -fuzz 'FuzzHello' -fuzztime 5s ./internal/channel
-	$(GO) test -run '^$$' -fuzz 'FuzzJobRequest' -fuzztime 5s ./internal/serve
-	$(GO) test -run '^$$' -fuzz 'FuzzNodeResponse' -fuzztime 5s ./internal/cluster
-	$(GO) test -run '^$$' -fuzz 'FuzzParsePolicy' -fuzztime 5s ./internal/sched
-	$(GO) test -run '^$$' -fuzz 'FuzzLoadArtifact' -fuzztime 5s ./internal/explore
-	$(GO) test -run '^$$' -fuzz 'FuzzRead3' -fuzztime 5s ./internal/gridio
-	$(GO) test -run '^$$' -fuzz 'FuzzReadCheckpoint' -fuzztime 5s -fuzzminimizetime 200x ./internal/fdtd
-	$(GO) test -run '^$$' -fuzz 'FuzzRefinement' -fuzztime 5s ./internal/fdtd
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 5s ./internal/channel
+	$(GO) test -run '^$$' -fuzz '^FuzzRecvSplitReads$$' -fuzztime 5s ./internal/channel
+	$(GO) test -run '^$$' -fuzz '^FuzzHello$$' -fuzztime 5s ./internal/channel
+	$(GO) test -run '^$$' -fuzz '^FuzzJobRequest$$' -fuzztime 5s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzNodeResponse$$' -fuzztime 5s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime 5s ./internal/sched
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadArtifact$$' -fuzztime 5s ./internal/explore
+	$(GO) test -run '^$$' -fuzz '^FuzzRead3$$' -fuzztime 5s ./internal/gridio
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 5s -fuzzminimizetime 200x ./internal/fdtd
+	$(GO) test -run '^$$' -fuzz '^FuzzRefinement$$' -fuzztime 5s ./internal/fdtd
 
 # explore-smoke is the acceptance run of the systematic schedule
 # explorer, under the race detector: bounded-exhaustive DPOR over the
@@ -199,3 +204,12 @@ cover:
 			{ echo "cover: $$pkg at $$pct% is below the $$floor% floor"; exit 1; }; \
 		echo "cover: $$pkg $$pct% (floor $$floor%)"; \
 	done
+
+# ab compares the benchmark's end-to-end metrics between commit REF and
+# the working tree, in alternating untraced passes of one workload with
+# consecutive seeds (scripts/ab.sh says how it reads them):
+#   make ab REF=HEAD~1 WORKLOAD=halo-p2-socket PAIRS=6
+PAIRS = 10
+ab:
+	@test -n "$(REF)" -a -n "$(WORKLOAD)" || { echo "usage: make ab REF=<commit> WORKLOAD=<name> [PAIRS=<n>]"; exit 2; }
+	bash scripts/ab.sh '$(REF)' '$(WORKLOAD)' '$(PAIRS)'

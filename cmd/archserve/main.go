@@ -35,8 +35,6 @@ func main() {
 		queue        = flag.Int("queue", 16, "admission queue depth")
 		timeout      = flag.Duration("job-timeout", 30*time.Second, "default per-job deadline")
 		cacheN       = flag.Int("cache", 256, "result cache entries (negative disables)")
-		batchMax     = flag.Int("batch-max", 4, "max small jobs coalesced into one dispatch")
-		batchCells   = flag.Int("batch-cells", 32768, "largest grid (cells) considered small enough to batch")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
 	)
 	flag.Parse()
@@ -47,8 +45,6 @@ func main() {
 		QueueDepth:     *queue,
 		DefaultTimeout: *timeout,
 		CacheEntries:   *cacheN,
-		BatchMax:       *batchMax,
-		BatchCells:     *batchCells,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -29,7 +29,7 @@ func BenchmarkSocketExchangeSteadyState(b *testing.B) {
 		b.Fatalf("NewLoopbackMesh: %v", err)
 	}
 	defer tr.Close()
-	// Prime both directions so chunk pools and inboxes reach steady
+	// Prime both directions so the coalescers and read buffers reach steady
 	// state before measurement.
 	for i := 0; i < 4; i++ {
 		tr.Chan(0, 1).Send(int64(i))

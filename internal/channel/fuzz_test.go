@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"net"
+	"os"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -21,10 +24,10 @@ func fuzzFrame(id uint32, payload []byte) []byte {
 
 // FuzzFrameDecode drives the socket transport's frame parser with
 // arbitrary byte streams.  The parser must never panic, never return a
-// payload beyond MaxFrame, and must classify every malformed stream as
-// an error rather than silently mis-framing — the properties the
-// corrupt/truncated/oversized cases of socket_test.go pin down at the
-// transport level.
+// payload beyond MaxFrame or outside the frame, and must classify every
+// malformed stream as corrupt or truncated rather than silently
+// mis-framing — the properties the corrupt/truncated/oversized cases of
+// socket_test.go pin down at the transport level.
 func FuzzFrameDecode(f *testing.F) {
 	const (
 		want     = uint32(1) // channel 0->1 in a P=2 mesh
@@ -50,36 +53,197 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(fuzzFrame(want+1, nil))                  // wrong channel id
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		var payload []byte
-		var err error
-		frames := 0
+		rest, frames := data, 0
 		for {
-			payload, err = readFrame(r, want, maxFrame, payload)
+			payload, size, err := parseFrame(rest, want, maxFrame)
 			if err != nil {
-				break
+				if msg := err.Error(); !strings.Contains(msg, "corrupt frame") {
+					t.Fatalf("malformed header error %q does not name the corrupt frame", msg)
+				}
+				return
+			}
+			if size == 0 {
+				// The stream ends inside a frame, or exactly at a
+				// boundary: only the boundary is a clean EOF.
+				switch err := streamEnd(rest, io.EOF); {
+				case (err == io.EOF) != (len(rest) == 0):
+					t.Fatalf("stream end with %d bytes left reported %v", len(rest), err)
+				case err != io.EOF && !strings.Contains(err.Error(), "truncated frame"):
+					t.Fatalf("cut stream error %q does not name the truncated frame", err)
+				}
+				return
 			}
 			if len(payload) > maxFrame {
 				t.Fatalf("accepted %d-byte payload past MaxFrame %d", len(payload), maxFrame)
+			}
+			if size != frameHeaderLen+len(payload) || size > len(rest) || !bytes.Equal(payload, rest[frameHeaderLen:size]) {
+				t.Fatalf("frame of size %d returned a %d-byte payload that is not its body", size, len(payload))
 			}
 			frames++
 			if frames > len(data) {
 				t.Fatal("parsed more frames than input bytes")
 			}
-		}
-		if err == io.EOF {
-			// Clean EOF is only legal at an exact frame boundary: every
-			// consumed byte belonged to an accepted frame.
-			if r.Len() != 0 {
-				t.Fatalf("clean EOF with %d bytes unconsumed", r.Len())
-			}
-			return
-		}
-		msg := err.Error()
-		if !strings.Contains(msg, "frame") {
-			t.Fatalf("malformed stream error %q does not name the frame", msg)
+			rest = rest[size:]
 		}
 	})
+}
+
+// splitPeer is a receive half of channel 0->1 on rank 1 of a P=2 mesh,
+// read through a unix socket pair whose other end, peer, is the test's
+// to write raw bytes into.  Its read buffer starts at bufSize bytes, so
+// small inputs reach its growth and compaction.
+func splitPeer(t *testing.T, bufSize int) (x *sockRx[[]byte], peer net.Conn) {
+	t.Helper()
+	fds, err := syscall.Socketpair(syscall.AF_UNIX, syscall.SOCK_STREAM, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns := make([]net.Conn, 2)
+	for i, fd := range fds {
+		f := os.NewFile(uintptr(fd), "socketpair")
+		conns[i], err = net.FileConn(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr := newSocketTransport(2, 1, blobCodec(), SocketOptions{})
+	tr.wire(1, 0, conns[1])
+	t.Cleanup(func() { tr.Close(); conns[0].Close() })
+	x = tr.rxs[0*2+1]
+	x.buf = make([]byte, bufSize)
+	return x, conns[0]
+}
+
+// failureClass names how a receive stream ended: the peer closed at a
+// frame boundary, or the stream held a corrupt or truncated frame.
+func failureClass(err error) string {
+	switch msg := err.Error(); {
+	case err == io.EOF || strings.Contains(msg, "peer closed"):
+		return "peer closed"
+	case strings.Contains(msg, "corrupt frame"):
+		return "corrupt"
+	case strings.Contains(msg, "truncated frame"):
+		return "truncated"
+	default:
+		return msg
+	}
+}
+
+// contiguousFrames is the reference: one parseFrame pass over the whole
+// stream, as if it had arrived in a single read.  rest is the tail no
+// frame took.
+func contiguousFrames(stream []byte) (frames [][]byte, rest []byte, class string) {
+	for rest = stream; ; {
+		payload, size, err := parseFrame(rest, 1, maxFrame)
+		switch {
+		case err != nil:
+			return frames, rest, failureClass(err)
+		case size == 0:
+			return frames, rest, failureClass(streamEnd(rest, io.EOF))
+		}
+		frames = append(frames, payload)
+		rest = rest[size:]
+	}
+}
+
+// splitReads writes stream into x's socket in the pieces cuts chooses
+// (one byte a piece of 1 to 256 bytes, then 4 KiB pieces), receiving
+// without waiting after each piece; then it closes the peer and
+// receives, parking, until the channel fails.  It returns the frames
+// and the failure, and whether the read buffer grew and whether it
+// moved a partial frame to its front.
+func splitReads(t *testing.T, x *sockRx[[]byte], peer net.Conn, stream, cuts []byte) (frames [][]byte, err error, grew, compacted bool) {
+	t.Helper()
+	start := len(x.buf)
+	recv := func(park bool) bool {
+		r0, w0 := x.r, x.w
+		v, ok, rerr := x.next(park)
+		if ok {
+			frames = append(frames, v)
+		} else if x.r == 0 && r0 > 0 && w0 > r0 {
+			compacted = true
+		}
+		grew = grew || len(x.buf) > start
+		err = rerr
+		return ok
+	}
+	for len(stream) > 0 && err == nil {
+		n := 4096
+		if len(cuts) > 0 {
+			n, cuts = 1+int(cuts[0]), cuts[1:]
+		}
+		n = min(n, len(stream))
+		if _, werr := peer.Write(stream[:n]); werr != nil {
+			t.Fatalf("peer write: %v", werr)
+		}
+		stream = stream[n:]
+		for recv(false) {
+		}
+	}
+	peer.Close()
+	for err == nil {
+		recv(true)
+	}
+	return frames, err, grew, compacted
+}
+
+// FuzzRecvSplitReads drives the real receive path — a sockRx reading
+// its own socket — with an arbitrary byte stream cut at arbitrary read
+// boundaries.  The receives must yield exactly the frames one
+// contiguous parseFrame pass yields, then fail the same way: the peer
+// closed, a corrupt frame, or a truncated one.
+func FuzzRecvSplitReads(f *testing.F) {
+	a, b := fuzzFrame(1, []byte("abcd")), fuzzFrame(1, bytes.Repeat([]byte("B"), 20))
+	ab := append(append([]byte{}, a...), b...)
+	f.Add([]byte{}, []byte{}, uint8(63))                                             // nothing sent: peer closed
+	f.Add(ab, []byte{15, 3, 23}, uint8(15))                                          // grows and compacts a 16-byte buffer
+	f.Add(ab, []byte{0, 0, 0, 0, 0}, uint8(0))                                       // one byte at a time
+	f.Add(ab[:len(ab)-3], []byte{}, uint8(63))                                       // payload cut mid-frame
+	f.Add(ab[:len(a)+5], []byte{11}, uint8(7))                                       // header cut
+	f.Add(append(append([]byte{}, a...), fuzzFrame(2, nil)...), []byte{5}, uint8(9)) // wrong channel id
+	oversized := fuzzFrame(1, []byte("x"))
+	binary.LittleEndian.PutUint32(oversized[4:], maxFrame+1) // lying length field
+	f.Add(append(append([]byte{}, a...), oversized...), []byte{}, uint8(31))
+
+	f.Fuzz(func(t *testing.T, stream, cuts []byte, bufSize uint8) {
+		want, rest, wantClass := contiguousFrames(stream)
+		if wantClass == "truncated" && len(rest) >= frameHeaderLen && binary.LittleEndian.Uint32(rest[4:]) > 1<<20 {
+			// A cut frame declaring up to maxFrame bytes grows the read
+			// buffer that far; keep each run small.
+			t.Skip("cut frame declares more than 1 MiB")
+		}
+		x, peer := splitPeer(t, 1+int(bufSize)%64)
+		got, err, _, _ := splitReads(t, x, peer, stream, cuts)
+		if len(got) != len(want) {
+			t.Fatalf("split reads yielded %d frames, one contiguous pass %d", len(got), len(want))
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("frame %d: split reads yielded %q, one contiguous pass %q", i, got[i], want[i])
+			}
+		}
+		if class := failureClass(err); class != wantClass {
+			t.Fatalf("split reads ended with %v (%s), one contiguous pass with %s", err, class, wantClass)
+		}
+		if n := x.rcvd.Load(); n != int64(len(want)) {
+			t.Fatalf("rcvd = %d after %d frames", n, len(want))
+		}
+	})
+}
+
+// TestRecvSplitReadsGrowAndCompact: the growth seed of
+// FuzzRecvSplitReads does reach both ways the read buffer makes room.
+func TestRecvSplitReadsGrowAndCompact(t *testing.T) {
+	a, b := fuzzFrame(1, []byte("abcd")), fuzzFrame(1, bytes.Repeat([]byte("B"), 20))
+	x, peer := splitPeer(t, 16)
+	frames, err, grew, compacted := splitReads(t, x, peer, append(a, b...), []byte{15, 3, 23})
+	if len(frames) != 2 || failureClass(err) != "peer closed" {
+		t.Fatalf("got %d frames and %v, want 2 and peer closed", len(frames), err)
+	}
+	if !grew || !compacted {
+		t.Fatalf("grew %v, compacted %v: the seed no longer reaches both", grew, compacted)
+	}
 }
 
 // FuzzHello drives the multi-process handshake parser with arbitrary

@@ -22,25 +22,26 @@
 //
 // # Coalescing and flushing
 //
-// Send never writes to the socket.  Frames are appended to a
-// per-destination chunk list (the write coalescer); Flush seals the
-// chunks and offers them to the kernel without waiting, so a single
-// write carries every frame queued for a neighbour since the previous
-// flush.  What the socket buffer does not take is written by a
-// per-link drain goroutine, started on the first overflow: that is
-// where the model's infinite slack lives, and why a rank never blocks
-// in Send or Flush.  TCP connections also set TCP_NODELAY: batching is
-// decided by the runtime's phase structure, not by Nagle's timer.
-// Liveness is the flush protocol's job — see Transport.Flush.
+// Send never writes to the socket.  Frames are appended to one
+// per-destination buffer (the write coalescer); Flush offers it to the
+// kernel without waiting, so a single write carries every frame queued
+// for a neighbour since the previous flush.  What the socket buffer
+// does not take joins the link's backlog, written by a per-link drain
+// goroutine started on the first overflow: that is where the model's
+// infinite slack lives, and why a rank never blocks in Send or Flush.
+// TCP connections also set TCP_NODELAY: batching is decided by the
+// runtime's phase structure, not by Nagle's timer.  Liveness is the
+// flush protocol's job — see Transport.Flush.
 //
 // # Who reads the socket
 //
 // The receiving rank does, on its own goroutine: Recv and TryRecv read,
-// validate and decode frames straight from the rank's connection end.
-// There is no reader goroutine and no queue between the wire and the
-// rank.  An empty receive polls the connection for pollBudget, yielding
-// between looks, and only then parks in the netpoller; Abort (and any
-// transport failure) wakes parked ranks through an expired deadline.
+// validate and decode frames straight from the rank's connection end,
+// through one read buffer and one pure parser (parseFrame).  There is
+// no reader goroutine and no queue between the wire and the rank.  An
+// empty receive polls the connection for pollBudget, yielding between
+// looks, and only then parks in the netpoller; Abort (and any transport
+// failure) wakes parked ranks through an expired deadline.
 package channel
 
 import (
@@ -59,14 +60,15 @@ import (
 
 const (
 	frameHeaderLen = 8
-	// sockChunkSize is the target size of one coalescer chunk.  A chunk
-	// may exceed it when a single frame is larger; frames are never
-	// split across chunks.
-	sockChunkSize = 64 << 10
-	// iovMax mirrors the batch limit net.Buffers uses per writev.
-	iovMax = 1024
+	// sockBufSize is the starting size of a link's coalescer and of a
+	// receive buffer; either grows, once and for good, to the largest
+	// flush or frame it meets.
+	sockBufSize = 64 << 10
+	// maxFrame bounds a payload in bytes.  An incoming frame past it
+	// fails the transport rather than attempting a huge allocation from
+	// a corrupt length field.
+	maxFrame = 64 << 20
 
-	defaultMaxFrame    = 64 << 20
 	defaultDialTimeout = 10 * time.Second
 
 	muxVersion = 1
@@ -90,21 +92,10 @@ type SocketOptions struct {
 	// bytes, flushes, syscalls) in addition to whatever endpoint-level
 	// Counted decorators the runtime installs.
 	Stats *NetStats
-	// MaxFrame bounds the accepted payload size in bytes (default 64 MiB).
-	// An incoming frame past the bound fails the transport rather than
-	// attempting a huge allocation from a corrupt length field.
-	MaxFrame int
 	// DialTimeout bounds the multi-process rendezvous: how long DialMesh
 	// keeps retrying peers that have not started listening yet
 	// (default 10s).
 	DialTimeout time.Duration
-}
-
-func (o SocketOptions) maxFrame() int {
-	if o.MaxFrame > 0 {
-		return o.MaxFrame
-	}
-	return defaultMaxFrame
 }
 
 func (o SocketOptions) dialTimeout() time.Duration {
@@ -280,10 +271,10 @@ func rawConn(conn net.Conn) syscall.RawConn {
 // sockLink is the send half of one directed channel: the per-destination
 // write coalescer feeding one connection end.
 //
-// Infinite slack lives here.  flush offers the sealed chunks to the
+// Infinite slack lives here.  flush offers the coalesced frames to the
 // kernel without ever waiting; whatever the socket buffer does not take
-// becomes the link's backlog, written by a drain goroutine started on
-// the first overflow.  A rank therefore never blocks in Send or Flush,
+// joins the link's backlog, written by a drain goroutine started on the
+// first overflow.  A rank therefore never blocks in Send or Flush,
 // however much it sends before anyone receives.
 type sockLink[T any] struct {
 	t      *SocketTransport[T]
@@ -296,26 +287,23 @@ type sockLink[T any] struct {
 	sent   atomic.Int64 // frames ever queued; sent − the reader's rcvd is the channel's Len
 
 	mu   sync.Mutex
-	cur  []byte   // active chunk being appended to
-	full [][]byte // sealed chunks awaiting flush
-	free [][]byte // recycled chunk storage
-	werr error    // sticky write failure
+	out  []byte // frames queued since the last flush
+	werr error  // sticky write failure
 
-	// Non-blocking write cursor: tryWrite (prebuilt, so handing it to
-	// RawConn.Write allocates nothing) writes wq from chunk wi, byte
-	// woff, until the kernel would block.
+	// tryWrite is prebuilt, so handing it to RawConn.Write allocates
+	// nothing: it writes out from byte woff until the kernel would block.
 	tryWrite func(fd uintptr) bool
-	wq       [][]byte
-	wi, woff int
+	woff     int
 	wcalls   int
 	wfail    error
 
-	// Overflow: chunks the kernel did not take, in wire order, the
-	// first one from byte backOff.  While there is a backlog or the
-	// drain goroutine is mid-write, flush appends here instead of
-	// writing, so bytes never overtake each other.
-	backlog  [][]byte
-	backOff  int
+	// Overflow: the bytes the kernel did not take, in wire order.  While
+	// there is a backlog or the drain goroutine is mid-write, flush
+	// appends here instead of writing, so bytes never overtake each
+	// other.  The drain goroutine writes the backlog and hands its
+	// storage back as spare.
+	backlog  []byte
+	spare    []byte
 	writing  bool
 	draining bool // the drain goroutine exists
 	closing  bool
@@ -328,17 +316,12 @@ func newSockLink[T any](t *SocketTransport[T], conn net.Conn, from, to int) *soc
 		l.cell = t.opt.Stats.cell(from, to)
 	}
 	l.wake = sync.NewCond(&l.mu)
-	// Pre-warm the steady-state scratch so first use doesn't allocate
-	// inside a measured solve: the active chunk and the sealed-chunk,
-	// free and write lists all reach their steady-state shapes here, at
-	// connection setup.
-	l.cur = make([]byte, 0, sockChunkSize)
-	l.full = make([][]byte, 0, 4)
-	l.free = make([][]byte, 0, 4)
-	l.wq = make([][]byte, 0, 8)
+	// Pre-warm the coalescer so first use doesn't allocate inside a
+	// measured solve.
+	l.out = make([]byte, 0, sockBufSize)
 	l.tryWrite = func(fd uintptr) bool {
-		for l.wi < len(l.wq) {
-			n, err := syscall.Write(int(fd), l.wq[l.wi][l.woff:])
+		for l.woff < len(l.out) {
+			n, err := syscall.Write(int(fd), l.out[l.woff:])
 			switch {
 			case err == syscall.EINTR:
 				continue
@@ -349,22 +332,11 @@ func newSockLink[T any](t *SocketTransport[T], conn net.Conn, from, to int) *soc
 				return true
 			}
 			l.wcalls++
-			if l.woff += n; l.woff == len(l.wq[l.wi]) {
-				l.wi, l.woff = l.wi+1, 0
-			}
+			l.woff += n
 		}
 		return true
 	}
 	return l
-}
-
-func (l *sockLink[T]) grab() []byte {
-	if n := len(l.free); n > 0 {
-		c := l.free[n-1]
-		l.free = l.free[:n-1]
-		return c[:0]
-	}
-	return make([]byte, 0, sockChunkSize)
 }
 
 // send frames v into the coalescer.  It never touches the socket.
@@ -375,29 +347,20 @@ func (l *sockLink[T]) send(v T) {
 		l.mu.Unlock()
 		panic(&TransportError{Err: err})
 	}
-	if l.cur == nil {
-		l.cur = l.grab()
-	}
-	off := len(l.cur)
-	var hdr [frameHeaderLen]byte
-	l.cur = append(l.cur, hdr[:]...)
-	l.cur = l.t.codec.Append(l.cur, v)
-	payload := len(l.cur) - off - frameHeaderLen
-	if payload > l.t.opt.maxFrame() {
+	off := len(l.out)
+	l.out = l.t.codec.Append(append(l.out, make([]byte, frameHeaderLen)...), v)
+	payload := len(l.out) - off - frameHeaderLen
+	if payload > maxFrame {
 		l.mu.Unlock()
 		panic(fmt.Sprintf("channel: frame payload %d bytes exceeds MaxFrame %d on %d->%d",
-			payload, l.t.opt.maxFrame(), l.from, l.to))
+			payload, maxFrame, l.from, l.to))
 	}
-	binary.LittleEndian.PutUint32(l.cur[off:], l.chanID)
-	binary.LittleEndian.PutUint32(l.cur[off+4:], uint32(payload))
+	binary.LittleEndian.PutUint32(l.out[off:], l.chanID)
+	binary.LittleEndian.PutUint32(l.out[off+4:], uint32(payload))
 	l.sent.Add(1)
 	if l.cell != nil {
 		l.cell.wireFrames.Add(1)
 		l.cell.wireBytes.Add(int64(payload + frameHeaderLen))
-	}
-	if len(l.cur) >= sockChunkSize {
-		l.full = append(l.full, l.cur)
-		l.cur = nil
 	}
 	l.mu.Unlock()
 }
@@ -408,15 +371,10 @@ func (l *sockLink[T]) send(v T) {
 func (l *sockLink[T]) flush() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.full) == 0 && len(l.cur) == 0 {
+	if len(l.out) == 0 {
 		return
 	}
-	wq := append(l.wq[:0], l.full...)
-	if len(l.cur) > 0 {
-		wq = append(wq, l.cur)
-	}
-	l.full, l.cur = l.full[:0], nil
-	l.wq, l.wi, l.woff, l.wcalls, l.wfail = wq, 0, 0, 0, nil
+	l.woff, l.wcalls, l.wfail = 0, 0, nil
 	if l.werr == nil && len(l.backlog) == 0 && !l.writing {
 		if err := l.rc.Write(l.tryWrite); err != nil && l.wfail == nil {
 			l.wfail = err
@@ -429,17 +387,8 @@ func (l *sockLink[T]) flush() {
 		l.cell.flushes.Add(1)
 		l.cell.syscalls.Add(int64(l.wcalls))
 	}
-	if l.werr != nil {
-		l.wi, l.woff = len(wq), 0 // nothing more will be written: recycle everything
-	}
-	for _, c := range wq[:l.wi] {
-		l.free = append(l.free, c[:0])
-	}
-	if l.wi < len(wq) {
-		if len(l.backlog) == 0 {
-			l.backOff = l.woff
-		}
-		l.backlog = append(l.backlog, wq[l.wi:]...)
+	if l.werr == nil && l.woff < len(l.out) {
+		l.backlog = append(l.backlog, l.out[l.woff:]...)
 		if !l.draining {
 			l.draining = true
 			l.t.wg.Add(1)
@@ -447,6 +396,7 @@ func (l *sockLink[T]) flush() {
 		}
 		l.wake.Broadcast()
 	}
+	l.out = l.out[:0]
 }
 
 // writeFailed records a sticky write failure and, unless the transport
@@ -459,9 +409,9 @@ func (l *sockLink[T]) writeFailed(err error) {
 }
 
 // drain is the overflow writer of one link: it parks until flush leaves
-// a backlog, writes it with ordinary blocking vectored writes, and
-// recycles the chunks.  Started by the first flush the kernel buffer
-// could not absorb; links that never overflow never have one.
+// a backlog and writes it with one ordinary blocking write.  Started by
+// the first flush the kernel buffer could not absorb; links that never
+// overflow never have one.
 func (l *sockLink[T]) drain() {
 	defer l.t.wg.Done()
 	l.mu.Lock()
@@ -473,27 +423,18 @@ func (l *sockLink[T]) drain() {
 		if len(l.backlog) == 0 {
 			return
 		}
-		batch, off := l.backlog, l.backOff
-		l.backlog, l.backOff, l.writing = nil, 0, true
+		batch := l.backlog
+		l.backlog, l.spare, l.writing = l.spare[:0], nil, true
 		l.mu.Unlock()
-		// WriteTo consumes the slice it is called on; batch keeps the
-		// chunks for recycling.
-		bufs := append(net.Buffers{batch[0][off:]}, batch[1:]...)
-		_, err := bufs.WriteTo(l.conn)
+		_, err := l.conn.Write(batch)
 		l.mu.Lock()
-		l.writing = false
+		l.writing, l.spare = false, batch[:0]
 		if l.cell != nil {
-			l.cell.syscalls.Add(int64((len(batch) + iovMax - 1) / iovMax))
-		}
-		for _, c := range batch {
-			l.free = append(l.free, c[:0])
+			l.cell.syscalls.Add(1)
 		}
 		if err != nil {
 			l.writeFailed(err)
-			for _, c := range l.backlog {
-				l.free = append(l.free, c[:0])
-			}
-			l.backlog = nil
+			l.backlog = l.backlog[:0]
 		}
 		l.wake.Broadcast()
 	}
@@ -518,78 +459,54 @@ func (l *sockLink[T]) finish(wait bool) {
 // model's single-reader channels need not be.
 type sockRx[T any] struct {
 	t    *SocketTransport[T]
-	conn net.Conn
 	rc   syscall.RawConn
 	from int
 	to   int
 	want uint32
 	rcvd atomic.Int64 // frames ever received
 
-	buf     []byte // buf[r:w] holds bytes read off the wire and not yet parsed
-	r, w    int
-	payload []byte // readFrame's reusable payload storage
-	rerr    error  // what ended the byte stream (io.EOF, a read error), once the buffer is parsed dry
-	dead    error  // sticky failure reported by every later receive
+	buf  []byte // buf[r:w] holds bytes read off the wire and not yet parsed
+	r, w int
+	rerr error // what ended the byte stream (io.EOF, a read error)
+	dead error // sticky failure reported by every later receive
 
-	// tryRead is prebuilt so handing it to RawConn.Read allocates
-	// nothing; it reads once into buf[w:] and never waits.
+	// tryRead is prebuilt, so handing it to RawConn.Read allocates
+	// nothing.  It reads once into buf[w:]; on an empty socket it gives
+	// up unless park is set, in which case RawConn.Read parks in the
+	// netpoller and calls it again once the socket is readable.
 	tryRead func(fd uintptr) bool
+	park    bool
 	rn      int
 	rfail   error
 }
 
 func newSockRx[T any](t *SocketTransport[T], conn net.Conn, from, to int) *sockRx[T] {
-	x := &sockRx[T]{t: t, conn: conn, rc: rawConn(conn), from: from, to: to, want: uint32(from*t.p + to)}
-	x.buf = make([]byte, sockChunkSize)
-	// Seed the reusable payload buffer so typical frames (halo planes
-	// are a few KB) never allocate on the read path; readFrame regrows
-	// it once, permanently, if a larger frame arrives.
-	x.payload = make([]byte, 0, 4096)
+	x := &sockRx[T]{t: t, rc: rawConn(conn), from: from, to: to, want: uint32(from*t.p + to)}
+	x.buf = make([]byte, sockBufSize)
 	x.tryRead = func(fd uintptr) bool {
 		for {
 			x.rn, x.rfail = syscall.Read(int(fd), x.buf[x.w:])
-			if x.rfail != syscall.EINTR {
-				return true
+			switch x.rfail {
+			case syscall.EINTR:
+				continue
+			case syscall.EAGAIN:
+				return !x.park
 			}
+			return true
 		}
 	}
 	return x
 }
 
-// Read serves readFrame from the buffered bytes alone; past them it
-// reports what ended the stream.  next calls readFrame only when a
-// whole frame is buffered or the stream has ended, so this never waits.
-func (x *sockRx[T]) Read(p []byte) (int, error) {
-	if x.r == x.w {
-		if x.rerr == nil {
-			return 0, io.ErrNoProgress
-		}
-		return 0, x.rerr
+// fill makes room for the frame being assembled (parseFrame has
+// accepted its header if it is whole), reads once — parking until the
+// connection is readable when park is set — and reports whether the
+// stream moved: bytes arrived or it ended.
+func (x *sockRx[T]) fill(park bool) bool {
+	need := frameHeaderLen
+	if x.w-x.r >= frameHeaderLen {
+		need += int(binary.LittleEndian.Uint32(x.buf[x.r+4:]))
 	}
-	n := copy(p, x.buf[x.r:x.w])
-	x.r += n
-	return n, nil
-}
-
-// frameLen is the number of buffered bytes readFrame needs before it
-// can finish without waiting.  A header that readFrame will reject
-// needs no payload: the defect is named from the header alone.
-func (x *sockRx[T]) frameLen() int {
-	if x.w-x.r < frameHeaderLen {
-		return frameHeaderLen
-	}
-	id := binary.LittleEndian.Uint32(x.buf[x.r:])
-	n := int(binary.LittleEndian.Uint32(x.buf[x.r+4:]))
-	if id != x.want || n > x.t.opt.maxFrame() {
-		return frameHeaderLen
-	}
-	return frameHeaderLen + n
-}
-
-// room makes buf[w:] non-empty and the buffer large enough for the
-// frame being assembled, moving the unparsed bytes to the front.
-func (x *sockRx[T]) room() {
-	need := x.frameLen()
 	if x.r == x.w {
 		x.r, x.w = 0, 0
 	}
@@ -600,19 +517,7 @@ func (x *sockRx[T]) room() {
 	if need > len(x.buf) {
 		x.buf = append(x.buf[:x.w], make([]byte, need-x.w)...)
 	}
-}
-
-// fill reads once into the buffer — parking in the netpoller until the
-// connection is readable when wait is set, never waiting otherwise —
-// and reports whether the stream moved: bytes arrived or it ended.
-func (x *sockRx[T]) fill(wait bool) bool {
-	x.room()
-	if wait {
-		n, err := x.conn.Read(x.buf[x.w:])
-		x.w += n
-		x.rerr = err
-		return true
-	}
+	x.park = park
 	if err := x.rc.Read(x.tryRead); err != nil {
 		x.rerr = err
 		return true
@@ -630,37 +535,34 @@ func (x *sockRx[T]) fill(wait bool) bool {
 	return true
 }
 
-// next returns the next value of the channel.  Without wait it gives up
-// as soon as the kernel has nothing more to offer; with wait it parks.
+// next returns the next value of the channel.  Without park it gives up
+// as soon as the kernel has nothing more to offer; with park it parks.
 // Frames already read are always delivered before a failure is.
-func (x *sockRx[T]) next(wait bool) (v T, ok bool, err error) {
-	for {
+func (x *sockRx[T]) next(park bool) (v T, ok bool, err error) {
+	for x.dead == nil {
+		payload, size, ferr := parseFrame(x.buf[x.r:x.w], x.want, maxFrame)
 		switch {
-		case x.w-x.r >= x.frameLen():
-			return x.parse()
-		case x.dead != nil:
-			return v, false, x.dead
+		case size > 0:
+			x.r += size
+			if v, ferr = x.t.codec.Decode(payload); ferr == nil {
+				x.rcvd.Add(1)
+				return v, true, nil
+			}
+			x.die(fmt.Errorf("decode frame: %w", ferr))
+		case ferr != nil:
+			x.die(ferr)
 		case x.rerr != nil:
-			return x.parse() // names what the stream ended with, or in the middle of
-		case !x.fill(wait):
+			x.die(streamEnd(x.buf[x.r:x.w], x.rerr))
+		case !x.fill(park):
 			return v, false, nil
 		}
 	}
+	return v, false, x.dead
 }
 
-// parse runs readFrame over the buffered bytes and decodes the payload.
-// Any failure is final: it is recorded in dead and the rest of the
-// buffer, which can no longer be framed, is dropped.
-func (x *sockRx[T]) parse() (v T, ok bool, err error) {
-	var ferr error
-	x.payload, ferr = readFrame(x, x.want, x.t.opt.maxFrame(), x.payload)
-	if ferr == nil {
-		if v, ferr = x.t.codec.Decode(x.payload); ferr == nil {
-			x.rcvd.Add(1)
-			return v, true, nil
-		}
-		ferr = fmt.Errorf("decode frame: %w", ferr)
-	}
+// die makes a receive failure final: it is recorded in dead, and the
+// rest of the buffer, which can no longer be framed, is dropped.
+func (x *sockRx[T]) die(ferr error) {
 	x.r = x.w
 	switch terr := x.t.Err(); {
 	case terr != nil:
@@ -677,7 +579,6 @@ func (x *sockRx[T]) parse() (v T, ok bool, err error) {
 		x.t.fail(fmt.Errorf("transport: %w on %d->%d", ferr, x.from, x.to))
 		x.dead = x.t.Err()
 	}
-	return v, false, x.dead
 }
 
 // sockEndpoint presents one directed channel as an Endpoint.  link is
@@ -754,46 +655,43 @@ func (e *selfEndpoint[T]) Recv() T {
 	panic(&TransportError{Err: e.t.Err()})
 }
 
-// readFrame reads and validates one frame — the header's channel id
-// must equal want and the payload length must not exceed maxFrame —
-// returning the payload (reusing buf's capacity when possible).  A
-// clean end-of-stream at a frame boundary returns exactly io.EOF; any
-// other failure returns an error naming the defect (corrupt channel
-// id, oversized length field, truncated payload, short header).  It is
-// a pure parser over an io.Reader, so the fuzz targets drive it with
-// arbitrary byte streams.
-func readFrame(r io.Reader, want uint32, maxFrame int, buf []byte) ([]byte, error) {
-	// The header is staged in buf's first bytes rather than a local
-	// array: a local passed to io.ReadFull through the io.Reader
-	// interface escapes, which would cost one heap allocation per
-	// frame.  Both header fields are extracted before the payload read
-	// reuses the same storage.
-	if cap(buf) < frameHeaderLen {
-		buf = make([]byte, frameHeaderLen)
+// parseFrame reads the frame at the front of b: the header's channel
+// id must equal want and the payload length must not exceed limit.  It
+// returns the payload as a view into b and the frame's size in bytes,
+// or size 0 while the frame is incomplete.  A header it rejects needs
+// no payload: the defect is named from the header alone.  It is a pure
+// parser over a byte slice, so the fuzz targets drive it directly.
+func parseFrame(b []byte, want uint32, limit int) (payload []byte, size int, err error) {
+	if len(b) < frameHeaderLen {
+		return nil, 0, nil
 	}
-	hdr := buf[:frameHeaderLen]
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		if err == io.EOF {
-			return buf, io.EOF
-		}
-		return buf, fmt.Errorf("read frame header: %w", err)
-	}
-	id := binary.LittleEndian.Uint32(hdr[0:4])
-	n := int(binary.LittleEndian.Uint32(hdr[4:8]))
+	id := binary.LittleEndian.Uint32(b[0:4])
+	n := int(binary.LittleEndian.Uint32(b[4:8]))
 	if id != want {
-		return buf, fmt.Errorf("corrupt frame: channel id %d, want %d", id, want)
+		return nil, 0, fmt.Errorf("corrupt frame: channel id %d, want %d", id, want)
 	}
-	if n > maxFrame {
-		return buf, fmt.Errorf("corrupt frame: payload %d bytes exceeds MaxFrame %d", n, maxFrame)
+	if n > limit {
+		return nil, 0, fmt.Errorf("corrupt frame: payload %d bytes exceeds MaxFrame %d", n, limit)
 	}
-	if cap(buf) < n {
-		buf = make([]byte, n)
+	if len(b) < frameHeaderLen+n {
+		return nil, 0, nil
 	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return buf, fmt.Errorf("truncated frame (want %d payload bytes): %w", n, err)
+	return b[frameHeaderLen : frameHeaderLen+n], frameHeaderLen + n, nil
+}
+
+// streamEnd names how a byte stream that ended with cause left rest,
+// its unparsed tail: exactly io.EOF when it ended cleanly at a frame
+// boundary, otherwise an error naming the cut.
+func streamEnd(rest []byte, cause error) error {
+	switch {
+	case len(rest) == 0 && cause == io.EOF:
+		return io.EOF
+	case len(rest) == 0:
+		return fmt.Errorf("read frame: %w", cause)
+	case cause == io.EOF:
+		cause = io.ErrUnexpectedEOF
 	}
-	return buf, nil
+	return fmt.Errorf("truncated frame (%d bytes of it arrived): %w", len(rest), cause)
 }
 
 func setNoDelay(conn net.Conn) {

@@ -183,7 +183,7 @@ func TestSocketMultiplexRace(t *testing.T) {
 
 // TestSocketCoalescing asserts the headline batching property: many
 // sends to one neighbour followed by one flush reach the wire as a
-// single counted flush (and, under the iov limit, a single syscall).
+// single counted flush and a single write syscall.
 func TestSocketCoalescing(t *testing.T) {
 	const p = 2
 	stats := NewNetStats(p)
@@ -428,7 +428,7 @@ func TestSocketOversizedFrame(t *testing.T) {
 	addrs := []string{filepath.Join(dir, "r0.sock"), filepath.Join(dir, "r1.sock")}
 	trCh := make(chan *SocketTransport[int64], 1)
 	go func() {
-		tr, err := DialMesh("unix", addrs, 1, intCodec(), SocketOptions{MaxFrame: 1024, DialTimeout: 10 * time.Second})
+		tr, err := DialMesh("unix", addrs, 1, intCodec(), SocketOptions{DialTimeout: 10 * time.Second})
 		if err != nil {
 			t.Errorf("DialMesh rank 1: %v", err)
 			trCh <- nil

@@ -28,7 +28,7 @@ type statsCell struct {
 	wireFrames atomic.Int64 // frames encoded onto the link
 	wireBytes  atomic.Int64 // bytes queued for the wire (headers + payloads)
 	flushes    atomic.Int64 // non-empty flushes (coalesced writes)
-	syscalls   atomic.Int64 // estimated write syscalls (writev batches)
+	syscalls   atomic.Int64 // write syscalls of flushes, plus one per drain write
 }
 
 // NewNetStats returns zeroed statistics for a P-process network.
@@ -69,12 +69,12 @@ func (s *NetStats) WireFrames(from, to int) int64 { return s.cell(from, to).wire
 func (s *NetStats) WireBytes(from, to int) int64 { return s.cell(from, to).wireBytes.Load() }
 
 // Flushes returns the number of non-empty flushes of the link
-// from -> to: each one is a coalesced vectored write carrying every
-// frame queued for that neighbour since the previous flush.
+// from -> to: each one is a coalesced write carrying every frame
+// queued for that neighbour since the previous flush.
 func (s *NetStats) Flushes(from, to int) int64 { return s.cell(from, to).flushes.Load() }
 
 // Syscalls returns the estimated number of write syscalls issued on the
-// link from -> to (one writev batch covers up to 1024 buffers).
+// link from -> to: those of each flush, plus one per drain write.
 func (s *NetStats) Syscalls(from, to int) int64 { return s.cell(from, to).syscalls.Load() }
 
 // TotalWireFrames, TotalWireBytes, TotalFlushes and TotalSyscalls sum

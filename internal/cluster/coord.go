@@ -212,9 +212,10 @@ func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
 	for i, n := range cands {
 		urls[i] = n.URL
 	}
+	traceStr := trace.String()
 	hdr := http.Header{}
-	hdr.Set(obs.TraceHeader, trace.String())
-	w.Header().Set(obs.TraceHeader, trace.String())
+	hdr.Set(obs.TraceHeader, traceStr)
+	w.Header().Set(obs.TraceHeader, traceStr)
 	fwdStart := time.Now()
 	// In-flight accounting brackets the forward and is charged to the
 	// first candidate.  A failover mid-forward shifts the load elsewhere
@@ -234,11 +235,11 @@ func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
 			}
 			w.Header().Set("Retry-After", fmt.Sprint(secs))
 			writeError(w, http.StatusTooManyRequests, "overloaded",
-				fmt.Sprintf("%v [trace %s]", err, trace))
+				fmt.Sprintf("%v [trace %s]", err, traceStr))
 			return
 		}
 		writeError(w, http.StatusServiceUnavailable, "unavailable",
-			fmt.Sprintf("%v [trace %s]", err, trace))
+			fmt.Sprintf("%v [trace %s]", err, traceStr))
 		return
 	}
 	fwdEnd := time.Now()
@@ -270,7 +271,7 @@ func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
 		Attempts:   res.Attempts,
 		Failovers:  res.Failovers,
 		Retried429: res.Retried429,
-		Trace:      trace.String(),
+		Trace:      traceStr,
 	})
 	if err != nil {
 		writeError(w, http.StatusBadGateway, "bad_node_response", err.Error())
@@ -285,7 +286,7 @@ func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
 	// (candidate attempts, backoff, the node's compute) as one span in
 	// the coordinator's lane of the merged trace.
 	c.traces.Put(obs.TraceBundle{
-		Trace:  trace.String(),
+		Trace:  traceStr,
 		Source: "archcoord",
 		Spans: []obs.TraceSpan{
 			obs.ServiceSpan("forward", fmt.Sprintf("forward to %s (%d attempts)", servedName, res.Attempts), fwdStart, fwdEnd),

@@ -179,7 +179,7 @@ func (c *Comm) recv(from int) []float64 {
 
 // flush marks the end of an operation's send section: on a socket
 // transport it seals every frame queued since the last flush into one
-// vectored write per neighbour, so an exchange phase costs one syscall
+// write per neighbour, so an exchange phase costs one syscall
 // per link.  On in-process transports it is a no-op.  The runtime also
 // flushes automatically before blocking in a receive and at process
 // termination, so this is a batching boundary, not a correctness

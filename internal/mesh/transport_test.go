@@ -123,7 +123,7 @@ func TestSocketFlushCoalescing(t *testing.T) {
 			t.Errorf("link %d->%d: no flushes recorded", from, to)
 		}
 		if sys := stats.Syscalls(from, to); sys != flushes {
-			t.Errorf("link %d->%d: %d syscalls for %d flushes (frames per phase fit one writev)",
+			t.Errorf("link %d->%d: %d syscalls for %d flushes (frames per phase fit one write)",
 				from, to, sys, flushes)
 		}
 		if frames := stats.WireFrames(from, to); frames < int64(iters) {

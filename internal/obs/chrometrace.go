@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -10,7 +9,9 @@ import (
 // Chrome trace_event export: one complete ("ph":"X") event per phase
 // span, one timeline lane ("tid") per rank, loadable in
 // chrome://tracing and Perfetto.  Timestamps are microseconds from the
-// collector's epoch, per the trace_event format spec.
+// earliest span, per the trace_event format spec.  One encoder,
+// MergeChromeTrace, writes every document; a single run's collector is
+// a merge of one bundle.
 
 // traceEvent is one entry of the trace_event JSON array.
 type traceEvent struct {
@@ -30,55 +31,15 @@ type traceFile struct {
 }
 
 // WriteChromeTrace writes the collector's recorded spans as a Chrome
-// trace_event JSON document.  Call Finish first so trailing spans are
-// closed.  Safe on a nil collector (writes an empty trace).
+// trace_event JSON document: MergeChromeTrace over the collector's one
+// bundle, so rank r is lane r+1.  Call Finish first so trailing spans
+// are closed.  Safe on a nil collector (writes an empty trace).
 func WriteChromeTrace(w io.Writer, c *Collector) error {
-	tf := traceFile{TraceEvents: []traceEvent{}, DisplayTimeUnit: "ms"}
+	var bundles []TraceBundle
 	if c != nil {
-		tf.TraceEvents = append(tf.TraceEvents, traceEvent{
-			Name: "process_name", Ph: "M", Pid: 0, Tid: 0,
-			Args: map[string]any{"name": "archetype run"},
-		})
-		for r := 0; r < c.P(); r++ {
-			tf.TraceEvents = append(tf.TraceEvents, traceEvent{
-				Name: "thread_name", Ph: "M", Pid: 0, Tid: r,
-				Args: map[string]any{"name": fmt.Sprintf("rank %d", r)},
-			})
-		}
-		var args map[string]any
-		if id := c.Trace(); id != 0 {
-			args = map[string]any{"trace": id.String()}
-		}
-		for _, s := range c.Spans() {
-			name := s.Label
-			if name == "" {
-				name = s.Phase.String()
-			}
-			tf.TraceEvents = append(tf.TraceEvents, traceEvent{
-				Name: name,
-				Cat:  s.Phase.String(),
-				Ph:   "X",
-				Ts:   float64(s.Start.Microseconds()),
-				Dur:  durationMicros(s),
-				Pid:  0,
-				Tid:  s.Rank,
-				Args: args,
-			})
-		}
+		bundles = []TraceBundle{BundleFromCollector(c.Trace(), "archetype run", c)}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(tf)
-}
-
-// durationMicros reports a span's duration in microseconds, flooring at
-// a tenth of a microsecond so zero-duration events stay visible (and
-// valid) in the viewers.
-func durationMicros(s Span) float64 {
-	us := float64(s.Dur.Nanoseconds()) / 1e3
-	if us < 0.1 {
-		return 0.1
-	}
-	return us
+	return MergeChromeTrace(w, bundles)
 }
 
 // WriteChromeTraceFile writes the Chrome trace to path (0644,

@@ -27,7 +27,8 @@ func sampleCollector() *Collector {
 
 // TestChromeTraceShape validates the trace_event document: every event
 // has the required keys, complete events carry non-negative ts/dur, and
-// lanes stay within the rank range.
+// lanes stay within the rank range (rank r on lane r+1, as in a merged
+// trace).
 func TestChromeTraceShape(t *testing.T) {
 	c := sampleCollector()
 	var buf bytes.Buffer
@@ -65,7 +66,7 @@ func TestChromeTraceShape(t *testing.T) {
 				t.Errorf("event %d has bad dur: %v", i, ev)
 			}
 			tid, ok := ev["tid"].(float64)
-			if !ok || tid < 0 || int(tid) >= c.P() {
+			if !ok || tid < 1 || int(tid) > c.P() { // rank r is lane r+1
 				t.Errorf("event %d has lane outside rank range: %v", i, ev)
 			}
 			if cat, _ := ev["cat"].(string); cat == "" {
@@ -89,6 +90,14 @@ func TestChromeTraceShape(t *testing.T) {
 	}
 	if len(lanes) != 2 {
 		t.Errorf("spans cover lanes %v, want both ranks", lanes)
+	}
+	// A nil collector writes a valid document with no events.
+	buf.Reset()
+	if err := WriteChromeTrace(&buf, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil || len(doc.TraceEvents) != 0 {
+		t.Errorf("nil collector wrote %q (%v), want an empty trace", buf.String(), err)
 	}
 }
 

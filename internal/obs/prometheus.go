@@ -78,7 +78,7 @@ func (e Exporter) WriteText(w io.Writer) error {
 		// carries the channels; an all-zero network emits nothing.
 		writeLinkCounter(&b, "archetype_wire_frames_total", "Frames encoded onto each socket link.", s, s.WireFrames)
 		writeLinkCounter(&b, "archetype_wire_bytes_total", "Bytes (headers + payloads) queued for each socket link.", s, s.WireBytes)
-		writeLinkCounter(&b, "archetype_wire_flushes_total", "Coalesced vectored writes per socket link.", s, s.Flushes)
+		writeLinkCounter(&b, "archetype_wire_flushes_total", "Coalesced writes per socket link.", s, s.Flushes)
 		writeLinkCounter(&b, "archetype_wire_syscalls_total", "Estimated write syscalls per socket link.", s, s.Syscalls)
 	}
 	_, err := io.WriteString(w, b.String())

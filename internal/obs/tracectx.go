@@ -21,8 +21,15 @@ type TraceID uint64
 const TraceHeader = "X-Archetype-Trace-Id"
 
 // String renders the ID the way the API and logs spell it: 16 lowercase
-// hex digits.
-func (t TraceID) String() string { return fmt.Sprintf("%016x", uint64(t)) }
+// hex digits, zero-padded.
+func (t TraceID) String() string {
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	for i := range b {
+		b[i] = digits[uint64(t)>>(60-4*i)&0xf]
+	}
+	return string(b[:])
+}
 
 // ParseTraceID parses the 16-hex-digit form.  An empty string parses to
 // zero (untraced) without error.

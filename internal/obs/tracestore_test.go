@@ -3,9 +3,31 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand/v2"
 	"testing"
 	"time"
 )
+
+// TestTraceIDString: String spells every ID exactly as %016x does, and
+// ParseTraceID reads it back.
+func TestTraceIDString(t *testing.T) {
+	ids := []uint64{0, 1, 0xf, 0x10, 1 << 63, math.MaxUint64}
+	rng := rand.New(rand.NewPCG(7, 11))
+	for i := 0; i < 1000; i++ {
+		ids = append(ids, rng.Uint64())
+	}
+	for _, v := range ids {
+		id := TraceID(v)
+		if got, want := id.String(), fmt.Sprintf("%016x", v); got != want {
+			t.Fatalf("TraceID(%#x).String() = %q, want %q", v, got, want)
+		}
+		if back, err := ParseTraceID(id.String()); err != nil || back != id {
+			t.Fatalf("round trip %s: got %s, err %v", id, back, err)
+		}
+	}
+}
 
 func TestTraceIDRoundTrip(t *testing.T) {
 	mint := NewTraceSource(42)

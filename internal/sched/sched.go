@@ -112,7 +112,7 @@ func (c *Ctx[T]) Step(name string) {
 // Flush pushes any transport-buffered outbound messages of this process
 // to the wire.  On in-process backends delivery is synchronous and this
 // is free; on socket transports it seals the coalesced frames queued
-// for each neighbour into one vectored write.  The runtime flushes
+// for each neighbour into one write.  The runtime flushes
 // automatically before a process blocks in Recv and when it terminates,
 // so Flush is never needed for correctness — mesh operations call it at
 // the end of their send sections so each exchange phase reaches the

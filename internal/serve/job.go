@@ -33,10 +33,6 @@ type job struct {
 	bundle obs.TraceBundle
 }
 
-// small reports whether the job is batchable: a grid under the
-// configured cell bound, so several of them amortise one dispatch.
-func (j *job) small(maxCells int) bool { return j.spec.Cells() <= maxCells }
-
 // JobResult is the serialisable outcome of one job.  Probe, FarA and
 // FarF carry the exact float64 values (Go's JSON encoder emits the
 // shortest round-tripping representation, so decoding restores the

@@ -25,8 +25,7 @@ type metrics struct {
 	cacheHits     atomic.Int64
 	cacheMisses   atomic.Int64
 	coalesced     atomic.Int64 // requests attached to an in-flight duplicate
-	batches       atomic.Int64 // dispatches (>= 1 job each)
-	batchedJobs   atomic.Int64 // jobs that shared a dispatch with another
+	batches       atomic.Int64 // dispatches, one per job run
 	// latency is the job wall-time distribution (HDR-style log-bucketed
 	// histogram, ~3% relative error).  It subsumes the old scalar mean:
 	// the mean is Sum/Count, and the quantiles the mean used to hide —
@@ -118,8 +117,7 @@ func (m *metrics) writeText(w io.Writer, queueDepth, queueCap, workers, cached i
 	counter("archserve_cache_misses_total", "Jobs that had to compute.", m.cacheMisses.Load())
 	counter("archserve_cache_evictions_total", "Cached results dropped past the LRU capacity.", evicted)
 	counter("archserve_coalesced_total", "Requests attached to an identical in-flight job.", m.coalesced.Load())
-	counter("archserve_batches_total", "Pool dispatches (each may carry several coalesced small jobs).", m.batches.Load())
-	counter("archserve_batched_jobs_total", "Jobs that shared a dispatch with at least one other job.", m.batchedJobs.Load())
+	counter("archserve_batches_total", "Pool dispatches, one per job run.", m.batches.Load())
 
 	latSnap := m.latency.Snapshot()
 	fmt.Fprintf(&b, "# HELP archserve_job_wall_seconds_total Cumulative job wall time.\n# TYPE archserve_job_wall_seconds_total counter\n")

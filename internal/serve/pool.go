@@ -93,23 +93,11 @@ func traceTag(id obs.TraceID) string {
 	return " [trace " + id.String() + "]"
 }
 
-// run is the executor's dispatcher: pull a job, opportunistically
-// coalesce further small jobs into the same dispatch, execute the
-// batch back-to-back.
+// run is the executor's dispatcher: pull a job, run it, repeat until
+// the queue is closed and empty.
 func (ex *executor) run() {
 	defer ex.p.wg.Done()
-	var carry *job // non-small job pulled while extending a batch
-	open := true
-	for open || carry != nil {
-		var jb *job
-		if carry != nil {
-			jb, carry = carry, nil
-		} else {
-			jb, open = <-ex.p.queue
-			if !open {
-				return
-			}
-		}
+	for jb := range ex.p.queue {
 		if h := ex.p.hold.Load(); h != nil {
 			select {
 			case h.entered <- jb:
@@ -117,34 +105,8 @@ func (ex *executor) run() {
 			}
 			<-h.release
 		}
-		batch := []*job{jb}
-		if open && jb.small(ex.p.cfg.BatchCells) {
-			for len(batch) < ex.p.cfg.BatchMax {
-				var nb *job
-				select {
-				case nb, open = <-ex.p.queue:
-					if !open {
-						nb = nil
-					}
-				default:
-				}
-				if nb == nil {
-					break
-				}
-				if !nb.small(ex.p.cfg.BatchCells) {
-					carry = nb
-					break
-				}
-				batch = append(batch, nb)
-			}
-		}
 		ex.p.m.batches.Add(1)
-		if len(batch) > 1 {
-			ex.p.m.batchedJobs.Add(int64(len(batch)))
-		}
-		for _, b := range batch {
-			ex.runJob(b)
-		}
+		ex.runJob(jb)
 	}
 }
 

@@ -50,11 +50,6 @@ type Config struct {
 	// CacheEntries bounds the LRU result cache; 0 uses the default
 	// (256), negative disables caching.
 	CacheEntries int
-	// BatchMax is the most jobs one dispatch will coalesce.  Default 4.
-	BatchMax int
-	// BatchCells is the largest grid (in cells) considered "small"
-	// enough to batch.  Default 32768.
-	BatchCells int
 	// Name identifies this node in trace bundles and correlated logs.
 	// Default "archserve".
 	Name string
@@ -82,12 +77,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheEntries < 0 {
 		c.CacheEntries = 0
-	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 4
-	}
-	if c.BatchCells <= 0 {
-		c.BatchCells = 32768
 	}
 	if c.Name == "" {
 		c.Name = "archserve"
@@ -419,8 +408,8 @@ type Stats struct {
 	RejectedOverload  int64 `json:"rejected_overload"`
 	RejectedDraining  int64 `json:"rejected_draining"`
 	RejectedInvalid   int64 `json:"rejected_invalid"`
-	Batches           int64 `json:"batches"`
-	BatchedJobs       int64 `json:"batched_jobs"`
+	Batches           int64 `json:"batches"`            // dispatches, one per job run
+	BatchedJobs       int64 `json:"batched_jobs"`       // always 0: jobs are not batched; kept for the benchmark, which reads it
 	TransportRebuilds int64 `json:"transport_rebuilds"` // always 0: each job has its own network; kept for the benchmark, which reads it
 	// JobLatency digests the completed-job wall-time histogram.
 	JobLatency LatencySummary `json:"job_latency"`
@@ -454,7 +443,6 @@ func (s *Server) Stats() Stats {
 		RejectedDraining: s.m.rejectedDrain.Load(),
 		RejectedInvalid:  s.m.rejectedBad.Load(),
 		Batches:          s.m.batches.Load(),
-		BatchedJobs:      s.m.batchedJobs.Load(),
 		JobLatency:       s.m.latencySummary(),
 		LoadScore:        float64(s.m.jobsInFlight.Load()) / float64(s.cfg.Workers),
 	}

@@ -405,53 +405,6 @@ func TestDrainDeadlineCancelsInFlight(t *testing.T) {
 	}
 }
 
-func TestBatchingCoalescesSmallJobs(t *testing.T) {
-	s := newTestServer(t, Config{P: 2, Workers: 1, QueueDepth: 8, BatchMax: 4})
-	hold := &testHold{entered: make(chan *job, 8), release: make(chan struct{})}
-	s.pool.setHold(hold)
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, _, err := s.Submit(uniqueSpec(10), SubmitOptions{})
-		errs <- err
-	}()
-	select {
-	case <-hold.entered:
-	case <-time.After(10 * time.Second):
-		t.Fatal("worker never picked up the job")
-	}
-	// Three more distinct small jobs queue up behind the held one; when
-	// released, the dispatcher should pull them into one batch.
-	for i := 11; i < 14; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, _, err := s.Submit(uniqueSpec(i), SubmitOptions{})
-			errs <- err
-		}(i)
-	}
-	waitFor(t, func() bool { return s.Stats().QueueDepth == 3 })
-	s.pool.setHold(nil)
-	close(hold.release)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatalf("submit: %v", err)
-		}
-	}
-	st := s.Stats()
-	if st.JobsOK != 4 {
-		t.Fatalf("jobs ok = %d, want 4", st.JobsOK)
-	}
-	if st.BatchedJobs < 3 {
-		t.Fatalf("batched jobs = %d, want >= 3 (batches = %d)", st.BatchedJobs, st.Batches)
-	}
-}
-
 // TestServiceEndToEnd is the acceptance test: >= 8 concurrent jobs
 // (with duplicates) against a 2-worker pool; cached results bitwise
 // identical to fresh recomputation; typed overload rejection while the
@@ -610,8 +563,7 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
 	if c.P != 2 || c.Workers != 2 || c.QueueDepth != 16 ||
-		c.DefaultTimeout != 30*time.Second || c.CacheEntries != 256 ||
-		c.BatchMax != 4 || c.BatchCells != 32768 {
+		c.DefaultTimeout != 30*time.Second || c.CacheEntries != 256 {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
 	if d := (Config{CacheEntries: -1}).withDefaults(); d.CacheEntries != 0 {
