@@ -1,7 +1,6 @@
 package archetype
 
 import (
-	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/farm"
 	"repro/internal/fdtd"
@@ -142,10 +141,8 @@ var (
 	SpecFigure2 = fdtd.SpecFigure2
 )
 
-// Methodology: refinement pipelines and determinacy checking.
+// Methodology: determinacy checking.
 type (
-	// RefinementStageKind classifies a refinement stage.
-	RefinementStageKind = core.StageKind
 	// Policy chooses the next process at each scheduling point of a
 	// controlled interleaving.
 	Policy = sched.Policy

@@ -1,5 +1,5 @@
 // Command archexp regenerates the paper's evaluation: every table and
-// figure, the correctness findings, and this reproduction's ablations.
+// figure, the far-field finding, and this reproduction's ablations.
 //
 // Usage:
 //
@@ -7,9 +7,9 @@
 //	archexp -exp table1      run one experiment
 //	archexp -quick           use reduced workloads (seconds, not minutes)
 //
-// Experiments: correctness, farfield, table1, figure2, rcs, figure1,
-// effort, ablations, all.  The determinacy experiment (E4) is
-// cmd/determinacy.  An unknown name exits 2.
+// Experiments: farfield, table1, figure2, rcs, figure1, effort,
+// ablations, all.  The determinacy experiment (E4) is cmd/determinacy.
+// An unknown name exits 2.
 //
 // table1 and figure2 are the repository's one speedup study: per P, the
 // machine model's time, speedup and efficiency beside this host's wall
@@ -31,7 +31,7 @@ import (
 )
 
 func main() {
-	experiments := []string{"correctness", "farfield", "table1", "figure2", "rcs", "figure1", "effort", "ablations"}
+	experiments := []string{"farfield", "table1", "figure2", "rcs", "figure1", "effort", "ablations"}
 	exp := flag.String("exp", "all", "experiment to run ("+strings.Join(experiments, "|")+"|all)")
 	quick := flag.Bool("quick", false, "use reduced workloads")
 	flag.Parse()
@@ -57,19 +57,6 @@ func main() {
 		specC.Steps = 32
 		specA.Steps = 16
 	}
-
-	run("correctness", func() error {
-		small := fdtd.SpecSmall()
-		smallA := fdtd.SpecSmallA()
-		for _, s := range []fdtd.Spec{smallA, small} {
-			rep, err := harness.RunCorrectness(s, 4, 5)
-			if err != nil {
-				return err
-			}
-			fmt.Print(rep)
-		}
-		return nil
-	})
 
 	run("farfield", func() error {
 		spec := specC

@@ -19,11 +19,12 @@ func buildBinary(t *testing.T) string {
 }
 
 // TestFlagValidation: an experiment name must match one of the list
-// exactly.  A prefix or an empty name is refused with usage status 2
-// before any experiment runs.
+// exactly.  A prefix, an empty name or a removed experiment
+// (correctness) is refused with usage status 2 before any experiment
+// runs.
 func TestFlagValidation(t *testing.T) {
 	exe := buildBinary(t)
-	for _, name := range []string{"tab", "", "table1 figure2"} {
+	for _, name := range []string{"tab", "", "table1 figure2", "correctness"} {
 		out, err := exec.Command(exe, "-exp", name).CombinedOutput()
 		ee, ok := err.(*exec.ExitError)
 		if !ok || ee.ExitCode() != 2 {

@@ -19,7 +19,6 @@ import (
 	"repro/internal/fdtd"
 	"repro/internal/obs"
 	"repro/internal/serve"
-	"repro/internal/slo"
 )
 
 // loadConfig is everything one load run needs; main fills it from
@@ -46,15 +45,6 @@ type loadConfig struct {
 	// — so a stalled service cannot suppress the samples that would
 	// indict it (coordinated omission).  0 keeps the closed loop.
 	Rate float64
-
-	// SLO evaluates the run against a spec like "p99<250ms,err<1%"
-	// (see internal/slo); empty disables evaluation.
-	SLO string
-
-	// InjectLatency adds a fixed synthetic delay to every measured
-	// latency — a test hook that simulates a uniformly degraded service
-	// so the SLO failure path can be exercised deterministically.
-	InjectLatency time.Duration
 
 	// SampleTrace fetches the merged Chrome trace of one computed job
 	// from the coordinator after the run.
@@ -88,11 +78,10 @@ func (c loadConfig) withDefaults() loadConfig {
 	return c
 }
 
-// sample is one request's outcome.  start is the latency-measurement
-// origin: the scheduled arrival in open-loop mode, the actual send in
-// closed-loop mode — both as offsets from the run start.
+// sample is one request's outcome.  latency runs from the scheduled
+// arrival in open-loop mode and from the actual send in closed-loop
+// mode.
 type sample struct {
-	start    time.Duration
 	latency  time.Duration
 	status   int
 	origin   string
@@ -107,9 +96,8 @@ type loadResult struct {
 	Elapsed                                          time.Duration
 	Throughput                                       float64 // ok jobs per second
 	Hist                                             obs.HistSnapshot
-	SLO                                              *slo.Report // nil unless requested
-	SampledTrace                                     string      // trace id of the sampled job
-	TraceJSON                                        []byte      // merged Chrome trace for it
+	SampledTrace                                     string // trace id of the sampled job
+	TraceJSON                                        []byte // merged Chrome trace for it
 	samples                                          []sample
 }
 
@@ -236,14 +224,6 @@ func runLoad(cfg loadConfig) (*loadResult, error) {
 		return nil, fmt.Errorf("a target URL (or Cluster > 0) is required")
 	}
 
-	var spec *slo.Spec
-	if cfg.SLO != "" {
-		var err error
-		if spec, err = slo.ParseSpec(cfg.SLO); err != nil {
-			return nil, err
-		}
-	}
-
 	var (
 		mu      sync.Mutex
 		samples []sample
@@ -284,8 +264,7 @@ func runLoad(cfg loadConfig) (*loadResult, error) {
 				// Coordinated-omission-safe: latency runs from the
 				// scheduled arrival, so time spent queued behind a slow
 				// service counts against the service.
-				s.start = sched
-				s.latency = time.Since(start.Add(sched)) + cfg.InjectLatency
+				s.latency = time.Since(start.Add(sched))
 				add(s)
 			}(i, sched)
 		}
@@ -312,8 +291,7 @@ func runLoad(cfg loadConfig) (*loadResult, error) {
 					}
 					t0 := time.Now()
 					s := doRequest(hc, target, loadSpec(specIdx[i]))
-					s.start = t0.Sub(start)
-					s.latency = time.Since(t0) + cfg.InjectLatency
+					s.latency = time.Since(t0)
 					add(s)
 				}
 			}()
@@ -324,11 +302,9 @@ func runLoad(cfg loadConfig) (*loadResult, error) {
 
 	res := &loadResult{Elapsed: elapsed, samples: samples}
 	hist := obs.NewHistogram()
-	var sloSamples []slo.Sample
 	for _, s := range samples {
 		res.Total++
 		hist.Record(s.latency)
-		bad := s.err
 		switch {
 		case s.err:
 			res.Errs++
@@ -342,18 +318,12 @@ func runLoad(cfg loadConfig) (*loadResult, error) {
 			}
 		case s.status == http.StatusTooManyRequests:
 			res.Overloaded++
-			bad = true
 		default:
 			res.Errs++
-			bad = true
 		}
-		sloSamples = append(sloSamples, slo.Sample{Start: s.start, Latency: s.latency, Err: bad})
 	}
 	res.Hist = hist.Snapshot()
 	res.Throughput = float64(res.OK) / elapsed.Seconds()
-	if spec != nil {
-		res.SLO = slo.Eval(spec, sloSamples, elapsed)
-	}
 	if cfg.SampleTrace {
 		res.sampleTrace(hc, target)
 	}

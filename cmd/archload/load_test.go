@@ -2,16 +2,14 @@ package main
 
 import (
 	"encoding/json"
-	"strings"
 	"testing"
-	"time"
 )
 
 // TestObsSmoke is the observability-plane smoke test (`make obs-smoke`):
 // a 2-node self-contained cluster takes a 20-job open-loop run, and the
 // run must yield a populated latency histogram, a retrievable merged
 // trace whose spans share one trace id across coordinator and node
-// lanes, and a well-formed passing SLO report.
+// lanes.
 func TestObsSmoke(t *testing.T) {
 	res, err := runLoad(loadConfig{
 		Cluster:     2,
@@ -19,7 +17,6 @@ func TestObsSmoke(t *testing.T) {
 		Rate:        50, // open loop: ~0.4s of Poisson arrivals
 		Specs:       8,
 		Seed:        7,
-		SLO:         "p99<30s,err<50%", // generous: smoke checks plumbing, not performance
 		SampleTrace: true,
 		Quiet:       true,
 	})
@@ -40,22 +37,6 @@ func TestObsSmoke(t *testing.T) {
 	p50, p999 := res.Hist.Quantile(0.5), res.Hist.Quantile(0.999)
 	if p50 <= 0 || p999 < p50 {
 		t.Fatalf("degenerate histogram: p50=%d p999=%d", p50, p999)
-	}
-
-	// SLO report well-formed and passing.
-	if res.SLO == nil || !res.SLO.Pass {
-		t.Fatalf("SLO report missing or failing: %+v", res.SLO)
-	}
-	if len(res.SLO.Objectives) != 2 {
-		t.Fatalf("SLO evaluated %d objectives, want 2", len(res.SLO.Objectives))
-	}
-	for _, or := range res.SLO.Objectives {
-		if or.Slow.Good+or.Slow.Bad != 20 {
-			t.Fatalf("objective %s slow window saw %d samples, want 20", or.Objective, or.Slow.Good+or.Slow.Bad)
-		}
-	}
-	if !strings.Contains(res.SLO.Format(), "verdict: PASS") {
-		t.Fatalf("report format lacks verdict:\n%s", res.SLO.Format())
 	}
 
 	// Merged trace retrievable, with coordinator + node lanes sharing
@@ -109,49 +90,5 @@ func TestObsSmoke(t *testing.T) {
 	}
 	if res.Throughput <= 0 {
 		t.Errorf("throughput %.3f jobs/s, want > 0", res.Throughput)
-	}
-}
-
-// TestObsSmokeSLOFail: the injected-latency hook must push the run over
-// a tight latency objective and flip the verdict — proving the SLO gate
-// can actually fail.
-func TestObsSmokeSLOFail(t *testing.T) {
-	res, err := runLoad(loadConfig{
-		Cluster:       1,
-		Jobs:          10,
-		Rate:          50,
-		Specs:         4,
-		Seed:          11,
-		SLO:           "p99<250ms,err<1%",
-		InjectLatency: 400 * time.Millisecond,
-		Quiet:         true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SLO == nil || res.SLO.Pass {
-		t.Fatalf("injected 400ms latency should fail p99<250ms: %+v", res.SLO)
-	}
-	var latObj *string
-	for _, or := range res.SLO.Objectives {
-		if or.Objective == "p99<250ms" {
-			if or.Pass {
-				t.Fatalf("latency objective passed despite injection: %+v", or)
-			}
-			if or.Observed < 0.4 {
-				t.Fatalf("observed p99 %.3fs, want >= 0.4 (injection included)", or.Observed)
-			}
-			// The burn rate reflects the breach: slow-window burn must
-			// exceed 1 (budget overrun) by a wide margin when every
-			// request is slow.
-			if or.Slow.Burn < 10 {
-				t.Fatalf("slow burn %.2f, want >> 1 when 100%% of requests breach", or.Slow.Burn)
-			}
-			s := or.Objective
-			latObj = &s
-		}
-	}
-	if latObj == nil {
-		t.Fatal("latency objective missing from report")
 	}
 }

@@ -14,7 +14,6 @@
 //   - the sequential simulated-parallel (SSP) program model with
 //     validators for the paper's three data-exchange restrictions and
 //     the mechanical SSP-to-parallel transformation (internal/ssp);
-//   - the refinement-pipeline methodology (internal/core);
 //   - the mesh archetype: ghost-boundary exchange, reductions
 //     (recursive doubling and all-to-one), broadcast, and host/grid
 //     redistribution, over interchangeable simulated-parallel and

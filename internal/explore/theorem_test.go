@@ -1,4 +1,4 @@
-package core
+package explore_test
 
 import (
 	"errors"
@@ -10,163 +10,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/ssp"
 )
-
-func TestPipelineAllExactStagesAgree(t *testing.T) {
-	p := &Pipeline[int]{
-		Name: "double",
-		Stages: []Stage[int]{
-			{Name: "original", Kind: Sequential, Run: func() (int, error) { return 42, nil }},
-			{Name: "ssp", Kind: SimulatedParallel, Exact: true, Run: func() (int, error) { return 42, nil }},
-			{Name: "parallel", Kind: Parallel, Exact: true, Run: func() (int, error) { return 42, nil }},
-		},
-	}
-	rep, err := p.Verify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() {
-		t.Fatalf("pipeline should pass:\n%s", rep)
-	}
-	if len(rep.Results) != 3 || rep.Results[2] != 42 {
-		t.Fatalf("results = %v", rep.Results)
-	}
-}
-
-func TestPipelineExactMismatchFails(t *testing.T) {
-	p := &Pipeline[int]{
-		Name: "broken",
-		Stages: []Stage[int]{
-			{Name: "a", Kind: Sequential, Run: func() (int, error) { return 1, nil }},
-			{Name: "b", Kind: SimulatedParallel, Exact: true, Run: func() (int, error) { return 2, nil }},
-		},
-	}
-	rep, err := p.Verify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.OK() {
-		t.Fatal("exact mismatch must fail the report")
-	}
-	if !strings.Contains(rep.String(), "MISMATCH") {
-		t.Fatalf("report should flag mismatch:\n%s", rep)
-	}
-}
-
-func TestPipelineNonExactDriftAllowed(t *testing.T) {
-	// Models the paper's far-field stage: declared non-exact reordering.
-	p := &Pipeline[float64]{
-		Name:  "farfield",
-		Equal: func(a, b float64) bool { return a == b },
-		Stages: []Stage[float64]{
-			// Runtime variables: Go constant arithmetic is exact, so the
-			// absorption must happen in float64 at run time.
-			{Name: "sequential sum", Kind: Sequential, Run: func() (float64, error) {
-				big, one := 1e20, 1.0
-				return big + one - big, nil // 1.0 absorbed: result 0
-			}},
-			{Name: "reordered sum", Kind: SimulatedParallel, Exact: false, Run: func() (float64, error) {
-				big, one := 1e20, 1.0
-				return big - big + one, nil // result 1
-			}},
-		},
-	}
-	rep, err := p.Verify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() {
-		t.Fatalf("non-exact drift must not fail:\n%s", rep)
-	}
-	if rep.Stages[1].EqualToPrev {
-		t.Fatal("test premise broken: the sums should actually differ")
-	}
-	if !strings.Contains(rep.String(), "non-exact") {
-		t.Fatalf("report should mention declared non-exactness:\n%s", rep)
-	}
-}
-
-func TestPipelineStageError(t *testing.T) {
-	boom := errors.New("boom")
-	p := &Pipeline[int]{
-		Name: "err",
-		Stages: []Stage[int]{
-			{Name: "a", Kind: Sequential, Run: func() (int, error) { return 0, boom }},
-			{Name: "b", Kind: Parallel, Exact: true, Run: func() (int, error) { return 0, nil }},
-		},
-	}
-	rep, err := p.Verify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.OK() {
-		t.Fatal("stage error must fail the report")
-	}
-	if !errors.Is(rep.Stages[0].Err, boom) {
-		t.Fatalf("stage error lost: %v", rep.Stages[0].Err)
-	}
-}
-
-func TestPipelineEmpty(t *testing.T) {
-	p := &Pipeline[int]{Name: "empty"}
-	if _, err := p.Verify(); err == nil {
-		t.Fatal("empty pipeline should error")
-	}
-}
-
-func TestPipelineSourceDeltas(t *testing.T) {
-	p := &Pipeline[int]{
-		Name: "deltas",
-		Stages: []Stage[int]{
-			{Name: "a", Kind: Sequential, Source: "x = 1\ny = 2\nz = x + y\n",
-				Run: func() (int, error) { return 0, nil }},
-			{Name: "b", Kind: SimulatedParallel, Exact: true,
-				Source: "x = 1\ny = 2\nexchange(y)\nz = x + y\n",
-				Run:    func() (int, error) { return 0, nil }},
-		},
-	}
-	rep, err := p.Verify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Stages[1].LinesAdded != 1 || rep.Stages[1].LinesRemoved != 0 {
-		t.Fatalf("delta = +%d/-%d, want +1/-0",
-			rep.Stages[1].LinesAdded, rep.Stages[1].LinesRemoved)
-	}
-	if !strings.Contains(rep.String(), "+1/-0") {
-		t.Fatalf("report should include delta:\n%s", rep)
-	}
-}
-
-func TestDiffLines(t *testing.T) {
-	cases := []struct {
-		a, b        string
-		add, remove int
-	}{
-		{"", "", 0, 0},
-		{"a\nb\n", "a\nb\n", 0, 0},
-		{"a\n", "a\nb\n", 1, 0},
-		{"a\nb\n", "a\n", 0, 1},
-		{"a\nb\nc\n", "a\nx\nc\n", 1, 1},
-		{"", "a\nb\n", 2, 0},
-	}
-	for i, c := range cases {
-		add, rm := DiffLines(c.a, c.b)
-		if add != c.add || rm != c.remove {
-			t.Fatalf("case %d: got +%d/-%d want +%d/-%d", i, add, rm, c.add, c.remove)
-		}
-	}
-}
-
-func TestStageKindString(t *testing.T) {
-	if Sequential.String() != "sequential" ||
-		SimulatedParallel.String() != "simulated-parallel" ||
-		Parallel.String() != "parallel" {
-		t.Fatal("kind names")
-	}
-	if !strings.Contains(StageKind(42).String(), "42") {
-		t.Fatal("unknown kind")
-	}
-}
 
 // deterministicNet builds a well-formed network: a pipeline of adders.
 func deterministicNet() []sched.Proc[int, int] {

@@ -3,8 +3,6 @@ package harness
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/core"
 )
 
 // EffortRow is one transformation step of the ease-of-use proxy.
@@ -113,8 +111,8 @@ func RunEffort(version string) *EffortReport {
 		seq, ssp, par = strip(seq), strip(ssp), strip(par)
 		daysStrategy, daysSSP, daysMP = "<1", "5", "<1"
 	}
-	addSSP, remSSP := core.DiffLines(seq, ssp)
-	addPar, remPar := core.DiffLines(ssp, par)
+	addSSP, remSSP := diffLines(seq, ssp)
+	addPar, remPar := diffLines(ssp, par)
 	return &EffortReport{
 		Version: version,
 		Rows: []EffortRow{
@@ -123,4 +121,40 @@ func RunEffort(version string) *EffortReport {
 			{Step: "simulated-parallel -> message-passing", PaperDays: daysMP, LinesAdded: addPar, LinesRemoved: remPar},
 		},
 	}
+}
+
+// diffLines computes the number of lines added and removed between two
+// listings, via longest-common-subsequence.  It is the proxy this
+// reproduction uses for the paper's person-days "ease of use" numbers:
+// the human effort of a transformation scales with the text it touches.
+func diffLines(a, b string) (added, removed int) {
+	al := splitLines(a)
+	bl := splitLines(b)
+	n, m := len(al), len(bl)
+	// LCS table; listings in this repo are small, so O(n*m) is fine.
+	dp := make([][]int, n+1)
+	for i := range dp {
+		dp[i] = make([]int, m+1)
+	}
+	for i := n - 1; i >= 0; i-- {
+		for j := m - 1; j >= 0; j-- {
+			if al[i] == bl[j] {
+				dp[i][j] = dp[i+1][j+1] + 1
+			} else if dp[i+1][j] >= dp[i][j+1] {
+				dp[i][j] = dp[i+1][j]
+			} else {
+				dp[i][j] = dp[i][j+1]
+			}
+		}
+	}
+	lcs := dp[0][0]
+	return m - lcs, n - lcs
+}
+
+func splitLines(s string) []string {
+	s = strings.TrimRight(s, "\n")
+	if s == "" {
+		return nil
+	}
+	return strings.Split(s, "\n")
 }

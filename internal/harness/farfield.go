@@ -6,99 +6,10 @@ import (
 	"math/rand"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/fdtd"
 	"repro/internal/fsum"
 	"repro/internal/mesh"
 )
-
-// CorrectnessReport is the outcome of experiments E1-E3 for one
-// application version.
-type CorrectnessReport struct {
-	Version             string
-	Pipeline            *core.Report[*fdtd.Result]
-	NearFieldIdentical  bool
-	FarFieldIdentical   bool // meaningful only for Version C
-	FarFieldMaxRelDiff  float64
-	ParallelMatchesSSP  bool
-	ParallelRepetitions int
-}
-
-// String renders the report.
-func (r *CorrectnessReport) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "=== Correctness, Version %s ===\n", r.Version)
-	b.WriteString(r.Pipeline.String())
-	fmt.Fprintf(&b, "near-field SSP identical to sequential: %v\n", r.NearFieldIdentical)
-	if r.Version == "C" {
-		fmt.Fprintf(&b, "far-field SSP identical to sequential:  %v (max relative deviation %.3g)\n",
-			r.FarFieldIdentical, r.FarFieldMaxRelDiff)
-	}
-	fmt.Fprintf(&b, "parallel identical to SSP over %d executions: %v\n",
-		r.ParallelRepetitions, r.ParallelMatchesSSP)
-	return b.String()
-}
-
-// RunCorrectness executes experiments E1-E3 on the given spec with the
-// given process count: it builds the three-version refinement pipeline
-// (sequential → simulated-parallel → parallel), verifies each step, and
-// repeats the parallel execution several times to confirm "identical
-// results on the first and every execution".
-func RunCorrectness(spec fdtd.Spec, p int, reps int) (*CorrectnessReport, error) {
-	version := "A"
-	if spec.IsVersionC() {
-		version = "C"
-	}
-	rep := &CorrectnessReport{Version: version, ParallelRepetitions: reps}
-
-	opt := fdtd.DefaultOptions()
-	pipeline := &core.Pipeline[*fdtd.Result]{
-		Name: "fdtd version " + version,
-		// Stage equality for the pipeline is near-field equality; the
-		// far field is assessed separately because the SSP stage is
-		// declared non-exact for it.
-		Equal: func(a, b *fdtd.Result) bool { return a.NearFieldEqual(b) },
-		Stages: []core.Stage[*fdtd.Result]{
-			{
-				Name: "original sequential", Kind: core.Sequential,
-				Run: func() (*fdtd.Result, error) { return fdtd.RunSequential(spec) },
-			},
-			{
-				Name: "simulated-parallel (SSP)", Kind: core.SimulatedParallel, Exact: true,
-				Run: func() (*fdtd.Result, error) { return fdtd.RunArchetype(spec, p, mesh.Sim, opt) },
-			},
-			{
-				Name: "message-passing parallel", Kind: core.Parallel, Exact: true,
-				Run: func() (*fdtd.Result, error) { return fdtd.RunArchetype(spec, p, mesh.Par, opt) },
-			},
-		},
-	}
-	pr, err := pipeline.Verify()
-	if err != nil {
-		return nil, err
-	}
-	rep.Pipeline = pr
-	if !pr.OK() {
-		return rep, fmt.Errorf("harness: refinement pipeline failed:\n%s", pr)
-	}
-	seq, ssp := pr.Results[0], pr.Results[1]
-	rep.NearFieldIdentical = seq.NearFieldEqual(ssp)
-	if spec.IsVersionC() {
-		rep.FarFieldIdentical = seq.FarFieldEqual(ssp)
-		rep.FarFieldMaxRelDiff = seq.FarFieldMaxRelDiff(ssp)
-	}
-	rep.ParallelMatchesSSP = true
-	for i := 0; i < reps; i++ {
-		par, err := fdtd.RunArchetype(spec, p, mesh.Par, opt)
-		if err != nil {
-			return rep, err
-		}
-		if !ssp.NearFieldEqual(par) || (spec.IsVersionC() && !ssp.FarFieldEqual(par)) {
-			rep.ParallelMatchesSSP = false
-		}
-	}
-	return rep, nil
-}
 
 // FarFieldAnalysis quantifies the mechanism behind the far-field
 // divergence (the paper's footnote 2: the summands "ranged over many

@@ -1,7 +1,9 @@
 // Package harness runs the repository's reproduction experiments and
 // formats their results in the shape of the paper's tables and figures.
 //
-// Experiment identifiers (see DESIGN.md §4):
+// Experiment identifiers (see DESIGN.md §4).  E1 and E3 are rows of
+// internal/fdtd's TestOneProgramIdentity and E4 is cmd/determinacy;
+// the others run here:
 //
 //	E1  near-field correctness (SSP ≡ sequential, bitwise)
 //	E2  far-field divergence (reordered FP summation) + the fix
@@ -9,7 +11,7 @@
 //	E4  determinacy of arbitrary interleavings
 //	E5  Table 1 (Version C, 33³, 128 steps, network of Suns)
 //	E6  Figure 2 (Version A, 66³, 512 steps, IBM SP)
-//	E7  ease-of-use proxy (refinement-stage deltas)
+//	E7  ease-of-use proxy (stage-listing deltas)
 //	E8  Figure 1 correspondence (simulated vs parallel ordering)
 package harness
 

@@ -87,38 +87,23 @@ func TestSunScalesWorseThanSP(t *testing.T) {
 	}
 }
 
-func TestRunCorrectnessVersionA(t *testing.T) {
-	rep, err := RunCorrectness(fdtd.SpecSmallA(), 3, 2)
-	if err != nil {
-		t.Fatalf("%v\n%v", err, rep)
+func TestDiffLines(t *testing.T) {
+	cases := []struct {
+		a, b        string
+		add, remove int
+	}{
+		{"", "", 0, 0},
+		{"a\nb\n", "a\nb\n", 0, 0},
+		{"a\n", "a\nb\n", 1, 0},
+		{"a\nb\n", "a\n", 0, 1},
+		{"a\nb\nc\n", "a\nx\nc\n", 1, 1},
+		{"", "a\nb\n", 2, 0},
 	}
-	if !rep.NearFieldIdentical || !rep.ParallelMatchesSSP {
-		t.Fatalf("correctness failed:\n%s", rep)
-	}
-	if rep.Version != "A" {
-		t.Fatalf("version = %s", rep.Version)
-	}
-	if !strings.Contains(rep.String(), "identical to previous stage") {
-		t.Fatalf("report:\n%s", rep)
-	}
-}
-
-func TestRunCorrectnessVersionC(t *testing.T) {
-	rep, err := RunCorrectness(fdtd.SpecSmall(), 4, 2)
-	if err != nil {
-		t.Fatalf("%v\n%v", err, rep)
-	}
-	if !rep.NearFieldIdentical {
-		t.Fatal("near field must be identical")
-	}
-	if rep.FarFieldIdentical {
-		t.Fatal("far field should diverge for Version C at P=4")
-	}
-	if rep.FarFieldMaxRelDiff <= 0 || rep.FarFieldMaxRelDiff > 1e-6 {
-		t.Fatalf("far-field deviation out of expected band: %g", rep.FarFieldMaxRelDiff)
-	}
-	if !rep.ParallelMatchesSSP {
-		t.Fatal("parallel must match SSP")
+	for i, c := range cases {
+		add, rm := diffLines(c.a, c.b)
+		if add != c.add || rm != c.remove {
+			t.Fatalf("case %d: got +%d/-%d want +%d/-%d", i, add, rm, c.add, c.remove)
+		}
 	}
 }
 
