@@ -1,7 +1,7 @@
 GO ?= go
 
 # Packages whose concurrency the race detector must vet.
-RACE_PKGS = . ./internal/farm ./internal/channel ./internal/sched ./internal/explore ./internal/mesh ./internal/trace ./internal/obs ./internal/serve ./internal/cluster ./internal/cluster/client ./cmd/archload
+RACE_PKGS = . ./internal/farm ./internal/channel ./internal/sched ./internal/explore ./internal/fault ./internal/mesh ./internal/trace ./internal/obs ./internal/serve ./internal/cluster ./internal/cluster/client ./cmd/archload
 
 .PHONY: check fmt build vet cross test run-lists doc-refs race bench-smoke benchmark-smoke cover kernel-smoke net-smoke serve-smoke cluster-smoke chaos-smoke obs-smoke fuzz-smoke explore-smoke ab
 
@@ -147,9 +147,9 @@ cluster-smoke:
 # chaos-smoke is the kill-a-node acceptance proof under the race
 # detector: 3 archserve nodes under procs supervision, a 60-job burst
 # with duplicates, SIGKILL of a live node mid-burst, zero lost jobs,
-# bitwise identity (including mesh.Par with fault.DelaySends), dead-arc
-# failover, rejoin-serves-cache-hits, and no leaked goroutines
-# (TestClusterChaos).
+# bitwise identity (including mesh.Par over a fault.DelaySends
+# transport), dead-arc failover, rejoin-serves-cache-hits, and no
+# leaked goroutines (TestClusterChaos).
 chaos-smoke:
 	$(GO) test -race -run 'TestClusterChaos' -count=1 -timeout 10m ./internal/cluster
 

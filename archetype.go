@@ -67,7 +67,7 @@ type (
 var (
 	// ErrDeadlock classifies exactly-detected deadlocks.
 	ErrDeadlock = sched.ErrDeadlock
-	// ErrStall classifies stall-watchdog aborts (MeshOptions.StallTimeout).
+	// ErrStall classifies stall-watchdog aborts (sched.Options.StallTimeout).
 	ErrStall = sched.ErrStall
 )
 

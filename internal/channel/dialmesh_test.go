@@ -4,7 +4,7 @@
 // transport must refuse cleanly rather than wedging reconnects.
 //
 // This file lives in package channel_test (not channel) because it
-// composes fault.DelaySends onto the mesh, and fault imports channel —
+// decorates the mesh with fault.DelaySends, and fault imports channel —
 // an internal test would be an import cycle.
 package channel_test
 
@@ -83,15 +83,14 @@ func recvWithin(t *testing.T, ep channel.Endpoint[int64], within time.Duration) 
 
 // TestDialMeshSlowListener starts rank 1 (which dials rank 0) well
 // before rank 0's listener exists, proving the rendezvous retry loop
-// rides out slow-starting peers within DialTimeout.  The exchanged
-// endpoints are wrapped with fault.DelaySends so the post-rendezvous
+// rides out slow-starting peers within DialTimeout.  The sending
+// endpoints come through fault.DelaySends so the post-rendezvous
 // traffic crosses a deliberately laggy path and must still arrive
 // intact — the same seeded injector the cluster chaos tests use.
 func TestDialMeshSlowListener(t *testing.T) {
 	addrs := unixAddrs(t, 2)
 	codec := wireCodec()
 	opt := channel.SocketOptions{DialTimeout: 10 * time.Second}
-	delay := fault.DelaySends[int64](42, 2*time.Millisecond)
 
 	var wg sync.WaitGroup
 	var tr1 *channel.SocketTransport[int64]
@@ -126,7 +125,7 @@ func TestDialMeshSlowListener(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		send := delay(1, 0, tr1.Chan(1, 0))
+		send := fault.DelaySends[int64](tr1, 42, 2*time.Millisecond).Chan(1, 0)
 		for i := int64(0); i < rounds; i++ {
 			send.Send(1000 + i)
 		}
@@ -138,7 +137,7 @@ func TestDialMeshSlowListener(t *testing.T) {
 			}
 		}
 	}()
-	send := delay(0, 1, tr0.Chan(0, 1))
+	send := fault.DelaySends[int64](tr0, 42, 2*time.Millisecond).Chan(0, 1)
 	recv := tr0.Chan(1, 0)
 	for i := int64(0); i < rounds; i++ {
 		if v := recvWithin(t, recv, 20*time.Second); v != 1000+i {

@@ -89,8 +89,8 @@ func (e *TransportError) Unwrap() error { return e.Err }
 // SocketOptions configures a socket transport.
 type SocketOptions struct {
 	// Stats, when non-nil, receives per-link wire counters (frames,
-	// bytes, flushes, syscalls) in addition to whatever endpoint-level
-	// Counted decorators the runtime installs.
+	// bytes, flushes, syscalls) beside the message counts the runtime
+	// records (sched.Options.ChanStats).
 	Stats *NetStats
 	// DialTimeout bounds the multi-process rendezvous: how long DialMesh
 	// keeps retrying peers that have not started listening yet

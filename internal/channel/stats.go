@@ -5,14 +5,15 @@ import (
 	"sync/atomic"
 )
 
-// NetStats accumulates per-channel delivery statistics for a network
-// instrumented with Counted endpoint decorators (the runtime installs
-// them per run through its endpoint-wrapping seam, mesh.Options.ChanStats):
+// NetStats accumulates per-channel delivery statistics for a network:
 // how many messages each ordered pair of processes exchanged, and the
 // deepest each channel's queue ever grew — the empirical measure of how
-// much of the model's "infinite slack" a program actually uses.  All
-// methods are safe for concurrent use; the counters are pure atomics, so
-// a live metrics scrape never blocks the runtime.
+// much of the model's "infinite slack" a program actually uses.  The
+// runtime records every completed send and receive of a run into it
+// (sched.Options.ChanStats), and socket transports add their wire
+// counters (SocketOptions.Stats).  All methods are safe for concurrent
+// use; the counters are pure atomics, so a live metrics scrape never
+// blocks the runtime.
 type NetStats struct {
 	p     int
 	cells []statsCell // index from*p + to
@@ -128,50 +129,24 @@ func (s *NetStats) MaxHighWater() int64 {
 	return max
 }
 
-// Counted wraps an endpoint so that every send and receive on it
-// updates the from -> to cell of s.  It composes with other decorators
-// (fault injectors) and preserves the wrapped endpoint's FIFO order and
-// blocking behaviour.  Use it as a sched.Options.WrapEndpoint:
-//
-//	stats := channel.NewNetStats(p)
-//	opt.WrapEndpoint = func(from, to int, e channel.Endpoint[T]) channel.Endpoint[T] {
-//		return channel.Counted(stats, from, to, e)
-//	}
-func Counted[T any](s *NetStats, from, to int, e Endpoint[T]) Endpoint[T] {
-	return &countedEndpoint[T]{e: e, cell: s.cell(from, to)}
-}
-
-type countedEndpoint[T any] struct {
-	e    Endpoint[T]
-	cell *statsCell
-}
-
-func (c *countedEndpoint[T]) Send(v T) {
-	c.e.Send(v)
-	c.cell.msgs.Add(1)
-	d := c.cell.depth.Add(1)
+// RecordSend counts one completed send on the channel from -> to and
+// raises the channel's high-water mark if its depth is a new maximum.
+// The runtime calls it after the send has returned (sched.Ctx.Send).
+func (s *NetStats) RecordSend(from, to int) {
+	c := s.cell(from, to)
+	c.msgs.Add(1)
+	d := c.depth.Add(1)
 	for {
-		h := c.cell.high.Load()
-		if d <= h || c.cell.high.CompareAndSwap(h, d) {
+		h := c.high.Load()
+		if d <= h || c.high.CompareAndSwap(h, d) {
 			break
 		}
 	}
 }
 
-func (c *countedEndpoint[T]) Recv() T {
-	v := c.e.Recv()
-	c.cell.recvs.Add(1)
-	c.cell.depth.Add(-1)
-	return v
+// RecordRecv counts one completed receive on the channel from -> to.
+func (s *NetStats) RecordRecv(from, to int) {
+	c := s.cell(from, to)
+	c.recvs.Add(1)
+	c.depth.Add(-1)
 }
-
-func (c *countedEndpoint[T]) TryRecv() (T, bool) {
-	v, ok := c.e.TryRecv()
-	if ok {
-		c.cell.recvs.Add(1)
-		c.cell.depth.Add(-1)
-	}
-	return v, ok
-}
-
-func (c *countedEndpoint[T]) Len() int { return c.e.Len() }

@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/channel"
 	"repro/internal/cluster/client"
 	"repro/internal/fault"
 	"repro/internal/fdtd"
@@ -148,8 +149,8 @@ func postSpec(hc *http.Client, front string, spec fdtd.Spec) (*ClusterResponse, 
 //     retry/failover;
 //   - every response bitwise-identical (probe floats + FieldHash) to a
 //     fresh mesh.Sim recomputation, and to a mesh.Par recomputation
-//     running under fault.DelaySends — the seeded injector composed
-//     into the oracle, per Theorem 1;
+//     over a transport decorated by fault.DelaySends — the seeded
+//     injector composed into the oracle, per Theorem 1;
 //   - the dead node's ring arc is reassigned (degraded responses from
 //     live nodes) within the probe failure threshold;
 //   - the kill surfaces through procs as a typed *WorkerError with the
@@ -321,7 +322,7 @@ func TestClusterChaos(t *testing.T) {
 	// cannot move.  Two specs keep this affordable.
 	for idx := 0; idx < 2; idx++ {
 		opt := fdtd.DefaultOptions()
-		opt.Mesh.WrapEndpoint = fault.DelaySends[mesh.Msg](42, 2*time.Millisecond)
+		opt.Mesh.Transport = fault.DelaySends[mesh.Msg](channel.NewChanNet[mesh.Msg](2), 42, 2*time.Millisecond)
 		delayed, err := fdtd.RunArchetype(specs[idx], 2, mesh.Par, opt)
 		if err != nil {
 			t.Fatalf("delayed recomputation of spec %d: %v", idx, err)

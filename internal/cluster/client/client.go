@@ -101,9 +101,6 @@ func newTransport() *http.Transport {
 	return t
 }
 
-// Policy returns the client's effective (defaulted) policy.
-func (c *Client) Policy() Policy { return c.pol }
-
 // Close releases the client's idle connections.
 func (c *Client) Close() { c.hc.CloseIdleConnections() }
 

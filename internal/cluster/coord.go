@@ -29,9 +29,6 @@ type Config struct {
 	// Seed decorrelates the client's backoff jitter and the trace-id
 	// mint.
 	Seed int64
-	// TraceDepth bounds the coordinator's trace ring buffer.  0 uses
-	// the obs default (128); negative disables trace retention.
-	TraceDepth int
 	// Probe overrides the HTTP health prober (tests only).
 	Probe func(n Node) (float64, error)
 }
@@ -72,18 +69,11 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	depth := cfg.TraceDepth
-	if depth == 0 {
-		depth = obs.DefaultTraceDepth
-	}
-	if depth < 0 {
-		depth = 0
-	}
 	c := &Coordinator{
 		member: m,
 		client: client.New(cfg.Client, cfg.Seed),
 		mint:   obs.NewTraceSource(cfg.Seed),
-		traces: obs.NewTraceStore(depth),
+		traces: obs.NewTraceStore(obs.DefaultTraceDepth),
 	}
 	m.Start()
 	return c, nil

@@ -113,6 +113,3 @@ func (r *Ring) Lookup(key uint64, n int) []string {
 
 // Primary returns the key's primary node.
 func (r *Ring) Primary(key uint64) string { return r.Lookup(key, 1)[0] }
-
-// Nodes returns the ring's node names in construction order.
-func (r *Ring) Nodes() []string { return append([]string(nil), r.names...) }

@@ -41,8 +41,8 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/channel"
 	"repro/internal/sched"
+	"repro/internal/trace"
 )
 
 // DepMode selects the dependence relation DPOR reduces with respect
@@ -114,9 +114,6 @@ type Options[R any] struct {
 	// (0 = exhaustive).  When the bound stops the exploration early,
 	// Report.Truncated is set.
 	MaxSchedules int
-	// MaxActions bounds each run's length (default 100000), a
-	// backstop against non-terminating networks.
-	MaxActions int
 	// Fingerprint renders a run's final states for comparison and
 	// artifacts; it must be injective up to the caller's notion of
 	// equality.  The default renders finals like %v but follows
@@ -140,12 +137,9 @@ func (o *Options[R]) continueSpec() string {
 	return o.Continue
 }
 
-func (o *Options[R]) maxActions() int {
-	if o.MaxActions <= 0 {
-		return 100000
-	}
-	return o.MaxActions
-}
+// maxActions bounds each run's length, a backstop against
+// non-terminating networks.
+const maxActions = 100000
 
 // Divergence records one explored schedule whose outcome differs from
 // the reference run — a counterexample to determinacy.
@@ -262,9 +256,15 @@ type expPolicy struct {
 	branchDepth int // depth of the final forced pick; sleepInit applies there
 	sleepInit   map[int]opInfo
 
-	sleep          map[int]opInfo
-	points         []point
-	lastMsgIdx     int // set by the channel hooks after each send/recv
+	sleep  map[int]opInfo
+	points []point
+	// sent and taken count the executed sends and receives of each
+	// channel (index from*p+to).  The scheduler executes exactly the
+	// picked op, and channels are single-reader single-writer FIFOs, so
+	// the k-th receive on a channel takes its k-th send.
+	p           int
+	sent, taken []int
+
 	sleepBlockedAt int
 }
 
@@ -276,12 +276,6 @@ func (e *expPolicy) Pick(enabled []int, step int) int {
 
 // PickOp implements sched.OpPolicy.
 func (e *expPolicy) PickOp(enabled []int, ops []sched.PendingOp, step int) int {
-	// Attach the channel op index of the previous action (the hooks
-	// fired between the previous PickOp and this one).
-	if step > 0 {
-		e.points[step-1].act.MsgIdx = e.lastMsgIdx
-		e.lastMsgIdx = -1
-	}
 	// The sleep set springs to life at the branch point and is
 	// thereafter woken by dependent executed operations: a sleeping
 	// process stays asleep only while everything that runs commutes
@@ -342,13 +336,22 @@ func (e *expPolicy) PickOp(enabled []int, ops []sched.PendingOp, step int) int {
 			pt.act = pt.ops[i]
 		}
 	}
+	switch a := &pt.act; a.Kind {
+	case trace.Send:
+		ch := a.Rank*e.p + a.Peer
+		a.MsgIdx = e.sent[ch]
+		e.sent[ch]++
+	case trace.Recv:
+		ch := a.Peer*e.p + a.Rank
+		a.MsgIdx = e.taken[ch]
+		e.taken[ch]++
+	}
 	e.points = append(e.points, pt)
 	return pick
 }
 
 // newRunner builds the type-erased runner for a network constructor.
-// Each run gets fresh processes, a fresh continuation policy, and
-// hooked channels that report per-channel operation indices.
+// Each run gets fresh processes and a fresh continuation policy.
 func newRunner[T, R any](mk func() []sched.Proc[T, R], opt *Options[R]) (runner, error) {
 	contSpec := opt.continueSpec()
 	if strings.HasPrefix(contSpec, "replay:") {
@@ -363,25 +366,19 @@ func newRunner[T, R any](mk func() []sched.Proc[T, R], opt *Options[R]) (runner,
 		if err != nil {
 			return nil, err
 		}
+		procs := mk()
+		p := len(procs)
 		pol := &expPolicy{
 			replay:         sched.NewReplay(prefix, cont),
 			mode:           opt.Mode,
 			branchDepth:    len(prefix) - 1,
 			sleepInit:      sleep,
-			lastMsgIdx:     -1,
+			p:              p,
+			sent:           make([]int, p*p),
+			taken:          make([]int, p*p),
 			sleepBlockedAt: -1,
 		}
-		finals, err := sched.RunControlled(mk(), pol, sched.Options[T]{
-			MaxActions: opt.maxActions(),
-			WrapEndpoint: func(from, to int, ep channel.Endpoint[T]) channel.Endpoint[T] {
-				return channel.Hooked(ep,
-					func(k int, v T) { pol.lastMsgIdx = k },
-					func(k int, v T) { pol.lastMsgIdx = k })
-			},
-		})
-		if n := len(pol.points); n > 0 {
-			pol.points[n-1].act.MsgIdx = pol.lastMsgIdx
-		}
+		finals, err := sched.RunControlled(procs, pol, sched.Options[T]{MaxActions: maxActions})
 		rr := &runResult{points: pol.points, sleepBlockedAt: pol.sleepBlockedAt}
 		if _, diverged := pol.replay.Diverged(); diverged {
 			rr.infeasible = true

@@ -9,9 +9,9 @@ import (
 // opInfo describes one scheduled operation: who acted (or would act),
 // what kind of action, the peer for channel operations, the step tag,
 // and — for executed sends/receives — the per-channel operation index
-// reported by the channel hooks.  The pair (channel, MsgIdx) names one
-// message stably across every interleaving, because the paper's
-// channels are single-reader single-writer FIFOs.
+// the explorer's policy counts at pick time.  The pair (channel,
+// MsgIdx) names one message stably across every interleaving, because
+// the paper's channels are single-reader single-writer FIFOs.
 type opInfo struct {
 	Rank   int
 	Kind   trace.Kind

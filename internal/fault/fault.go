@@ -14,8 +14,9 @@
 //
 // The injectors compose with the runtime through its existing seams:
 // Crash panics surface through the sched supervisor as errors wrapping
-// *Crash; Jitter is a sched.Policy; DelaySends is a channel.Endpoint
-// wrapper for sched.Options.WrapEndpoint / mesh.Options.WrapEndpoint.
+// *Crash; Jitter is a sched.Policy; DelaySends decorates the
+// channel.Transport a run is given (sched.Options.Transport,
+// mesh.Options.Transport).
 package fault
 
 import (
@@ -209,18 +210,28 @@ func (d *delayed[T]) Send(v T) {
 	d.Endpoint.Send(v)
 }
 
-// DelaySends returns an endpoint wrapper (for
-// sched.Options.WrapEndpoint) that delays every delivery by a seeded
-// pseudo-random duration in [0, max].  Each channel gets its own
-// deterministic stream derived from (seed, from, to).
-func DelaySends[T any](seed int64, max time.Duration) func(from, to int, e channel.Endpoint[T]) channel.Endpoint[T] {
+// DelaySends returns tr with every delivery delayed by a seeded
+// pseudo-random duration in [0, max].  Each Chan call starts the
+// channel's own deterministic stream, derived from (seed, from, to), so
+// every run over the decorated transport replays the same delays.  The
+// caller keeps ownership of tr.
+func DelaySends[T any](tr channel.Transport[T], seed int64, max time.Duration) channel.Transport[T] {
 	if max <= 0 {
 		panic("fault: DelaySends requires a positive max delay")
 	}
-	return func(from, to int, e channel.Endpoint[T]) channel.Endpoint[T] {
-		sub := seed ^ int64(from)*0x6C62272E07BB0142 ^ int64(to)*0x27D4EB2F165667C5
-		return &delayed[T]{Endpoint: e, rng: rand.New(rand.NewSource(sub)), max: max}
-	}
+	return delaySends[T]{Transport: tr, seed: seed, max: max}
+}
+
+type delaySends[T any] struct {
+	channel.Transport[T]
+	seed int64
+	max  time.Duration
+}
+
+// Chan implements channel.Transport.
+func (d delaySends[T]) Chan(from, to int) channel.Endpoint[T] {
+	sub := d.seed ^ int64(from)*0x6C62272E07BB0142 ^ int64(to)*0x27D4EB2F165667C5
+	return &delayed[T]{Endpoint: d.Transport.Chan(from, to), rng: rand.New(rand.NewSource(sub)), max: d.max}
 }
 
 // FlipByte corrupts the file at path by XOR-ing the byte at offset with

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/channel"
 	"repro/internal/sched"
 )
 
@@ -167,7 +168,7 @@ func TestDelaySendsPreservesDeterminacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := sched.RunConcurrent(ring(3, 4), sched.Options[int]{
-		WrapEndpoint: DelaySends[int](7, 2*time.Millisecond),
+		Transport: DelaySends[int](channel.NewChanNet[int](3), 7, 2*time.Millisecond),
 		// Delays must not trip the watchdog on a healthy run.
 		StallTimeout: 2 * time.Second,
 	})
@@ -185,7 +186,7 @@ func TestDelaySendsRejectsBadMax(t *testing.T) {
 			t.Fatal("non-positive max accepted")
 		}
 	}()
-	DelaySends[int](1, 0)
+	DelaySends[int](channel.NewChanNet[int](1), 1, 0)
 }
 
 func TestFlipByte(t *testing.T) {

@@ -30,7 +30,6 @@ package mesh
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/channel"
 	"repro/internal/machine"
@@ -77,15 +76,6 @@ type Options struct {
 	// phase ends for the machine performance model (see "Record a
 	// profile" in docs/mesh-archetype.md).  Its P must match the run's.
 	Profile *machine.Profile
-	// StallTimeout arms the Par-mode stall watchdog (see
-	// sched.Options.StallTimeout).  Exact deadlocks are detected
-	// immediately regardless; this additionally bounds hangs the exact
-	// detector cannot see.  Zero disables the watchdog.
-	StallTimeout time.Duration
-	// WrapEndpoint, if non-nil, wraps every Par-mode channel endpoint —
-	// the fault-injection seam for message-delivery faults (see
-	// sched.Options.WrapEndpoint).
-	WrapEndpoint func(from, to int, e channel.Endpoint[Msg]) channel.Endpoint[Msg]
 	// Obs, if non-nil, collects wall-clock observability: per-rank
 	// send/recv/step/block counters (with payload bytes at 8 bytes per
 	// float64) and phase timers.  Every archetype operation marks its
@@ -97,10 +87,8 @@ type Options struct {
 	// parallel time).
 	Obs *obs.Collector
 	// ChanStats, if non-nil, counts per-channel traffic and queue
-	// high-water marks via counting endpoint decorators.  Par mode only
-	// (it rides the endpoint-wrapping seam); its P must match the run's.
-	// When combined with WrapEndpoint, fault wrappers sit inside the
-	// counters, so ChanStats sees what the program attempts to send.
+	// high-water marks (sched.Options.ChanStats).  Works under both
+	// runtimes; its P must match the run's.
 	ChanStats *channel.NetStats
 	// Transport, if non-nil, carries Par-mode messages over an external
 	// substrate — e.g. a loopback socket mesh built with
@@ -109,9 +97,9 @@ type Options struct {
 	// the run's.  Sim mode rejects it: the simulated-parallel executor
 	// is by construction sequential and in-process.  The caller retains
 	// ownership and should Close the transport after the run.  A run
-	// leaves the transport as it found it (ChanStats and WrapEndpoint
-	// decorate a per-run endpoint table), so one transport can carry
-	// run after run.
+	// leaves the transport as it found it, so one transport can carry
+	// run after run.  Message-delivery faults are injected here, by
+	// decorating the transport (fault.DelaySends).
 	Transport channel.Transport[Msg]
 	// Workers is the per-rank worker count for tiled compute kernels
 	// (applications consult it via Comm.Workers).  0 means one worker
@@ -249,8 +237,8 @@ func Run[R any](p int, mode Mode, opt Options, f func(c *Comm) R) ([]R, error) {
 // process calls RunWorker with its own rank and its own transport, and
 // by Theorem 1 every rank's result is bitwise identical to the same
 // rank's result under Run.  It runs on Par's supervised backend, so
-// every option means what it means under Par — opt.StallTimeout arms
-// the same watchdog — except opt.Transport, whose place tr takes.
+// every option means what it means under Par, except opt.Transport,
+// whose place tr takes.
 func RunWorker[R any](rank int, tr channel.Transport[Msg], opt Options, f func(c *Comm) R) (R, error) {
 	var zero R
 	if tr == nil {
@@ -269,8 +257,6 @@ func RunWorker[R any](rank int, tr channel.Transport[Msg], opt Options, f func(c
 
 // schedOptions checks opt's per-rank instruments against a p-rank run
 // and lowers opt to the scheduler options Run and RunWorker share.
-// ChanStats' counters wrap outside any fault wrapper, so they see what
-// the program attempts to send.
 func schedOptions(p int, opt Options) (sched.Options[Msg], error) {
 	if opt.Obs != nil && opt.Obs.P() != p {
 		return sched.Options[Msg]{}, fmt.Errorf("mesh: obs collector sized for %d processes, run has %d", opt.Obs.P(), p)
@@ -281,23 +267,12 @@ func schedOptions(p int, opt Options) (sched.Options[Msg], error) {
 	if opt.ChanStats != nil && opt.ChanStats.P() != p {
 		return sched.Options[Msg]{}, fmt.Errorf("mesh: channel stats sized for %d processes, run has %d", opt.ChanStats.P(), p)
 	}
-	wrap := opt.WrapEndpoint
-	if stats := opt.ChanStats; stats != nil {
-		inner := wrap
-		wrap = func(from, to int, e channel.Endpoint[Msg]) channel.Endpoint[Msg] {
-			if inner != nil {
-				e = inner(from, to, e)
-			}
-			return channel.Counted(stats, from, to, e)
-		}
-	}
 	return sched.Options[Msg]{
-		Tag:          func(m Msg) string { return fmt.Sprintf("[%d]f64", len(m.Data)) },
-		StallTimeout: opt.StallTimeout,
-		WrapEndpoint: wrap,
-		Collector:    opt.Obs,
-		MsgBytes:     func(m Msg) int { return 8 * len(m.Data) },
-		Transport:    opt.Transport,
+		Tag:       func(m Msg) string { return fmt.Sprintf("[%d]f64", len(m.Data)) },
+		Collector: opt.Obs,
+		MsgBytes:  func(m Msg) int { return 8 * len(m.Data) },
+		ChanStats: opt.ChanStats,
+		Transport: opt.Transport,
 	}, nil
 }
 

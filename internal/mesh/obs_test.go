@@ -84,37 +84,53 @@ func TestObsPhaseAccounting(t *testing.T) {
 	}
 }
 
-// TestObsChannelStats attaches the per-channel counters in Par mode and
-// cross-checks them against the collector: every message the program
-// sent is visible on exactly one channel, and every channel drained.
+// TestObsChannelStats attaches the per-channel counters under both
+// runtimes and cross-checks them against the collector: every message
+// the program sent is visible on exactly one channel, every channel
+// drained, and Sim and Par count the same traffic on every channel.
 func TestObsChannelStats(t *testing.T) {
 	const p, nx, steps = 3, 9, 4
-	col := obs.New(p)
-	stats := channel.NewNetStats(p)
-	opt := DefaultOptions()
-	opt.Obs = col
-	opt.ChanStats = stats
-	if _, err := Run(p, Par, opt, obsWorkload(nx, steps)); err != nil {
-		t.Fatal(err)
-	}
-	col.Finish()
-	snap := col.Snapshot()
-	var sends int64
-	for _, rs := range snap.Ranks {
-		sends += rs.Sends
-	}
-	if got := stats.TotalMessages(); got != sends {
-		t.Errorf("channel stats counted %d messages, obs counted %d sends", got, sends)
-	}
-	for from := 0; from < p; from++ {
-		for to := 0; to < p; to++ {
-			if m, r := stats.Messages(from, to), stats.Received(from, to); m != r {
-				t.Errorf("channel %d->%d: %d sent but %d received", from, to, m, r)
+	var runs [2]*channel.NetStats
+	for i, mode := range []Mode{Sim, Par} {
+		col := obs.New(p)
+		stats := channel.NewNetStats(p)
+		opt := DefaultOptions()
+		opt.Obs = col
+		opt.ChanStats = stats
+		if _, err := Run(p, mode, opt, obsWorkload(nx, steps)); err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		col.Finish()
+		snap := col.Snapshot()
+		var sends int64
+		for _, rs := range snap.Ranks {
+			sends += rs.Sends
+		}
+		if got := stats.TotalMessages(); got != sends {
+			t.Errorf("%v: channel stats counted %d messages, obs counted %d sends", mode, got, sends)
+		}
+		for from := 0; from < p; from++ {
+			for to := 0; to < p; to++ {
+				if m, r := stats.Messages(from, to), stats.Received(from, to); m != r {
+					t.Errorf("%v: channel %d->%d: %d sent but %d received", mode, from, to, m, r)
+				}
 			}
 		}
+		if stats.MaxHighWater() < 1 {
+			t.Errorf("%v: no channel ever held a message", mode)
+		}
+		runs[i] = stats
 	}
-	if stats.MaxHighWater() < 1 {
-		t.Error("no channel ever held a message")
+	sim, par := runs[0], runs[1]
+	for from := 0; from < p; from++ {
+		for to := 0; to < p; to++ {
+			if s, q := sim.Messages(from, to), par.Messages(from, to); s != q {
+				t.Errorf("channel %d->%d: Sim counted %d messages, Par %d", from, to, s, q)
+			}
+			if s, q := sim.Received(from, to), par.Received(from, to); s != q {
+				t.Errorf("channel %d->%d: Sim counted %d receives, Par %d", from, to, s, q)
+			}
+		}
 	}
 }
 

@@ -132,10 +132,10 @@ func TestSocketFlushCoalescing(t *testing.T) {
 	}
 }
 
-// TestReusedTransportCountsEachRunOnce: the counters a run installs
-// decorate that run alone.  Two runs on one loopback mesh, each with its
+// TestReusedTransportCountsEachRunOnce: the counters a run is given
+// count that run alone.  Two runs on one loopback mesh, each with its
 // own ChanStats, count the same traffic, and the second run leaves the
-// first run's counters alone — the mesh is not wrapped once per run.
+// first run's counters alone.
 func TestReusedTransportCountsEachRunOnce(t *testing.T) {
 	tr, err := channel.NewLoopbackMesh(2, "unix", WireCodec(), channel.SocketOptions{})
 	if err != nil {
@@ -175,8 +175,7 @@ func TestSocketDelayDeterminacy(t *testing.T) {
 			t.Fatal(err)
 		}
 		opt := DefaultOptions()
-		opt.Transport = tr
-		opt.WrapEndpoint = fault.DelaySends[Msg](seed, 2*time.Millisecond)
+		opt.Transport = fault.DelaySends[Msg](tr, seed, 2*time.Millisecond)
 		got := ghostSnapshot(t, 3, 2, Par, opt)
 		tr.Close()
 		assertSameGhosts(t, fmt.Sprintf("seed %d", seed), want, got)

@@ -14,8 +14,8 @@ import (
 
 func sampleCollector() *Collector {
 	c := New(2)
-	c.CountSend(0, 1, 800)
-	c.CountRecv(1, 0, 800)
+	c.CountSend(0, 800)
+	c.CountRecv(1, 800)
 	c.CountStep(0)
 	c.Begin(0, PhaseExchange, "ghost-exchange")
 	c.End(0)
@@ -109,9 +109,8 @@ var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [-+0-9.
 func TestPrometheusExposition(t *testing.T) {
 	c := sampleCollector()
 	stats := channel.NewNetStats(2)
-	ep := channel.Counted[int](stats, 0, 1, channel.NewQueue[int]())
-	ep.Send(1)
-	ep.Send(2)
+	stats.RecordSend(0, 1)
+	stats.RecordSend(0, 1)
 
 	var buf bytes.Buffer
 	if err := (Exporter{Collector: c, Net: stats}).WriteText(&buf); err != nil {

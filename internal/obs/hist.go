@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -108,14 +107,6 @@ func (h *Histogram) RecordValue(v int64) {
 	}
 }
 
-// Count returns the number of recorded observations.  Safe on nil.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // Snapshot captures a point-in-time copy of the histogram.  Concurrent
 // recorders may land between bucket reads; the drift is bounded by the
 // in-flight records, never corrupting (counts only grow).  Safe on nil
@@ -152,43 +143,14 @@ func (b HistBucket) Lower() int64 { return histBucketLower(b.Index) }
 func (b HistBucket) Upper() int64 { return histBucketUpper(b.Index) }
 
 // HistSnapshot is an immutable view of a histogram: only non-empty
-// buckets, in increasing value order.  Snapshots merge and serialise;
-// they are what crosses process and node boundaries.
+// buckets, in increasing value order.  Snapshots serialise; they are
+// what crosses process and node boundaries.
 type HistSnapshot struct {
 	Count   int64        `json:"count"`
 	Sum     int64        `json:"sum"`
 	Min     int64        `json:"min,omitempty"`
 	Max     int64        `json:"max,omitempty"`
 	Buckets []HistBucket `json:"buckets,omitempty"`
-}
-
-// Merge folds other into s bucketwise — the lossless composition that
-// makes per-edge and per-node distributions add up to whole-run ones.
-func (s HistSnapshot) Merge(other HistSnapshot) HistSnapshot {
-	out := HistSnapshot{
-		Count: s.Count + other.Count,
-		Sum:   s.Sum + other.Sum,
-		Max:   s.Max,
-		Min:   s.Min,
-	}
-	if other.Max > out.Max {
-		out.Max = other.Max
-	}
-	if out.Min == 0 || (other.Min != 0 && other.Min < out.Min) {
-		out.Min = other.Min
-	}
-	byIdx := make(map[int]int64, len(s.Buckets)+len(other.Buckets))
-	for _, b := range s.Buckets {
-		byIdx[b.Index] += b.Count
-	}
-	for _, b := range other.Buckets {
-		byIdx[b.Index] += b.Count
-	}
-	for idx, c := range byIdx {
-		out.Buckets = append(out.Buckets, HistBucket{Index: idx, Count: c})
-	}
-	sort.Slice(out.Buckets, func(a, b int) bool { return out.Buckets[a].Index < out.Buckets[b].Index })
-	return out
 }
 
 // Quantile returns the value at quantile q (0 <= q <= 1), linearly
@@ -224,41 +186,6 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 		}
 	}
 	return s.Max
-}
-
-// QuantileDuration is Quantile for duration-valued histograms.
-func (s HistSnapshot) QuantileDuration(q float64) time.Duration {
-	return time.Duration(s.Quantile(q))
-}
-
-// Mean returns the exact mean of the recorded values (the sum is exact,
-// only bucket placement is approximate).
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
-// CountAbove returns how many observations exceed v, counting a partial
-// straddling bucket pro-rata — the "bad event" counter behind latency
-// SLO evaluation.
-func (s HistSnapshot) CountAbove(v int64) int64 {
-	var above int64
-	for _, b := range s.Buckets {
-		lo, hi := b.Lower(), b.Upper()
-		switch {
-		case lo > v:
-			above += b.Count
-		case hi <= v:
-			// all at or below
-		default:
-			// Straddling bucket: assume uniform occupancy.
-			frac := float64(hi-v) / float64(hi-lo+1)
-			above += int64(frac * float64(b.Count))
-		}
-	}
-	return above
 }
 
 // WritePromHistogram writes the snapshot as one Prometheus histogram

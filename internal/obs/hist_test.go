@@ -69,37 +69,6 @@ func TestHistQuantileAccuracy(t *testing.T) {
 	}
 }
 
-// TestHistMerge: merging two snapshots equals recording everything into
-// one histogram.
-func TestHistMerge(t *testing.T) {
-	a, b, all := NewHistogram(), NewHistogram(), NewHistogram()
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 5000; i++ {
-		v := rng.Int63n(1_000_000_000)
-		if i%2 == 0 {
-			a.RecordValue(v)
-		} else {
-			b.RecordValue(v)
-		}
-		all.RecordValue(v)
-	}
-	merged := a.Snapshot().Merge(b.Snapshot())
-	want := all.Snapshot()
-	if merged.Count != want.Count || merged.Sum != want.Sum || merged.Max != want.Max || merged.Min != want.Min {
-		t.Fatalf("merged header %+v != recorded %+v",
-			[4]int64{merged.Count, merged.Sum, merged.Max, merged.Min},
-			[4]int64{want.Count, want.Sum, want.Max, want.Min})
-	}
-	if len(merged.Buckets) != len(want.Buckets) {
-		t.Fatalf("merged has %d buckets, want %d", len(merged.Buckets), len(want.Buckets))
-	}
-	for i := range merged.Buckets {
-		if merged.Buckets[i] != want.Buckets[i] {
-			t.Fatalf("bucket %d: merged %+v, want %+v", i, merged.Buckets[i], want.Buckets[i])
-		}
-	}
-}
-
 // TestHistRecordAllocs: the record path must be allocation-free, both
 // disabled (nil histogram) and enabled — it sits on the per-request hot
 // path of the load generator and the serving node.
@@ -140,28 +109,6 @@ func TestHistConcurrentRecord(t *testing.T) {
 	}
 	if sum != workers*per {
 		t.Fatalf("bucket sum = %d, want %d", sum, workers*per)
-	}
-}
-
-// TestHistCountAbove: the SLO bad-event counter must be exact for
-// thresholds on bucket boundaries and sane inside buckets.
-func TestHistCountAbove(t *testing.T) {
-	h := NewHistogram()
-	for i := 0; i < 100; i++ {
-		h.RecordValue(10) // bucket of exact small values
-	}
-	for i := 0; i < 50; i++ {
-		h.RecordValue(1 << 20)
-	}
-	snap := h.Snapshot()
-	if got := snap.CountAbove(10); got != 50 {
-		t.Errorf("CountAbove(10) = %d, want 50", got)
-	}
-	if got := snap.CountAbove(1 << 30); got != 0 {
-		t.Errorf("CountAbove(2^30) = %d, want 0", got)
-	}
-	if got := snap.CountAbove(0); got != 150 {
-		t.Errorf("CountAbove(0) = %d, want 150", got)
 	}
 }
 

@@ -8,12 +8,11 @@
 // The central type is the Collector.  It is threaded through the
 // existing runtime seams — sched.Options.Collector counts every
 // communication action, mesh's collectives and boundary exchanges mark
-// phases, and channel.NetStats (attached per run through
-// mesh.Options.ChanStats) counts per-channel traffic — and follows the
-// repository's disabled-is-free idiom: a nil *Collector is valid, every
-// method no-ops on it, and the
-// instrumented hot paths add zero allocations (covered by
-// sched's TestInstrumentationAllocs).
+// phases, and channel.NetStats (sched.Options.ChanStats, recorded at
+// the same site in sched.Ctx) counts per-channel traffic — and follows
+// the repository's disabled-is-free idiom: a nil *Collector is valid,
+// every method no-ops on it, and the instrumented hot paths add zero
+// allocations (covered by sched's TestInstrumentationAllocs).
 //
 // Time accounting model: each rank is always in exactly one phase.
 // Ranks start in PhaseCompute; an archetype communication operation
@@ -161,27 +160,25 @@ func (c *Collector) rank(r int) *rankState {
 }
 
 // CountSend records one send of approximately `bytes` payload bytes by
-// `rank` to `peer`.  Safe on nil.
-func (c *Collector) CountSend(rank, peer, bytes int) {
+// `rank`.  Safe on nil.
+func (c *Collector) CountSend(rank, bytes int) {
 	if c == nil {
 		return
 	}
 	rs := c.rank(rank)
 	rs.sends.Add(1)
 	rs.bytesSent.Add(int64(bytes))
-	_ = peer
 }
 
 // CountRecv records one receive of approximately `bytes` payload bytes
-// by `rank` from `peer`.  Safe on nil.
-func (c *Collector) CountRecv(rank, peer, bytes int) {
+// by `rank`.  Safe on nil.
+func (c *Collector) CountRecv(rank, bytes int) {
 	if c == nil {
 		return
 	}
 	rs := c.rank(rank)
 	rs.recvs.Add(1)
 	rs.bytesRecvd.Add(int64(bytes))
-	_ = peer
 }
 
 // CountStep records one local-computation step marker.  Safe on nil.

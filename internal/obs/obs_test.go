@@ -9,8 +9,8 @@ import (
 // valid on nil.
 func TestNilCollectorIsNoOp(t *testing.T) {
 	var c *Collector
-	c.CountSend(0, 1, 8)
-	c.CountRecv(0, 1, 8)
+	c.CountSend(0, 8)
+	c.CountRecv(0, 8)
 	c.CountStep(0)
 	c.CountBlock(0)
 	c.Begin(0, PhaseExchange, "x")
@@ -28,10 +28,10 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 // TestCounters checks the per-rank counter arithmetic.
 func TestCounters(t *testing.T) {
 	c := New(3)
-	c.CountSend(0, 1, 100)
-	c.CountSend(0, 2, 50)
-	c.CountRecv(1, 0, 100)
-	c.CountRecv(2, 0, 50)
+	c.CountSend(0, 100)
+	c.CountSend(0, 50)
+	c.CountRecv(1, 100)
+	c.CountRecv(2, 50)
 	c.CountStep(1)
 	c.CountBlock(2)
 	c.Finish()

@@ -111,7 +111,7 @@ func TestPromEscapeLabel(t *testing.T) {
 // must satisfy the grammar the lint enforces.
 func TestLintExistingExpositions(t *testing.T) {
 	c := New(2)
-	c.CountSend(0, 1, 100)
+	c.CountSend(0, 100)
 	c.Begin(0, PhaseExchange, "x")
 	c.End(0)
 	c.Finish()

@@ -44,11 +44,13 @@ type Proc[T, R any] func(ctx *Ctx[T]) R
 type Ctx[T any] struct {
 	id, p int
 	ops   ops[T]
-	// col and bytes instrument the communication actions (Options.
-	// Collector / Options.MsgBytes).  col == nil is the disabled fast
-	// path: one predictable branch, no calls, no allocations.
+	// col, bytes and stats instrument the communication actions
+	// (Options.Collector / MsgBytes / ChanStats).  A nil col or stats is
+	// the disabled fast path: one predictable branch, no calls, no
+	// allocations.
 	col   *obs.Collector
 	bytes func(T) int
+	stats *channel.NetStats
 }
 
 // ops abstracts the execution backends.
@@ -74,12 +76,15 @@ func (c *Ctx[T]) Send(to int, v T) {
 		panic(fmt.Sprintf("sched: send to process %d out of range [0,%d)", to, c.p))
 	}
 	c.ops.send(c.id, to, v)
+	if c.stats != nil {
+		c.stats.RecordSend(c.id, to)
+	}
 	if c.col != nil {
 		n := 0
 		if c.bytes != nil {
 			n = c.bytes(v)
 		}
-		c.col.CountSend(c.id, to, n)
+		c.col.CountSend(c.id, n)
 	}
 }
 
@@ -90,12 +95,15 @@ func (c *Ctx[T]) Recv(from int) T {
 		panic(fmt.Sprintf("sched: recv from process %d out of range [0,%d)", from, c.p))
 	}
 	v := c.ops.recv(from, c.id)
+	if c.stats != nil {
+		c.stats.RecordRecv(from, c.id)
+	}
 	if c.col != nil {
 		n := 0
 		if c.bytes != nil {
 			n = c.bytes(v)
 		}
-		c.col.CountRecv(c.id, from, n)
+		c.col.CountRecv(c.id, n)
 	}
 	return v
 }
@@ -307,6 +315,10 @@ type Options[T any] struct {
 	// MsgBytes estimates a message's payload size in bytes for the
 	// collector's byte counters; nil counts zero bytes per message.
 	MsgBytes func(T) int
+	// ChanStats, if non-nil, records every completed send and receive
+	// per channel, with each channel's queue high-water mark.  Its P
+	// must match the run's.  Nil costs one branch per action.
+	ChanStats *channel.NetStats
 	// Tag renders a message for tracing; defaults to fmt.Sprint.
 	Tag func(T) string
 	// MaxActions aborts runs exceeding this many actions (0 = no limit);
@@ -321,25 +333,11 @@ type Options[T any] struct {
 	// computation between communication actions and any injected message
 	// delay, or healthy runs will be reported as stalled.
 	StallTimeout time.Duration
-	// WrapEndpoint, if non-nil, wraps every channel of the network with
-	// a local end, in a table that lives for one run — the injection and
-	// instrumentation seam.  RunConcurrent and RunWorker use it for
-	// message-delivery faults (e.g. seeded delays); RunControlled
-	// applies it too, so observers (e.g. channel.Hooked, which numbers
-	// each channel's send/recv operations for the schedule explorer)
-	// can watch the message flow of a controlled run.  Wrappers must
-	// preserve per-channel FIFO order, report Len faithfully — the
-	// controlled scheduler's enabledness and deadlock checks read it —
-	// and delegate a blocking Recv to the wrapped endpoint, where the
-	// transport's Abort can reach it; the paper's model gives channels
-	// infinite slack, so pure delays keep the interleaving legal.
-	WrapEndpoint func(from, to int, e channel.Endpoint[T]) channel.Endpoint[T]
 	// Transport, if non-nil, supplies the message substrate for
 	// RunConcurrent in place of the default in-process channel network —
 	// e.g. a loopback socket mesh (channel.NewLoopbackMesh).  Its P()
 	// must match the number of processes.  The caller retains ownership:
-	// RunConcurrent neither closes nor modifies it (WrapEndpoint wraps a
-	// per-run endpoint table, not the transport), so one transport can
+	// RunConcurrent neither closes nor modifies it, so one transport can
 	// carry run after run.  Ignored by RunControlled, which by
 	// construction simulates the network sequentially, and by RunWorker,
 	// which takes its transport as an argument.
@@ -372,7 +370,7 @@ func RunControlled[T, R any](procs []Proc[T, R], pol Policy, opt Options[T]) ([]
 	// crashing the whole scheduler.
 	for i := 0; i < p; i++ {
 		i := i
-		ctx := &Ctx[T]{id: i, p: p, ops: back, col: opt.Collector, bytes: opt.MsgBytes}
+		ctx := &Ctx[T]{id: i, p: p, ops: back, col: opt.Collector, bytes: opt.MsgBytes, stats: opt.ChanStats}
 		go func() {
 			<-back.ps[i].resume
 			done := request[T]{kind: reqDone}
@@ -386,7 +384,7 @@ func RunControlled[T, R any](procs []Proc[T, R], pol Policy, opt Options[T]) ([]
 		}()
 	}
 
-	eps := endpoints(channel.NewQueueNet[T](p), func(int) bool { return true }, opt.WrapEndpoint)
+	eps := endpoints(channel.NewQueueNet[T](p), func(int) bool { return true })
 	var zero T
 	var failure error
 	// advance lets process i run to its next request and records it.
@@ -509,11 +507,9 @@ func RunControlled[T, R any](procs []Proc[T, R], pol Policy, opt Options[T]) ([]
 }
 
 // endpoints builds a run's endpoint table over net, index from*p+to:
-// every channel with a local end, wrapped by wrap when it is set, and
-// nil where neither end is local (a per-rank transport has no such
-// channel).  The table belongs to the run, so decorators never pile up
-// on a transport that outlives it.
-func endpoints[T any](net channel.Transport[T], local func(rank int) bool, wrap func(from, to int, e channel.Endpoint[T]) channel.Endpoint[T]) []channel.Endpoint[T] {
+// every channel with a local end, and nil where neither end is local (a
+// per-rank transport has no such channel).
+func endpoints[T any](net channel.Transport[T], local func(rank int) bool) []channel.Endpoint[T] {
 	p := net.P()
 	eps := make([]channel.Endpoint[T], p*p)
 	for from := 0; from < p; from++ {
@@ -521,11 +517,7 @@ func endpoints[T any](net channel.Transport[T], local func(rank int) bool, wrap 
 			if !local(from) && !local(to) {
 				continue
 			}
-			e := net.Chan(from, to)
-			if wrap != nil {
-				e = wrap(from, to, e)
-			}
-			eps[from*p+to] = e
+			eps[from*p+to] = net.Chan(from, to)
 		}
 	}
 	return eps
@@ -597,7 +589,7 @@ func newConcurrent[T any](net channel.Transport[T], local func(rank int) bool, o
 	p := net.P()
 	b := &concurrent[T]{
 		net:    net,
-		eps:    endpoints(net, local, opt.WrapEndpoint),
+		eps:    endpoints(net, local),
 		waitOn: make([]int, p),
 		done:   make([]bool, p),
 		sent:   make([]atomic.Int64, p*p),
@@ -900,7 +892,7 @@ func supervise[T, R any](net channel.Transport[T], procs []Proc[T, R], opt Optio
 		if proc == nil {
 			continue
 		}
-		ctx := &Ctx[T]{id: i, p: p, ops: back, col: opt.Collector, bytes: opt.MsgBytes}
+		ctx := &Ctx[T]{id: i, p: p, ops: back, col: opt.Collector, bytes: opt.MsgBytes, stats: opt.ChanStats}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

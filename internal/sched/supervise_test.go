@@ -117,43 +117,3 @@ func TestStallWatchdogQuietOnHealthyRuns(t *testing.T) {
 		t.Fatalf("bad results: %v", res)
 	}
 }
-
-// TestWrapEndpointSeam: Options.WrapEndpoint observes every delivery on
-// the concurrent network without changing the results — the seam the
-// fault package injects through.
-func TestWrapEndpointSeam(t *testing.T) {
-	want, err := RunConcurrent(pingPong(25), Options[int]{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make(chan int, 64)
-	got, err := RunConcurrent(pingPong(25), Options[int]{
-		WrapEndpoint: func(from, to int, e channel.Endpoint[int]) channel.Endpoint[int] {
-			return countingEndpoint{Endpoint: e, counts: counts}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("wrapped run diverged: %v vs %v", got, want)
-	}
-	close(counts)
-	n := 0
-	for range counts {
-		n++
-	}
-	if n == 0 {
-		t.Fatal("wrapper never observed a send")
-	}
-}
-
-type countingEndpoint struct {
-	channel.Endpoint[int]
-	counts chan int
-}
-
-func (c countingEndpoint) Send(v int) {
-	c.counts <- v
-	c.Endpoint.Send(v)
-}

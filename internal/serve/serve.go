@@ -305,9 +305,6 @@ func (s *Server) storeServiceTrace(id obs.TraceID, label string, start time.Time
 	})
 }
 
-// Trace returns the node-local span bundle recorded for a trace id.
-func (s *Server) Trace(id obs.TraceID) (obs.TraceBundle, bool) { return s.traces.Get(id) }
-
 // complete is the pool's single exit point for job outcomes.  A
 // computed result is encoded here, before anything can share it: the
 // cache, coalesced waiters and the submitter all get the one encoding.
