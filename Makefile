@@ -1,7 +1,7 @@
 GO ?= go
 
 # Packages whose concurrency the race detector must vet.
-RACE_PKGS = . ./internal/farm ./internal/channel ./internal/sched ./internal/explore ./internal/fault ./internal/mesh ./internal/trace ./internal/obs ./internal/serve ./internal/cluster ./internal/cluster/client ./cmd/archload
+RACE_PKGS = . ./internal/farm ./internal/channel ./internal/sched ./internal/explore ./internal/fault ./internal/mesh ./internal/wave2d ./internal/trace ./internal/obs ./internal/serve ./internal/cluster ./internal/cluster/client ./cmd/archload
 
 .PHONY: check fmt build vet cross test run-lists doc-refs race bench-smoke benchmark-smoke cover kernel-smoke net-smoke serve-smoke cluster-smoke chaos-smoke obs-smoke fuzz-smoke explore-smoke ab
 

@@ -83,11 +83,8 @@ func RunMesh[R any](p int, mode Mode, opt MeshOptions, f func(c *Comm) R) ([]R, 
 
 // Grids and decomposition.
 type (
-	// G1, G2, G3 are dense grids with ghost boundaries.
-	G1 = grid.G1
-	// G2 is the two-dimensional grid type.
-	G2 = grid.G2
-	// G3 is the three-dimensional grid type.
+	// G3 is the dense grid with ghost boundaries; a 2-D grid is one
+	// cell deep in z.
 	G3 = grid.G3
 	// Slab is one process's share of a 1-D block decomposition.
 	Slab = grid.Slab
@@ -98,12 +95,11 @@ type (
 	Topo2D = mesh.Topo2D
 )
 
+// AxisX names the x axis of a grid, the split axis of a p x 1 chain.
+const AxisX = grid.AxisX
+
 // Grid constructors and decompositions re-exported from grid.
 var (
-	// NewGrid1 allocates a 1-D grid.
-	NewGrid1 = grid.New1
-	// NewGrid2 allocates a 2-D grid.
-	NewGrid2 = grid.New2
 	// NewGrid3 allocates a 3-D grid with uniform ghosts.
 	NewGrid3 = grid.New3
 	// Decompose splits n points into p balanced contiguous blocks.

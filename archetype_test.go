@@ -50,11 +50,6 @@ func TestFacadeGridAndDecompose(t *testing.T) {
 	if len(slabs) != 2 {
 		t.Fatal("slab decompose facade broken")
 	}
-	g1 := NewGrid1(5, 0)
-	g2 := NewGrid2(5, 5, 0)
-	if g1.N() != 5 || g2.NX() != 5 {
-		t.Fatal("1-D/2-D constructors broken")
-	}
 }
 
 func TestFacadeFDTDPipeline(t *testing.T) {

@@ -30,15 +30,17 @@ const (
 )
 
 // heat is the SPMD program: each process owns a block of rows, the
-// p x 1 case of the archetype's block distribution.
+// p x 1 case of the archetype's block distribution.  The grids are 3-D
+// grids one cell deep in z, so the program uses the same exchange and
+// gather as the 3-D FDTD code.
 func heat(c *archetype.Comm) []float64 {
 	topo := archetype.NewTopo2D(nx, ny, c.P(), 1)
 	rg, _ := topo.Block(c.Rank())
 
-	cur := archetype.NewGrid2(rg.Len(), ny, 1)
-	next := archetype.NewGrid2(rg.Len(), ny, 1)
+	cur := archetype.NewGrid3(rg.Len(), ny, 1, 1)
+	next := archetype.NewGrid3(rg.Len(), ny, 1, 1)
 	// Initial condition: a hot square in the global centre.
-	cur.FillFunc(func(i, j int) float64 {
+	cur.FillFunc(func(i, j, _ int) float64 {
 		gi := rg.Lo + i
 		if gi > nx/2-8 && gi < nx/2+8 && j > ny/2-8 && j < ny/2+8 {
 			return 100
@@ -48,14 +50,15 @@ func heat(c *archetype.Comm) []float64 {
 
 	iters := 0
 	for ; iters < limit; iters++ {
-		// Refresh ghost rows from the neighbouring processes.
-		c.ExchangeGhost2D(cur, topo, false)
+		// Refresh ghost rows from the neighbouring processes of the
+		// p x 1 chain.
+		c.ExchangeGhostPlanesMulti(archetype.AxisX, cur)
 		// Pure grid operation: new values from old neighbours only.
 		maxDelta := 0.0
 		for i := 0; i < cur.NX(); i++ {
 			gi := rg.Lo + i
 			for j := 0; j < ny; j++ {
-				up, down, left, right := cur.At(i-1, j), cur.At(i+1, j), 0.0, 0.0
+				up, down, left, right := cur.At(i-1, j, 0), cur.At(i+1, j, 0), 0.0, 0.0
 				if gi == 0 {
 					up = 0
 				}
@@ -63,20 +66,20 @@ func heat(c *archetype.Comm) []float64 {
 					down = 0
 				}
 				if j > 0 {
-					left = cur.At(i, j-1)
+					left = cur.At(i, j-1, 0)
 				}
 				if j < ny-1 {
-					right = cur.At(i, j+1)
+					right = cur.At(i, j+1, 0)
 				}
 				v := 0.25 * (up + down + left + right)
-				d := v - cur.At(i, j)
+				d := v - cur.At(i, j, 0)
 				if d < 0 {
 					d = -d
 				}
 				if d > maxDelta {
 					maxDelta = d
 				}
-				next.Set(i, j, v)
+				next.Set(i, j, 0, v)
 			}
 		}
 		cur, next = next, cur
@@ -89,17 +92,17 @@ func heat(c *archetype.Comm) []float64 {
 	}
 
 	// Gather the temperature field onto the host process.
-	global := c.Gather2D(cur, topo, 0)
+	global := c.Gather3DBlocks(cur, topo, 1, 0)
 	if c.Rank() != 0 {
 		return []float64{float64(iters)}
 	}
 	total := 0.0
 	for i := 0; i < nx; i++ {
-		for _, v := range global.Row(i) {
-			total += v
+		for j := 0; j < ny; j++ {
+			total += global.At(i, j, 0)
 		}
 	}
-	return []float64{float64(iters), total, global.At(nx/2, ny/2)}
+	return []float64{float64(iters), total, global.At(nx/2, ny/2, 0)}
 }
 
 func main() {

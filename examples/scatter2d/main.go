@@ -41,8 +41,8 @@ func render(res *wave2d.Result) string {
 	// Normalise to the field's current dynamic range.
 	peak := 0.0
 	for i := 0; i < res.Ez.NX(); i++ {
-		for _, v := range res.Ez.Row(i) {
-			if a := math.Abs(v); a > peak {
+		for j := 0; j < res.Ez.NY(); j++ {
+			if a := math.Abs(res.Ez.At(i, j, 0)); a > peak {
 				peak = a
 			}
 		}
@@ -54,7 +54,7 @@ func render(res *wave2d.Result) string {
 	// Render y as rows for a landscape aspect.
 	for j := res.Ez.NY() - 1; j >= 0; j-- {
 		for i := 0; i < res.Ez.NX(); i++ {
-			a := math.Abs(res.Ez.At(i, j)) / peak
+			a := math.Abs(res.Ez.At(i, j, 0)) / peak
 			idx := int(math.Sqrt(a) * float64(len(shades)-1))
 			out = append(out, shades[idx])
 		}

@@ -8,63 +8,6 @@ import (
 // Tests for the small accessors and stringers the main tests exercise
 // only indirectly.
 
-func TestG1DataAndString(t *testing.T) {
-	g := New1(3, 1)
-	if len(g.Data()) != 5 { // 3 interior + 2 ghosts
-		t.Fatalf("Data length %d", len(g.Data()))
-	}
-	if !strings.Contains(g.String(), "n=3") {
-		t.Fatalf("String = %q", g.String())
-	}
-	h := New1(4, 0)
-	if g.Equal(h) {
-		t.Fatal("different lengths should not be equal")
-	}
-}
-
-func TestG2Accessors(t *testing.T) {
-	g := New2(3, 4, 2)
-	if g.NX() != 3 || g.NY() != 4 || g.Ghost() != 2 {
-		t.Fatal("G2 accessors wrong")
-	}
-	if len(g.Data()) != (3+4)*(4+4) {
-		t.Fatalf("Data length %d", len(g.Data()))
-	}
-	g.Add(1, 1, 2.5)
-	g.Add(1, 1, 2.5)
-	if g.At(1, 1) != 5 {
-		t.Fatalf("Add: %v", g.At(1, 1))
-	}
-	g.Fill(7)
-	if g.At(2, 3) != 7 {
-		t.Fatal("Fill")
-	}
-	c := g.Clone()
-	if !c.Equal(g) {
-		t.Fatal("clone")
-	}
-	c.Set(0, 0, -1)
-	if c.Equal(g) {
-		t.Fatal("clone aliases")
-	}
-	if !strings.Contains(g.String(), "3x4") {
-		t.Fatalf("String = %q", g.String())
-	}
-	// Shape mismatches.
-	h := New2(3, 5, 0)
-	if g.Equal(h) {
-		t.Fatal("shape mismatch should not be equal")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("MaxAbsDiff shape mismatch should panic")
-			}
-		}()
-		g.MaxAbsDiff(h)
-	}()
-}
-
 func TestG3Accessors(t *testing.T) {
 	g := New3(3, 4, 5, 1)
 	if g.NX() != 3 || g.NY() != 4 || g.NZ() != 5 {
@@ -128,13 +71,5 @@ func TestSlabDecomposeOtherAxes(t *testing.T) {
 	sz := SlabDecompose3(9, 6, 4, 2, AxisZ)
 	if sz[1].LocalNZ() != 2 || sz[1].LocalNX() != 9 || sz[1].LocalNY() != 6 {
 		t.Fatalf("z slab extents: %+v", sz[1])
-	}
-}
-
-func TestG1EqualValueMismatch(t *testing.T) {
-	a, b := New1(3, 0), New1(3, 0)
-	a.Set(1, 5)
-	if a.Equal(b) {
-		t.Fatal("different values should not be equal")
 	}
 }

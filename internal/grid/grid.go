@@ -1,15 +1,17 @@
-// Package grid provides dense 1-, 2-, and 3-dimensional float64 grids
-// with optional ghost (shadow) boundaries, plus the block decompositions
-// used to distribute grids among processes.
+// Package grid provides the dense float64 grid G3 with optional ghost
+// (shadow) boundaries, plus the block decompositions used to distribute
+// grids among processes.
 //
 // Grids are the data substrate of the mesh archetype described in the
 // paper: "the overall computation is based on N-dimensional grids (where
-// N is 1, 2, or 3)".  A grid owns a contiguous backing slice; interior
-// points are addressed with zero-based logical coordinates, and ghost
-// cells (if any) sit at logical coordinates -1..-ghost and n..n+ghost-1.
+// N is 1, 2, or 3)".  There is one grid type: a 2-D grid is a G3 one
+// cell deep in z (and a 1-D grid one cell deep in y and z), so every
+// dimension shares one exchange, reduction and I/O library.  A grid
+// owns a contiguous backing slice; interior points are addressed with
+// zero-based logical coordinates, and ghost cells (if any) sit at
+// logical coordinates -1..-ghost and n..n+ghost-1 along each axis.
 //
-// All grids store data in row-major order (x fastest for 1-D; y fastest
-// within x for 2-D; z fastest within y within x for 3-D) so that the
+// Storage is row-major, z fastest within y within x, so that the
 // innermost FDTD loops walk memory with stride 1.
 package grid
 

@@ -188,15 +188,15 @@ func (g *G3) MaxAbsDiff(h *G3) float64 {
 	return max
 }
 
-// PackPlaneX serialises the interior y-z plane at x=i into buf (which
+// packPlaneX serialises the interior y-z plane at x=i into buf (which
 // must have length NY*NZ) and returns it; allocates when buf is nil.
-func (g *G3) PackPlaneX(i int, buf []float64) []float64 {
+func (g *G3) packPlaneX(i int, buf []float64) []float64 {
 	n := g.ye.N * g.ze.N
 	if buf == nil {
 		buf = make([]float64, n)
 	}
 	if len(buf) != n {
-		panic("grid: PackPlaneX bad buffer length")
+		panic("grid: packPlaneX bad buffer length")
 	}
 	off := 0
 	for j := 0; j < g.ye.N; j++ {
@@ -206,12 +206,12 @@ func (g *G3) PackPlaneX(i int, buf []float64) []float64 {
 	return buf
 }
 
-// UnpackPlaneX deserialises buf (length NY*NZ) into the y-z plane at
+// unpackPlaneX deserialises buf (length NY*NZ) into the y-z plane at
 // x=i, which may be a ghost plane.
-func (g *G3) UnpackPlaneX(i int, buf []float64) {
+func (g *G3) unpackPlaneX(i int, buf []float64) {
 	n := g.ye.N * g.ze.N
 	if len(buf) != n {
-		panic("grid: UnpackPlaneX bad buffer length")
+		panic("grid: unpackPlaneX bad buffer length")
 	}
 	off := 0
 	for j := 0; j < g.ye.N; j++ {

@@ -5,96 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestG1Basics(t *testing.T) {
-	g := New1(5, 1)
-	if g.N() != 5 || g.Ghost() != 1 {
-		t.Fatalf("shape: got n=%d ghost=%d", g.N(), g.Ghost())
-	}
-	g.Set(-1, 7)
-	g.Set(0, 1)
-	g.Set(4, 2)
-	g.Set(5, 8)
-	if g.At(-1) != 7 || g.At(0) != 1 || g.At(4) != 2 || g.At(5) != 8 {
-		t.Fatalf("ghost/interior addressing broken: %v", g.Data())
-	}
-	if len(g.Interior()) != 5 {
-		t.Fatalf("interior length = %d", len(g.Interior()))
-	}
-	if g.Interior()[0] != 1 || g.Interior()[4] != 2 {
-		t.Fatalf("interior aliasing broken")
-	}
-}
-
-func TestG1FillAndClone(t *testing.T) {
-	g := New1(4, 2)
-	g.FillFunc(func(i int) float64 { return float64(i * i) })
-	c := g.Clone()
-	if !g.Equal(c) {
-		t.Fatal("clone not equal")
-	}
-	c.Set(2, -1)
-	if g.Equal(c) {
-		t.Fatal("clone aliases original")
-	}
-	g.Fill(3)
-	for i := 0; i < 4; i++ {
-		if g.At(i) != 3 {
-			t.Fatalf("Fill: At(%d)=%v", i, g.At(i))
-		}
-	}
-}
-
-func TestG2Addressing(t *testing.T) {
-	g := New2(3, 4, 1)
-	g.FillFunc(func(i, j int) float64 { return float64(10*i + j) })
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 4; j++ {
-			if g.At(i, j) != float64(10*i+j) {
-				t.Fatalf("At(%d,%d) = %v", i, j, g.At(i, j))
-			}
-		}
-	}
-	// Ghost corners are addressable and independent.
-	g.Set(-1, -1, 99)
-	g.Set(3, 4, 88)
-	if g.At(-1, -1) != 99 || g.At(3, 4) != 88 {
-		t.Fatal("ghost corner addressing broken")
-	}
-	// Interior untouched by ghost writes.
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 4; j++ {
-			if g.At(i, j) != float64(10*i+j) {
-				t.Fatalf("ghost write clobbered interior at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func TestG2RowAliasesInterior(t *testing.T) {
-	g := New2(2, 3, 2)
-	row := g.Row(1)
-	row[2] = 42
-	if g.At(1, 2) != 42 {
-		t.Fatal("Row does not alias backing store")
-	}
-	if len(row) != 3 {
-		t.Fatalf("row length %d", len(row))
-	}
-}
-
-func TestG2MaxAbsDiff(t *testing.T) {
-	a := New2(2, 2, 0)
-	b := New2(2, 2, 0)
-	a.Set(1, 1, 5)
-	b.Set(1, 1, 2)
-	if d := a.MaxAbsDiff(b); d != 3 {
-		t.Fatalf("MaxAbsDiff = %v, want 3", d)
-	}
-	if a.Equal(b) {
-		t.Fatal("Equal should be false")
-	}
-}
-
 func TestG3Addressing(t *testing.T) {
 	g := New3(3, 4, 5, 1)
 	g.FillFunc(func(i, j, k int) float64 { return float64(100*i + 10*j + k) })
@@ -142,12 +52,12 @@ func TestG3PlaneCopyAndPack(t *testing.T) {
 	a := New3(4, 3, 2, 1)
 	a.FillFunc(func(i, j, k int) float64 { return float64(i*100 + j*10 + k) })
 	// Pack/unpack round trip.
-	buf := a.PackPlaneX(2, nil)
+	buf := a.packPlaneX(2, nil)
 	if len(buf) != 6 {
 		t.Fatalf("pack length %d", len(buf))
 	}
 	c := New3(4, 3, 2, 1)
-	c.UnpackPlaneX(4, buf) // into upper ghost plane
+	c.unpackPlaneX(4, buf) // into upper ghost plane
 	for j := 0; j < 3; j++ {
 		for k := 0; k < 2; k++ {
 			if c.At(4, j, k) != a.At(2, j, k) {
@@ -171,9 +81,9 @@ func TestG3CloneEqual(t *testing.T) {
 }
 
 func TestExtentPanics(t *testing.T) {
-	mustPanic(t, func() { New1(0, 0) })
-	mustPanic(t, func() { New1(3, -1) })
-	mustPanic(t, func() { New2(2, 0, 0) })
+	mustPanic(t, func() { New3(0, 1, 1, 0) })
+	mustPanic(t, func() { New3G(3, 1, 1, -1, 0, 0) })
+	mustPanic(t, func() { New3(2, 0, 1, 0) })
 	mustPanic(t, func() { New3(1, 1, 0, 0) })
 }
 

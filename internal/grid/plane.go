@@ -61,7 +61,7 @@ func (g *G3) PackPlane(axis Axis, idx int, buf []float64) []float64 {
 	}
 	switch axis {
 	case AxisX:
-		return g.PackPlaneX(idx, buf)
+		return g.packPlaneX(idx, buf)
 	case AxisY:
 		off := 0
 		for i := 0; i < g.xe.N; i++ {
@@ -90,7 +90,7 @@ func (g *G3) UnpackPlane(axis Axis, idx int, buf []float64) {
 	}
 	switch axis {
 	case AxisX:
-		g.UnpackPlaneX(idx, buf)
+		g.unpackPlaneX(idx, buf)
 	case AxisY:
 		off := 0
 		for i := 0; i < g.xe.N; i++ {

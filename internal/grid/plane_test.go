@@ -82,10 +82,10 @@ func TestPackPlaneMatchesPackPlaneX(t *testing.T) {
 	g := New3(3, 4, 5, 1)
 	g.FillFunc(func(i, j, k int) float64 { return float64(i) + float64(j)*0.1 + float64(k)*0.01 })
 	a := g.PackPlane(AxisX, 2, nil)
-	b := g.PackPlaneX(2, nil)
+	b := g.packPlaneX(2, nil)
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatal("PackPlane(AxisX) must agree with PackPlaneX")
+			t.Fatal("PackPlane(AxisX) must agree with packPlaneX")
 		}
 	}
 }

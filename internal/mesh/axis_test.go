@@ -8,57 +8,61 @@ import (
 	"repro/internal/machine"
 )
 
+// TestExchangeGhostPlanesAllAxes exchanges one and two ghost planes
+// along every axis, sampling the outermost ghost plane on each side.
 func TestExchangeGhostPlanesAllAxes(t *testing.T) {
 	f := func(gi, gj, gk int) float64 { return float64(10000*gi + 100*gj + gk) }
 	const n0, n1, n2, p = 9, 8, 7, 3
-	for _, axis := range []grid.Axis{grid.AxisX, grid.AxisY, grid.AxisZ} {
-		slabs := grid.SlabDecompose3(n0, n1, n2, p, axis)
-		res, err := Run(p, Sim, DefaultOptions(), func(c *Comm) [2]float64 {
-			sl := slabs[c.Rank()]
-			g := sl.NewLocal3(1)
-			g.FillFunc(func(i, j, k int) float64 {
-				gi, gj, gk := i, j, k
+	for _, w := range []int{1, 2} {
+		for _, axis := range []grid.Axis{grid.AxisX, grid.AxisY, grid.AxisZ} {
+			slabs := grid.SlabDecompose3(n0, n1, n2, p, axis)
+			res, err := Run(p, Sim, DefaultOptions(), func(c *Comm) [2]float64 {
+				sl := slabs[c.Rank()]
+				g := sl.NewLocal3(w)
+				g.FillFunc(func(i, j, k int) float64 {
+					gi, gj, gk := i, j, k
+					switch axis {
+					case grid.AxisX:
+						gi = sl.ToGlobal(i)
+					case grid.AxisY:
+						gj = sl.ToGlobal(j)
+					case grid.AxisZ:
+						gk = sl.ToGlobal(k)
+					}
+					return f(gi, gj, gk)
+				})
+				c.ExchangeGhostPlanesMulti(axis, g)
+				var lo, hi float64
 				switch axis {
 				case grid.AxisX:
-					gi = sl.ToGlobal(i)
+					lo, hi = g.At(-w, 1, 1), g.At(g.NX()+w-1, 1, 1)
 				case grid.AxisY:
-					gj = sl.ToGlobal(j)
+					lo, hi = g.At(1, -w, 1), g.At(1, g.NY()+w-1, 1)
 				case grid.AxisZ:
-					gk = sl.ToGlobal(k)
+					lo, hi = g.At(1, 1, -w), g.At(1, 1, g.NZ()+w-1)
 				}
-				return f(gi, gj, gk)
+				return [2]float64{lo, hi}
 			})
-			c.ExchangeGhostPlanesMulti(axis, g)
-			var lo, hi float64
-			switch axis {
-			case grid.AxisX:
-				lo, hi = g.At(-1, 1, 1), g.At(g.NX(), 1, 1)
-			case grid.AxisY:
-				lo, hi = g.At(1, -1, 1), g.At(1, g.NY(), 1)
-			case grid.AxisZ:
-				lo, hi = g.At(1, 1, -1), g.At(1, 1, g.NZ())
+			if err != nil {
+				t.Fatalf("w=%d axis %v: %v", w, axis, err)
 			}
-			return [2]float64{lo, hi}
-		})
-		if err != nil {
-			t.Fatalf("axis %v: %v", axis, err)
-		}
-		for r := 0; r < p; r++ {
-			sl := slabs[r]
-			var wantLo, wantHi float64
-			switch axis {
-			case grid.AxisX:
-				wantLo, wantHi = f(sl.R.Lo-1, 1, 1), f(sl.R.Hi, 1, 1)
-			case grid.AxisY:
-				wantLo, wantHi = f(1, sl.R.Lo-1, 1), f(1, sl.R.Hi, 1)
-			case grid.AxisZ:
-				wantLo, wantHi = f(1, 1, sl.R.Lo-1), f(1, 1, sl.R.Hi)
-			}
-			if r > 0 && res[r][0] != wantLo {
-				t.Fatalf("axis %v proc %d: lower ghost %v want %v", axis, r, res[r][0], wantLo)
-			}
-			if r < p-1 && res[r][1] != wantHi {
-				t.Fatalf("axis %v proc %d: upper ghost %v want %v", axis, r, res[r][1], wantHi)
+			for r := 0; r < p; r++ {
+				sl := slabs[r]
+				var wantLo, wantHi float64
+				switch axis {
+				case grid.AxisX:
+					wantLo, wantHi = f(sl.R.Lo-w, 1, 1), f(sl.R.Hi+w-1, 1, 1)
+				case grid.AxisY:
+					wantLo, wantHi = f(1, sl.R.Lo-w, 1), f(1, sl.R.Hi+w-1, 1)
+				case grid.AxisZ:
+					wantLo, wantHi = f(1, 1, sl.R.Lo-w), f(1, 1, sl.R.Hi+w-1)
+				}
+				if r > 0 && res[r][0] != wantLo {
+					t.Fatalf("w=%d axis %v proc %d: lower ghost %v want %v", w, axis, r, res[r][0], wantLo)
+				}
+				if r < p-1 && res[r][1] != wantHi {
+					t.Fatalf("w=%d axis %v proc %d: upper ghost %v want %v", w, axis, r, res[r][1], wantHi)
+				}
 			}
 		}
 	}
@@ -395,5 +399,136 @@ func TestDirectionalSingleProcessNoop(t *testing.T) {
 	}
 	if res[0] != [3]float64{0, 3, 0} {
 		t.Fatalf("single-process exchange should be a no-op: ghost, interior, ghost = %v", res[0])
+	}
+}
+
+// TestExchangeGhostPlanesX exchanges one and two ghost planes of an
+// x-slab (p x 1) distribution, combined and not, under both runtimes.
+func TestExchangeGhostPlanesX(t *testing.T) {
+	f := func(gx, y, z int) float64 { return float64(10000*gx + 100*y + z) }
+	const nx, ny, nz = 10, 3, 4
+	for _, width := range []int{1, 2} {
+		for _, combine := range []bool{true, false} {
+			for _, mode := range bothModes {
+				for _, p := range []int{2, 3, 5} {
+					slabs := grid.SlabDecompose3(nx, ny, nz, p, grid.AxisX)
+					opt := DefaultOptions()
+					opt.Combine = combine
+					res, err := Run(p, mode, opt, func(c *Comm) [][2]float64 {
+						sl := slabs[c.Rank()]
+						g := sl.NewLocal3(width)
+						g.FillFunc(func(i, j, k int) float64 { return f(sl.ToGlobal(i), j, k) })
+						c.ExchangeGhostPlanesMulti(grid.AxisX, g)
+						// Sample one cell of every ghost layer each side.
+						out := make([][2]float64, width)
+						for d := range out {
+							out[d] = [2]float64{g.At(-1-d, 1, 2), g.At(g.NX()+d, 1, 2)}
+						}
+						return out
+					})
+					if err != nil {
+						t.Fatalf("width=%d combine=%v %v p=%d: %v", width, combine, mode, p, err)
+					}
+					for r, layers := range res {
+						sl := slabs[r]
+						for d, pair := range layers {
+							if r > 0 && pair[0] != f(sl.R.Lo-1-d, 1, 2) {
+								t.Fatalf("width=%d p=%d proc %d lower ghost %d = %v want %v",
+									width, p, r, d, pair[0], f(sl.R.Lo-1-d, 1, 2))
+							}
+							if r < p-1 && pair[1] != f(sl.R.Hi+d, 1, 2) {
+								t.Fatalf("width=%d p=%d proc %d upper ghost %d = %v want %v",
+									width, p, r, d, pair[1], f(sl.R.Hi+d, 1, 2))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestCombiningReducesMessages(t *testing.T) {
+	// Ghost width 2 and 3 processes: uncombined sends one message per
+	// plane; combined sends one per neighbour.  The payload bytes must
+	// be identical either way.
+	run := func(combine bool) (msgs int, bytes int64) {
+		prof := machine.NewProfile(3)
+		opt := DefaultOptions()
+		opt.Combine = combine
+		opt.Profile = prof
+		topo := NewTopo2D(12, 4, 3, 1)
+		_, err := Run(3, Sim, opt, func(c *Comm) int {
+			xr, _ := topo.Block(c.Rank())
+			g := grid.New3G(xr.Len(), 4, 1, 2, 0, 0)
+			g.Fill(1)
+			c.ExchangeGhostPlanesMulti(grid.AxisX, g)
+			return 0
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prof.Totals().Messages, prof.Totals().Bytes
+	}
+	mc, bc := run(true)
+	mu, bu := run(false)
+	if mu != 2*mc {
+		t.Fatalf("ghost width 2: uncombined %d msgs, combined %d", mu, mc)
+	}
+	if bc != bu {
+		t.Fatalf("payload must match: %d vs %d", bc, bu)
+	}
+}
+
+func TestGhostExchangeSimEqualsPar(t *testing.T) {
+	// A diffusion-like sweep over a 2-D grid (one cell deep in z) split
+	// into x-slabs, with exchanges every step: Sim and Par results must
+	// be bitwise identical.
+	const nx, ny, steps, p = 16, 6, 5, 4
+	topo := NewTopo2D(nx, ny, p, 1)
+	prog := func(c *Comm) []float64 {
+		rg, _ := topo.Block(c.Rank())
+		g := grid.New3G(rg.Len(), ny, 1, 1, 0, 0)
+		g.FillFunc(func(i, j, _ int) float64 {
+			gx := rg.Lo + i
+			return float64(gx*gx) * 0.013 * float64(j+1)
+		})
+		next := g.Clone()
+		for s := 0; s < steps; s++ {
+			c.ExchangeGhostPlanesMulti(grid.AxisX, g)
+			for i := 0; i < g.NX(); i++ {
+				gi := rg.Lo + i
+				for j := 0; j < ny; j++ {
+					up := g.At(i+1, j, 0)
+					down := g.At(i-1, j, 0)
+					if gi == 0 {
+						down = 0
+					}
+					if gi == nx-1 {
+						up = 0
+					}
+					next.Set(i, j, 0, 0.25*down+0.5*g.At(i, j, 0)+0.25*up)
+				}
+			}
+			g, next = next, g
+		}
+		out := make([]float64, 0, g.NX()*ny)
+		for i := 0; i < g.NX(); i++ {
+			for j := 0; j < ny; j++ {
+				out = append(out, g.At(i, j, 0))
+			}
+		}
+		return out
+	}
+	sim, err := Run(p, Sim, DefaultOptions(), prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := Run(p, Par, DefaultOptions(), prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sim, par) {
+		t.Fatal("Sim and Par diverged on ghost-exchange sweep")
 	}
 }

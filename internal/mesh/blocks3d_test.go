@@ -4,50 +4,75 @@ import (
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/machine"
 )
 
 // TestScatterGather3DBlocksRoundTrip scatters a grid over px x 1
 // (x-slab) and 2-D block topologies, combined (one message per block)
-// and not (one per x-plane), and gathers it back.
+// and not (one per x-plane), and gathers it back.  A 2-D grid is the
+// nz = 1 case.  The message count follows the combining option and the
+// payload bytes do not.
 func TestScatterGather3DBlocksRoundTrip(t *testing.T) {
-	const nx, ny, nz = 9, 8, 5
-	global := grid.New3(nx, ny, nz, 0)
-	global.FillFunc(func(i, j, k int) float64 { return float64(i*1000 + j*10 + k) })
-	for _, pq := range [][2]int{{1, 1}, {2, 1}, {4, 1}, {2, 2}, {3, 2}, {1, 4}} {
-		topo := NewTopo2D(nx, ny, pq[0], pq[1])
-		for _, combine := range []bool{true, false} {
-			for _, mode := range bothModes {
-				opt := DefaultOptions()
-				opt.Combine = combine
-				res, err := Run(topo.P(), mode, opt, func(c *Comm) *grid.G3 {
-					var src *grid.G3
-					if c.Rank() == 0 {
-						src = global
+	const nx, ny = 9, 8
+	for _, nz := range []int{5, 1} {
+		global := grid.New3(nx, ny, nz, 0)
+		global.FillFunc(func(i, j, k int) float64 { return float64(i*1000+j*10+k) + 0.25 })
+		for _, pq := range [][2]int{{1, 1}, {2, 1}, {4, 1}, {2, 2}, {3, 2}, {1, 4}} {
+			topo := NewTopo2D(nx, ny, pq[0], pq[1])
+			planes := 0
+			for r := 1; r < topo.P(); r++ {
+				xr, _ := topo.Block(r)
+				planes += xr.Len()
+			}
+			var bytes [2]int64
+			for ci, combine := range []bool{true, false} {
+				// Scatter and gather each move every non-root block once.
+				want := 2 * (topo.P() - 1)
+				if !combine {
+					want = 2 * planes
+				}
+				for _, mode := range bothModes {
+					prof := machine.NewProfile(topo.P())
+					opt := DefaultOptions()
+					opt.Combine, opt.Profile = combine, prof
+					res, err := Run(topo.P(), mode, opt, func(c *Comm) *grid.G3 {
+						var src *grid.G3
+						if c.Rank() == 0 {
+							src = global
+						}
+						local := c.Scatter3DBlocks(src, topo, nz, 0, 1, 1)
+						// Spot-check the local contents and ghost allocation.
+						xr, yr := topo.Block(c.Rank())
+						if local.GhostX() != 1 || local.GhostY() != 1 || local.GhostZ() != 0 {
+							panic("scatter ghost widths wrong")
+						}
+						for i := 0; i < local.NX(); i++ {
+							if local.At(i, local.NY()-1, nz-1) != global.At(xr.Lo+i, yr.Hi-1, nz-1) {
+								panic("scatter delivered wrong block")
+							}
+						}
+						return c.Gather3DBlocks(local, topo, nz, 0)
+					})
+					if err != nil {
+						t.Fatalf("nz=%d %v combine=%v %v: %v", nz, pq, combine, mode, err)
 					}
-					local := c.Scatter3DBlocks(src, topo, nz, 0, 1, 1)
-					// Spot-check the local contents and ghost allocation.
-					xr, yr := topo.Block(c.Rank())
-					if local.GhostX() != 1 || local.GhostY() != 1 || local.GhostZ() != 0 {
-						panic("scatter ghost widths wrong")
+					if res[0] == nil || !res[0].Equal(global) {
+						t.Fatalf("nz=%d %v combine=%v %v: gather(scatter(g)) != g", nz, pq, combine, mode)
 					}
-					for i := 0; i < local.NX(); i++ {
-						if local.At(i, local.NY()-1, nz-1) != global.At(xr.Lo+i, yr.Hi-1, nz-1) {
-							panic("scatter delivered wrong block")
+					for r := 1; r < topo.P(); r++ {
+						if res[r] != nil {
+							t.Fatalf("non-root %d returned a grid", r)
 						}
 					}
-					return c.Gather3DBlocks(local, topo, nz, 0)
-				})
-				if err != nil {
-					t.Fatalf("%v combine=%v %v: %v", pq, combine, mode, err)
-				}
-				if res[0] == nil || !res[0].Equal(global) {
-					t.Fatalf("%v combine=%v %v: gather(scatter(g)) != g", pq, combine, mode)
-				}
-				for r := 1; r < topo.P(); r++ {
-					if res[r] != nil {
-						t.Fatalf("non-root %d returned a grid", r)
+					tot := prof.Totals()
+					if tot.Messages != want {
+						t.Fatalf("nz=%d %v combine=%v %v: %d messages, want %d", nz, pq, combine, mode, tot.Messages, want)
 					}
+					bytes[ci] = tot.Bytes
 				}
+			}
+			if bytes[0] != bytes[1] {
+				t.Fatalf("nz=%d %v: %d bytes combined, %d uncombined", nz, pq, bytes[0], bytes[1])
 			}
 		}
 	}

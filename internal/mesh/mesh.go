@@ -1,7 +1,8 @@
 // Package mesh implements the paper's mesh archetype: the communication
 // library and runtime support for parallel programs structured as grid
 // operations, reductions, and file I/O over 1-, 2-, or 3-dimensional
-// grids distributed as regular contiguous subgrids.
+// grids distributed as regular contiguous subgrids.  Every grid is a
+// grid.G3; a 2-D grid is one cell deep in z.
 //
 // Applications are written once, in SPMD style, as a function of a
 // *Comm, and can then be executed under two interchangeable runtimes:
@@ -20,11 +21,11 @@
 // under both runtimes; the fdtd package's tests verify this bitwise.
 //
 // The communication operations are the archetype's catalogue:
-// boundary exchange (ExchangeGhost2D and the 3-D family in axis.go),
-// broadcast of global data (Broadcast, BroadcastVec), reductions
-// (AllReduce, AllReduceVecAlg, with recursive-doubling and all-to-one
-// algorithms), and host↔grid redistribution for file I/O over px×py
-// blocks, x-slabs being px×1 (Gather2D, Gather3DBlocks,
+// boundary exchange (ExchangeGhostPlanesMulti and its directional
+// halves, axis.go), broadcast of global data (Broadcast, BroadcastVec),
+// reductions (AllReduce, AllReduceVecAlg, with recursive-doubling and
+// all-to-one algorithms), and host↔grid redistribution for file I/O
+// over px×py blocks, x-slabs being px×1 (Gather3DBlocks,
 // Scatter3DBlocks).
 package mesh
 

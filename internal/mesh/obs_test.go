@@ -17,17 +17,17 @@ func obsWorkload(nx, steps int) func(c *Comm) float64 {
 		topo := NewTopo2D(nx, 3, p, 1)
 		xr, _ := topo.Block(r)
 		lo := xr.Lo
-		local := grid.New2(xr.Len(), 3, 1)
-		local.FillFunc(func(i, j int) float64 { return float64((lo+i)*3 + j) })
+		local := grid.New3G(xr.Len(), 3, 1, 1, 0, 0)
+		local.FillFunc(func(i, j, _ int) float64 { return float64((lo+i)*3 + j) })
 		acc := 0.0
 		for n := 0; n < steps; n++ {
-			c.ExchangeGhost2D(local, topo, false)
+			c.ExchangeGhostPlanesMulti(grid.AxisX, local)
 			c.Work(float64(local.NX() * local.NY()))
 			acc += c.AllReduce(float64(r+n), OpSum)
 		}
 		c.Barrier()
 		out := c.BroadcastVec([]float64{acc}, 0)
-		c.Gather2D(local, topo, 0)
+		c.Gather3DBlocks(local, topo, 1, 0)
 		return out[0]
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/grid"
-	"repro/internal/machine"
 )
 
 func TestTopo2DGeometry(t *testing.T) {
@@ -45,21 +44,38 @@ func TestTopo2DGeometry(t *testing.T) {
 	}
 }
 
-// heat2D runs a 9-point smoothing sweep on a PX-by-PY process grid and
-// returns the gathered global field.
-func heat2D(t *testing.T, px, py, steps int, corners bool) *grid.G2 {
+// heat2D runs a 5-point smoothing sweep over a 2-D grid (one cell deep
+// in z) on a PX-by-PY process grid and returns the gathered global
+// field.  Each step refreshes both ghost sides along x and y with the
+// directional halves, the neighbours named by the topology.  The 3-D
+// exchange family moves no corner ghosts, so a 5-point stencil is the
+// widest it serves.
+func heat2D(t *testing.T, mode Mode, px, py, steps int) *grid.G3 {
 	t.Helper()
 	const nx, ny = 12, 10
 	tp := NewTopo2D(nx, ny, px, py)
-	res, err := Run(tp.P(), Sim, DefaultOptions(), func(c *Comm) *grid.G2 {
+	res, err := Run(tp.P(), mode, DefaultOptions(), func(c *Comm) *grid.G3 {
 		xr, yr := tp.Block(c.Rank())
-		cur := grid.New2(xr.Len(), yr.Len(), 1)
-		next := grid.New2(xr.Len(), yr.Len(), 1)
-		cur.FillFunc(func(i, j int) float64 {
+		rx, ry := tp.Coords(c.Rank())
+		axes := []struct {
+			axis     grid.Axis
+			up, down int
+		}{
+			{grid.AxisX, tp.Rank(rx+1, ry), tp.Rank(rx-1, ry)},
+			{grid.AxisY, tp.Rank(rx, ry+1), tp.Rank(rx, ry-1)},
+		}
+		cur := grid.New3G(xr.Len(), yr.Len(), 1, 1, 1, 0)
+		next := grid.New3G(xr.Len(), yr.Len(), 1, 1, 1, 0)
+		cur.FillFunc(func(i, j, _ int) float64 {
 			return float64((xr.Lo+i)*3+(yr.Lo+j)*7) * 0.125
 		})
 		for s := 0; s < steps; s++ {
-			c.ExchangeGhost2D(cur, tp, corners)
+			for _, a := range axes {
+				c.StartSendUpTo(a.axis, a.up, cur)
+				c.FinishSendUpTo(a.axis, a.down, cur)
+				c.StartSendDownTo(a.axis, a.down, cur)
+				c.FinishSendDownTo(a.axis, a.up, cur)
+			}
 			for i := 0; i < cur.NX(); i++ {
 				gi := xr.Lo + i
 				for j := 0; j < cur.NY(); j++ {
@@ -69,24 +85,14 @@ func heat2D(t *testing.T, px, py, steps int, corners bool) *grid.G2 {
 						if ni < 0 || ni >= nx || nj < 0 || nj >= ny {
 							return 0
 						}
-						return cur.At(i+di, j+dj)
+						return cur.At(i+di, j+dj, 0)
 					}
-					var v float64
-					if corners {
-						// 9-point stencil: needs the diagonal ghosts.
-						v = (at(-1, -1) + at(-1, 0) + at(-1, 1) +
-							at(0, -1) + at(0, 0) + at(0, 1) +
-							at(1, -1) + at(1, 0) + at(1, 1)) / 9
-					} else {
-						// 5-point stencil: edges only.
-						v = (at(-1, 0) + at(1, 0) + at(0, -1) + at(0, 1) + at(0, 0)) / 5
-					}
-					next.Set(i, j, v)
+					next.Set(i, j, 0, (at(-1, 0)+at(1, 0)+at(0, -1)+at(0, 1)+at(0, 0))/5)
 				}
 			}
 			cur, next = next, cur
 		}
-		return c.Gather2D(cur, tp, 0)
+		return c.Gather3DBlocks(cur, tp, 1, 0)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -95,68 +101,21 @@ func heat2D(t *testing.T, px, py, steps int, corners bool) *grid.G2 {
 }
 
 func TestHeat2DAgreesAcrossTopologies(t *testing.T) {
-	for _, corners := range []bool{false, true} {
-		ref := heat2D(t, 1, 1, 4, corners)
-		for _, pq := range [][2]int{{1, 3}, {3, 1}, {2, 2}, {3, 2}, {2, 3}} {
-			got := heat2D(t, pq[0], pq[1], 4, corners)
-			if got == nil || !got.Equal(ref) {
-				t.Fatalf("corners=%v topology %dx%d changed the result (max diff %g)",
-					corners, pq[0], pq[1], got.MaxAbsDiff(ref))
-			}
+	ref := heat2D(t, Sim, 1, 1, 4)
+	for _, pq := range [][2]int{{1, 3}, {3, 1}, {2, 2}, {3, 2}, {2, 3}} {
+		got := heat2D(t, Sim, pq[0], pq[1], 4)
+		if got == nil || !got.Equal(ref) {
+			t.Fatalf("topology %dx%d changed the result (max diff %g)",
+				pq[0], pq[1], got.MaxAbsDiff(ref))
 		}
 	}
 }
 
 func TestHeat2DSimEqualsPar(t *testing.T) {
-	const nx, ny = 12, 10
-	tp := NewTopo2D(nx, ny, 2, 2)
-	prog := func(c *Comm) *grid.G2 {
-		xr, yr := tp.Block(c.Rank())
-		cur := grid.New2(xr.Len(), yr.Len(), 1)
-		cur.FillFunc(func(i, j int) float64 { return float64(xr.Lo+i) * float64(yr.Lo+j) })
-		for s := 0; s < 3; s++ {
-			c.ExchangeGhost2D(cur, tp, true)
-			for i := 0; i < cur.NX(); i++ {
-				for j := 0; j < cur.NY(); j++ {
-					cur.Set(i, j, 0.5*cur.At(i, j)+0.125*(cur.At(i-1, j-1)+cur.At(i+1, j+1)))
-				}
-			}
-		}
-		return c.Gather2D(cur, tp, 0)
-	}
-	sim, err := Run(4, Sim, DefaultOptions(), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Run(4, Par, DefaultOptions(), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sim[0].Equal(par[0]) {
+	sim := heat2D(t, Sim, 2, 3, 3)
+	par := heat2D(t, Par, 2, 3, 3)
+	if !sim.Equal(par) {
 		t.Fatal("2-D topology Sim != Par")
-	}
-}
-
-func TestExchangeGhost2DGhostWidth2(t *testing.T) {
-	tp := NewTopo2D(12, 12, 2, 2)
-	res, err := Run(4, Sim, DefaultOptions(), func(c *Comm) [4]float64 {
-		xr, yr := tp.Block(c.Rank())
-		g := grid.New2(xr.Len(), yr.Len(), 2)
-		g.FillFunc(func(i, j int) float64 { return float64(100*(xr.Lo+i) + yr.Lo + j) })
-		c.ExchangeGhost2D(g, tp, true)
-		// Sample the outermost ghost ring (distance 2) in each direction.
-		return [4]float64{g.At(-2, 0), g.At(g.NX()+1, 0), g.At(0, -2), g.At(0, g.NY()+1)}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Process 3 (coords 1,1) has up and left neighbours.
-	xr, yr := tp.Block(3)
-	if res[3][0] != float64(100*(xr.Lo-2)+yr.Lo) {
-		t.Fatalf("width-2 up ghost = %v", res[3][0])
-	}
-	if res[3][2] != float64(100*xr.Lo+yr.Lo-2) {
-		t.Fatalf("width-2 left ghost = %v", res[3][2])
 	}
 }
 
@@ -180,56 +139,17 @@ func requirePanics(t *testing.T, name string, p int, f func(c *Comm)) {
 }
 
 func TestTopo2DPanics(t *testing.T) {
-	tp := NewTopo2D(8, 8, 2, 2)
-	requirePanics(t, "run P != topo P", 2, func(c *Comm) { c.ExchangeGhost2D(grid.New2(4, 4, 1), tp, false) })
-	requirePanics(t, "no ghosts", 4, func(c *Comm) { c.ExchangeGhost2D(grid.New2(4, 4, 0), tp, false) })
-}
-
-// TestGather2DHonoursCombine: a gathered block travels as its rows, one
-// message each, and as one message when combining; the payload and the
-// assembled grid are the same bit for bit.
-func TestGather2DHonoursCombine(t *testing.T) {
-	const nx, ny = 7, 5
-	global := grid.New2(nx, ny, 0)
-	global.FillFunc(func(i, j int) float64 { return float64(i*100+j) + 0.25 })
-	for _, pq := range [][2]int{{2, 2}, {3, 1}} {
-		topo := NewTopo2D(nx, ny, pq[0], pq[1])
-		rows := 0
-		for r := 1; r < topo.P(); r++ {
-			xr, _ := topo.Block(r)
-			rows += xr.Len()
-		}
-		var bytes [2]int64
-		for ci, combine := range []bool{false, true} {
-			want := rows
-			if combine {
-				want = topo.P() - 1
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", name)
 			}
-			for _, mode := range bothModes {
-				prof := machine.NewProfile(topo.P())
-				opt := DefaultOptions()
-				opt.Combine, opt.Profile = combine, prof
-				res, err := Run(topo.P(), mode, opt, func(c *Comm) *grid.G2 {
-					xr, yr := topo.Block(c.Rank())
-					local := grid.New2(xr.Len(), yr.Len(), 1)
-					local.FillFunc(func(i, j int) float64 { return global.At(xr.Lo+i, yr.Lo+j) })
-					return c.Gather2D(local, topo, 0)
-				})
-				if err != nil {
-					t.Fatalf("%v combine=%v %v: %v", pq, combine, mode, err)
-				}
-				if res[0] == nil || !res[0].Equal(global) {
-					t.Fatalf("%v combine=%v %v: gathered grid differs", pq, combine, mode)
-				}
-				tot := prof.Totals()
-				if tot.Messages != want {
-					t.Fatalf("%v combine=%v %v: %d messages, want %d", pq, combine, mode, tot.Messages, want)
-				}
-				bytes[ci] = tot.Bytes
-			}
-		}
-		if bytes[0] != bytes[1] {
-			t.Fatalf("%v: %d bytes uncombined, %d combined", pq, bytes[0], bytes[1])
-		}
+		}()
+		f()
 	}
+	mustPanic("more process rows than grid rows", func() { NewTopo2D(3, 8, 4, 1) })
+	mustPanic("more process columns than grid columns", func() { NewTopo2D(8, 3, 1, 4) })
+	tp := NewTopo2D(8, 8, 2, 2)
+	requirePanics(t, "run P != topo P", 2, func(c *Comm) { c.Scatter3DBlocks(grid.New3(8, 8, 1, 0), tp, 1, 0, 1, 1) })
 }

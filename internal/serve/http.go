@@ -480,7 +480,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	bundle, ok := s.traces.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", fmt.Errorf("trace %s not retained (ring depth %d)", id, s.cfg.TraceDepth))
+		writeError(w, http.StatusNotFound, "not_found", fmt.Errorf("trace %s not retained (ring depth %d)", id, obs.DefaultTraceDepth))
 		return
 	}
 	writeJSON(w, http.StatusOK, bundle)

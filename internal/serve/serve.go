@@ -53,10 +53,6 @@ type Config struct {
 	// Name identifies this node in trace bundles and correlated logs.
 	// Default "archserve".
 	Name string
-	// TraceDepth bounds the node-local trace ring buffer (recent jobs
-	// whose span bundles GET /v1/trace/{id} can return).  0 uses the
-	// obs default (128); negative disables trace retention.
-	TraceDepth int
 }
 
 func (c Config) withDefaults() Config {
@@ -80,12 +76,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Name == "" {
 		c.Name = "archserve"
-	}
-	if c.TraceDepth == 0 {
-		c.TraceDepth = obs.DefaultTraceDepth
-	}
-	if c.TraceDepth < 0 {
-		c.TraceDepth = 0
 	}
 	return c
 }
@@ -156,7 +146,7 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		m:        &metrics{},
 		cache:    newCache(cfg.CacheEntries),
-		traces:   obs.NewTraceStore(cfg.TraceDepth),
+		traces:   obs.NewTraceStore(obs.DefaultTraceDepth),
 		inflight: make(map[uint64]*job),
 		all:      make(map[*job]struct{}),
 	}

@@ -1,9 +1,11 @@
 // Package wave2d is a second application of the mesh archetype: a
-// two-dimensional TMz FDTD solver (field components Ez, Hx, Hy).  Where
-// the paper's electromagnetics code exercises the archetype's 1-D slab
-// distribution of a 3-D grid, this solver exercises the general 2-D
-// block distribution (mesh.Topo2D): ghost exchange along both axes,
-// per-block boundary specialisation, and a 2-D gather.
+// two-dimensional TMz FDTD solver (field components Ez, Hx, Hy).  It
+// runs on the archetype's 2-D block distribution (mesh.Topo2D) with the
+// same grid type and communication calls as the 3-D code: its fields
+// are grid.G3 sections one cell deep in z, the leapfrog reads one ghost
+// side per field, so the directional exchange halves refresh exactly
+// that side along x and y, and the host assembles the result with
+// Gather3DBlocks.
 //
 // As with the 3-D code, the same kernels serve the sequential reference
 // and the distributed builds, so results are bitwise identical across
@@ -75,7 +77,7 @@ func (s Spec) pulse(n int) float64 {
 // Result is the observable outcome.
 type Result struct {
 	Spec  Spec
-	Ez    *grid.G2 // final field, assembled on the root
+	Ez    *grid.G3 // final field (nz = 1), assembled on the root
 	Probe []float64
 }
 
@@ -93,27 +95,29 @@ func (r *Result) Equal(o *Result) bool {
 }
 
 // block holds one process's local sections and its global position.
+// Every section is one cell deep in z; the fields carry one ghost
+// plane on each side along x and y.
 type block struct {
 	xr, yr     grid.Range
 	nx, ny     int // global extents
-	ez, hx, hy *grid.G2
-	ca, cb     *grid.G2
+	ez, hx, hy *grid.G3
+	ca, cb     *grid.G3
 }
 
 func newBlock(spec Spec, xr, yr grid.Range) *block {
 	b := &block{
 		xr: xr, yr: yr, nx: spec.NX, ny: spec.NY,
-		ez: grid.New2(xr.Len(), yr.Len(), 1),
-		hx: grid.New2(xr.Len(), yr.Len(), 1),
-		hy: grid.New2(xr.Len(), yr.Len(), 1),
-		ca: grid.New2(xr.Len(), yr.Len(), 0),
-		cb: grid.New2(xr.Len(), yr.Len(), 0),
+		ez: grid.New3G(xr.Len(), yr.Len(), 1, 1, 1, 0),
+		hx: grid.New3G(xr.Len(), yr.Len(), 1, 1, 1, 0),
+		hy: grid.New3G(xr.Len(), yr.Len(), 1, 1, 1, 0),
+		ca: grid.New3(xr.Len(), yr.Len(), 1, 0),
+		cb: grid.New3(xr.Len(), yr.Len(), 1, 0),
 	}
-	b.ca.FillFunc(func(i, j int) float64 {
+	b.ca.FillFunc(func(i, j, _ int) float64 {
 		ca, _ := spec.coeffs(xr.Lo+i, yr.Lo+j)
 		return ca
 	})
-	b.cb.FillFunc(func(i, j int) float64 {
+	b.cb.FillFunc(func(i, j, _ int) float64 {
 		_, cb := spec.coeffs(xr.Lo+i, yr.Lo+j)
 		return cb
 	})
@@ -132,8 +136,8 @@ func (b *block) updateEz() {
 	}
 	for i := i0; i < b.xr.Len(); i++ {
 		for j := j0; j < b.yr.Len(); j++ {
-			b.ez.Set(i, j, float64(b.ca.At(i, j)*b.ez.At(i, j))+
-				float64(b.cb.At(i, j)*((b.hy.At(i, j)-b.hy.At(i-1, j))-(b.hx.At(i, j)-b.hx.At(i, j-1)))))
+			b.ez.Set(i, j, 0, float64(b.ca.At(i, j, 0)*b.ez.At(i, j, 0))+
+				float64(b.cb.At(i, j, 0)*((b.hy.At(i, j, 0)-b.hy.At(i-1, j, 0))-(b.hx.At(i, j, 0)-b.hx.At(i, j-1, 0)))))
 		}
 	}
 }
@@ -146,7 +150,7 @@ func (b *block) updateH(dt float64) {
 	}
 	for i := 0; i < b.xr.Len(); i++ {
 		for j := 0; j < jEnd; j++ {
-			b.hx.Set(i, j, b.hx.At(i, j)-float64(dt*(b.ez.At(i, j+1)-b.ez.At(i, j))))
+			b.hx.Set(i, j, 0, b.hx.At(i, j, 0)-float64(dt*(b.ez.At(i, j+1, 0)-b.ez.At(i, j, 0))))
 		}
 	}
 	iEnd := b.xr.Len()
@@ -155,7 +159,7 @@ func (b *block) updateH(dt float64) {
 	}
 	for i := 0; i < iEnd; i++ {
 		for j := 0; j < b.yr.Len(); j++ {
-			b.hy.Set(i, j, b.hy.At(i, j)+float64(dt*(b.ez.At(i+1, j)-b.ez.At(i, j))))
+			b.hy.Set(i, j, 0, b.hy.At(i, j, 0)+float64(dt*(b.ez.At(i+1, j, 0)-b.ez.At(i, j, 0))))
 		}
 	}
 }
@@ -170,12 +174,12 @@ func RunSequential(spec Spec) (*Result, error) {
 	probe := make([]float64, 0, spec.Steps)
 	for n := 0; n < spec.Steps; n++ {
 		b.updateEz()
-		b.ez.Add(spec.SI, spec.SJ, spec.pulse(n))
+		b.ez.Add(spec.SI, spec.SJ, 0, spec.pulse(n))
 		b.updateH(spec.DT)
-		probe = append(probe, b.ez.At(spec.PI, spec.PJ))
+		probe = append(probe, b.ez.At(spec.PI, spec.PJ, 0))
 	}
-	final := grid.New2(spec.NX, spec.NY, 0)
-	final.FillFunc(func(i, j int) float64 { return b.ez.At(i, j) })
+	final := grid.New3(spec.NX, spec.NY, 1, 0)
+	final.FillFunc(func(i, j, _ int) float64 { return b.ez.At(i, j, 0) })
 	return &Result{Spec: spec, Ez: final, Probe: probe}, nil
 }
 
@@ -193,27 +197,36 @@ func RunArchetype(spec Spec, px, py int, mode mesh.Mode, opt mesh.Options) (*Res
 	probeOwner := topo.Owner(spec.PI, spec.PJ)
 	results, err := mesh.Run(topo.P(), mode, opt, func(c *mesh.Comm) *Result {
 		xr, yr := topo.Block(c.Rank())
+		rx, ry := topo.Coords(c.Rank())
+		xUp, xDown := topo.Rank(rx+1, ry), topo.Rank(rx-1, ry)
+		yUp, yDown := topo.Rank(rx, ry+1), topo.Rank(rx, ry-1)
 		b := newBlock(spec, xr, yr)
 		var probe []float64
 		for n := 0; n < spec.Steps; n++ {
-			// Ez reads Hy at i-1 and Hx at j-1: refresh the H ghosts.
-			c.ExchangeGhost2D(b.hx, topo, false)
-			c.ExchangeGhost2D(b.hy, topo, false)
+			// Ez reads Hy at i-1 and Hx at j-1: fill the low H ghosts,
+			// Hy's along x and Hx's along y.
+			c.StartSendUpTo(grid.AxisX, xUp, b.hy)
+			c.StartSendUpTo(grid.AxisY, yUp, b.hx)
+			c.FinishSendUpTo(grid.AxisX, xDown, b.hy)
+			c.FinishSendUpTo(grid.AxisY, yDown, b.hx)
 			b.updateEz()
 			c.Work(float64(xr.Len() * yr.Len()))
 			if c.Rank() == srcOwner {
-				b.ez.Add(spec.SI-xr.Lo, spec.SJ-yr.Lo, spec.pulse(n))
+				b.ez.Add(spec.SI-xr.Lo, spec.SJ-yr.Lo, 0, spec.pulse(n))
 			}
-			// Hx reads Ez at j+1, Hy at i+1: refresh the Ez ghosts.
-			c.ExchangeGhost2D(b.ez, topo, false)
+			// Hy reads Ez at i+1, Hx at j+1: fill the high Ez ghosts.
+			c.StartSendDownTo(grid.AxisX, xDown, b.ez)
+			c.StartSendDownTo(grid.AxisY, yDown, b.ez)
+			c.FinishSendDownTo(grid.AxisX, xUp, b.ez)
+			c.FinishSendDownTo(grid.AxisY, yUp, b.ez)
 			b.updateH(spec.DT)
 			c.Work(float64(2 * xr.Len() * yr.Len()))
 			if c.Rank() == probeOwner {
-				probe = append(probe, b.ez.At(spec.PI-xr.Lo, spec.PJ-yr.Lo))
+				probe = append(probe, b.ez.At(spec.PI-xr.Lo, spec.PJ-yr.Lo, 0))
 			}
 		}
 		fullProbe := c.BroadcastVec(probe, probeOwner)
-		final := c.Gather2D(b.ez, topo, 0)
+		final := c.Gather3DBlocks(b.ez, topo, 1, 0)
 		res := &Result{Spec: spec, Probe: fullProbe}
 		if c.Rank() == 0 {
 			res.Ez = final
