@@ -62,7 +62,7 @@ test:
 
 # The -run lists of race, kernel-smoke and explore-smoke, by package.
 RACE_FDTD_RUN = TestOneProgramIdentity|TestIdentityGolden|FuzzRefinement|TestKernelPencilVsReferenceProperty|TestCoefficientTable|TestProfileIdenticalAcrossRuntimes|TestModelGolden
-KERNEL_SMOKE_RUN = TestYeeRow|TestCoefficientTable|TestKernelPencilVsReferenceProperty
+KERNEL_SMOKE_RUN = TestYeeRow|TestCoefficientTable|TestKernelPencilVsReferenceProperty|TestFarField
 EXPLORE_RUN = TestExploreMatchesBruteForceClassCount|TestExploreExactCounts|TestMinimizeRacyDivergence
 DETERMINACY_RUN = TestExploreSmoke
 
@@ -116,7 +116,8 @@ benchmark-smoke:
 # is held bitwise to the generic row, the interned coefficient table is
 # held bitwise to the spec on every block of the paper's grids, the
 # property test pits the fused pencil kernels, once per row body,
-# against the per-cell reference kernels on randomized specs, and a
+# against the per-cell reference kernels on randomized specs, the
+# far-field walk is held bitwise to its per-point oracle, and a
 # tiny-grid roofline run exercises the stream probe + per-worker
 # measurement end to end.
 kernel-smoke: run-lists

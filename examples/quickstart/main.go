@@ -92,7 +92,7 @@ func heat(c *archetype.Comm) []float64 {
 	}
 
 	// Gather the temperature field onto the host process.
-	global := c.Gather3DBlocks(cur, topo, 1, 0)
+	global := c.Gather3DBlocks(cur, topo, 0)
 	if c.Rank() != 0 {
 		return []float64{float64(iters)}
 	}

@@ -73,7 +73,7 @@ func New(cfg Config) (*Coordinator, error) {
 		member: m,
 		client: client.New(cfg.Client, cfg.Seed),
 		mint:   obs.NewTraceSource(cfg.Seed),
-		traces: obs.NewTraceStore(obs.DefaultTraceDepth),
+		traces: obs.NewTraceStore(),
 	}
 	m.Start()
 	return c, nil

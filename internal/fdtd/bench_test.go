@@ -125,22 +125,33 @@ func BenchmarkSequentialLoops(b *testing.B) {
 
 // BenchmarkFarFieldAccumulate measures the near-to-far-field transform
 // cost per surface point on the Table 1 grid and on the 24x16x16 job
-// grid of the service workloads.
+// grid of the service workloads: over the full domain, over rank 0's
+// block of a P = 2 decomposition, and compensated.
 func BenchmarkFarFieldAccumulate(b *testing.B) {
 	for _, c := range []struct {
-		name string
-		spec Spec
-	}{{"table1", SpecTable1()}, {"job", haloGrid(64)}} {
+		name        string
+		spec        Spec
+		p           int
+		compensated bool
+	}{
+		{"table1", SpecTable1(), 1, false},
+		{"job", haloGrid(64), 1, false},
+		{"job-p2", haloGrid(64), 2, false},
+		{"job-compensated", haloGrid(64), 1, true},
+	} {
 		b.Run(c.name, func(b *testing.B) {
 			spec := c.spec
-			full := grid.Range{Lo: 0, Hi: spec.NX}
-			fullY := grid.Range{Lo: 0, Hi: spec.NY}
-			f := newFields(spec, full, fullY, nil)
-			ff := newFarField(spec, false)
+			dec, err := decompose(spec, c.p, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			blk := dec.block(0)
+			f := newFields(spec, blk.xr, blk.yr, nil)
+			ff := newFarField(spec, c.compensated, f)
 			b.ResetTimer()
 			points := 0
 			for i := 0; i < b.N; i++ {
-				points += ff.accumulate(i%spec.Steps, f.Ex, f.Ey, f.Ez, f.Hx, f.Hy, f.Hz, full, fullY)
+				points += ff.accumulate(i % spec.Steps)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(points), "ns/point")
 			b.ReportMetric(float64(points)/b.Elapsed().Seconds(), "points/s")

@@ -177,7 +177,8 @@ func TestHostIOTrafficIsExact(t *testing.T) {
 			sets[key] = true
 		}
 	}
-	farLen := len(newFarField(spec, false).A)
+	full := newFields(spec, grid.Range{Lo: 0, Hi: spec.NX}, grid.Range{Lo: 0, Hi: spec.NY}, nil)
+	farLen := len(newFarField(spec, false, full).A)
 	for _, g := range [][2]int{{2, 1}, {2, 2}} {
 		px, py := g[0], g[1]
 		p := px * py

@@ -31,7 +31,6 @@ type block struct {
 // along x or y), not a property of the decomposition.
 type decomposition struct {
 	topo *mesh.Topo2D
-	nz   int
 }
 
 // block returns rank's block.  Every rank exchanges along y exactly
@@ -58,7 +57,7 @@ func (d decomposition) scatter(c *mesh.Comm, global *grid.G3, nz int) *grid.G3 {
 }
 
 func (d decomposition) gather(c *mesh.Comm, local *grid.G3) *grid.G3 {
-	return c.Gather3DBlocks(local, d.topo, d.nz, 0)
+	return c.Gather3DBlocks(local, d.topo, 0)
 }
 
 // decompose is the single admission point of every build: it validates
@@ -82,7 +81,7 @@ func decompose(spec Spec, px, py int) (decomposition, error) {
 			return decomposition{}, fmt.Errorf("fdtd: Mur boundary requires y-edge blocks to own >= 2 planes (ny=%d, py=%d)", spec.NY, py)
 		}
 	}
-	return decomposition{topo: t, nz: spec.NZ}, nil
+	return decomposition{topo: t}, nil
 }
 
 // ValidateForP reports the first problem with running spec distributed

@@ -276,24 +276,22 @@ func delayBlocks(t *testing.T, spec Spec) []block {
 	return blocks
 }
 
-// TestFarFieldDelayProperties checks the surface delays: the smallest is
-// 0, none exceeds maxDelay, the accumulators hold every delayed sample,
-// and each face's delay table holds ff.delay(i, j, k) at the position
-// accumulate reads for every surface point of every block — row-major
-// over the face's two varying axes.
+// TestFarFieldDelayProperties checks the surface delays and the point
+// table: the smallest delay is 0, none exceeds maxDelay, the
+// accumulators hold every delayed sample, and for the full domain and
+// every block of a 2x2 decomposition each face's table lists the
+// block's surface points in forEachSurface's order, each offset
+// decoding to its point's (i, j, k) and each delay equal to
+// ff.delay(i, j, k).
 func TestFarFieldDelayProperties(t *testing.T) {
 	for name, spec := range delaySpecs() {
 		t.Run(name, func(t *testing.T) {
-			ff := newFarField(spec, false)
-			off := spec.FarField.Offset
-			x0, y0, z0 := off, off, off
-			ny, nz := spec.NY-2*off, spec.NZ-2*off
+			full, fullY := grid.Range{Lo: 0, Hi: spec.NX}, grid.Range{Lo: 0, Hi: spec.NY}
+			ff := newFarField(spec, false, newFields(spec, full, fullY, nil))
 			minD, maxD := 1<<30, -1
 			points := 0
-			var facePoints [6]int
 			forEachSurface(spec, 0, spec.NX, 0, spec.NY, func(face, i, j, k int) {
 				points++
-				facePoints[face]++
 				d := ff.delay(i, j, k)
 				minD, maxD = min(minD, d), max(maxD, d)
 			})
@@ -309,37 +307,46 @@ func TestFarFieldDelayProperties(t *testing.T) {
 			if len(ff.A) != spec.Steps+ff.maxDelay+1 {
 				t.Fatalf("accumulator length %d", len(ff.A))
 			}
-			for face, n := range facePoints {
-				if len(ff.delays[face]) != n {
-					t.Fatalf("face %d: delay table holds %d entries for %d points", face, len(ff.delays[face]), n)
-				}
-			}
 			for _, b := range delayBlocks(t, spec) {
+				f := newFields(spec, b.xr, b.yr, nil)
+				ff := newFarField(spec, false, f)
+				g := f.Ex
+				var next [6]int
 				forEachSurface(spec, b.xr.Lo, b.xr.Hi, b.yr.Lo, b.yr.Hi, func(face, i, j, k int) {
-					var at int
-					switch face / 2 {
-					case 0:
-						at = (j-y0)*nz + (k - z0)
-					case 1:
-						at = (i-x0)*nz + (k - z0)
-					default:
-						at = (i-x0)*ny + (j - y0)
+					pts := ff.faces[face].pts
+					if next[face] >= len(pts) {
+						t.Fatalf("block x%v y%v face %d: table holds %d points, surface has more", b.xr, b.yr, face, len(pts))
 					}
-					if got, want := int(ff.delays[face][at]), ff.delay(i, j, k); got != want {
+					p := pts[next[face]]
+					next[face]++
+					off := int(p.off)
+					di := off/g.StrideX() - g.GhostX() + b.xr.Lo
+					dj := off%g.StrideX()/g.StrideY() - g.GhostY() + b.yr.Lo
+					dk := off%g.StrideY() - g.GhostZ()
+					if di != i || dj != j || dk != k {
+						t.Fatalf("block x%v y%v face %d point (%d,%d,%d): offset %d decodes to (%d,%d,%d)",
+							b.xr, b.yr, face, i, j, k, off, di, dj, dk)
+					}
+					if got, want := int(p.delay), ff.delay(i, j, k); got != want {
 						t.Fatalf("block x%v y%v face %d point (%d,%d,%d): table delay %d, ff.delay %d",
 							b.xr, b.yr, face, i, j, k, got, want)
 					}
 				})
+				for face, n := range next {
+					if n != len(ff.faces[face].pts) {
+						t.Fatalf("block x%v y%v face %d: table holds %d points, surface %d", b.xr, b.yr, face, len(ff.faces[face].pts), n)
+					}
+				}
 			}
 		})
 	}
 }
 
-// TestFarFieldAccumulateMatchesPerPoint holds accumulate, with its row
-// views and delay tables, bitwise to the per-point form it replaces —
-// forEachSurface's order, six At reads and ff.delay per point — on
-// random fields, for the full domain and every block of a 2x2
-// decomposition, naive and compensated.
+// TestFarFieldAccumulateMatchesPerPoint holds accumulate, with its point
+// table, two-term projections and register-carried samples, bitwise to
+// the per-point form it replaces — forEachSurface's order, six At reads,
+// ff.delay and addPoint per point — on random fields, for the full
+// domain and every block of a 2x2 decomposition, naive and compensated.
 func TestFarFieldAccumulateMatchesPerPoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for name, spec := range delaySpecs() {
@@ -350,9 +357,9 @@ func TestFarFieldAccumulateMatchesPerPoint(t *testing.T) {
 				for _, x := range g {
 					randomizeStorage(rng, x)
 				}
-				got, want := newFarField(spec, comp), newFarField(spec, comp)
+				got, want := newFarField(spec, comp, f), newFarField(spec, comp, f)
 				for n := 0; n < 3; n++ {
-					pts := got.accumulate(n, f.Ex, f.Ey, f.Ez, f.Hx, f.Hy, f.Hz, b.xr, b.yr)
+					pts := got.accumulate(n)
 					wantPts := 0
 					forEachSurface(spec, b.xr.Lo, b.xr.Hi, b.yr.Lo, b.yr.Hi, func(face, i, j, k int) {
 						li, lj := i-b.xr.Lo, j-b.yr.Lo

@@ -197,7 +197,7 @@ func TestHostIOPattern(t *testing.T) {
 				}
 			}
 		}
-		out := c.Gather3DBlocks(local, topo, nz, 0)
+		out := c.Gather3DBlocks(local, topo, 0)
 		if c.Rank() == 0 {
 			return SaveFile3(outPath, out)
 		}

@@ -93,8 +93,8 @@ func copyBlock(dst *grid.G3, di, dj int, src *grid.G3, si, sj, nx, ny int) {
 
 // Gather3DBlocks collects a 3-D grid distributed as (x, y) blocks onto
 // root, returning the assembled global grid there and nil elsewhere.
-// nz is the (undistributed) z extent.
-func (c *Comm) Gather3DBlocks(local *grid.G3, t *Topo2D, nz, root int) *grid.G3 {
+// The (undistributed) z extent is the root's local.NZ().
+func (c *Comm) Gather3DBlocks(local *grid.G3, t *Topo2D, root int) *grid.G3 {
 	if c.P() != t.P() {
 		panic(fmt.Sprintf("mesh: topology has %d processes, run has %d", t.P(), c.P()))
 	}
@@ -110,7 +110,7 @@ func (c *Comm) Gather3DBlocks(local *grid.G3, t *Topo2D, nz, root int) *grid.G3 
 	// The preallocated global grid is the full receive area; the own
 	// block is copied pencil by pencil, received planes are unpacked
 	// straight into place.
-	global := grid.New3(t.NX, t.NY, nz, 0)
+	global := grid.New3(t.NX, t.NY, local.NZ(), 0)
 	xr, yr := t.Block(r)
 	copyBlock(global, xr.Lo, yr.Lo, local, 0, 0, xr.Len(), yr.Len())
 	for src := 0; src < c.P(); src++ {

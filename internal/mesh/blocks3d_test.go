@@ -51,7 +51,7 @@ func TestScatterGather3DBlocksRoundTrip(t *testing.T) {
 								panic("scatter delivered wrong block")
 							}
 						}
-						return c.Gather3DBlocks(local, topo, nz, 0)
+						return c.Gather3DBlocks(local, topo, 0)
 					})
 					if err != nil {
 						t.Fatalf("nz=%d %v combine=%v %v: %v", nz, pq, combine, mode, err)
@@ -86,7 +86,7 @@ func TestGather3DBlocksToNonZeroRoot(t *testing.T) {
 		local.FillFunc(func(i, j, k int) float64 {
 			return float64((xr.Lo+i)*100 + (yr.Lo+j)*10 + k)
 		})
-		return c.Gather3DBlocks(local, topo, 3, 2)
+		return c.Gather3DBlocks(local, topo, 2)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestGather3DBlocksToNonZeroRoot(t *testing.T) {
 
 func TestBlocks3DPanics(t *testing.T) {
 	topo := NewTopo2D(6, 6, 2, 2)
-	requirePanics(t, "run P != topo P", 2, func(c *Comm) { c.Gather3DBlocks(grid.New3(3, 3, 3, 0), topo, 3, 0) })
+	requirePanics(t, "run P != topo P", 2, func(c *Comm) { c.Gather3DBlocks(grid.New3(3, 3, 3, 0), topo, 0) })
 	requirePanics(t, "nil global on root", 4, func(c *Comm) { c.Scatter3DBlocks(nil, topo, 3, c.Rank(), 0, 0) })
 }
 

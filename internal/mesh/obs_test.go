@@ -27,7 +27,7 @@ func obsWorkload(nx, steps int) func(c *Comm) float64 {
 		}
 		c.Barrier()
 		out := c.BroadcastVec([]float64{acc}, 0)
-		c.Gather3DBlocks(local, topo, 1, 0)
+		c.Gather3DBlocks(local, topo, 0)
 		return out[0]
 	}
 }

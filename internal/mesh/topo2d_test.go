@@ -92,7 +92,7 @@ func heat2D(t *testing.T, mode Mode, px, py, steps int) *grid.G3 {
 			}
 			cur, next = next, cur
 		}
-		return c.Gather3DBlocks(cur, tp, 1, 0)
+		return c.Gather3DBlocks(cur, tp, 0)
 	})
 	if err != nil {
 		t.Fatal(err)

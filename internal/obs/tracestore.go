@@ -80,24 +80,20 @@ func ServiceSpan(phase, label string, start, end time.Time) TraceSpan {
 
 // TraceStore is a bounded FIFO of recent trace bundles, keyed by trace
 // ID.  One process keeps one store; when a job's bundle would exceed
-// the capacity, the oldest stored trace is evicted.  Safe for
-// concurrent use.
+// DefaultTraceDepth traces, the oldest stored trace is evicted.  Safe
+// for concurrent use.
 type TraceStore struct {
 	mu    sync.Mutex
-	cap   int
 	order []string // eviction order, oldest first
 	byID  map[string]TraceBundle
 }
 
-// DefaultTraceDepth bounds a store when NewTraceStore is given cap <= 0.
+// DefaultTraceDepth is the number of traces a TraceStore keeps.
 const DefaultTraceDepth = 128
 
-// NewTraceStore returns a store keeping up to cap traces.
-func NewTraceStore(cap int) *TraceStore {
-	if cap <= 0 {
-		cap = DefaultTraceDepth
-	}
-	return &TraceStore{cap: cap, byID: make(map[string]TraceBundle)}
+// NewTraceStore returns a store keeping up to DefaultTraceDepth traces.
+func NewTraceStore() *TraceStore {
+	return &TraceStore{byID: make(map[string]TraceBundle)}
 }
 
 // Put stores (or, for a trace already present, extends) the bundle for
@@ -118,7 +114,7 @@ func (ts *TraceStore) Put(b TraceBundle) {
 		ts.byID[b.Trace] = have
 		return
 	}
-	for len(ts.order) >= ts.cap {
+	for len(ts.order) >= DefaultTraceDepth {
 		evict := ts.order[0]
 		ts.order = ts.order[1:]
 		delete(ts.byID, evict)

@@ -96,32 +96,34 @@ func TestCollectorTraceStamp(t *testing.T) {
 }
 
 func TestTraceStorePutGetEvict(t *testing.T) {
-	ts := NewTraceStore(2)
+	ts := NewTraceStore()
 	mk := func(id TraceID) TraceBundle {
 		return TraceBundle{Trace: id.String(), Source: "n", Spans: []TraceSpan{{Rank: 0, Phase: "compute"}}}
 	}
-	ts.Put(mk(1))
-	ts.Put(mk(2))
+	const depth = DefaultTraceDepth
+	for id := TraceID(1); id <= depth; id++ {
+		ts.Put(mk(id))
+	}
 	if _, ok := ts.Get(1); !ok {
 		t.Fatal("trace 1 missing")
 	}
-	ts.Put(mk(3)) // evicts 1
+	ts.Put(mk(depth + 1)) // evicts 1
 	if _, ok := ts.Get(1); ok {
 		t.Fatal("trace 1 not evicted")
 	}
-	if _, ok := ts.Get(3); !ok {
-		t.Fatal("trace 3 missing")
+	if _, ok := ts.Get(depth + 1); !ok {
+		t.Fatalf("trace %d missing", depth+1)
 	}
 	// Extending an existing trace appends spans, no eviction.
-	ts.Put(mk(3))
-	b, _ := ts.Get(3)
+	ts.Put(mk(depth + 1))
+	b, _ := ts.Get(depth + 1)
 	if len(b.Spans) != 2 {
 		t.Fatalf("extended bundle has %d spans, want 2", len(b.Spans))
 	}
 	// Untraced bundles are dropped.
 	ts.Put(TraceBundle{Trace: TraceID(0).String()})
-	if ts.Len() != 2 {
-		t.Fatalf("store len %d, want 2", ts.Len())
+	if ts.Len() != depth {
+		t.Fatalf("store len %d, want %d", ts.Len(), depth)
 	}
 	var nilStore *TraceStore
 	nilStore.Put(mk(9)) // must not panic

@@ -146,7 +146,7 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		m:        &metrics{},
 		cache:    newCache(cfg.CacheEntries),
-		traces:   obs.NewTraceStore(obs.DefaultTraceDepth),
+		traces:   obs.NewTraceStore(),
 		inflight: make(map[uint64]*job),
 		all:      make(map[*job]struct{}),
 	}

@@ -226,7 +226,7 @@ func RunArchetype(spec Spec, px, py int, mode mesh.Mode, opt mesh.Options) (*Res
 			}
 		}
 		fullProbe := c.BroadcastVec(probe, probeOwner)
-		final := c.Gather3DBlocks(b.ez, topo, 1, 0)
+		final := c.Gather3DBlocks(b.ez, topo, 0)
 		res := &Result{Spec: spec, Probe: fullProbe}
 		if c.Rank() == 0 {
 			res.Ez = final
