@@ -1,11 +1,11 @@
 GO ?= go
 
 # Packages whose concurrency the race detector must vet.
-RACE_PKGS = . ./internal/farm ./internal/channel ./internal/sched ./internal/explore ./internal/fault ./internal/mesh ./internal/wave2d ./internal/trace ./internal/obs ./internal/serve ./internal/cluster ./internal/cluster/client ./cmd/archload
+RACE_PKGS = . ./internal/farm ./internal/channel ./internal/sched ./internal/explore ./internal/fault ./internal/mesh ./internal/wave2d ./internal/trace ./internal/obs ./internal/serve ./internal/cluster ./internal/cluster/client ./cmd/archload ./cmd/determinacy
 
-.PHONY: check fmt build vet cross test run-lists doc-refs race bench-smoke benchmark-smoke cover kernel-smoke net-smoke serve-smoke cluster-smoke chaos-smoke obs-smoke fuzz-smoke explore-smoke ab
+.PHONY: check fmt build vet cross test run-lists doc-refs race bench-smoke benchmark-smoke cover kernel-smoke fuzz-smoke ab
 
-check: fmt vet cross build test run-lists doc-refs race bench-smoke benchmark-smoke kernel-smoke net-smoke serve-smoke cluster-smoke chaos-smoke obs-smoke fuzz-smoke explore-smoke
+check: fmt vet cross build test run-lists doc-refs race bench-smoke benchmark-smoke kernel-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -60,17 +60,14 @@ cross:
 test:
 	$(GO) test ./...
 
-# The -run lists of race, kernel-smoke and explore-smoke, by package.
+# The -run list of race in ./internal/fdtd, whose whole suite takes
+# too long under the race detector.
 RACE_FDTD_RUN = TestOneProgramIdentity|TestIdentityGolden|FuzzRefinement|TestKernelPencilVsReferenceProperty|TestCoefficientTable|TestProfileIdenticalAcrossRuntimes|TestModelGolden
-KERNEL_SMOKE_RUN = TestYeeRow|TestCoefficientTable|TestKernelPencilVsReferenceProperty|TestFarField
-EXPLORE_RUN = TestExploreMatchesBruteForceClassCount|TestExploreExactCounts|TestMinimizeRacyDivergence
-DETERMINACY_RUN = TestExploreSmoke
 
-# run-lists fails when an alternative of one of those -run lists names
-# no test of its package under go test -list, so a renamed or folded
-# test fails check instead of silently dropping out of a target.
-RUN_LISTS = './internal/fdtd:$(RACE_FDTD_RUN)' './internal/fdtd:$(KERNEL_SMOKE_RUN)' \
-	'./internal/explore:$(EXPLORE_RUN)' './cmd/determinacy:$(DETERMINACY_RUN)'
+# run-lists fails when an alternative of that -run list names no test
+# of its package under go test -list, so a renamed or folded test fails
+# check instead of silently dropping out of race.
+RUN_LISTS = './internal/fdtd:$(RACE_FDTD_RUN)'
 run-lists:
 	@for spec in $(RUN_LISTS); do \
 		pkg=$${spec%%:*}; pat=$${spec#*:}; \
@@ -112,55 +109,11 @@ bench-smoke:
 benchmark-smoke:
 	$(GO) test -C benchmark ./...
 
-# kernel-smoke proves the kernel fast path in seconds: every row body
-# is held bitwise to the generic row, the interned coefficient table is
-# held bitwise to the spec on every block of the paper's grids, the
-# property test pits the fused pencil kernels, once per row body,
-# against the per-cell reference kernels on randomized specs, the
-# far-field walk is held bitwise to its per-point oracle, and a
-# tiny-grid roofline run exercises the stream probe + per-worker
-# measurement end to end.
-kernel-smoke: run-lists
-	$(GO) test -run '$(KERNEL_SMOKE_RUN)' -count=1 ./internal/fdtd
+# kernel-smoke runs the roofline end to end on a tiny grid: the stream
+# probe and the per-worker measurement (the kernels' bitwise tests run
+# in test).
+kernel-smoke:
 	$(GO) run ./cmd/fdtd -roofline -nx 8 -ny 8 -nz 8 -roofline-workers 1,2 -quiet
-
-# net-smoke is the end-to-end acceptance run of the scale-out
-# transport: sequential vs in-process vs loopback-socket vs
-# multi-process dumps must be byte-identical (TestNetSmoke).
-net-smoke:
-	$(GO) test -run 'TestNetSmoke' -count=1 ./cmd/fdtd
-
-# serve-smoke boots the real archserve binary and drives the job API
-# end to end — compute, cache hit, typed errors, SIGTERM drain
-# (TestServeSmoke) — plus the in-package service acceptance test under
-# the race detector.
-serve-smoke:
-	$(GO) test -run 'TestServeSmoke' -count=1 ./cmd/archserve
-	$(GO) test -race -run 'TestServiceEndToEnd' -count=1 ./internal/serve
-
-# cluster-smoke boots the real archcoord binary over two real archserve
-# nodes, kills one mid-burst, and verifies zero lost jobs, bitwise
-# identity against a mesh.Sim oracle, /v1/nodes reporting the death,
-# and a clean SIGTERM stop (TestClusterSmoke).
-cluster-smoke:
-	$(GO) test -run 'TestClusterSmoke' -count=1 ./cmd/archcoord
-
-# chaos-smoke is the kill-a-node acceptance proof under the race
-# detector: 3 archserve nodes under procs supervision, a 60-job burst
-# with duplicates, SIGKILL of a live node mid-burst, zero lost jobs,
-# bitwise identity (including mesh.Par over a fault.DelaySends
-# transport), dead-arc failover, rejoin-serves-cache-hits, and no
-# leaked goroutines (TestClusterChaos).
-chaos-smoke:
-	$(GO) test -race -run 'TestClusterChaos' -count=1 -timeout 10m ./internal/cluster
-
-# obs-smoke is the acceptance run of the observability plane: a 2-node
-# in-process cluster takes a 20-job open-loop (Poisson) run; the run
-# must yield populated latency histograms, a retrievable merged Chrome
-# trace whose spans share one trace id across coordinator and node
-# lanes.
-obs-smoke:
-	$(GO) test -race -run 'TestObsSmoke' -count=1 ./cmd/archload
 
 # fuzz-smoke runs each parser fuzz target briefly: long enough to
 # replay the seed corpus and explore a little, short enough for CI.
@@ -190,21 +143,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 5s -fuzzminimizetime 200x ./internal/fdtd
 	$(GO) test -run '^$$' -fuzz '^FuzzRefinement$$' -fuzztime 5s ./internal/fdtd
 
-# explore-smoke is the acceptance run of the systematic schedule
-# explorer, under the race detector: bounded-exhaustive DPOR over the
-# demo networks with exactly hand-computed schedule counts (racy=6,
-# steps3=90, exchange=4 full / 1 channel), the shared-memory violation
-# found automatically and ddmin-shrunk to a <=6-pick schedule, and the
-# determinacy tool's whole registry (TestExploreSmoke): the paper's
-# Table 1 program at P = 8 certified as one schedule whose final state
-# six continuation policies reproduce bitwise, the deadlock demo
-# reported as a deadlock, and one minimized divergence round-tripped
-# through a saved artifact and the -replay path, reproducing the
-# divergent final state bitwise.
-explore-smoke: run-lists
-	$(GO) test -race -run '$(EXPLORE_RUN)' -count=1 ./internal/explore
-	$(GO) test -race -run '$(DETERMINACY_RUN)' -count=1 ./cmd/determinacy
-
 # cover enforces per-package statement-coverage floors on the packages
 # at the heart of the determinacy story.  Floors sit a few points below
 # current coverage (sched 79%, channel 85%, explore 79% at the time of
@@ -222,9 +160,10 @@ cover:
 
 # ab compares the benchmark's end-to-end metrics between commit REF and
 # the working tree, in alternating untraced passes of one workload with
-# consecutive seeds (scripts/ab.sh says how it reads them):
-#   make ab REF=HEAD~1 WORKLOAD=halo-p2-socket PAIRS=6
+# consecutive seeds, 1..N or FIRST..LAST (scripts/ab.sh says how it
+# reads them):
+#   make ab REF=HEAD~1 WORKLOAD=halo-p2-socket PAIRS=301-310
 PAIRS = 10
 ab:
-	@test -n "$(REF)" -a -n "$(WORKLOAD)" || { echo "usage: make ab REF=<commit> WORKLOAD=<name> [PAIRS=<n>]"; exit 2; }
+	@test -n "$(REF)" -a -n "$(WORKLOAD)" || { echo "usage: make ab REF=<commit> WORKLOAD=<name> [PAIRS=<n>|<first>-<last>]"; exit 2; }
 	bash scripts/ab.sh '$(REF)' '$(WORKLOAD)' '$(PAIRS)'

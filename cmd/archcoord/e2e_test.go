@@ -71,7 +71,7 @@ func smokeSpec(i int) fdtd.Spec {
 // archserve nodes, kills one node mid-burst, and verifies that every
 // request completes bitwise-identically (matching a mesh.Sim oracle),
 // that /v1/nodes reports the death, and that SIGTERM stops the
-// coordinator cleanly.  `make cluster-smoke` runs exactly this test.
+// coordinator cleanly.
 func TestClusterSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke test spawns real processes")
@@ -124,7 +124,7 @@ func TestClusterSmoke(t *testing.T) {
 
 	// The test computes the same ring the coordinator does (same code,
 	// same names), so it knows which node to kill to hit real arcs.
-	ring, err := cluster.NewRing([]string{"n0", "n1"}, 0)
+	ring, err := cluster.NewRing([]string{"n0", "n1"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,6 @@ func main() {
 		suspectAfter  = flag.Int("suspect-after", 1, "consecutive probe failures before a node is suspect")
 		deadAfter     = flag.Int("dead-after", 3, "consecutive probe failures before a node is dead")
 		rejoinAfter   = flag.Int("rejoin-after", 2, "consecutive probe successes before a dead node rejoins")
-		vnodes        = flag.Int("vnodes", 0, "virtual nodes per node on the hash ring (0 = default)")
 		maxAttempts   = flag.Int("max-attempts", 4, "total forwarding attempts per job")
 		attemptTO     = flag.Duration("attempt-timeout", 60*time.Second, "per-attempt deadline")
 		baseBackoff   = flag.Duration("base-backoff", 25*time.Millisecond, "first full-cycle backoff")
@@ -76,7 +75,6 @@ func main() {
 			SuspectAfter:  *suspectAfter,
 			DeadAfter:     *deadAfter,
 			RejoinAfter:   *rejoinAfter,
-			VNodes:        *vnodes,
 		},
 		Client: client.Policy{
 			MaxAttempts:       *maxAttempts,

@@ -5,11 +5,10 @@ import (
 	"testing"
 )
 
-// TestObsSmoke is the observability-plane smoke test (`make obs-smoke`):
-// a 2-node self-contained cluster takes a 20-job open-loop run, and the
-// run must yield a populated latency histogram, a retrievable merged
-// trace whose spans share one trace id across coordinator and node
-// lanes.
+// TestObsSmoke is the observability-plane smoke test: a 2-node
+// self-contained cluster takes a 20-job open-loop run, and the run must
+// yield a populated latency histogram, a retrievable merged trace whose
+// spans share one trace id across coordinator and node lanes.
 func TestObsSmoke(t *testing.T) {
 	res, err := runLoad(loadConfig{
 		Cluster:     2,

@@ -40,7 +40,7 @@ func freePort(t *testing.T) string {
 
 // TestServeSmoke boots the real binary, exercises the job API end to
 // end (compute, cache hit, invalid spec, stats, metrics) and verifies
-// a clean SIGTERM drain.  `make serve-smoke` runs exactly this test.
+// a clean SIGTERM drain.
 func TestServeSmoke(t *testing.T) {
 	exe := buildBinary(t)
 	addr := freePort(t)

@@ -43,7 +43,6 @@ func mustRead(t *testing.T, path string) []byte {
 // transport: the same small problem solved sequentially, over the
 // in-process parallel runtime, over a loopback socket mesh, and across
 // real OS processes (-procs) must produce byte-identical final fields.
-// `make net-smoke` runs exactly this test.
 func TestNetSmoke(t *testing.T) {
 	exe := buildBinary(t)
 	dir := t.TempDir()

@@ -103,7 +103,6 @@ type Chan[T any] struct {
 	ready *sync.Cond
 	buf   []T
 	head  int
-	sends int
 	err   error // set by abort: a parked Recv panics with it
 }
 
@@ -118,7 +117,6 @@ func NewChan[T any]() *Chan[T] {
 func (c *Chan[T]) Send(v T) {
 	c.mu.Lock()
 	c.buf = append(c.buf, v)
-	c.sends++
 	c.mu.Unlock()
 	c.ready.Signal()
 }
@@ -178,13 +176,6 @@ func (c *Chan[T]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.buf) - c.head
-}
-
-// TotalSends returns the number of values ever sent on the channel.
-func (c *Chan[T]) TotalSends() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sends
 }
 
 // Net is a complete point-to-point network: one single-reader

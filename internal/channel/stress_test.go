@@ -7,7 +7,7 @@ import (
 
 // TestChanStress exercises one Chan from several goroutines at once —
 // a writer streaming values, a reader mixing blocking Recv with polled
-// TryRecv, and a monitor hammering Len and TotalSends — so the race
+// TryRecv, and a monitor hammering Len — so the race
 // detector can vet the locking (run via `go test -race`).
 func TestChanStress(t *testing.T) {
 	const n = 5000
@@ -36,8 +36,8 @@ func TestChanStress(t *testing.T) {
 		}
 	}()
 
-	// Monitor goroutine: Len and TotalSends must be safe to call while
-	// the channel is in motion.
+	// Monitor goroutine: Len must be safe to call while the channel is
+	// in motion.
 	go func() {
 		for {
 			select {
@@ -45,11 +45,8 @@ func TestChanStress(t *testing.T) {
 				return
 			default:
 			}
-			if c.Len() < 0 {
-				panic("negative length")
-			}
-			if s := c.TotalSends(); s < 0 || s > n {
-				panic("absurd send count")
+			if l := c.Len(); l < 0 || l > n {
+				panic("absurd length")
 			}
 		}
 	}()

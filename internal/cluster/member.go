@@ -69,8 +69,6 @@ type MemberConfig struct {
 	// RejoinAfter is consecutive probe successes a dead node must show
 	// before it serves traffic again.  Default 2.
 	RejoinAfter int
-	// VNodes is the ring's virtual-node count per node (0 = default).
-	VNodes int
 }
 
 func (c MemberConfig) withDefaults() MemberConfig {
@@ -144,7 +142,7 @@ func NewMembership(nodes []Node, cfg MemberConfig, probe probeFn) (*Membership, 
 		}
 		names[i] = n.Name
 	}
-	ring, err := NewRing(names, cfg.VNodes)
+	ring, err := NewRing(names)
 	if err != nil {
 		return nil, err
 	}

@@ -41,14 +41,11 @@ type ringPoint struct {
 	node int // index into names
 }
 
-// NewRing builds a ring with vnodes points per node (0 uses the
-// default).  Node names must be non-empty and unique.
-func NewRing(names []string, vnodes int) (*Ring, error) {
+// NewRing builds a ring with defaultVNodes points per node.  Node
+// names must be non-empty and unique.
+func NewRing(names []string) (*Ring, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one node")
-	}
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
 	}
 	seen := make(map[string]bool, len(names))
 	r := &Ring{names: append([]string(nil), names...)}
@@ -60,7 +57,7 @@ func NewRing(names []string, vnodes int) (*Ring, error) {
 			return nil, fmt.Errorf("cluster: duplicate node name %q", name)
 		}
 		seen[name] = true
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < defaultVNodes; v++ {
 			r.points = append(r.points, ringPoint{hash: pointHash(name, v), node: i})
 		}
 	}

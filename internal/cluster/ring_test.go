@@ -5,19 +5,19 @@ import (
 )
 
 func TestRingValidation(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Fatal("empty ring accepted")
 	}
-	if _, err := NewRing([]string{"a", ""}, 0); err == nil {
+	if _, err := NewRing([]string{"a", ""}); err == nil {
 		t.Fatal("empty node name accepted")
 	}
-	if _, err := NewRing([]string{"a", "b", "a"}, 0); err == nil {
+	if _, err := NewRing([]string{"a", "b", "a"}); err == nil {
 		t.Fatal("duplicate node name accepted")
 	}
 }
 
 func TestRingLookupShape(t *testing.T) {
-	r, err := NewRing([]string{"a", "b", "c"}, 0)
+	r, err := NewRing([]string{"a", "b", "c"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +40,8 @@ func TestRingLookupShape(t *testing.T) {
 }
 
 func TestRingDeterministic(t *testing.T) {
-	r1, _ := NewRing([]string{"a", "b", "c"}, 0)
-	r2, _ := NewRing([]string{"c", "a", "b"}, 0) // construction order must not matter
+	r1, _ := NewRing([]string{"a", "b", "c"})
+	r2, _ := NewRing([]string{"c", "a", "b"}) // construction order must not matter
 	for key := uint64(0); key < 500; key++ {
 		if r1.Primary(key) != r2.Primary(key) {
 			t.Fatalf("key %d: primary differs across construction orders: %q vs %q",
@@ -55,7 +55,7 @@ func TestRingDeterministic(t *testing.T) {
 // share.
 func TestRingBalance(t *testing.T) {
 	names := []string{"a", "b", "c", "d"}
-	r, _ := NewRing(names, 0)
+	r, _ := NewRing(names)
 	counts := map[string]int{}
 	const keys = 4000
 	for key := uint64(0); key < keys; key++ {
@@ -75,7 +75,7 @@ func TestRingBalance(t *testing.T) {
 // moves keys whose primary was that node; every other key keeps its
 // primary.
 func TestRingArcStability(t *testing.T) {
-	r, _ := NewRing([]string{"a", "b", "c"}, 0)
+	r, _ := NewRing([]string{"a", "b", "c"})
 	for key := uint64(0); key < 1000; key++ {
 		order := r.Lookup(key, 0)
 		if order[0] == "b" {

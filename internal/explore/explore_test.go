@@ -223,7 +223,7 @@ func TestAcrossComparesContinuations(t *testing.T) {
 			t.Fatalf("racy2 continue %s: %v %s", c, err, rep.Summary())
 		}
 	}
-	lowestRR := []sched.Policy{sched.MustParsePolicy("lowest"), sched.MustParsePolicy("rr")}
+	lowestRR := []sched.Policy{sched.Lowest{}, sched.NewRoundRobin()}
 	reps, err = Across(racy2, Options[int]{Mode: DepChannel}, lowestRR)
 	if err == nil || len(reps) != 2 || !strings.Contains(err.Error(), "different final state") {
 		t.Fatalf("racy2 across lowest, rr: want a disagreement, got %v", err)

@@ -1,7 +1,7 @@
 // Package fault provides deterministic fault injection for the
 // parallel runtime: process crashes at a chosen (rank, step), seeded
-// perturbation of the controlled interleaving, seeded message-delivery
-// delays for the concurrent runtime, and checkpoint-file corruption.
+// message-delivery delays for the concurrent runtime, and
+// checkpoint-file corruption.
 //
 // Everything is seeded or exactly parameterised, so every failure
 // reproduces bit-for-bit.  That matters because the paper's Theorem 1
@@ -14,9 +14,8 @@
 //
 // The injectors compose with the runtime through its existing seams:
 // Crash panics surface through the sched supervisor as errors wrapping
-// *Crash; Jitter is a sched.Policy; DelaySends decorates the
-// channel.Transport a run is given (sched.Options.Transport,
-// mesh.Options.Transport).
+// *Crash; DelaySends decorates the channel.Transport a run is given
+// (sched.Options.Transport, mesh.Options.Transport).
 package fault
 
 import (
@@ -28,7 +27,6 @@ import (
 	"time"
 
 	"repro/internal/channel"
-	"repro/internal/sched"
 )
 
 // Crash is the panic value of an injected process crash.  It is an
@@ -77,14 +75,6 @@ func (in *Injector) Check(rank, step int) {
 	if rank == in.rank && step == in.step && in.fired.CompareAndSwap(false, true) {
 		panic(&Crash{Rank: rank, Step: step})
 	}
-}
-
-// Fired reports whether the injector has already crashed its target.
-func (in *Injector) Fired() bool {
-	if in == nil {
-		return false
-	}
-	return in.fired.Load()
 }
 
 // Cancelled is the panic value of a cooperative job cancellation: the
@@ -160,37 +150,6 @@ func (c *Canceller) Check(rank, step int) {
 	if p := c.reason.Load(); p != nil {
 		panic(&Cancelled{Rank: rank, Step: step, Reason: *p})
 	}
-}
-
-// Jitter is a sched.Policy wrapper that, with probability Prob per
-// scheduling point, overrides the inner policy with a seeded random
-// pick among the enabled processes.  Every pick stays inside the
-// enabled set, so the perturbed interleaving remains a legal maximal
-// interleaving — by Theorem 1 the final state must not change, which
-// determinacy tests assert.
-type Jitter struct {
-	inner sched.Policy
-	rng   *rand.Rand
-	prob  float64
-}
-
-// NewJitter wraps inner with seeded reorder perturbation; prob in
-// [0, 1] is the per-action override probability.
-func NewJitter(inner sched.Policy, seed int64, prob float64) *Jitter {
-	return &Jitter{inner: inner, rng: rand.New(rand.NewSource(seed)), prob: prob}
-}
-
-// Name implements sched.Policy.
-func (j *Jitter) Name() string {
-	return fmt.Sprintf("jitter(%s, p=%.2f)", j.inner.Name(), j.prob)
-}
-
-// Pick implements sched.Policy.
-func (j *Jitter) Pick(enabled []int, step int) int {
-	if j.rng.Float64() < j.prob {
-		return enabled[j.rng.Intn(len(enabled))]
-	}
-	return j.inner.Pick(enabled, step)
 }
 
 // delayed wraps an endpoint so every send sleeps a seeded pseudo-random

@@ -113,24 +113,6 @@ func (r *Result) FieldHash() uint64 {
 	return h.Sum64()
 }
 
-// MaxFieldMagnitude returns the largest |value| across the six final
-// field grids — used by the stability tests.
-func (r *Result) MaxFieldMagnitude() float64 {
-	max := 0.0
-	for _, g := range []*grid.G3{r.Ex, r.Ey, r.Ez, r.Hx, r.Hy, r.Hz} {
-		for i := 0; i < g.NX(); i++ {
-			for j := 0; j < g.NY(); j++ {
-				for _, v := range g.Pencil(i, j) {
-					if a := math.Abs(v); a > max {
-						max = a
-					}
-				}
-			}
-		}
-	}
-	return max
-}
-
 // RunSequential executes the original sequential program: the one
 // program (program.rank) on the trivial decomposition — a single block
 // owning the whole domain, no neighbours, no messages.  This is the

@@ -106,13 +106,6 @@ func (g *G3) Row(i, j int) []float64 {
 	return g.data[base : base+g.ze.N : base+g.ze.N]
 }
 
-// RowFrom is Row starting at logical k0 with length n (which may reach
-// into z ghost cells), capacity-clamped like Row.
-func (g *G3) RowFrom(i, j, k0, n int) []float64 {
-	base := g.Index(i, j, k0)
-	return g.data[base : base+n : base+n]
-}
-
 // Fill sets every interior point to v.
 func (g *G3) Fill(v float64) {
 	for i := 0; i < g.xe.N; i++ {

@@ -53,25 +53,3 @@ func TestG3RowCapacityClamped(t *testing.T) {
 		t.Fatal("Pencil unexpectedly clamped")
 	}
 }
-
-// TestG3RowFrom checks the offset/length variant, including reaches
-// into z ghost cells.
-func TestG3RowFrom(t *testing.T) {
-	g := New3(3, 4, 5, 1)
-	g.FillFunc(func(i, j, k int) float64 { return float64(k) })
-	r := g.RowFrom(1, 2, 2, 3)
-	if len(r) != 3 || cap(r) != 3 {
-		t.Fatalf("RowFrom len=%d cap=%d", len(r), cap(r))
-	}
-	if r[0] != 2 || r[2] != 4 {
-		t.Fatalf("RowFrom values %v", r)
-	}
-	// Reaching one cell into the lower z ghost.
-	rg := g.RowFrom(1, 2, -1, 2)
-	if len(rg) != 2 {
-		t.Fatalf("ghost RowFrom len=%d", len(rg))
-	}
-	if rg[1] != g.At(1, 2, 0) {
-		t.Fatal("ghost RowFrom misaligned")
-	}
-}

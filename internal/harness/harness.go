@@ -17,7 +17,6 @@ package harness
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"time"
 
@@ -182,15 +181,4 @@ func (t *Table) CheckShape() string {
 		prev = r.Speedup
 	}
 	return ""
-}
-
-// MinEfficiency returns the lowest parallel efficiency in the table.
-func (t *Table) MinEfficiency() float64 {
-	min := math.Inf(1)
-	for _, r := range t.Rows[1:] {
-		if r.Efficiency < min {
-			min = r.Efficiency
-		}
-	}
-	return min
 }

@@ -61,8 +61,10 @@ func TestSpeedupShapeOnRealisticSize(t *testing.T) {
 	if msg := tab.CheckShape(); msg != "" {
 		t.Fatalf("shape violated: %s\n%s", msg, tab.Format())
 	}
-	if eff := tab.MinEfficiency(); eff <= 0 || eff >= 1 {
-		t.Fatalf("efficiency out of range: %v", eff)
+	for _, r := range tab.Rows[1:] {
+		if r.Efficiency <= 0 || r.Efficiency >= 1 {
+			t.Fatalf("P=%d: efficiency out of range: %v", r.P, r.Efficiency)
+		}
 	}
 }
 

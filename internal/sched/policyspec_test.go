@@ -91,7 +91,7 @@ func TestScheduleReplayRoundTrip(t *testing.T) {
 	if fmt.Sprint(r.Picks()) != fmt.Sprint(s.Picks) {
 		t.Errorf("picks = %v, want %v", r.Picks(), s.Picks)
 	}
-	if got := PolicySpec(r.Continuation()); got != "rr" {
+	if got := PolicySpec(r.cont); got != "rr" {
 		t.Errorf("continuation = %q, want rr", got)
 	}
 	if got, want := PolicySpec(r), "replay:"+path; got != want {

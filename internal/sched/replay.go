@@ -116,9 +116,6 @@ func (r *Replay) Spec() string {
 // Picks returns the forced prefix.
 func (r *Replay) Picks() []int { return r.picks }
 
-// Continuation returns the policy that takes over after the prefix.
-func (r *Replay) Continuation() Policy { return r.cont }
-
 // Pick implements Policy.  Within the prefix it forces the recorded
 // pick; if that rank is not currently enabled — the schedule no longer
 // matches the network, itself evidence of schedule-dependent structure

@@ -63,16 +63,6 @@ func ParsePolicy(spec string) (Policy, error) {
 	return nil, fmt.Errorf("sched: unknown policy spec %q (want lowest|highest|rr|alt|lifo|rand:SEED|replay:FILE)", spec)
 }
 
-// MustParsePolicy is ParsePolicy for statically known specs; it panics
-// on error.
-func MustParsePolicy(spec string) Policy {
-	p, err := ParsePolicy(spec)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // PolicySpec returns the spec string of a policy, the inverse of
 // ParsePolicy for all policies it can construct.  Policies without a
 // spec form fall back to their Name.

@@ -7,9 +7,9 @@
 // that side along x and y, and the host assembles the result with
 // Gather3DBlocks.
 //
-// As with the 3-D code, the same kernels serve the sequential reference
-// and the distributed builds, so results are bitwise identical across
-// builds and runtimes.
+// As with the 3-D code, the sequential program is the one program on a
+// 1x1 process grid, so results are bitwise identical across builds and
+// runtimes.
 package wave2d
 
 import (
@@ -164,23 +164,11 @@ func (b *block) updateH(dt float64) {
 	}
 }
 
-// RunSequential executes the program on a single block covering the
-// whole domain.
+// RunSequential executes the sequential program: the one program of
+// RunArchetype on a 1x1 process grid under the simulated runtime, a
+// single block covering the whole domain with no neighbours.
 func RunSequential(spec Spec) (*Result, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	b := newBlock(spec, grid.Range{Lo: 0, Hi: spec.NX}, grid.Range{Lo: 0, Hi: spec.NY})
-	probe := make([]float64, 0, spec.Steps)
-	for n := 0; n < spec.Steps; n++ {
-		b.updateEz()
-		b.ez.Add(spec.SI, spec.SJ, 0, spec.pulse(n))
-		b.updateH(spec.DT)
-		probe = append(probe, b.ez.At(spec.PI, spec.PJ, 0))
-	}
-	final := grid.New3(spec.NX, spec.NY, 1, 0)
-	final.FillFunc(func(i, j, _ int) float64 { return b.ez.At(i, j, 0) })
-	return &Result{Spec: spec, Ez: final, Probe: probe}, nil
+	return RunArchetype(spec, 1, 1, mesh.Sim, mesh.Options{})
 }
 
 // RunArchetype executes the program on a px-by-py process grid under

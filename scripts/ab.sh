@@ -2,38 +2,44 @@
 # ab.sh REF WORKLOAD PAIRS compares one benchmark workload between
 # commit REF (side A) and the working tree (side B).
 #
-# Each side is built in a throwaway git worktree: A at REF, B at the
-# working tree as it stands (tracked and untracked files, .gitignore
-# honoured).  Pair i runs one untraced pass of each side with seed i,
-# A first in odd pairs and B first in even ones, so a drift of the host
-# does not favour one side.  Each pass measures for the run_seconds of
-# BENCHMARK.json.  For every end-to-end metric of BENCHMARK.json it
-# prints both medians, A's interquartile range, the pairs B won and one
-# verdict, then every pass's readings:
+# Each side is unpacked with git archive into a throwaway directory: A
+# at REF, B at the working tree as it stands (tracked and untracked
+# files, .gitignore honoured).  PAIRS is a count N, for seeds 1..N, or
+# a seed range FIRST-LAST, so a claim can be checked on seeds not used
+# while the change was written.  Each pair runs one untraced pass of
+# each side with the pair's seed, A first in odd pairs and B first in
+# even ones, so a drift of the host does not favour one side.  Each
+# pass measures for the run_seconds of BENCHMARK.json.  For every
+# end-to-end metric of BENCHMARK.json it prints both medians, A's
+# interquartile range, the pairs B won and one verdict, then every
+# pass's readings:
 #   better      B won at least 9 in 10 of the pairs, and the medians
 #               differ by more than A's interquartile range;
 #   worse       the mirror;
 #   unresolved  anything else.
 #
-#   bash scripts/ab.sh HEAD~1 halo-p2-socket 6    (or: make ab REF=... WORKLOAD=... PAIRS=...)
+#   bash scripts/ab.sh HEAD~1 halo-p2-socket 6        (seeds 1..6)
+#   bash scripts/ab.sh HEAD~1 halo-p2-socket 301-310  (or: make ab REF=... WORKLOAD=... PAIRS=...)
 set -euo pipefail
 
-if [ $# -ne 3 ]; then
-	echo "usage: $0 REF WORKLOAD PAIRS" >&2
+usage() {
+	echo "usage: $0 REF WORKLOAD PAIRS   (PAIRS: N for seeds 1..N, or FIRST-LAST)" >&2
 	exit 2
-fi
-ref=$1 workload=$2 pairs=$3
+}
+[ $# -eq 3 ] || usage
+ref=$1 workload=$2
+case $3 in
+*-*) first=${3%%-*} last=${3#*-} ;;
+*) first=1 last=$3 ;;
+esac
+[[ $first =~ ^[0-9]+$ && $last =~ ^[0-9]+$ ]] || usage
+first=$((10#$first)) last=$((10#$last))
+((first <= last)) || usage
+pairs=$((last - first + 1))
 root=$(git rev-parse --show-toplevel)
 cd "$root"
 work=$(mktemp -d)
-cleanup() {
-	for side in a b; do
-		git worktree remove --force "$work/$side" 2>/dev/null || true
-	done
-	git worktree prune
-	rm -rf "$work"
-}
-trap cleanup EXIT
+trap 'rm -rf "$work"' EXIT
 
 # The working tree as a tree object, staged in a private index.
 export_tree() {
@@ -43,29 +49,30 @@ export_tree() {
 }
 tree=$(export_tree)
 
-git worktree add --quiet --detach "$work/a" "$ref"
-git worktree add --quiet --detach "$work/b" HEAD
-git -C "$work/b" read-tree -u --reset "$tree"
+mkdir "$work/a" "$work/b"
+git archive "$ref" | tar -x -C "$work/a"
+git archive "$tree" | tar -x -C "$work/b"
 for side in a b; do
 	echo "ab: building side $side" >&2
 	(cd "$work/$side/benchmark" && GOTOOLCHAIN=local go build -o "$work/$side.bin" .)
 done
 
-echo "ab: A = $(git rev-parse --short "$ref"), B = working tree, $workload, $pairs pairs" >&2
+echo "ab: A = $(git rev-parse --short "$ref"), B = working tree, $workload, $pairs pairs, seeds $first-$last" >&2
 for ((i = 1; i <= pairs; i++)); do
+	seed=$((first + i - 1))
 	order="a b"
 	if [ $((i % 2)) -eq 0 ]; then
 		order="b a"
 	fi
 	for side in $order; do
-		(cd "$work/$side/benchmark" && "$work/$side.bin" -workload "$workload" -seed "$i" -trace 0 || true) \
+		(cd "$work/$side/benchmark" && "$work/$side.bin" -workload "$workload" -seed "$seed" -trace 0 || true) \
 			> "$work/pass.out" 2>&1
 		echo "$i $side $(tail -n 1 "$work/pass.out")" >> "$work/results"
-		echo "ab: pair $i side $side done" >&2
+		echo "ab: pair $i (seed $seed) side $side done" >&2
 	done
 done
 
-awk -v pairs="$pairs" '
+awk -v pairs="$pairs" -v first="$first" '
 # Sorted copy of v[1..n] into s[1..n].
 function sortinto(v, n, s,    i, j, t) {
 	for (i = 1; i <= n; i++) s[i] = v[i]
@@ -100,8 +107,10 @@ file == 1 && e2e && /"better"/ { b = $0; gsub(/.*"better": *"|".*/, "", b); bett
 file == 2 {
 	pair = $1; side = $2
 	line = $0
-	f = line; sub(/.*"failed":/, "", f); sub(/[^0-9].*/, "", f)
-	failed[side] += f
+	if (line ~ /"failed":/) {
+		f = line; sub(/.*"failed":/, "", f); sub(/[^0-9].*/, "", f)
+		failed[side] += f
+	}
 	for (k = 1; k <= nm; k++) val[names[k], side, pair] = value(line, names[k])
 }
 END {
@@ -128,11 +137,11 @@ END {
 		printf "%-12s %14.6g %14.6g %14.6g %5d/%-3d  %s\n", m, ma, mb, iqr, won, pairs, verdict
 	}
 	printf "failed operations: A %d, B %d\n", failed["a"], failed["b"]
-	printf "\n%-5s", "pair"
+	printf "\n%-5s", "seed"
 	for (k = 1; k <= nm; k++) printf " %21s", names[k] " A/B"
 	printf "\n"
 	for (p = 1; p <= pairs; p++) {
-		printf "%-5d", p
+		printf "%-5d", first + p - 1
 		for (k = 1; k <= nm; k++) printf " %21s", show(val[names[k], "a", p]) "/" show(val[names[k], "b", p])
 		printf "\n"
 	}
