@@ -79,15 +79,17 @@ type Span struct {
 	Dur   time.Duration
 }
 
-// DefaultMaxSpans bounds the per-collector span log (~48 B each); spans
-// beyond the cap are dropped and counted in Snapshot.DroppedSpans so
-// truncation is never silent.  Counters and phase totals are unaffected.
+// DefaultMaxSpans bounds a collector's span log (~48 B each), counted
+// across all its ranks; spans beyond the cap are dropped and counted in
+// Snapshot.DroppedSpans so truncation is never silent.  Counters and
+// phase totals are unaffected.
 const DefaultMaxSpans = 1 << 20
 
-// rankState holds one rank's counters and phase tracking.  The counters
-// are atomics (written on the communication hot path, read by live
-// scrapes); the span bookkeeping is guarded by a per-rank mutex taken
-// only at phase boundaries and by snapshot readers.
+// rankState holds one rank's counters, phase tracking and span log.
+// The counters are atomics (written on the communication hot path, read
+// by live scrapes); the span bookkeeping and the rank's own span log are
+// guarded by a per-rank mutex taken only at phase boundaries and by
+// readers, so ranks never contend for one lock to record a span.
 type rankState struct {
 	sends, recvs, steps, blocks atomic.Int64
 	bytesSent, bytesRecvd       atomic.Int64
@@ -97,6 +99,7 @@ type rankState struct {
 	cur      Phase
 	label    string
 	curStart time.Duration
+	spans    []Span // this rank's recorded spans, in time order
 }
 
 // Collector accumulates one run's per-rank counters and phase timers.
@@ -110,10 +113,12 @@ type Collector struct {
 
 	ranks []rankState
 
-	mu       sync.Mutex
-	spans    []Span
-	dropped  int64
+	// offered counts the spans offered to the log across all ranks;
+	// the first maxSpans are kept and the rest dropped.
+	offered  atomic.Int64
 	maxSpans int
+
+	mu       sync.Mutex
 	finished time.Duration // wall at Finish; 0 while running
 }
 
@@ -222,24 +227,24 @@ func (c *Collector) End(rank int) {
 func (c *Collector) switchPhase(rs *rankState, rank int, ph Phase, label string) {
 	now := c.now()
 	rs.mu.Lock()
-	prev := Span{Rank: rank, Phase: rs.cur, Label: rs.label, Start: rs.curStart, Dur: now - rs.curStart}
-	rs.phaseNanos[rs.cur].Add(int64(prev.Dur))
+	c.closeSpanLocked(rs, rank, now)
 	rs.cur, rs.label, rs.curStart = ph, label, now
 	rs.mu.Unlock()
-	c.addSpan(prev)
 }
 
-func (c *Collector) addSpan(s Span) {
-	if s.Dur <= 0 && s.Phase == PhaseCompute && s.Label == "" {
+// closeSpanLocked ends the rank's open span at now: it charges the
+// span's time to its phase and appends it to the rank's log unless the
+// collector-wide cap is reached.  Called with rs.mu held.
+func (c *Collector) closeSpanLocked(rs *rankState, rank int, now time.Duration) {
+	dur := now - rs.curStart
+	rs.phaseNanos[rs.cur].Add(int64(dur))
+	if dur <= 0 && rs.cur == PhaseCompute && rs.label == "" {
 		return // zero-length filler between adjacent operations
 	}
-	c.mu.Lock()
-	if len(c.spans) >= c.maxSpans {
-		c.dropped++
-	} else {
-		c.spans = append(c.spans, s)
+	if c.offered.Add(1) > int64(c.maxSpans) {
+		return // dropped; Snapshot counts it
 	}
-	c.mu.Unlock()
+	rs.spans = append(rs.spans, Span{Rank: rank, Phase: rs.cur, Label: rs.label, Start: rs.curStart, Dur: dur})
 }
 
 // Finish closes every rank's open span at a common instant and freezes
@@ -254,28 +259,50 @@ func (c *Collector) Finish() {
 	for r := range c.ranks {
 		rs := &c.ranks[r]
 		rs.mu.Lock()
-		span := Span{Rank: r, Phase: rs.cur, Label: rs.label, Start: rs.curStart, Dur: now - rs.curStart}
-		rs.phaseNanos[rs.cur].Add(int64(span.Dur))
+		c.closeSpanLocked(rs, r, now)
 		rs.cur, rs.label, rs.curStart = PhaseCompute, "", now
 		rs.mu.Unlock()
-		c.addSpan(span)
 	}
 	c.mu.Lock()
 	c.finished = now
 	c.mu.Unlock()
 }
 
-// Spans returns a copy of the recorded spans in recording order (per
-// rank this is chronological).  Safe on nil.
+// Spans returns a copy of the recorded spans rank by rank, each rank's
+// in time order.  Safe on nil.
 func (c *Collector) Spans() []Span {
 	if c == nil {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Span, len(c.spans))
-	copy(out, c.spans)
+	out := make([]Span, 0, c.spanCount())
+	c.eachSpan(func(s Span) { out = append(out, s) })
 	return out
+}
+
+// spanCount returns the number of spans the log holds.
+func (c *Collector) spanCount() int {
+	n := 0
+	for r := range c.ranks {
+		rs := &c.ranks[r]
+		rs.mu.Lock()
+		n += len(rs.spans)
+		rs.mu.Unlock()
+	}
+	return n
+}
+
+// eachSpan calls fn on every recorded span, rank by rank, each rank's in
+// time order.  Each rank's log is read under its own lock, so a live
+// run keeps recording on the other ranks meanwhile.
+func (c *Collector) eachSpan(fn func(Span)) {
+	for r := range c.ranks {
+		rs := &c.ranks[r]
+		rs.mu.Lock()
+		for _, s := range rs.spans {
+			fn(s)
+		}
+		rs.mu.Unlock()
+	}
 }
 
 // RankSnapshot is one rank's counters and per-phase times at snapshot
@@ -319,7 +346,6 @@ func (c *Collector) Snapshot() Snapshot {
 	now := c.now()
 	c.mu.Lock()
 	finished := c.finished
-	dropped := c.dropped
 	c.mu.Unlock()
 
 	snap := Snapshot{
@@ -327,7 +353,7 @@ func (c *Collector) Snapshot() Snapshot {
 		Wall:         now,
 		Finished:     finished > 0,
 		Ranks:        make([]RankSnapshot, c.p),
-		DroppedSpans: dropped,
+		DroppedSpans: max(c.offered.Load()-int64(c.maxSpans), 0),
 	}
 	if finished > 0 {
 		snap.Wall = finished

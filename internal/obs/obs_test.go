@@ -1,21 +1,28 @@
 package obs
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
 
 // TestNilCollectorIsNoOp checks the disabled idiom: every method is
-// valid on nil.
+// valid on nil, and none allocates.
 func TestNilCollectorIsNoOp(t *testing.T) {
 	var c *Collector
-	c.CountSend(0, 8)
-	c.CountRecv(0, 8)
-	c.CountStep(0)
-	c.CountBlock(0)
-	c.Begin(0, PhaseExchange, "x")
-	c.End(0)
-	c.Finish()
+	if got := testing.AllocsPerRun(100, func() {
+		c.CountSend(0, 8)
+		c.CountRecv(0, 8)
+		c.CountStep(0)
+		c.CountBlock(0)
+		c.Begin(0, PhaseExchange, "x")
+		c.End(0)
+		c.Finish()
+		_ = c.Spans()
+		_ = c.Snapshot()
+	}); got != 0 {
+		t.Fatalf("nil collector allocated %v times per run, want 0", got)
+	}
 	if c.P() != 0 || c.Spans() != nil {
 		t.Fatal("nil collector must report empty state")
 	}
@@ -149,5 +156,90 @@ func TestSpanCap(t *testing.T) {
 	}
 	if total != snap.Wall {
 		t.Errorf("phase totals %v != wall %v despite cap", total, snap.Wall)
+	}
+}
+
+// labelStart labels every rank's initial compute span, so it is never
+// elided as a zero-length filler and each rank offers a known number of
+// spans to the log.
+func labelStart(c *Collector) {
+	for r := range c.ranks {
+		c.ranks[r].label = "start"
+	}
+}
+
+// recordConcurrently has every rank of c, each on its own goroutine,
+// switch phase n times; with Finish that offers n+1 spans per rank.
+func recordConcurrently(c *Collector, n int) {
+	var wg sync.WaitGroup
+	for r := 0; r < c.P(); r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				c.Begin(r, Phase(1+i%(int(NumPhases)-1)), "op")
+			}
+		}(r)
+	}
+	wg.Wait()
+	c.Finish()
+}
+
+// TestSpanCapAcrossRanks: the cap bounds the whole collector's log, not
+// each rank's, when two ranks record at once; every span past it is
+// counted as dropped, and each rank keeps a prefix of its timeline.
+func TestSpanCapAcrossRanks(t *testing.T) {
+	const n, limit = 100, 50
+	c := New(2)
+	c.maxSpans = limit
+	labelStart(c)
+	recordConcurrently(c, n)
+
+	spans := c.Spans()
+	if len(spans) != limit {
+		t.Fatalf("span log has %d entries, want the cap %d", len(spans), limit)
+	}
+	if got, want := c.Snapshot().DroppedSpans, int64(2*(n+1)-limit); got != want {
+		t.Fatalf("DroppedSpans = %d, want %d recorded minus the cap %d", got, 2*(n+1), limit)
+	}
+	checkRankTimelines(t, spans, -1)
+}
+
+// TestSpansRankByRank: Spans returns the log rank by rank, and each
+// rank's spans tile its timeline from the epoch to the finish, in time
+// order, even when the ranks recorded concurrently.
+func TestSpansRankByRank(t *testing.T) {
+	const n = 200
+	c := New(3)
+	labelStart(c)
+	recordConcurrently(c, n)
+
+	spans := c.Spans()
+	if len(spans) != 3*(n+1) || c.Snapshot().DroppedSpans != 0 {
+		t.Fatalf("%d spans, %d dropped; want %d and none", len(spans), c.Snapshot().DroppedSpans, 3*(n+1))
+	}
+	checkRankTimelines(t, spans, c.Snapshot().Wall)
+}
+
+// checkRankTimelines checks that spans come rank by rank and that each
+// rank's spans start at 0 and follow one another without gap or
+// overlap; with wall >= 0, each rank's last span ends at wall.
+func checkRankTimelines(t *testing.T, spans []Span, wall time.Duration) {
+	t.Helper()
+	for i, s := range spans {
+		if i == 0 || s.Rank != spans[i-1].Rank {
+			if i > 0 && s.Rank < spans[i-1].Rank {
+				t.Fatalf("span %d: rank %d after rank %d", i, s.Rank, spans[i-1].Rank)
+			}
+			if s.Start != 0 {
+				t.Fatalf("rank %d's first span starts at %v, want 0", s.Rank, s.Start)
+			}
+		} else if prev := spans[i-1]; s.Start != prev.Start+prev.Dur {
+			t.Fatalf("rank %d span %d starts at %v, previous ended at %v", s.Rank, i, s.Start, prev.Start+prev.Dur)
+		}
+		last := i == len(spans)-1 || spans[i+1].Rank != s.Rank
+		if last && wall >= 0 && s.Start+s.Dur != wall {
+			t.Fatalf("rank %d's timeline ends at %v, wall is %v", s.Rank, s.Start+s.Dur, wall)
+		}
 	}
 }

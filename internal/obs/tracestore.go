@@ -48,14 +48,18 @@ type TraceBundle struct {
 
 // BundleFromCollector condenses a finished per-job collector into a
 // bundle: every recorded rank span, anchored to the wall clock via the
-// collector's epoch.  Returns an empty bundle on a nil collector.
-func BundleFromCollector(id TraceID, source string, c *Collector) TraceBundle {
+// collector's epoch, followed by the service spans.  The span slice is
+// sized once for both.  On a nil collector the bundle holds the service
+// spans alone.
+func BundleFromCollector(id TraceID, source string, c *Collector, service ...TraceSpan) TraceBundle {
 	b := TraceBundle{Trace: id.String(), Source: source, P: c.P()}
 	if c == nil {
+		b.Spans = service
 		return b
 	}
+	b.Spans = make([]TraceSpan, 0, c.spanCount()+len(service))
 	epoch := c.Epoch()
-	for _, s := range c.Spans() {
+	c.eachSpan(func(s Span) {
 		b.Spans = append(b.Spans, TraceSpan{
 			Rank:          s.Rank,
 			Phase:         s.Phase.String(),
@@ -63,7 +67,8 @@ func BundleFromCollector(id TraceID, source string, c *Collector) TraceBundle {
 			StartUnixNano: epoch.Add(s.Start).UnixNano(),
 			DurNanos:      int64(s.Dur),
 		})
-	}
+	})
+	b.Spans = append(b.Spans, service...)
 	return b
 }
 

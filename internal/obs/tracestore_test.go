@@ -146,6 +146,13 @@ func TestBundleFromCollectorAndMerge(t *testing.T) {
 		t.Fatalf("bundle: P=%d spans=%d", nodeBundle.P, len(nodeBundle.Spans))
 	}
 	now := time.Now()
+	// Service spans follow the rank spans, in one slice sized for both.
+	queued := ServiceSpan("serve", "queued", now.Add(-time.Millisecond), now)
+	withService := BundleFromCollector(7, "node-a", c, queued)
+	if n := len(withService.Spans); n != len(nodeBundle.Spans)+1 || cap(withService.Spans) != n || withService.Spans[n-1] != queued {
+		t.Fatalf("bundle with a service span: %d spans (cap %d), want %d ending in %+v",
+			n, cap(withService.Spans), len(nodeBundle.Spans)+1, queued)
+	}
 	coordBundle := TraceBundle{
 		Trace:  TraceID(7).String(),
 		Source: "archcoord",

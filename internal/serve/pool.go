@@ -158,8 +158,7 @@ func (ex *executor) runJob(jb *job) {
 		// Assemble the node-local span bundle: rank-level phase spans
 		// from the collector plus service-lane spans for the queue wait
 		// and the execution itself.  complete() files it in the store.
-		jb.bundle = obs.BundleFromCollector(jb.trace, ex.p.cfg.Name, col)
-		jb.bundle.Spans = append(jb.bundle.Spans,
+		jb.bundle = obs.BundleFromCollector(jb.trace, ex.p.cfg.Name, col,
 			obs.ServiceSpan("serve", "queued", jb.admitted, start),
 			obs.ServiceSpan("serve", "execute", start, end),
 		)
