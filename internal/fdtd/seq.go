@@ -1,9 +1,7 @@
 package fdtd
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 
 	"repro/internal/grid"
@@ -88,29 +86,30 @@ func (r *Result) FarFieldMaxRelDiff(o *Result) float64 {
 	return max
 }
 
-// FieldHash digests the bit patterns of the six final field grids:
-// FNV-64a over the little-endian bits of Ex, Ey, Ez, Hx, Hy, Hz, each
-// walked pencil by pencil; a grid the result does not hold is skipped.
-// Two runs of the same spec hash equal iff their fields are bitwise
-// identical.  It is the service's field_hash and the near-field digest
-// of the committed identity goldens.
+// FieldHash digests the bit patterns of the six final field grids
+// (Ex, Ey, Ez, Hx, Hy, Hz; a grid the result does not hold is skipped):
+// each pencil, the z-run at one (i, j), is hashed word by word and mixed
+// with its key (field, i, j), and the keyed pencil hashes are added
+// modulo 2^64 (digest.go).  Two field sets that differ anywhere (one
+// bit, two sign flips, values or pencils swapped, a pencil moved to
+// another field) get the same digest with probability about 2^-64, as
+// for a random 64-bit function.  The sum is the same in any order, so
+// the pencils of each px-by-py block can be digested apart and added.
+// It is the service's field_hash and the near-field digest of the
+// committed identity goldens.
 func (r *Result) FieldHash() uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	for _, g := range []*grid.G3{r.Ex, r.Ey, r.Ez, r.Hx, r.Hy, r.Hz} {
+	var sum uint64
+	for f, g := range [...]*grid.G3{r.Ex, r.Ey, r.Ez, r.Hx, r.Hy, r.Hz} {
 		if g == nil {
 			continue
 		}
 		for i := 0; i < g.NX(); i++ {
 			for j := 0; j < g.NY(); j++ {
-				for _, v := range g.Pencil(i, j) {
-					binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-					h.Write(b[:])
-				}
+				sum += pencilDigest(g.Pencil(i, j), f, i, j)
 			}
 		}
 	}
-	return h.Sum64()
+	return sum
 }
 
 // RunSequential executes the original sequential program: the one
