@@ -648,16 +648,33 @@ func (b *concurrent[T]) recv(from, to int) T {
 		if aborted {
 			panic(abortPanic{})
 		}
-		v = ep.Recv()
-		b.mu.Lock()
-		b.waitOn[to] = -1
-		b.taken[ch].Add(1)
-		b.mu.Unlock()
+		v = b.park(ep, ch, to)
 	}
 	b.progress.Add(1)
 	if b.tr != nil {
 		b.tr.Add(to, trace.Recv, from, b.tag(v))
 	}
+	return v
+}
+
+// park waits in the endpoint for the value on channel ch.  However the
+// wait ends, with a value or with the panic of an aborted transport,
+// rank to stops counting as blocked before it runs any other code: a
+// rank unwinding from an abort that still looked parked could let
+// another rank's finish report a deadlock in place of the abort.  The
+// receive counts as taken only when a value came.
+func (b *concurrent[T]) park(ep channel.Endpoint[T], ch, to int) (v T) {
+	got := false
+	defer func() {
+		b.mu.Lock()
+		b.waitOn[to] = -1
+		if got {
+			b.taken[ch].Add(1)
+		}
+		b.mu.Unlock()
+	}()
+	v = ep.Recv()
+	got = true
 	return v
 }
 

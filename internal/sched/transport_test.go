@@ -318,14 +318,24 @@ func TestConcurrentPanicRecovered(t *testing.T) {
 
 // TestAbortWakesParkedReceiver: an Abort from outside the run — a job
 // timeout — wakes a receiver parked inside the transport within a
-// second, and the run fails with the abort's reason.
+// second, and the run fails with the abort's reason.  The woken
+// receiver stops counting as parked before it unwinds, so its peer,
+// which finishes while rank 1 is still unwinding, does not turn the
+// abort into a deadlock report; rank 1's deferred sleep holds it in
+// that window on purpose.
 func TestAbortWakesParkedReceiver(t *testing.T) {
 	forEachTransport(t, nil, func(t *testing.T, row transportRow) {
 		reason := errors.New("job deadline")
 		release, woke := make(chan struct{}), make(chan struct{})
 		procs := []Proc[int, int]{
 			func(ctx *Ctx[int]) int { <-release; return 0 },
-			func(ctx *Ctx[int]) int { defer close(woke); return ctx.Recv(0) },
+			func(ctx *Ctx[int]) int {
+				defer func() {
+					close(woke)
+					time.Sleep(100 * time.Millisecond) // widens the unwinding window
+				}()
+				return ctx.Recv(0)
+			},
 		}
 		started := make(chan func(error), 1)
 		go func() {
