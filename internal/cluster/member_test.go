@@ -358,12 +358,20 @@ func TestProbeLoadFetchDegrades(t *testing.T) {
 }
 
 // TestProbeLoadFetchHangNeverWedges: a stats endpoint that never
-// answers is bounded by the probe timeout — the loop keeps ticking and
-// the node stays healthy on its good healthz.
+// answers is bounded by the probe timeout — the loop keeps probing and
+// the node stays healthy on its good healthz.  The test counts the probe
+// rounds the stats endpoint sees: each arrival means the round before it
+// ended and was applied, so a wedged loop fails at the deadline and a
+// node that left healthy fails at the next arrival.
 func TestProbeLoadFetchHangNeverWedges(t *testing.T) {
+	const rounds = 4
 	release := make(chan struct{})
-	defer close(release)
+	arrived := make(chan struct{}, rounds+1)
 	n := statsProbeServer(t, func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case arrived <- struct{}{}:
+		default:
+		}
 		select {
 		case <-release:
 		case <-r.Context().Done():
@@ -371,29 +379,30 @@ func TestProbeLoadFetchHangNeverWedges(t *testing.T) {
 	})
 	m, err := NewMembership([]Node{n}, MemberConfig{
 		ProbeInterval: 10 * time.Millisecond,
-		ProbeTimeout:  30 * time.Millisecond,
-		SuspectAfter:  1,
-		DeadAfter:     3,
+		// The window the loopback healthz has to answer in, and the
+		// length of every round, since the stats fetch hangs to the
+		// timeout; 30 ms was missed on a loaded host.
+		ProbeTimeout: 250 * time.Millisecond,
+		SuspectAfter: 1,
+		DeadAfter:    3,
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.Start()
 	defer m.Close()
+	defer close(release) // first, so a wedged probe lets Close return
 
-	// Several probe periods must elapse (each one's stats fetch hanging
-	// until its timeout) without the loop wedging or the node leaving
-	// healthy.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		snap := m.Snapshot()[0]
-		if snap.State != "healthy" {
-			t.Fatalf("node with hanging stats left healthy: %+v", snap)
+	deadline := time.After(10 * time.Second)
+	for seen := 0; seen < rounds; seen++ {
+		select {
+		case <-arrived:
+		case <-deadline:
+			t.Fatalf("probe loop wedged: the stats endpoint saw %d rounds in 10s, want %d", seen, rounds)
 		}
-		if time.Now().After(deadline) {
-			break
+		if snap := m.Snapshot()[0]; snap.State != "healthy" {
+			t.Fatalf("node with hanging stats left healthy after %d rounds: %+v", seen, snap)
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
 }
 
