@@ -278,3 +278,40 @@ func TestSaveCheckpointAtomic(t *testing.T) {
 		t.Fatalf("expected exactly run.ckp and run.ckp.prev, got %d entries", len(entries))
 	}
 }
+
+// TestRecoveryMurWholeRunInterval: a Mur run, whose boundary state no
+// checkpoint holds, runs under recovery when its checkpoint interval is
+// the whole run, to the sequential program's bits, and is refused any
+// shorter interval.
+func TestRecoveryMurWholeRunInterval(t *testing.T) {
+	spec := SpecSmallA()
+	spec.Boundary = BoundaryMur1
+	rep := mustRecover(t, spec, RecoveryOptions{P: 2, Opt: DefaultOptions(), CheckpointEvery: spec.Steps})
+	if !mustSeq(t, spec).NearFieldEqual(rep.Result) {
+		t.Fatal("Mur run under recovery differs from the sequential program")
+	}
+	_, err := RunWithRecovery(spec, RecoveryOptions{P: 2, Opt: DefaultOptions(), CheckpointEvery: spec.Steps - 1})
+	if err == nil || !strings.Contains(err.Error(), "Mur") {
+		t.Fatalf("Mur run checkpointing before its last step: got %v, want the refusal", err)
+	}
+}
+
+// TestRecoveryRestartBudgetIsExact: a crash that every segment meets
+// again is restarted exactly MaxRestarts times, and then surfaces.  A
+// cancellation whose reason is an injected crash is such a fault: it
+// crashes every rank at its first step, run after run.
+func TestRecoveryRestartBudgetIsExact(t *testing.T) {
+	spec := SpecSmallA()
+	for _, budget := range []int{1, 2} {
+		opt := DefaultOptions()
+		opt.Cancel = fault.NewCanceller()
+		opt.Cancel.Cancel(&fault.Crash{Rank: 1, Step: 0})
+		rep, err := RunWithRecovery(spec, RecoveryOptions{P: 2, Opt: opt, CheckpointEvery: 4, MaxRestarts: budget})
+		if _, ok := fault.AsCrash(err); !ok {
+			t.Fatalf("budget %d: got %v, want the injected crash", budget, err)
+		}
+		if rep.Restarts != budget || len(rep.Crashes) != budget {
+			t.Fatalf("budget %d: %d restarts, %d crashes absorbed; want %d each", budget, rep.Restarts, len(rep.Crashes), budget)
+		}
+	}
+}
