@@ -17,6 +17,11 @@
 #               differ by more than A's interquartile range;
 #   worse       the mirror;
 #   unresolved  anything else.
+# Beside the verdict it prints the median paired difference B - A as a
+# per cent of A's median, with a 95 % bootstrap interval: 2000
+# resamples of the pairs with replacement, drawn from a fixed seed, so
+# the same readings print the same interval.  The interval does not
+# enter the verdict.
 #
 #   bash scripts/ab.sh HEAD~1 halo-p2-socket 6        (seeds 1..6)
 #   bash scripts/ab.sh HEAD~1 halo-p2-socket 301-310  (or: make ab REF=... WORKLOAD=... PAIRS=...)
@@ -89,6 +94,30 @@ function quantile(s, n, q,    h, lo) {
 	if (lo >= n) return s[n]
 	return s[lo] + (h - lo) * (s[lo + 1] - s[lo])
 }
+# Shell sort of v[1..n] in place, for the many bootstrap medians.
+function shellsort(v, n,    gap, i, j, t) {
+	for (gap = int(n / 2); gap > 0; gap = int(gap / 2))
+		for (i = gap + 1; i <= n; i++) {
+			t = v[i]
+			for (j = i - gap; j >= 1 && v[j] > t; j -= gap) v[j + gap] = v[j]
+			v[j + gap] = t
+		}
+}
+# Median of the n paired differences d[1..n], and into ci["lo"] and
+# ci["hi"] the 2.5 and 97.5 percentiles of the medians of 2000
+# resamples of them with replacement, from a fixed seed.
+function bootstrap(d, n, ci,    r, k, t, st, bm, med) {
+	sortinto(d, n, st); med = quantile(st, n, 0.5)
+	srand(1)
+	for (r = 1; r <= 2000; r++) {
+		for (k = 1; k <= n; k++) t[k] = d[int(rand() * n) + 1]
+		sortinto(t, n, st)
+		bm[r] = quantile(st, n, 0.5)
+	}
+	shellsort(bm, 2000)
+	ci["lo"] = quantile(bm, 2000, 0.025); ci["hi"] = quantile(bm, 2000, 0.975)
+	return med
+}
 # A reading as printed: four significant digits, "-" if absent.
 function show(v) { return v == "" ? "-" : sprintf("%.4g", v) }
 # The value of metric m in a result line, or "" if it is absent.
@@ -115,14 +144,15 @@ file == 2 {
 }
 END {
 	need = int(0.9 * pairs); if (need < 0.9 * pairs) need++
-	printf "%-12s %14s %14s %14s %9s  %s\n", "metric", "A median", "B median", "A IQR", "B won", "verdict"
+	printf "%-12s %14s %14s %14s %9s  %-10s  %s\n", "metric", "A median", "B median", "A IQR", "B won", "verdict", "B-A % of A [95% CI]"
 	for (k = 1; k <= nm; k++) {
-		m = names[k]; na = nb = won = lost = 0
+		m = names[k]; na = nb = nd = won = lost = 0
 		for (p = 1; p <= pairs; p++) {
 			a = val[m, "a", p]; b = val[m, "b", p]
 			if (a != "") va[++na] = a + 0
 			if (b != "") vb[++nb] = b + 0
 			if (a == "" || b == "") continue
+			d[++nd] = b - a
 			if (better[m] == "lower" ? b + 0 < a + 0 : b + 0 > a + 0) won++
 			else if (a + 0 != b + 0) lost++
 		}
@@ -134,7 +164,12 @@ END {
 		verdict = "unresolved"
 		if (gap > iqr && won >= need) verdict = "better"
 		if (gap > iqr && lost >= need) verdict = "worse"
-		printf "%-12s %14.6g %14.6g %14.6g %5d/%-3d  %s\n", m, ma, mb, iqr, won, pairs, verdict
+		diff = "-"
+		if (nd > 0 && ma != 0) {
+			md = bootstrap(d, nd, ci)
+			diff = sprintf("%+.1f [%+.1f, %+.1f]", 100 * md / ma, 100 * ci["lo"] / ma, 100 * ci["hi"] / ma)
+		}
+		printf "%-12s %14.6g %14.6g %14.6g %5d/%-3d  %-10s  %s\n", m, ma, mb, iqr, won, pairs, verdict, diff
 	}
 	printf "failed operations: A %d, B %d\n", failed["a"], failed["b"]
 	printf "\n%-5s", "seed"
