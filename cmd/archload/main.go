@@ -3,7 +3,8 @@
 // rate and backpressure rate — the observable half of the cluster's
 // robustness story.  A zipf spec popularity curve is the realistic
 // workload for a fingerprint-sharded cache: a few hot specs dominate
-// (and should hit node caches), a long tail stays cold.
+// (and should hit the coordinator's or a node's cache), a long tail
+// stays cold.
 //
 //	archload -coord http://127.0.0.1:8090 -clients 8 -jobs 200
 //	archload -cluster 3 -clients 8 -jobs 200

@@ -120,7 +120,12 @@ func waitNodeReady(t *testing.T, url string) {
 // the decoded wrapper + result (status 200 asserted by the caller via
 // the error return).
 func postSpec(hc *http.Client, front string, spec fdtd.Spec) (*ClusterResponse, *serve.JobResult, error) {
-	body, _ := json.Marshal(serve.JobRequest{Spec: &spec})
+	return postRequest(hc, front, serve.JobRequest{Spec: &spec})
+}
+
+// postRequest is postSpec for a whole request.
+func postRequest(hc *http.Client, front string, req serve.JobRequest) (*ClusterResponse, *serve.JobResult, error) {
+	body, _ := json.Marshal(req)
 	resp, err := hc.Post(front+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return nil, nil, err
@@ -156,7 +161,8 @@ func postSpec(hc *http.Client, front string, spec fdtd.Spec) (*ClusterResponse, 
 //   - the kill surfaces through procs as a typed *WorkerError with the
 //     stderr tail, and the node's run-dir is reaped atomically;
 //   - the killed node restarts, walks dead → rejoining → healthy, and
-//     then serves cache hits for its arc again;
+//     then serves cache hits for its arc again, while the coordinator
+//     answers repeats from its own cache with the same bits;
 //   - the run leaks no goroutines (vetted under -race by make race).
 func TestClusterChaos(t *testing.T) {
 	if testing.Short() {
@@ -248,12 +254,19 @@ func TestClusterChaos(t *testing.T) {
 			defer wg.Done()
 			idx := i % len(specs)
 			cr, jr, err := postSpec(hc, front.URL, specs[idx])
-			firstDone <- struct{}{}
+			// Only answers a node sent count toward the kill: a
+			// coordinator cache hit (no attempts) says nothing about
+			// how far the nodes are into the burst.
+			if err != nil || cr.Attempts > 0 {
+				firstDone <- struct{}{}
+			}
 			results <- outcome{specIdx: idx, cr: cr, jr: jr, err: err}
 		}(i)
 	}
 
-	// Mid-burst, after a handful of jobs completed: SIGKILL the victim.
+	// Mid-burst, after a handful of jobs completed on the nodes: SIGKILL
+	// the victim.  Each spec's first answer is a forward, so at least
+	// len(specs) > 5 answers count.
 	for i := 0; i < 5; i++ {
 		<-firstDone
 	}
@@ -264,11 +277,13 @@ func TestClusterChaos(t *testing.T) {
 	// membership layer can possibly have noticed: victim-arc requests
 	// still route to the dead node first and must fail over on the
 	// transport error (and come back degraded — the primary is gone).
+	// no_cache, so the coordinator forwards each one instead of
+	// answering it from its cache.
 	for idx := range specs {
 		wg.Add(1)
 		go func(idx int) {
 			defer wg.Done()
-			cr, jr, err := postSpec(hc, front.URL, specs[idx])
+			cr, jr, err := postRequest(hc, front.URL, serve.JobRequest{Spec: &specs[idx], NoCache: true})
 			results <- outcome{specIdx: idx, cr: cr, jr: jr, err: err}
 		}(idx)
 	}
@@ -346,6 +361,8 @@ func TestClusterChaos(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	// A victim-arc job now degrades to a live node instead of failing.
+	// no_cache, so the coordinator forwards it instead of answering it
+	// from its cache.
 	var victimSpec fdtd.Spec
 	victimIdx := -1
 	for idx, spec := range specs {
@@ -354,12 +371,27 @@ func TestClusterChaos(t *testing.T) {
 			break
 		}
 	}
-	cr, _, err := postSpec(hc, front.URL, victimSpec)
+	cr, jr, err := postRequest(hc, front.URL, serve.JobRequest{Spec: &victimSpec, NoCache: true})
 	if err != nil {
 		t.Fatalf("victim-arc job after death: %v", err)
 	}
 	if !cr.Degraded || cr.Node == victim || cr.Primary != victim {
 		t.Fatalf("victim-arc response node=%q primary=%q degraded=%v, want other/%s/true", cr.Node, cr.Primary, cr.Degraded, victim)
+	}
+	if !jr.BitwiseEqual(bySpec[victimIdx][0]) {
+		t.Fatalf("victim-arc failover result %s differs bitwise from the burst's %s", jr.FieldHash, bySpec[victimIdx][0].FieldHash)
+	}
+	// A plain repeat while the primary is dead is a coordinator cache
+	// hit with the same bits.
+	hit, hitRes, err := postSpec(hc, front.URL, victimSpec)
+	if err != nil {
+		t.Fatalf("victim-arc repeat after death: %v", err)
+	}
+	if hit.Origin != "cache" || hit.Attempts != 0 || hit.Degraded {
+		t.Fatalf("victim-arc repeat origin=%q attempts=%d degraded=%v, want a coordinator cache hit", hit.Origin, hit.Attempts, hit.Degraded)
+	}
+	if !hitRes.BitwiseEqual(bySpec[victimIdx][0]) {
+		t.Fatalf("victim-arc cache hit %s differs bitwise from the burst's %s", hitRes.FieldHash, bySpec[victimIdx][0].FieldHash)
 	}
 
 	// The kill surfaced through procs: typed *WorkerError, stderr tail
@@ -396,23 +428,42 @@ func TestClusterChaos(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	cr1, jr1, err := postSpec(hc, front.URL, victimSpec)
+	// no_cache, so the post-rejoin job reaches the restarted victim
+	// instead of the coordinator's cache.
+	cr1, jr1, err := postRequest(hc, front.URL, serve.JobRequest{Spec: &victimSpec, NoCache: true})
 	if err != nil {
 		t.Fatalf("post-rejoin job: %v", err)
 	}
-	if cr1.Node != victim || cr1.Degraded {
-		t.Fatalf("post-rejoin response node=%q degraded=%v, want %s/false (arc restored)", cr1.Node, cr1.Degraded, victim)
+	if cr1.Node != victim || cr1.Degraded || cr1.Attempts == 0 {
+		t.Fatalf("post-rejoin response node=%q degraded=%v attempts=%d, want %s/false/forwarded (arc restored)", cr1.Node, cr1.Degraded, cr1.Attempts, victim)
 	}
+	// The restarted node's own cache: a no_cache job does not fill it,
+	// so the first of two plain jobs sent straight to the node computes
+	// and the second is its cache hit.
+	var jrNode *serve.JobResult
+	for i, want := range []string{"computed", "cache"} {
+		nr, res, err := postSpec(hc, restarted.url(), victimSpec)
+		if err != nil {
+			t.Fatalf("post-rejoin job %d on the node: %v", i, err)
+		}
+		if nr.Origin != want {
+			t.Fatalf("post-rejoin job %d on the node: origin %q, want %q", i, nr.Origin, want)
+		}
+		jrNode = res
+	}
+	// And the coordinator answers a plain repeat from its own cache,
+	// with the ring primary restored.
 	cr2, jr2, err := postSpec(hc, front.URL, victimSpec)
 	if err != nil {
-		t.Fatalf("post-rejoin cache probe: %v", err)
+		t.Fatalf("post-rejoin coordinator repeat: %v", err)
 	}
-	if cr2.Node != victim || cr2.Origin != "cache" {
-		t.Fatalf("second post-rejoin response node=%q origin=%q, want %s/cache", cr2.Node, cr2.Origin, victim)
+	if cr2.Origin != "cache" || cr2.Attempts != 0 || cr2.Primary != victim || cr2.Degraded {
+		t.Fatalf("post-rejoin coordinator repeat origin=%q attempts=%d primary=%q degraded=%v, want cache/0/%s/false", cr2.Origin, cr2.Attempts, cr2.Primary, cr2.Degraded, victim)
 	}
-	// The restarted node's fresh computation must equal both its own
-	// cache hit and what the cluster served during the burst.
-	if !jr1.BitwiseEqual(jr2) || !jr1.BitwiseEqual(bySpec[victimIdx][0]) {
+	// The restarted node's fresh computation must equal its own cache
+	// hit, the coordinator's, and what the cluster served during the
+	// burst.
+	if !jr1.BitwiseEqual(jrNode) || !jr1.BitwiseEqual(jr2) || !jr1.BitwiseEqual(bySpec[victimIdx][0]) {
 		t.Fatal("post-rejoin results drifted bitwise")
 	}
 

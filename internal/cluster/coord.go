@@ -44,9 +44,13 @@ type Coordinator struct {
 	traces *obs.TraceStore    // coordinator-side service spans
 
 	requests serve.RequestReader // POST /v1/jobs bodies, repeats decoded once
+	// results holds nodes' 200 answers by fingerprint, so a repeat is
+	// answered here without a forward (see handleJobs).
+	results *serve.Cache[cachedAnswer]
 
 	// counters (atomic; exposed by /v1/stats)
-	jobs      atomic.Int64 // requests accepted for forwarding
+	jobs      atomic.Int64 // requests accepted: forwarded or answered from results
+	cacheHits atomic.Int64 // requests answered from results
 	forwarded atomic.Int64 // final responses obtained from a node
 	degraded  atomic.Int64 // responses served off-primary
 	failovers atomic.Int64 // node switches across all requests
@@ -70,10 +74,11 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 	c := &Coordinator{
-		member: m,
-		client: client.New(cfg.Client, cfg.Seed),
-		mint:   obs.NewTraceSource(cfg.Seed),
-		traces: obs.NewTraceStore(),
+		member:  m,
+		client:  client.New(cfg.Client, cfg.Seed),
+		mint:    obs.NewTraceSource(cfg.Seed),
+		traces:  obs.NewTraceStore(),
+		results: serve.NewCache[cachedAnswer](serve.DefaultCacheEntries),
 	}
 	m.Start()
 	return c, nil
@@ -91,21 +96,26 @@ func (c *Coordinator) Membership() *Membership { return c.member }
 // ClusterResponse is the coordinator's POST /v1/jobs success body: the
 // node's JobResponse fields plus routing provenance.  Result is the
 // node's JSON (json.RawMessage), spliced into the body as the node sent
-// it (clusterBody), so float64 values are never re-encoded — the
-// bitwise-identity guarantee survives the hop.
+// it (spliceResult), so float64 values are never re-encoded — the
+// bitwise-identity guarantee survives the hop.  Origin is the node's,
+// or "cache" when the coordinator answered from its own result cache.
 type ClusterResponse struct {
 	Origin string          `json:"origin"`
 	Result json.RawMessage `json:"result"`
 	// Node served the response; Primary is the ring's first choice for
-	// this fingerprint.  Degraded means Node != Primary, which happens
-	// only on failover (the primary was down, suspect or shedding load):
-	// the answer is still bitwise-correct (Theorem 1 — any node computes
+	// this fingerprint.  On a coordinator cache hit, Node is the node
+	// whose answer was stored, and Primary is today's ring primary.
+	// Degraded means this request failed over (Node != Primary after
+	// a forward: the primary was down, suspect or shedding load): the
+	// answer is still bitwise-correct (Theorem 1 — any node computes
 	// the same result), only placement quality suffered, so the
-	// coordinator degrades instead of failing.
+	// coordinator degrades instead of failing.  A cache hit forwards
+	// nothing, so it is never degraded.
 	Node     string `json:"node"`
 	Primary  string `json:"primary"`
 	Degraded bool   `json:"degraded"`
-	// Attempts/Failovers/Retried429 describe the forwarding effort.
+	// Attempts/Failovers/Retried429 describe the forwarding effort;
+	// a cache hit makes none, so Attempts is 0.
 	Attempts   int `json:"attempts"`
 	Failovers  int `json:"failovers,omitempty"`
 	Retried429 int `json:"retried_429,omitempty"`
@@ -118,6 +128,7 @@ type ClusterResponse struct {
 // Stats is the coordinator's GET /v1/stats body.
 type Stats struct {
 	Jobs       int64        `json:"jobs"`
+	CacheHits  int64        `json:"cache_hits"`
 	Forwarded  int64        `json:"forwarded"`
 	Degraded   int64        `json:"degraded"`
 	Failovers  int64        `json:"failovers"`
@@ -171,7 +182,7 @@ func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
 	// Resolve exactly as a node would, so a preset and its expanded
 	// spec fingerprint — and therefore shard — identically here and
 	// there.
-	spec, _, err := serve.ResolveRequest(req)
+	spec, opts, err := serve.ResolveRequest(req)
 	if err != nil {
 		c.rejected.Add(1)
 		writeError(w, http.StatusBadRequest, "invalid", err.Error())
@@ -190,6 +201,13 @@ func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
 		trace = c.mint()
 	}
 	fp := spec.Fingerprint()
+	traceStr := trace.String()
+	if !opts.NoCache {
+		if a, ok := c.results.Get(fp); ok {
+			c.answerFromCache(w, fp, a, traceStr)
+			return
+		}
+	}
 	primary, cands := c.member.Route(fp)
 	if len(cands) == 0 {
 		writeError(w, http.StatusServiceUnavailable, "no_nodes",
@@ -202,7 +220,6 @@ func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
 	for i, n := range cands {
 		urls[i] = n.URL
 	}
-	traceStr := trace.String()
 	hdr := http.Header{}
 	hdr.Set(obs.TraceHeader, traceStr)
 	w.Header().Set(obs.TraceHeader, traceStr)
@@ -253,8 +270,14 @@ func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeBody(w, res.Status, res.Body)
 		return
 	}
+	origin, result, err := parseNodeBody(res.Body)
+	if err != nil {
+		writeError(w, http.StatusBadGateway, "bad_node_response", err.Error())
+		return
+	}
 	degraded := servedName != primary
-	out, err := clusterBody(res.Body, ClusterResponse{
+	out, err := spliceResult(ClusterResponse{
+		Origin:     origin,
 		Node:       servedName,
 		Primary:    primary,
 		Degraded:   degraded,
@@ -262,10 +285,13 @@ func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
 		Failovers:  res.Failovers,
 		Retried429: res.Retried429,
 		Trace:      traceStr,
-	})
+	}, result)
 	if err != nil {
 		writeError(w, http.StatusBadGateway, "bad_node_response", err.Error())
 		return
+	}
+	if !opts.NoCache && resultIsFor(result, fp) {
+		c.results.Put(fp, cachedAnswer{node: servedName, result: result})
 	}
 	c.forwarded.Add(1)
 	c.member.servedBy(servedName)
@@ -286,6 +312,64 @@ func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, http.StatusOK, out)
 }
 
+// cachedAnswer is a node's 200 answer as the coordinator keeps it: the
+// result in the form spliceResult takes, and the name of the node that
+// served it.
+type cachedAnswer struct {
+	node   string
+	result []byte
+}
+
+// resultIsFor reports whether result, as parseNodeBody returns it,
+// names fingerprint fp.  A node's encoder writes the fingerprint field
+// first, so the check reads only the head of the result; an answer
+// for another spec, or in another shape, is served but not stored.
+func resultIsFor(result []byte, fp uint64) bool {
+	const head = `{"fingerprint":"`
+	const digits = "0123456789abcdef"
+	if len(result) < len(head)+17 || string(result[:len(head)]) != head || result[len(head)+16] != '"' {
+		return false
+	}
+	for i, b := range result[len(head) : len(head)+16] {
+		if b != digits[fp>>(60-4*i)&0xf] {
+			return false
+		}
+	}
+	return true
+}
+
+// answerFromCache answers a request from a stored node answer, without
+// a forward.  By Theorem 1 the stored result is bitwise the one a node
+// would compute now, so the hit is the forward's answer with the
+// routing fields of a request that went nowhere: origin "cache", no
+// attempts, not degraded.  It counts in jobs and cacheHits only, and
+// files a coordinator span so the request's trace can be fetched.
+func (c *Coordinator) answerFromCache(w http.ResponseWriter, fp uint64, a cachedAnswer, trace string) {
+	start := time.Now()
+	out, err := spliceResult(ClusterResponse{
+		Origin:  serve.OriginCache.String(),
+		Node:    a.node,
+		Primary: c.member.Ring().Primary(fp),
+		Trace:   trace,
+	}, a.result)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "internal", err.Error())
+		return
+	}
+	c.jobs.Add(1)
+	c.cacheHits.Add(1)
+	c.traces.Put(obs.TraceBundle{
+		Trace:  trace,
+		Source: "archcoord",
+		Spans: []obs.TraceSpan{
+			obs.ServiceSpan("cache", fmt.Sprintf("cache hit (answer of %s)", a.node), start, time.Now()),
+		},
+	})
+	w.Header().Set(obs.TraceHeader, trace)
+	w.Header().Set("Content-Type", "application/json")
+	writeBody(w, http.StatusOK, out)
+}
+
 // writeBody answers with status and body, framed by its length rather
 // than chunked.
 func writeBody(w http.ResponseWriter, status int, body []byte) {
@@ -294,23 +378,16 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Write(body)
 }
 
-// resultNull is where clusterBody splices the node's result into the
-// encoded envelope.  Inside an encoded string every quote is escaped,
-// so the first match is the result field itself.
-var resultNull = []byte(`,"result":null`)
-
-// clusterBody encodes resp as the coordinator's POST /v1/jobs success
-// body, with Origin and Result taken from the node's 200 body.
+// parseNodeBody reads a node's 200 body for its origin and its result,
+// the result in the form the encoder writes a json.RawMessage in:
+// compact and HTML-escaped.
 //
 // Reading the node body is the check that it is a JobResponse, and its
 // error is the caller's 502.  A body in the exact shape a node writes
-// is read in one pass by serve.ParseJobResponse; any other body goes
-// to json.Unmarshal, whose verdict stands.  The result's bytes are then
-// spliced into the encoded envelope instead of going through
-// encoding/json again, which would validate and compact them a second
-// time.  The body returned is byte for byte what
-// json.NewEncoder(w).Encode(resp) writes with the node's result in it.
-func clusterBody(nodeBody []byte, resp ClusterResponse) ([]byte, error) {
+// is read in one pass by serve.ParseJobResponse, and its result is
+// returned as a subslice of the body; any other body goes to
+// json.Unmarshal, whose verdict stands.
+func parseNodeBody(nodeBody []byte) (origin string, result []byte, err error) {
 	origin, result, canonical, ok := serve.ParseJobResponse(nodeBody)
 	if !ok {
 		var node struct {
@@ -318,18 +395,32 @@ func clusterBody(nodeBody []byte, resp ClusterResponse) ([]byte, error) {
 			Result json.RawMessage `json:"result"`
 		}
 		if err := json.Unmarshal(nodeBody, &node); err != nil {
-			return nil, err
+			return "", nil, err
 		}
 		origin, result = node.Origin, node.Result
 	}
 	if !canonical {
-		// The form the encoder gives a RawMessage: compact, HTML-escaped.
-		var err error
 		if result, err = json.Marshal(json.RawMessage(result)); err != nil {
-			return nil, err
+			return "", nil, err
 		}
 	}
-	resp.Origin, resp.Result = origin, nil
+	return origin, result, nil
+}
+
+// resultNull is where spliceResult splices the result into the
+// encoded envelope.  Inside an encoded string every quote is escaped,
+// so the first match is the result field itself.
+var resultNull = []byte(`,"result":null`)
+
+// spliceResult encodes resp as the coordinator's POST /v1/jobs success
+// body with result, as parseNodeBody returns it, in its Result field.
+// The result's bytes are spliced into the encoded envelope instead of
+// going through encoding/json again, which would validate and compact
+// them a second time.  The body returned is byte for byte what
+// json.NewEncoder(w).Encode(resp) writes with that result in it.  A
+// forward and a cache hit both build their answer here.
+func spliceResult(resp ClusterResponse, result []byte) ([]byte, error) {
+	resp.Result = nil
 	env, err := json.Marshal(resp)
 	if err != nil {
 		return nil, err
@@ -392,6 +483,7 @@ func (c *Coordinator) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := Stats{
 		Jobs:      c.jobs.Load(),
+		CacheHits: c.cacheHits.Load(),
 		Forwarded: c.forwarded.Load(),
 		Degraded:  c.degraded.Load(),
 		Failovers: c.failovers.Load(),

@@ -85,7 +85,14 @@ func newTestCluster(t *testing.T, names ...string) *testCluster {
 // submit posts a spec through the coordinator and decodes the wrapper.
 func (tc *testCluster) submit(t *testing.T, spec fdtd.Spec) (*ClusterResponse, *serve.JobResult) {
 	t.Helper()
-	body, _ := json.Marshal(serve.JobRequest{Spec: &spec})
+	return tc.submitRequest(t, serve.JobRequest{Spec: &spec})
+}
+
+// submitRequest posts req through the coordinator and decodes the
+// wrapper.
+func (tc *testCluster) submitRequest(t *testing.T, req serve.JobRequest) (*ClusterResponse, *serve.JobResult) {
+	t.Helper()
+	body, _ := json.Marshal(req)
 	resp, err := http.Post(tc.front.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -167,10 +174,19 @@ func TestCoordinatorShardsAndCaches(t *testing.T) {
 		t.Fatalf("probe has %d samples, want %d", len(jr.Probe), spec.Steps)
 	}
 
-	// Same spec again: same shard, served from its cache.
+	// Same spec again: answered from the coordinator's cache with the
+	// shard's answer, and the shard does no more work.
+	jobsBefore := tc.servers["n1"].Stats()
 	cr2, jr2 := tc.submit(t, spec)
 	if cr2.Node != "n1" || cr2.Origin != "cache" {
 		t.Fatalf("second submit node=%q origin=%q, want n1/cache", cr2.Node, cr2.Origin)
+	}
+	if cr2.Attempts != 0 {
+		t.Fatalf("second submit made %d attempts, want 0 (a coordinator cache hit)", cr2.Attempts)
+	}
+	if jobsAfter := tc.servers["n1"].Stats(); jobsAfter.JobsOK != jobsBefore.JobsOK || jobsAfter.CacheHits != jobsBefore.CacheHits {
+		t.Fatalf("node n1 went from %d jobs and %d cache hits to %d and %d, want unchanged",
+			jobsBefore.JobsOK, jobsBefore.CacheHits, jobsAfter.JobsOK, jobsAfter.CacheHits)
 	}
 	if !jr.BitwiseEqual(jr2) {
 		t.Fatal("cached result differs from computed result")
@@ -209,7 +225,9 @@ func TestCoordinatorDegradedFailover(t *testing.T) {
 	tc.nodes["n0"].Close()
 	tc.waitState(t, "n0", StateDead)
 
-	cr2, after := tc.submit(t, spec)
+	// no_cache, so the coordinator forwards the repeat instead of
+	// answering it from its cache, and the forward must fail over.
+	cr2, after := tc.submitRequest(t, serve.JobRequest{Spec: &spec, NoCache: true})
 	if cr2.Node == "n0" {
 		t.Fatal("dead node served the request")
 	}
@@ -223,6 +241,16 @@ func TestCoordinatorDegradedFailover(t *testing.T) {
 	// identical to the primary's answer.
 	if !before.BitwiseEqual(after) {
 		t.Fatalf("failover result differs bitwise: %s vs %s", before.FieldHash, after.FieldHash)
+	}
+	// A plain repeat while the primary is dead is a coordinator cache
+	// hit: the warm answer, from the node that served it, undegraded.
+	hit, hitRes := tc.submit(t, spec)
+	if hit.Origin != "cache" || hit.Attempts != 0 || hit.Node != "n0" || hit.Primary != "n0" || hit.Degraded {
+		t.Fatalf("plain repeat origin=%q attempts=%d node=%q primary=%q degraded=%v, want cache/0/n0/n0/false",
+			hit.Origin, hit.Attempts, hit.Node, hit.Primary, hit.Degraded)
+	}
+	if !before.BitwiseEqual(hitRes) {
+		t.Fatalf("coordinator cache hit differs bitwise: %s vs %s", before.FieldHash, hitRes.FieldHash)
 	}
 
 	// An unaffected shard still routes to its own healthy primary,
@@ -517,7 +545,12 @@ func BenchmarkClusterBody(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := clusterBody(node, meta); err != nil {
+		origin, result, err := parseNodeBody(node)
+		if err != nil {
+			b.Fatal(err)
+		}
+		meta.Origin = origin
+		if _, err := spliceResult(meta, result); err != nil {
 			b.Fatal(err)
 		}
 	}

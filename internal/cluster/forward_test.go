@@ -20,6 +20,7 @@ import (
 // loopback listener of its own.  The coordinator's probe is stubbed,
 // so every connection the node accepts is one a forward opened.
 type forwardPair struct {
+	coord *Coordinator
 	front *httptest.Server
 	node  string       // the node's base URL
 	conns atomic.Int64 // connections the node has accepted
@@ -45,6 +46,7 @@ func newForwardPair(tb testing.TB, node http.Handler) *forwardPair {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	fp.coord = coord
 	fp.front = httptest.NewServer(coord.Handler())
 	tb.Cleanup(func() {
 		fp.front.Close()
@@ -70,8 +72,10 @@ func (fp *forwardPair) post(tb testing.TB, body []byte) (*http.Response, []byte)
 
 // newCachedPair is a forwardPair whose node is a real serve.Server
 // with the job grid's answer already in its cache.  It returns the job
-// grid's request body too.
-func newCachedPair(tb testing.TB) (*forwardPair, []byte) {
+// grid's request body too.  With forward set, the coordinator holds no
+// result cache, so every request is forwarded and answered from the
+// node's; otherwise repeats are answered by the coordinator.
+func newCachedPair(tb testing.TB, forward bool) (*forwardPair, []byte) {
 	tb.Helper()
 	s := serve.New(serve.Config{P: 2, Workers: 1})
 	tb.Cleanup(func() {
@@ -80,6 +84,9 @@ func newCachedPair(tb testing.TB) (*forwardPair, []byte) {
 		s.Shutdown(ctx)
 	})
 	fp := newForwardPair(tb, s.Handler())
+	if forward {
+		fp.coord.results = nil
+	}
 	req := jobGridRequest(tb)
 	if resp, body := fp.post(tb, req); resp.StatusCode != http.StatusOK {
 		tb.Fatalf("warm-up status %d: %s", resp.StatusCode, body)
@@ -99,7 +106,7 @@ func framed(resp *http.Response, body []byte) bool {
 // at the declared length and closes the body early would close the
 // connection each time.
 func TestForwardReusesConnections(t *testing.T) {
-	fp, req := newCachedPair(t)
+	fp, req := newCachedPair(t, true)
 	const n = 50
 	for i := 0; i < n; i++ {
 		if resp, body := fp.post(t, req); resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"origin":"cache"`)) {
@@ -112,24 +119,29 @@ func TestForwardReusesConnections(t *testing.T) {
 }
 
 // TestCoordinatorAnswersAreFramed: the coordinator declares the length
-// of its 200 answer and of a node's error answer it passes through,
-// both here longer than the server buffers before it falls back to
-// chunks.
+// of its 200 answer, forwarded or from its cache, and of a node's error
+// answer it passes through, all here longer than the server buffers
+// before it falls back to chunks.
 func TestCoordinatorAnswersAreFramed(t *testing.T) {
-	fp, req := newCachedPair(t)
-	resp, body := fp.post(t, req)
-	if resp.StatusCode != http.StatusOK || !framed(resp, body) || len(body) < 4096 {
-		t.Fatalf("200: %d-byte body with Content-Length %d and Transfer-Encoding %v, want a job-grid answer framed by its length",
-			len(body), resp.ContentLength, resp.TransferEncoding)
+	for _, forward := range []bool{true, false} {
+		fp, req := newCachedPair(t, forward)
+		resp, body := fp.post(t, req)
+		if resp.StatusCode != http.StatusOK || !framed(resp, body) || len(body) < 4096 {
+			t.Fatalf("200 (forwarded %v): %d-byte body with Content-Length %d and Transfer-Encoding %v, want a job-grid answer framed by its length",
+				forward, len(body), resp.ContentLength, resp.TransferEncoding)
+		}
+		if hit := bytes.Contains(body, []byte(`"attempts":0`)); hit == forward {
+			t.Fatalf("forwarded %v, yet the answer's attempts say otherwise: %.200s", forward, body)
+		}
 	}
 
 	nodeErr := `{"kind":"invalid","error":"` + strings.Repeat("x", 5000) + `"}` + "\n"
-	fp = newForwardPair(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	fp := newForwardPair(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusBadRequest)
 		io.WriteString(w, nodeErr)
 	}))
-	resp, body = fp.post(t, req)
+	resp, body := fp.post(t, jobGridRequest(t))
 	if resp.StatusCode != http.StatusBadRequest || string(body) != nodeErr || !framed(resp, body) {
 		t.Fatalf("pass-through: status %d, %d-byte body with Content-Length %d and Transfer-Encoding %v, want the node's 400 verbatim and framed",
 			resp.StatusCode, len(body), resp.ContentLength, resp.TransferEncoding)
@@ -156,7 +168,11 @@ func TestChunkedNodeBodyIsSpliced(t *testing.T) {
 	if err := json.Unmarshal(body, &cr); err != nil {
 		t.Fatalf("decode %s: %v", body, err)
 	}
-	want, err := clusterBody(nodeBody, cr)
+	_, result, err := parseNodeBody(nodeBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := spliceResult(cr, result)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,12 +192,26 @@ func TestChunkedNodeBodyIsSpliced(t *testing.T) {
 }
 
 // BenchmarkForwardHit measures one cache hit through both hops: a POST
-// of the job grid to the coordinator, forwarded over loopback to its
-// node, answered from the node's cache and spliced into the
-// coordinator's answer.  B/op and allocs/op count the whole process:
-// the benchmark's client, the coordinator and the node.
+// of the job grid to a coordinator without a result cache, forwarded
+// over loopback to its node, answered from the node's cache and
+// spliced into the coordinator's answer.  B/op and allocs/op count the
+// whole process: the benchmark's client, the coordinator and the node.
 func BenchmarkForwardHit(b *testing.B) {
-	fp, req := newCachedPair(b)
+	fp, req := newCachedPair(b, true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if resp, body := fp.post(b, req); resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+	}
+}
+
+// BenchmarkCoordinatorHit measures one hit in the coordinator's result
+// cache: a POST of the job grid to the coordinator, answered from the
+// node answer it stored, with no forward.
+func BenchmarkCoordinatorHit(b *testing.B) {
+	fp, req := newCachedPair(b, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

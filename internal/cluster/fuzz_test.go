@@ -8,12 +8,14 @@ import (
 	"repro/internal/serve"
 )
 
-// FuzzNodeResponse drives clusterBody, the coordinator's splice of a
-// node's 200 body into its own.  For any node body it must either fail
-// (the 502 bad_node_response path) or return exactly the bytes the
-// encoder path it replaced wrote: json.Encoder output of the
-// ClusterResponse, which is valid JSON whose result is the node's,
-// compacted and HTML-escaped.
+// FuzzNodeResponse drives parseNodeBody and spliceResult, the
+// coordinator's splice of a node's 200 body into its own.  For any node
+// body the read must either fail (the 502 bad_node_response path) or
+// the splice must return exactly the bytes the encoder path it replaced
+// wrote: json.Encoder output of the ClusterResponse, which is valid
+// JSON whose result is the node's, compacted and HTML-escaped.  A cache
+// hit's answer, spliced from the same parsed result with a hit's
+// routing fields, must equal the encoder's output for those fields too.
 func FuzzNodeResponse(f *testing.F) {
 	res, err := json.Marshal(serve.JobResponse{
 		Origin: "cache",
@@ -78,7 +80,12 @@ func FuzzNodeResponse(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, nodeBody []byte, name string) {
 		meta := ClusterResponse{Node: name, Primary: "n0", Degraded: name != "n0", Attempts: 2, Failovers: 1, Trace: "0000000000000001"}
-		got, err := clusterBody(nodeBody, meta)
+		origin, result, err := parseNodeBody(nodeBody)
+		var got []byte
+		if err == nil {
+			meta.Origin = origin
+			got, err = spliceResult(meta, result)
+		}
 		var node struct {
 			Origin string          `json:"origin"`
 			Result json.RawMessage `json:"result"`
@@ -121,6 +128,21 @@ func FuzzNodeResponse(f *testing.F) {
 		}
 		if !bytes.Equal(back.Result, compacted) {
 			t.Fatalf("result %q, want the node's compacted %q", back.Result, compacted)
+		}
+
+		// The hit a coordinator answers later from the stored result.
+		hitMeta := ClusterResponse{Origin: "cache", Node: name, Primary: "n0", Trace: "0000000000000002"}
+		hit, err := spliceResult(hitMeta, result)
+		if err != nil {
+			t.Fatalf("hit splice of %q: %v", result, err)
+		}
+		hitMeta.Result = node.Result
+		enc.Reset()
+		if err := json.NewEncoder(&enc).Encode(hitMeta); err != nil {
+			t.Fatalf("encode %+v: %v", hitMeta, err)
+		}
+		if !bytes.Equal(hit, enc.Bytes()) {
+			t.Fatalf("node body %q, hit:\n got %s\nwant %s", nodeBody, hit, enc.Bytes())
 		}
 	})
 }

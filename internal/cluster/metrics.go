@@ -10,18 +10,19 @@ import (
 )
 
 // writeMetrics renders the coordinator's Prometheus text exposition:
-// the forwarding counters, one forward-latency histogram (end-to-end:
-// admission to final node response, retries and backoff included — the
-// latency a client of the cluster actually experiences), and per-node
-// state gauges labelled by node name.  Node names are operator input,
-// so labels go through PromEscapeLabel rather than trusting them to be
-// exposition-safe.
+// the forwarding and result-cache counters, one forward-latency
+// histogram (end-to-end: admission to final node response, retries and
+// backoff included — the latency a client of the cluster actually
+// experiences), and per-node state gauges labelled by node name.  Node
+// names are operator input, so labels go through PromEscapeLabel rather
+// than trusting them to be exposition-safe.
 func (c *Coordinator) writeMetrics(w io.Writer) error {
 	var b strings.Builder
 	counter := func(name, help string, v int64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
-	counter("archcoord_jobs_total", "Requests accepted for forwarding.", c.jobs.Load())
+	counter("archcoord_jobs_total", "Requests accepted: forwarded, or answered from the result cache.", c.jobs.Load())
+	counter("archcoord_cache_hits_total", "Requests answered from the result cache without a forward.", c.cacheHits.Load())
 	counter("archcoord_forwarded_total", "Final responses obtained from a node.", c.forwarded.Load())
 	counter("archcoord_degraded_total", "Responses served off-primary.", c.degraded.Load())
 	counter("archcoord_failovers_total", "Node switches across all requests.", c.failovers.Load())

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 // chromeTrace is the slice of a Chrome trace file the assertions need.
@@ -90,11 +92,23 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 }
 
 // TestClusterTraceCacheHit: a repeat submission answered from the node
-// cache gets its own trace id whose bundle records the cache hit.
+// cache gets its own trace id whose bundle records the cache hit.  The
+// first submission goes to the node directly, so the coordinator has
+// not stored the answer and forwards the repeat.
 func TestClusterTraceCacheHit(t *testing.T) {
 	tc := newTestCluster(t, "n0")
 	spec, _ := tc.specWithPrimary(t, "n0", 100)
-	first, _ := tc.submit(t, spec)
+	body, _ := json.Marshal(serve.JobRequest{Spec: &spec})
+	resp, err := http.Post(tc.nodes["n0"].URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first serve.JobResponse
+	err = json.NewDecoder(resp.Body).Decode(&first)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("direct submit: status %d, %v", resp.StatusCode, err)
+	}
 	second, _ := tc.submit(t, spec)
 	if second.Origin != "cache" {
 		t.Fatalf("second submit origin %q, want cache", second.Origin)

@@ -85,6 +85,13 @@ type Span struct {
 // phase totals are unaffected.
 const DefaultMaxSpans = 1 << 20
 
+// retainSpans is the largest span-log capacity a rank keeps across
+// Reset: 4 096 spans, about 192 KB, near eight times the 536 spans a
+// rank records in a 64-step job on the 24x16x16 grid at P=2.  A longer
+// run's log is dropped at Reset rather than held for the collector's
+// life.
+const retainSpans = 1 << 12
+
 // rankState holds one rank's counters, phase tracking and span log.
 // The counters are atomics (written on the communication hot path, read
 // by live scrapes); the span bookkeeping and the rank's own span log are
@@ -135,6 +142,46 @@ func New(p int) *Collector {
 		ranks:    make([]rankState, p),
 		maxSpans: DefaultMaxSpans,
 	}
+}
+
+// Reset readies the collector for another run of the same P, stamped
+// with trace: a new epoch, zero counters and phase times, an empty span
+// log and no Finish.  Each rank keeps its span log's capacity up to
+// retainSpans, so a collector reused run after run stops allocating
+// for spans once it has held the longest run's, and one outsized run
+// does not pin its log.  Copies already taken (Spans, Snapshot,
+// BundleFromCollector) are unaffected.  Call it between runs only,
+// with no rank recording and no reader in flight.  Safe on nil.
+func (c *Collector) Reset(trace TraceID) {
+	if c == nil {
+		return
+	}
+	c.epoch = time.Now()
+	c.SetTrace(trace)
+	for r := range c.ranks {
+		rs := &c.ranks[r]
+		rs.sends.Store(0)
+		rs.recvs.Store(0)
+		rs.steps.Store(0)
+		rs.blocks.Store(0)
+		rs.bytesSent.Store(0)
+		rs.bytesRecvd.Store(0)
+		for ph := range rs.phaseNanos {
+			rs.phaseNanos[ph].Store(0)
+		}
+		rs.mu.Lock()
+		rs.cur, rs.label, rs.curStart = PhaseCompute, "", 0
+		if cap(rs.spans) > retainSpans {
+			rs.spans = nil
+		} else {
+			rs.spans = rs.spans[:0]
+		}
+		rs.mu.Unlock()
+	}
+	c.offered.Store(0)
+	c.mu.Lock()
+	c.finished = 0
+	c.mu.Unlock()
 }
 
 // P returns the process count, 0 on nil.

@@ -243,3 +243,81 @@ func checkRankTimelines(t *testing.T, spans []Span, wall time.Duration) {
 		}
 	}
 }
+
+// TestResetReusesSpanLogs: Reset clears what a run recorded and stamps
+// the next run's trace, and each rank keeps its span log, so a replay
+// of one job's worth of phase switches — about 1 000 spans over two
+// ranks, as a job of the service records — allocates nothing.
+func TestResetReusesSpanLogs(t *testing.T) {
+	const switches = 250 // per rank, each a Begin and an End
+	c := New(2)
+	job := func() {
+		labelStart(c)
+		for r := 0; r < c.P(); r++ {
+			for i := 0; i < switches; i++ {
+				c.Begin(r, PhaseExchange, "ghost-exchange")
+				c.CountSend(r, 8)
+				c.End(r)
+			}
+		}
+		c.Finish()
+	}
+	job()
+	if n := len(c.Spans()); n < 2*switches {
+		t.Fatalf("one job recorded %d spans, want at least %d", n, 2*switches)
+	}
+
+	c.Reset(7)
+	snap := c.Snapshot()
+	if len(c.Spans()) != 0 || snap.Finished || snap.DroppedSpans != 0 || c.Trace() != 7 {
+		t.Fatalf("after Reset: %d spans, finished %v, %d dropped, trace %v; want none, false, 0, 7",
+			len(c.Spans()), snap.Finished, snap.DroppedSpans, c.Trace())
+	}
+	for _, rs := range snap.Ranks {
+		if rs.Sends != 0 || rs.BytesSent != 0 || rs.Phase[PhaseExchange] != 0 {
+			t.Fatalf("rank %d after Reset: %+v, want zero counters", rs.Rank, rs)
+		}
+	}
+
+	job()
+	snap = c.Snapshot()
+	if snap.Ranks[1].Sends != switches {
+		t.Fatalf("rank 1 counted %d sends after Reset, want %d", snap.Ranks[1].Sends, switches)
+	}
+	checkRankTimelines(t, c.Spans(), snap.Wall)
+
+	if n := testing.AllocsPerRun(5, func() {
+		c.Reset(7)
+		job()
+	}); n != 0 {
+		t.Fatalf("Reset and a replay of one job allocated %v times, want 0", n)
+	}
+}
+
+// TestResetReleasesOutsizedSpanLogs: a rank whose log outgrew
+// retainSpans in one run gives it up at Reset, and a rank within the
+// bound keeps its capacity.
+func TestResetReleasesOutsizedSpanLogs(t *testing.T) {
+	c := New(2)
+	labelStart(c)
+	for i := 0; i < retainSpans; i++ { // rank 0 only: > retainSpans spans
+		c.Begin(0, PhaseExchange, "ghost-exchange")
+		c.End(0)
+	}
+	for i := 0; i < 10; i++ {
+		c.Begin(1, PhaseExchange, "ghost-exchange")
+		c.End(1)
+	}
+	c.Finish()
+	if n := cap(c.ranks[0].spans); n <= retainSpans {
+		t.Fatalf("rank 0 log capacity %d after %d switches, want above %d", n, retainSpans, retainSpans)
+	}
+	kept := cap(c.ranks[1].spans)
+	c.Reset(1)
+	if got := cap(c.ranks[0].spans); got != 0 {
+		t.Fatalf("rank 0 log capacity %d after Reset, want 0 (released)", got)
+	}
+	if got := cap(c.ranks[1].spans); got != kept || got == 0 {
+		t.Fatalf("rank 1 log capacity %d after Reset, want %d (kept)", got, kept)
+	}
+}

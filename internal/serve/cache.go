@@ -6,12 +6,21 @@ import (
 	"sync/atomic"
 )
 
-// cache is the fingerprint-keyed LRU result cache.  Its correctness
-// rests on Theorem 1: a spec's fingerprint determines the computation,
-// and every maximal execution of that computation reaches the same
-// final state, so a cached result is bitwise interchangeable with a
-// fresh one — returning it is indistinguishable from recomputing.
-type cache struct {
+// DefaultCacheEntries is the capacity of a node's result cache when
+// Config.CacheEntries is zero, and of the cluster coordinator's.
+const DefaultCacheEntries = 256
+
+// Cache is the fingerprint-keyed LRU of results, one implementation for
+// a node's encoded results and the cluster coordinator's node answers.
+// Its correctness rests on Theorem 1: a spec's fingerprint determines
+// the computation, and every maximal execution of that computation
+// reaches the same final state, so a cached result is bitwise
+// interchangeable with a fresh one — returning it is indistinguishable
+// from recomputing.
+//
+// A nil Cache, or one of capacity 0 or less, holds nothing.  Safe for
+// concurrent use.
+type Cache[V any] struct {
 	mu      sync.Mutex
 	cap     int
 	entries map[uint64]*list.Element
@@ -20,66 +29,70 @@ type cache struct {
 	evictions atomic.Int64 // entries dropped past capacity
 }
 
-type cacheEntry struct {
-	fp  uint64
-	out *encoded
+type cacheEntry[V any] struct {
+	fp uint64
+	v  V
 }
 
-func newCache(capacity int) *cache {
-	return &cache{
+// NewCache returns an empty cache of the given capacity.
+func NewCache[V any](capacity int) *Cache[V] {
+	return &Cache[V]{
 		cap:     capacity,
 		entries: make(map[uint64]*list.Element),
 		order:   list.New(),
 	}
 }
 
-// get returns the cached result for fp, refreshing its recency.
-func (c *cache) get(fp uint64) (*encoded, bool) {
+// Get returns the value cached for fp, refreshing its recency.
+func (c *Cache[V]) Get(fp uint64) (V, bool) {
+	var zero V
 	if c == nil || c.cap <= 0 {
-		return nil, false
+		return zero, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[fp]
 	if !ok {
-		return nil, false
+		return zero, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).out, true
+	return el.Value.(*cacheEntry[V]).v, true
 }
 
-// put stores out under fp, evicting the least recently used entry past
-// capacity.  Storing an existing key refreshes it; by determinacy the
-// value cannot differ.
-func (c *cache) put(fp uint64, out *encoded) {
-	if c == nil || c.cap <= 0 || out == nil {
+// Put stores v under fp, evicting the least recently used entry past
+// capacity.  A key already present keeps its first value and is only
+// refreshed: by determinacy a later value cannot differ.
+func (c *Cache[V]) Put(fp uint64, v V) {
+	if c == nil || c.cap <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[fp]; ok {
 		c.order.MoveToFront(el)
-		el.Value.(*cacheEntry).out = out
 		return
 	}
-	c.entries[fp] = c.order.PushFront(&cacheEntry{fp: fp, out: out})
+	c.entries[fp] = c.order.PushFront(&cacheEntry[V]{fp: fp, v: v})
 	for c.order.Len() > c.cap {
 		last := c.order.Back()
 		c.order.Remove(last)
-		delete(c.entries, last.Value.(*cacheEntry).fp)
+		delete(c.entries, last.Value.(*cacheEntry[V]).fp)
 		c.evictions.Add(1)
 	}
 }
 
-// len returns the number of cached results.
-func (c *cache) len() int {
+// Len returns the number of cached values.
+func (c *Cache[V]) Len() int {
+	if c == nil {
+		return 0
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
 }
 
-// evicted returns the cumulative eviction count.
-func (c *cache) evicted() int64 {
+// Evicted returns the cumulative eviction count.
+func (c *Cache[V]) Evicted() int64 {
 	if c == nil {
 		return 0
 	}

@@ -39,10 +39,14 @@ type testHold struct {
 }
 
 // executor is one dispatcher goroutine.  cur is the network of the job
-// it is running, kept reachable so abortAll can wake its ranks.
+// it is running, kept reachable so abortAll can wake its ranks.  col is
+// the collector of its jobs, reset for each one: the jobs run one at a
+// time, and what a job's collector holds is copied out (Snapshot,
+// BundleFromCollector) before the next starts.
 type executor struct {
 	p   *pool
 	cur atomic.Pointer[channel.Net[mesh.Msg]]
+	col *obs.Collector
 }
 
 func newPool(cfg Config, m *metrics, complete func(*job, *JobResult, error)) *pool {
@@ -53,7 +57,7 @@ func newPool(cfg Config, m *metrics, complete func(*job, *JobResult, error)) *po
 		complete: complete,
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		ex := &executor{p: p}
+		ex := &executor{p: p, col: obs.New(cfg.P)}
 		p.execs = append(p.execs, ex)
 		p.wg.Add(1)
 		go ex.run()
@@ -125,8 +129,8 @@ func (ex *executor) runJob(jb *job) {
 	ex.cur.Store(net)
 	defer ex.cur.Store(nil)
 
-	col := obs.New(ex.p.cfg.P)
-	col.SetTrace(jb.trace)
+	col := ex.col
+	col.Reset(jb.trace)
 	opt := fdtd.DefaultOptions()
 	opt.Mesh.Obs = col
 	opt.Mesh.Transport = net

@@ -48,7 +48,7 @@ type Config struct {
 	// Default 30s.
 	DefaultTimeout time.Duration
 	// CacheEntries bounds the LRU result cache; 0 uses the default
-	// (256), negative disables caching.
+	// (DefaultCacheEntries), negative disables caching.
 	CacheEntries int
 	// Name identifies this node in trace bundles and correlated logs.
 	// Default "archserve".
@@ -69,7 +69,7 @@ func (c Config) withDefaults() Config {
 		c.DefaultTimeout = 30 * time.Second
 	}
 	if c.CacheEntries == 0 {
-		c.CacheEntries = 256
+		c.CacheEntries = DefaultCacheEntries
 	}
 	if c.CacheEntries < 0 {
 		c.CacheEntries = 0
@@ -123,7 +123,7 @@ type SubmitOptions struct {
 type Server struct {
 	cfg    Config
 	m      *metrics
-	cache  *cache
+	cache  *Cache[*encoded]
 	pool   *pool
 	traces *obs.TraceStore
 	mint   func() obs.TraceID // node-local trace ids for untraced submits
@@ -145,7 +145,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		m:        &metrics{},
-		cache:    newCache(cfg.CacheEntries),
+		cache:    NewCache[*encoded](cfg.CacheEntries),
 		traces:   obs.NewTraceStore(),
 		inflight: make(map[uint64]*job),
 		all:      make(map[*job]struct{}),
@@ -186,7 +186,7 @@ func (s *Server) submit(spec fdtd.Spec, opts SubmitOptions) (*encoded, Origin, e
 	}
 	fp := spec.Fingerprint()
 	if !opts.NoCache {
-		if out, ok := s.cache.get(fp); ok {
+		if out, ok := s.cache.Get(fp); ok {
 			s.m.cacheHits.Add(1)
 			s.storeServiceTrace(opts.Trace, "cache", time.Now())
 			return out, OriginCache, nil
@@ -318,7 +318,7 @@ func (s *Server) complete(jb *job, res *JobResult, err error) {
 	case err == nil:
 		s.m.jobsOK.Add(1)
 		if !jb.noCache {
-			s.cache.put(jb.fp, out)
+			s.cache.Put(jb.fp, out)
 		}
 	default:
 		if _, ok := AsJobTimeout(err); ok {
@@ -421,10 +421,10 @@ func (s *Server) Stats() Stats {
 		JobsOK:           s.m.jobsOK.Load(),
 		JobsFailed:       s.m.jobsFailed.Load(),
 		JobsTimedOut:     s.m.jobsTimedOut.Load(),
-		CacheEntries:     s.cache.len(),
+		CacheEntries:     s.cache.Len(),
 		CacheHits:        s.m.cacheHits.Load(),
 		CacheMisses:      s.m.cacheMisses.Load(),
-		CacheEvictions:   s.cache.evicted(),
+		CacheEvictions:   s.cache.Evicted(),
 		Coalesced:        s.m.coalesced.Load(),
 		RejectedOverload: s.m.rejectedLoad.Load(),
 		RejectedDraining: s.m.rejectedDrain.Load(),

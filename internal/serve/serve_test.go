@@ -538,25 +538,36 @@ func waitFor(t *testing.T, cond func() bool) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := newCache(2)
+	c := NewCache[*encoded](2)
 	r := func(i int) *encoded { return &encoded{res: &JobResult{Fingerprint: fmt.Sprint(i)}} }
-	c.put(1, r(1))
-	c.put(2, r(2))
-	if _, ok := c.get(1); !ok { // refresh 1; 2 becomes LRU
+	c.Put(1, r(1))
+	c.Put(2, r(2))
+	if _, ok := c.Get(1); !ok { // refresh 1; 2 becomes LRU
 		t.Fatal("entry 1 missing")
 	}
-	c.put(3, r(3))
-	if _, ok := c.get(2); ok {
+	c.Put(3, r(3))
+	if _, ok := c.Get(2); ok {
 		t.Fatal("LRU entry 2 should have been evicted")
 	}
-	if _, ok := c.get(1); !ok {
+	if _, ok := c.Get(1); !ok {
 		t.Fatal("refreshed entry 1 evicted")
 	}
-	if _, ok := c.get(3); !ok {
+	if _, ok := c.Get(3); !ok {
 		t.Fatal("new entry 3 missing")
 	}
-	if c.len() != 2 {
-		t.Fatalf("cache holds %d entries, want 2", c.len())
+	if c.Len() != 2 || c.Evicted() != 1 {
+		t.Fatalf("cache holds %d entries after %d evictions, want 2 after 1", c.Len(), c.Evicted())
+	}
+	// A repeat Put keeps the first value and refreshes it: 3 becomes
+	// the LRU entry.
+	first, _ := c.Get(1)
+	c.Put(1, r(10))
+	if got, _ := c.Get(1); got != first {
+		t.Fatalf("repeat Put replaced entry 1 with %s", got.res.Fingerprint)
+	}
+	c.Put(4, r(4))
+	if _, ok := c.Get(3); ok {
+		t.Fatal("entry 3 should have been evicted after 1 was refreshed")
 	}
 }
 
